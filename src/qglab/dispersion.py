@@ -19,25 +19,24 @@ from scipy.optimize import brentq
 from .effective import EffectiveModel
 from .graphs import MetricGraph, datta_weights
 from .krein import make_grid
-from .mmatrix import POLE_GUARD, FiberParams, ccot, ccsc
+from .mmatrix import POLE_GUARD, FiberParams, ccot, ccsc, sqrt_upper
 
 
-def _sqrt_upper(z: complex) -> complex:
-    k = cmath.sqrt(z)
-    if k.imag < 0:
-        k = -k
-    return k
+def _cos(x):
+    """cos of a real or complex scalar (math/cmath) or of an ndarray."""
+    if isinstance(x, np.ndarray):
+        return np.cos(x)
+    return cmath.cos(x) if isinstance(x, complex) else math.cos(x)
 
 
-def _theta_ex1(graph: MetricGraph, tau: float) -> complex:
+def _theta_ex1(graph: MetricGraph, tau):
     p = graph.params
-    num = (p["a1"] ** 2 / p["l1"]) * cmath.exp(-1j * tau) + p["a3"] ** 2 / p["l3"]
+    phase = np.exp(-1j * tau) if isinstance(tau, np.ndarray) else cmath.exp(-1j * tau)
+    num = (p["a1"] ** 2 / p["l1"]) * phase + p["a3"] ** 2 / p["l3"]
     return num / abs(num)
 
 
-def k_closed(
-    graph: MetricGraph, tau: float, z: complex, eps: float | None = None
-) -> complex:
+def k_closed(graph: MetricGraph, tau, z, eps: float | None = None):
     """Closed form of the dispersion function.
 
     ex0: (2 sqrt(z)/l1) a2 (cos(l2 sqrt(z)/a2) - cos tau) / sin(l2 sqrt(z)/a2)
@@ -47,12 +46,21 @@ def k_closed(
                           - a2 tan(l2 sqrt(z)/(2 a2)) }
     For ex1 the quasimomentum enters through t = tau/eps, so ``eps`` is
     required.
+
+    ``tau`` and ``z`` may each be a scalar or an array; arrays broadcast
+    against each other and give a complex ndarray, two scalars give a
+    complex.  sqrt(z) is taken with Im >= 0.  PoleError is raised when any
+    trigonometric argument lies within POLE_GUARD of a pole of cot/csc.
     """
     p = graph.params
-    k = _sqrt_upper(z)
+    if np.ndim(tau):
+        tau = np.asarray(tau, dtype=float)
+    if np.ndim(z):
+        z = np.asarray(z, dtype=complex)
+    k = sqrt_upper(z)
     if graph.example == "ex0":
         y = k * p["l2"] / p["a2"]
-        return (2.0 * k / p["l1"]) * p["a2"] * (cmath.cos(y) - math.cos(tau)) * ccsc(y)
+        return (2.0 * k / p["l1"]) * p["a2"] * (_cos(y) - _cos(tau)) * ccsc(y)
     if graph.example == "ex1":
         if eps is None:
             raise ValueError("ex1 dispersion needs eps (quasimomentum t = tau/eps)")
@@ -60,13 +68,13 @@ def k_closed(
         sigma_sq = 1.0 / (p["l1"] / p["a1"] ** 2 + p["l3"] / p["a3"] ** 2)
         y = k * p["l2"] / p["a2"]
         re_theta = _theta_ex1(graph, tau).real
-        trig = 2.0 * p["a2"] * k * (cmath.cos(y) - re_theta) * ccsc(y)
+        trig = 2.0 * p["a2"] * k * (_cos(y) - re_theta) * ccsc(y)
         return (trig + sigma_sq * (tau / eps) ** 2) / length
     if graph.example == "ex2":
         y1 = k * p["l1"] / p["a1"]
         y2 = k * p["l2"] / p["a2"]
         tan_half = ccsc(y2) - ccot(y2)  # tan(y2/2)
-        loop = p["a1"] * (cmath.cos(y1) - math.cos(tau)) * ccsc(y1)
+        loop = p["a1"] * (_cos(y1) - _cos(tau)) * ccsc(y1)
         return (2.0 * k / p["l3"]) * (loop - p["a2"] * tan_half)
     raise ValueError("dispersion defined for the three examples only")
 
@@ -246,7 +254,8 @@ def band_roots(
     # smallest z-distance from each pole at which the trig guards stay clear
     pads = [10.0 * POLE_GUARD * slope for _, _, slope in pole_data]
 
-    def f(z: float) -> float:
+    def f(z):
+        # scalar for the Brent/minimiser refinements, array for the scans
         return (k_closed(graph, tau, z + 0j, eps=eps) - z).real
 
     roots: list[float] = list(flat_levels(graph, z_max))
@@ -265,21 +274,24 @@ def band_roots(
         if b <= a:
             continue
         grid = np.linspace(a, b, scan_points)
-        vals = np.array([f(g) for g in grid])
-        hits = np.nonzero(np.diff(np.sign(vals)) != 0)[0]
-        for i in hits:
-            roots.append(brentq(f, grid[i], grid[i + 1], xtol=root_tol, rtol=1e-15))
-        # tangent roots: interior local minima of |f| that reach (near) zero
+        vals = f(grid)
+        signs = np.sign(vals)
+        for j in np.nonzero(np.diff(signs) != 0)[0]:
+            roots.append(brentq(f, grid[j], grid[j + 1], xtol=root_tol, rtol=1e-15))
+        # tangent roots: interior local minima of |f| that reach (near) zero;
+        # a sign change around the minimum is covered by the pass above
         mags = np.abs(vals)
         scale = max(1.0, float(np.max(mags)))
-        for i in range(1, scan_points - 1):
-            if not (mags[i] <= mags[i - 1] and mags[i] <= mags[i + 1]):
-                continue
-            if np.sign(vals[i - 1]) != np.sign(vals[i + 1]) or vals[i] == 0.0:
-                continue  # covered by the sign-change pass
+        tangent = (
+            (mags[1:-1] <= mags[:-2])
+            & (mags[1:-1] <= mags[2:])
+            & (signs[:-2] == signs[2:])
+            & (vals[1:-1] != 0.0)
+        )
+        for j in np.nonzero(tangent)[0] + 1:
             res = minimize_scalar(
                 lambda t: f(t) ** 2,
-                bounds=(grid[i - 1], grid[i + 1]),
+                bounds=(grid[j - 1], grid[j + 1]),
                 method="bounded",
                 options={"xatol": root_tol},
             )

@@ -28,6 +28,17 @@ class NearSingularError(ArithmeticError):
     """The shifted system is numerically singular (z at a discrete level)."""
 
 
+def _cmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Elementwise complex product in plain real arithmetic.
+
+    numpy's vectorised complex multiply may fuse multiply-adds, so its last
+    bits can differ from a scalar (or sparse-product) complex multiply; at
+    eps = 1/64 such last-bit changes in the stiff vertex entries move the
+    lowest discrete eigenvalues by ~1e-9 relative.
+    """
+    return (x.real * y.real - x.imag * y.imag) + 1j * (x.real * y.imag + x.imag * y.real)
+
+
 class DiscretizedOperator:
     """FEM discretization of the fiber operator with weighted vertex coupling."""
 
@@ -52,61 +63,56 @@ class DiscretizedOperator:
         verts = sorted(self.graph.vertices)
         vidx = {v: i for i, v in enumerate(verts)}
         # global unknowns: interior nodes of every edge, then one value per vertex
-        n_int = sum(sl.stop - sl.start - 2 for sl in g.slices)
+        n_int = g.size - 2 * len(g.slices)
         self.ndof = n_int + len(verts)
         tau = self.fiber.tau
 
-        rows, cols, vals = [], [], []  # prolongation P: samples <- dofs
-        offset = 0
+        # prolongation P: samples <- dofs, one entry per sample row; an edge
+        # endpoint carries its vertex value times the conjugate weight
+        col = np.empty(g.size, dtype=np.intp)
+        val = np.ones(g.size, dtype=complex)
+        interior = np.ones(g.size, dtype=bool)
         for e, sl in zip(g.edges, g.slices):
-            m = sl.stop - sl.start - 1  # intervals on this edge
-            # local node -> global dof (with weight factor on endpoints)
-            loc_rows = np.arange(sl.start, sl.stop)
-            rows.extend(loc_rows.tolist())
-            cols.append(n_int + vidx[e.left])
-            cols.extend(range(offset, offset + m - 1))
-            cols.append(n_int + vidx[e.right])
-            vals.append(np.conj(self.weights[(e.left, e.id)]))
-            vals.extend([1.0] * (m - 1))
-            vals.append(np.conj(self.weights[(e.right, e.id)]))
-            offset += m - 1
-        cols = [int(c) for c in cols]
+            for node, v in ((sl.start, e.left), (sl.stop - 1, e.right)):
+                interior[node] = False
+                col[node] = n_int + vidx[v]
+                val[node] = np.conj(self.weights[(v, e.id)])
+        col[interior] = np.arange(n_int)
         self.prolong = sp.csr_matrix(
-            (np.asarray(vals, dtype=complex), (rows, cols)),
-            shape=(g.size, self.ndof),
+            (val, col, np.arange(g.size + 1)), shape=(g.size, self.ndof)
         )
 
-        # block-diagonal element assembly per edge on the sample space
-        k_rows, k_cols, k_vals = [], [], []
-        m_vals = []
+        # P^* K_block P and P^* M_block P assembled directly in dof space:
+        # the (a, b) entry of the element on samples (r, c) lands on
+        # (col[r], col[c]) times conj(val[r]) val[c]; tocsc sums duplicates
+        first, h, c2 = [], [], []
         for e, sl in zip(g.edges, g.slices):
-            m = sl.stop - sl.start - 1
-            h = e.length / m
-            c2 = self.fiber.speed(e) ** 2
-            s = np.array([[1, -1], [-1, 1]]) / h
-            d_skew = np.array([[0, -1], [1, 0]])  # D^T - D for P1 elements
-            m_el = np.array([[2, 1], [1, 2]]) * h / 6.0
-            k_el = c2 * (s + 1j * tau * d_skew + tau * tau * m_el)
-            for a in range(2):
-                for b in range(2):
-                    idx_a = np.arange(sl.start, sl.start + m) + a
-                    idx_b = np.arange(sl.start, sl.start + m) + b
-                    k_rows.extend(idx_a.tolist())
-                    k_cols.extend(idx_b.tolist())
-                    k_vals.extend([k_el[a, b]] * m)
-                    m_vals.extend([m_el[a, b]] * m)
-        k_block = sp.csr_matrix(
-            (np.asarray(k_vals, dtype=complex), (k_rows, k_cols)),
-            shape=(g.size, g.size),
+            m = sl.stop - sl.start - 1  # intervals on this edge
+            first.append(np.arange(sl.start, sl.stop - 1))
+            h.append(np.full(m, e.length / m))
+            c2.append(np.full(m, self.fiber.speed(e) ** 2))
+        first, h, c2 = (np.concatenate(x) for x in (first, h, c2))
+        s = np.array([[1, -1], [-1, 1]])  # times 1/h
+        d_skew = np.array([[0, -1], [1, 0]])  # D^T - D for P1 elements
+        m_el = np.array([[2, 1], [1, 2]])  # times h/6
+        rows, cols, k_vals, m_vals = [], [], [], []
+        for a in range(2):
+            for b in range(2):
+                r, c = first + a, first + b
+                mass = m_el[a, b] * h / 6.0
+                stiff = c2 * (s[a, b] / h + 1j * tau * d_skew[a, b] + tau * tau * mass)
+                rows.append(col[r])
+                cols.append(col[c])
+                k_vals.append(_cmul(_cmul(np.conj(val[r]), stiff), val[c]))
+                m_vals.append(_cmul(np.conj(val[r]) * mass, val[c]))
+        # element-major order lists the duplicates in ascending sample order,
+        # the order in which the sample-space product P^* K_block P sums them
+        rows, cols, k_vals, m_vals = (
+            np.stack(x, axis=1).ravel() for x in (rows, cols, k_vals, m_vals)
         )
-        m_block = sp.csr_matrix(
-            (np.asarray(m_vals, dtype=complex), (k_rows, k_cols)),
-            shape=(g.size, g.size),
-        )
-        p = self.prolong
-        self.k_mat = (p.conj().T @ k_block @ p).tocsc()
-        self.m_mat = (p.conj().T @ m_block @ p).tocsc()
-        self._m_block = m_block
+        shape = (self.ndof, self.ndof)
+        self.k_mat = sp.coo_matrix((k_vals, (rows, cols)), shape).tocsc()
+        self.m_mat = sp.coo_matrix((m_vals, (rows, cols)), shape).tocsc()
 
     # -- basic certificates ------------------------------------------------
 
@@ -181,13 +187,19 @@ class DiscretizedOperator:
         return r[np.ix_(soft_idx, soft_idx)], soft_idx
 
     def eigenvalues(self, count: int, sigma: float = -1.0) -> np.ndarray:
-        """Lowest ``count`` discrete eigenvalues (generalized, Hermitian)."""
+        """Lowest ``count`` discrete eigenvalues (generalized, Hermitian).
+
+        ARPACK starts from a seeded vector, so repeated calls agree exactly.
+        """
+        rng = np.random.default_rng(0)
+        v0 = rng.standard_normal(self.ndof) + 1j * rng.standard_normal(self.ndof)
         vals = spla.eigsh(
             self.k_mat,
             k=count,
             M=self.m_mat,
             sigma=sigma,
             which="LM",
+            v0=v0,
             return_eigenvectors=False,
         )
         return np.sort(vals.real)

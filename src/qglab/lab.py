@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import csv
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -129,23 +127,6 @@ def operator_norm_diff(
             return new_sigma
         sigma = new_sigma
     return sigma
-
-
-def _worker_count() -> int:
-    try:
-        return max(1, int(os.environ.get("QGLAB_WORKERS", "1")))
-    except ValueError:
-        return 1
-
-
-def _ordered_map(fn, items):
-    """Apply fn over items, optionally threaded, preserving order."""
-    items = list(items)
-    n = _worker_count()
-    if n <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
 
 
 # ---------------------------------------------------------------------------
@@ -391,10 +372,7 @@ def run_gen_res_rate(cfg: dict) -> ExperimentResult:
         g = build_example(name)
         slopes = []
         for tau in taus:
-            errs = _ordered_map(
-                lambda e, t=float(tau): _soft_sandwich_error(g, t, e, z, res),
-                eps_values,
-            )
+            errs = [_soft_sandwich_error(g, float(tau), e, z, res) for e in eps_values]
             fit = fit_slope(eps_values, errs)
             slopes.append(fit.slope)
             passed = passed and fit.passed
@@ -463,10 +441,7 @@ def run_full_res_rate(cfg: dict) -> ExperimentResult:
         g = build_example(name)
         slopes = []
         for tau in taus:
-            errs = _ordered_map(
-                lambda e, t=float(tau): _full_nrc_error(g, t, e, z, res),
-                eps_values,
-            )
+            errs = [_full_nrc_error(g, float(tau), e, z, res) for e in eps_values]
             fit = fit_slope(eps_values, errs)
             slopes.append(fit.slope)
             passed = passed and fit.passed
@@ -728,19 +703,16 @@ def run_bands(cfg: dict) -> ExperimentResult:
 
     for name in examples:
         g = build_example(name)
+        # the limiting roots do not depend on eps (ex0/ex2 take no eps)
+        limits = [dispersion.band_roots(g, float(tau), z_max)[:n_bands] for tau in taus]
         dist_per_eps = []
         for eps in eps_values:
-            def one_tau(tau):
-                weights = datta_weights(g, float(tau))
-                fiber = FiberParams(eps, float(tau), complex(2, 1))
-                ev = eig_extrapolated(g, weights, fiber)
-                limit = dispersion.band_roots(g, float(tau), z_max)[:n_bands]
-                return float(tau), ev, limit, _hausdorff(ev, np.asarray(limit))
-
-            results = _ordered_map(one_tau, taus)
             worst = 0.0
-            for tau, ev, limit, dist in results:
-                worst = max(worst, dist)
+            for tau, limit in zip(taus, limits):
+                tau = float(tau)
+                weights = datta_weights(g, tau)
+                ev = eig_extrapolated(g, weights, FiberParams(eps, tau, complex(2, 1)))
+                worst = max(worst, _hausdorff(ev, limit))
                 for b_idx, (lv, dv) in enumerate(zip(limit, ev)):
                     rows.append(
                         dict(

@@ -44,27 +44,68 @@ class FiberParams:
     @property
     def k(self) -> complex:
         """sqrt(z) on the branch with Im k >= 0 (k = +sqrt(z) for z > 0)."""
-        k = cmath.sqrt(self.z)
-        if k.imag < 0:
-            k = -k
-        return k
+        return sqrt_upper(self.z)
 
     def speed(self, edge: EdgeSpec) -> float:
         """Rescaled propagation speed c_e: a_e/eps (stiff) or a_e (soft)."""
         return edge.speed_a / self.eps if edge.is_stiff else edge.speed_a
 
 
-def guard_pole(x: complex, guard: float = POLE_GUARD) -> complex:
-    """Raise PoleError when x is within ``guard`` of a pole of cot/csc."""
+def sqrt_upper(z):
+    """sqrt(z) on the branch with Im k >= 0 (k = +sqrt(z) for z > 0).
+
+    A scalar gives a complex; an ndarray gives the elementwise complex array.
+    """
+    if isinstance(z, np.ndarray):
+        k = np.sqrt(z.astype(complex))
+        return np.where(k.imag < 0, -k, k)
+    k = cmath.sqrt(z)
+    return -k if k.imag < 0 else k
+
+
+def guard_pole(x, guard: float = POLE_GUARD):
+    """Raise PoleError when x (a scalar, or any element of an ndarray) is
+    within ``guard`` of a pole of cot/csc."""
+    if isinstance(x, np.ndarray):
+        dist = np.abs(x - math.pi * np.round(x.real / math.pi))
+        if np.any(dist < guard):
+            _guard_scalar(x.flat[int(np.argmin(dist))], guard)
+        return x
+    return _guard_scalar(x, guard)
+
+
+def _guard_scalar(x: complex, guard: float = POLE_GUARD) -> complex:
     nearest = math.pi * round(x.real / math.pi)
     if abs(x - nearest) < guard:
         raise PoleError(f"trig argument {x} within {guard} of {nearest}")
     return x
 
 
-def ccot(x: complex) -> complex:
-    """cot(x) for complex x, overflow-safe for large |Im x|."""
-    guard_pole(x)
+def _split_imag(x: np.ndarray):
+    """Masks of the elements with Im x > 50, Im x < -50 and the rest."""
+    up, down = x.imag > 50.0, x.imag < -50.0
+    return up, down, ~(up | down)
+
+
+def ccot(x):
+    """cot(x) for complex x, overflow-safe for large |Im x|.
+
+    x may be a scalar (returns a complex) or an ndarray (returns the
+    elementwise complex array).  PoleError is raised when x, or any element
+    of it, lies within POLE_GUARD of a pole k*pi.  For |Im x| > 50 the
+    forms in exp(+-2ix) are used, which neither overflow nor warn.
+    """
+    if isinstance(x, np.ndarray):
+        x = guard_pole(x).astype(complex)
+        up, down, mid = _split_imag(x)
+        out = np.empty_like(x)
+        out[mid] = np.cos(x[mid]) / np.sin(x[mid])
+        q = np.exp(2j * x[up])
+        out[up] = 1j * (q + 1.0) / (q - 1.0)
+        q = np.exp(-2j * x[down])
+        out[down] = 1j * (1.0 + q) / (1.0 - q)
+        return out
+    _guard_scalar(x)  # no second type test: m_blocks_closed makes ~1e5 scalar calls
     if x.imag > 50.0:
         q = cmath.exp(2j * x)  # |q| << 1
         return 1j * (q + 1.0) / (q - 1.0)
@@ -74,9 +115,21 @@ def ccot(x: complex) -> complex:
     return cmath.cos(x) / cmath.sin(x)
 
 
-def ccsc(x: complex) -> complex:
-    """csc(x) = 1/sin(x) for complex x, overflow-safe for large |Im x|."""
-    guard_pole(x)
+def ccsc(x):
+    """csc(x) = 1/sin(x) for complex x, overflow-safe for large |Im x|.
+
+    Same scalar/ndarray and pole-guard contract as ``ccot``.
+    """
+    if isinstance(x, np.ndarray):
+        x = guard_pole(x).astype(complex)
+        up, down, mid = _split_imag(x)
+        out = np.empty_like(x)
+        out[mid] = 1.0 / np.sin(x[mid])
+        xu, xd = x[up], x[down]
+        out[up] = 2j * np.exp(1j * xu) / (np.exp(2j * xu) - 1.0)
+        out[down] = 2j * np.exp(-1j * xd) / (1.0 - np.exp(-2j * xd))
+        return out
+    _guard_scalar(x)
     if x.imag > 50.0:
         return 2j * cmath.exp(1j * x) / (cmath.exp(2j * x) - 1.0)
     if x.imag < -50.0:

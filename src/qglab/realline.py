@@ -15,7 +15,6 @@ All computations run on a periodic box [-X, X) with numpy's FFT.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -23,14 +22,7 @@ import numpy as np
 
 from .dispersion import k_closed
 from .graphs import MetricGraph
-from .mmatrix import ccot, ccsc
-
-
-def _sqrt_upper(z: complex) -> complex:
-    k = cmath.sqrt(z)
-    if k.imag < 0:
-        k = -k
-    return k
+from .mmatrix import ccot, ccsc, sqrt_upper
 
 
 def stiff_length(graph: MetricGraph) -> float:
@@ -79,9 +71,7 @@ def multiplier_symbol(
 ) -> np.ndarray:
     """The multiplier L (K(eps t, z) - z) on the dual grid."""
     length = stiff_length(graph)
-    vals = np.array(
-        [k_closed(graph, float(eps * tt), z, eps=eps) for tt in t], dtype=complex
-    )
+    vals = k_closed(graph, eps * np.asarray(t, dtype=float), z, eps=eps)
     return length * (vals - z)
 
 
@@ -130,7 +120,7 @@ def difference_symbol(
     Both equal L (K(eps t, z) - z) identically.
     """
     p = graph.params
-    k = _sqrt_upper(z)
+    k = sqrt_upper(z)
     hop = 2.0 * (np.cos(eps * np.asarray(t)) - 1.0)
     if graph.example == "ex0":
         y = k * p["l2"] / p["a2"]
@@ -174,7 +164,7 @@ def differential_symbol_ex1(
     if graph.example != "ex1":
         raise ValueError("the differential model exists for ex1")
     p = graph.params
-    k = _sqrt_upper(z)
+    k = sqrt_upper(z)
     sigma_sq = 1.0 / (p["l1"] / p["a1"] ** 2 + p["l3"] / p["a3"] ** 2)
     y = k * p["l2"] / p["a2"]
     const = (p["l1"] + p["l3"]) * z + 2.0 * p["a2"] * k * (ccsc(y) - ccot(y))
@@ -213,7 +203,7 @@ def symbol_identity_defect(
     # limiting symbol drops the O(eps^2) part of Re(theta(eps t)), so compare
     # against the closed form with theta frozen at 1.
     p = graph.params
-    k = _sqrt_upper(z)
+    k = sqrt_upper(z)
     y = k * p["l2"] / p["a2"]
     sigma_sq = 1.0 / (p["l1"] / p["a1"] ** 2 + p["l3"] / p["a3"] ** 2)
     target = (

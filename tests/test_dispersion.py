@@ -3,7 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from scipy.optimize import brentq, minimize_scalar
+
 from qglab.dispersion import (
+    _pole_list,
     band_roots,
     flat_levels,
     k_closed,
@@ -12,7 +15,8 @@ from qglab.dispersion import (
     verify_sum_identities,
 )
 from qglab.graphs import build_example
-from qglab.mmatrix import PoleError
+from qglab.lab import tau_grid
+from qglab.mmatrix import POLE_GUARD, PoleError
 
 
 def test_k_closed_ex0_zero_point():
@@ -151,3 +155,101 @@ def test_band_roots_spot_values_ex2():
     expect = [0.0, 77.4373, 195.0017, 246.7401]
     for e, r in zip(expect, roots[:4]):
         assert r == pytest.approx(e, abs=2e-3)
+
+
+# z points off the poles of every example; the last has Im(sqrt(z)) = 180, so
+# every soft argument sqrt(z) l/a has |Im| > 50 (the overflow-safe branch)
+_Z_POINTS = np.array([0.37, 2 + 1j, 5 + 2j, 10 + 0.7j, 83.1, -6.0, -32400.0 + 3j])
+_TAU_POINTS = np.array([-(math.pi - 1e-3), -2.2, -0.4, 0.0, 0.9, 2.9])
+
+
+def _assert_rel_close(arr, ref, rtol=1e-14):
+    assert arr.shape == ref.shape
+    assert np.all(np.abs(arr - ref) <= rtol * np.abs(ref))
+
+
+def test_k_closed_scalars_return_complex():
+    for name in ("ex0", "ex1", "ex2"):
+        assert type(k_closed(build_example(name), 0.7, 3.1, eps=0.1)) is complex
+
+
+def test_k_closed_array_z_matches_scalar_loop():
+    for name in ("ex0", "ex1", "ex2"):
+        g = build_example(name)
+        for tau in (-2.2, 0.0, 1.3):
+            arr = k_closed(g, tau, _Z_POINTS, eps=0.1)
+            ref = np.array([k_closed(g, tau, complex(z), eps=0.1) for z in _Z_POINTS])
+            _assert_rel_close(arr, ref)
+
+
+def test_k_closed_array_tau_matches_scalar_loop():
+    for name in ("ex0", "ex1", "ex2"):
+        g = build_example(name)
+        for z in _Z_POINTS:
+            arr = k_closed(g, _TAU_POINTS, complex(z), eps=0.1)
+            ref = np.array([k_closed(g, float(t), complex(z), eps=0.1) for t in _TAU_POINTS])
+            _assert_rel_close(arr, ref)
+
+
+def test_k_closed_array_raises_on_one_pole_element():
+    # ex0: sqrt(z) l2/a2 = pi at z = (2 pi)^2; the other points are regular
+    g = build_example("ex0")
+    z_pole = (2.0 * math.pi) ** 2 * (1.0 + 0.1 * POLE_GUARD)
+    with pytest.raises(PoleError):
+        k_closed(g, 0.3, np.array([2.0, z_pole, 5.0]))
+    k_closed(g, 0.3, np.array([2.0, 5.0]))
+
+
+def _band_roots_scalar_scan(graph, tau, z_max, scan_points=256, root_tol=1e-12):
+    """Reference: the band scan with one scalar k_closed call per point."""
+    pole_data = _pole_list(graph, z_max * (1.0 + 1e-9), with_parity=True)
+    edges = [0.0] + [z for z, _, _ in pole_data] + [z_max]
+    pads = [10.0 * POLE_GUARD * slope for _, _, slope in pole_data]
+
+    def f(z):
+        return (k_closed(graph, tau, z + 0j) - z).real
+
+    roots = list(flat_levels(graph, z_max))
+    for z_p, parity, _ in pole_data:
+        if parity is not None and abs(math.cos(tau) - parity) < 1e-9:
+            roots.append(z_p)
+    if abs(f(1e-9)) <= 1e-8:
+        roots.append(0.0)
+    for i, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
+        a = lo + pads[i - 1] if i >= 1 else max(lo, 1e-12)
+        b = hi - pads[i] if i < len(pole_data) else hi
+        if hi <= lo or b <= a:
+            continue
+        grid = np.linspace(a, b, scan_points)
+        vals = np.array([f(x) for x in grid])
+        for j in range(scan_points - 1):
+            if np.sign(vals[j]) != np.sign(vals[j + 1]):
+                roots.append(brentq(f, grid[j], grid[j + 1], xtol=root_tol, rtol=1e-15))
+        mags = np.abs(vals)
+        scale = max(1.0, float(np.max(mags)))
+        for j in range(1, scan_points - 1):
+            if not (mags[j] <= mags[j - 1] and mags[j] <= mags[j + 1]):
+                continue
+            if np.sign(vals[j - 1]) != np.sign(vals[j + 1]) or vals[j] == 0.0:
+                continue
+            res = minimize_scalar(
+                lambda t: f(t) ** 2,
+                bounds=(grid[j - 1], grid[j + 1]),
+                method="bounded",
+                options={"xatol": root_tol},
+            )
+            z_star = float(res.x)
+            if abs(f(z_star)) <= 1e-7 * scale and not any(
+                abs(z_star - r) < 1e-6 * max(1.0, z_star) for r in roots
+            ):
+                roots.append(z_star)
+    return np.array(sorted(roots))
+
+
+def test_band_roots_match_scalar_scan_reference():
+    for name in ("ex0", "ex2"):
+        g = build_example(name)
+        for tau in tau_grid(17):
+            got = band_roots(g, float(tau), 260.0)
+            ref = _band_roots_scalar_scan(g, float(tau), 260.0)
+            np.testing.assert_array_equal(got, ref)

@@ -1,6 +1,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from qglab.fdsolver import DiscretizedOperator
 from qglab.graphs import build_example, datta_weights
@@ -79,3 +80,54 @@ def test_eigenvalues_increase_and_match_refinement():
     e1, e2 = op1.eigenvalues(4), op2.eigenvalues(4)
     assert np.all(np.diff(e1) > 0)
     assert np.max(np.abs(e1 - e2)) < 1e-2 * (1 + np.max(np.abs(e2)))
+
+
+def _reference_matrices(op):
+    """P, P^* K_block P and P^* M_block P built edge by edge from the P1
+    element formulas, independently of the assembly under test."""
+    g, fiber = op.grid, op.fiber
+    verts = sorted(op.graph.vertices)
+    n_int = sum(sl.stop - sl.start - 2 for sl in g.slices)
+    p = sp.lil_matrix((g.size, op.ndof), dtype=complex)
+    k_block = sp.lil_matrix((g.size, g.size), dtype=complex)
+    m_block = sp.lil_matrix((g.size, g.size), dtype=complex)
+    offset = 0
+    for e, sl in zip(g.edges, g.slices):
+        m = sl.stop - sl.start - 1
+        p[sl.start, n_int + verts.index(e.left)] = np.conj(op.weights[(e.left, e.id)])
+        p[sl.stop - 1, n_int + verts.index(e.right)] = np.conj(op.weights[(e.right, e.id)])
+        for j in range(1, m):
+            p[sl.start + j, offset + j - 1] = 1.0
+        offset += m - 1
+        h, c2, tau = e.length / m, fiber.speed(e) ** 2, fiber.tau
+        m_el = np.array([[2, 1], [1, 2]]) * h / 6.0
+        k_el = c2 * (
+            np.array([[1, -1], [-1, 1]]) / h
+            + 1j * tau * np.array([[0, -1], [1, 0]])
+            + tau * tau * m_el
+        )
+        for j in range(m):
+            nodes = [sl.start + j, sl.start + j + 1]
+            for a in range(2):
+                for b in range(2):
+                    k_block[nodes[a], nodes[b]] += k_el[a, b]
+                    m_block[nodes[a], nodes[b]] += m_el[a, b]
+    p = p.tocsr()
+    return p, p.conj().T @ k_block.tocsr() @ p, p.conj().T @ m_block.tocsr() @ p
+
+
+def test_dof_space_assembly_matches_sandwiched_element_blocks():
+    for name in ("ex0", "ex1", "ex2"):
+        for res in (32, 200):
+            _, op = _op(name, eps=0.1, tau=-2.3, res=res)
+            p, k_ref, m_ref = _reference_matrices(op)
+            assert abs(op.prolong - p).max() == 0.0
+            for got, ref in ((op.k_mat, k_ref), (op.m_mat, m_ref)):
+                assert got.shape == ref.shape == (op.ndof, op.ndof)
+                assert abs(got - ref).max() <= 1e-14 * abs(ref).max()
+
+
+def test_eigenvalues_are_reproducible():
+    _, op = _op("ex2", eps=0.0625, tau=0.7, res=256)
+    first = op.eigenvalues(3)
+    np.testing.assert_array_equal(first, op.eigenvalues(3))

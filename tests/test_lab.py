@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from qglab import dispersion
 from qglab.lab import (
     EXPERIMENT_TAGS,
     fit_slope,
@@ -132,3 +133,19 @@ def test_smoke_additivity_experiment_shape():
     assert res.passed
     assert res.rows
     assert all(isinstance(line, str) for line in res.summary)
+
+
+def test_run_bands_computes_band_roots_once_per_tau(monkeypatch):
+    calls = []
+    original = dispersion.band_roots
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(dispersion, "band_roots", counting)
+    cfg = {"examples": ["ex0", "ex2"], "tau_count": 3, "resolution": 64}
+    res = run_experiment("bands", cfg)
+    n_eps = 4
+    assert len(calls) == 2 * 3
+    assert len(res.rows) == 2 * n_eps * 3 * 3

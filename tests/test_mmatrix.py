@@ -16,6 +16,7 @@ from qglab.mmatrix import (
     herglotz_min_eig,
     m_blocks_closed,
     m_general,
+    sqrt_upper,
 )
 
 
@@ -25,6 +26,25 @@ def test_fiber_k_branch():
     assert k.imag > 0
     k = FiberParams(0.1, 0.0, 2 + 1j).k
     assert k.imag >= 0
+
+
+def test_sqrt_upper_scalar_and_array_agree():
+    z = np.array([4.0, -4.0, 2 + 1j, 2 - 1j, -3 - 1e-300j, 0.0])
+    k = sqrt_upper(z)
+    assert np.all(k.imag >= 0)
+    np.testing.assert_allclose(k * k, z, atol=1e-12)
+    for zi, ki in zip(z, k):
+        assert sqrt_upper(complex(zi)) == pytest.approx(ki, rel=1e-15)
+
+
+def test_trig_kernels_array_branch_matches_scalar():
+    x = np.array([0.3 + 0.1j, 2.0 - 1.5j, 1.0 + 60.0j, -0.7 - 75.0j, 4.0 + 700.0j])
+    for fn in (ccot, ccsc):
+        arr = fn(x)
+        ref = np.array([fn(complex(xi)) for xi in x])
+        assert np.all(np.abs(arr - ref) <= 1e-14 * np.abs(ref) + 1e-300)
+        with pytest.raises(PoleError):
+            fn(np.array([1.0, math.pi + 1e-10, 2.0]))
 
 
 def test_fiber_rejects_bad_eps():
