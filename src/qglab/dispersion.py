@@ -17,66 +17,56 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .effective import EffectiveModel
-from .graphs import MetricGraph, datta_weights
+from .graphs import MetricGraph, datta_weights, stiff_length
 from .krein import make_grid
 from .mmatrix import POLE_GUARD, FiberParams, ccot, ccsc, sqrt_upper
 
 
 def _cos(x):
-    """cos of a real or complex scalar (math/cmath) or of an ndarray."""
-    if isinstance(x, np.ndarray):
-        return np.cos(x)
-    return cmath.cos(x) if isinstance(x, complex) else math.cos(x)
+    """cos of a complex scalar (cmath) or of an ndarray."""
+    return np.cos(x) if isinstance(x, np.ndarray) else cmath.cos(x)
 
 
-def _theta_ex1(graph: MetricGraph, tau):
-    p = graph.params
-    phase = np.exp(-1j * tau) if isinstance(tau, np.ndarray) else cmath.exp(-1j * tau)
-    num = (p["a1"] ** 2 / p["l1"]) * phase + p["a3"] ** 2 / p["l3"]
-    return num / abs(num)
+def _need_eps(cell, eps) -> None:
+    if cell.germ and eps is None:
+        raise ValueError(
+            "a cell with a stiff cycle needs eps (quasimomentum t = tau/eps)"
+        )
 
 
 def k_closed(graph: MetricGraph, tau, z, eps: float | None = None):
-    """Closed form of the dispersion function.
+    """Closed form of the dispersion function,
 
-    ex0: (2 sqrt(z)/l1) a2 (cos(l2 sqrt(z)/a2) - cos tau) / sin(l2 sqrt(z)/a2)
-    ex1: (1/(l1+l3)) { 2 a2 sqrt(z) (cos y - Re theta)/sin y + sigma^2 (tau/eps)^2 },
-         y = l2 sqrt(z)/a2,  sigma^2 = (l1/a1^2 + l3/a3^2)^{-1}
-    ex2: (2 sqrt(z)/l3) { a1 (cos(l1 sqrt(z)/a1) - cos tau)/sin(l1 sqrt(z)/a1)
-                          - a2 tan(l2 sqrt(z)/(2 a2)) }
-    For ex1 the quasimomentum enters through t = tau/eps, so ``eps`` is
-    required.
+        K = [2 a_s k (cos y_s - c(tau)) csc y_s - 2 a_l k tan(y_l/2)
+             + sigma^2 (tau/eps)^2] / L,      k = sqrt(z),  y_e = k l_e/a_e,
+
+    with s the soft chain edge, l the soft loop edge, c(tau) the boundary
+    coupling, sigma^2 the effective mass and L the stiff length, all read
+    from the cell record.  The loop term is present for ex2 only, the germ
+    term for ex1 only; it needs ``eps``, since t = tau/eps.
 
     ``tau`` and ``z`` may each be a scalar or an array; arrays broadcast
     against each other and give a complex ndarray, two scalars give a
     complex.  sqrt(z) is taken with Im >= 0.  PoleError is raised when any
-    trigonometric argument lies within POLE_GUARD of a pole of cot/csc.
+    trigonometric argument lies within POLE_GUARD of a pole of cot/csc, or
+    when tau is on the ex1 equal-impedance exclusion set.
     """
-    p = graph.params
+    cell = graph.cell
+    _need_eps(cell, eps)
     if np.ndim(tau):
         tau = np.asarray(tau, dtype=float)
     if np.ndim(z):
         z = np.asarray(z, dtype=complex)
     k = sqrt_upper(z)
-    if graph.example == "ex0":
-        y = k * p["l2"] / p["a2"]
-        return (2.0 * k / p["l1"]) * p["a2"] * (_cos(y) - _cos(tau)) * ccsc(y)
-    if graph.example == "ex1":
-        if eps is None:
-            raise ValueError("ex1 dispersion needs eps (quasimomentum t = tau/eps)")
-        length = p["l1"] + p["l3"]
-        sigma_sq = 1.0 / (p["l1"] / p["a1"] ** 2 + p["l3"] / p["a3"] ** 2)
-        y = k * p["l2"] / p["a2"]
-        re_theta = _theta_ex1(graph, tau).real
-        trig = 2.0 * p["a2"] * k * (_cos(y) - re_theta) * ccsc(y)
-        return (trig + sigma_sq * (tau / eps) ** 2) / length
-    if graph.example == "ex2":
-        y1 = k * p["l1"] / p["a1"]
-        y2 = k * p["l2"] / p["a2"]
-        tan_half = ccsc(y2) - ccot(y2)  # tan(y2/2)
-        loop = p["a1"] * (_cos(y1) - _cos(tau)) * ccsc(y1)
-        return (2.0 * k / p["l3"]) * (loop - p["a2"] * tan_half)
-    raise ValueError("dispersion defined for the three examples only")
+    s = cell.chain
+    y = k * s.length / s.speed_a
+    total = 2.0 * s.speed_a * k * (_cos(y) - cell.coupling(tau)) * ccsc(y)
+    if cell.loop is not None:
+        y = k * cell.loop.length / cell.loop.speed_a
+        total = total - 2.0 * cell.loop.speed_a * k * (ccsc(y) - ccot(y))
+    if cell.germ:
+        total = total + cell.germ * (tau / eps) ** 2
+    return total / stiff_length(graph)
 
 
 def k_series(
@@ -91,51 +81,32 @@ def k_series(
     K = (1/rho^2) { z * sum_j <v, phi_j> G(phi_j) / (mu_j - z) + G(v) },
     with phi_j the Dirichlet modes of the soft component, v the
     zero-energy lift of psi, and G the co-derivative boundary functional.
-    The summand products collapse to -(4 a^2/l)(1 -+ cos-like factors); the
-    truncation error decays like 1/n_terms.
+    On the chain edge (l, a) the summand products collapse to
+    -(4 a^2/l)(1 - (-1)^j c(tau)) with mu_j = (a pi j/l)^2 and G(v) =
+    (2 a^2/l)(1 - c(tau)); on the loop edge only odd modes couple, with
+    product -8 a^2/l; the cell's germ adds sigma^2 (tau/eps)^2, and rho^2 is
+    the stiff length L.  The truncation error decays like 1/n_terms.
     """
     if n_terms < 1:
         raise ValueError("n_terms must be >= 1")
-    p = graph.params
+    cell = graph.cell
+    _need_eps(cell, eps)
     j = np.arange(1, n_terms + 1, dtype=float)
     sign = np.where(j.astype(int) % 2 == 0, 1.0, -1.0)  # (-1)^j
-    if graph.example == "ex0":
-        l2, a2 = p["l2"], p["a2"]
-        mu = (a2 * math.pi * j / l2) ** 2
-        prod = -(4.0 * a2**2 / l2) * (1.0 - sign * math.cos(tau))
-        total = z * np.sum(prod / (mu - z)) + (2.0 * a2**2 / l2) * (
-            1.0 - math.cos(tau)
-        )
-        return total / p["l1"]
-    if graph.example == "ex1":
-        if eps is None:
-            raise ValueError("ex1 dispersion needs eps (quasimomentum t = tau/eps)")
-        l2, a2 = p["l2"], p["a2"]
-        length = p["l1"] + p["l3"]
-        sigma_sq = 1.0 / (p["l1"] / p["a1"] ** 2 + p["l3"] / p["a3"] ** 2)
-        re_theta = _theta_ex1(graph, tau).real
-        mu = (a2 * math.pi * j / l2) ** 2
-        prod = -(4.0 * a2**2 / l2) * (1.0 - sign * re_theta)
-        total = (
-            z * np.sum(prod / (mu - z))
-            + (2.0 * a2**2 / l2) * (1.0 - re_theta)
-            + sigma_sq * (tau / eps) ** 2
-        )
-        return total / length
-    if graph.example == "ex2":
-        l1, l2 = p["l1"], p["l2"]
-        a1, a2 = p["a1"], p["a2"]
-        mu1 = (a1 * math.pi * j / l1) ** 2
-        prod1 = -(4.0 * a1**2 / l1) * (1.0 - sign * math.cos(tau))
-        mu2 = (a2 * math.pi * j / l2) ** 2
-        prod2 = np.where(j.astype(int) % 2 == 1, -(8.0 * a2**2 / l2), 0.0)
-        total = (
-            z * np.sum(prod1 / (mu1 - z))
-            + z * np.sum(prod2 / (mu2 - z))
-            + (2.0 * a1**2 / l1) * (1.0 - math.cos(tau))
-        )
-        return total / p["l3"]
-    raise ValueError("dispersion defined for the three examples only")
+    coupling = cell.coupling(tau)
+    l, a = cell.chain.length, cell.chain.speed_a
+    mu = (a * math.pi * j / l) ** 2
+    prod = -(4.0 * a**2 / l) * (1.0 - sign * coupling)
+    total = z * np.sum(prod / (mu - z))
+    if cell.loop is not None:
+        l_l, a_l = cell.loop.length, cell.loop.speed_a
+        mu_l = (a_l * math.pi * j / l_l) ** 2
+        prod_l = np.where(j.astype(int) % 2 == 1, -(8.0 * a_l**2 / l_l), 0.0)
+        total = total + z * np.sum(prod_l / (mu_l - z))
+    total = total + (2.0 * a**2 / l) * (1.0 - coupling)
+    if cell.germ:
+        total = total + cell.germ * (tau / eps) ** 2
+    return total / stiff_length(graph)
 
 
 def verify_sum_identities(x: float, n_terms: int) -> dict[str, float]:
@@ -187,7 +158,7 @@ def _pole_list(
     cos tau = (-1)^j.  Odd half-poles of tan couple tau-independently and
     are never removable (parity None).
     """
-    p = graph.params
+    cell = graph.cell
     poles: list[tuple[float, int | None]] = []
 
     def sine_poles(length: float, speed: float) -> None:
@@ -204,13 +175,9 @@ def _pole_list(
             poles.append((z_p, None, 2.0 * speed * math.sqrt(z_p) / length))
             j += 1
 
-    if graph.example in ("ex0", "ex1"):
-        sine_poles(p["l2"], p["a2"])
-    elif graph.example == "ex2":
-        sine_poles(p["l1"], p["a1"])
-        tan_half_poles(p["l2"], p["a2"])
-    else:
-        raise ValueError("band poles defined for the three examples only")
+    sine_poles(cell.chain.length, cell.chain.speed_a)
+    if cell.loop is not None:
+        tan_half_poles(cell.loop.length, cell.loop.speed_a)
     poles.sort(key=lambda t: t[0])
     if with_parity:
         return poles
@@ -219,13 +186,14 @@ def _pole_list(
 
 def flat_levels(graph: MetricGraph, z_max: float) -> list[float]:
     """tau-independent fiber eigenvalues carried by Dirichlet modes with
-    identically vanishing boundary coupling (ex2 loop modes of even index)."""
-    if graph.example != "ex2":
+    identically vanishing boundary coupling (loop modes of even index)."""
+    loop = graph.cell.loop
+    if loop is None:
         return []
-    p = graph.params
+    a, l = loop.speed_a, loop.length
     out, j = [], 2
-    while (p["a2"] * math.pi * j / p["l2"]) ** 2 <= z_max:
-        out.append((p["a2"] * math.pi * j / p["l2"]) ** 2)
+    while (a * math.pi * j / l) ** 2 <= z_max:
+        out.append((a * math.pi * j / l) ** 2)
         j += 2
     return out
 

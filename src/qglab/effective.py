@@ -34,71 +34,34 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import MetricGraph
+from .graphs import MetricGraph, stiff_length, xi_ex1  # noqa: F401  xi_ex1 re-exported
 from .krein import (
     ComponentFrame,
     ComponentGrid,
     ResolventWorkspace,
 )
-from .mmatrix import FiberParams, PoleError
-
-XI_FLOOR = 1e-10
-PI_BAND = 1e-6
+from .mmatrix import FiberParams
 
 
 @dataclass(frozen=True)
 class EffectiveParams:
-    """Per-example scalars of the homogenised boundary condition."""
+    """Scalars of the homogenised boundary condition, read from the cell record."""
 
-    example: str
-    rho: float  # sqrt(L), L = l1 / l1+l3 / l3
-    w_tau: complex | None  # quasi-periodicity phase (ex0/ex1 soft edge)
+    rho: float  # sqrt(L), L the stiff length
+    omega: complex  # psi = (1, omega)/sqrt(2); the soft-edge tie phase
     germ: float  # coefficient of the (tau/eps)^2 term in the beta row
     psi: np.ndarray  # rank-one boundary projection vector, (V1, V2)
-    xi1: complex = 0.0  # ex2 ties
-    xi2: complex = 0.0
-
-    @property
-    def length_l(self) -> float:
-        return self.rho * self.rho
-
-
-def xi_ex1(graph: MetricGraph, tau: float) -> complex:
-    """The ex1 kernel scalar xi(tau) of the stiff boundary matrix."""
-    p = graph.params
-    return -(p["a1"] ** 2 / p["l1"]) * cmath.exp(
-        1j * tau * (p["l1"] + p["l3"])
-    ) - (p["a3"] ** 2 / p["l3"]) * cmath.exp(-1j * tau * p["l2"])
+    xi1: complex = 0.0  # tie of the soft chain to the loop, when there is one
 
 
 def effective_params(graph: MetricGraph, fiber: FiberParams) -> EffectiveParams:
-    p = graph.params
-    tau = fiber.tau
-    if graph.example == "ex0":
-        xi = cmath.exp(1j * p["l1"] * tau)
-        psi = np.array([1.0, xi]) / math.sqrt(2.0)
-        return EffectiveParams("ex0", math.sqrt(p["l1"]), xi, 0.0, psi)
-    if graph.example == "ex1":
-        xi = xi_ex1(graph, tau)
-        if abs(xi) < XI_FLOOR:
-            raise PoleError(
-                f"|xi(tau)| = {abs(xi):.2e} below floor; tau in the "
-                "equal-impedance exclusion band"
-            )
-        w_tau = -xi / abs(xi)
-        sigma2 = 1.0 / (p["l1"] / p["a1"] ** 2 + p["l3"] / p["a3"] ** 2)
-        psi = np.array([1.0, w_tau]) / math.sqrt(2.0)
-        return EffectiveParams(
-            "ex1", math.sqrt(p["l1"] + p["l3"]), w_tau, sigma2, psi
-        )
-    if graph.example == "ex2":
-        xi1 = cmath.exp(-1j * tau * (p["l2"] + p["l3"]))
-        xi2 = cmath.exp(-1j * tau * p["l2"])
-        psi = np.array([1.0, xi2]) / math.sqrt(2.0)
-        return EffectiveParams(
-            "ex2", math.sqrt(p["l3"]), None, 0.0, psi, xi1=xi1, xi2=xi2
-        )
-    raise ValueError("effective models exist for the three examples only")
+    cell = graph.cell
+    omega = cell.omega(fiber.tau)
+    psi = np.array([1.0, omega]) / math.sqrt(2.0)
+    xi1 = 0.0 if cell.xi1 is None else cell.xi1(fiber.tau)
+    return EffectiveParams(
+        math.sqrt(stiff_length(graph)), omega, cell.germ, psi, xi1
+    )
 
 
 class EffectiveModel:
@@ -201,10 +164,10 @@ class EffectiveModel:
                 dl=np.array([-e_l * kappa * sin_l, e_l * kappa * cos_l]),
             )
 
-        if par.example in ("ex0", "ex1"):
+        if self.n_edges == 1:
             (item,) = ed
             v = vals(item)
-            wbar = np.conj(par.w_tau)
+            wbar = np.conj(par.omega)
             if not with_beta:
                 a = np.zeros((2, 2), dtype=complex)
                 lam = np.zeros((2, 2), dtype=complex)
@@ -226,13 +189,13 @@ class EffectiveModel:
             lam[2] = [-1.0 / rho, wbar / rho]
             return a, lam, ed
 
-        # ex2: coefficients (c11, c12, c21, c22[, beta]); t-order
-        # (t0_e1, tl_e1, t0_e2, tl_e2)
+        # chain e1 and loop e2: coefficients (c11, c12, c21, c22[, beta]);
+        # t-order (t0_e1, tl_e1, t0_e2, tl_e2)
         it1, it2 = ed
         v1, v2 = vals(it1), vals(it2)
         a1sq = it1["edge"].speed_a ** 2
         a2sq = it2["edge"].speed_a ** 2
-        xi1b, xi2b = np.conj(par.xi1), np.conj(par.xi2)
+        xi1b, xi2b = np.conj(par.xi1), np.conj(par.omega)
         mdim = 5 if with_beta else 4
         a = np.zeros((mdim, mdim), dtype=complex)
         lam = np.zeros((mdim, 4), dtype=complex)
@@ -301,7 +264,6 @@ class EffectiveModel:
         Returns (cols, tdata): cols is n x m samples, tdata is (2E x m)
         modified-derivative data of the resolved fields.
         """
-        w_par = ed_w[0]["kappa"]  # only used to recover w below
         g = self.grid
         tau = self.fiber.tau
         m = 2 * self.n_edges

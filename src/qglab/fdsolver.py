@@ -158,13 +158,6 @@ class DiscretizedOperator:
             )
         return u
 
-    def resolvent_apply(self, z: complex, f_samples: np.ndarray) -> np.ndarray:
-        """Samples of (A - z)^{-1} f for sampled forcing f."""
-        f = np.asarray(f_samples, dtype=complex)
-        rhs = self.prolong.conj().T @ (self.grid.w * f)
-        u = self._solve(z, rhs)
-        return self.prolong @ u
-
     def resolvent_matrix(self, z: complex) -> np.ndarray:
         """Dense sample-space matrix of the discrete resolvent."""
         a = (self.k_mat - z * self.m_mat).tocsc()
@@ -172,19 +165,6 @@ class DiscretizedOperator:
         rhs = (self.prolong.conj().T).toarray() * self.grid.w[None, :]
         sol = lu.solve(np.asarray(rhs))
         return self.prolong @ sol
-
-    def sandwich_soft(self, z: complex) -> tuple[np.ndarray, np.ndarray]:
-        """Soft-sample block of the resolvent and the soft sample index array."""
-        g = self.grid
-        soft_idx = np.concatenate(
-            [
-                np.arange(sl.start, sl.stop)
-                for e, sl in zip(g.edges, g.slices)
-                if not e.is_stiff
-            ]
-        )
-        r = self.resolvent_matrix(z)
-        return r[np.ix_(soft_idx, soft_idx)], soft_idx
 
     def eigenvalues(self, count: int, sigma: float = -1.0) -> np.ndarray:
         """Lowest ``count`` discrete eigenvalues (generalized, Hermitian).

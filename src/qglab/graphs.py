@@ -9,6 +9,12 @@ the epsilon-rescaled coefficient is (a_e/eps)^2, on soft edges it is a_e^2.
 Vertex conditions are weighted Kirchhoff (Datta-Das Sarma) conditions: at
 each vertex V the weighted traces w_V(e) * u_e(V) share a common value and
 the weighted co-derivatives sum to zero.  All weights are unimodular.
+
+``build_example`` names the worked examples (elsewhere only the literal
+blocks of ``mmatrix.m_blocks_closed`` do): it attaches to each graph a
+``Cell`` record holding what the closed forms of the other modules read
+(soft chain and loop edges, effective mass, stiff zero-energy vector,
+boundary coupling).
 """
 
 from __future__ import annotations
@@ -16,16 +22,26 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from functools import partial
+from typing import Callable
+
+import numpy as np
 
 
 STIFF = "stiff"
 SOFT = "soft"
 
 _LENGTH_TOL = 1e-12
+XI_FLOOR = 1e-10
 
 
 class ParameterError(ValueError):
     """Invalid graph or example parameters."""
+
+
+class PoleError(ArithmeticError):
+    """A closed form is evaluated too close to one of its poles: a trig
+    argument near a pole of cot/csc, or a degenerate boundary vector."""
 
 
 @dataclass(frozen=True)
@@ -58,6 +74,35 @@ class EdgeSpec:
 
 
 @dataclass(frozen=True)
+class Cell:
+    """What the closed forms know about one worked cell, built once per graph.
+
+    Each cell is a stiff part of length L (``stiff_length``) with zero-energy
+    boundary vector psi = (1, omega)/sqrt(2), plus soft edges whose Dirichlet
+    data enter the dispersion function (see ``dispersion.k_closed``).
+
+    defaults: the accepted ``build_example`` keys and their default values.
+    phases: (vertex, edge id) -> l; the Datta weight there is e^{i tau l}.
+    chain: the soft edge joining V1 to V2; its ends couple through coupling.
+    loop: the soft edge whose two ends the stiff part ties together, or None.
+    germ: sigma^2, the effective mass of a stiff cycle (0 without one).
+    omega(tau): X = [[1, 1], [omega, -omega]]/sqrt(2) diagonalises eps B(0).
+    coupling(tau): cos tau, or Re theta(tau) for a stiff cycle; computed
+        apart from omega, so the Schur check compares two routes.
+    xi1(tau): the tie of the chain to the loop, or None without a loop.
+    """
+
+    defaults: dict
+    phases: dict
+    chain: EdgeSpec
+    loop: EdgeSpec | None
+    germ: float
+    omega: Callable
+    coupling: Callable
+    xi1: Callable | None = None
+
+
+@dataclass(frozen=True)
 class MetricGraph:
     """A metric graph of total length 1 with a stiff/soft edge partition."""
 
@@ -65,6 +110,7 @@ class MetricGraph:
     vertices: tuple[int, ...]
     example: str | None = None  # "ex0" / "ex1" / "ex2" when built from one
     params: dict = field(default_factory=dict)
+    _cell: Cell | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         total = sum(e.length for e in self.edges)
@@ -81,21 +127,19 @@ class MetricGraph:
             raise ParameterError("duplicate edge ids")
 
     @property
+    def cell(self) -> Cell:
+        """The worked-cell record (graphs from ``build_example`` only)."""
+        if self._cell is None:
+            raise ValueError("closed forms exist for the three worked cells only")
+        return self._cell
+
+    @property
     def soft_edge_ids(self) -> tuple[int, ...]:
         return tuple(e.id for e in self.edges if not e.is_stiff)
 
     @property
     def stiff_edge_ids(self) -> tuple[int, ...]:
         return tuple(e.id for e in self.edges if e.is_stiff)
-
-    def edge(self, edge_id: int) -> EdgeSpec:
-        for e in self.edges:
-            if e.id == edge_id:
-                return e
-        raise KeyError(edge_id)
-
-    def incident(self, vertex: int) -> tuple[EdgeSpec, ...]:
-        return tuple(e for e in self.edges if vertex in (e.left, e.right))
 
     def subgraph(self, part: str) -> "MetricGraph":
         """Stiff or soft component, keeping lengths/ids/weights untouched.
@@ -113,7 +157,13 @@ class MetricGraph:
         object.__setattr__(g, "vertices", verts)
         object.__setattr__(g, "example", self.example)
         object.__setattr__(g, "params", dict(self.params, component=part))
+        object.__setattr__(g, "_cell", self._cell)
         return g
+
+
+def stiff_length(graph: MetricGraph) -> float:
+    """Total length L of the stiff component (the multiplier prefactor)."""
+    return sum(e.length for e in graph.edges if e.is_stiff)
 
 
 def _check_lengths(lengths: list[float]) -> None:
@@ -123,6 +173,17 @@ def _check_lengths(lengths: list[float]) -> None:
         raise ParameterError(
             f"edge lengths must sum to 1 (got {sum(lengths)!r})"
         )
+
+
+# Default parameters (the accepted keys) and stiff edge ids of each cell.
+# The soft speed a2 is fixed at 1 where it is not a key.
+_LAYOUTS = {
+    "ex0": (dict(l1=0.5, l2=0.5, a1=1.0), (1,)),
+    "ex1": (dict(l1=0.3, l2=0.4, l3=0.3, a1=1.0, a3=2.0), (1, 3)),
+    "ex2": (dict(l1=0.3, l2=0.4, l3=0.3, a1=1.0, a2=1.0, a3=2.0), (3,)),
+}
+# (left, right) vertices of e1, e2, e3; see build_example.
+_ENDS = {1: (2, 1), 2: (1, 2), 3: (2, 1)}
 
 
 def build_example(example: str, **params) -> MetricGraph:
@@ -135,73 +196,114 @@ def build_example(example: str, **params) -> MetricGraph:
     ex2: three edges -- e3 stiff (speed a3), e1, e2 soft (speeds a1, a2).
          Parameters: l1, l2, l3, a1, a2, a3.
 
-    Orientation convention (fixing which endpoint is coordinate 0):
-    e1: 2 -> 1, e2: 1 -> 2, e3: 2 -> 1.
+    Any other key raises ParameterError.  Orientation convention (fixing
+    which endpoint is coordinate 0): e1: 2 -> 1, e2: 1 -> 2, e3: 2 -> 1.
     """
     example = example.lower()
-    if example == "ex0":
-        l1 = params.get("l1", 0.5)
-        l2 = params.get("l2", 0.5)
-        a1 = params.get("a1", 1.0)
-        _check_lengths([l1, l2])
-        edges = (
-            EdgeSpec(1, l1, a1, STIFF, left=2, right=1),
-            EdgeSpec(2, l2, 1.0, SOFT, left=1, right=2),
-        )
-        p = dict(l1=l1, l2=l2, a1=a1, a2=1.0)
-    elif example == "ex1":
-        l1 = params.get("l1", 0.3)
-        l2 = params.get("l2", 0.4)
-        l3 = params.get("l3", 0.3)
-        a1 = params.get("a1", 1.0)
-        a3 = params.get("a3", 2.0)
-        _check_lengths([l1, l2, l3])
-        edges = (
-            EdgeSpec(1, l1, a1, STIFF, left=2, right=1),
-            EdgeSpec(2, l2, 1.0, SOFT, left=1, right=2),
-            EdgeSpec(3, l3, a3, STIFF, left=2, right=1),
-        )
-        p = dict(l1=l1, l2=l2, l3=l3, a1=a1, a2=1.0, a3=a3)
-    elif example == "ex2":
-        l1 = params.get("l1", 0.3)
-        l2 = params.get("l2", 0.4)
-        l3 = params.get("l3", 0.3)
-        a1 = params.get("a1", 1.0)
-        a2 = params.get("a2", 1.0)
-        a3 = params.get("a3", 2.0)
-        _check_lengths([l1, l2, l3])
-        edges = (
-            EdgeSpec(1, l1, a1, SOFT, left=2, right=1),
-            EdgeSpec(2, l2, a2, SOFT, left=1, right=2),
-            EdgeSpec(3, l3, a3, STIFF, left=2, right=1),
-        )
-        p = dict(l1=l1, l2=l2, l3=l3, a1=a1, a2=a2, a3=a3)
-    else:
+    if example not in _LAYOUTS:
         raise ParameterError(f"unknown example {example!r}")
-    return MetricGraph(edges=edges, vertices=(1, 2), example=example, params=p)
+    defaults, stiff_ids = _LAYOUTS[example]
+    unknown = sorted(set(params) - set(defaults))
+    if unknown:
+        raise ParameterError(
+            f"{example} does not take {', '.join(unknown)}; "
+            f"accepted keys: {', '.join(defaults)}"
+        )
+    p = dict(defaults, **params)
+    p.setdefault("a2", 1.0)
+    ids = [i for i in _ENDS if f"l{i}" in defaults]
+    _check_lengths([p[f"l{i}"] for i in ids])
+    edges = tuple(
+        EdgeSpec(
+            i, p[f"l{i}"], p[f"a{i}"], STIFF if i in stiff_ids else SOFT, *_ENDS[i]
+        )
+        for i in ids
+    )
+    graph = MetricGraph(edges=edges, vertices=(1, 2), example=example, params=p)
+    object.__setattr__(graph, "_cell", _make_cell(graph, defaults))
+    return graph
+
+
+def _make_cell(graph: MetricGraph, defaults: dict) -> Cell:
+    """The record of a freshly built example graph."""
+    p = graph.params
+    e1, e2 = graph.edges[:2]
+    if graph.example == "ex0":
+        return Cell(
+            defaults, {}, chain=e2, loop=None, germ=0.0,
+            omega=partial(_phase, p["l1"]), coupling=_cos,
+        )
+    phases = {(1, 3): p["l2"] + p["l3"], (2, 1): p["l3"]}
+    if graph.example == "ex1":
+        sigma_sq = 1.0 / (p["l1"] / p["a1"] ** 2 + p["l3"] / p["a3"] ** 2)
+        return Cell(
+            defaults, phases, chain=e2, loop=None, germ=sigma_sq,
+            omega=partial(_omega_ex1, graph), coupling=partial(_re_theta_ex1, graph),
+        )
+    return Cell(
+        defaults, phases, chain=e1, loop=e2, germ=0.0,
+        omega=partial(_phase, -p["l2"]), coupling=_cos,
+        xi1=partial(_phase, -(p["l2"] + p["l3"])),
+    )
+
+
+def _phase(length: float, tau) -> complex:
+    """e^{i tau length}."""
+    return cmath.exp(1j * tau * length)
+
+
+def _cos(tau):
+    """cos tau for a real scalar or an ndarray."""
+    return np.cos(tau) if isinstance(tau, np.ndarray) else math.cos(tau)
+
+
+def _degenerate(size, tau):
+    return PoleError(
+        f"|xi(tau)| = {size:.2e} below floor at tau = {tau}; tau in the "
+        "equal-impedance exclusion band"
+    )
+
+
+def xi_ex1(graph: MetricGraph, tau: float) -> complex:
+    """The ex1 kernel scalar xi(tau) of the stiff boundary matrix."""
+    p = graph.params
+    return -(p["a1"] ** 2 / p["l1"]) * cmath.exp(
+        1j * tau * (p["l1"] + p["l3"])
+    ) - (p["a3"] ** 2 / p["l3"]) * cmath.exp(-1j * tau * p["l2"])
+
+
+def _omega_ex1(graph: MetricGraph, tau: float) -> complex:
+    xi = xi_ex1(graph, tau)
+    if abs(xi) < XI_FLOOR:
+        raise _degenerate(abs(xi), tau)
+    return -xi / abs(xi)
+
+
+def _re_theta_ex1(graph: MetricGraph, tau):
+    """Re theta(tau), theta the unit phase of a1^2/l1 e^{-i tau} + a3^2/l3."""
+    p = graph.params
+    phase = np.exp(-1j * tau) if isinstance(tau, np.ndarray) else cmath.exp(-1j * tau)
+    num = (p["a1"] ** 2 / p["l1"]) * phase + p["a3"] ** 2 / p["l3"]
+    size = abs(num)
+    if np.any(size < XI_FLOOR):
+        raise _degenerate(np.min(size), tau)
+    return (num / size).real
 
 
 def datta_weights(graph: MetricGraph, tau: float) -> dict[tuple[int, int], complex]:
     """Unimodular vertex weights w_V(e), keyed by (vertex, edge id).
 
-    For ex0 all weights are 1.  For ex1/ex2 the weights at vertex 1 are
-    {1, 1, e^{i tau (l2+l3)}} on edges (e1, e2, e3) and at vertex 2
-    {e^{i tau l3}, 1, 1}.
+    w_V(e) = e^{i tau l} where the cell's phase table maps (V, e) to l, and
+    1 elsewhere: all weights are 1 for ex0 (and for graphs without a cell);
+    for ex1/ex2 the weights at vertex 1 are {1, 1, e^{i tau (l2+l3)}} on
+    edges (e1, e2, e3) and at vertex 2 {e^{i tau l3}, 1, 1}.
     """
     if not -math.pi <= tau < math.pi + 1e-12:
         raise ParameterError("tau must lie in [-pi, pi)")
+    phases = graph._cell.phases if graph._cell is not None else {}
     w: dict[tuple[int, int], complex] = {}
-    if graph.example == "ex0" or graph.example is None:
-        for e in graph.edges:
-            w[(e.left, e.id)] = 1.0 + 0.0j
-            w[(e.right, e.id)] = 1.0 + 0.0j
-        return w
-    l2 = graph.params["l2"]
-    l3 = graph.params["l3"]
-    w[(1, 1)] = 1.0 + 0.0j
-    w[(1, 2)] = 1.0 + 0.0j
-    w[(1, 3)] = cmath.exp(1j * tau * (l2 + l3))
-    w[(2, 1)] = cmath.exp(1j * tau * l3)
-    w[(2, 2)] = 1.0 + 0.0j
-    w[(2, 3)] = 1.0 + 0.0j
-    return {k: v for k, v in w.items() if k[1] in {e.id for e in graph.edges}}
+    for e in graph.edges:
+        for v in (e.left, e.right):
+            length = phases.get((v, e.id))
+            w[(v, e.id)] = 1.0 + 0.0j if length is None else _phase(length, tau)
+    return w

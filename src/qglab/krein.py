@@ -43,14 +43,6 @@ def _int_x_exp(mu: complex, l: float) -> complex:
     return (l * e - (e - 1.0) / mu) / mu
 
 
-def _int_x2_exp(mu: complex, l: float) -> complex:
-    """Integral of x^2 e^{mu x} over [0, l], stable for small mu."""
-    if abs(mu) * l < 1e-4:
-        return l**3 * (1.0 / 3.0 + mu * l / 4.0 + (mu * l) ** 2 / 10.0)
-    e = cmath.exp(mu * l)
-    return (l * l * e - 2.0 * _int_x_exp(mu, l)) / mu
-
-
 @dataclass(frozen=True)
 class ExactField:
     """Closed-form field on one edge: u(x) = e^{-i tau x} phi(x).
@@ -147,11 +139,6 @@ class ComponentFrame:
     def _kappa(self, edge: EdgeSpec, z: complex) -> complex:
         fz = FiberParams(self.fiber.eps, self.fiber.tau, z)
         return fz.k / self.fiber.speed(edge)
-
-    def dirichlet_guard(self, z: complex) -> None:
-        """Raise PoleError when z is too close to a per-edge Dirichlet level."""
-        for e in self.component.edges:
-            guard_pole(self._kappa(e, z) * e.length)
 
     def gamma_fields(self, z: complex, data) -> list[ExactField]:
         """The kernel field with Gamma0 = data (one ExactField per edge)."""
@@ -367,10 +354,3 @@ class ResolventWorkspace:
         return self.dirichlet_matrix(z) - self.gamma_matrix(z) @ np.linalg.solve(
             denom, self.gamma1_dirichlet_rows(z)
         )
-
-
-def dirichlet_resolvent_samples(
-    workspace: ResolventWorkspace, z: complex, f: np.ndarray
-) -> np.ndarray:
-    """Apply the closed-form Dirichlet resolvent to sampled forcing."""
-    return workspace.dirichlet_matrix(z) @ np.asarray(f, dtype=complex)

@@ -20,13 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import EdgeSpec, MetricGraph
+from .graphs import EdgeSpec, MetricGraph, PoleError
 
 POLE_GUARD = 1e-8
-
-
-class PoleError(ArithmeticError):
-    """A trigonometric argument is too close to a pole of cot/csc."""
 
 
 @dataclass(frozen=True)

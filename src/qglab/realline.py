@@ -21,13 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dispersion import k_closed
-from .graphs import MetricGraph
+from .graphs import MetricGraph, stiff_length
 from .mmatrix import ccot, ccsc, sqrt_upper
-
-
-def stiff_length(graph: MetricGraph) -> float:
-    """Total length of the stiff component (the multiplier prefactor L)."""
-    return sum(e.length for e in graph.edges if e.is_stiff)
 
 
 @dataclass(frozen=True)
@@ -108,34 +103,35 @@ def psi_k_apply(
     return np.fft.ifft(u_hat)
 
 
+def _symbol_constant(graph: MetricGraph, z: complex, k: complex) -> complex:
+    """L z + 2 k sum_soft a tan(k l/(2 a)), the t-independent part shared by
+    the difference and differential symbols (sum over the soft edges)."""
+    tan_sum = 0.0
+    for e in graph.edges:
+        if not e.is_stiff:
+            y = k * e.length / e.speed_a
+            tan_sum = tan_sum + e.speed_a * (ccsc(y) - ccot(y))  # a tan(y/2)
+    return stiff_length(graph) * z + 2.0 * k * tan_sum
+
+
 def difference_symbol(
     graph: MetricGraph, eps: float, z: complex, t: np.ndarray
 ) -> np.ndarray:
-    """Symbol of the finite-difference realisation for ex0/ex2.
+    """Symbol of the finite-difference realisation for cells without a
+    stiff cycle (ex0/ex2): with (l_s, a_s) the soft chain edge,
 
-    ex0: -(a2 sqrt(z)/sin(l2 sqrt(z)/a2)) 2(cos(eps t) - 1)
-         - [l1 z + 2 a2 sqrt(z) tan(l2 sqrt(z)/(2 a2))]
-    ex2: -(a1 sqrt(z)/sin(l1 sqrt(z)/a1)) 2(cos(eps t) - 1)
-         - [l3 z + 2 sqrt(z)(a1 tan(l1 sqrt(z)/(2 a1)) + a2 tan(l2 sqrt(z)/(2 a2)))]
-    Both equal L (K(eps t, z) - z) identically.
+        -(a_s sqrt(z)/sin(l_s sqrt(z)/a_s)) 2(cos(eps t) - 1)
+        - [L z + 2 sqrt(z) sum_soft a tan(l sqrt(z)/(2 a))],
+
+    which equals L (K(eps t, z) - z) identically.
     """
-    p = graph.params
+    if graph.cell.germ:
+        raise ValueError("the difference realisation exists for ex0/ex2")
+    s = graph.cell.chain
     k = sqrt_upper(z)
     hop = 2.0 * (np.cos(eps * np.asarray(t)) - 1.0)
-    if graph.example == "ex0":
-        y = k * p["l2"] / p["a2"]
-        coeff = p["a2"] * k * ccsc(y)
-        const = p["l1"] * z + 2.0 * p["a2"] * k * (ccsc(y) - ccot(y))
-        return -coeff * hop - const
-    if graph.example == "ex2":
-        y1 = k * p["l1"] / p["a1"]
-        y2 = k * p["l2"] / p["a2"]
-        coeff = p["a1"] * k * ccsc(y1)
-        const = p["l3"] * z + 2.0 * k * (
-            p["a1"] * (ccsc(y1) - ccot(y1)) + p["a2"] * (ccsc(y2) - ccot(y2))
-        )
-        return -coeff * hop - const
-    raise ValueError("the difference realisation exists for ex0/ex2")
+    coeff = s.speed_a * k * ccsc(k * s.length / s.speed_a)
+    return -coeff * hop - _symbol_constant(graph, z, k)
 
 
 def solve_difference_model(
@@ -161,14 +157,10 @@ def differential_symbol_ex1(
     """Symbol of the limiting second-order model for ex1:
     sigma^2 t^2 - (l1+l3) z - 2 a2 sqrt(z) tan(l2 sqrt(z)/(2 a2)),
     which equals (l1+l3)(K_limit(t, z) - z)."""
-    if graph.example != "ex1":
+    if not graph.cell.germ:
         raise ValueError("the differential model exists for ex1")
-    p = graph.params
-    k = sqrt_upper(z)
-    sigma_sq = 1.0 / (p["l1"] / p["a1"] ** 2 + p["l3"] / p["a3"] ** 2)
-    y = k * p["l2"] / p["a2"]
-    const = (p["l1"] + p["l3"]) * z + 2.0 * p["a2"] * k * (ccsc(y) - ccot(y))
-    return sigma_sq * np.asarray(t) ** 2 - const
+    constant = _symbol_constant(graph, z, sqrt_upper(z))
+    return graph.cell.germ * np.asarray(t) ** 2 - constant
 
 
 def solve_differential_model_ex1(
@@ -187,29 +179,30 @@ def symbol_identity_defect(
 ) -> float:
     """max |model symbol - L (K(eps t, z) - z)| over the retained band.
 
-    For ex0/ex2 the model is the finite-difference symbol at the same eps;
-    for ex1 it is the limiting differential symbol against L (K_limit - z),
-    where K_limit replaces the fraction (tau/eps) by the dual variable t
-    directly (theta at tau = 0, i.e. cos y - 1 in the trigonometric part).
+    Without a stiff cycle (ex0/ex2) the model is the finite-difference
+    symbol at the same eps; with one (ex1, sigma^2 != 0) it is the limiting
+    differential symbol against L (K_limit - z), where K_limit replaces the
+    fraction (tau/eps) by the dual variable t directly (theta at tau = 0,
+    i.e. cos y - 1 in the trigonometric part).
     """
     t = grid.t
     mask = np.abs(t) <= math.pi / eps
     tt = t[mask]
-    if graph.example in ("ex0", "ex2"):
+    cell = graph.cell
+    if not cell.germ:
         model = difference_symbol(graph, eps, z, tt)
         target = multiplier_symbol(graph, eps, z, tt)
         return float(np.max(np.abs(model - target)))
     # ex1: K restricted to tau = eps*t reproduces sigma^2 t^2 exactly; the
     # limiting symbol drops the O(eps^2) part of Re(theta(eps t)), so compare
     # against the closed form with theta frozen at 1.
-    p = graph.params
+    s = cell.chain
     k = sqrt_upper(z)
-    y = k * p["l2"] / p["a2"]
-    sigma_sq = 1.0 / (p["l1"] / p["a1"] ** 2 + p["l3"] / p["a3"] ** 2)
+    y = k * s.length / s.speed_a
     target = (
-        sigma_sq * tt**2
-        + 2.0 * p["a2"] * k * (np.cos(y) - 1.0) * ccsc(y)
-        - (p["l1"] + p["l3"]) * z
+        cell.germ * tt**2
+        + 2.0 * s.speed_a * k * (np.cos(y) - 1.0) * ccsc(y)
+        - stiff_length(graph) * z
     )
     model = differential_symbol_ex1(graph, z, tt)
     return float(np.max(np.abs(model - target)))

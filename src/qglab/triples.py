@@ -6,7 +6,7 @@ is B(z) = -M_stiff(z).  Conjugating by the unitary X built from the
 zero-eigenvalue branch psi of eps*B(0) and then applying the triple swap
     B_tilde = (P B_hat - P_perp)(P_perp B_hat + P)^{-1},   P = diag(1, 0),
 produces a boundary matrix with an O(eps^2) limit: diag(-L z / 2, 0) for
-ex0/ex2.  For ex1 a second swap
+ex0/ex2.  For ex1 (a stiff cycle, sigma^2 != 0) a second swap
     B_prime = (P_perp B_tilde - P)(P B_tilde + P_perp)^{-1}
 is required; its (1,1) entry is -delta(tau, eps), which converges at
 O(eps^2), uniformly in tau, to
@@ -21,8 +21,7 @@ import math
 
 import numpy as np
 
-from .effective import xi_ex1
-from .graphs import MetricGraph
+from .graphs import MetricGraph, stiff_length
 from .mmatrix import FiberParams, ccot, ccsc, m_blocks_closed
 
 P_PROJ = np.diag([1.0, 0.0]).astype(complex)
@@ -35,19 +34,10 @@ def b_matrix(graph: MetricGraph, fiber: FiberParams) -> np.ndarray:
 
 
 def rotation_x(graph: MetricGraph, tau: float) -> np.ndarray:
-    """Unitary with columns (psi, psi_perp) diagonalising eps*B(0)."""
-    p = graph.params
-    if graph.example == "ex0":
-        xi = cmath.exp(1j * p["l1"] * tau)
-        return np.array([[1.0, 1.0], [xi, -xi]]) / math.sqrt(2.0)
-    if graph.example == "ex1":
-        u = xi_ex1(graph, tau)
-        u = u / abs(u)
-        return np.array([[1.0, 1.0], [-u, u]]) / math.sqrt(2.0)
-    if graph.example == "ex2":
-        xi2 = cmath.exp(-1j * tau * p["l2"])
-        return np.array([[1.0, 1.0], [xi2, -xi2]]) / math.sqrt(2.0)
-    raise ValueError("rotations defined for the three examples only")
+    """Unitary X = [[1, 1], [omega, -omega]]/sqrt(2): columns (psi, psi_perp)
+    diagonalising eps*B(0), with omega from the cell record."""
+    omega = graph.cell.omega(tau)
+    return np.array([[1.0, 1.0], [omega, -omega]]) / math.sqrt(2.0)
 
 
 def rotate_triple(b: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -78,19 +68,16 @@ def second_swap(b_tilde: np.ndarray) -> np.ndarray:
 
 
 def btilde_closed_ex0(graph: MetricGraph, fiber: FiberParams) -> np.ndarray:
-    """Closed diagonal form of B_tilde for ex0 (and, mutatis mutandis, ex2).
+    """Closed diagonal form of B_tilde for a single stiff edge (ex0, ex2).
 
     diag( (a k/eps)(cot - csc)(k eps l/a),
           -(eps/(a k)) / (cot + csc)(k eps l/a) )
     with (l, a) the stiff-edge data.
     """
-    p = graph.params
-    if graph.example == "ex0":
-        l, a = p["l1"], p["a1"]
-    elif graph.example == "ex2":
-        l, a = p["l3"], p["a3"]
-    else:
-        raise ValueError("closed diagonal form is for ex0/ex2")
+    stiff = [e for e in graph.edges if e.is_stiff]
+    if len(stiff) != 1:
+        raise ValueError("closed diagonal form needs a single stiff edge (ex0/ex2)")
+    l, a = stiff[0].length, stiff[0].speed_a
     k, eps = fiber.k, fiber.eps
     x = k * eps * l / a
     cot, csc = ccot(x), ccsc(x)
@@ -120,10 +107,10 @@ def alpha_beta_ex1(graph: MetricGraph, fiber: FiberParams):
 
 def delta_fn(graph: MetricGraph, fiber: FiberParams) -> complex:
     """delta(tau, eps) = eps (alpha + Re(u_bar beta)) / (alpha^2 - |beta|^2),
-    with u = xi/|xi| and the bars understood as analytic continuations."""
+    with u = xi/|xi| = -omega and the bars understood as analytic
+    continuations."""
     alpha, beta21, beta12 = alpha_beta_ex1(graph, fiber)
-    xi = xi_ex1(graph, fiber.tau)
-    u = xi / abs(xi)
+    u = -graph.cell.omega(fiber.tau)
     s = (np.conj(u) * beta21 + u * beta12) / 2.0
     denom = alpha * alpha - beta21 * beta12
     if abs(denom) < 1e-12:
@@ -142,20 +129,11 @@ def delta_limit(graph: MetricGraph, fiber: FiberParams) -> complex:
 
 
 def b_eff(graph: MetricGraph, fiber: FiberParams) -> np.ndarray:
-    """Effective boundary matrix in the swapped-triple coordinates.
-
-    ex0: diag(-l1 z/2, 0); ex2: diag(-l3 z/2, 0); ex1 carries the
-    quasimomentum term: diag(1/delta_limit, 0).
-    """
-    p = graph.params
-    z = fiber.z
-    if graph.example == "ex0":
-        return np.diag([-p["l1"] * z / 2.0, 0.0])
-    if graph.example == "ex2":
-        return np.diag([-p["l3"] * z / 2.0, 0.0])
-    if graph.example == "ex1":
-        return np.diag([1.0 / delta_limit(graph, fiber), 0.0])
-    raise ValueError("b_eff defined for the three examples only")
+    """Effective boundary matrix in the swapped-triple coordinates:
+    diag((sigma^2 (tau/eps)^2 - L z)/2, 0), i.e. diag(-L z/2, 0) for ex0/ex2
+    and diag(1/delta_limit, 0) for ex1."""
+    germ_term = graph.cell.germ * (fiber.tau / fiber.eps) ** 2
+    return np.diag([(germ_term - stiff_length(graph) * fiber.z) / 2.0, 0.0])
 
 
 def btilde_numeric(graph: MetricGraph, fiber: FiberParams) -> np.ndarray:
@@ -168,12 +146,13 @@ def btilde_numeric(graph: MetricGraph, fiber: FiberParams) -> np.ndarray:
 def beff_deviation(graph: MetricGraph, fiber: FiberParams) -> float:
     """Distance of the swapped boundary matrix from its effective limit.
 
-    ex0/ex2: ||B_tilde - b_eff||.  ex1: the comparison is made after the
-    second swap, where the boundary matrix is -diag(delta, 0) up to higher
-    order: ||B_prime + diag(delta_limit, 0)||.
+    Without a stiff cycle (sigma^2 = 0; ex0/ex2): ||B_tilde - b_eff||.  With
+    one (ex1) the comparison is made after the second swap, where the
+    boundary matrix is -diag(delta, 0) up to higher order:
+    ||B_prime + diag(delta_limit, 0)||.
     """
     bt = btilde_numeric(graph, fiber)
-    if graph.example in ("ex0", "ex2"):
+    if not graph.cell.germ:
         return float(np.linalg.norm(bt - b_eff(graph, fiber), 2))
     bp = second_swap(bt)
     return float(

@@ -76,18 +76,37 @@ def test_effective_params_rho_and_psi():
 def test_ex1_xi_floor_raises_at_equal_impedance_degeneracy():
     import math
 
+    from qglab.dispersion import k_closed, k_series
     from qglab.effective import xi_ex1
+    from qglab.triples import (
+        beff_deviation,
+        btilde_numeric,
+        delta_fn,
+        rotation_x,
+    )
 
     # with equal stiff impedances a1^2/l1 = a3^2/l3 the boundary vector
     # degenerates at tau = -pi, where xi(tau) vanishes exactly
     g = build_example("ex1", a3=1.0)
     assert abs(xi_ex1(g, -math.pi)) < 1e-12
-    with pytest.raises(PoleError):
-        effective_params(g, FiberParams(0.1, -math.pi, 2 + 1j))
+    fiber = FiberParams(0.1, -math.pi, 2 + 1j)
+    for call in (
+        lambda: effective_params(g, fiber),
+        lambda: rotation_x(g, -math.pi),
+        lambda: btilde_numeric(g, fiber),
+        lambda: beff_deviation(g, fiber),
+        lambda: delta_fn(g, fiber),
+        lambda: k_closed(g, -math.pi, 2 + 1j, eps=0.1),
+        lambda: k_closed(g, np.array([0.5, -math.pi]), 2 + 1j, eps=0.1),
+        lambda: k_series(g, -math.pi, 2 + 1j, 100, eps=0.1),
+    ):
+        with pytest.raises(PoleError):
+            call()
     # the default parameters never degenerate
     g_def = build_example("ex1")
     par = effective_params(g_def, FiberParams(0.1, -math.pi, 2 + 1j))
     assert par.rho > 0
+    assert np.isfinite(k_closed(g_def, -math.pi, 2 + 1j, eps=0.1))
 
 
 def test_psi_embedding_is_partial_isometry():

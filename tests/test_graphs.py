@@ -96,6 +96,19 @@ def test_ex1_weight_phases():
     )
 
 
+@pytest.mark.parametrize(
+    "name, key",
+    [("ex0", "a2"), ("ex0", "l3"), ("ex0", "a_1"), ("ex1", "a2"), ("ex2", "eps")],
+)
+def test_unknown_keys_rejected(name, key):
+    accepted = build_example(name).cell.defaults
+    with pytest.raises(ParameterError) as info:
+        build_example(name, **{key: 0.25})
+    message = str(info.value)
+    assert key in message
+    assert all(k in message for k in accepted)
+
+
 def test_custom_parameters():
     g = build_example("ex2", l1=0.2, l2=0.5, l3=0.3, a1=1.2, a2=0.8, a3=2.5)
     assert g.params["a2"] == 0.8

@@ -117,7 +117,7 @@ def test_generalized_reduces_to_krein_at_b_zero():
 
 def test_field_inner_matches_quadrature():
     g = build_example("ex0")
-    e = g.edge(2)
+    e = g.edges[1]  # e2
     f1 = ExactField(e, 0.7, 2.0 + 0.3j, 1.0, 0.5 - 0.2j)
     f2 = ExactField(e, 0.7, 1.1 - 0.1j, 0.3j, 1.0)
     x = np.linspace(0, e.length, 20001)
@@ -135,7 +135,7 @@ def test_field_inner_matches_quadrature():
 )
 def test_field_inner_affine_vs_oscillatory(p, q, kre):
     g = build_example("ex0")
-    e = g.edge(2)
+    e = g.edges[1]  # e2
     aff = ExactField(e, 0.0, None, p, q)
     osc = ExactField(e, 0.0, kre + 0j, 1.0, 0.7)
     x = np.linspace(0, e.length, 4001)

@@ -55,8 +55,8 @@ def test_fiber_rejects_bad_eps():
 def test_speed_contrast():
     g = build_example("ex0")
     f = FiberParams(0.1, 0.0, 1.0)
-    assert f.speed(g.edge(1)) == pytest.approx(10.0)  # stiff: a1/eps
-    assert f.speed(g.edge(2)) == pytest.approx(1.0)  # soft: a2
+    assert f.speed(g.edges[0]) == pytest.approx(10.0)  # stiff: a1/eps
+    assert f.speed(g.edges[1]) == pytest.approx(1.0)  # soft: a2
 
 
 def test_trig_guard():
