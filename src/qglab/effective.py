@@ -23,7 +23,8 @@ resolvent identity can be certified to solver precision.
 
 ``PsiEmbedding`` supplies the partial isometry between the full-graph sample
 space and the homogenised space (identity on the soft part, rank-one onto
-the normalized stiff zero-energy lift).
+the normalized stiff zero-energy lift); ``sandwich`` forms Psi* a Psi from
+those index maps without dense products.
 """
 
 from __future__ import annotations
@@ -447,4 +448,24 @@ class PsiEmbedding:
         out = np.zeros((nf, self.n_soft + 1), dtype=complex)
         out[self.soft_idx, np.arange(self.n_soft)] = 1.0
         out[self.stiff_idx, -1] = self.lift[self.stiff_idx]
+        return out
+
+    def sandwich(self, a: np.ndarray) -> np.ndarray:
+        """Psi^* a Psi for an (n_soft + 1) x (n_soft + 1) matrix a.
+
+        Equal to ``adjoint_matrix() @ a @ forward_matrix()``, built by index
+        maps: the soft block is a[:n, :n], the stiff rows are
+        lift (x) a[n, :n], the stiff columns a[:n, n] (x) conj(lift) w, and
+        the stiff block is a[n, n] times the outer product of the two.
+        """
+        n = self.n_soft
+        soft, stiff = self.soft_idx, self.stiff_idx
+        lift = self.lift[stiff]
+        dual = np.conj(lift) * self.full_grid.w[stiff]
+        nf = self.full_grid.size
+        out = np.empty((nf, nf), dtype=complex)
+        out[np.ix_(soft, soft)] = a[:n, :n]
+        out[np.ix_(stiff, soft)] = np.outer(lift, a[n, :n])
+        out[np.ix_(soft, stiff)] = np.outer(a[:n, n], dual)
+        out[np.ix_(stiff, stiff)] = np.outer(a[n, n] * lift, dual)
         return out

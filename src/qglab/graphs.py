@@ -293,13 +293,15 @@ def _re_theta_ex1(graph: MetricGraph, tau):
 def datta_weights(graph: MetricGraph, tau: float) -> dict[tuple[int, int], complex]:
     """Unimodular vertex weights w_V(e), keyed by (vertex, edge id).
 
-    w_V(e) = e^{i tau l} where the cell's phase table maps (V, e) to l, and
-    1 elsewhere: all weights are 1 for ex0 (and for graphs without a cell);
-    for ex1/ex2 the weights at vertex 1 are {1, 1, e^{i tau (l2+l3)}} on
-    edges (e1, e2, e3) and at vertex 2 {e^{i tau l3}, 1, 1}.
+    ``tau`` must lie in the closed interval [-pi, pi]; anything else raises
+    ``ParameterError``.  w_V(e) = e^{i tau l} where the cell's phase table
+    maps (V, e) to l, and 1 elsewhere: all weights are 1 for ex0 (and for
+    graphs without a cell); for ex1/ex2 the weights at vertex 1 are
+    {1, 1, e^{i tau (l2+l3)}} on edges (e1, e2, e3) and at vertex 2
+    {e^{i tau l3}, 1, 1}.
     """
-    if not -math.pi <= tau < math.pi + 1e-12:
-        raise ParameterError("tau must lie in [-pi, pi)")
+    if not -math.pi <= tau <= math.pi:
+        raise ParameterError(f"tau must lie in [-pi, pi], got {tau!r}")
     phases = graph._cell.phases if graph._cell is not None else {}
     w: dict[tuple[int, int], complex] = {}
     for e in graph.edges:

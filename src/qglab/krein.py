@@ -12,7 +12,10 @@ The boundary maps are
                 w_V(e) c^2 (d/dx + i tau) u_e at V  (+ at coordinate 0,
                 - at coordinate l_e).
 Resolvents are realised as dense matrices acting on concatenated per-edge
-trapezoid sample grids.
+trapezoid sample grids.  They are assembled from their structure: each edge
+block of the Dirichlet kernel is rank one on either triangle, so it is built
+from per-edge sine vectors by outer products, and the Krein and generalised
+resolvents add a rank-N_vertices correction gamma(z) (M(z) - B)^{-1} Gamma1.
 """
 
 from __future__ import annotations
@@ -262,6 +265,13 @@ class ResolventWorkspace:
         Block-diagonal over edges, kernel
         e^{-i tau (x - y)} sin(kappa x_<) sin(kappa (l - x_>))
         / (c^2 kappa sin(kappa l)), composed with trapezoid weights in y.
+        The kernel is rank one on each triangle of an edge block: with
+        a = sin(kappa x) and b = sin(kappa (l - x)) on the ascending edge
+        grid, the upper triangle is a_i b_j and the lower one a_j b_i.  The
+        phase e^{-i tau x_i} and the factor e^{i tau y_j} w_j / (c^2 kappa
+        sin(kappa l)) ride on those vectors, so each block is two outer
+        products, one copied into the strict lower triangle, with no n^2
+        transcendental calls.
         """
         g = self.grid
         fiber = self.frame.fiber
@@ -271,15 +281,15 @@ class ResolventWorkspace:
             kappa = self.frame._kappa(e, z)
             guard_pole(kappa * e.length)
             x = g.x[sl]
-            xc = np.minimum.outer(x, x)
-            xg = np.maximum.outer(x, x)
-            ker = (
-                np.sin(kappa * xc)
-                * np.sin(kappa * (e.length - xg))
-                / (c * c * kappa * np.sin(kappa * e.length))
-            )
-            phase = np.exp(-1j * fiber.tau * np.subtract.outer(x, x))
-            out[sl, sl] = phase * ker * g.w[sl][None, :]
+            denom = c * c * kappa * np.sin(kappa * e.length)
+            left = np.exp(-1j * fiber.tau * x)
+            right = np.conj(left) * g.w[sl] / denom
+            a = np.sin(kappa * x)
+            b = np.sin(kappa * (e.length - x))
+            block = out[sl, sl]
+            np.multiply.outer(left * a, b * right, out=block)
+            lower = np.tri(x.size, k=-1, dtype=bool)
+            np.copyto(block, np.outer(left * b, a * right), where=lower)
         return out
 
     # -- kernel lift and its dual ----------------------------------------

@@ -100,8 +100,14 @@ def operator_norm_diff(
 
     The operators act between L2 spaces discretised with trapezoid weights,
     so the relevant norm is that of W_r^{1/2} (a - b) W_c^{-1/2}.  Power
-    iteration on the normal matrix, relative tolerance ``tol``, at most
-    ``max_iter`` iterations, deterministic start vector.
+    iteration on its normal matrix, relative tolerance ``tol``, at most
+    ``max_iter`` iterations, deterministic start vector.  The weights are
+    applied to the iterates, not to a scaled copy of D = a - b: with
+    s = sqrt(w), one step is v -> D^H (w_r D (v / s_c)) / s_c, and
+    D^H y = conj(D^T conj(y)) needs no transposed copy.  Raises
+    ``ArithmeticError`` if the relative step is still above ``tol`` after
+    ``max_iter`` iterations, because an unconverged power iteration
+    under-estimates the norm.
     """
     d = np.asarray(a, dtype=complex)
     if b is not None:
@@ -110,14 +116,14 @@ def operator_norm_diff(
         d = d - b
     w_row = np.asarray(w_row, dtype=float)
     w_col = w_row if w_col is None else np.asarray(w_col, dtype=float)
-    d = np.sqrt(w_row)[:, None] * d / np.sqrt(w_col)[None, :]
+    s_col = np.sqrt(w_col)
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(d.shape[1]) + 1j * rng.standard_normal(d.shape[1])
     v /= np.linalg.norm(v)
-    sigma = 0.0
-    dh = d.conj().T
+    sigma, step = 0.0, math.inf
     for _ in range(max_iter):
-        u = dh @ (d @ v)
+        y = w_row * (d @ (v / s_col))
+        u = np.conj(d.T @ np.conj(y)) / s_col
         nrm = np.linalg.norm(u)
         if nrm == 0.0:
             return 0.0
@@ -125,8 +131,12 @@ def operator_norm_diff(
         new_sigma = math.sqrt(nrm)
         if abs(new_sigma - sigma) <= tol * max(new_sigma, 1e-300):
             return new_sigma
+        step = abs(new_sigma - sigma) / new_sigma
         sigma = new_sigma
-    return sigma
+    raise ArithmeticError(
+        f"operator_norm_diff: power iteration not converged after max_iter="
+        f"{max_iter} steps (last relative step {step:.3e}, tol {tol:.1e})"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -398,8 +408,7 @@ def _full_nrc_error(graph, tau: float, eps: float, z: complex, res: int) -> floa
     soft_grid = make_grid(soft, res)
     model = EffectiveModel(graph, weights, fiber, grid=soft_grid)
     psi = PsiEmbedding(graph, weights, fiber, full_grid)
-    sandwich = psi.adjoint_matrix() @ model.a_hom_matrix(z) @ psi.forward_matrix()
-    return operator_norm_diff(r_full, sandwich, full_grid.w)
+    return operator_norm_diff(r_full, psi.sandwich(model.a_hom_matrix(z)), full_grid.w)
 
 
 def _dilation_certificates(graph, tau: float, eps: float, z: complex, w: complex, res: int):

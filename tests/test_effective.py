@@ -129,6 +129,19 @@ def test_psi_embedding_is_partial_isometry():
         assert np.max(np.abs(proj @ proj - proj)) < 1e-12
 
 
+@pytest.mark.parametrize("name", ["ex0", "ex1", "ex2"])
+def test_psi_sandwich_matches_dense_products(name):
+    g = build_example(name)
+    w = datta_weights(g, -1.7)
+    fiber = FiberParams(0.1, -1.7, 2 + 1j)
+    emb = PsiEmbedding(g, w, fiber, make_grid(g, 64))
+    m = emb.n_soft + 1
+    rng = np.random.default_rng(5)
+    a = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+    ref = emb.adjoint_matrix() @ a @ emb.forward_matrix()
+    assert np.max(np.abs(emb.sandwich(a) - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
 def test_r_eff_matches_hom_soft_block():
     # the generalised resolvent on soft samples is the soft block of the
     # homogenised resolvent

@@ -74,6 +74,18 @@ def test_weights_unimodular(tau, name):
         assert abs(abs(value) - 1.0) < 1e-14
 
 
+@pytest.mark.parametrize("tau", [-math.pi, math.pi])
+def test_weights_accept_closed_tau_interval(tau):
+    for name in ("ex0", "ex1", "ex2"):
+        assert len(datta_weights(build_example(name), tau)) > 0
+
+
+@pytest.mark.parametrize("tau", [math.pi + 1e-9, -math.pi - 1e-9])
+def test_weights_reject_tau_outside_closed_interval(tau):
+    with pytest.raises(ParameterError, match=r"\[-pi, pi\]"):
+        datta_weights(build_example("ex1"), tau)
+
+
 def test_weights_cover_all_incidences():
     for name in ("ex0", "ex1", "ex2"):
         g = build_example(name)

@@ -1,5 +1,6 @@
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -95,6 +96,44 @@ def test_dirichlet_kernel_solves_ode():
         # Dirichlet boundary values vanish
         assert abs(ue[0]) < 1e-12 and abs(ue[-1]) < 1e-12
     assert worst < 1e-4  # second-order FD residual at h ~ 5e-4
+
+
+def _dirichlet_reference(ws: ResolventWorkspace, z: complex) -> np.ndarray:
+    """The Dirichlet kernel entry by entry from x_< = min and x_> = max."""
+    grid, fiber = ws.grid, ws.frame.fiber
+    out = np.zeros((grid.size, grid.size), dtype=complex)
+    for e, sl in zip(grid.edges, grid.slices):
+        c = fiber.speed(e)
+        kappa = ws.frame._kappa(e, z)
+        x = grid.x[sl]
+        xc = np.minimum.outer(x, x)
+        xg = np.maximum.outer(x, x)
+        ker = (
+            np.sin(kappa * xc)
+            * np.sin(kappa * (e.length - xg))
+            / (c * c * kappa * np.sin(kappa * e.length))
+        )
+        phase = np.exp(-1j * fiber.tau * np.subtract.outer(x, x))
+        out[sl, sl] = phase * ker * grid.w[sl][None, :]
+    return out
+
+
+@pytest.mark.parametrize("name", ["ex0", "ex1", "ex2"])
+@pytest.mark.parametrize("component", ["full", "soft"])
+@pytest.mark.parametrize("tau, z", [(1.0, 2 + 1j), (-2.5, 5 + 3j), (0.3, -800 + 2j)])
+def test_dirichlet_matrix_matches_min_max_kernel(name, component, tau, z):
+    g = build_example(name)
+    comp = g if component == "full" else g.subgraph("soft")
+    fiber = FiberParams(0.1, tau, z)
+    frame = ComponentFrame(comp, datta_weights(g, tau), fiber)
+    ws = ResolventWorkspace(frame, grid=make_grid(comp, 96))
+    if z.real < 0:
+        # deep in the gap the soft-edge sines grow like e^{|Im kappa| l}
+        soft = [e for e in comp.edges if not e.is_stiff]
+        assert max(abs((frame._kappa(e, z) * e.length).imag) for e in soft) > 10
+    ref = _dirichlet_reference(ws, z)
+    got = ws.dirichlet_matrix(z)
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_krein_resolvent_adjoint_symmetry():

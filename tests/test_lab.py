@@ -74,6 +74,38 @@ def test_operator_norm_respects_weights():
     assert norm == pytest.approx(2.0, abs=1e-8)
 
 
+def _with_singular_values(s, rows, cols, seed):
+    """A rows x cols complex matrix whose nonzero singular values are s."""
+    rng = np.random.default_rng(seed)
+    u, v = (
+        np.linalg.qr(
+            rng.standard_normal((n, s.size)) + 1j * rng.standard_normal((n, s.size))
+        )[0]
+        for n in (rows, cols)
+    )
+    return (u * s) @ v.conj().T
+
+
+def test_operator_norm_matches_svd_with_distinct_weights():
+    rng = np.random.default_rng(6)
+    w_row = rng.uniform(0.01, 0.2, 30)
+    w_col = rng.uniform(0.5, 3.0, 20)
+    scaled = _with_singular_values(np.array([3.0, 1.5, 1.0, 0.5, 0.1]), 30, 20, 7)
+    b = rng.standard_normal((30, 20)) + 1j * rng.standard_normal((30, 20))
+    a = b + scaled / np.sqrt(w_row)[:, None] * np.sqrt(w_col)[None, :]
+    ref = np.linalg.svd(
+        np.sqrt(w_row)[:, None] * (a - b) / np.sqrt(w_col)[None, :], compute_uv=False
+    )[0]
+    assert operator_norm_diff(a, b, w_row, w_col) == pytest.approx(ref, rel=1e-8)
+
+
+def test_operator_norm_raises_when_not_converged():
+    # the two largest singular values are 0.5% apart: two steps cannot settle
+    a = _with_singular_values(np.array([1.0, 0.995, 0.3]), 12, 12, 8)
+    with pytest.raises(ArithmeticError, match="max_iter=2"):
+        operator_norm_diff(a, None, np.ones(12), max_iter=2)
+
+
 def test_tau_grid_endpoints_and_symmetry():
     grid = tau_grid(17)
     assert grid.size == 17
