@@ -11,8 +11,11 @@ Verbs map to groups of experiment tags:
     verify-appendix  btilde_identity, beff_rate
 
 Each verb accepts ``--config <path>`` (flat key=value file) and
-``--out <dir>`` (CSV output directory).  ``qglab --list`` enumerates the
-experiment tags.  Exit status is 0 iff every executed experiment passes.
+``--out <dir>`` (CSV output directory).  A verb's tags share its config
+file: each tag gets the keys it accepts, and a key no tag of the verb
+accepts, or a value of the wrong type, exits with status 2 before any
+experiment runs.  ``qglab --list`` enumerates the experiment tags.  Exit
+status is 0 iff every executed experiment passes.
 """
 
 from __future__ import annotations
@@ -22,9 +25,12 @@ import os
 import sys
 import time
 
+from .graphs import ParameterError
 from .lab import (
     EXPERIMENT_TAGS,
     ExperimentResult,
+    bind_config,
+    config_keys,
     parse_config,
     run_experiment,
     write_csv,
@@ -53,10 +59,26 @@ def _emit(result: ExperimentResult, out_dir: str | None) -> None:
             write_csv(os.path.join(out_dir, f"{name}.csv"), rows)
 
 
-def _run_tags(tags, cfg, out_dir) -> bool:
+def _bind_verb(verb: str, cfg: dict) -> list[tuple[str, dict]]:
+    """Each tag of ``verb`` with its share of the verb's config, bound."""
+    tags = VERB_TAGS[verb]
+    accepted = list(dict.fromkeys(k for tag in tags for k in config_keys(tag)))
+    unknown = [key for key in cfg if key not in accepted]
+    if unknown:
+        raise ParameterError(
+            f"{verb} does not take {', '.join(unknown)}; "
+            f"accepted keys: {', '.join(accepted)}"
+        )
+    return [
+        (tag, bind_config(tag, {k: cfg[k] for k in config_keys(tag) if k in cfg}))
+        for tag in tags
+    ]
+
+
+def _run_tags(runs, out_dir) -> bool:
     all_ok = True
     report_lines = []
-    for tag in tags:
+    for tag, cfg in runs:
         t0 = time.perf_counter()
         result = run_experiment(tag, cfg)
         dt = time.perf_counter() - t0
@@ -105,8 +127,12 @@ def main(argv: list[str] | None = None) -> int:
     if not args.verb:
         parser.print_help()
         return 2
-    cfg = parse_config(args.config) if args.config else {}
-    ok = _run_tags(VERB_TAGS[args.verb], cfg, args.out)
+    try:
+        runs = _bind_verb(args.verb, parse_config(args.config) if args.config else {})
+    except (OSError, ValueError) as exc:
+        print(f"qglab: {exc}", file=sys.stderr)
+        return 2
+    ok = _run_tags(runs, args.out)
     return 0 if ok else 1
 
 

@@ -9,6 +9,7 @@ rows (CSV-ready), a human-readable summary, and a pass flag.
 from __future__ import annotations
 
 import csv
+import inspect
 import math
 from dataclasses import dataclass, field
 
@@ -17,7 +18,7 @@ import numpy as np
 from . import dispersion, realline, triples
 from .effective import EffectiveModel, PsiEmbedding
 from .fdsolver import DiscretizedOperator
-from .graphs import build_example, datta_weights
+from .graphs import ParameterError, build_example, datta_weights
 from .krein import ComponentFrame, ResolventWorkspace, make_grid
 from .mmatrix import (
     FiberParams,
@@ -27,23 +28,18 @@ from .mmatrix import (
     m_general,
 )
 
-EXPERIMENT_TAGS = (
-    "additivity",
-    "krein_vs_direct",
-    "gen_res_rate",
-    "full_res_rate",
-    "btilde_identity",
-    "beff_rate",
-    "dispersion_series",
-    "schur_check",
-    "bands",
-    "line_models",
-    "sum_identities",
-)
-
 DEFAULT_Z = (2 + 1j, 5 + 2j, 10 + 0.7j)
 DEFAULT_EPS = tuple(2.0**-j for j in range(3, 9))
 DEFAULT_EXAMPLES = ("ex0", "ex1", "ex2")
+DEFAULT_TAUS = (-(math.pi - 1e-3), -2.0, -1.0, -0.3, 0.3, 1.0, 2.0, math.pi - 1e-3)
+
+# the tolerances the README states for each certificate
+ADDITIVITY_TOL, SYMMETRY_TOL, HERGLOTZ_FLOOR = 1e-11, 1e-12, -1e-10
+BTILDE_TOL = 1e-12
+SERIES_REL_TOL = 1e-3
+SUM_TOL = 2e-6
+SCHUR_TOL = 1e-9
+SYMBOL_TOL = 1e-10
 
 
 def tau_grid(count: int = 17) -> np.ndarray:
@@ -195,43 +191,46 @@ def parse_config(path: str) -> dict:
     return cfg
 
 
-def _as_list(value):
-    if value is None:
-        return None
-    return value if isinstance(value, list) else [value]
+def _slope_sweep(points, eps_list, error):
+    """Fit error(p, eps) ~ eps^slope over ``eps_list`` at each point p.
+
+    Returns whether every slope lies in its band, the slopes as a summary
+    string, and the samples (p, eps, error) in sweep order.
+    """
+    fits, samples = [], []
+    for p in points:
+        errs = [error(p, e) for e in eps_list]
+        fits.append(fit_slope(eps_list, errs))
+        samples += [(p, e, err) for e, err in zip(eps_list, errs)]
+    return all(f.passed for f in fits), str(["%.3f" % f.slope for f in fits]), samples
 
 
-def _cfg_examples(cfg) -> list[str]:
-    ex = _as_list(cfg.get("examples")) or list(DEFAULT_EXAMPLES)
-    return [str(e).lower() for e in ex]
-
-
-def _cfg_z(cfg) -> list[complex]:
-    return [complex(z) for z in (_as_list(cfg.get("z_list")) or DEFAULT_Z)]
-
-
-def _cfg_eps(cfg) -> list[float]:
-    return [float(e) for e in (_as_list(cfg.get("eps_list")) or DEFAULT_EPS)]
+def _no_cell(tag: str, examples) -> ExperimentResult:
+    """FAIL when ``examples`` hold no cell without a stiff cycle."""
+    return ExperimentResult(
+        tag, False,
+        [f"no selected cell without a stiff cycle (examples: {', '.join(examples)})"],
+    )
 
 
 # ---------------------------------------------------------------------------
-# experiments
+# experiments: each runner's keyword parameters are its config keys, with
+# their defaults (a tuple default marks a list-valued key)
 
 
-def run_additivity(cfg: dict) -> ExperimentResult:
+def run_additivity(
+    *, examples=DEFAULT_EXAMPLES, eps_list=(0.5, 0.3, 0.2, 0.1, 0.05), tau_count=5,
+    z_list=DEFAULT_Z,
+) -> ExperimentResult:
     """M-matrix block additivity plus symmetry/Herglotz certificates."""
-    tol = float(cfg.get("tol", 1e-11))
-    sym_tol = float(cfg.get("sym_tol", 1e-12))
-    herg_tol = float(cfg.get("herglotz_tol", -1e-10))
-    eps_values = _as_list(cfg.get("eps_list")) or [0.5, 0.3, 0.2, 0.1, 0.05]
-    taus = np.linspace(-3.0, 3.0, int(cfg.get("tau_count", 5)))
-    zs = _cfg_z(cfg) + [complex(7.0, 0.3)]
+    taus = np.linspace(-3.0, 3.0, tau_count)
+    zs = [*z_list, complex(7.0, 0.3)]
     rows, entries = [], []
     worst_dev = worst_gen = worst_sym = 0.0
     worst_herg = math.inf
-    for name in _cfg_examples(cfg):
+    for name in examples:
         g = build_example(name)
-        for eps in eps_values:
+        for eps in eps_list:
             for tau in taus:
                 for z in zs:
                     fiber = FiberParams(float(eps), float(tau), z)
@@ -290,33 +289,30 @@ def run_additivity(cfg: dict) -> ExperimentResult:
                                     )
                                 )
     passed = (
-        worst_dev <= tol
+        worst_dev <= ADDITIVITY_TOL
         and worst_gen <= 1e-11
-        and worst_sym <= sym_tol
-        and worst_herg >= herg_tol
+        and worst_sym <= SYMMETRY_TOL
+        and worst_herg >= HERGLOTZ_FLOOR
     )
     summary = [
-        f"additivity max deviation {worst_dev:.3e} (tol {tol:.0e})",
+        f"additivity max deviation {worst_dev:.3e} (tol {ADDITIVITY_TOL:.0e})",
         f"closed-vs-general max deviation {worst_gen:.3e}",
-        f"symmetry defect {worst_sym:.3e} (tol {sym_tol:.0e})",
-        f"Herglotz min eigenvalue {worst_herg:.3e} (floor {herg_tol:.0e})",
-        f"points per example: {len(rows) // len(_cfg_examples(cfg))}",
+        f"symmetry defect {worst_sym:.3e} (tol {SYMMETRY_TOL:.0e})",
+        f"Herglotz min eigenvalue {worst_herg:.3e} (floor {HERGLOTZ_FLOOR:.0e})",
+        f"points per example: {len(rows) // len(examples)}",
     ]
     return ExperimentResult(
         "additivity", passed, summary, rows, {"mmatrix_entries": entries}
     )
 
 
-def run_krein_vs_direct(cfg: dict) -> ExperimentResult:
+def run_krein_vs_direct(
+    *, examples=DEFAULT_EXAMPLES, eps=0.3, tau=1.0, z=2 + 1j,
+    resolutions=(256, 512, 1024),
+) -> ExperimentResult:
     """Closed-form resolvent against the finite-element oracle."""
-    resolutions = [int(r) for r in (_as_list(cfg.get("resolutions")) or [256, 512, 1024])]
-    eps = float(cfg.get("eps", 0.3))
-    tau = float(cfg.get("tau", 1.0))
-    z = complex(cfg.get("z", 2 + 1j))
-    rows = []
-    passed = True
-    summary = []
-    for name in _cfg_examples(cfg):
+    rows, summary, passed = [], [], True
+    for name in examples:
         g = build_example(name)
         weights = datta_weights(g, tau)
         fiber = FiberParams(eps, tau, z)
@@ -368,32 +364,22 @@ def _soft_sandwich_error(graph, tau: float, eps: float, z: complex, res: int) ->
     return operator_norm_diff(r_eps, model.r_eff_matrix(z), grid.w)
 
 
-def run_gen_res_rate(cfg: dict) -> ExperimentResult:
+def run_gen_res_rate(
+    *, examples=DEFAULT_EXAMPLES, eps_list=DEFAULT_EPS, tau_list=DEFAULT_TAUS,
+    z=2 + 1j, resolution=96,
+) -> ExperimentResult:
     """O(eps^2) convergence of the soft-component generalised resolvent."""
-    eps_values = _cfg_eps(cfg)
-    z = complex(cfg.get("z", 2 + 1j))
-    res = int(cfg.get("resolution", 96))
-    taus = _as_list(cfg.get("tau_list")) or [
-        -(math.pi - 1e-3), -2.0, -1.0, -0.3, 0.3, 1.0, 2.0, math.pi - 1e-3,
-    ]
-    rows, summary = [], []
-    passed = True
-    for name in _cfg_examples(cfg):
+    rows, summary, passed = [], [], True
+    for name in examples:
         g = build_example(name)
-        slopes = []
-        for tau in taus:
-            errs = [_soft_sandwich_error(g, float(tau), e, z, res) for e in eps_values]
-            fit = fit_slope(eps_values, errs)
-            slopes.append(fit.slope)
-            passed = passed and fit.passed
-            for e, err in zip(eps_values, errs):
-                rows.append(
-                    dict(example=name, tau=float(tau), eps=e, error=err)
-                )
-        summary.append(
-            f"{name}: slopes {['%.3f' % s for s in slopes]} "
-            f"(band [1.8, 2.2])"
+        ok, slopes, samples = _slope_sweep(
+            tau_list, eps_list,
+            lambda tau, e: _soft_sandwich_error(g, tau, e, z, resolution),
         )
+        passed = passed and ok
+        rows += [dict(example=name, tau=tau, eps=e, error=err)
+                 for tau, e, err in samples]
+        summary.append(f"{name}: slopes {slopes} (band [1.8, 2.2])")
     return ExperimentResult("gen_res_rate", passed, summary, rows)
 
 
@@ -432,40 +418,32 @@ def _dilation_certificates(graph, tau: float, eps: float, z: complex, w: complex
     return ident, adj, herg, route
 
 
-def run_full_res_rate(cfg: dict) -> ExperimentResult:
+def run_full_res_rate(
+    *, examples=DEFAULT_EXAMPLES, eps_list=DEFAULT_EPS, tau_list=DEFAULT_TAUS,
+    z=2 + 1j, w=5 + 2j, resolution=96,
+) -> ExperimentResult:
     """Full norm-resolvent convergence plus dilation self-adjointness
     certificates (resolvent identity, adjoint symmetry, Herglotz sign,
     agreement of the two independent out-of-space assembly routes)."""
-    eps_values = _cfg_eps(cfg)
-    z = complex(cfg.get("z", 2 + 1j))
-    w = complex(cfg.get("w", 5 + 2j))
-    res = int(cfg.get("resolution", 96))
-    taus = _as_list(cfg.get("tau_list")) or [
-        -(math.pi - 1e-3), -2.0, -1.0, -0.3, 0.3, 1.0, 2.0, math.pi - 1e-3,
-    ]
-    rows, summary = [], []
-    passed = True
+    rows, summary, passed = [], [], True
     worst = dict(ident=0.0, adj=0.0, herg=math.inf, route=0.0)
-    for name in _cfg_examples(cfg):
+    for name in examples:
         g = build_example(name)
-        slopes = []
-        for tau in taus:
-            errs = [_full_nrc_error(g, float(tau), e, z, res) for e in eps_values]
-            fit = fit_slope(eps_values, errs)
-            slopes.append(fit.slope)
-            passed = passed and fit.passed
-            for e, err in zip(eps_values, errs):
-                rows.append(dict(example=name, tau=float(tau), eps=e, error=err))
+        ok, slopes, samples = _slope_sweep(
+            tau_list, eps_list,
+            lambda tau, e: _full_nrc_error(g, tau, e, z, resolution),
+        )
+        passed = passed and ok
+        rows += [dict(example=name, tau=tau, eps=e, error=err)
+                 for tau, e, err in samples]
         ident, adj, herg, route = _dilation_certificates(
-            g, 1.0, 0.1, z, w, res
+            g, 1.0, 0.1, z, w, resolution
         )
         worst["ident"] = max(worst["ident"], ident)
         worst["adj"] = max(worst["adj"], adj)
         worst["herg"] = min(worst["herg"], herg)
         worst["route"] = max(worst["route"], route)
-        summary.append(
-            f"{name}: slopes {['%.3f' % s for s in slopes]} (band [1.8, 2.2])"
-        )
+        summary.append(f"{name}: slopes {slopes} (band [1.8, 2.2])")
     cert_ok = (
         worst["ident"] <= 1e-9
         and worst["adj"] <= 1e-10
@@ -481,113 +459,90 @@ def run_full_res_rate(cfg: dict) -> ExperimentResult:
     return ExperimentResult("full_res_rate", passed, summary, rows)
 
 
-def run_btilde_identity(cfg: dict) -> ExperimentResult:
+def run_btilde_identity(
+    *, examples=DEFAULT_EXAMPLES, eps_list=(0.5, 0.25, 0.125, 0.0625, 0.03125),
+    tau_count=10,
+) -> ExperimentResult:
     """Exact identity between the generic triple-swap route and the closed
-    diagonal form of the swapped boundary matrix (ex0; ex2 as a bonus)."""
-    tol = float(cfg.get("tol", 1e-12))
-    taus = np.linspace(-3.0, 3.0, int(cfg.get("tau_count", 10)))
+    diagonal form of the swapped boundary matrix, on the selected cells
+    without a stiff cycle (ex0 and ex2 by default)."""
+    cells = [g for g in map(build_example, examples) if not g.cell.germ]
+    if not cells:
+        return _no_cell("btilde_identity", examples)
+    taus = np.linspace(-3.0, 3.0, tau_count)
     zs = [complex(re, im) for re in (0.7, 2, 5, 10, 17) for im in (0.5, 1.3)]
-    eps_values = _as_list(cfg.get("eps_list")) or [0.5, 0.25, 0.125, 0.0625, 0.03125]
-    rows = []
-    worst = {"ex0": 0.0, "ex2": 0.0}
-    for name in ("ex0", "ex2"):
-        g = build_example(name)
+    rows, summary, passed = [], [], True
+    for g in cells:
+        # on the loop cell (ex2) the transform cancels entries of size
+        # ||B(z)|| (a3^2/(l3 eps^2) scale), so floating-point noise is
+        # proportional to that size, not to the closed form
+        relative = g.cell.loop is not None
+        worst = 0.0
         for tau in taus:
             for z in zs:
-                for eps in eps_values:
+                for eps in eps_list:
                     fiber = FiberParams(float(eps), float(tau), z)
                     closed = triples.btilde_closed_ex0(g, fiber)
                     dev = float(
                         np.max(np.abs(triples.btilde_numeric(g, fiber) - closed))
                     )
-                    if name == "ex2":
-                        # bonus check on the second stiff-dumbbell cell:
-                        # the transform cancels entries of size ||B(z)||
-                        # (a3^2/(l3 eps^2) scale), so floating-point noise is
-                        # proportional to that size, not to the closed form
+                    if relative:
                         dev /= 1.0 + float(
                             np.max(np.abs(triples.b_matrix(g, fiber)))
                         )
-                    worst[name] = max(worst[name], dev)
-                    rows.append(
-                        dict(
-                            example=name,
-                            tau=float(tau),
-                            re_z=z.real,
-                            im_z=z.imag,
-                            eps=float(eps),
-                            deviation=dev,
-                        )
-                    )
-    passed = worst["ex0"] <= tol and worst["ex2"] <= tol
-    return ExperimentResult(
-        "btilde_identity",
-        passed,
-        [
-            f"ex0 max |generic - closed| = {worst['ex0']:.3e} (tol {tol:.0e})",
-            f"ex2 max relative deviation = {worst['ex2']:.3e} (tol {tol:.0e})",
-        ],
-        rows,
-    )
-
-
-def run_beff_rate(cfg: dict) -> ExperimentResult:
-    """O(eps^2) convergence of the swapped boundary matrices to their
-    effective limits, uniformly over tau, plus the delta limit for ex1."""
-    eps_values = _cfg_eps(cfg)
-    z = complex(cfg.get("z", 2 + 1j))
-    taus = _as_list(cfg.get("tau_list")) or [
-        -(math.pi - 1e-3), -2.0, -1.0, -0.3, 0.3, 1.0, 2.0, math.pi - 1e-3,
-    ]
-    rows, summary = [], []
-    passed = True
-    for name in _cfg_examples(cfg):
-        g = build_example(name)
-        slopes = []
-        for tau in taus:
-            errs = [
-                triples.beff_deviation(g, FiberParams(e, float(tau), z))
-                for e in eps_values
-            ]
-            fit = fit_slope(eps_values, errs)
-            slopes.append(fit.slope)
-            passed = passed and fit.passed
-            for e, err in zip(eps_values, errs):
-                rows.append(dict(example=name, tau=float(tau), eps=e, error=err))
-        summary.append(f"{name}: slopes {['%.3f' % s for s in slopes]}")
-    if "ex1" in _cfg_examples(cfg):
-        g1 = build_example("ex1")
-        delta_slopes = []
-        for tau in taus:
-            errs = [
-                abs(
-                    triples.delta_fn(g1, FiberParams(e, float(tau), z))
-                    - triples.delta_limit(g1, FiberParams(e, float(tau), z))
-                )
-                for e in eps_values
-            ]
-            fit = fit_slope(eps_values, errs)
-            delta_slopes.append(fit.slope)
-            passed = passed and fit.passed
+                    worst = max(worst, dev)
+                    rows.append(dict(example=g.example, tau=float(tau), re_z=z.real,
+                                     im_z=z.imag, eps=float(eps), deviation=dev))
+        passed = passed and worst <= BTILDE_TOL
+        what = "relative deviation" if relative else "|generic - closed|"
         summary.append(
-            f"ex1 delta-vs-limit slopes {['%.3f' % s for s in delta_slopes]}"
+            f"{g.example} max {what} = {worst:.3e} (tol {BTILDE_TOL:.0e})"
         )
+    return ExperimentResult("btilde_identity", passed, summary, rows)
+
+
+def run_beff_rate(
+    *, examples=DEFAULT_EXAMPLES, eps_list=DEFAULT_EPS, tau_list=DEFAULT_TAUS,
+    z=2 + 1j,
+) -> ExperimentResult:
+    """O(eps^2) convergence of the swapped boundary matrices to their
+    effective limits, uniformly over tau, plus the delta limit on the cells
+    with a stiff cycle (ex1)."""
+    cells = [build_example(name) for name in examples]
+    rows, summary, passed = [], [], True
+    for g in cells:
+        ok, slopes, samples = _slope_sweep(
+            tau_list, eps_list,
+            lambda tau, e: triples.beff_deviation(g, FiberParams(e, tau, z)),
+        )
+        passed = passed and ok
+        rows += [dict(example=g.example, tau=tau, eps=e, error=err)
+                 for tau, e, err in samples]
+        summary.append(f"{g.example}: slopes {slopes}")
+    for g in (g for g in cells if g.cell.germ):
+        ok, slopes, _ = _slope_sweep(
+            tau_list, eps_list,
+            lambda tau, e: abs(
+                triples.delta_fn(g, FiberParams(e, tau, z))
+                - triples.delta_limit(g, FiberParams(e, tau, z))
+            ),
+        )
+        passed = passed and ok
+        summary.append(f"{g.example} delta-vs-limit slopes {slopes}")
     return ExperimentResult("beff_rate", passed, summary, rows)
 
 
-def run_dispersion_series(cfg: dict) -> ExperimentResult:
+def run_dispersion_series(
+    *, examples=DEFAULT_EXAMPLES, eps=0.1, tau_count=9, z_list=DEFAULT_Z,
+    n_terms=10_000,
+) -> ExperimentResult:
     """Series and closed dispersion forms agree with an O(1/J) tail."""
-    rel_tol = float(cfg.get("rel_tol", 1e-3))
-    n_terms = int(cfg.get("n_terms", 10_000))
-    eps = float(cfg.get("eps", 0.1))
-    taus = tau_grid(int(cfg.get("tau_count", 9)))
-    zs = _cfg_z(cfg) + [complex(3.3, 0.6), complex(7.1, 1.7), complex(1.2, 0.9)]
-    rows, summary = [], []
-    passed = True
-    for name in _cfg_examples(cfg):
+    taus = tau_grid(tau_count)
+    zs = [*z_list, complex(3.3, 0.6), complex(7.1, 1.7), complex(1.2, 0.9)]
+    rows, summary, passed = [], [], True
+    for name in examples:
         g = build_example(name)
         worst_rel, worst_tail = 0.0, 0.0
-        count = 0
         for tau in taus:
             for z in zs:
                 kc = dispersion.k_closed(g, float(tau), z, eps=eps)
@@ -598,7 +553,6 @@ def run_dispersion_series(cfg: dict) -> ExperimentResult:
                 tail_ratio = e1 / e2 if e2 > 0 else 2.0
                 worst_rel = max(worst_rel, rel)
                 worst_tail = max(worst_tail, abs(tail_ratio - 2.0))
-                count += 1
                 rows.append(
                     dict(
                         example=name,
@@ -609,50 +563,48 @@ def run_dispersion_series(cfg: dict) -> ExperimentResult:
                         tail_ratio=tail_ratio,
                     )
                 )
-        ok = worst_rel <= rel_tol and worst_tail <= 1.0
+        ok = worst_rel <= SERIES_REL_TOL and worst_tail <= 1.0
         passed = passed and ok
         summary.append(
-            f"{name}: {count} points, max relative error {worst_rel:.2e} "
-            f"(tol {rel_tol:.0e}), tail ratio within {worst_tail:.2f} of 2"
+            f"{name}: {len(taus) * len(zs)} points, max relative error "
+            f"{worst_rel:.2e} (tol {SERIES_REL_TOL:.0e}), tail ratio within "
+            f"{worst_tail:.2f} of 2"
         )
     return ExperimentResult("dispersion_series", passed, summary, rows)
 
 
-def run_sum_identities(cfg: dict) -> ExperimentResult:
+def run_sum_identities(
+    *, n_terms=1_000_000, x_list=(0.3, 1.0, 2.5)
+) -> ExperimentResult:
     """Lattice-sum closed forms at large truncation."""
-    tol = float(cfg.get("tol", 2e-6))
-    n_terms = int(cfg.get("n_terms", 1_000_000))
-    xs = [float(x) for x in (_as_list(cfg.get("x_list")) or [0.3, 1.0, 2.5])]
     rows = []
     worst = 0.0
-    for x in xs:
+    for x in x_list:
         devs = dispersion.verify_sum_identities(x, n_terms)
         worst = max(worst, devs["plain"], devs["alternating"])
         rows.append(dict(x=x, n_terms=n_terms, **devs))
-    passed = worst <= tol
+    passed = worst <= SUM_TOL
     return ExperimentResult(
         "sum_identities",
         passed,
-        [f"max deviation {worst:.3e} at J={n_terms} (tol {tol:.0e})"],
+        [f"max deviation {worst:.3e} at J={n_terms} (tol {SUM_TOL:.0e})"],
         rows,
     )
 
 
-def run_schur_check(cfg: dict) -> ExperimentResult:
+def run_schur_check(
+    *, examples=DEFAULT_EXAMPLES, eps=0.1, tau_list=(-1.0, 0.3, 1.5, 2.9),
+    z_list=DEFAULT_Z, resolution=64,
+) -> ExperimentResult:
     """The boundary Schur scalar inverts (K - z), and is Herglotz."""
-    tol = float(cfg.get("tol", 1e-9))
-    eps = float(cfg.get("eps", 0.1))
-    res = int(cfg.get("resolution", 64))
-    taus = _as_list(cfg.get("tau_list")) or [-1.0, 0.3, 1.5, 2.9]
-    zs = _cfg_z(cfg)
     rows = []
     worst = 0.0
     worst_herg = math.inf
-    for name in _cfg_examples(cfg):
+    for name in examples:
         g = build_example(name)
-        for tau in taus:
-            for z in zs:
-                s = dispersion.schur_frobenius(g, float(tau), z, eps, res)
+        for tau in tau_list:
+            for z in z_list:
+                s = dispersion.schur_frobenius(g, float(tau), z, eps, resolution)
                 kc = dispersion.k_closed(g, float(tau), z, eps=eps)
                 dev = abs(s * (kc - z) - 1.0)
                 worst = max(worst, dev)
@@ -667,12 +619,12 @@ def run_schur_check(cfg: dict) -> ExperimentResult:
                         im_schur=s.imag,
                     )
                 )
-    passed = worst <= tol and worst_herg >= -1e-12
+    passed = worst <= SCHUR_TOL and worst_herg >= -1e-12
     return ExperimentResult(
         "schur_check",
         passed,
         [
-            f"max |schur (K - z) - 1| = {worst:.3e} (tol {tol:.0e})",
+            f"max |schur (K - z) - 1| = {worst:.3e} (tol {SCHUR_TOL:.0e})",
             f"min Im(schur) = {worst_herg:.3e} (Herglotz floor -1e-12)",
         ],
         rows,
@@ -686,36 +638,36 @@ def _hausdorff(a: np.ndarray, b: np.ndarray) -> float:
     return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
 
 
-def run_bands(cfg: dict) -> ExperimentResult:
-    """Band convergence: discrete fiber eigenvalues against limiting roots.
+def run_bands(
+    *, examples=DEFAULT_EXAMPLES, eps_list=tuple(2.0**-j for j in range(3, 7)),
+    tau_count=17, resolution=1024, n_bands=3, z_max=260.0,
+) -> ExperimentResult:
+    """Band convergence: discrete fiber eigenvalues against limiting roots,
+    on the selected cells without a stiff cycle (ex0 and ex2).
 
     Eigenvalues come from the finite-element oracle at two resolutions and
     are Richardson-extrapolated in h^2, so the h-discretisation error does
     not contaminate the O(eps^2) fit.
     """
-    examples = [e for e in _cfg_examples(cfg) if e in ("ex0", "ex2")]
-    n_bands = int(cfg.get("n_bands", 3))
-    taus = tau_grid(int(cfg.get("tau_count", 17)))
-    eps_values = [float(e) for e in (_as_list(cfg.get("eps_list")) or
-                                     [2.0**-j for j in range(3, 7)])]
-    res = int(cfg.get("resolution", 1024))
-    z_max = float(cfg.get("z_max", 260.0))
-    rows, summary = [], []
-    passed = True
+    cells = [g for g in map(build_example, examples) if not g.cell.germ]
+    if not cells:
+        return _no_cell("bands", examples)
+    taus = tau_grid(tau_count)
+    rows, summary, passed = [], [], True
 
     def eig_extrapolated(g, weights, fiber):
-        lo = DiscretizedOperator(g, weights, fiber, resolution=res // 2)
-        hi = DiscretizedOperator(g, weights, fiber, resolution=res)
+        lo = DiscretizedOperator(g, weights, fiber, resolution=resolution // 2)
+        hi = DiscretizedOperator(g, weights, fiber, resolution=resolution)
         v_lo = lo.eigenvalues(n_bands)
         v_hi = hi.eigenvalues(n_bands)
         return (4.0 * v_hi - v_lo) / 3.0
 
-    for name in examples:
-        g = build_example(name)
-        # the limiting roots do not depend on eps (ex0/ex2 take no eps)
+    for g in cells:
+        # the limiting roots do not depend on eps (cells without a stiff
+        # cycle take no eps)
         limits = [dispersion.band_roots(g, float(tau), z_max)[:n_bands] for tau in taus]
         dist_per_eps = []
-        for eps in eps_values:
+        for eps in eps_list:
             worst = 0.0
             for tau, limit in zip(taus, limits):
                 tau = float(tau)
@@ -723,84 +675,55 @@ def run_bands(cfg: dict) -> ExperimentResult:
                 ev = eig_extrapolated(g, weights, FiberParams(eps, tau, complex(2, 1)))
                 worst = max(worst, _hausdorff(ev, limit))
                 for b_idx, (lv, dv) in enumerate(zip(limit, ev)):
-                    rows.append(
-                        dict(
-                            example=name,
-                            eps=eps,
-                            tau=tau,
-                            band_index=b_idx,
-                            z_root=float(lv),
-                            z_discrete=float(dv),
-                        )
-                    )
+                    rows.append(dict(example=g.example, eps=eps, tau=tau,
+                                     band_index=b_idx, z_root=float(lv),
+                                     z_discrete=float(dv)))
             dist_per_eps.append(worst)
-        fit = fit_slope(eps_values, dist_per_eps, lo=1.7, hi=2.3)
+        fit = fit_slope(eps_list, dist_per_eps, lo=1.7, hi=2.3)
         passed = passed and fit.passed
         summary.append(
-            f"{name}: Hausdorff distances "
+            f"{g.example}: Hausdorff distances "
             f"{['%.2e' % d for d in dist_per_eps]}, slope {fit.slope:.3f} "
             f"(band [1.7, 2.3], R^2 {fit.r_squared:.4f})"
         )
     return ExperimentResult("bands", passed, summary, rows)
 
 
-def run_line_models(cfg: dict) -> ExperimentResult:
-    """Real-line symbol identities and the ex1 model convergence rate."""
-    tol = float(cfg.get("tol", 1e-10))
-    grid = realline.make_line_grid(
-        float(cfg.get("half_width", 32.0)), int(cfg.get("grid_size", 4096))
-    )
-    zs = _cfg_z(cfg)
-    eps_values = _cfg_eps(cfg)
-    sigma = float(cfg.get("sigma", 0.5))
-    rows, summary = [], []
-    passed = True
-    for name in _cfg_examples(cfg):
-        g = build_example(name)
+def run_line_models(
+    *, examples=DEFAULT_EXAMPLES, eps_list=DEFAULT_EPS, z_list=DEFAULT_Z,
+    grid_size=4096, half_width=32.0, sigma=0.5,
+) -> ExperimentResult:
+    """Real-line symbol identities and, on the cells with a stiff cycle
+    (ex1), the model convergence rate."""
+    grid = realline.make_line_grid(half_width, grid_size)
+    cells = [build_example(name) for name in examples]
+    rows, summary, passed = [], [], True
+    for g in cells:
         worst = 0.0
-        for z in zs:
+        for z in z_list:
             for eps in (0.125, 0.0625):
                 d = realline.symbol_identity_defect(g, eps, z, grid)
                 worst = max(worst, d)
-                rows.append(
-                    dict(
-                        example=name,
-                        kind="symbol_defect",
-                        eps=eps,
-                        re_z=z.real,
-                        im_z=z.imag,
-                        value=d,
-                    )
-                )
-        ok = worst <= tol
+                rows.append(dict(example=g.example, kind="symbol_defect", eps=eps,
+                                 re_z=z.real, im_z=z.imag, value=d))
+        ok = worst <= SYMBOL_TOL
         passed = passed and ok
-        summary.append(f"{name}: max symbol defect {worst:.2e} (tol {tol:.0e})")
-    if "ex1" in _cfg_examples(cfg):
-        g1 = build_example("ex1")
-        f = realline.gaussian_packet(grid, width=sigma)
-        slopes = []
-        for z in zs:
-            errs = [
-                realline.ex1_model_distance(g1, e, z, grid, f=f)
-                for e in eps_values
-            ]
-            fit = fit_slope(eps_values, errs)
-            slopes.append(fit.slope)
-            passed = passed and fit.passed
-            for e, err in zip(eps_values, errs):
-                rows.append(
-                    dict(
-                        example="ex1",
-                        kind="model_error",
-                        eps=e,
-                        re_z=z.real,
-                        im_z=z.imag,
-                        value=err,
-                    )
-                )
         summary.append(
-            f"ex1 model-vs-limit slopes {['%.3f' % s for s in slopes]}"
+            f"{g.example}: max symbol defect {worst:.2e} (tol {SYMBOL_TOL:.0e})"
         )
+    for g in (g for g in cells if g.cell.germ):
+        f = realline.gaussian_packet(grid, width=sigma)
+        ok, slopes, samples = _slope_sweep(
+            z_list, eps_list,
+            lambda z, e: realline.ex1_model_distance(g, e, z, grid, f=f),
+        )
+        passed = passed and ok
+        rows += [
+            dict(example=g.example, kind="model_error", eps=e, re_z=z.real,
+                 im_z=z.imag, value=err)
+            for z, e, err in samples
+        ]
+        summary.append(f"{g.example} model-vs-limit slopes {slopes}")
     return ExperimentResult("line_models", passed, summary, rows)
 
 
@@ -817,12 +740,61 @@ _RUNNERS = {
     "line_models": run_line_models,
     "sum_identities": run_sum_identities,
 }
+EXPERIMENT_TAGS = tuple(_RUNNERS)
+
+# casts of config values by the type of their key's default; example names
+# are case-insensitive
+_CASTS = {int: int, float: float, complex: complex, str: lambda v: str(v).lower()}
 
 
-def run_experiment(tag: str, cfg: dict | None = None) -> ExperimentResult:
-    """Run one tagged experiment with the given (flat) configuration."""
+def _parameters(tag: str):
     if tag not in _RUNNERS:
         raise ValueError(
             f"unknown experiment tag {tag!r}; known: {', '.join(EXPERIMENT_TAGS)}"
         )
-    return _RUNNERS[tag](cfg or {})
+    return inspect.signature(_RUNNERS[tag]).parameters
+
+
+def config_keys(tag: str) -> tuple[str, ...]:
+    """The config keys experiment ``tag`` accepts: its runner's parameters."""
+    return tuple(_parameters(tag))
+
+
+def bind_config(tag: str, cfg: dict) -> dict:
+    """The keyword arguments of experiment ``tag``'s runner for ``cfg``.
+
+    A key the runner does not take raises ``ParameterError`` naming the tag
+    and its accepted keys.  Each value is cast to the type of the key's
+    default; a list-valued key (tuple default) takes a non-empty list, or a
+    scalar as a one-element list.
+    """
+    params = _parameters(tag)
+    unknown = [key for key in cfg if key not in params]
+    if unknown:
+        raise ParameterError(
+            f"{tag} does not take {', '.join(unknown)}; "
+            f"accepted keys: {', '.join(params)}"
+        )
+    kwargs = {}
+    for key, value in cfg.items():
+        default = params[key].default
+        many = isinstance(default, tuple)
+        kind = type(default[0] if many else default)
+        values = value if many and isinstance(value, (list, tuple)) else [value]
+        try:
+            values = [_CASTS[kind](v) for v in values]
+        except (TypeError, ValueError) as exc:
+            raise ParameterError(
+                f"{tag}: {key} takes {kind.__name__} values, got {value!r}"
+            ) from exc
+        if not values:
+            raise ParameterError(f"{tag}: {key} needs at least one value")
+        kwargs[key] = values if many else values[0]
+    return kwargs
+
+
+def run_experiment(tag: str, cfg: dict | None = None) -> ExperimentResult:
+    """Run one tagged experiment with the given (flat) configuration, bound
+    to its runner's parameters by ``bind_config``."""
+    kwargs = bind_config(tag, cfg or {})
+    return _RUNNERS[tag](**kwargs)

@@ -1,7 +1,10 @@
 
 
+import pytest
+
+from qglab import cli
 from qglab.cli import VERB_TAGS, main
-from qglab.lab import EXPERIMENT_TAGS
+from qglab.lab import EXPERIMENT_TAGS, run_experiment
 
 
 def test_list_enumerates_tags(capsys):
@@ -49,3 +52,57 @@ def test_dispersion_verb_passes(capsys):
     text = capsys.readouterr().out
     for tag in ("dispersion_series", "schur_check", "sum_identities"):
         assert f"[PASS] {tag}" in text
+
+
+def test_unknown_config_key_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("tol = 1\n")
+    assert main(["mmatrix", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "qglab: mmatrix does not take tol; "
+        "accepted keys: examples, eps_list, tau_count, z_list"
+    ]
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("eps_lst = 0.1\n", "converge does not take eps_lst; accepted keys: "
+         "examples, eps_list, tau_list, z, resolution, w"),
+        ("resolution = fine\n", "gen_res_rate: resolution takes int values"),
+    ],
+)
+def test_config_error_exits_2_before_any_experiment(tmp_path, capsys, monkeypatch,
+                                                    text, message):
+    ran = []
+    monkeypatch.setattr(cli, "run_experiment", lambda tag, cfg: ran.append(tag))
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(text)
+    assert main(["converge", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert ran == []
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert message in captured.err
+
+
+def test_shared_config_goes_only_to_tags_that_take_it(tmp_path, capsys, monkeypatch):
+    given = {}
+
+    def recording(tag, cfg):
+        given[tag] = cfg
+        return run_experiment(tag, cfg)
+
+    monkeypatch.setattr(cli, "run_experiment", recording)
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("x_list = 0.3\n")
+    out = tmp_path / "runs"
+    assert main(["dispersion", "--config", str(cfg), "--out", str(out)]) == 0
+    assert given == {
+        "dispersion_series": {},
+        "schur_check": {},
+        "sum_identities": {"x_list": [0.3]},
+    }
+    assert len((out / "sum_identities.csv").read_text().splitlines()) == 2

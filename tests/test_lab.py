@@ -1,11 +1,15 @@
 import math
+import pathlib
+import time
 
 import numpy as np
 import pytest
 
 from qglab import dispersion
+from qglab.graphs import ParameterError
 from qglab.lab import (
     EXPERIMENT_TAGS,
+    config_keys,
     fit_slope,
     operator_norm_diff,
     parse_config,
@@ -181,3 +185,105 @@ def test_run_bands_computes_band_roots_once_per_tau(monkeypatch):
     n_eps = 4
     assert len(calls) == 2 * 3
     assert len(res.rows) == 2 * n_eps * 3 * 3
+
+
+@pytest.mark.parametrize("tag", EXPERIMENT_TAGS)
+def test_unknown_key_raises_before_any_work(tag):
+    t0 = time.perf_counter()
+    with pytest.raises(ParameterError) as info:
+        run_experiment(tag, {"eps_lst": [0.1]})
+    assert time.perf_counter() - t0 < 1.0
+    message = str(info.value)
+    assert message.startswith(f"{tag} does not take eps_lst;")
+    assert message.split("accepted keys: ")[1].split(", ") == list(config_keys(tag))
+
+
+# tolerances are module constants: no config key may set them
+@pytest.mark.parametrize(
+    "tag, key",
+    [
+        ("additivity", "tol"),
+        ("additivity", "sym_tol"),
+        ("additivity", "herglotz_tol"),
+        ("btilde_identity", "tol"),
+        ("sum_identities", "tol"),
+        ("schur_check", "tol"),
+        ("line_models", "tol"),
+        ("dispersion_series", "rel_tol"),
+    ],
+)
+def test_tolerance_keys_rejected(tag, key):
+    assert key not in config_keys(tag)
+    with pytest.raises(ParameterError, match=f"does not take {key};"):
+        run_experiment(tag, {key: 1.0})
+
+
+def test_tolerance_cannot_turn_fail_into_pass():
+    assert not run_experiment("sum_identities", {"n_terms": 1000}).passed
+    with pytest.raises(ParameterError):
+        run_experiment("sum_identities", {"n_terms": 1000, "tol": 1.0})
+
+
+def test_scalar_accepted_for_list_key():
+    res = run_experiment("sum_identities", {"x_list": 0.3})
+    assert [row["x"] for row in res.rows] == [0.3]
+
+
+def test_values_cast_by_default_type():
+    res = run_experiment(
+        "dispersion_series",
+        {"examples": "EX0", "n_terms": 2000.0, "tau_count": 2, "z_list": 3},
+    )
+    assert {row["example"] for row in res.rows} == {"ex0"}
+    assert len(res.rows) == 2 * 4
+    assert type(res.rows[0]["re_z"]) is float
+
+
+@pytest.mark.parametrize(
+    "cfg, key",
+    [
+        ({"resolution": "fine"}, "resolution"),
+        ({"tau_list": [0.3, "x"]}, "tau_list"),
+        ({"resolution": [64, 128]}, "resolution"),
+        ({"examples": []}, "examples"),
+    ],
+)
+def test_bad_values_raise(cfg, key):
+    with pytest.raises(ParameterError, match=f"schur_check: {key} "):
+        run_experiment("schur_check", cfg)
+
+
+@pytest.mark.parametrize("tag", ["bands", "btilde_identity"])
+def test_no_applicable_cell_is_a_fail(tag):
+    res = run_experiment(tag, {"examples": "ex1"})
+    assert not res.passed
+    assert res.rows == []
+    assert res.summary == ["no selected cell without a stiff cycle (examples: ex1)"]
+
+
+def test_btilde_identity_honours_examples():
+    # 2 tau x 10 z x 5 eps per cell; ex0 absolute, ex2 relative to 1 + |B|
+    res = run_experiment("btilde_identity", {"examples": ["ex2", "ex0"], "tau_count": 2})
+    assert res.passed
+    assert [row["example"] for row in res.rows] == ["ex2"] * 100 + ["ex0"] * 100
+    assert [line.split(" = ")[0] for line in res.summary] == [
+        "ex2 max relative deviation",
+        "ex0 max |generic - closed|",
+    ]
+
+
+def _readme_config_table() -> dict[str, tuple[str, ...]]:
+    lines = (pathlib.Path(__file__).parents[1] / "README.md").read_text().splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("| tag ")
+                 and "config keys" in line)
+    table = {}
+    for line in lines[start + 2:]:
+        if not line.startswith("|"):
+            break
+        tag, keys = (cell.strip() for cell in line.strip("|").split("|"))
+        table[tag.strip("`")] = tuple(k.strip().strip("`") for k in keys.split(","))
+    return table
+
+
+def test_readme_config_table_matches_runners():
+    assert _readme_config_table() == {tag: config_keys(tag) for tag in EXPERIMENT_TAGS}
