@@ -75,7 +75,7 @@ def k_series(
     z: complex,
     n_terms: int,
     eps: float | None = None,
-) -> complex:
+):
     """Spectral-series form of the dispersion function, truncated at n_terms.
 
     K = (1/rho^2) { z * sum_j <v, phi_j> G(phi_j) / (mu_j - z) + G(v) },
@@ -86,47 +86,74 @@ def k_series(
     (2 a^2/l)(1 - c(tau)); on the loop edge only odd modes couple, with
     product -8 a^2/l; the cell's germ adds sigma^2 (tau/eps)^2, and rho^2 is
     the stiff length L.  The truncation error decays like 1/n_terms.
+
+    ``tau`` and ``z`` broadcast as in ``k_closed``.  The chain term is
+    -(4 a^2/l) z (S - c(tau) A) with S = sum_j 1/(mu_j - z) and
+    A = sum_j (-1)^j/(mu_j - z): the mode sums depend on z alone, so they
+    are taken once per z, over a (z, J) stack, and then combined with c(tau)
+    for every tau.
     """
     if n_terms < 1:
         raise ValueError("n_terms must be >= 1")
     cell = graph.cell
     _need_eps(cell, eps)
+    if np.ndim(tau):
+        tau = np.asarray(tau, dtype=float)
+    z = np.asarray(z, dtype=complex)
     j = np.arange(1, n_terms + 1, dtype=float)
-    sign = np.where(j.astype(int) % 2 == 0, 1.0, -1.0)  # (-1)^j
+
+    def inverse_gaps(length, speed, modes):
+        """The (z, J) stack 1/(mu_j - z), mu_j = (speed pi j/length)^2."""
+        terms = (speed * math.pi * modes / length) ** 2 - z[..., None]
+        return np.reciprocal(terms, out=terms)
+
     coupling = cell.coupling(tau)
     l, a = cell.chain.length, cell.chain.speed_a
-    mu = (a * math.pi * j / l) ** 2
-    prod = -(4.0 * a**2 / l) * (1.0 - sign * coupling)
-    total = z * np.sum(prod / (mu - z))
+    terms = inverse_gaps(l, a, j)
+    plain = np.sum(terms, axis=-1)
+    alt = np.sum(terms[..., 1::2], axis=-1) - np.sum(terms[..., ::2], axis=-1)
+    total = -(4.0 * a**2 / l) * z * (plain - coupling * alt)
     if cell.loop is not None:
         l_l, a_l = cell.loop.length, cell.loop.speed_a
-        mu_l = (a_l * math.pi * j / l_l) ** 2
-        prod_l = np.where(j.astype(int) % 2 == 1, -(8.0 * a_l**2 / l_l), 0.0)
-        total = total + z * np.sum(prod_l / (mu_l - z))
+        odd = np.sum(inverse_gaps(l_l, a_l, j[::2]), axis=-1)
+        total = total - (8.0 * a_l**2 / l_l) * z * odd
     total = total + (2.0 * a**2 / l) * (1.0 - coupling)
     if cell.germ:
         total = total + cell.germ * (tau / eps) ** 2
     return total / stiff_length(graph)
 
 
-def verify_sum_identities(x: float, n_terms: int) -> dict[str, float]:
+def verify_sum_identities(x, n_terms: int) -> dict:
     """Deviation of the truncated lattice sums from their closed forms.
 
     sum_{j>=1} 1/((pi j)^2 - x^2)        = (1/x^2 - cos x/(x sin x)) / 2
     sum_{j>=1} (-1)^j/((pi j)^2 - x^2)   = (1/x^2 - 1/(x sin x)) / 2
+
+    ``x`` is a scalar (float deviations) or an array (arrays of deviations
+    of its shape).  The lattice (pi j)^2 is built once and one buffer of
+    denominators serves every x; the alternating sum is the even-index sum
+    minus the odd-index sum.  An x on a lattice point raises ValueError.
     """
-    j = np.arange(1, n_terms + 1, dtype=float)
-    denom = (math.pi * j) ** 2 - x * x
-    if np.min(np.abs(denom)) < 1e-12:
-        raise ValueError("x lies on a lattice point pi*j")
-    plain = float(np.sum(1.0 / denom))
-    alt = float(np.sum(np.where(j.astype(int) % 2 == 0, 1.0, -1.0) / denom))
-    closed_plain = 0.5 * (1.0 / x**2 - math.cos(x) / (x * math.sin(x)))
-    closed_alt = 0.5 * (1.0 / x**2 - 1.0 / (x * math.sin(x)))
-    return {
-        "plain": abs(plain - closed_plain),
-        "alternating": abs(alt - closed_alt),
-    }
+    lattice = np.arange(1, n_terms + 1, dtype=float)
+    lattice *= math.pi
+    lattice *= lattice
+    xs = np.asarray(x, dtype=float)
+    plain, alt = np.empty(xs.shape), np.empty(xs.shape)
+    denom = np.empty_like(lattice)
+    for idx, xv in np.ndenumerate(xs):
+        x_sq = xv * xv
+        # the denominators increase with j: the smallest |.| flanks x^2
+        near = np.searchsorted(lattice, x_sq)
+        if np.min(np.abs(lattice[max(near - 1, 0):near + 1] - x_sq)) < 1e-12:
+            raise ValueError("x lies on a lattice point pi*j")
+        np.subtract(lattice, x_sq, out=denom)
+        np.reciprocal(denom, out=denom)
+        closed_plain = 0.5 * (1.0 / xv**2 - math.cos(xv) / (xv * math.sin(xv)))
+        closed_alt = 0.5 * (1.0 / xv**2 - 1.0 / (xv * math.sin(xv)))
+        plain[idx] = abs(np.sum(denom) - closed_plain)
+        # (-1)^j = +1 at the even j = 2, 4, ..., i.e. at the odd indices
+        alt[idx] = abs(np.sum(denom[1::2]) - np.sum(denom[::2]) - closed_alt)
+    return {"plain": plain[()], "alternating": alt[()]}
 
 
 def schur_frobenius(

@@ -182,6 +182,7 @@ _LAYOUTS = {
     "ex1": (dict(l1=0.3, l2=0.4, l3=0.3, a1=1.0, a3=2.0), (1, 3)),
     "ex2": (dict(l1=0.3, l2=0.4, l3=0.3, a1=1.0, a2=1.0, a3=2.0), (3,)),
 }
+EXAMPLES = tuple(_LAYOUTS)
 # (left, right) vertices of e1, e2, e3; see build_example.
 _ENDS = {1: (2, 1), 2: (1, 2), 3: (2, 1)}
 
@@ -201,7 +202,9 @@ def build_example(example: str, **params) -> MetricGraph:
     """
     example = example.lower()
     if example not in _LAYOUTS:
-        raise ParameterError(f"unknown example {example!r}")
+        raise ParameterError(
+            f"unknown example {example!r}; known: {', '.join(EXAMPLES)}"
+        )
     defaults, stiff_ids = _LAYOUTS[example]
     unknown = sorted(set(params) - set(defaults))
     if unknown:
@@ -231,7 +234,7 @@ def _make_cell(graph: MetricGraph, defaults: dict) -> Cell:
     if graph.example == "ex0":
         return Cell(
             defaults, {}, chain=e2, loop=None, germ=0.0,
-            omega=partial(_phase, p["l1"]), coupling=_cos,
+            omega=partial(phase, p["l1"]), coupling=_cos,
         )
     phases = {(1, 3): p["l2"] + p["l3"], (2, 1): p["l3"]}
     if graph.example == "ex1":
@@ -242,13 +245,16 @@ def _make_cell(graph: MetricGraph, defaults: dict) -> Cell:
         )
     return Cell(
         defaults, phases, chain=e1, loop=e2, germ=0.0,
-        omega=partial(_phase, -p["l2"]), coupling=_cos,
-        xi1=partial(_phase, -(p["l2"] + p["l3"])),
+        omega=partial(phase, -p["l2"]), coupling=_cos,
+        xi1=partial(phase, -(p["l2"] + p["l3"])),
     )
 
 
-def _phase(length: float, tau) -> complex:
-    """e^{i tau length}."""
+def phase(length: float, tau):
+    """e^{i tau length}: a complex for a real scalar tau, the elementwise
+    complex array for an ndarray."""
+    if isinstance(tau, np.ndarray):
+        return np.exp(1j * tau * length)
     return cmath.exp(1j * tau * length)
 
 
@@ -293,19 +299,19 @@ def _re_theta_ex1(graph: MetricGraph, tau):
 def datta_weights(graph: MetricGraph, tau: float) -> dict[tuple[int, int], complex]:
     """Unimodular vertex weights w_V(e), keyed by (vertex, edge id).
 
-    ``tau`` must lie in the closed interval [-pi, pi]; anything else raises
-    ``ParameterError``.  w_V(e) = e^{i tau l} where the cell's phase table
-    maps (V, e) to l, and 1 elsewhere: all weights are 1 for ex0 (and for
-    graphs without a cell); for ex1/ex2 the weights at vertex 1 are
-    {1, 1, e^{i tau (l2+l3)}} on edges (e1, e2, e3) and at vertex 2
-    {e^{i tau l3}, 1, 1}.
+    ``tau`` (a scalar, or an ndarray giving array weights) must lie in the
+    closed interval [-pi, pi]; anything else raises ``ParameterError``.
+    w_V(e) = e^{i tau l} where the cell's phase table maps (V, e) to l, and
+    1 elsewhere: all weights are 1 for ex0 (and for graphs without a cell);
+    for ex1/ex2 the weights at vertex 1 are {1, 1, e^{i tau (l2+l3)}} on
+    edges (e1, e2, e3) and at vertex 2 {e^{i tau l3}, 1, 1}.
     """
-    if not -math.pi <= tau <= math.pi:
+    if not np.all((-math.pi <= tau) & (tau <= math.pi)):
         raise ParameterError(f"tau must lie in [-pi, pi], got {tau!r}")
     phases = graph._cell.phases if graph._cell is not None else {}
     w: dict[tuple[int, int], complex] = {}
     for e in graph.edges:
         for v in (e.left, e.right):
             length = phases.get((v, e.id))
-            w[(v, e.id)] = 1.0 + 0.0j if length is None else _phase(length, tau)
+            w[(v, e.id)] = 1.0 + 0.0j if length is None else phase(length, tau)
     return w

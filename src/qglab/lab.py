@@ -18,7 +18,7 @@ import numpy as np
 from . import dispersion, realline, triples
 from .effective import EffectiveModel, PsiEmbedding
 from .fdsolver import DiscretizedOperator
-from .graphs import ParameterError, build_example, datta_weights
+from .graphs import EXAMPLES, ParameterError, build_example, datta_weights
 from .krein import ComponentFrame, ResolventWorkspace, make_grid
 from .mmatrix import (
     FiberParams,
@@ -66,12 +66,15 @@ class SlopeFit:
         return self.lo <= self.slope <= self.hi
 
 
+MIN_FIT_POINTS = 4
+
+
 def fit_slope(eps_values, errors, lo: float = 1.8, hi: float = 2.2) -> SlopeFit:
-    """Fit err ~ C eps^slope on >= 4 positive pairs."""
+    """Fit err ~ C eps^slope on >= MIN_FIT_POINTS positive pairs."""
     eps_values = np.asarray(eps_values, dtype=float)
     errors = np.asarray(errors, dtype=float)
-    if eps_values.size < 4:
-        raise ValueError("slope fit needs at least 4 points")
+    if eps_values.size < MIN_FIT_POINTS:
+        raise ValueError(f"slope fit needs at least {MIN_FIT_POINTS} points")
     if np.any(eps_values <= 0) or np.any(errors <= 0):
         raise ValueError("slope fit needs positive values")
     lx, ly = np.log(eps_values), np.log(errors)
@@ -218,76 +221,55 @@ def _no_cell(tag: str, examples) -> ExperimentResult:
 # their defaults (a tuple default marks a list-valued key)
 
 
+# (block, row, col) of the twelve entries per point of ``mmatrix_entries``
+_ENTRY_KEYS = [(b, r, c) for b in ("full", "stiff", "soft") for r in range(2) for c in range(2)]
+
+
 def run_additivity(
     *, examples=DEFAULT_EXAMPLES, eps_list=(0.5, 0.3, 0.2, 0.1, 0.05), tau_count=5,
     z_list=DEFAULT_Z,
 ) -> ExperimentResult:
-    """M-matrix block additivity plus symmetry/Herglotz certificates."""
-    taus = np.linspace(-3.0, 3.0, tau_count)
-    zs = [*z_list, complex(7.0, 0.3)]
+    """M-matrix block additivity plus symmetry/Herglotz certificates, each
+    evaluated on the whole (tau, z) grid at once per (cell, eps)."""
+    taus = np.linspace(-3.0, 3.0, tau_count)[:, None]
+    zs = np.array([*z_list, complex(7.0, 0.3)])
+    points = [(tau, z) for tau in taus.ravel().tolist() for z in zs.tolist()]
     rows, entries = [], []
     worst_dev = worst_gen = worst_sym = 0.0
     worst_herg = math.inf
     for name in examples:
         g = build_example(name)
+        weights = datta_weights(g, taus)
         for eps in eps_list:
-            for tau in taus:
-                for z in zs:
-                    fiber = FiberParams(float(eps), float(tau), z)
-                    mset = m_blocks_closed(g, fiber)
-                    dev = check_additivity(mset)
-                    gen = float(
-                        np.max(
-                            np.abs(
-                                m_general(g, datta_weights(g, float(tau)), fiber)
-                                - mset.m_full
-                            )
-                            / (1.0 + np.abs(mset.m_full))
-                        )
-                    )
-                    conj_set = m_blocks_closed(
-                        g, FiberParams(float(eps), float(tau), np.conj(z))
-                    )
-                    sym = mset.symmetry_defect(conj_set)
-                    herg = herglotz_min_eig(mset.m_full)
-                    worst_dev = max(worst_dev, dev)
-                    worst_gen = max(worst_gen, gen)
-                    worst_sym = max(worst_sym, sym)
-                    worst_herg = min(worst_herg, herg)
-                    rows.append(
-                        dict(
-                            example=name,
-                            eps=eps,
-                            tau=float(tau),
-                            re_z=z.real,
-                            im_z=z.imag,
-                            additivity=dev,
-                            vs_general=gen,
-                            symmetry=sym,
-                            herglotz_min=herg,
-                        )
-                    )
-                    for block, mat in (
-                        ("full", mset.m_full),
-                        ("stiff", mset.m_stiff),
-                        ("soft", mset.m_soft),
-                    ):
-                        for r in range(2):
-                            for c in range(2):
-                                entries.append(
-                                    dict(
-                                        example=name,
-                                        eps=eps,
-                                        tau=float(tau),
-                                        re_z=z.real,
-                                        im_z=z.imag,
-                                        block=block,
-                                        row=r,
-                                        col=c,
-                                        re=mat[r, c].real,
-                                        im=mat[r, c].imag,
-                                    )
-                                )
+            fiber = FiberParams(float(eps), taus, zs)
+            mset = m_blocks_closed(g, fiber)
+            full = mset.m_full
+            dev = check_additivity(mset)
+            gen = np.max(
+                np.abs(m_general(g, weights, fiber) - full) / (1.0 + np.abs(full)),
+                axis=(-2, -1),
+            )
+            sym = mset.symmetry_defect(
+                m_blocks_closed(g, FiberParams(float(eps), taus, zs.conj()))
+            )
+            herg = herglotz_min_eig(full)
+            worst_dev = max(worst_dev, float(dev.max()))
+            worst_gen = max(worst_gen, float(gen.max()))
+            worst_sym = max(worst_sym, float(sym.max()))
+            worst_herg = min(worst_herg, float(herg.min()))
+            blocks = np.stack([full, mset.m_stiff, mset.m_soft], axis=-3)
+            for (tau, z), d, gn, sy, h, values in zip(
+                points, dev.ravel().tolist(), gen.ravel().tolist(),
+                sym.ravel().tolist(), herg.ravel().tolist(),
+                blocks.reshape(len(points), 12).tolist(),
+            ):
+                point = dict(example=name, eps=eps, tau=tau, re_z=z.real, im_z=z.imag)
+                rows.append(dict(point, additivity=d, vs_general=gn, symmetry=sy,
+                                 herglotz_min=h))
+                entries += [
+                    dict(point, block=block, row=r, col=c, re=v.real, im=v.imag)
+                    for (block, r, c), v in zip(_ENTRY_KEYS, values)
+                ]
     passed = (
         worst_dev <= ADDITIVITY_TOL
         and worst_gen <= 1e-11
@@ -311,6 +293,10 @@ def run_krein_vs_direct(
     resolutions=(256, 512, 1024),
 ) -> ExperimentResult:
     """Closed-form resolvent against the finite-element oracle."""
+    if len(resolutions) < 2:
+        return ExperimentResult("krein_vs_direct", False, [
+            f"needs at least two resolutions for a halving ratio, got {list(resolutions)}"
+        ])
     rows, summary, passed = [], [], True
     for name in examples:
         g = build_example(name)
@@ -471,6 +457,8 @@ def run_btilde_identity(
         return _no_cell("btilde_identity", examples)
     taus = np.linspace(-3.0, 3.0, tau_count)
     zs = [complex(re, im) for re in (0.7, 2, 5, 10, 17) for im in (0.5, 1.3)]
+    # one (z, eps) stack per tau: the rotation X is a function of tau alone
+    z_col, eps_row = np.array(zs)[:, None], np.array(eps_list, dtype=float)
     rows, summary, passed = [], [], True
     for g in cells:
         # on the loop cell (ex2) the transform cancels entries of size
@@ -478,21 +466,19 @@ def run_btilde_identity(
         # proportional to that size, not to the closed form
         relative = g.cell.loop is not None
         worst = 0.0
-        for tau in taus:
-            for z in zs:
-                for eps in eps_list:
-                    fiber = FiberParams(float(eps), float(tau), z)
-                    closed = triples.btilde_closed_ex0(g, fiber)
-                    dev = float(
-                        np.max(np.abs(triples.btilde_numeric(g, fiber) - closed))
-                    )
-                    if relative:
-                        dev /= 1.0 + float(
-                            np.max(np.abs(triples.b_matrix(g, fiber)))
-                        )
-                    worst = max(worst, dev)
-                    rows.append(dict(example=g.example, tau=float(tau), re_z=z.real,
-                                     im_z=z.imag, eps=float(eps), deviation=dev))
+        for tau in taus.tolist():
+            fiber = FiberParams(eps_row, tau, z_col)
+            closed = triples.btilde_closed_ex0(g, fiber)
+            dev = np.max(np.abs(triples.btilde_numeric(g, fiber) - closed), axis=(-2, -1))
+            if relative:
+                dev /= 1.0 + np.max(np.abs(triples.b_matrix(g, fiber)), axis=(-2, -1))
+            worst = max(worst, float(dev.max()))
+            rows += [
+                dict(example=g.example, tau=tau, re_z=z.real, im_z=z.imag,
+                     eps=eps, deviation=d)
+                for z, devs in zip(zs, dev.tolist())
+                for eps, d in zip(eps_row.tolist(), devs)
+            ]
         passed = passed and worst <= BTILDE_TOL
         what = "relative deviation" if relative else "|generic - closed|"
         summary.append(
@@ -539,30 +525,27 @@ def run_dispersion_series(
     """Series and closed dispersion forms agree with an O(1/J) tail."""
     taus = tau_grid(tau_count)
     zs = [*z_list, complex(3.3, 0.6), complex(7.1, 1.7), complex(1.2, 0.9)]
+    # every K below is one (tau, z) array call per cell
+    tau_col, z_row = taus[:, None], np.array(zs)
     rows, summary, passed = [], [], True
     for name in examples:
         g = build_example(name)
-        worst_rel, worst_tail = 0.0, 0.0
-        for tau in taus:
-            for z in zs:
-                kc = dispersion.k_closed(g, float(tau), z, eps=eps)
-                ks = dispersion.k_series(g, float(tau), z, n_terms, eps=eps)
-                rel = abs(ks - kc) / max(1.0, abs(kc))
-                e1 = abs(dispersion.k_series(g, float(tau), z, 1000, eps=eps) - kc)
-                e2 = abs(dispersion.k_series(g, float(tau), z, 2000, eps=eps) - kc)
-                tail_ratio = e1 / e2 if e2 > 0 else 2.0
-                worst_rel = max(worst_rel, rel)
-                worst_tail = max(worst_tail, abs(tail_ratio - 2.0))
-                rows.append(
-                    dict(
-                        example=name,
-                        tau=float(tau),
-                        re_z=z.real,
-                        im_z=z.imag,
-                        rel_error=rel,
-                        tail_ratio=tail_ratio,
-                    )
-                )
+        kc = dispersion.k_closed(g, tau_col, z_row, eps=eps)
+
+        def error(terms):
+            return np.abs(dispersion.k_series(g, tau_col, z_row, terms, eps=eps) - kc)
+
+        rel = error(n_terms) / np.maximum(1.0, np.abs(kc))
+        e1, e2 = error(1000), error(2000)
+        tail = np.divide(e1, e2, out=np.full_like(e1, 2.0), where=e2 > 0)
+        worst_rel = float(rel.max())
+        worst_tail = float(np.abs(tail - 2.0).max())
+        rows += [
+            dict(example=name, tau=tau, re_z=z.real, im_z=z.imag, rel_error=r,
+                 tail_ratio=q)
+            for tau, rel_t, tail_t in zip(taus.tolist(), rel.tolist(), tail.tolist())
+            for z, r, q in zip(zs, rel_t, tail_t)
+        ]
         ok = worst_rel <= SERIES_REL_TOL and worst_tail <= 1.0
         passed = passed and ok
         summary.append(
@@ -577,12 +560,13 @@ def run_sum_identities(
     *, n_terms=1_000_000, x_list=(0.3, 1.0, 2.5)
 ) -> ExperimentResult:
     """Lattice-sum closed forms at large truncation."""
-    rows = []
-    worst = 0.0
-    for x in x_list:
-        devs = dispersion.verify_sum_identities(x, n_terms)
-        worst = max(worst, devs["plain"], devs["alternating"])
-        rows.append(dict(x=x, n_terms=n_terms, **devs))
+    devs = dispersion.verify_sum_identities(np.array(x_list, dtype=float), n_terms)
+    plain, alternating = devs["plain"].tolist(), devs["alternating"].tolist()
+    rows = [
+        dict(x=x, n_terms=n_terms, plain=p, alternating=a)
+        for x, p, a in zip(x_list, plain, alternating)
+    ]
+    worst = max(plain + alternating)
     passed = worst <= SUM_TOL
     return ExperimentResult(
         "sum_identities",
@@ -741,6 +725,8 @@ _RUNNERS = {
     "sum_identities": run_sum_identities,
 }
 EXPERIMENT_TAGS = tuple(_RUNNERS)
+# runners whose eps_list feeds fit_slope
+_SLOPE_FIT_TAGS = ("gen_res_rate", "full_res_rate", "beff_rate", "line_models", "bands")
 
 # casts of config values by the type of their key's default; example names
 # are case-insensitive
@@ -766,7 +752,8 @@ def bind_config(tag: str, cfg: dict) -> dict:
     A key the runner does not take raises ``ParameterError`` naming the tag
     and its accepted keys.  Each value is cast to the type of the key's
     default; a list-valued key (tuple default) takes a non-empty list, or a
-    scalar as a one-element list.
+    scalar as a one-element list.  Example names must name known cells, and
+    the eps_list of a runner that fits slopes needs MIN_FIT_POINTS values.
     """
     params = _parameters(tag)
     unknown = [key for key in cfg if key not in params]
@@ -789,6 +776,17 @@ def bind_config(tag: str, cfg: dict) -> dict:
             ) from exc
         if not values:
             raise ParameterError(f"{tag}: {key} needs at least one value")
+        unknown = [v for v in values if v not in EXAMPLES] if key == "examples" else []
+        if unknown:
+            raise ParameterError(
+                f"{tag}: unknown example {', '.join(unknown)}; "
+                f"accepted: {', '.join(EXAMPLES)}"
+            )
+        if key == "eps_list" and tag in _SLOPE_FIT_TAGS and len(values) < MIN_FIT_POINTS:
+            raise ParameterError(
+                f"{tag}: eps_list needs at least {MIN_FIT_POINTS} values for its "
+                f"slope fits, got {len(values)}"
+            )
         kwargs[key] = values if many else values[0]
     return kwargs
 

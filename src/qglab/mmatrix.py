@@ -10,6 +10,12 @@ Two independent code paths are provided: ``m_general`` (the generic N x N
 formula, any loop-free graph) and ``m_blocks_closed`` (the literal 2 x 2
 stiff/soft block formulas of the three examples).  ``check_additivity``
 verifies that the blocks sum to the full matrix.
+
+The fiber parameters may be arrays: they broadcast against each other, and
+every matrix here is then a stack of shape (..., N, N) over their broadcast
+shape.  Scalars are the 0-d case of the same code, giving one N x N matrix.
+The certificates (``check_additivity``, ``MMatrixSet.symmetry_defect``,
+``herglotz_min_eig``) reduce over the two trailing axes only.
 """
 
 from __future__ import annotations
@@ -20,21 +26,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import EdgeSpec, MetricGraph, PoleError
+from .graphs import EdgeSpec, MetricGraph, PoleError, phase
 
 POLE_GUARD = 1e-8
 
 
 @dataclass(frozen=True)
 class FiberParams:
-    """Fiber parameters: contrast eps, quasimomentum tau, spectral point z."""
+    """Fiber parameters: contrast eps, quasimomentum tau, spectral point z.
+
+    Each is a scalar or an ndarray; arrays broadcast against each other.
+    """
 
     eps: float
     tau: float
     z: complex
 
     def __post_init__(self):
-        if self.eps <= 0:
+        if (np.asarray(self.eps) <= 0).any():
             raise ValueError("eps must be positive")
 
     @property
@@ -101,7 +110,7 @@ def ccot(x):
         q = np.exp(-2j * x[down])
         out[down] = 1j * (1.0 + q) / (1.0 - q)
         return out
-    _guard_scalar(x)  # no second type test: m_blocks_closed makes ~1e5 scalar calls
+    _guard_scalar(x)
     if x.imag > 50.0:
         q = cmath.exp(2j * x)  # |q| << 1
         return 1j * (q + 1.0) / (q - 1.0)
@@ -145,28 +154,31 @@ def m_general(
         conj(w_{Vm}(e)) w_{Vj}(e) e^{i sgn_m(e) l_e tau} k c_e csc(k l_e/c_e),
     where sgn_m(e) is -1 when V_m sits at coordinate 0 of e and +1 when it
     sits at coordinate l_e.  Entries are 0 for vertex pairs sharing no edge.
+    With array fiber parameters or weights (``datta_weights`` of a tau
+    array) the result is the (..., N, N) stack over their broadcast shape.
     """
     verts = list(graph.vertices)
     idx = {v: i for i, v in enumerate(verts)}
     n = len(verts)
     k = fiber.k
-    m = np.zeros((n, n), dtype=complex)
+    shape = np.broadcast(fiber.eps, fiber.tau, fiber.z, *weights.values()).shape
+    m = np.zeros(shape + (n, n), dtype=complex)
     for e in graph.edges:
         c = fiber.speed(e)
         arg = k * e.length / c
         cot = ccot(arg)
         csc = ccsc(arg)
         jl, jr = idx[e.left], idx[e.right]
-        m[jl, jl] += -k * c * cot
-        m[jr, jr] += -k * c * cot
+        m[..., jl, jl] += -k * c * cot
+        m[..., jr, jr] += -k * c * cot
         for vj, vm, sgn_m in ((e.left, e.right, +1), (e.right, e.left, -1)):
             j, mm = idx[vj], idx[vm]
             wj = weights[(vj, e.id)]
             wm = weights[(vm, e.id)]
-            m[j, mm] += (
+            m[..., j, mm] += (
                 np.conj(wm)
                 * wj
-                * cmath.exp(1j * sgn_m * e.length * fiber.tau)
+                * phase(sgn_m * e.length, fiber.tau)
                 * k
                 * c
                 * csc
@@ -174,62 +186,80 @@ def m_general(
     return m
 
 
+def mat2(a, b, c, d) -> np.ndarray:
+    """The complex (..., 2, 2) stack [[a, b], [c, d]] of broadcast entries."""
+    out = np.empty(np.broadcast(a, b, c, d).shape + (2, 2), dtype=complex)
+    out[..., 0, 0], out[..., 0, 1] = a, b
+    out[..., 1, 0], out[..., 1, 1] = c, d
+    return out
+
+
+def _adjoint(m: np.ndarray) -> np.ndarray:
+    """Conjugate transpose over the two trailing axes."""
+    return m.conj().swapaxes(-1, -2)
+
+
 @dataclass(frozen=True)
 class MMatrixSet:
-    """Full M-matrix and its stiff/soft blocks for one fiber point."""
+    """Full M-matrix and its stiff/soft blocks at ``fiber``: (..., 2, 2)
+    stacks over the broadcast shape of its parameters."""
 
     m_full: np.ndarray
     m_stiff: np.ndarray
     m_soft: np.ndarray
     fiber: FiberParams
 
-    def symmetry_defect(self, other: "MMatrixSet") -> float:
-        """max entrywise |M(conj z) - M(z)^*| over the three blocks.
+    def symmetry_defect(self, other: "MMatrixSet") -> float | np.ndarray:
+        """max entrywise |M(conj z) - M(z)^*| over the three blocks, per
+        fiber point (a float for one point, an array over the stack shape).
 
         ``other`` must be the set evaluated at the conjugate spectral point.
         """
-        return max(
-            float(np.max(np.abs(a_conj - a.conj().T)))
-            for a, a_conj in (
-                (self.m_full, other.m_full),
-                (self.m_stiff, other.m_stiff),
-                (self.m_soft, other.m_soft),
-            )
+        return np.max(
+            [
+                np.max(np.abs(a_conj - _adjoint(a)), axis=(-2, -1))
+                for a, a_conj in (
+                    (self.m_full, other.m_full),
+                    (self.m_stiff, other.m_stiff),
+                    (self.m_soft, other.m_soft),
+                )
+            ],
+            axis=0,
         )
 
 
-def _stiff_block_ex0(l1, a1, tau, fiber):
-    k, eps = fiber.k, fiber.eps
-    x1 = k * eps * l1 / a1
-    cot, csc = ccot(x1), ccsc(x1)
-    ph = cmath.exp(1j * l1 * tau)
-    return (k / eps) * np.array(
-        [[-a1 * cot, a1 * csc / ph], [a1 * csc * ph, -a1 * cot]]
-    )
+def _block(scale, diag, upper, lower) -> np.ndarray:
+    """scale * [[diag, upper], [lower, diag]] as a (..., 2, 2) stack."""
+    return np.asarray(scale)[..., None, None] * mat2(diag, upper, lower, diag)
 
 
-def _soft_block_single(l2, a2, tau, fiber):
-    k = fiber.k
-    y = k * l2 / a2
+def _soft_edge_block(l, a, k, tau) -> np.ndarray:
+    """The block k a [[-cot, csc e^{i l tau}], [csc e^{-i l tau}, -cot]] of
+    argument k l / a: a single soft edge V1 -> V2 (ex0, ex1)."""
+    y = k * l / a
     cot, csc = ccot(y), ccsc(y)
-    ph = cmath.exp(1j * l2 * tau)
-    return k * np.array(
-        [[-a2 * cot, a2 * csc * ph], [a2 * csc / ph, -a2 * cot]]
-    )
+    ph = phase(l, tau)
+    return _block(k, -a * cot, a * csc * ph, a * csc / ph)
 
 
 def m_blocks_closed(graph: MetricGraph, fiber: FiberParams) -> MMatrixSet:
     """Literal closed-form stiff/soft M-matrix blocks of the three examples.
 
     The vertex ordering is (V1, V2).  The full matrix is the blockwise sum.
+    Each block is the (..., 2, 2) stack over the broadcast shape of the
+    fiber parameters.
     """
     if graph.example not in ("ex0", "ex1", "ex2"):
         raise ValueError("closed-form blocks exist for the three examples only")
     p = graph.params
     k, eps, tau = fiber.k, fiber.eps, fiber.tau
     if graph.example == "ex0":
-        m_stiff = _stiff_block_ex0(p["l1"], p["a1"], tau, fiber)
-        m_soft = _soft_block_single(p["l2"], p["a2"], tau, fiber)
+        l1, a1 = p["l1"], p["a1"]
+        x1 = k * eps * l1 / a1
+        cot, csc = ccot(x1), ccsc(x1)
+        ph = phase(l1, tau)
+        m_stiff = _block(k / eps, -a1 * cot, a1 * csc / ph, a1 * csc * ph)
+        m_soft = _soft_edge_block(p["l2"], p["a2"], k, tau)
     elif graph.example == "ex1":
         l1, l2, l3 = p["l1"], p["l2"], p["l3"]
         a1, a3 = p["a1"], p["a3"]
@@ -237,50 +267,39 @@ def m_blocks_closed(graph: MetricGraph, fiber: FiberParams) -> MMatrixSet:
         x3 = k * eps * l3 / a3
         cot1, csc1 = ccot(x1), ccsc(x1)
         cot3, csc3 = ccot(x3), ccsc(x3)
-        off = a1 * cmath.exp(-1j * (l1 + l3) * tau) * csc1 + a3 * cmath.exp(
-            1j * l2 * tau
-        ) * csc3
-        off_c = a1 * cmath.exp(1j * (l1 + l3) * tau) * csc1 + a3 * cmath.exp(
-            -1j * l2 * tau
-        ) * csc3
-        diag = -a1 * cot1 - a3 * cot3
-        m_stiff = (k / eps) * np.array([[diag, off], [off_c, diag]])
-        m_soft = _soft_block_single(l2, p["a2"], tau, fiber)
+        off = a1 * phase(-(l1 + l3), tau) * csc1 + a3 * phase(l2, tau) * csc3
+        off_c = a1 * phase(l1 + l3, tau) * csc1 + a3 * phase(-l2, tau) * csc3
+        m_stiff = _block(k / eps, -a1 * cot1 - a3 * cot3, off, off_c)
+        m_soft = _soft_edge_block(l2, p["a2"], k, tau)
     else:  # ex2
         l1, l2, l3 = p["l1"], p["l2"], p["l3"]
         a1, a2, a3 = p["a1"], p["a2"], p["a3"]
         x3 = k * eps * l3 / a3
         cot3, csc3 = ccot(x3), ccsc(x3)
-        m_stiff = (k / eps) * np.array(
-            [
-                [-a3 * cot3, a3 * cmath.exp(1j * l2 * tau) * csc3],
-                [a3 * cmath.exp(-1j * l2 * tau) * csc3, -a3 * cot3],
-            ]
+        m_stiff = _block(
+            k / eps, -a3 * cot3, a3 * phase(l2, tau) * csc3, a3 * phase(-l2, tau) * csc3
         )
         y1 = k * l1 / a1
         y2 = k * l2 / a2
         cot1, csc1 = ccot(y1), ccsc(y1)
         cot2, csc2 = ccot(y2), ccsc(y2)
-        off = a1 * cmath.exp(-1j * (l1 + l3) * tau) * csc1 + a2 * cmath.exp(
-            1j * l2 * tau
-        ) * csc2
-        off_c = a1 * cmath.exp(1j * (l1 + l3) * tau) * csc1 + a2 * cmath.exp(
-            -1j * l2 * tau
-        ) * csc2
-        diag = -a1 * cot1 - a2 * cot2
-        m_soft = k * np.array([[diag, off], [off_c, diag]])
+        off = a1 * phase(-(l1 + l3), tau) * csc1 + a2 * phase(l2, tau) * csc2
+        off_c = a1 * phase(l1 + l3, tau) * csc1 + a2 * phase(-l2, tau) * csc2
+        m_soft = _block(k, -a1 * cot1 - a2 * cot2, off, off_c)
     return MMatrixSet(
         m_full=m_stiff + m_soft, m_stiff=m_stiff, m_soft=m_soft, fiber=fiber
     )
 
 
-def check_additivity(mset: MMatrixSet) -> float:
-    """max relative entrywise |m_full - m_stiff - m_soft| / (1 + |m_full|)."""
+def check_additivity(mset: MMatrixSet) -> float | np.ndarray:
+    """max relative entrywise |m_full - m_stiff - m_soft| / (1 + |m_full|),
+    per fiber point."""
     num = np.abs(mset.m_full - mset.m_stiff - mset.m_soft)
-    return float(np.max(num / (1.0 + np.abs(mset.m_full))))
+    return np.max(num / (1.0 + np.abs(mset.m_full)), axis=(-2, -1))
 
 
-def herglotz_min_eig(m: np.ndarray) -> float:
-    """Smallest eigenvalue of the imaginary part (M - M^*)/(2i)."""
-    im_part = (m - m.conj().T) / 2j
-    return float(np.min(np.linalg.eigvalsh(im_part)))
+def herglotz_min_eig(m: np.ndarray) -> float | np.ndarray:
+    """Smallest eigenvalue of the imaginary part (M - M^*)/(2i), per matrix
+    of the stack (one stacked ``eigvalsh``)."""
+    im_part = (m - _adjoint(m)) / 2j
+    return np.min(np.linalg.eigvalsh(im_part), axis=-1)

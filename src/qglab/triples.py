@@ -12,6 +12,12 @@ is required; its (1,1) entry is -delta(tau, eps), which converges at
 O(eps^2), uniformly in tau, to
     delta_limit = 2 D / [ (a1^2 a3^2/(l1 l3)) (tau/eps)^2 - (l1+l3) D z ],
 with D = a1^2/l1 + a3^2/l3.
+
+``b_matrix``, ``rotate_triple``, ``projection_transform``,
+``btilde_closed_ex0`` and ``btilde_numeric`` take array fiber parameters:
+their matrices are then (..., 2, 2) stacks over the broadcast shape of
+the fiber parameters, and the 2 x 2 algebra acts on the two trailing axes.  The rotation X depends on tau
+alone, so a stack shares one tau.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ import math
 import numpy as np
 
 from .graphs import MetricGraph, stiff_length
-from .mmatrix import FiberParams, ccot, ccsc, m_blocks_closed
+from .mmatrix import FiberParams, ccot, ccsc, m_blocks_closed, mat2
 
 P_PROJ = np.diag([1.0, 0.0]).astype(complex)
 P_PERP = np.diag([0.0, 1.0]).astype(complex)
@@ -41,7 +47,8 @@ def rotation_x(graph: MetricGraph, tau: float) -> np.ndarray:
 
 
 def rotate_triple(b: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Similarity transform B_hat = X^* B X (X unitary)."""
+    """Similarity transform B_hat = X^* B X (X unitary), of every matrix of
+    the stack ``b`` by the one 2 x 2 matrix ``x``."""
     if np.max(np.abs(x.conj().T @ x - np.eye(2))) > 1e-13:
         raise ValueError("X is not unitary")
     return x.conj().T @ b @ x
@@ -50,16 +57,15 @@ def rotate_triple(b: np.ndarray, x: np.ndarray) -> np.ndarray:
 def projection_transform(
     b_hat: np.ndarray, p: np.ndarray = P_PROJ, p_perp: np.ndarray = P_PERP
 ) -> np.ndarray:
-    """Boundary matrix of the swapped triple: (P B - P_perp)(P_perp B + P)^{-1}."""
+    """Boundary matrix of the swapped triple: (P B - P_perp)(P_perp B + P)^{-1},
+    with the explicit 2 x 2 inverse.  Raises when any matrix of the stack
+    has a singular denominator."""
     denom = p_perp @ b_hat + p
-    det = denom[0, 0] * denom[1, 1] - denom[0, 1] * denom[1, 0]
-    if abs(det) == 0:
+    det = denom[..., 0, 0] * denom[..., 1, 1] - denom[..., 0, 1] * denom[..., 1, 0]
+    if (det == 0).any():
         raise ArithmeticError("projection transform: singular denominator")
-    inv = (
-        np.array([[denom[1, 1], -denom[0, 1]], [-denom[1, 0], denom[0, 0]]])
-        / det
-    )
-    return (p @ b_hat - p_perp) @ inv
+    adj = mat2(denom[..., 1, 1], -denom[..., 0, 1], -denom[..., 1, 0], denom[..., 0, 0])
+    return (p @ b_hat - p_perp) @ (adj / det[..., None, None])
 
 
 def second_swap(b_tilde: np.ndarray) -> np.ndarray:
@@ -81,9 +87,7 @@ def btilde_closed_ex0(graph: MetricGraph, fiber: FiberParams) -> np.ndarray:
     k, eps = fiber.k, fiber.eps
     x = k * eps * l / a
     cot, csc = ccot(x), ccsc(x)
-    return np.diag(
-        [(a * k / eps) * (cot - csc), -(eps / (a * k)) / (cot + csc)]
-    )
+    return mat2((a * k / eps) * (cot - csc), 0.0, 0.0, -(eps / (a * k)) / (cot + csc))
 
 
 def alpha_beta_ex1(graph: MetricGraph, fiber: FiberParams):

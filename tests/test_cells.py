@@ -5,6 +5,10 @@ or swapped soft speed leaves the default-cell tests blind.  Here lengths
 summing to 1 and speeds in [0.5, 3] are drawn, with Im z >= 0.5 (clear of the
 real-axis poles) and |tau| <= 3 (clear of the ex1 equal-impedance set
 tau = -pi).
+
+The closed forms also take arrays of tau, z (and eps): each array call must
+equal the loop of 0-d calls it replaces, and the runners must make one such
+call per (cell, eps) or per (cell, tau), not one per point.
 """
 
 import ast
@@ -12,15 +16,31 @@ import math
 import pathlib
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qglab
+from qglab import dispersion, lab
 from qglab.dispersion import k_closed, k_series, schur_frobenius
-from qglab.graphs import build_example, datta_weights, stiff_length
-from qglab.mmatrix import FiberParams, m_blocks_closed, m_general
+from qglab.graphs import PoleError, build_example, datta_weights, stiff_length
+from qglab.mmatrix import (
+    POLE_GUARD,
+    FiberParams,
+    MMatrixSet,
+    check_additivity,
+    herglotz_min_eig,
+    m_blocks_closed,
+    m_general,
+)
 from qglab.realline import difference_symbol, make_line_grid, multiplier_symbol
-from qglab.triples import b_matrix, btilde_closed_ex0, btilde_numeric
+from qglab.triples import (
+    P_PERP,
+    b_matrix,
+    btilde_closed_ex0,
+    btilde_numeric,
+    projection_transform,
+)
 
 SPEED = st.floats(0.5, 3.0)
 TAU = st.floats(-3.0, 3.0)
@@ -95,6 +115,158 @@ def test_btilde_closed_matches_numeric(g, tau, z, eps):
     fiber = FiberParams(eps, tau, z)
     dev = np.max(np.abs(btilde_numeric(g, fiber) - btilde_closed_ex0(g, fiber)))
     assert dev <= 1e-12 * (1.0 + np.max(np.abs(b_matrix(g, fiber))))
+
+
+# stack shapes of the array tests: 5 tau against 2-4 z (never square), so a
+# transposed stack axis changes the shape or the values
+TAUS = np.linspace(-3.0, 3.0, 5)
+ZS = st.lists(Z, min_size=2, max_size=4)
+STACK_RTOL = 1e-14
+
+
+def _close(arr, ref, scale=None):
+    """|arr - ref| <= STACK_RTOL * scale per point (scale: the largest |ref|
+    entry of the point's matrix unless given)."""
+    ref = np.asarray(ref)
+    if scale is None:
+        scale = np.max(np.abs(ref), axis=(-2, -1), keepdims=True)
+    return arr.shape == ref.shape and np.all(np.abs(arr - ref) <= STACK_RTOL * scale)
+
+
+@settings(max_examples=25, deadline=None)
+@given(g=cells(), zs=ZS, eps=EPS)
+def test_m_blocks_closed_stack_equals_point_loop(g, zs, eps):
+    mset = m_blocks_closed(g, FiberParams(eps, TAUS[:, None], np.array(zs)))
+    points = [[m_blocks_closed(g, FiberParams(eps, float(t), z)) for z in zs] for t in TAUS]
+    for block in ("m_full", "m_stiff", "m_soft"):
+        ref = [[getattr(m, block) for m in row] for row in points]
+        assert _close(getattr(mset, block), ref)
+    # the certificates reduce over the two trailing axes only: on the stack
+    # they give, point by point, what they give on that point's matrices
+    conj = m_blocks_closed(g, FiberParams(eps, TAUS[:, None], np.conj(zs)))
+    certificates = (
+        check_additivity(mset), herglotz_min_eig(mset.m_full), mset.symmetry_defect(conj)
+    )
+    for i, j in np.ndindex(TAUS.size, len(zs)):
+        one, one_conj = (
+            MMatrixSet(m.m_full[i, j], m.m_stiff[i, j], m.m_soft[i, j], m.fiber)
+            for m in (mset, conj)
+        )
+        assert [c[i, j] for c in certificates] == [
+            check_additivity(one), herglotz_min_eig(one.m_full), one.symmetry_defect(one_conj)
+        ]
+
+
+@settings(max_examples=25, deadline=None)
+@given(g=cells(), zs=ZS, eps=EPS)
+def test_m_general_stack_equals_point_loop(g, zs, eps):
+    fiber = FiberParams(eps, TAUS[:, None], np.array(zs))
+    stack = m_general(g, datta_weights(g, TAUS[:, None]), fiber)
+    ref = [[m_general(g, datta_weights(g, float(t)), FiberParams(eps, float(t), z))
+            for z in zs] for t in TAUS]
+    assert _close(stack, ref)
+
+
+@settings(max_examples=25, deadline=None)
+@given(g=cells(("ex0", "ex2")), tau=TAU, zs=ZS)
+def test_btilde_stacks_equal_point_loop(g, tau, zs):
+    # one tau, a (z, eps) stack: the batch of the btilde_identity runner
+    eps_row = np.array([0.2, 0.1, 0.05])
+    fiber = FiberParams(eps_row, tau, np.array(zs)[:, None])
+    scale = 1.0 + np.max(np.abs(b_matrix(g, fiber)), axis=(-2, -1), keepdims=True)
+    for form in (btilde_numeric, btilde_closed_ex0):
+        ref = [[form(g, FiberParams(float(e), tau, z)) for e in eps_row] for z in zs]
+        assert _close(form(g, fiber), ref, scale)
+
+
+@settings(max_examples=25, deadline=None)
+@given(g=cells(), zs=ZS, eps=EPS)
+def test_k_series_tau_array_equals_point_loop_and_closed_form(g, zs, eps):
+    n_terms = 4000
+    z_row = np.array(zs)
+    series = k_series(g, TAUS[:, None], z_row, n_terms, eps=eps)
+    ref = np.array([[k_series(g, float(t), z, n_terms, eps=eps) for z in zs] for t in TAUS])
+    # relative to max(1, |K|), as the runner's rel_error: near a zero of K
+    # its terms cancel, so a 1-ulp move in one of them is no longer small
+    # against |K|
+    assert series.shape == ref.shape
+    assert np.all(np.abs(series - ref) <= STACK_RTOL * np.maximum(1.0, np.abs(ref)))
+    # and each element is the truncated series of the closed form (the
+    # tail bound of test_k_closed_matches_series)
+    cell = g.cell
+    lengths = 8.0 * cell.chain.length + (4.0 * cell.loop.length if cell.loop else 0.0)
+    bound = 1.5 * np.abs(z_row) * lengths / (math.pi**2 * stiff_length(g) * n_terms)
+    assert np.all(np.abs(series - k_closed(g, TAUS[:, None], z_row, eps=eps)) <= bound)
+
+
+def test_one_pole_element_fails_the_whole_stack():
+    # ex0 soft edge: k l2 / a2 = pi at z = (2 pi)^2; ex0 stiff edge at eps:
+    # k eps l1 / a1 = pi; each batch holds one point inside POLE_GUARD
+    g = build_example("ex0")
+    p = g.params
+    eps = 0.1
+    soft_pole = ((math.pi + 0.5 * POLE_GUARD) * p["a2"] / p["l2"]) ** 2
+    stiff_pole = ((math.pi + 0.5 * POLE_GUARD) * p["a1"] / (eps * p["l1"])) ** 2
+    taus = TAUS[:, None]
+    for pole in (soft_pole, stiff_pole):
+        fiber = FiberParams(eps, taus, np.array([2 + 1j, pole, 5 + 2j]))
+        with pytest.raises(PoleError):
+            m_blocks_closed(g, fiber)
+        with pytest.raises(PoleError):
+            m_general(g, datta_weights(g, taus), fiber)
+    with pytest.raises(PoleError):
+        btilde_closed_ex0(g, FiberParams(np.array([0.2, eps]), 1.0, stiff_pole))
+
+
+def test_projection_transform_guards_every_matrix_of_a_stack():
+    # P_perp B + P = [[1, 0], [b10, b11]]: singular exactly where b11 = 0
+    b = np.tile(np.array([[1.0, 2.0], [3.0, 4.0]], dtype=complex), (4, 1, 1))
+    projection_transform(b)
+    b[2, 1, 1] = 0.0
+    assert np.any(np.linalg.det(P_PERP @ b + np.diag([1.0, 0.0])) == 0)
+    with pytest.raises(ArithmeticError):
+        projection_transform(b)
+
+
+def _counting(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_additivity_calls_closed_blocks_twice_per_cell_and_eps(monkeypatch):
+    calls = _counting(monkeypatch, lab, "m_blocks_closed")
+    cfg = {"examples": ["ex0", "ex1"], "eps_list": [0.3, 0.1, 0.05], "tau_count": 7}
+    res = lab.run_experiment("additivity", cfg)
+    assert res.passed
+    assert len(calls) == 2 * 2 * 3
+    assert len(res.rows) == 2 * 3 * 7 * 4
+    assert len(res.extra_tables["mmatrix_entries"]) == 12 * len(res.rows)
+
+
+def test_dispersion_series_calls_k_series_three_times_per_cell(monkeypatch):
+    calls = _counting(monkeypatch, dispersion, "k_series")
+    res = lab.run_experiment("dispersion_series", {"tau_count": 6, "n_terms": 3000})
+    assert res.passed
+    assert len(calls) == 3 * 3
+    assert len(res.rows) == 3 * 6 * 6
+
+
+def test_btilde_identity_calls_each_route_once_per_cell_and_tau(monkeypatch):
+    from qglab import triples
+
+    numeric = _counting(monkeypatch, triples, "btilde_numeric")
+    closed = _counting(monkeypatch, triples, "btilde_closed_ex0")
+    res = lab.run_experiment("btilde_identity", {"tau_count": 4})
+    assert res.passed
+    assert len(numeric) == len(closed) == 2 * 4
+    assert len(res.rows) == 2 * 4 * 10 * 5
 
 
 def _literal_example_compares(tree):

@@ -72,6 +72,8 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
         ("eps_lst = 0.1\n", "converge does not take eps_lst; accepted keys: "
          "examples, eps_list, tau_list, z, resolution, w"),
         ("resolution = fine\n", "gen_res_rate: resolution takes int values"),
+        ("eps_list = 0.1, 0.05, 0.025\n",
+         "gen_res_rate: eps_list needs at least 4 values for its slope fits, got 3"),
     ],
 )
 def test_config_error_exits_2_before_any_experiment(tmp_path, capsys, monkeypatch,
@@ -86,6 +88,31 @@ def test_config_error_exits_2_before_any_experiment(tmp_path, capsys, monkeypatc
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
     assert message in captured.err
+
+
+def test_unknown_example_exits_2_before_any_experiment(tmp_path, capsys, monkeypatch):
+    ran = []
+    monkeypatch.setattr(cli, "run_experiment", lambda tag, cfg: ran.append(tag))
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("examples = ex0, ex9\n")
+    assert main(["mmatrix", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert ran == []
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "qglab: additivity: unknown example ex9; accepted: ex0, ex1, ex2"
+    ]
+
+
+def test_single_resolution_is_a_fail_with_its_reason(tmp_path, capsys):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("resolutions = 256\n")
+    assert main(["resolvent", "--config", str(cfg)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == [
+        "[FAIL] krein_vs_direct",
+        "    needs at least two resolutions for a halving ratio, got [256]",
+    ]
 
 
 def test_shared_config_goes_only_to_tags_that_take_it(tmp_path, capsys, monkeypatch):

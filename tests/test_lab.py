@@ -253,6 +253,27 @@ def test_bad_values_raise(cfg, key):
         run_experiment("schur_check", cfg)
 
 
+@pytest.mark.parametrize(
+    "tag", ["gen_res_rate", "full_res_rate", "beff_rate", "line_models", "bands"]
+)
+def test_slope_runner_rejects_short_eps_list_before_any_work(tag):
+    t0 = time.perf_counter()
+    with pytest.raises(ParameterError, match=f"{tag}: eps_list needs at least 4 values"):
+        run_experiment(tag, {"eps_list": [0.1, 0.05, 0.025]})
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_runner_without_slope_fit_takes_short_eps_list():
+    res = run_experiment("additivity", {"eps_list": 0.1, "tau_count": 2})
+    assert res.passed
+    assert {row["eps"] for row in res.rows} == {0.1}
+
+
+def test_unknown_example_raises_naming_accepted_cells():
+    with pytest.raises(ParameterError, match="unknown example ex9; accepted: ex0, ex1, ex2"):
+        run_experiment("schur_check", {"examples": ["ex0", "EX9"]})
+
+
 @pytest.mark.parametrize("tag", ["bands", "btilde_identity"])
 def test_no_applicable_cell_is_a_fail(tag):
     res = run_experiment(tag, {"examples": "ex1"})
