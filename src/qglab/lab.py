@@ -222,7 +222,9 @@ def _no_cell(tag: str, examples) -> ExperimentResult:
 
 
 # (block, row, col) of the twelve entries per point of ``mmatrix_entries``
-_ENTRY_KEYS = [(b, r, c) for b in ("full", "stiff", "soft") for r in range(2) for c in range(2)]
+_ENTRY_KEYS = [
+    (block, r, c) for block in ("full", "stiff", "soft") for r in range(2) for c in range(2)
+]
 
 
 def run_additivity(

@@ -43,7 +43,10 @@ class FiberParams:
     z: complex
 
     def __post_init__(self):
-        if (np.asarray(self.eps) <= 0).any():
+        # fibers are built per point by the resolvent layers: a scalar eps
+        # skips the ndarray round trip
+        eps = self.eps
+        if (eps <= 0).any() if isinstance(eps, np.ndarray) else eps <= 0:
             raise ValueError("eps must be positive")
 
     @property

@@ -15,9 +15,9 @@ with D = a1^2/l1 + a3^2/l3.
 
 ``b_matrix``, ``rotate_triple``, ``projection_transform``,
 ``btilde_closed_ex0`` and ``btilde_numeric`` take array fiber parameters:
-their matrices are then (..., 2, 2) stacks over the broadcast shape of
-the fiber parameters, and the 2 x 2 algebra acts on the two trailing axes.  The rotation X depends on tau
-alone, so a stack shares one tau.
+their matrices are then (..., 2, 2) stacks over the broadcast shape of the
+fiber parameters, and the 2 x 2 algebra acts on the two trailing axes.  The
+rotation X depends on tau alone, so a stack shares one tau.
 """
 
 from __future__ import annotations

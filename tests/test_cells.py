@@ -36,6 +36,7 @@ from qglab.mmatrix import (
 from qglab.realline import difference_symbol, make_line_grid, multiplier_symbol
 from qglab.triples import (
     P_PERP,
+    P_PROJ,
     b_matrix,
     btilde_closed_ex0,
     btilde_numeric,
@@ -153,7 +154,9 @@ def test_m_blocks_closed_stack_equals_point_loop(g, zs, eps):
             for m in (mset, conj)
         )
         assert [c[i, j] for c in certificates] == [
-            check_additivity(one), herglotz_min_eig(one.m_full), one.symmetry_defect(one_conj)
+            check_additivity(one),
+            herglotz_min_eig(one.m_full),
+            one.symmetry_defect(one_conj),
         ]
 
 
@@ -223,7 +226,7 @@ def test_projection_transform_guards_every_matrix_of_a_stack():
     b = np.tile(np.array([[1.0, 2.0], [3.0, 4.0]], dtype=complex), (4, 1, 1))
     projection_transform(b)
     b[2, 1, 1] = 0.0
-    assert np.any(np.linalg.det(P_PERP @ b + np.diag([1.0, 0.0])) == 0)
+    assert np.any(np.linalg.det(P_PERP @ b + P_PROJ) == 0)
     with pytest.raises(ArithmeticError):
         projection_transform(b)
 

@@ -270,7 +270,8 @@ def test_runner_without_slope_fit_takes_short_eps_list():
 
 
 def test_unknown_example_raises_naming_accepted_cells():
-    with pytest.raises(ParameterError, match="unknown example ex9; accepted: ex0, ex1, ex2"):
+    message = "unknown example ex9; accepted: ex0, ex1, ex2"
+    with pytest.raises(ParameterError, match=message):
         run_experiment("schur_check", {"examples": ["ex0", "EX9"]})
 
 
