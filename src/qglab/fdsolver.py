@@ -11,6 +11,15 @@ the discrete operator is the weighted-Kirchhoff extension.
 Sample-space convention: functions are exchanged as concatenated per-edge
 nodal samples (endpoints included) on the same grids as qglab.krein, with
 trapezoid quadrature weights defining the discrete inner product.
+
+Conjugate symmetry: the Datta weights at -tau are the conjugates of those at
+tau, and tau enters the element matrices only through i tau and tau^2, so the
+pencil (K, M) and the prolongation at -tau are the entrywise conjugates of
+those at tau, bit for bit (the products are taken in plain real arithmetic,
+where conj(x) conj(y) = conj(x y) exactly).  A Hermitian pencil and its
+conjugate have the same real spectrum, so ``lab.run_bands`` solves one
+spectrum per distinct |tau| of its grid (``lab.tau_grid`` is exactly
+antisymmetric) and gives it to the row at -tau as well.
 """
 
 from __future__ import annotations
@@ -26,6 +35,11 @@ from .mmatrix import FiberParams
 
 class NearSingularError(ArithmeticError):
     """The shifted system is numerically singular (z at a discrete level)."""
+
+
+# what one discrete spectrum or solve raises at a bad point: ARPACK without
+# convergence, or a shifted system at a discrete level
+FEM_ERRORS = (spla.ArpackNoConvergence, NearSingularError)
 
 
 def _cmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:

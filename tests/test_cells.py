@@ -9,6 +9,9 @@ tau = -pi).
 The closed forms also take arrays of tau, z (and eps): each array call must
 equal the loop of 0-d calls it replaces, and the runners must make one such
 call per (cell, eps) or per (cell, tau), not one per point.
+
+The FEM pencil at -tau must be the entrywise conjugate of the one at tau, bit
+for bit: ``bands`` solves one spectrum per |tau| on that premise.
 """
 
 import ast
@@ -23,6 +26,7 @@ from hypothesis import strategies as st
 import qglab
 from qglab import dispersion, lab
 from qglab.dispersion import k_closed, k_series, schur_frobenius
+from qglab.fdsolver import DiscretizedOperator
 from qglab.graphs import PoleError, build_example, datta_weights, stiff_length
 from qglab.mmatrix import (
     POLE_GUARD,
@@ -116,6 +120,32 @@ def test_btilde_closed_matches_numeric(g, tau, z, eps):
     fiber = FiberParams(eps, tau, z)
     dev = np.max(np.abs(btilde_numeric(g, fiber) - btilde_closed_ex0(g, fiber)))
     assert dev <= 1e-12 * (1.0 + np.max(np.abs(b_matrix(g, fiber))))
+
+
+def _assert_conjugate_pencil(g, tau, eps):
+    weights = datta_weights(g, tau)
+    conj_weights = datta_weights(g, -tau)
+    assert conj_weights == {key: np.conj(w) for key, w in weights.items()}
+    plus, minus = (
+        DiscretizedOperator(g, w, FiberParams(eps, t, 2 + 1j), resolution=64)
+        for t, w in ((tau, weights), (-tau, conj_weights))
+    )
+    for name in ("k_mat", "m_mat", "prolong"):
+        at_minus, conj_plus = getattr(minus, name), getattr(plus, name).conj()
+        assert at_minus.shape == conj_plus.shape
+        assert (at_minus != conj_plus).nnz == 0
+
+
+@pytest.mark.parametrize("name", ["ex0", "ex1", "ex2"])
+@pytest.mark.parametrize("tau", [0.3, 1.9, 3.1405])
+def test_fem_pencil_at_minus_tau_is_the_conjugate_on_default_cells(name, tau):
+    _assert_conjugate_pencil(build_example(name), tau, 1 / 64)
+
+
+@settings(max_examples=20, deadline=None)
+@given(g=cells(), tau=st.floats(0.0, 3.0), eps=EPS)
+def test_fem_pencil_at_minus_tau_is_the_conjugate(g, tau, eps):
+    _assert_conjugate_pencil(g, tau, eps)
 
 
 # stack shapes of the array tests: 5 tau against 2-4 z (never square), so a

@@ -1,8 +1,11 @@
 
 
+import numpy as np
 import pytest
+from scipy.sparse.linalg import ArpackNoConvergence
 
 from qglab import cli
+from qglab.fdsolver import DiscretizedOperator
 from qglab.cli import VERB_TAGS, main
 from qglab.lab import EXPERIMENT_TAGS, run_experiment
 
@@ -133,3 +136,19 @@ def test_shared_config_goes_only_to_tags_that_take_it(tmp_path, capsys, monkeypa
         "sum_identities": {"x_list": [0.3]},
     }
     assert len((out / "sum_identities.csv").read_text().splitlines()) == 2
+
+
+def test_failed_bands_points_fail_the_verb_without_a_traceback(
+    tmp_path, capsys, monkeypatch
+):
+    def no_convergence(self, count, sigma=-1.0):
+        raise ArpackNoConvergence("no convergence (forced)", np.empty(0), None)
+
+    monkeypatch.setattr(DiscretizedOperator, "eigenvalues", no_convergence)
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("tau_count = 3\nresolution = 64\n")
+    assert main(["bands", "--config", str(cfg)]) == 1
+    text = capsys.readouterr().out
+    assert "[FAIL] bands" in text
+    assert "ex0: FEM spectrum failed at eps=0.125, |tau|=3.14059: ArpackNoConvergence" in text
+    assert "ex2: no slope fit (8 failed FEM points)" in text

@@ -4,8 +4,10 @@ import time
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import ArpackNoConvergence
 
 from qglab import dispersion
+from qglab.fdsolver import DiscretizedOperator
 from qglab.graphs import ParameterError
 from qglab.lab import (
     EXPERIMENT_TAGS,
@@ -110,12 +112,24 @@ def test_operator_norm_raises_when_not_converged():
         operator_norm_diff(a, None, np.ones(12), max_iter=2)
 
 
-def test_tau_grid_endpoints_and_symmetry():
-    grid = tau_grid(17)
-    assert grid.size == 17
-    assert grid[0] == pytest.approx(-(math.pi - 1e-3))
-    assert grid[-1] == pytest.approx(math.pi - 1e-3)
-    assert np.max(np.abs(grid + grid[::-1])) < 1e-14
+@pytest.mark.parametrize("count", [2, 3, 7, 9, 16, 17, 65])
+def test_tau_grid_endpoints_and_symmetry(count):
+    top = math.pi - 1e-3
+    grid = tau_grid(count)
+    assert grid.size == count
+    assert grid[0] == -top and grid[-1] == top
+    # exactly antisymmetric, so bands can reuse the spectrum at |tau| for -tau
+    assert np.array_equal(grid, -grid[::-1])
+    # the upper half is linspace's, bit for bit; the middle of an odd count
+    # is 0 (linspace gives -4.4e-16 there at count 7)
+    reference = np.linspace(-top, top, count)
+    upper = slice(count // 2, None)
+    assert np.array_equal(grid[upper], np.maximum(reference[upper], 0.0))
+    assert np.max(np.abs(grid - reference)) <= 8 * np.finfo(float).eps
+
+
+def test_tau_grid_of_one_point():
+    assert tau_grid(1).tolist() == [-(math.pi - 1e-3)]
 
 
 def test_parse_config_round_trip(tmp_path):
@@ -185,6 +199,62 @@ def test_run_bands_computes_band_roots_once_per_tau(monkeypatch):
     n_eps = 4
     assert len(calls) == 2 * 3
     assert len(res.rows) == 2 * n_eps * 3 * 3
+
+
+def _count_fem_spectra(monkeypatch, fail_at=None):
+    """Count DiscretizedOperator.eigenvalues calls by (example, eps, tau);
+    raise ArpackNoConvergence at the point ``fail_at``."""
+    calls = []
+    original = DiscretizedOperator.eigenvalues
+
+    def counted(self, *args, **kwargs):
+        calls.append((self.graph.example, self.fiber.eps, self.fiber.tau))
+        if calls[-1] == fail_at:
+            raise ArpackNoConvergence("no convergence (forced)", np.empty(0), None)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(DiscretizedOperator, "eigenvalues", counted)
+    return calls
+
+
+BANDS_SMALL = {"examples": ["ex0", "ex2"], "tau_count": 3, "resolution": 64}
+
+
+def test_run_bands_solves_each_fem_spectrum_once_per_abs_tau(monkeypatch):
+    calls = _count_fem_spectra(monkeypatch)
+    # (at resolution 64 the h error, not eps, dominates the slope fit)
+    res = run_experiment("bands", BANDS_SMALL)
+    # grid (-a, 0, a): 2 cells x 4 eps x 2 distinct |tau| x 2 resolutions
+    assert len(calls) == 2 * 4 * 2 * 2
+    assert all(tau >= 0 for *_, tau in calls)
+    by_point = {(r["example"], r["eps"], r["tau"], r["band_index"]): r for r in res.rows}
+    minus = [key for key in by_point if key[2] < 0]
+    assert len(minus) == 2 * 4 * 3
+    for example, eps, tau, band in minus:
+        mirror = by_point[(example, eps, -tau, band)]
+        assert by_point[(example, eps, tau, band)]["z_discrete"] == mirror["z_discrete"]
+    for line in res.summary:
+        assert line.endswith("FEM spectra at 2 of 3 tau; the other 1 from the "
+                             "conjugate pencil at -tau")
+
+
+def test_run_bands_failed_fem_point_is_a_fail_line(monkeypatch):
+    top = math.pi - 1e-3
+    calls = _count_fem_spectra(monkeypatch, fail_at=("ex0", 0.0625, top))
+    res = run_experiment("bands", BANDS_SMALL)
+    assert not res.passed
+    # the coarse solve raises, so the point is tried once and not again at -a
+    assert calls.count(("ex0", 0.0625, top)) == 1
+    assert res.summary[0] == (
+        f"ex0: FEM spectrum failed at eps=0.0625, |tau|={top:.6g}: "
+        "ArpackNoConvergence: ARPACK error -1: no convergence (forced)"
+    )
+    assert res.summary[1] == "ex0: no slope fit (1 failed FEM points)"
+    assert res.summary[2].startswith("ex2: Hausdorff distances ")
+    # the failed point leaves out both of its rows (tau = -a and a) on ex0
+    ex0 = [r for r in res.rows if r["example"] == "ex0"]
+    assert len(ex0) == (4 * 3 - 2) * 3
+    assert not [r for r in ex0 if r["eps"] == 0.0625 and abs(r["tau"]) == top]
 
 
 @pytest.mark.parametrize("tag", EXPERIMENT_TAGS)
