@@ -653,6 +653,7 @@ def run_bands(
     if not cells:
         return _no_cell("bands", examples)
     taus = tau_grid(tau_count).tolist()
+    abs_taus = list(dict.fromkeys(abs(tau) for tau in taus))  # the FEM points
     rows, summary, passed = [], [], True
 
     def eig_extrapolated(g, eps, tau):
@@ -670,7 +671,7 @@ def run_bands(
         dist_per_eps, failures = [], []
         for eps in eps_list:
             spectra = {}  # |tau| -> FEM eigenvalues, or None where they failed
-            for t in dict.fromkeys(abs(tau) for tau in taus):
+            for t in abs_taus:
                 try:
                     spectra[t] = eig_extrapolated(g, eps, t)
                 except (*FEM_ERRORS, PoleError) as exc:
@@ -701,8 +702,8 @@ def run_bands(
             f"{g.example}: Hausdorff distances "
             f"{['%.2e' % d for d in dist_per_eps]}, slope {fit.slope:.3f} "
             f"(band [1.7, 2.3], R^2 {fit.r_squared:.4f}); FEM spectra at "
-            f"{len(spectra)} of {len(taus)} tau; the other "
-            f"{len(taus) - len(spectra)} from the conjugate pencil at -tau"
+            f"{len(abs_taus)} of {len(taus)} tau; the other "
+            f"{len(taus) - len(abs_taus)} from the conjugate pencil at -tau"
         )
     return ExperimentResult("bands", passed, summary, rows)
 
