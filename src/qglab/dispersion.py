@@ -5,7 +5,10 @@ eigenfunctions of the soft component and a closed trigonometric form, with
 the auxiliary lattice sums that connect them.  The closed forms carry the
 soft-edge speeds explicitly and reduce to the unit-speed expressions when
 a = 1.  ``band_roots`` solves K(tau, z) = z on the positive half-line, which
-yields the limiting band structure.
+yields the limiting band structure.  Since 1/(K - z) is Herglotz, K - z
+strictly decreases between consecutive poles of K, so every root is simple
+and a sign-change scan of each pole interval finds them all; ``band_roots``
+checks that decrease on its scan and raises ArithmeticError where it fails.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .effective import EffectiveModel
-from .graphs import MetricGraph, datta_weights, stiff_length
+from .graphs import EdgeSpec, MetricGraph, datta_weights, stiff_length
 from .krein import make_grid
 from .mmatrix import POLE_GUARD, FiberParams, ccot, ccsc, sqrt_upper
 
@@ -174,41 +177,43 @@ def schur_frobenius(
     return model.schur_frobenius(z)
 
 
-def _pole_list(
-    graph: MetricGraph, z_max: float, with_parity: bool = False
-):
-    """Positive poles of z -> K(tau, z) up to z_max (tau-independent).
+# samples of the sign-change scan on each interval between consecutive poles,
+# and the absolute tolerance of the Brent refinement of each root
+SCAN_POINTS = 256
+ROOT_TOL = 1e-12
 
-    With ``with_parity`` each pole carries its coupling parity: a sine pole
-    of index j couples through (1 - (-1)^j cos tau), so it is removable --
-    and then hosts a decoupled Dirichlet eigenvalue -- exactly when
-    cos tau = (-1)^j.  Odd half-poles of tan couple tau-independently and
-    are never removable (parity None).
+
+def _levels(edge: EdgeSpec, z_max: float, first: int = 1, step: int = 1):
+    """(j, (a pi j/l)^2) for j = first, first + step, ... while the Dirichlet
+    level of the soft edge (l, a) stays <= z_max."""
+    j = first
+    while (z := (edge.speed_a * math.pi * j / edge.length) ** 2) <= z_max:
+        yield j, z
+        j += step
+
+
+def _pole_list(graph: MetricGraph, z_max: float):
+    """Positive poles of z -> K(tau, z) up to z_max (tau-independent), as
+    sorted (pole, parity, dz/dy) triples.
+
+    A sine pole of index j couples through (1 - (-1)^j cos tau), so it is
+    removable -- and then hosts a decoupled Dirichlet eigenvalue -- exactly
+    when cos tau = parity = (-1)^j.  Odd half-poles of tan couple
+    tau-independently and are never removable (parity None).  dz/dy =
+    2 a sqrt(z)/l converts the trig pole guard into a distance in z.
     """
-    cell = graph.cell
-    poles: list[tuple[float, int | None]] = []
-
-    def sine_poles(length: float, speed: float) -> None:
-        j = 1
-        while (speed * math.pi * j / length) ** 2 <= z_max:
-            z_p = (speed * math.pi * j / length) ** 2
-            poles.append((z_p, 1 - 2 * (j % 2), 2.0 * speed * math.sqrt(z_p) / length))
-            j += 1
-
-    def tan_half_poles(length: float, speed: float) -> None:
-        j = 1
-        while (speed * math.pi * (2 * j - 1) / length) ** 2 <= z_max:
-            z_p = (speed * math.pi * (2 * j - 1) / length) ** 2
-            poles.append((z_p, None, 2.0 * speed * math.sqrt(z_p) / length))
-            j += 1
-
-    sine_poles(cell.chain.length, cell.chain.speed_a)
-    if cell.loop is not None:
-        tan_half_poles(cell.loop.length, cell.loop.speed_a)
+    chain, loop = graph.cell.chain, graph.cell.loop
+    poles = [
+        (z_p, (-1) ** j, 2.0 * chain.speed_a * math.sqrt(z_p) / chain.length)
+        for j, z_p in _levels(chain, z_max)
+    ]
+    if loop is not None:
+        poles += [
+            (z_p, None, 2.0 * loop.speed_a * math.sqrt(z_p) / loop.length)
+            for _, z_p in _levels(loop, z_max, step=2)
+        ]
     poles.sort(key=lambda t: t[0])
-    if with_parity:
-        return poles
-    return [z for z, _, _ in poles]
+    return poles
 
 
 def flat_levels(graph: MetricGraph, z_max: float) -> list[float]:
@@ -217,12 +222,7 @@ def flat_levels(graph: MetricGraph, z_max: float) -> list[float]:
     loop = graph.cell.loop
     if loop is None:
         return []
-    a, l = loop.speed_a, loop.length
-    out, j = [], 2
-    while (a * math.pi * j / l) ** 2 <= z_max:
-        out.append((a * math.pi * j / l) ** 2)
-        j += 2
-    return out
+    return [z for _, z in _levels(loop, z_max, first=2, step=2)]
 
 
 def band_roots(
@@ -230,27 +230,28 @@ def band_roots(
     tau: float,
     z_max: float,
     eps: float | None = None,
-    scan_points: int = 256,
-    root_tol: float = 1e-12,
 ) -> np.ndarray:
     """Limiting fiber eigenvalues in [0, z_max], sorted ascending.
 
-    These are the roots of K(tau, z) = z between consecutive poles of K
-    (simple roots by sign-change scan plus Brent refinement; tangent roots
-    at band touchings by locating near-zero local minima of |K - z|),
+    These are the roots of K(tau, z) = z between consecutive poles of K,
     together with the decoupled Dirichlet levels: removable poles at the
     symmetry points cos tau = +-1 and the tau-independent flat levels.
     z = 0 itself is reported as a root when K(tau, 0) vanishes.
-    """
-    from scipy.optimize import minimize_scalar
 
-    pole_data = _pole_list(graph, z_max * (1.0 + 1e-9), with_parity=True)
+    1/(K - z) is Herglotz (``lab.run_schur_check`` certifies it), so K - z
+    strictly decreases in real z between its poles and each of its roots
+    is simple: one sign-change scan of SCAN_POINTS samples per pole
+    interval, with Brent refinement, finds them all.  The scan values must
+    decrease strictly; where they do not, ArithmeticError names tau and
+    the interval instead of returning roots that may miss a tangency.
+    """
+    pole_data = _pole_list(graph, z_max * (1.0 + 1e-9))
     edges = [0.0] + [z for z, _, _ in pole_data] + [z_max]
     # smallest z-distance from each pole at which the trig guards stay clear
     pads = [10.0 * POLE_GUARD * slope for _, _, slope in pole_data]
 
     def f(z):
-        # scalar for the Brent/minimiser refinements, array for the scans
+        # scalar for the Brent refinement, array for the scans
         return (k_closed(graph, tau, z + 0j, eps=eps) - z).real
 
     roots: list[float] = list(flat_levels(graph, z_max))
@@ -268,31 +269,13 @@ def band_roots(
         b = hi - pads[i] if i + 1 <= n_poles else hi
         if b <= a:
             continue
-        grid = np.linspace(a, b, scan_points)
+        grid = np.linspace(a, b, SCAN_POINTS)
         vals = f(grid)
-        signs = np.sign(vals)
-        for j in np.nonzero(np.diff(signs) != 0)[0]:
-            roots.append(brentq(f, grid[j], grid[j + 1], xtol=root_tol, rtol=1e-15))
-        # tangent roots: interior local minima of |f| that reach (near) zero;
-        # a sign change around the minimum is covered by the pass above
-        mags = np.abs(vals)
-        scale = max(1.0, float(np.max(mags)))
-        tangent = (
-            (mags[1:-1] <= mags[:-2])
-            & (mags[1:-1] <= mags[2:])
-            & (signs[:-2] == signs[2:])
-            & (vals[1:-1] != 0.0)
-        )
-        for j in np.nonzero(tangent)[0] + 1:
-            res = minimize_scalar(
-                lambda t: f(t) ** 2,
-                bounds=(grid[j - 1], grid[j + 1]),
-                method="bounded",
-                options={"xatol": root_tol},
+        if not np.all(np.diff(vals) < 0.0):
+            raise ArithmeticError(
+                f"K(tau, z) - z is not strictly decreasing at tau={tau:.17g} "
+                f"on the scan of [{a:.17g}, {b:.17g}]"
             )
-            z_star = float(res.x)
-            if abs(f(z_star)) <= 1e-7 * scale and not any(
-                abs(z_star - r) < 1e-6 * max(1.0, z_star) for r in roots
-            ):
-                roots.append(z_star)
+        for j in np.nonzero(np.diff(np.sign(vals)) != 0)[0]:
+            roots.append(brentq(f, grid[j], grid[j + 1], xtol=ROOT_TOL, rtol=1e-15))
     return np.array(sorted(roots))

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import MetricGraph, stiff_length, xi_ex1  # noqa: F401  xi_ex1 re-exported
+from .graphs import MetricGraph, stiff_length
 from .krein import (
     ComponentFrame,
     ComponentGrid,

@@ -38,7 +38,8 @@ class NearSingularError(ArithmeticError):
 
 
 # what one discrete spectrum or solve raises at a bad point: ARPACK without
-# convergence, or a shifted system at a discrete level
+# convergence (``eigenvalues``), or a shifted system at a discrete level
+# (``_solve``, and so ``resolvent_matrix``, via its residual check)
 FEM_ERRORS = (spla.ArpackNoConvergence, NearSingularError)
 
 
@@ -163,7 +164,10 @@ class DiscretizedOperator:
             lu = spla.splu(a)
         except RuntimeError as exc:  # pragma: no cover - splu failure path
             raise NearSingularError(str(exc)) from exc
-        u = lu.solve(rhs_dofs)
+        # C order: scipy's sparse-times-dense products read a many-RHS
+        # solution by rows, and would otherwise copy it for the residual
+        # check and again for the caller's product
+        u = np.ascontiguousarray(lu.solve(rhs_dofs))
         res = np.linalg.norm(a @ u - rhs_dofs)
         scale = np.linalg.norm(rhs_dofs)
         if scale > 0 and res / scale > 1e-8:
@@ -173,12 +177,10 @@ class DiscretizedOperator:
         return u
 
     def resolvent_matrix(self, z: complex) -> np.ndarray:
-        """Dense sample-space matrix of the discrete resolvent."""
-        a = (self.k_mat - z * self.m_mat).tocsc()
-        lu = spla.splu(a)
+        """Dense sample-space matrix of the discrete resolvent; raises
+        NearSingularError where ``_solve`` does."""
         rhs = (self.prolong.conj().T).toarray() * self.grid.w[None, :]
-        sol = lu.solve(np.asarray(rhs))
-        return self.prolong @ sol
+        return self.prolong @ self._solve(z, rhs)
 
     def eigenvalues(self, count: int, sigma: float = -1.0) -> np.ndarray:
         """Lowest ``count`` discrete eigenvalues (generalized, Hermitian).

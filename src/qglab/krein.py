@@ -28,23 +28,6 @@ import numpy as np
 from .graphs import EdgeSpec, MetricGraph
 from .mmatrix import FiberParams, PoleError, guard_pole
 
-_SMALL = 1e-8
-
-
-def _int_exp(mu: complex, l: float) -> complex:
-    """Integral of e^{mu x} over [0, l], stable for small mu."""
-    if abs(mu) * l < 1e-8:
-        return l * (1.0 + mu * l / 2.0 + (mu * l) ** 2 / 6.0)
-    return (cmath.exp(mu * l) - 1.0) / mu
-
-
-def _int_x_exp(mu: complex, l: float) -> complex:
-    """Integral of x e^{mu x} over [0, l], stable for small mu."""
-    if abs(mu) * l < 1e-6:
-        return l * l * (0.5 + mu * l / 3.0 + (mu * l) ** 2 / 8.0)
-    e = cmath.exp(mu * l)
-    return (l * e - (e - 1.0) / mu) / mu
-
 
 @dataclass(frozen=True)
 class ExactField:
@@ -82,42 +65,6 @@ class ExactField:
         """The modified derivative (d/dx + i tau) u = e^{-i tau x} phi'."""
         x = np.asarray(x, dtype=float)
         return np.exp(-1j * self.tau * x) * self.dphi(x)
-
-    def _exp_coeffs(self):
-        """phi as A_plus e^{i kappa x} + A_minus e^{-i kappa x}."""
-        return (self.p - 1j * self.q) / 2.0, (self.p + 1j * self.q) / 2.0
-
-
-def field_inner(f: ExactField, g: ExactField) -> complex:
-    """Exact L2 inner product <f, g> = int u_f conj(u_g) on the shared edge."""
-    if f.edge.id != g.edge.id or abs(f.edge.length - g.edge.length) > 0:
-        raise ValueError("fields live on different edges")
-    l = f.edge.length
-    if f.kappa is None and g.kappa is None:
-        p1, q1, p2, q2 = f.p, f.q, np.conj(g.p), np.conj(g.q)
-        return (
-            p1 * p2 * l
-            + (p1 * q2 + q1 * p2) * l * l / 2.0
-            + q1 * q2 * l**3 / 3.0
-        )
-    if f.kappa is not None and g.kappa is not None:
-        af = f._exp_coeffs()
-        ag = tuple(np.conj(c) for c in g._exp_coeffs())
-        kf, kg = f.kappa, np.conj(g.kappa)
-        total = 0.0 + 0.0j
-        for sf, cf in zip((1, -1), af):
-            for sg, cg in zip((1, -1), ag):
-                total += cf * cg * _int_exp(1j * (sf * kf - sg * kg), l)
-        return total
-    if f.kappa is None:  # affine x oscillatory
-        ag = tuple(np.conj(c) for c in g._exp_coeffs())
-        kg = np.conj(g.kappa)
-        total = 0.0 + 0.0j
-        for sg, cg in zip((1, -1), ag):
-            mu = -1j * sg * kg
-            total += cg * (f.p * _int_exp(mu, l) + f.q * _int_x_exp(mu, l))
-        return total
-    return np.conj(field_inner(g, f))
 
 
 class ComponentFrame:

@@ -646,8 +646,8 @@ def run_bands(
     not contaminate the O(eps^2) fit.  The FEM pencil at -tau is the
     conjugate of the one at tau, with the same spectrum, so it is solved
     once per distinct |tau| (at +|tau|); ``band_roots`` runs at every tau.
-    A FEM point that fails is a FAIL line naming it, and its cell gets no
-    slope fit.
+    A FEM point or a limiting-root scan that fails is a FAIL line naming
+    it, and its cell gets no slope fit.
     """
     cells = [g for g in map(build_example, examples) if not g.cell.germ]
     if not cells:
@@ -666,9 +666,18 @@ def run_bands(
 
     for g in cells:
         # the limiting roots do not depend on eps (cells without a stiff
-        # cycle take no eps)
-        limits = [dispersion.band_roots(g, tau, z_max)[:n_bands] for tau in taus]
-        dist_per_eps, failures = [], []
+        # cycle take no eps); None where the scan failed
+        limits, failures = [], []
+        for tau in taus:
+            try:
+                limits.append(dispersion.band_roots(g, tau, z_max)[:n_bands])
+            except ArithmeticError as exc:  # PoleError or a failed monotonicity check
+                limits.append(None)
+                failures.append(
+                    f"{g.example}: limiting roots failed at tau={tau:.6g}: "
+                    f"{type(exc).__name__}: {exc}"
+                )
+        dist_per_eps = []
         for eps in eps_list:
             spectra = {}  # |tau| -> FEM eigenvalues, or None where they failed
             for t in abs_taus:
@@ -683,7 +692,7 @@ def run_bands(
             worst = 0.0
             for tau, limit in zip(taus, limits):
                 ev = spectra[abs(tau)]
-                if ev is None:
+                if ev is None or limit is None:
                     continue
                 worst = max(worst, _hausdorff(ev, limit))
                 for b_idx, (lv, dv) in enumerate(zip(limit, ev)):
@@ -694,7 +703,7 @@ def run_bands(
         if failures:
             passed = False
             summary += failures
-            summary.append(f"{g.example}: no slope fit ({len(failures)} failed FEM points)")
+            summary.append(f"{g.example}: no slope fit ({len(failures)} failed points)")
             continue
         fit = fit_slope(eps_list, dist_per_eps, lo=1.7, hi=2.3)
         passed = passed and fit.passed

@@ -79,6 +79,23 @@ def test_k_closed_matches_series(g, tau, z, eps):
     assert abs(k_series(g, tau, z, n_terms, eps=eps) - kc) <= bound
 
 
+@settings(max_examples=30, deadline=None)
+@given(g=cells(("ex0", "ex2")), tau=st.floats(-math.pi, math.pi))
+def test_band_roots_scan_decreases_and_roots_solve_k_eq_z(g, tau):
+    # 1/(K - z) is Herglotz at every cell, so the monotonicity check of
+    # band_roots never fires; z = 0 (reported from K(tau, 1e-9)), removable
+    # poles and flat levels are Dirichlet levels, not roots of K - z
+    z_max = 260.0
+    roots = dispersion.band_roots(g, tau, z_max)
+    levels = {0.0, *dispersion.flat_levels(g, z_max)} | {
+        z for z, parity, _ in dispersion._pole_list(g, z_max * (1.0 + 1e-9))
+        if parity is not None and abs(math.cos(tau) - parity) < 1e-9
+    }
+    for r in roots:
+        if r not in levels:
+            assert abs(k_closed(g, tau, r) - r) <= 1e-8 * max(1.0, r)
+
+
 @settings(max_examples=25, deadline=None)
 @given(g=cells(), zs=st.lists(Z, min_size=2, max_size=5), eps=EPS)
 def test_k_closed_array_matches_scalar_loop(g, zs, eps):

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from scipy.sparse.linalg import ArpackNoConvergence
 
-from qglab import cli
+from qglab import cli, dispersion
 from qglab.fdsolver import DiscretizedOperator
+from qglab.graphs import PoleError
 from qglab.cli import VERB_TAGS, main
 from qglab.lab import EXPERIMENT_TAGS, run_experiment
 
@@ -151,4 +152,23 @@ def test_failed_bands_points_fail_the_verb_without_a_traceback(
     text = capsys.readouterr().out
     assert "[FAIL] bands" in text
     assert "ex0: FEM spectrum failed at eps=0.125, |tau|=3.14059: ArpackNoConvergence" in text
-    assert "ex2: no slope fit (8 failed FEM points)" in text
+    assert "ex2: no slope fit (8 failed points)" in text
+
+
+def test_failed_band_roots_fail_the_verb_without_a_traceback(tmp_path, capsys, monkeypatch):
+    original = dispersion.band_roots
+
+    def failing(graph, tau, *args, **kwargs):
+        if graph.example == "ex2" and tau == 0.0:
+            raise PoleError("argument within 1e-08 of a pole (forced)")
+        return original(graph, tau, *args, **kwargs)
+
+    monkeypatch.setattr(dispersion, "band_roots", failing)
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("tau_count = 3\nresolution = 64\n")
+    assert main(["bands", "--config", str(cfg)]) == 1
+    text = capsys.readouterr().out
+    assert "[FAIL] bands" in text
+    assert "ex2: limiting roots failed at tau=0: PoleError: argument within" in text
+    assert "ex2: no slope fit (1 failed points)" in text
+    assert "Traceback" not in text

@@ -1,10 +1,12 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from scipy.optimize import brentq, minimize_scalar
 
+from qglab import dispersion
 from qglab.dispersion import (
     _pole_list,
     band_roots,
@@ -202,7 +204,7 @@ def test_k_closed_array_raises_on_one_pole_element():
 
 def _band_roots_scalar_scan(graph, tau, z_max, scan_points=256, root_tol=1e-12):
     """Reference: the band scan with one scalar k_closed call per point."""
-    pole_data = _pole_list(graph, z_max * (1.0 + 1e-9), with_parity=True)
+    pole_data = _pole_list(graph, z_max * (1.0 + 1e-9))
     edges = [0.0] + [z for z, _, _ in pole_data] + [z_max]
     pads = [10.0 * POLE_GUARD * slope for _, _, slope in pole_data]
 
@@ -253,3 +255,19 @@ def test_band_roots_match_scalar_scan_reference():
             got = band_roots(g, float(tau), 260.0)
             ref = _band_roots_scalar_scan(g, float(tau), 260.0)
             np.testing.assert_array_equal(got, ref)
+
+
+def test_band_roots_raise_where_the_scan_is_not_decreasing(monkeypatch):
+    # a Gaussian bump on K makes K - z rise near z = 20: the scan must name
+    # the interval (without the check it returns 3 roots and says nothing)
+    original = dispersion.k_closed
+
+    def bumped(graph, tau, z, eps=None):
+        return original(graph, tau, z, eps=eps) + 3.0 * np.exp(-(((z - 20.0) / 0.5) ** 2))
+
+    monkeypatch.setattr(dispersion, "k_closed", bumped)
+    g = build_example("ex0")
+    with pytest.raises(ArithmeticError, match=r"at tau=1 on the scan of \[") as info:
+        band_roots(g, 1.0, 260.0)
+    a, b = map(float, re.search(r"\[(\S+), (\S+)\]", str(info.value)).groups())
+    assert a < 20.0 < b

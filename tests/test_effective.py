@@ -77,7 +77,7 @@ def test_ex1_xi_floor_raises_at_equal_impedance_degeneracy():
     import math
 
     from qglab.dispersion import k_closed, k_series
-    from qglab.effective import xi_ex1
+    from qglab.graphs import xi_ex1
     from qglab.triples import (
         beff_deviation,
         btilde_numeric,

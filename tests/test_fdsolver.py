@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from qglab.fdsolver import DiscretizedOperator
+from qglab.fdsolver import DiscretizedOperator, NearSingularError
 from qglab.graphs import build_example, datta_weights
 from qglab.krein import ComponentFrame, ResolventWorkspace, make_grid
 from qglab.mmatrix import FiberParams
@@ -50,6 +50,16 @@ def test_matches_krein_resolvent():
         err = np.linalg.norm(r_fd - r_ex, 2)
         h = 1.0 / res
         assert err < 5.0 * h * h * np.linalg.norm(r_ex, 2)
+
+
+def test_resolvent_matrix_raises_at_a_discrete_eigenvalue():
+    # the shifted system is singular up to roundoff there: the many-RHS solve
+    # goes through the residual check of _solve instead of returning a matrix
+    # with entries ~1e10
+    _, op = _op("ex0", eps=0.3, tau=1.0, res=64)
+    z = op.eigenvalues(1)[0]
+    with pytest.raises(NearSingularError, match="rel residual"):
+        op.resolvent_matrix(z)
 
 
 def test_resolvent_halving_is_second_order():

@@ -1,17 +1,9 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from qglab.graphs import build_example, datta_weights
-from qglab.krein import (
-    ComponentFrame,
-    ExactField,
-    ResolventWorkspace,
-    field_inner,
-    make_grid,
-)
+from qglab.krein import ComponentFrame, ResolventWorkspace, make_grid
 from qglab.mmatrix import FiberParams, m_blocks_closed
 
 
@@ -152,36 +144,6 @@ def test_generalized_reduces_to_krein_at_b_zero():
     r1 = ws.krein_matrix(z)
     r2 = ws.generalized_matrix(z, np.zeros((2, 2), dtype=complex))
     assert np.max(np.abs(r1 - r2)) < 1e-12
-
-
-def test_field_inner_matches_quadrature():
-    g = build_example("ex0")
-    e = g.edges[1]  # e2
-    f1 = ExactField(e, 0.7, 2.0 + 0.3j, 1.0, 0.5 - 0.2j)
-    f2 = ExactField(e, 0.7, 1.1 - 0.1j, 0.3j, 1.0)
-    x = np.linspace(0, e.length, 20001)
-    w = np.full(x.size, x[1] - x[0])
-    w[0] = w[-1] = w[1] / 2
-    quad = np.sum(f1.u(x) * np.conj(f2.u(x)) * w)
-    assert abs(field_inner(f1, f2) - quad) < 1e-8
-
-
-@settings(max_examples=20, deadline=None)
-@given(
-    p=st.floats(-2, 2),
-    q=st.floats(-2, 2),
-    kre=st.floats(0.5, 4.0),
-)
-def test_field_inner_affine_vs_oscillatory(p, q, kre):
-    g = build_example("ex0")
-    e = g.edges[1]  # e2
-    aff = ExactField(e, 0.0, None, p, q)
-    osc = ExactField(e, 0.0, kre + 0j, 1.0, 0.7)
-    x = np.linspace(0, e.length, 4001)
-    w = np.full(x.size, x[1] - x[0])
-    w[0] = w[-1] = w[1] / 2
-    quad = np.sum(aff.u(x) * np.conj(osc.u(x)) * w)
-    assert abs(field_inner(aff, osc) - quad) < 1e-6
 
 
 def test_zero_energy_fields_are_affine():

@@ -246,12 +246,34 @@ def test_run_bands_failed_fem_point_is_a_fail_line(monkeypatch):
         f"ex0: FEM spectrum failed at eps=0.0625, |tau|={top:.6g}: "
         "ArpackNoConvergence: ARPACK error -1: no convergence (forced)"
     )
-    assert res.summary[1] == "ex0: no slope fit (1 failed FEM points)"
+    assert res.summary[1] == "ex0: no slope fit (1 failed points)"
     assert res.summary[2].startswith("ex2: Hausdorff distances ")
     # the failed point leaves out both of its rows (tau = -a and a) on ex0
     ex0 = [r for r in res.rows if r["example"] == "ex0"]
     assert len(ex0) == (4 * 3 - 2) * 3
     assert not [r for r in ex0 if r["eps"] == 0.0625 and abs(r["tau"]) == top]
+
+
+def test_run_bands_failed_limiting_roots_are_a_fail_line(monkeypatch):
+    original = dispersion.band_roots
+
+    def failing(graph, tau, *args, **kwargs):
+        if graph.example == "ex0" and tau == 0.0:
+            raise ArithmeticError("not decreasing (forced)")
+        return original(graph, tau, *args, **kwargs)
+
+    monkeypatch.setattr(dispersion, "band_roots", failing)
+    res = run_experiment("bands", BANDS_SMALL)
+    assert not res.passed
+    assert res.summary[0] == (
+        "ex0: limiting roots failed at tau=0: ArithmeticError: not decreasing (forced)"
+    )
+    assert res.summary[1] == "ex0: no slope fit (1 failed points)"
+    assert res.summary[2].startswith("ex2: Hausdorff distances ")
+    # ex0 keeps its rows at tau = -a and a, at every eps
+    ex0 = [r for r in res.rows if r["example"] == "ex0"]
+    assert len(ex0) == 4 * 2 * 3
+    assert all(r["tau"] != 0.0 for r in ex0)
 
 
 @pytest.mark.parametrize("tag", EXPERIMENT_TAGS)
