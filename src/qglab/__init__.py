@@ -11,7 +11,7 @@ from .dispersion import band_roots, k_closed, k_series, verify_sum_identities
 from .effective import EffectiveModel, PsiEmbedding, effective_params
 from .fdsolver import DiscretizedOperator
 from .graphs import EdgeSpec, MetricGraph, ParameterError, build_example, datta_weights
-from .krein import ComponentFrame, ComponentGrid, ResolventWorkspace, make_grid
+from .krein import ComponentGrid, ResolventWorkspace, make_grid
 from .lab import (
     EXPERIMENT_TAGS,
     ExperimentResult,
@@ -58,7 +58,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "EXPERIMENT_TAGS",
-    "ComponentFrame",
     "ComponentGrid",
     "DiscretizedOperator",
     "EdgeSpec",

@@ -171,9 +171,9 @@ def schur_frobenius(
     of the closed dispersion formulas)."""
     weights = datta_weights(graph, tau)
     fiber = FiberParams(eps, tau, z)
-    soft = graph.subgraph("soft")
-    grid = make_grid(soft, resolution)
-    model = EffectiveModel(graph, weights, fiber, grid=grid)
+    model = EffectiveModel(
+        graph, weights, fiber, make_grid(graph.subgraph("soft"), resolution)
+    )
     return model.schur_frobenius(z)
 
 

@@ -36,11 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import MetricGraph, stiff_length
-from .krein import (
-    ComponentFrame,
-    ComponentGrid,
-    ResolventWorkspace,
-)
+from .krein import ComponentGrid, ResolventWorkspace
 from .mmatrix import FiberParams
 
 
@@ -73,19 +69,17 @@ class EffectiveModel:
         graph: MetricGraph,
         weights: dict[tuple[int, int], complex],
         fiber: FiberParams,
-        resolution: int = 256,
-        grid: ComponentGrid | None = None,
+        grid: ComponentGrid,
     ):
+        """``grid`` is the soft sample grid, ``make_grid(graph.subgraph("soft"),
+        resolution)``."""
         self.graph = graph
         self.weights = weights
         self.fiber = fiber
         self.soft = graph.subgraph("soft")
         self.params = effective_params(graph, fiber)
-        self.frame = ComponentFrame(self.soft, weights, fiber)
-        self.workspace = ResolventWorkspace(
-            self.frame, resolution=resolution, grid=grid
-        )
-        self.grid = self.workspace.grid
+        self.workspace = ResolventWorkspace(self.soft, weights, fiber, grid)
+        self.grid = grid
         self.n_edges = len(self.grid.edges)
 
     # -- per-edge ingredients --------------------------------------------
@@ -96,7 +90,7 @@ class EffectiveModel:
         tau = self.fiber.tau
         out = []
         for e, sl in zip(g.edges, g.slices):
-            kappa = self.frame._kappa(e, z)
+            kappa = self.workspace._kappa(e, z)
             x = g.x[sl]
             ph = np.exp(-1j * tau * x)
             out.append(
@@ -351,7 +345,7 @@ class EffectiveModel:
         for e, sl in zip(g.edges, g.slices):
             for v, pos in ((e.left, sl.start), (e.right, sl.stop - 1)):
                 if v not in seen:
-                    rows[self.frame._vidx[v], pos] = self.weights[(v, e.id)]
+                    rows[self.workspace._vidx[v], pos] = self.weights[(v, e.id)]
                     seen.add(v)
         return rows
 
@@ -404,24 +398,27 @@ class PsiEmbedding:
         self.graph = graph
         self.full_grid = full_grid
         par = effective_params(graph, fiber)
-        stiff = graph.subgraph("stiff")
-        stiff_frame = ComponentFrame(stiff, weights, fiber)
-        fields = stiff_frame.gamma_fields(0.0, par.psi)
+        vidx = {v: i for i, v in enumerate(sorted(graph.vertices))}
 
+        # the zero-energy kernel field with Gamma0 = psi on each stiff edge:
+        # e^{-i tau x}(p + (phi_l - p) x/l), affine between the weighted ends
         soft_parts, stiff_parts = [], []
+        g_samples = np.zeros(full_grid.size, dtype=complex)
         for e, sl in zip(full_grid.edges, full_grid.slices):
-            (stiff_parts if e.is_stiff else soft_parts).append(
-                np.arange(sl.start, sl.stop)
+            if not e.is_stiff:
+                soft_parts.append(np.arange(sl.start, sl.stop))
+                continue
+            stiff_parts.append(np.arange(sl.start, sl.stop))
+            x = full_grid.x[sl]
+            p = np.conj(weights[(e.left, e.id)]) * par.psi[vidx[e.left]]
+            phi_l = cmath.exp(1j * fiber.tau * e.length) * np.conj(
+                weights[(e.right, e.id)]
+            ) * par.psi[vidx[e.right]]
+            g_samples[sl] = np.exp(-1j * fiber.tau * x) * (
+                p + (phi_l - p) / e.length * x
             )
         self.soft_idx = np.concatenate(soft_parts)
         self.stiff_idx = np.concatenate(stiff_parts)
-
-        g_samples = np.zeros(full_grid.size, dtype=complex)
-        fiter = iter(fields)
-        for e, sl in zip(full_grid.edges, full_grid.slices):
-            if e.is_stiff:
-                fld = next(fiter)
-                g_samples[sl] = fld.u(full_grid.x[sl])
         w_st = full_grid.w[self.stiff_idx]
         nrm = math.sqrt(
             float(np.sum(w_st * np.abs(g_samples[self.stiff_idx]) ** 2))

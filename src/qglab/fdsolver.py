@@ -179,7 +179,8 @@ class DiscretizedOperator:
     def resolvent_matrix(self, z: complex) -> np.ndarray:
         """Dense sample-space matrix of the discrete resolvent; raises
         NearSingularError where ``_solve`` does."""
-        rhs = (self.prolong.conj().T).toarray() * self.grid.w[None, :]
+        # C order, like the product a @ u that _solve subtracts it from
+        rhs = self.prolong.conj().T.toarray(order="C") * self.grid.w[None, :]
         return self.prolong @ self._solve(z, rhs)
 
     def eigenvalues(self, count: int, sigma: float = -1.0) -> np.ndarray:

@@ -19,7 +19,7 @@ from . import dispersion, realline, triples
 from .effective import EffectiveModel, PsiEmbedding
 from .fdsolver import FEM_ERRORS, DiscretizedOperator
 from .graphs import EXAMPLES, ParameterError, PoleError, build_example, datta_weights
-from .krein import ComponentFrame, ResolventWorkspace, make_grid
+from .krein import ResolventWorkspace, make_grid
 from .mmatrix import (
     FiberParams,
     check_additivity,
@@ -304,7 +304,12 @@ def run_krein_vs_direct(
     *, examples=DEFAULT_EXAMPLES, eps=0.3, tau=1.0, z=2 + 1j,
     resolutions=(256, 512, 1024),
 ) -> ExperimentResult:
-    """Closed-form resolvent against the finite-element oracle."""
+    """Closed-form resolvent against the finite-element oracle.
+
+    A resolution at which either resolvent raises (z on a discrete or a
+    Dirichlet level) is a FAIL line naming it, and its cell gets no halving
+    ratio.
+    """
     if len(resolutions) < 2:
         return ExperimentResult("krein_vs_direct", False, [
             f"needs at least two resolutions for a halving ratio, got {list(resolutions)}"
@@ -314,13 +319,19 @@ def run_krein_vs_direct(
         g = build_example(name)
         weights = datta_weights(g, tau)
         fiber = FiberParams(eps, tau, z)
-        errs = []
+        errs, failures = [], []
         for res in resolutions:
             grid = make_grid(g, res)
-            ws = ResolventWorkspace(ComponentFrame(g, weights, fiber), grid=grid)
-            r_k = ws.krein_matrix(z)
-            op = DiscretizedOperator(g, weights, fiber, resolution=res)
-            r_d = op.resolvent_matrix(z)
+            try:
+                r_k = ResolventWorkspace(g, weights, fiber, grid).generalized_matrix(z, 0.0)
+                op = DiscretizedOperator(g, weights, fiber, resolution=res)
+                r_d = op.resolvent_matrix(z)
+            except (*FEM_ERRORS, PoleError) as exc:
+                failures.append(
+                    f"{name}: resolvents failed at resolution={res}, z={z}: "
+                    f"{type(exc).__name__}: {exc}"
+                )
+                continue
             err = operator_norm_diff(r_k, r_d, grid.w)
             norm_r = operator_norm_diff(r_k, None, grid.w)
             h = 1.0 / res
@@ -338,6 +349,11 @@ def run_krein_vs_direct(
                     within_bound=ok,
                 )
             )
+        if failures:
+            passed = False
+            summary += failures
+            summary.append(f"{name}: no halving ratio ({len(failures)} failed resolutions)")
+            continue
         ratios = [errs[i] / errs[i + 1] for i in range(len(errs) - 1)]
         ratio_ok = all(3.0 <= r <= 5.0 for r in ratios)
         passed = passed and ratio_ok
@@ -353,13 +369,10 @@ def _soft_sandwich_error(graph, tau: float, eps: float, z: complex, res: int) ->
     """||generalised resolvent - effective resolvent|| on the soft grid."""
     weights = datta_weights(graph, tau)
     fiber = FiberParams(eps, tau, z)
-    soft = graph.subgraph("soft")
-    grid = make_grid(soft, res)
-    ws = ResolventWorkspace(ComponentFrame(soft, weights, fiber), grid=grid)
+    model = EffectiveModel(graph, weights, fiber, make_grid(graph.subgraph("soft"), res))
     b = -m_blocks_closed(graph, fiber).m_stiff
-    r_eps = ws.generalized_matrix(z, b)
-    model = EffectiveModel(graph, weights, fiber, grid=grid)
-    return operator_norm_diff(r_eps, model.r_eff_matrix(z), grid.w)
+    r_eps = model.workspace.generalized_matrix(z, b)
+    return operator_norm_diff(r_eps, model.r_eff_matrix(z), model.grid.w)
 
 
 def run_gen_res_rate(
@@ -386,11 +399,9 @@ def _full_nrc_error(graph, tau: float, eps: float, z: complex, res: int) -> floa
     weights = datta_weights(graph, tau)
     fiber = FiberParams(eps, tau, z)
     full_grid = make_grid(graph, res)
-    ws = ResolventWorkspace(ComponentFrame(graph, weights, fiber), grid=full_grid)
-    r_full = ws.krein_matrix(z)
-    soft = graph.subgraph("soft")
-    soft_grid = make_grid(soft, res)
-    model = EffectiveModel(graph, weights, fiber, grid=soft_grid)
+    ws = ResolventWorkspace(graph, weights, fiber, full_grid)
+    r_full = ws.generalized_matrix(z, 0.0)
+    model = EffectiveModel(graph, weights, fiber, make_grid(graph.subgraph("soft"), res))
     psi = PsiEmbedding(graph, weights, fiber, full_grid)
     return operator_norm_diff(r_full, psi.sandwich(model.a_hom_matrix(z)), full_grid.w)
 
@@ -399,9 +410,8 @@ def _dilation_certificates(graph, tau: float, eps: float, z: complex, w: complex
     """(identity residual, adjoint defect, Herglotz min, route defect)."""
     weights = datta_weights(graph, tau)
     fiber = FiberParams(eps, tau, z)
-    soft = graph.subgraph("soft")
-    grid = make_grid(soft, res)
-    model = EffectiveModel(graph, weights, fiber, grid=grid)
+    grid = make_grid(graph.subgraph("soft"), res)
+    model = EffectiveModel(graph, weights, fiber, grid)
     wv = np.concatenate([grid.w, [1.0]])
     r_z = model.a_hom_matrix(z)
     r_w = model.a_hom_matrix(w)

@@ -172,3 +172,19 @@ def test_failed_band_roots_fail_the_verb_without_a_traceback(tmp_path, capsys, m
     assert "ex2: limiting roots failed at tau=0: PoleError: argument within" in text
     assert "ex2: no slope fit (1 failed points)" in text
     assert "Traceback" not in text
+
+
+def test_failed_krein_vs_direct_fails_the_verb_without_a_traceback(tmp_path, capsys):
+    # z is the lowest discrete eigenvalue of ex0 at eps = 0.3, tau = 1,
+    # resolution 64, where the finite-element solve is singular
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("examples = ex0\nz = 1.8062813890270677\nresolutions = 64, 128\n")
+    assert main(["resolvent", "--config", str(cfg)]) == 1
+    text = capsys.readouterr().out
+    assert "[FAIL] krein_vs_direct" in text
+    assert (
+        "ex0: resolvents failed at resolution=64, z=(1.8062813890270677+0j): "
+        "NearSingularError: shifted system nearly singular" in text
+    )
+    assert "ex0: no halving ratio (" in text
+    assert "Traceback" not in text

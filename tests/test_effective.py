@@ -12,7 +12,7 @@ def _model(name="ex0", eps=0.1, tau=1.0, z=2 + 1j, res=64):
     g = build_example(name)
     w = datta_weights(g, tau)
     fiber = FiberParams(eps, tau, z)
-    return g, EffectiveModel(g, w, fiber, resolution=res)
+    return g, EffectiveModel(g, w, fiber, make_grid(g.subgraph("soft"), res))
 
 
 def test_schur_frobenius_inverts_dispersion():
@@ -127,6 +127,34 @@ def test_psi_embedding_is_partial_isometry():
             < 1e-12
         )
         assert np.max(np.abs(proj @ proj - proj)) < 1e-12
+
+
+@pytest.mark.parametrize("name", ["ex0", "ex1", "ex2"])
+@pytest.mark.parametrize("tau", [0.9, -2.3])
+def test_psi_lift_interpolates_normalized_psi_at_stiff_ends(name, tau):
+    # the lift is the zero-energy kernel field with Gamma0 = psi, divided by
+    # its grid norm: its weighted end samples are psi/norm on every stiff
+    # edge, it has unit norm, and it vanishes on the soft samples
+    g = build_example(name)
+    w = datta_weights(g, tau)
+    fiber = FiberParams(0.1, tau, 2 + 1j)
+    grid = make_grid(g, 64)
+    emb = PsiEmbedding(g, w, fiber, grid)
+    psi = dict(zip(sorted(g.vertices), effective_params(g, fiber).psi))
+    lift = emb.lift
+    nrm = np.sqrt(np.sum(grid.w * np.abs(lift) ** 2))
+    assert abs(nrm - 1.0) < 1e-12
+    assert np.all(lift[emb.soft_idx] == 0)
+    ends = [
+        (w[(v, e.id)] * lift[pos], psi[v])
+        for e, sl in zip(grid.edges, grid.slices)
+        if e.is_stiff
+        for v, pos in ((e.left, sl.start), (e.right, sl.stop - 1))
+    ]
+    ratios = np.array([end / p for end, p in ends])
+    assert np.max(np.abs(ratios.imag)) < 1e-12 * np.max(np.abs(ratios))
+    assert np.min(ratios.real) > 0
+    assert np.ptp(ratios.real) < 1e-12 * np.max(ratios.real)
 
 
 @pytest.mark.parametrize("name", ["ex0", "ex1", "ex2"])

@@ -5,7 +5,7 @@ import scipy.sparse as sp
 
 from qglab.fdsolver import DiscretizedOperator, NearSingularError
 from qglab.graphs import build_example, datta_weights
-from qglab.krein import ComponentFrame, ResolventWorkspace, make_grid
+from qglab.krein import ResolventWorkspace, make_grid
 from qglab.mmatrix import FiberParams
 
 
@@ -44,9 +44,9 @@ def test_matches_krein_resolvent():
         fiber = FiberParams(0.3, tau, z)
         res = 512
         op = DiscretizedOperator(g, w, fiber, resolution=res)
-        ws = ResolventWorkspace(ComponentFrame(g, w, fiber), grid=make_grid(g, res))
+        ws = ResolventWorkspace(g, w, fiber, make_grid(g, res))
         r_fd = op.resolvent_matrix(z)
-        r_ex = ws.krein_matrix(z)
+        r_ex = ws.generalized_matrix(z, 0.0)
         err = np.linalg.norm(r_fd - r_ex, 2)
         h = 1.0 / res
         assert err < 5.0 * h * h * np.linalg.norm(r_ex, 2)
@@ -69,8 +69,8 @@ def test_resolvent_halving_is_second_order():
         w = datta_weights(g, 1.0)
         fiber = FiberParams(0.3, 1.0, 2 + 1j)
         op = DiscretizedOperator(g, w, fiber, resolution=res)
-        ws = ResolventWorkspace(ComponentFrame(g, w, fiber), grid=make_grid(g, res))
-        errs.append(np.linalg.norm(op.resolvent_matrix(2 + 1j) - ws.krein_matrix(2 + 1j), 2))
+        ws = ResolventWorkspace(g, w, fiber, make_grid(g, res))
+        errs.append(np.linalg.norm(op.resolvent_matrix(2 + 1j) - ws.generalized_matrix(2 + 1j, 0.0), 2))
     assert 3.0 < errs[0] / errs[1] < 5.0
     assert 3.0 < errs[1] / errs[2] < 5.0
 

@@ -1,60 +1,72 @@
-
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from qglab.graphs import build_example, datta_weights
-from qglab.krein import ComponentFrame, ResolventWorkspace, make_grid
+from qglab.krein import ResolventWorkspace, make_grid
 from qglab.mmatrix import FiberParams, m_blocks_closed
+from test_cells import EPS, TAU, Z, cells
 
 
 def _setup(name="ex0", eps=0.3, tau=1.0, z=2 + 1j, res=256):
     g = build_example(name)
     w = datta_weights(g, tau)
     fiber = FiberParams(eps, tau, z)
-    frame = ComponentFrame(g, w, fiber)
-    ws = ResolventWorkspace(frame, grid=make_grid(g, res))
-    return g, frame, ws
+    return g, ResolventWorkspace(g, w, fiber, make_grid(g, res))
 
 
-def test_m_matrix_matches_closed_blocks():
-    for name in ("ex0", "ex1", "ex2"):
-        g = build_example(name)
-        for tau in (0.0, 1.0, -2.5):
-            fiber = FiberParams(0.2, tau, 3 + 0.8j)
-            frame = ComponentFrame(g, datta_weights(g, tau), fiber)
-            m_closed = m_blocks_closed(g, fiber).m_full
-            assert np.max(np.abs(frame.m_matrix(3 + 0.8j) - m_closed)) < 1e-11
-
-
-def test_component_m_matrices_add():
-    g = build_example("ex1")
-    tau = 0.7
-    fiber = FiberParams(0.15, tau, 2 + 1j)
+def _m_matrices(g, tau, z, eps):
+    """m_matrix of the full, stiff and soft workspaces, and m_blocks_closed."""
     w = datta_weights(g, tau)
-    m_full = ComponentFrame(g, w, fiber).m_matrix(2 + 1j)
-    m_stiff = ComponentFrame(g.subgraph("stiff"), w, fiber).m_matrix(2 + 1j)
-    m_soft = ComponentFrame(g.subgraph("soft"), w, fiber).m_matrix(2 + 1j)
-    assert np.max(np.abs(m_full - m_stiff - m_soft)) < 1e-11
+    fiber = FiberParams(eps, tau, z)
+    got = {
+        part: ResolventWorkspace(comp, w, fiber, make_grid(comp, 8)).m_matrix(z)
+        for part, comp in (
+            ("full", g), ("stiff", g.subgraph("stiff")), ("soft", g.subgraph("soft"))
+        )
+    }
+    return got, m_blocks_closed(g, fiber)
 
 
-def test_gamma_fields_interpolate_boundary_data():
-    g, frame, _ = _setup("ex1", tau=0.9)
-    data = np.array([0.8 - 0.2j, 1.1 + 0.4j])
-    fields = frame.gamma_fields(2 + 1j, data)
-    assert np.max(np.abs(frame.gamma0(fields) - data)) < 1e-12
+@settings(max_examples=40, deadline=None)
+@given(g=cells(), tau=TAU, z=Z, eps=EPS)
+def test_m_matrix_matches_closed_blocks(g, tau, z, eps):
+    got, closed = _m_matrices(g, tau, z, eps)
+    for part, ref in (
+        ("full", closed.m_full), ("stiff", closed.m_stiff), ("soft", closed.m_soft)
+    ):
+        assert np.max(np.abs(got[part] - ref)) <= 1e-11 * np.max(np.abs(ref)), part
 
 
-def test_gamma1_equals_m_on_lift():
-    g, frame, _ = _setup("ex2", tau=-1.3)
-    z = 5 + 2j
-    data = np.array([1.0, -0.5 + 0.3j])
-    fields = frame.gamma_fields(z, data)
-    assert np.max(np.abs(frame.gamma1(fields) - frame.m_matrix(z) @ data)) < 1e-10
+@settings(max_examples=40, deadline=None)
+@given(g=cells(), tau=TAU, z=Z, eps=EPS)
+def test_component_m_matrices_add(g, tau, z, eps):
+    got, _ = _m_matrices(g, tau, z, eps)
+    defect = got["full"] - got["stiff"] - got["soft"]
+    assert np.max(np.abs(defect)) <= 1e-11 * np.max(np.abs(got["full"]))
+
+
+@pytest.mark.parametrize("name", ["ex0", "ex1", "ex2"])
+@pytest.mark.parametrize("component", ["full", "stiff", "soft"])
+def test_gamma_matrix_weighted_end_samples_are_unit_data(name, component):
+    # Gamma0 gamma(z) e_V = e_V: at each end of each edge the weighted sample
+    # w_V(e) u_e(V) of column V' is 1 when V' = V and 0 otherwise
+    g = build_example(name)
+    comp = g if component == "full" else g.subgraph(component)
+    tau, z = 0.9, 2 + 1j
+    w = datta_weights(g, tau)
+    ws = ResolventWorkspace(comp, w, FiberParams(0.1, tau, z), make_grid(comp, 32))
+    gam = ws.gamma_matrix(z)
+    eye = np.eye(ws.nvert)
+    for e, sl in zip(ws.grid.edges, ws.grid.slices):
+        for v, pos in ((e.left, sl.start), (e.right, sl.stop - 1)):
+            ends = w[(v, e.id)] * gam[pos]
+            assert np.max(np.abs(ends - eye[ws._vidx[v]])) < 1e-12
 
 
 def test_gamma1_rows_are_weighted_adjoint_of_lift():
     # Gamma1 (A_D - z)^{-1} = (gamma(zbar))^* W : exact duality on samples
-    _, frame, ws = _setup("ex1", tau=0.6, z=2 + 1j)
+    _, ws = _setup("ex1", tau=0.6, z=2 + 1j)
     z = 2 + 1j
     rows = ws.gamma1_dirichlet_rows(z)
     lift = ws.gamma_matrix(np.conj(z))
@@ -65,12 +77,12 @@ def test_gamma1_rows_are_weighted_adjoint_of_lift():
 def test_dirichlet_kernel_solves_ode():
     # apply the kernel to a smooth forcing and check the ODE residual by
     # finite differences in the interior of each edge
-    g, frame, ws = _setup("ex0", tau=0.8, z=2 + 1j, res=2048)
+    g, ws = _setup("ex0", tau=0.8, z=2 + 1j, res=2048)
     grid = ws.grid
     z = 2 + 1j
     f = np.exp(np.sin(3.0 * grid.x)) + 0.3j * grid.x
     u = ws.dirichlet_matrix(z) @ f
-    fiber = frame.fiber
+    fiber = ws.fiber
     worst = 0.0
     for e, sl in zip(grid.edges, grid.slices):
         x = grid.x[sl]
@@ -92,11 +104,11 @@ def test_dirichlet_kernel_solves_ode():
 
 def _dirichlet_reference(ws: ResolventWorkspace, z: complex) -> np.ndarray:
     """The Dirichlet kernel entry by entry from x_< = min and x_> = max."""
-    grid, fiber = ws.grid, ws.frame.fiber
+    grid, fiber = ws.grid, ws.fiber
     out = np.zeros((grid.size, grid.size), dtype=complex)
     for e, sl in zip(grid.edges, grid.slices):
         c = fiber.speed(e)
-        kappa = ws.frame._kappa(e, z)
+        kappa = ws._kappa(e, z)
         x = grid.x[sl]
         xc = np.minimum.outer(x, x)
         xg = np.maximum.outer(x, x)
@@ -117,37 +129,21 @@ def test_dirichlet_matrix_matches_min_max_kernel(name, component, tau, z):
     g = build_example(name)
     comp = g if component == "full" else g.subgraph("soft")
     fiber = FiberParams(0.1, tau, z)
-    frame = ComponentFrame(comp, datta_weights(g, tau), fiber)
-    ws = ResolventWorkspace(frame, grid=make_grid(comp, 96))
+    ws = ResolventWorkspace(comp, datta_weights(g, tau), fiber, make_grid(comp, 96))
     if z.real < 0:
         # deep in the gap the soft-edge sines grow like e^{|Im kappa| l}
         soft = [e for e in comp.edges if not e.is_stiff]
-        assert max(abs((frame._kappa(e, z) * e.length).imag) for e in soft) > 10
+        assert max(abs((ws._kappa(e, z) * e.length).imag) for e in soft) > 10
     ref = _dirichlet_reference(ws, z)
     got = ws.dirichlet_matrix(z)
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_krein_resolvent_adjoint_symmetry():
-    _, _, ws = _setup("ex1", tau=1.2, z=2 + 1j)
+    _, ws = _setup("ex1", tau=1.2, z=2 + 1j)
     z = 2 + 1j
-    r_z = ws.krein_matrix(z)
-    r_zb = ws.krein_matrix(np.conj(z))
+    r_z = ws.generalized_matrix(z, 0.0)
+    r_zb = ws.generalized_matrix(np.conj(z), 0.0)
     w = ws.grid.w
     defect = np.max(np.abs(w[:, None] * r_zb - (w[:, None] * r_z).conj().T))
     assert defect < 1e-10
-
-
-def test_generalized_reduces_to_krein_at_b_zero():
-    _, _, ws = _setup("ex0", tau=0.4)
-    z = 2 + 1j
-    r1 = ws.krein_matrix(z)
-    r2 = ws.generalized_matrix(z, np.zeros((2, 2), dtype=complex))
-    assert np.max(np.abs(r1 - r2)) < 1e-12
-
-
-def test_zero_energy_fields_are_affine():
-    g, frame, _ = _setup("ex1", tau=0.5)
-    fields = frame.gamma_fields(0.0, np.array([1.0, 2.0]))
-    assert all(f.kappa is None for f in fields)
-    assert np.max(np.abs(frame.gamma0(fields) - np.array([1.0, 2.0]))) < 1e-12

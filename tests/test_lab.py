@@ -276,6 +276,38 @@ def test_run_bands_failed_limiting_roots_are_a_fail_line(monkeypatch):
     assert all(r["tau"] != 0.0 for r in ex0)
 
 
+# the lowest discrete eigenvalue of ex0 at eps = 0.3, tau = 1, resolution 64
+KREIN_VS_DIRECT_EIGENVALUE = 1.8062813890270677
+
+
+def test_krein_vs_direct_failed_resolutions_are_fail_lines():
+    z = KREIN_VS_DIRECT_EIGENVALUE
+    res = run_experiment(
+        "krein_vs_direct", {"examples": ["ex0"], "z": z, "resolutions": [64, 128]}
+    )
+    assert not res.passed
+    assert res.summary[0] == (
+        f"ex0: resolvents failed at resolution=64, z={complex(z)}: NearSingularError: "
+        "shifted system nearly singular: rel residual 1.34e+00"
+    )
+    # resolution 128 sits close enough to its own level to fail or not
+    assert res.summary[-1].startswith("ex0: no halving ratio (")
+    assert all(r["resolution"] != 64 for r in res.rows)
+    # on the Dirichlet level (2 pi)^2 of the ex0 soft edge the closed-form
+    # side raises PoleError; ex2 has no level there and keeps its ratio
+    z = (2.0 * math.pi) ** 2
+    res = run_experiment(
+        "krein_vs_direct", {"examples": ["ex0", "ex2"], "z": z, "resolutions": [64, 128]}
+    )
+    assert not res.passed
+    assert res.summary[0].startswith(
+        f"ex0: resolvents failed at resolution=64, z={complex(z)}: PoleError: "
+    )
+    assert res.summary[2] == "ex0: no halving ratio (2 failed resolutions)"
+    assert res.summary[3].startswith("ex2: errors ")
+    assert [r["example"] for r in res.rows] == ["ex2", "ex2"]
+
+
 @pytest.mark.parametrize("tag", EXPERIMENT_TAGS)
 def test_unknown_key_raises_before_any_work(tag):
     t0 = time.perf_counter()
