@@ -12,6 +12,11 @@ Sample-space convention: functions are exchanged as concatenated per-edge
 nodal samples (endpoints included) on the same grids as qglab.krein, with
 trapezoid quadrature weights defining the discrete inner product.
 
+The discrete resolvent R = P (K - z M)^{-1} P^* W is applied matrix-free
+(``resolvent``): K - z M is factored once with ``splu``, and each apply is
+one sparse solve whose residual is checked, so a z at a discrete level
+raises NearSingularError on the first apply, not when the operator is built.
+
 Conjugate symmetry: the Datta weights at -tau are the conjugates of those at
 tau, and tau enters the element matrices only through i tau and tau^2, so the
 pencil (K, M) and the prolongation at -tau are the entrywise conjugates of
@@ -39,7 +44,7 @@ class NearSingularError(ArithmeticError):
 
 # what one discrete spectrum or solve raises at a bad point: ARPACK without
 # convergence (``eigenvalues``), or a shifted system at a discrete level
-# (``_solve``, and so ``resolvent_matrix``, via its residual check)
+# (every apply of a ``resolvent`` operator, via ``_solve``'s residual check)
 FEM_ERRORS = (spla.ArpackNoConvergence, NearSingularError)
 
 
@@ -158,30 +163,47 @@ class DiscretizedOperator:
 
     # -- solves -------------------------------------------------------------
 
-    def _solve(self, z: complex, rhs_dofs: np.ndarray) -> np.ndarray:
+    def _solve(self, z: complex):
+        """Factor K - z M once; return ``solve(rhs, trans="N")``.
+
+        ``solve`` applies (K - z M)^{-1} (``trans="N"``) or its adjoint
+        (``trans="H"``) to one right-hand side and checks the residual of the
+        system it solved: a relative residual above 1e-8 (z at a discrete
+        level) raises NearSingularError.
+        """
         a = (self.k_mat - z * self.m_mat).tocsc()
         try:
             lu = spla.splu(a)
         except RuntimeError as exc:  # pragma: no cover - splu failure path
             raise NearSingularError(str(exc)) from exc
-        # C order: scipy's sparse-times-dense products read a many-RHS
-        # solution by rows, and would otherwise copy it for the residual
-        # check and again for the caller's product
-        u = np.ascontiguousarray(lu.solve(rhs_dofs))
-        res = np.linalg.norm(a @ u - rhs_dofs)
-        scale = np.linalg.norm(rhs_dofs)
-        if scale > 0 and res / scale > 1e-8:
-            raise NearSingularError(
-                f"shifted system nearly singular: rel residual {res / scale:.2e}"
-            )
-        return u
+        systems = {"N": a, "H": a.conj().T}
 
-    def resolvent_matrix(self, z: complex) -> np.ndarray:
-        """Dense sample-space matrix of the discrete resolvent; raises
-        NearSingularError where ``_solve`` does."""
-        # C order, like the product a @ u that _solve subtracts it from
-        rhs = self.prolong.conj().T.toarray(order="C") * self.grid.w[None, :]
-        return self.prolong @ self._solve(z, rhs)
+        def solve(rhs: np.ndarray, trans: str = "N") -> np.ndarray:
+            u = lu.solve(rhs, trans=trans)
+            res = np.linalg.norm(systems[trans] @ u - rhs)
+            scale = np.linalg.norm(rhs)
+            if scale > 0 and res / scale > 1e-8:
+                raise NearSingularError(
+                    f"shifted system nearly singular: rel residual {res / scale:.2e}"
+                )
+            return u
+
+        return solve
+
+    def resolvent(self, z: complex) -> spla.LinearOperator:
+        """The discrete resolvent R = P (K - z M)^{-1} P^* W on samples,
+        applied matrix-free: one sparse solve per matvec, and one adjoint
+        solve per rmatvec, R^H y = W P (K - z M)^{-H} P^* y.  Each apply
+        raises NearSingularError where ``_solve``'s residual check fails
+        (a column vector (n, 1) is applied as a flat one)."""
+        solve, p, w = self._solve(z), self.prolong, self.grid.w
+        p_adj = p.conj().T
+        return spla.LinearOperator(
+            (self.grid.size, self.grid.size),
+            matvec=lambda x: p @ solve(p_adj @ (w * x.ravel())),
+            rmatvec=lambda y: w * (p @ solve(p_adj @ y.ravel(), "H")),
+            dtype=complex,
+        )
 
     def eigenvalues(self, count: int, sigma: float = -1.0) -> np.ndarray:
         """Lowest ``count`` discrete eigenvalues (generalized, Hermitian).

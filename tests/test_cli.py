@@ -1,5 +1,7 @@
 
 
+import math
+
 import numpy as np
 import pytest
 from scipy.sparse.linalg import ArpackNoConvergence
@@ -187,4 +189,29 @@ def test_failed_krein_vs_direct_fails_the_verb_without_a_traceback(tmp_path, cap
         "NearSingularError: shifted system nearly singular" in text
     )
     assert "ex0: no halving ratio (" in text
+    assert "Traceback" not in text
+
+
+def test_resolvent_rates_and_schur_at_a_pole_fail_their_verbs_without_a_traceback(
+    tmp_path, capsys
+):
+    # (2 pi)^2 is the lowest Dirichlet level of the ex0 soft edge: every
+    # closed form there raises PoleError
+    z = (2.0 * math.pi) ** 2
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(
+        f"examples = ex0\nz = {z!r}\ntau_list = 1.0\n"
+        "eps_list = 0.125, 0.0625, 0.03125, 0.015625\n"
+    )
+    assert main(["converge", "--config", str(cfg)]) == 1
+    text = capsys.readouterr().out
+    assert "[FAIL] gen_res_rate" in text and "[FAIL] full_res_rate" in text
+    assert f"ex0: resolvents failed at tau=1, eps=0.125, z={complex(z)}: PoleError" in text
+    assert "ex0: slopes ['failed']" in text
+    assert "Traceback" not in text
+    cfg.write_text(f"examples = ex0\nz_list = {z!r}\n")
+    assert main(["dispersion", "--config", str(cfg)]) == 1
+    text = capsys.readouterr().out
+    assert "[FAIL] dispersion_series" in text and "[FAIL] schur_check" in text
+    assert f"ex0: Schur scalar failed at tau=0.3, eps=0.1, z={complex(z)}: PoleError" in text
     assert "Traceback" not in text

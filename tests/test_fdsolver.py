@@ -1,11 +1,18 @@
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_cells import Z, cells
 
 from qglab.fdsolver import DiscretizedOperator, NearSingularError
 from qglab.graphs import build_example, datta_weights
 from qglab.krein import ResolventWorkspace, make_grid
+from qglab.lab import operator_norm_diff
 from qglab.mmatrix import FiberParams
 
 
@@ -32,7 +39,7 @@ def test_vertex_flux_residual_small_after_solve():
     z = 2 + 1j
     f = np.cos(2.0 * op.grid.x) + 0.4j
     rhs = op.prolong.conj().T @ (op.grid.w * f)
-    u_dofs = op._solve(z, rhs)
+    u_dofs = op._solve(z)(rhs)
     assert op.vertex_flux_residual(u_dofs, f, z) < 1e-10
 
 
@@ -45,21 +52,25 @@ def test_matches_krein_resolvent():
         res = 512
         op = DiscretizedOperator(g, w, fiber, resolution=res)
         ws = ResolventWorkspace(g, w, fiber, make_grid(g, res))
-        r_fd = op.resolvent_matrix(z)
+        r_fd = op.resolvent(z) @ np.eye(op.grid.size)
         r_ex = ws.generalized_matrix(z, 0.0)
         err = np.linalg.norm(r_fd - r_ex, 2)
         h = 1.0 / res
         assert err < 5.0 * h * h * np.linalg.norm(r_ex, 2)
 
 
-def test_resolvent_matrix_raises_at_a_discrete_eigenvalue():
-    # the shifted system is singular up to roundoff there: the many-RHS solve
-    # goes through the residual check of _solve instead of returning a matrix
-    # with entries ~1e10
+def test_resolvent_raises_at_a_discrete_eigenvalue():
+    # the shifted system is singular up to roundoff there: building the
+    # operator succeeds, and the first apply, either way, fails the residual
+    # check of _solve instead of returning a vector with entries ~1e10
     _, op = _op("ex0", eps=0.3, tau=1.0, res=64)
     z = op.eigenvalues(1)[0]
+    r = op.resolvent(z)
+    x = np.cos(3.0 * op.grid.x) + 0.5j
     with pytest.raises(NearSingularError, match="rel residual"):
-        op.resolvent_matrix(z)
+        r @ x
+    with pytest.raises(NearSingularError, match="rel residual"):
+        r.rmatvec(x)
 
 
 def test_resolvent_halving_is_second_order():
@@ -70,7 +81,8 @@ def test_resolvent_halving_is_second_order():
         fiber = FiberParams(0.3, 1.0, 2 + 1j)
         op = DiscretizedOperator(g, w, fiber, resolution=res)
         ws = ResolventWorkspace(g, w, fiber, make_grid(g, res))
-        errs.append(np.linalg.norm(op.resolvent_matrix(2 + 1j) - ws.generalized_matrix(2 + 1j, 0.0), 2))
+        r_fd = op.resolvent(2 + 1j) @ np.eye(op.grid.size)
+        errs.append(np.linalg.norm(r_fd - ws.generalized_matrix(2 + 1j, 0.0), 2))
     assert 3.0 < errs[0] / errs[1] < 5.0
     assert 3.0 < errs[1] / errs[2] < 5.0
 
@@ -141,3 +153,58 @@ def test_eigenvalues_are_reproducible():
     _, op = _op("ex2", eps=0.0625, tau=0.7, res=256)
     first = op.eigenvalues(3)
     np.testing.assert_array_equal(first, op.eigenvalues(3))
+
+
+def _dense_resolvent(op, z):
+    """P (K - z M)^{-1} P^* W as a dense matrix, by a dense solve."""
+    p = op.prolong.toarray()
+    a = (op.k_mat - z * op.m_mat).toarray()
+    return p @ np.linalg.solve(a, p.conj().T * op.grid.w[None, :])
+
+
+def _rel(got, ref):
+    return np.linalg.norm(got - ref) / np.linalg.norm(ref)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    g=cells(), tau=st.floats(-math.pi, math.pi), z=Z, res=st.integers(32, 64),
+    seed=st.integers(0, 2**16),
+)
+def test_resolvent_operator_matches_dense_reference(g, tau, z, res, seed):
+    op = DiscretizedOperator(g, datta_weights(g, tau), FiberParams(0.1, tau, z), res)
+    ref = _dense_resolvent(op, z)
+    r = op.resolvent(z)
+    assert r.shape == ref.shape == (op.grid.size, op.grid.size)
+    rng = np.random.default_rng(seed)
+    x, y = (rng.standard_normal(r.shape[0]) + 1j * rng.standard_normal(r.shape[0])
+            for _ in range(2))
+    rx, ry = r @ x, r.rmatvec(y)
+    assert _rel(rx, ref @ x) <= 1e-10
+    assert _rel(ry, ref.conj().T @ y) <= 1e-10
+    # weighted adjoint: <R(z) x, y>_w = <x, R(conj z) y>_w, where
+    # R(conj z) = W^{-1} R(z)^H W applies by a forward solve at conj z
+    w = op.grid.w
+    r_bar = DiscretizedOperator(
+        g, datta_weights(g, tau), FiberParams(0.1, tau, np.conj(z)), res
+    ).resolvent(np.conj(z))
+    lhs = np.vdot(w * y, rx)
+    assert abs(lhs - np.vdot(w * (r_bar @ y), x)) <= 1e-10 * abs(lhs)
+    assert abs(lhs - np.vdot(r.rmatvec(w * y), x)) <= 1e-10 * abs(lhs)
+
+
+def test_power_iteration_on_the_fem_resolvent_allocates_no_dense_matrix():
+    # a dense FEM inverse at resolution 1024 is one n x n complex array
+    # (~17 MB); the matrix-free operator and its power iteration allocate
+    # O(n) vectors and the O(n) sparse pencil (splu's own memory is not
+    # traced, and is O(n) for these banded systems too)
+    tracemalloc.start()
+    try:
+        _, op = _op("ex0", eps=0.3, tau=1.0, res=1024)
+        norm = operator_norm_diff(op.resolvent(2 + 1j), None, op.grid.w)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    dense = op.grid.size**2 * np.dtype(complex).itemsize
+    assert norm > 0.0
+    assert peak < dense / 10

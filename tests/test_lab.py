@@ -4,11 +4,11 @@ import time
 
 import numpy as np
 import pytest
-from scipy.sparse.linalg import ArpackNoConvergence
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, aslinearoperator
 
-from qglab import dispersion
+from qglab import dispersion, lab
 from qglab.fdsolver import DiscretizedOperator
-from qglab.graphs import ParameterError
+from qglab.graphs import ParameterError, PoleError
 from qglab.lab import (
     EXPERIMENT_TAGS,
     config_keys,
@@ -110,6 +110,36 @@ def test_operator_norm_raises_when_not_converged():
     a = _with_singular_values(np.array([1.0, 0.995, 0.3]), 12, 12, 8)
     with pytest.raises(ArithmeticError, match="max_iter=2"):
         operator_norm_diff(a, None, np.ones(12), max_iter=2)
+
+
+def test_operator_norm_of_linear_operators_matches_the_dense_call():
+    rng = np.random.default_rng(9)
+    w_row = rng.uniform(0.01, 0.2, 30)
+    w_col = rng.uniform(0.5, 3.0, 20)
+    b = rng.standard_normal((30, 20)) + 1j * rng.standard_normal((30, 20))
+    a = b + _with_singular_values(np.array([2.0, 1.2, 0.4]), 30, 20, 10)
+    ref = operator_norm_diff(a, b, w_row, w_col)
+    # a matrix-free side: scipy's wrapper, and one that only has matvec and
+    # rmatvec, as the FEM resolvent
+    bare = LinearOperator(
+        b.shape, matvec=lambda x: b @ x, rmatvec=lambda y: b.conj().T @ y, dtype=complex
+    )
+    for b_op in (aslinearoperator(b), bare):
+        assert operator_norm_diff(a, b_op, w_row, w_col) == pytest.approx(ref, rel=1e-10)
+        assert operator_norm_diff(b_op, a, w_row, w_col) == pytest.approx(ref, rel=1e-10)
+    assert operator_norm_diff(aslinearoperator(a - b), None, w_row, w_col) == pytest.approx(
+        ref, rel=1e-10
+    )
+
+
+def test_operator_norm_rejects_nonconformable_operators():
+    for a, b in (
+        (np.eye(3), aslinearoperator(np.eye(4))),
+        (aslinearoperator(np.eye(3)), np.eye(3, 4)),
+        (aslinearoperator(np.eye(3)), aslinearoperator(np.eye(4, 3))),
+    ):
+        with pytest.raises(ValueError, match="non-conformable"):
+            operator_norm_diff(a, b, np.ones(3))
 
 
 def test_tau_grid_endpoints_and_symmetry():
@@ -288,7 +318,7 @@ def test_krein_vs_direct_failed_resolutions_are_fail_lines():
     assert not res.passed
     assert res.summary[0] == (
         f"ex0: resolvents failed at resolution=64, z={complex(z)}: NearSingularError: "
-        "shifted system nearly singular: rel residual 1.34e+00"
+        "shifted system nearly singular: rel residual 6.36e-01"
     )
     # resolution 128 sits close enough to its own level to fail or not
     assert res.summary[-1].startswith("ex0: no halving ratio (")
@@ -306,6 +336,70 @@ def test_krein_vs_direct_failed_resolutions_are_fail_lines():
     assert res.summary[2] == "ex0: no halving ratio (2 failed resolutions)"
     assert res.summary[3].startswith("ex2: errors ")
     assert [r["example"] for r in res.rows] == ["ex2", "ex2"]
+
+
+# the lowest Dirichlet level of the ex0 soft edge (length 1/2, speed 1): the
+# closed forms of every fiber point there raise PoleError
+SOFT_LEVEL = (2.0 * math.pi) ** 2
+
+
+@pytest.mark.parametrize("tag", ["gen_res_rate", "full_res_rate"])
+def test_resolvent_rates_at_a_pole_are_fail_lines(tag):
+    eps_list = [0.125, 0.0625, 0.03125, 0.015625]
+    res = run_experiment(
+        tag, {"examples": ["ex0"], "z": SOFT_LEVEL, "tau_list": [1.0], "eps_list": eps_list}
+    )
+    assert not res.passed
+    assert res.rows == []
+    for line, eps in zip(res.summary, eps_list):
+        assert line.startswith(
+            f"ex0: resolvents failed at tau=1, eps={eps:g}, z={complex(SOFT_LEVEL)}: "
+            "PoleError: trig argument"
+        )
+    assert "ex0: slopes ['failed'] (band [1.8, 2.2])" in res.summary
+    if tag == "full_res_rate":
+        assert res.summary[4].startswith(
+            f"ex0: dilation certificates failed at tau=1, eps=0.1, z={complex(SOFT_LEVEL)}"
+        )
+        assert res.summary[-1].endswith("(FAIL)")
+
+
+def test_failed_tau_gets_no_slope_fit_while_the_others_keep_theirs(monkeypatch):
+    # a pole at one tau only: the other tau of the cell keep their fits
+    original = lab._soft_sandwich_error
+
+    def failing(graph, tau, eps, z, res):
+        if tau == 2.0:
+            raise PoleError("argument within 1e-08 of a pole (forced)")
+        return original(graph, tau, eps, z, res)
+
+    monkeypatch.setattr(lab, "_soft_sandwich_error", failing)
+    eps_list = [0.125, 0.0625, 0.03125, 0.015625]
+    res = run_experiment(
+        "gen_res_rate", {"examples": ["ex0"], "tau_list": [1.0, 2.0], "eps_list": eps_list}
+    )
+    assert not res.passed
+    assert len(res.summary) == 5
+    assert res.summary[0] == (
+        "ex0: resolvents failed at tau=2, eps=0.125, z=(2+1j): "
+        "PoleError: argument within 1e-08 of a pole (forced)"
+    )
+    assert res.summary[4] == "ex0: slopes ['1.993', 'failed'] (band [1.8, 2.2])"
+    assert [r["tau"] for r in res.rows] == [1.0] * 4
+
+
+def test_schur_check_at_a_pole_is_a_fail_line():
+    res = run_experiment(
+        "schur_check", {"examples": ["ex0"], "tau_list": [0.3, 1.5], "z_list": [SOFT_LEVEL, 2 + 1j]}
+    )
+    assert not res.passed
+    assert [line.split(": PoleError")[0] for line in res.summary[:2]] == [
+        f"ex0: Schur scalar failed at tau={tau}, eps=0.1, z={complex(SOFT_LEVEL)}"
+        for tau in (0.3, 1.5)
+    ]
+    # the points off the pole are still measured
+    assert [(r["tau"], r["re_z"]) for r in res.rows] == [(0.3, 2.0), (1.5, 2.0)]
+    assert res.summary[2].startswith("max |schur (K - z) - 1| = ")
 
 
 @pytest.mark.parametrize("tag", EXPERIMENT_TAGS)
