@@ -5,6 +5,10 @@ and closed-form resolvents, effective (homogenised) models with out-of-space
 dilations, dispersion functions and limiting band structure, and the
 time-dispersive models on the real line — together with the experiment
 harness that certifies the O(eps^2) convergence rates connecting them.
+
+``import qglab`` needs only numpy.  scipy is imported inside the calls that
+use it: the FEM oracle (``DiscretizedOperator``: ``scipy.sparse`` and
+``scipy.sparse.linalg``) and ``band_roots`` (``scipy.optimize.brentq``).
 """
 
 from .dispersion import band_roots, k_closed, k_series, verify_sum_identities

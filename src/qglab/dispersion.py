@@ -17,7 +17,6 @@ import cmath
 import math
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .effective import EffectiveModel
 from .graphs import EdgeSpec, MetricGraph, datta_weights, stiff_length
@@ -245,6 +244,8 @@ def band_roots(
     decrease strictly; where they do not, ArithmeticError names tau and
     the interval instead of returning roots that may miss a tangency.
     """
+    from scipy.optimize import brentq  # only the band scan needs scipy
+
     pole_data = _pole_list(graph, z_max * (1.0 + 1e-9))
     edges = [0.0] + [z for z, _, _ in pole_data] + [z_max]
     # smallest z-distance from each pole at which the trig guards stay clear

@@ -29,23 +29,31 @@ antisymmetric) and gives it to the row at -tau as well.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .graphs import MetricGraph
 from .krein import ComponentGrid, make_grid
 from .mmatrix import FiberParams
+
+if TYPE_CHECKING:
+    from scipy.sparse.linalg import LinearOperator
 
 
 class NearSingularError(ArithmeticError):
     """The shifted system is numerically singular (z at a discrete level)."""
 
 
-# what one discrete spectrum or solve raises at a bad point: ARPACK without
-# convergence (``eigenvalues``), or a shifted system at a discrete level
-# (every apply of a ``resolvent`` operator, via ``_solve``'s residual check)
-FEM_ERRORS = (spla.ArpackNoConvergence, NearSingularError)
+def fem_errors() -> tuple[type[Exception], ...]:
+    """What one discrete spectrum or solve raises at a bad point: ARPACK
+    without convergence (``eigenvalues``), or a shifted system at a discrete
+    level (every apply of a ``resolvent`` operator, via ``_solve``'s
+    residual check).  A function, so that scipy is imported only where an
+    FEM call already needs it."""
+    from scipy.sparse.linalg import ArpackNoConvergence
+
+    return (ArpackNoConvergence, NearSingularError)
 
 
 def _cmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -79,6 +87,8 @@ class DiscretizedOperator:
         self._assemble()
 
     def _assemble(self) -> None:
+        import scipy.sparse as sp
+
         g = self.grid
         verts = sorted(self.graph.vertices)
         vidx = {v: i for i, v in enumerate(verts)}
@@ -171,9 +181,11 @@ class DiscretizedOperator:
         system it solved: a relative residual above 1e-8 (z at a discrete
         level) raises NearSingularError.
         """
+        from scipy.sparse.linalg import splu
+
         a = (self.k_mat - z * self.m_mat).tocsc()
         try:
-            lu = spla.splu(a)
+            lu = splu(a)
         except RuntimeError as exc:  # pragma: no cover - splu failure path
             raise NearSingularError(str(exc)) from exc
         systems = {"N": a, "H": a.conj().T}
@@ -190,15 +202,17 @@ class DiscretizedOperator:
 
         return solve
 
-    def resolvent(self, z: complex) -> spla.LinearOperator:
+    def resolvent(self, z: complex) -> LinearOperator:
         """The discrete resolvent R = P (K - z M)^{-1} P^* W on samples,
         applied matrix-free: one sparse solve per matvec, and one adjoint
         solve per rmatvec, R^H y = W P (K - z M)^{-H} P^* y.  Each apply
         raises NearSingularError where ``_solve``'s residual check fails
         (a column vector (n, 1) is applied as a flat one)."""
+        from scipy.sparse.linalg import LinearOperator
+
         solve, p, w = self._solve(z), self.prolong, self.grid.w
         p_adj = p.conj().T
-        return spla.LinearOperator(
+        return LinearOperator(
             (self.grid.size, self.grid.size),
             matvec=lambda x: p @ solve(p_adj @ (w * x.ravel())),
             rmatvec=lambda y: w * (p @ solve(p_adj @ y.ravel(), "H")),
@@ -210,9 +224,11 @@ class DiscretizedOperator:
 
         ARPACK starts from a seeded vector, so repeated calls agree exactly.
         """
+        from scipy.sparse.linalg import eigsh
+
         rng = np.random.default_rng(0)
         v0 = rng.standard_normal(self.ndof) + 1j * rng.standard_normal(self.ndof)
-        vals = spla.eigsh(
+        vals = eigsh(
             self.k_mat,
             k=count,
             M=self.m_mat,

@@ -12,13 +12,13 @@ import csv
 import inspect
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator
 
 from . import dispersion, realline, triples
 from .effective import EffectiveModel, PsiEmbedding
-from .fdsolver import FEM_ERRORS, DiscretizedOperator
+from .fdsolver import DiscretizedOperator, fem_errors
 from .graphs import EXAMPLES, ParameterError, PoleError, build_example, datta_weights
 from .krein import ResolventWorkspace, make_grid
 from .mmatrix import (
@@ -28,6 +28,9 @@ from .mmatrix import (
     m_blocks_closed,
     m_general,
 )
+
+if TYPE_CHECKING:
+    from scipy.sparse.linalg import LinearOperator
 
 DEFAULT_Z = (2 + 1j, 5 + 2j, 10 + 0.7j)
 DEFAULT_EPS = tuple(2.0**-j for j in range(3, 9))
@@ -98,10 +101,12 @@ def fit_slope(eps_values, errors, lo: float = 1.8, hi: float = 2.2) -> SlopeFit:
 
 
 def _as_operator(a) -> LinearOperator:
-    """``a`` itself if it is a LinearOperator, else the dense matrix applied
-    in place: its adjoint product conj(a^T conj(y)) copies no matrix."""
-    if isinstance(a, LinearOperator):
+    """A dense ``a`` as an operator applied in place (its adjoint product
+    conj(a^T conj(y)) copies no matrix); any other ``a`` as it is."""
+    if not isinstance(a, np.ndarray):
         return a
+    from scipy.sparse.linalg import LinearOperator
+
     a = np.asarray(a, dtype=complex)
     return LinearOperator(
         a.shape, matvec=lambda x: a @ x, rmatvec=lambda y: np.conj(a.T @ np.conj(y)),
@@ -136,12 +141,12 @@ def operator_norm_diff(
     """
     if b is not None and b.shape != a.shape:
         raise ValueError("non-conformable operator blocks")
-    if isinstance(a, LinearOperator) or isinstance(b, LinearOperator):
-        d = _as_operator(a) if b is None else _as_operator(a) - _as_operator(b)
-    else:
+    if isinstance(a, np.ndarray) and (b is None or isinstance(b, np.ndarray)):
         d = np.asarray(a, dtype=complex)
         if b is not None:
             d = d - b
+    else:
+        d = _as_operator(a) if b is None else _as_operator(a) - _as_operator(b)
     w_row = np.asarray(w_row, dtype=float)
     w_col = w_row if w_col is None else np.asarray(w_col, dtype=float)
     s_col = np.sqrt(w_col)
@@ -326,7 +331,7 @@ def run_additivity(
     summary = [
         f"additivity max deviation {worst_dev:.3e} (tol {ADDITIVITY_TOL:.0e})",
         f"closed-vs-general max deviation {worst_gen:.3e}",
-        f"symmetry defect {worst_sym:.3e} (tol {SYMMETRY_TOL:.0e})",
+        f"relative symmetry defect {worst_sym:.3e} (tol {SYMMETRY_TOL:.0e})",
         f"Herglotz min eigenvalue {worst_herg:.3e} (floor {HERGLOTZ_FLOOR:.0e})",
         f"points per example: {len(rows) // len(examples)}",
     ]
@@ -364,7 +369,7 @@ def run_krein_vs_direct(
                 r_d = DiscretizedOperator(g, weights, fiber, resolution=res).resolvent(z)
                 err = operator_norm_diff(r_k, r_d, grid.w)
                 norm_r = operator_norm_diff(r_k, None, grid.w)
-            except (*FEM_ERRORS, PoleError) as exc:
+            except (*fem_errors(), PoleError) as exc:
                 failures.append(
                     f"{name}: resolvents failed at resolution={res}, z={z}: "
                     f"{type(exc).__name__}: {exc}"
@@ -765,7 +770,7 @@ def run_bands(
             for t in abs_taus:
                 try:
                     spectra[t] = eig_extrapolated(g, eps, t)
-                except (*FEM_ERRORS, PoleError) as exc:
+                except (*fem_errors(), PoleError) as exc:
                     spectra[t] = None
                     failures.append(
                         f"{g.example}: FEM spectrum failed at eps={eps:g}, "

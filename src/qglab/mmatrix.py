@@ -213,18 +213,20 @@ class MMatrixSet:
     fiber: FiberParams
 
     def symmetry_defect(self, other: "MMatrixSet") -> float | np.ndarray:
-        """max entrywise |M(conj z) - M(z)^*| over the three blocks, per
-        fiber point (a float for one point, an array over the stack shape).
+        """max relative entrywise |M(conj z) - M(z)^*| / (1 + |M(z)^*|) over
+        the three blocks, per fiber point (a float for one point, an array
+        over the stack shape), scaled as ``check_additivity``: the defect is
+        rounding of each entry, and stiff entries grow as (a/eps)^2.
 
         ``other`` must be the set evaluated at the conjugate spectral point.
         """
         return np.max(
             [
-                np.max(np.abs(a_conj - _adjoint(a)), axis=(-2, -1))
-                for a, a_conj in (
-                    (self.m_full, other.m_full),
-                    (self.m_stiff, other.m_stiff),
-                    (self.m_soft, other.m_soft),
+                np.max(np.abs(a_conj - adj) / (1.0 + np.abs(adj)), axis=(-2, -1))
+                for adj, a_conj in (
+                    (_adjoint(self.m_full), other.m_full),
+                    (_adjoint(self.m_stiff), other.m_stiff),
+                    (_adjoint(self.m_soft), other.m_soft),
                 )
             ],
             axis=0,

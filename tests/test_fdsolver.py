@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_cells import Z, cells
 
@@ -171,6 +171,12 @@ def _rel(got, ref):
     g=cells(), tau=st.floats(-math.pi, math.pi), z=Z, res=st.integers(32, 64),
     seed=st.integers(0, 2**16),
 )
+# cond(K - z M) = 5.0e6 here, and <R x, y>_w cancels to 1/7 of its
+# Cauchy-Schwarz scale: relative to |lhs| the two factorisations differ by
+# 1.1e-10, relative to the scale by 1.7e-11
+@example(
+    g=build_example("ex0", l1=0.5, l2=0.5, a1=1.9375), tau=0.25, z=1j, res=58, seed=0
+)
 def test_resolvent_operator_matches_dense_reference(g, tau, z, res, seed):
     op = DiscretizedOperator(g, datta_weights(g, tau), FiberParams(0.1, tau, z), res)
     ref = _dense_resolvent(op, z)
@@ -183,13 +189,17 @@ def test_resolvent_operator_matches_dense_reference(g, tau, z, res, seed):
     assert _rel(rx, ref @ x) <= 1e-10
     assert _rel(ry, ref.conj().T @ y) <= 1e-10
     # weighted adjoint: <R(z) x, y>_w = <x, R(conj z) y>_w, where
-    # R(conj z) = W^{-1} R(z)^H W applies by a forward solve at conj z
+    # R(conj z) = W^{-1} R(z)^H W applies by a forward solve at conj z.  The
+    # two sides come from two factorisations, so their difference is roundoff
+    # of the Cauchy-Schwarz scale |W^1/2 y| |W^1/2 R x|, not of |lhs|, which
+    # a random pair can cancel far below it
     w = op.grid.w
     r_bar = DiscretizedOperator(
         g, datta_weights(g, tau), FiberParams(0.1, tau, np.conj(z)), res
     ).resolvent(np.conj(z))
     lhs = np.vdot(w * y, rx)
-    assert abs(lhs - np.vdot(w * (r_bar @ y), x)) <= 1e-10 * abs(lhs)
+    scale = np.linalg.norm(np.sqrt(w) * y) * np.linalg.norm(np.sqrt(w) * rx)
+    assert abs(lhs - np.vdot(w * (r_bar @ y), x)) <= 1e-10 * scale
     assert abs(lhs - np.vdot(r.rmatvec(w * y), x)) <= 1e-10 * abs(lhs)
 
 

@@ -1,0 +1,65 @@
+"""``import qglab`` and the closed-form verbs load no scipy module.
+
+The closed forms need only numpy; scipy is imported inside the calls that
+use it (the FEM oracle and ``band_roots``).  Each check runs in a fresh
+interpreter with ``PYTHONPATH=src``, so no module imported by another test
+can hide a scipy import at module level.
+"""
+
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+
+# the benchmark's set-up line: what every verb pays before its first experiment
+SETUP = (
+    "import qglab\n"
+    "from qglab.graphs import build_example\n"
+    "from qglab.mmatrix import FiberParams, m_blocks_closed\n"
+    "m_blocks_closed(build_example('ex0'), FiberParams(0.1, 1.0, 2 + 1j))\n"
+    "rc = 0\n"
+)
+VERB = (
+    "import contextlib, io\n"
+    "from qglab.cli import main\n"
+    "with contextlib.redirect_stdout(io.StringIO()):\n"
+    "    rc = main([{verb!r}])\n"
+)
+REPORT = (
+    "import json, sys\n"
+    "print(json.dumps([rc, sorted(n for n in sys.modules if n.startswith('scipy'))]))\n"
+)
+
+
+def _fresh(code: str) -> tuple[int, list[str]]:
+    """(exit status of the code, scipy modules it left loaded), from a new
+    interpreter."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"}
+    out = subprocess.run(
+        [sys.executable, "-c", code + REPORT], env=env, capture_output=True, text=True,
+        timeout=300, check=True,
+    ).stdout
+    rc, scipy_modules = json.loads(out.splitlines()[-1])
+    return rc, scipy_modules
+
+
+def test_import_and_one_fiber_point_load_no_scipy():
+    assert _fresh(SETUP) == (0, [])
+
+
+@pytest.mark.parametrize("verb", ["mmatrix", "dispersion", "line", "verify-appendix", "converge"])
+def test_closed_form_verbs_load_no_scipy(verb):
+    assert _fresh(VERB.format(verb=verb)) == (0, [])
+
+
+@pytest.mark.parametrize("verb", ["bands", "resolvent"])
+def test_fem_verbs_load_scipy_where_they_call_it(verb):
+    rc, scipy_modules = _fresh(VERB.format(verb=verb))
+    assert rc == 0
+    assert "scipy.sparse.linalg" in scipy_modules
