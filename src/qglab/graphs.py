@@ -270,30 +270,32 @@ def _degenerate(size, tau):
     )
 
 
-def xi_ex1(graph: MetricGraph, tau: float) -> complex:
-    """The ex1 kernel scalar xi(tau) of the stiff boundary matrix."""
+def xi_ex1(graph: MetricGraph, tau):
+    """The ex1 kernel scalar xi(tau) of the stiff boundary matrix (the
+    elementwise array for an ndarray tau)."""
     p = graph.params
-    return -(p["a1"] ** 2 / p["l1"]) * cmath.exp(
-        1j * tau * (p["l1"] + p["l3"])
-    ) - (p["a3"] ** 2 / p["l3"]) * cmath.exp(-1j * tau * p["l2"])
+    return -(p["a1"] ** 2 / p["l1"]) * phase(p["l1"] + p["l3"], tau) - (
+        p["a3"] ** 2 / p["l3"]
+    ) * phase(-p["l2"], tau)
 
 
-def _omega_ex1(graph: MetricGraph, tau: float) -> complex:
-    xi = xi_ex1(graph, tau)
-    if abs(xi) < XI_FLOOR:
-        raise _degenerate(abs(xi), tau)
-    return -xi / abs(xi)
+def _unit(value, tau):
+    """value / |value|, raising PoleError when any |value| is below XI_FLOOR."""
+    size = abs(value)
+    if np.any(size < XI_FLOOR):
+        raise _degenerate(np.min(size), tau)
+    return value / size
+
+
+def _omega_ex1(graph: MetricGraph, tau):
+    return -_unit(xi_ex1(graph, tau), tau)
 
 
 def _re_theta_ex1(graph: MetricGraph, tau):
     """Re theta(tau), theta the unit phase of a1^2/l1 e^{-i tau} + a3^2/l3."""
     p = graph.params
-    phase = np.exp(-1j * tau) if isinstance(tau, np.ndarray) else cmath.exp(-1j * tau)
-    num = (p["a1"] ** 2 / p["l1"]) * phase + p["a3"] ** 2 / p["l3"]
-    size = abs(num)
-    if np.any(size < XI_FLOOR):
-        raise _degenerate(np.min(size), tau)
-    return (num / size).real
+    num = (p["a1"] ** 2 / p["l1"]) * phase(-1.0, tau) + p["a3"] ** 2 / p["l3"]
+    return _unit(num, tau).real
 
 
 def datta_weights(graph: MetricGraph, tau: float) -> dict[tuple[int, int], complex]:

@@ -13,21 +13,20 @@ O(eps^2), uniformly in tau, to
     delta_limit = 2 D / [ (a1^2 a3^2/(l1 l3)) (tau/eps)^2 - (l1+l3) D z ],
 with D = a1^2/l1 + a3^2/l3.
 
-``b_matrix``, ``rotate_triple``, ``projection_transform``,
-``btilde_closed_ex0`` and ``btilde_numeric`` take array fiber parameters:
-their matrices are then (..., 2, 2) stacks over the broadcast shape of the
-fiber parameters, and the 2 x 2 algebra acts on the two trailing axes.  The
-rotation X depends on tau alone, so a stack shares one tau.
+Every function here takes array fiber parameters (and ``rotation_x`` a tau
+array): the matrices are then (..., 2, 2) stacks over the broadcast shape of
+the fiber parameters, the 2 x 2 algebra acts on the two trailing axes, and
+the scalars (``delta_fn``, ``beff_deviation``, ...) are arrays of that shape.
+Scalars are the 0-d case of the same code.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 
 import numpy as np
 
-from .graphs import MetricGraph, stiff_length
+from .graphs import MetricGraph, PoleError, phase, stiff_length
 from .mmatrix import FiberParams, ccot, ccsc, m_blocks_closed, mat2
 
 P_PROJ = np.diag([1.0, 0.0]).astype(complex)
@@ -39,19 +38,22 @@ def b_matrix(graph: MetricGraph, fiber: FiberParams) -> np.ndarray:
     return -m_blocks_closed(graph, fiber).m_stiff
 
 
-def rotation_x(graph: MetricGraph, tau: float) -> np.ndarray:
+def rotation_x(graph: MetricGraph, tau) -> np.ndarray:
     """Unitary X = [[1, 1], [omega, -omega]]/sqrt(2): columns (psi, psi_perp)
-    diagonalising eps*B(0), with omega from the cell record."""
+    diagonalising eps*B(0), with omega from the cell record; a (..., 2, 2)
+    stack over the shape of a tau array."""
     omega = graph.cell.omega(tau)
-    return np.array([[1.0, 1.0], [omega, -omega]]) / math.sqrt(2.0)
+    return mat2(1.0, 1.0, omega, -omega) / math.sqrt(2.0)
 
 
 def rotate_triple(b: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Similarity transform B_hat = X^* B X (X unitary), of every matrix of
-    the stack ``b`` by the one 2 x 2 matrix ``x``."""
-    if np.max(np.abs(x.conj().T @ x - np.eye(2))) > 1e-13:
+    """Similarity transform B_hat = X^* B X (X unitary), the stacks ``b`` and
+    ``x`` broadcast against each other.  Raises when any X of the stack is
+    not unitary."""
+    x_adj = x.conj().swapaxes(-1, -2)
+    if np.max(np.abs(x_adj @ x - np.eye(2))) > 1e-13:
         raise ValueError("X is not unitary")
-    return x.conj().T @ b @ x
+    return x_adj @ b @ x
 
 
 def projection_transform(
@@ -99,30 +101,31 @@ def alpha_beta_ex1(graph: MetricGraph, fiber: FiberParams):
     a1, a3 = p["a1"], p["a3"]
     k, eps, tau = fiber.k, fiber.eps, fiber.tau
     x1, x3 = k * eps * l1 / a1, k * eps * l3 / a3
+    csc1, csc3 = ccsc(x1), ccsc(x3)
     alpha = a1 * k * ccot(x1) + a3 * k * ccot(x3)
-    beta21 = -a1 * k * cmath.exp(1j * tau * (l1 + l3)) * ccsc(x1) - a3 * k * cmath.exp(
-        -1j * tau * l2
-    ) * ccsc(x3)
-    beta12 = -a1 * k * cmath.exp(-1j * tau * (l1 + l3)) * ccsc(x1) - a3 * k * cmath.exp(
-        1j * tau * l2
-    ) * ccsc(x3)
+    beta21 = -a1 * k * phase(l1 + l3, tau) * csc1 - a3 * k * phase(-l2, tau) * csc3
+    beta12 = -a1 * k * phase(-(l1 + l3), tau) * csc1 - a3 * k * phase(l2, tau) * csc3
     return alpha, beta21, beta12
 
 
-def delta_fn(graph: MetricGraph, fiber: FiberParams) -> complex:
+def delta_fn(graph: MetricGraph, fiber: FiberParams) -> complex | np.ndarray:
     """delta(tau, eps) = eps (alpha + Re(u_bar beta)) / (alpha^2 - |beta|^2),
     with u = xi/|xi| = -omega and the bars understood as analytic
-    continuations."""
+    continuations.  Raises PoleError when any |alpha^2 - |beta|^2| is below
+    1e-12."""
     alpha, beta21, beta12 = alpha_beta_ex1(graph, fiber)
     u = -graph.cell.omega(fiber.tau)
     s = (np.conj(u) * beta21 + u * beta12) / 2.0
     denom = alpha * alpha - beta21 * beta12
-    if abs(denom) < 1e-12:
-        raise ArithmeticError("delta: denominator below guard")
+    if np.any(abs(denom) < 1e-12):
+        raise PoleError(
+            f"delta: |alpha^2 - |beta|^2| = {np.min(abs(denom)):.2e} below the "
+            "guard 1e-12"
+        )
     return fiber.eps * (alpha + s) / denom
 
 
-def delta_limit(graph: MetricGraph, fiber: FiberParams) -> complex:
+def delta_limit(graph: MetricGraph, fiber: FiberParams) -> complex | np.ndarray:
     """The uniform-in-tau limit of delta(tau, eps)."""
     p = graph.params
     l1, l3 = p["l1"], p["l3"]
@@ -137,7 +140,7 @@ def b_eff(graph: MetricGraph, fiber: FiberParams) -> np.ndarray:
     diag((sigma^2 (tau/eps)^2 - L z)/2, 0), i.e. diag(-L z/2, 0) for ex0/ex2
     and diag(1/delta_limit, 0) for ex1."""
     germ_term = graph.cell.germ * (fiber.tau / fiber.eps) ** 2
-    return np.diag([(germ_term - stiff_length(graph) * fiber.z) / 2.0, 0.0])
+    return mat2((germ_term - stiff_length(graph) * fiber.z) / 2.0, 0.0, 0.0, 0.0)
 
 
 def btilde_numeric(graph: MetricGraph, fiber: FiberParams) -> np.ndarray:
@@ -147,8 +150,9 @@ def btilde_numeric(graph: MetricGraph, fiber: FiberParams) -> np.ndarray:
     )
 
 
-def beff_deviation(graph: MetricGraph, fiber: FiberParams) -> float:
-    """Distance of the swapped boundary matrix from its effective limit.
+def beff_deviation(graph: MetricGraph, fiber: FiberParams) -> float | np.ndarray:
+    """Distance of the swapped boundary matrix from its effective limit, in
+    the 2-norm of each matrix of the stack (a float for one fiber point).
 
     Without a stiff cycle (sigma^2 = 0; ex0/ex2): ||B_tilde - b_eff||.  With
     one (ex1) the comparison is made after the second swap, where the
@@ -157,8 +161,8 @@ def beff_deviation(graph: MetricGraph, fiber: FiberParams) -> float:
     """
     bt = btilde_numeric(graph, fiber)
     if not graph.cell.germ:
-        return float(np.linalg.norm(bt - b_eff(graph, fiber), 2))
-    bp = second_swap(bt)
-    return float(
-        np.linalg.norm(bp + np.diag([delta_limit(graph, fiber), 0.0]), 2)
-    )
+        diff = bt - b_eff(graph, fiber)
+    else:
+        diff = second_swap(bt) + mat2(delta_limit(graph, fiber), 0.0, 0.0, 0.0)
+    norm = np.linalg.norm(diff, 2, axis=(-2, -1))
+    return float(norm) if norm.ndim == 0 else norm

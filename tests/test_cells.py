@@ -8,7 +8,7 @@ tau = -pi).
 
 The closed forms also take arrays of tau, z (and eps): each array call must
 equal the loop of 0-d calls it replaces, and the runners must make one such
-call per (cell, eps) or per (cell, tau), not one per point.
+call per (cell, eps) or per cell, not one per point.
 
 The FEM pencil at -tau must be the entrywise conjugate of the one at tau, bit
 for bit: ``bands`` solves one spectrum per |tau| on that premise.
@@ -24,7 +24,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qglab
-from qglab import dispersion, lab
+from qglab import dispersion, lab, triples
 from qglab.dispersion import k_closed, k_series, schur_frobenius
 from qglab.fdsolver import DiscretizedOperator
 from qglab.graphs import PoleError, build_example, datta_weights, stiff_length
@@ -41,10 +41,14 @@ from qglab.realline import difference_symbol, make_line_grid, multiplier_symbol
 from qglab.triples import (
     P_PERP,
     P_PROJ,
+    b_eff,
     b_matrix,
+    beff_deviation,
     btilde_closed_ex0,
     btilde_numeric,
+    delta_fn,
     projection_transform,
+    rotation_x,
 )
 
 SPEED = st.floats(0.5, 3.0)
@@ -250,6 +254,46 @@ def test_btilde_stacks_equal_point_loop(g, tau, zs):
         assert _close(form(g, fiber), ref, scale)
 
 
+# the (tau, eps) batch of the beff_rate runner: 5 tau against 3 eps
+EPS_ROW = np.array([0.2, 0.1, 0.05])
+
+
+def _tau_eps_points(z):
+    return [[FiberParams(float(e), float(t), z) for e in EPS_ROW] for t in TAUS]
+
+
+@settings(max_examples=25, deadline=None)
+@given(g=cells(), z=Z)
+def test_triple_tau_stacks_equal_point_loop(g, z):
+    assert _close(rotation_x(g, TAUS), [rotation_x(g, float(t)) for t in TAUS])
+    fiber = FiberParams(EPS_ROW, TAUS[:, None], z)
+    points = _tau_eps_points(z)
+    # the swap cancels entries of size ||B(z)|| ((a/eps)^2 scale), so the
+    # rounding of B_tilde, and of its distance to the limit, scales with it
+    scale = 1.0 + np.max(np.abs(b_matrix(g, fiber)), axis=(-2, -1), keepdims=True)
+    ref = [[btilde_numeric(g, p) for p in row] for row in points]
+    assert _close(btilde_numeric(g, fiber), ref, scale)
+    assert _close(b_eff(g, fiber), [[b_eff(g, p) for p in row] for row in points])
+    dev = beff_deviation(g, fiber)
+    ref = np.array([[beff_deviation(g, p) for p in row] for row in points])
+    assert dev.shape == ref.shape
+    assert np.all(np.abs(dev - ref) <= STACK_RTOL * scale[..., 0, 0])
+
+
+@settings(max_examples=25, deadline=None)
+@given(g=cells(("ex1",)), z=Z)
+def test_delta_tau_stack_equals_point_loop(g, z):
+    fiber = FiberParams(EPS_ROW, TAUS[:, None], z)
+    stack = delta_fn(g, fiber)
+    ref = np.array([[delta_fn(g, p) for p in row] for row in _tau_eps_points(z)])
+    # the denominator alpha^2 - beta21 beta12 cancels terms of size |alpha|^2
+    # (up to 1.5e4 times larger here), which scales the rounding of delta
+    alpha, beta21, beta12 = triples.alpha_beta_ex1(g, fiber)
+    cancel = np.abs(alpha) ** 2 / np.abs(alpha * alpha - beta21 * beta12)
+    assert stack.shape == ref.shape
+    assert np.all(np.abs(stack - ref) <= STACK_RTOL * cancel * np.abs(ref))
+
+
 @settings(max_examples=25, deadline=None)
 @given(g=cells(), zs=ZS, eps=EPS)
 def test_k_series_tau_array_equals_point_loop_and_closed_form(g, zs, eps):
@@ -329,15 +373,30 @@ def test_dispersion_series_calls_k_series_three_times_per_cell(monkeypatch):
     assert len(res.rows) == 3 * 6 * 6
 
 
-def test_btilde_identity_calls_each_route_once_per_cell_and_tau(monkeypatch):
-    from qglab import triples
-
+def test_btilde_identity_calls_each_route_once_per_cell(monkeypatch):
     numeric = _counting(monkeypatch, triples, "btilde_numeric")
     closed = _counting(monkeypatch, triples, "btilde_closed_ex0")
+    b = _counting(monkeypatch, triples, "b_matrix")
     res = lab.run_experiment("btilde_identity", {"tau_count": 4})
     assert res.passed
-    assert len(numeric) == len(closed) == 2 * 4
+    assert len(numeric) == len(closed) == 2
+    # one B(z) inside each generic route, plus the loop cell's (ex2) scale
+    assert len(b) == 2 + 1
     assert len(res.rows) == 2 * 4 * 10 * 5
+
+
+def test_beff_rate_calls_each_quantity_once_per_cell(monkeypatch):
+    deviation = _counting(monkeypatch, triples, "beff_deviation")
+    delta = _counting(monkeypatch, triples, "delta_fn")
+    limit = _counting(monkeypatch, triples, "delta_limit")
+    res = lab.run_experiment("beff_rate", {"tau_list": [-2.0, 0.3, 1.0]})
+    assert res.passed
+    assert len(deviation) == 3
+    # delta on the germ cell (ex1) only; its limit there once on its own and
+    # once inside that cell's B_eff deviation
+    assert len(delta) == 1
+    assert len(limit) == 2
+    assert len(res.rows) == 3 * 3 * 6
 
 
 def _literal_example_compares(tree):

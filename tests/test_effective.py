@@ -102,11 +102,36 @@ def test_ex1_xi_floor_raises_at_equal_impedance_degeneracy():
     ):
         with pytest.raises(PoleError):
             call()
+    # one degenerate element fails a whole tau stack
+    taus = np.array([0.5, -math.pi, 2.0])
+    stack = FiberParams(np.array([0.2, 0.1]), taus[:, None], 2 + 1j)
+    for call in (
+        lambda: rotation_x(g, taus),
+        lambda: btilde_numeric(g, stack),
+        lambda: beff_deviation(g, stack),
+        lambda: delta_fn(g, stack),
+    ):
+        with pytest.raises(PoleError):
+            call()
     # the default parameters never degenerate
     g_def = build_example("ex1")
     par = effective_params(g_def, FiberParams(0.1, -math.pi, 2 + 1j))
     assert par.rho > 0
     assert np.isfinite(k_closed(g_def, -math.pi, 2 + 1j, eps=0.1))
+
+
+def test_delta_guard_raises_pole_error_when_any_denominator_vanishes(monkeypatch):
+    from qglab import triples
+
+    g = build_example("ex1")
+    taus = np.array([0.5, 1.0])
+    # alpha^2 - beta21 beta12 = (3, 0): the second element is at the guard
+    monkeypatch.setattr(
+        triples, "alpha_beta_ex1",
+        lambda graph, fiber: (np.array([2.0, 1.0]), np.ones(2), np.ones(2)),
+    )
+    with pytest.raises(PoleError, match="delta"):
+        triples.delta_fn(g, FiberParams(0.1, taus, 2 + 1j))
 
 
 def test_psi_embedding_is_partial_isometry():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, aslinearoperator
 
-from qglab import dispersion, lab
+from qglab import dispersion, lab, triples
 from qglab.fdsolver import DiscretizedOperator
 from qglab.graphs import ParameterError, PoleError
 from qglab.lab import (
@@ -386,6 +386,62 @@ def test_failed_tau_gets_no_slope_fit_while_the_others_keep_theirs(monkeypatch):
     )
     assert res.summary[4] == "ex0: slopes ['1.993', 'failed'] (band [1.8, 2.2])"
     assert [r["tau"] for r in res.rows] == [1.0] * 4
+
+
+def test_additivity_at_a_pole_is_a_fail_line_per_eps():
+    res = run_experiment(
+        "additivity", {"examples": ["ex0", "ex2"], "eps_list": [0.5, 0.1], "z_list": [SOFT_LEVEL]}
+    )
+    assert not res.passed
+    zs = [complex(SOFT_LEVEL), 7 + 0.3j]
+    assert [line.split(": PoleError")[0] for line in res.summary[:2]] == [
+        f"ex0: M-matrix failed on the (tau, z) grid at eps={eps}, z in {zs}"
+        for eps in (0.5, 0.1)
+    ]
+    # ex2 has no level there and keeps its rows
+    assert {r["example"] for r in res.rows} == {"ex2"}
+    assert len(res.rows) == 2 * 5 * 2
+
+
+def test_btilde_identity_at_a_pole_is_one_fail_line_per_cell():
+    # k eps l / a within POLE_GUARD of 0: cot and csc of the stiff edge blow up
+    eps_list = [1e-14, 1e-13, 1e-12, 1e-11]
+    res = run_experiment("btilde_identity", {"eps_list": eps_list})
+    assert not res.passed
+    assert res.rows == []
+    assert [line.split(" z in ")[0] for line in res.summary] == [
+        f"{name}: B_tilde failed on the (tau, z, eps) grid at eps in {eps_list},"
+        for name in ("ex0", "ex2")
+    ]
+    assert all(": PoleError: trig argument" in line for line in res.summary)
+
+
+def test_beff_rate_at_a_pole_fails_only_that_cell():
+    # the ex0 soft level is no pole of ex1; its slopes and delta slopes stay
+    res = run_experiment("beff_rate", {"examples": ["ex0", "ex1"], "z": SOFT_LEVEL})
+    assert not res.passed
+    assert res.summary[0].startswith(
+        "ex0: B_eff deviation failed on the (tau, eps) grid at eps in "
+        f"{list(lab.DEFAULT_EPS)}, z={complex(SOFT_LEVEL)}: PoleError: trig argument"
+    )
+    assert res.summary[1].startswith("ex1: slopes [")
+    assert res.summary[2].startswith("ex1 delta-vs-limit slopes [")
+    assert {r["example"] for r in res.rows} == {"ex1"}
+    assert len(res.rows) == len(lab.DEFAULT_TAUS) * len(lab.DEFAULT_EPS)
+
+
+def test_beff_rate_failed_delta_is_a_fail_line(monkeypatch):
+    def failing(graph, fiber):
+        raise PoleError("delta: denominator below the guard (forced)")
+
+    monkeypatch.setattr(triples, "delta_fn", failing)
+    res = run_experiment("beff_rate", {})
+    assert not res.passed
+    assert res.summary[-1] == (
+        f"ex1: delta limit failed on the (tau, eps) grid at eps in {list(lab.DEFAULT_EPS)}, "
+        "z=(2+1j): PoleError: delta: denominator below the guard (forced)"
+    )
+    assert len(res.rows) == 3 * len(lab.DEFAULT_TAUS) * len(lab.DEFAULT_EPS)
 
 
 def test_schur_check_at_a_pole_is_a_fail_line():
