@@ -18,9 +18,8 @@ import math
 
 import numpy as np
 
-from .effective import EffectiveModel
+from .effective import BoundarySystem
 from .graphs import EdgeSpec, MetricGraph, datta_weights, stiff_length
-from .krein import make_grid
 from .mmatrix import POLE_GUARD, FiberParams, ccot, ccsc, sqrt_upper
 
 
@@ -158,22 +157,12 @@ def verify_sum_identities(x, n_terms: int) -> dict:
     return {"plain": plain[()], "alternating": alt[()]}
 
 
-def schur_frobenius(
-    graph: MetricGraph,
-    tau: float,
-    z: complex,
-    eps: float,
-    resolution: int = 64,
-) -> complex:
+def schur_frobenius(graph: MetricGraph, tau: float, z: complex, eps: float) -> complex:
     """The scalar Schur complement 1/(K(tau, z) - z) of the homogenised
     fiber operator, computed from the boundary-value assembly (independent
-    of the closed dispersion formulas)."""
-    weights = datta_weights(graph, tau)
+    of the closed dispersion formulas); it needs no sample grid."""
     fiber = FiberParams(eps, tau, z)
-    model = EffectiveModel(
-        graph, weights, fiber, make_grid(graph.subgraph("soft"), resolution)
-    )
-    return model.schur_frobenius(z)
+    return BoundarySystem(graph, datta_weights(graph, tau), fiber).schur_frobenius(z)
 
 
 # samples of the sign-change scan on each interval between consecutive poles,

@@ -14,8 +14,13 @@ Three objects, all realised as dense matrices on the soft sample grid:
 
 * ``dilation_blocks``: the same out-of-space resolvent assembled through an
   independent route - the block formula of the dilated resolvent, built
-  from r_eff, the Dirichlet soft resolvent, the rank-one boundary
-  coordinate, and the scalar embedding Pi = sqrt(L/2).
+  from r_eff, its defect part R - G over the Dirichlet soft resolvent, the
+  rank-one boundary coordinate, and the scalar embedding Pi = sqrt(L/2).
+
+Each is a Dirichlet kernel plus kernel fields fixed by a small
+``BoundarySystem``.  The sampled fields come from the Krein workspace's
+per-edge samples (``ResolventWorkspace._edge_samples``); the boundary system
+reads only per-edge scalars, so the Schur scalar needs no sample grid.
 
 ``compose`` multiplies two of these resolvents exactly (the function-space
 composition is carried out in closed form, not by quadrature), so that the
@@ -36,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import MetricGraph, stiff_length
-from .krein import ComponentGrid, ResolventWorkspace
+from .krein import ComponentGrid, ComponentKernels, ResolventWorkspace
 from .mmatrix import FiberParams
 
 
@@ -61,97 +66,49 @@ def effective_params(graph: MetricGraph, fiber: FiberParams) -> EffectiveParams:
     )
 
 
-class EffectiveModel:
-    """Effective resolvents and the homogenised operator on the soft grid."""
+class BoundarySystem:
+    """The homogenised boundary system on the soft component.
+
+    Its rows tie the kernel fields of the soft edges (two per edge) and,
+    with the beta row, the boundary coordinate.  It reads only the per-edge
+    scalars kappa, e^{-i tau l}, cos kappa l and sin kappa l, so it needs no
+    sample grid.
+    """
 
     def __init__(
         self,
         graph: MetricGraph,
         weights: dict[tuple[int, int], complex],
         fiber: FiberParams,
-        grid: ComponentGrid,
     ):
-        """``grid`` is the soft sample grid, ``make_grid(graph.subgraph("soft"),
-        resolution)``."""
-        self.graph = graph
         self.weights = weights
         self.fiber = fiber
         self.soft = graph.subgraph("soft")
         self.params = effective_params(graph, fiber)
-        self.workspace = ResolventWorkspace(self.soft, weights, fiber, grid)
-        self.grid = grid
-        self.n_edges = len(self.grid.edges)
-
-    # -- per-edge ingredients --------------------------------------------
-
-    def _edge_data(self, z: complex) -> list[dict]:
-        """Per-edge trig scalars and homogeneous-field samples at kappa(z)."""
-        g = self.grid
-        tau = self.fiber.tau
-        out = []
-        for e, sl in zip(g.edges, g.slices):
-            kappa = self.workspace._kappa(e, z)
-            x = g.x[sl]
-            ph = np.exp(-1j * tau * x)
-            out.append(
-                dict(
-                    edge=e,
-                    sl=sl,
-                    kappa=kappa,
-                    e_l=cmath.exp(-1j * tau * e.length),
-                    cos_l=cmath.cos(kappa * e.length),
-                    sin_l=cmath.sin(kappa * e.length),
-                    h=(ph * np.cos(kappa * x), ph * np.sin(kappa * x)),
-                )
-            )
-        return out
-
-    def _t_rows(self, z: complex, ed) -> np.ndarray:
-        """(2E x n) quadrature rows producing the modified derivatives
-        (du(0), du(l)) of the per-edge Dirichlet particular solution."""
-        g = self.grid
-        tau = self.fiber.tau
-        rows = np.zeros((2 * self.n_edges, g.size), dtype=complex)
-        for i, item in enumerate(ed):
-            e, sl = item["edge"], item["sl"]
-            c = self.fiber.speed(e)
-            y = g.x[sl]
-            base = np.exp(1j * tau * y) * g.w[sl] / (c * c * item["sin_l"])
-            rows[2 * i, sl] = base * np.sin(item["kappa"] * (e.length - y))
-            rows[2 * i + 1, sl] = (
-                -item["e_l"] * base * np.sin(item["kappa"] * y)
-            )
-        return rows
-
-    def _hom_columns(self, ed) -> np.ndarray:
-        """n x m matrix of the sampled homogeneous fields (2 per edge)."""
-        n = self.grid.size
-        cols = []
-        for item in ed:
-            for h in item["h"]:
-                col = np.zeros(n, dtype=complex)
-                col[item["sl"]] = h
-                cols.append(col)
-        return np.array(cols).T
+        self.kernels = ComponentKernels(self.soft, weights, fiber)
 
     def _structure(self, z: complex, with_beta: bool):
         """Boundary system: A x = -Lam t(f) (+ e_c c for the beta row).
 
-        Returns (A, Lam, ed) where x stacks the homogeneous coefficients
+        Returns (A, Lam, ends) where x stacks the homogeneous coefficients
         (2 per soft edge, beta last when requested), t(f) is the 2E-vector
-        of particular-solution modified derivatives, and Lam maps t-data
-        into the rows of the system.
+        of particular-solution modified derivatives, Lam maps t-data into
+        the rows of the system, and ends lists the per-edge scalars
+        (kappa, e^{-i tau l}, cos kappa l, sin kappa l).
         """
         par = self.params
         fiber = self.fiber
-        ed = self._edge_data(z)
+        ends = []
+        for e in self.soft.edges:
+            kappa = self.kernels._kappa(e, z)
+            cos_l, sin_l, e_l, _, _ = self.kernels._end_coeffs(e, kappa)
+            ends.append((kappa, e_l, cos_l, sin_l))
         germ_term = par.germ * (fiber.tau / fiber.eps) ** 2
         rho = par.rho
 
-        def vals(item):
+        def vals(end):
             """Boundary functionals of (h1, h2): value/derivative rows."""
-            kappa, e_l = item["kappa"], item["e_l"]
-            cos_l, sin_l = item["cos_l"], item["sin_l"]
+            kappa, e_l, cos_l, sin_l = end
             return dict(
                 val0=np.array([1.0, 0.0], dtype=complex),
                 vall=np.array([e_l * cos_l, e_l * sin_l]),
@@ -159,9 +116,8 @@ class EffectiveModel:
                 dl=np.array([-e_l * kappa * sin_l, e_l * kappa * cos_l]),
             )
 
-        if self.n_edges == 1:
-            (item,) = ed
-            v = vals(item)
+        if len(ends) == 1:
+            v = vals(ends[0])
             wbar = np.conj(par.omega)
             if not with_beta:
                 a = np.zeros((2, 2), dtype=complex)
@@ -173,7 +129,7 @@ class EffectiveModel:
                     + (germ_term - z * rho * rho) * v["val0"]
                 )
                 lam[1] = [-1.0, wbar]
-                return a, lam, ed
+                return a, lam, ends
             a = np.zeros((3, 3), dtype=complex)
             lam = np.zeros((3, 2), dtype=complex)
             a[0, :2] = v["val0"] - wbar * v["vall"]
@@ -182,14 +138,13 @@ class EffectiveModel:
             a[2, :2] = (-v["d0"] + wbar * v["dl"]) / rho
             a[2, 2] = germ_term / (rho * rho) - z
             lam[2] = [-1.0 / rho, wbar / rho]
-            return a, lam, ed
+            return a, lam, ends
 
         # chain e1 and loop e2: coefficients (c11, c12, c21, c22[, beta]);
         # t-order (t0_e1, tl_e1, t0_e2, tl_e2)
-        it1, it2 = ed
-        v1, v2 = vals(it1), vals(it2)
-        a1sq = it1["edge"].speed_a ** 2
-        a2sq = it2["edge"].speed_a ** 2
+        v1, v2 = vals(ends[0]), vals(ends[1])
+        a1sq = self.soft.edges[0].speed_a ** 2
+        a2sq = self.soft.edges[1].speed_a ** 2
         xi1b, xi2b = np.conj(par.xi1), np.conj(par.omega)
         mdim = 5 if with_beta else 4
         a = np.zeros((mdim, mdim), dtype=complex)
@@ -207,24 +162,76 @@ class EffectiveModel:
             a[3, 0:2] = g_e1
             a[3, 2:4] = g_e2 - z * rho * rho * v2["val0"]
             lam[3] = lam_g
-            return a, lam, ed
+            return a, lam, ends
         a[3, 2:4] = rho * v2["val0"]
         a[3, 4] = -1.0
         a[4, 0:2] = g_e1 / rho
         a[4, 2:4] = g_e2 / rho
         a[4, 4] = -z
         lam[4] = lam_g / rho
-        return a, lam, ed
+        return a, lam, ends
+
+    def schur_frobenius(self, z: complex) -> complex:
+        """beta response to unit scalar forcing: equals 1/(K(tau,z) - z).
+
+        The last entry of one small solve on the beta system; the soft data
+        t(f) do not enter, so no sample grid is built."""
+        a, _, _ = self._structure(z, with_beta=True)
+        return complex(np.linalg.solve(a, np.eye(a.shape[0])[-1])[-1])
+
+
+class EffectiveModel(BoundarySystem):
+    """Effective resolvents and the homogenised operator on the soft grid."""
+
+    def __init__(
+        self,
+        graph: MetricGraph,
+        weights: dict[tuple[int, int], complex],
+        fiber: FiberParams,
+        grid: ComponentGrid,
+    ):
+        """``grid`` is the soft sample grid, ``make_grid(graph.subgraph("soft"),
+        resolution)``."""
+        super().__init__(graph, weights, fiber)
+        self.workspace = ResolventWorkspace(self.soft, weights, fiber, grid)
+        self.grid = grid
+
+    def _fields(self, z: complex, ends):
+        """(h, t) from one pass over the workspace's per-edge samples.
+
+        h is the n x 2E matrix of the sampled homogeneous fields
+        e^{-i tau x}(cos kappa x, sin kappa x) on each edge; t is the 2E x n
+        matrix of quadrature rows producing the modified derivatives
+        (du(0), du(l)) of the per-edge Dirichlet particular solution.
+        """
+        g = self.grid
+        m = 2 * len(ends)
+        h = np.zeros((g.size, m), dtype=complex)
+        t = np.zeros((m, g.size), dtype=complex)
+        samples = self.workspace._edge_samples(z)
+        for i, ((_, sl, c, _, phase, cos_x, a, b, _), end) in enumerate(
+            zip(samples, ends)
+        ):
+            _, e_l, _, sin_l = end
+            h[sl, 2 * i] = phase * cos_x
+            h[sl, 2 * i + 1] = phase * a
+            base = np.conj(phase) * g.w[sl] / (c * c * sin_l)
+            t[2 * i, sl] = base * b
+            t[2 * i + 1, sl] = -e_l * base * a
+        return h, t
+
+    def _defect(self, z: complex):
+        """(h, coeffs): r_eff(z) minus the Dirichlet resolvent is h @ coeffs."""
+        a, lam, ends = self._structure(z, with_beta=False)
+        h, t = self._fields(z, ends)
+        return h, np.linalg.solve(a, -lam @ t)
 
     # -- public matrices ----------------------------------------------------
 
     def r_eff_matrix(self, z: complex) -> np.ndarray:
         """Sample-space matrix of the effective generalised resolvent."""
-        a, lam, ed = self._structure(z, with_beta=False)
-        g = self.workspace.dirichlet_matrix(z)
-        t = self._t_rows(z, ed)
-        coeffs = np.linalg.solve(a, -lam @ t)
-        return g + self._hom_columns(ed) @ coeffs
+        h, coeffs = self._defect(z)
+        return self.workspace.dirichlet_matrix(z) + h @ coeffs
 
     def a_hom_matrix(self, z: complex) -> np.ndarray:
         """(n+1) x (n+1) resolvent matrix of the homogenised operator.
@@ -232,13 +239,13 @@ class EffectiveModel:
         Acts on (soft samples, beta scalar); the last row/column carry the
         boundary coordinate.
         """
-        a, lam, ed = self._structure(z, with_beta=True)
+        a, lam, ends = self._structure(z, with_beta=True)
         n = self.grid.size
         g = self.workspace.dirichlet_matrix(z)
-        h = self._hom_columns(ed)
+        h, t = self._fields(z, ends)
         mdim = a.shape[0]
         rhs = np.zeros((mdim, n + 1), dtype=complex)
-        rhs[:, :n] = -lam @ self._t_rows(z, ed)
+        rhs[:, :n] = -lam @ t
         rhs[-1, n] = 1.0  # the scalar forcing c enters the beta row
         coeffs = np.linalg.solve(a, rhs)
         out = np.zeros((n + 1, n + 1), dtype=complex)
@@ -247,46 +254,39 @@ class EffectiveModel:
         out[n, :] = coeffs[-1, :]
         return out
 
-    def schur_frobenius(self, z: complex) -> complex:
-        """beta response to unit scalar forcing: equals 1/(K(tau,z) - z)."""
-        return complex(self.a_hom_matrix(z)[-1, -1])
-
     # -- exact composition (for resolvent-identity certificates) ------------
 
-    def _dirichlet_of_hom(self, z: complex, ed_z, ed_w):
+    def _dirichlet_of_hom(self, ends_z, ends_w, h_z, h_w):
         """Closed-form (A_D - z)^{-1} applied to the kernel fields of w.
 
         Returns (cols, tdata): cols is n x m samples, tdata is (2E x m)
-        modified-derivative data of the resolved fields.
+        modified-derivative data of the resolved fields.  The resolved field
+        is h_w / (w - z) plus the kernel field at z that restores the
+        Dirichlet ends, so no trig function is evaluated on the samples.
         """
-        g = self.grid
-        tau = self.fiber.tau
-        m = 2 * self.n_edges
-        cols = np.zeros((g.size, m), dtype=complex)
+        m = h_z.shape[1]
+        cols = np.zeros((self.grid.size, m), dtype=complex)
         tdata = np.zeros((m, m), dtype=complex)
-        for i, (iz, iw) in enumerate(zip(ed_z, ed_w)):
-            e, sl = iz["edge"], iz["sl"]
+        for i, (e, (kz, e_l, cz, sz), (kw, _, cw, sw)) in enumerate(
+            zip(self.grid.edges, ends_z, ends_w)
+        ):
             c = self.fiber.speed(e)
-            kz, kw = iz["kappa"], iw["kappa"]
             wmz = (c * c) * (kw * kw - kz * kz)  # w - z on this edge
-            x = g.x[sl]
-            ph = np.exp(-1j * tau * x)
             for j, (p, q) in enumerate(((1.0, 0.0), (0.0, 1.0))):
                 col_idx = 2 * i + j
-                vh0 = p
-                vhl = p * iw["cos_l"] + q * iw["sin_l"]
+                vhl = p * cw + q * sw
                 dh0 = q * kw
-                dhl = kw * (-p * iw["sin_l"] + q * iw["cos_l"])
-                ps = -vh0 / wmz
-                qs = (-vhl / wmz - ps * iz["cos_l"]) / iz["sin_l"]
-                phi = (
-                    p * np.cos(kw * x) + q * np.sin(kw * x)
-                ) / wmz + ps * np.cos(kz * x) + qs * np.sin(kz * x)
-                cols[sl, col_idx] = ph * phi
+                dhl = kw * (-p * sw + q * cw)
+                ps = -p / wmz
+                qs = (-vhl / wmz - ps * cz) / sz
+                cols[:, col_idx] = (
+                    h_w[:, col_idx] / wmz
+                    + ps * h_z[:, 2 * i]
+                    + qs * h_z[:, 2 * i + 1]
+                )
                 tdata[2 * i, col_idx] = dh0 / wmz + qs * kz
-                tdata[2 * i + 1, col_idx] = iz["e_l"] * (
-                    dhl / wmz
-                    + kz * (-ps * iz["sin_l"] + qs * iz["cos_l"])
+                tdata[2 * i + 1, col_idx] = e_l * (
+                    dhl / wmz + kz * (-ps * sz + qs * cz)
                 )
         return cols, tdata
 
@@ -301,15 +301,13 @@ class EffectiveModel:
         if z == w:
             raise ValueError("compose requires distinct spectral points")
         n = self.grid.size
-        a_z, lam_z, ed_z = self._structure(z, with_beta=True)
-        a_w, lam_w, ed_w = self._structure(w, with_beta=True)
+        a_z, lam_z, ends_z = self._structure(z, with_beta=True)
+        a_w, lam_w, ends_w = self._structure(w, with_beta=True)
         g_z = self.workspace.dirichlet_matrix(z)
         g_w = self.workspace.dirichlet_matrix(w)
-        h_z = self._hom_columns(ed_z)
-        h_w = self._hom_columns(ed_w)
-        t_z = self._t_rows(z, ed_z)
-        t_w = self._t_rows(w, ed_w)
-        gh, th = self._dirichlet_of_hom(z, ed_z, ed_w)
+        h_z, t_z = self._fields(z, ends_z)
+        h_w, t_w = self._fields(w, ends_w)
+        gh, th = self._dirichlet_of_hom(ends_z, ends_w, h_z, h_w)
 
         mdim = a_w.shape[0]
         # inner solve X_w : (f, c) -> coefficients (+ beta last)
@@ -354,26 +352,22 @@ class EffectiveModel:
 
         Built independently of a_hom_matrix: (1,1) block is r_eff; the
         off-diagonal blocks are Pi times the rank-one boundary coordinate of
-        the defect part R - G (at z and conj z); the corner repeats the
-        coordinate extraction on the adjoint column.
+        the defect part R - G = h @ coeffs (at z and conj z); the corner
+        repeats the coordinate extraction on the adjoint column.
         """
         n = self.grid.size
         pi_scal = self.params.rho / math.sqrt(2.0)
         psi_row = self.params.psi.conj() @ self._vertex_rows()  # 1 x n
-        g_z = self.workspace.dirichlet_matrix(z)
-        r_z = self.r_eff_matrix(z)
-        zb = np.conj(z)
-        g_zb = self.workspace.dirichlet_matrix(zb)
-        r_zb = self.r_eff_matrix(zb)
-        w = self.grid.w
+        h_z, c_z = self._defect(z)
+        h_zb, c_zb = self._defect(np.conj(z))
 
-        row21 = pi_scal * (psi_row @ (r_z - g_z))  # 1 x n
-        row21_zb = pi_scal * (psi_row @ (r_zb - g_zb))
-        col12 = np.conj(row21_zb) / w  # weighted adjoint of the zbar row
+        row21 = pi_scal * ((psi_row @ h_z) @ c_z)  # 1 x n
+        row21_zb = pi_scal * ((psi_row @ h_zb) @ c_zb)
+        col12 = np.conj(row21_zb) / self.grid.w  # weighted adjoint of the zbar row
         corner = pi_scal * (psi_row @ col12)
 
         out = np.zeros((n + 1, n + 1), dtype=complex)
-        out[:n, :n] = r_z
+        out[:n, :n] = self.workspace.dirichlet_matrix(z) + h_z @ c_z
         out[n, :n] = row21
         out[:n, n] = col12
         out[n, n] = corner

@@ -18,6 +18,10 @@ block of the Dirichlet kernel is rank one on either triangle, so it is built
 from per-edge sine vectors by outer products, and the resolvent adds a
 rank-N_vertices correction gamma(z) (M(z) - B)^{-1} Gamma1; the
 weighted-Kirchhoff (Krein) resolvent is the case B = 0.
+
+``ComponentKernels`` holds what needs no grid (end coefficients, M(z));
+``ResolventWorkspace`` adds the grid, and its ``_edge_samples`` is the one
+place where trig functions meet the samples (the effective layer reads it).
 """
 
 from __future__ import annotations
@@ -67,22 +71,20 @@ def make_grid(component: MetricGraph, resolution: int) -> ComponentGrid:
     )
 
 
-class ResolventWorkspace:
-    """The resolvent maps of one component (the full graph, or its stiff or
-    soft part) as dense matrices on its sample grid ``make_grid(component,
-    resolution)``."""
+class ComponentKernels:
+    """The closed-form kernel-field data of one component (the full graph, or
+    its stiff or soft part): per-edge wavenumbers and end coefficients, and
+    the M-matrix.  Needs no sample grid."""
 
     def __init__(
         self,
         component: MetricGraph,
         weights: dict[tuple[int, int], complex],
         fiber: FiberParams,
-        grid: ComponentGrid,
     ):
         self.component = component
         self.weights = weights
         self.fiber = fiber
-        self.grid = grid
         self.vertices = tuple(sorted(component.vertices))
         self._vidx = {v: i for i, v in enumerate(self.vertices)}
 
@@ -92,23 +94,6 @@ class ResolventWorkspace:
 
     def _kappa(self, edge: EdgeSpec, z: complex) -> complex:
         return sqrt_upper(z) / self.fiber.speed(edge)
-
-    def _edge_samples(self, z: complex):
-        """Per grid edge: (edge, slice, c, kappa, e^{-i tau x}, sin(kappa x),
-        sin(kappa (l - x)), sin(kappa l)) on the edge's samples x."""
-        g = self.grid
-        for e, sl in zip(g.edges, g.slices):
-            c = self.fiber.speed(e)
-            kappa = self._kappa(e, z)
-            guard_pole(kappa * e.length)
-            x = g.x[sl]
-            yield (
-                e, sl, c, kappa,
-                np.exp(-1j * self.fiber.tau * x),
-                np.sin(kappa * x),
-                np.sin(kappa * (e.length - x)),
-                np.sin(kappa * e.length),
-            )
 
     def _end_coeffs(self, edge: EdgeSpec, kappa: complex):
         """(cos kappa l, sin kappa l, e^{-i tau l}, q_l, q_r) on ``edge``.
@@ -124,8 +109,6 @@ class ResolventWorkspace:
         q_l = -np.conj(self.weights[(edge.left, edge.id)]) * cos_l / sin_l
         q_r = np.conj(e_l) * np.conj(self.weights[(edge.right, edge.id)]) / sin_l
         return cos_l, sin_l, e_l, q_l, q_r
-
-    # -- M-matrix, Dirichlet decoupling, kernel lift and its dual --------
 
     def m_matrix(self, z: complex) -> np.ndarray:
         """M(z) = Gamma1 of the kernel fields, one edge at a time."""
@@ -145,6 +128,36 @@ class ResolventWorkspace:
             out[ir, ir] -= wr * c2 * (e_l * (kappa * (q_r * cos_l)))
         return out
 
+
+class ResolventWorkspace(ComponentKernels):
+    """The resolvent maps of one component as dense matrices on its sample
+    grid ``make_grid(component, resolution)``."""
+
+    def __init__(self, component, weights, fiber, grid: ComponentGrid):
+        super().__init__(component, weights, fiber)
+        self.grid = grid
+
+    def _edge_samples(self, z: complex):
+        """Per grid edge: (edge, slice, c, kappa, e^{-i tau x}, cos(kappa x),
+        sin(kappa x), sin(kappa (l - x)), sin(kappa l)) on the edge's samples
+        x.  The one place where trig functions meet the sample grid."""
+        g = self.grid
+        for e, sl in zip(g.edges, g.slices):
+            c = self.fiber.speed(e)
+            kappa = self._kappa(e, z)
+            guard_pole(kappa * e.length)
+            x = g.x[sl]
+            yield (
+                e, sl, c, kappa,
+                np.exp(-1j * self.fiber.tau * x),
+                np.cos(kappa * x),
+                np.sin(kappa * x),
+                np.sin(kappa * (e.length - x)),
+                np.sin(kappa * e.length),
+            )
+
+    # -- Dirichlet decoupling, kernel lift and its dual ----------------
+
     def dirichlet_matrix(self, z: complex) -> np.ndarray:
         """Sample-space matrix of the Dirichlet (decoupled) resolvent.
 
@@ -161,7 +174,7 @@ class ResolventWorkspace:
         """
         g = self.grid
         out = np.zeros((g.size, g.size), dtype=complex)
-        for e, sl, c, kappa, left, a, b, sin_l in self._edge_samples(z):
+        for e, sl, c, kappa, left, _, a, b, sin_l in self._edge_samples(z):
             right = np.conj(left) * g.w[sl] / (c * c * kappa * sin_l)
             block = out[sl, sl]
             np.multiply.outer(left * a, b * right, out=block)
@@ -173,10 +186,9 @@ class ResolventWorkspace:
         """n x N matrix of samples of gamma(z) e_V."""
         g = self.grid
         out = np.zeros((g.size, self.nvert), dtype=complex)
-        for e, sl, _, kappa, phase, a, _, _ in self._edge_samples(z):
+        for e, sl, _, kappa, phase, cos_x, a, _, _ in self._edge_samples(z):
             _, _, _, q_l, q_r = self._end_coeffs(e, kappa)
             wl_bar = np.conj(self.weights[(e.left, e.id)])
-            cos_x = np.cos(kappa * g.x[sl])
             out[sl, self._vidx[e.left]] += phase * (wl_bar * cos_x + q_l * a)
             out[sl, self._vidx[e.right]] += phase * (q_r * a)
         return out
@@ -189,7 +201,7 @@ class ResolventWorkspace:
         """
         g = self.grid
         out = np.zeros((self.nvert, g.size), dtype=complex)
-        for e, sl, _, _, phase, a, b, sin_l in self._edge_samples(z):
+        for e, sl, _, _, phase, _, a, b, sin_l in self._edge_samples(z):
             base = np.conj(phase) * g.w[sl] / sin_l
             # left endpoint: + w c^2 e^{-i tau 0} dphi(0) with
             # dphi(0) = int sin(kappa (l - y)) g(y) dy / (c^2 sin kappa l)

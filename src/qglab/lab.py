@@ -420,7 +420,7 @@ def _soft_sandwich_error(graph, tau: float, eps: float, z: complex, res: int) ->
     weights = datta_weights(graph, tau)
     fiber = FiberParams(eps, tau, z)
     model = EffectiveModel(graph, weights, fiber, make_grid(graph.subgraph("soft"), res))
-    b = -m_blocks_closed(graph, fiber).m_stiff
+    b = triples.b_matrix(graph, fiber)
     r_eps = model.workspace.generalized_matrix(z, b)
     return operator_norm_diff(r_eps, model.r_eff_matrix(z), model.grid.w)
 
@@ -700,7 +700,7 @@ def run_sum_identities(
 
 def run_schur_check(
     *, examples=DEFAULT_EXAMPLES, eps=0.1, tau_list=(-1.0, 0.3, 1.5, 2.9),
-    z_list=DEFAULT_Z, resolution=64,
+    z_list=DEFAULT_Z,
 ) -> ExperimentResult:
     """The boundary Schur scalar inverts (K - z), and is Herglotz."""
     rows, failures = [], []
@@ -711,7 +711,7 @@ def run_schur_check(
         for tau in tau_list:
             for z in z_list:
                 try:
-                    s = dispersion.schur_frobenius(g, float(tau), z, eps, resolution)
+                    s = dispersion.schur_frobenius(g, float(tau), z, eps)
                     kc = dispersion.k_closed(g, float(tau), z, eps=eps)
                 except PoleError as exc:
                     failures.append(

@@ -122,7 +122,7 @@ def test_difference_symbol_equals_multiplier(g, z, eps):
 @settings(max_examples=30, deadline=None)
 @given(g=cells(), tau=TAU, z=Z, eps=EPS)
 def test_schur_complement_inverts_dispersion(g, tau, z, eps):
-    s = schur_frobenius(g, tau, z, eps, resolution=64)
+    s = schur_frobenius(g, tau, z, eps)
     assert abs(s * (k_closed(g, tau, z, eps=eps) - z) - 1.0) < 1e-9
 
 

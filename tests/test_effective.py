@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from qglab.dispersion import k_closed
+from qglab.dispersion import k_closed, schur_frobenius
 from qglab.effective import EffectiveModel, PsiEmbedding, effective_params
 from qglab.graphs import build_example, datta_weights
-from qglab.krein import make_grid
+from qglab.krein import ResolventWorkspace, make_grid
 from qglab.mmatrix import FiberParams, PoleError
 
 
@@ -29,6 +29,27 @@ def test_schur_herglotz_sign():
     for name in ("ex0", "ex1", "ex2"):
         _, model = _model(name, tau=0.8, z=2 + 1j)
         assert model.schur_frobenius(2 + 1j).imag > -1e-12
+
+
+@pytest.mark.parametrize("name", ["ex0", "ex1", "ex2"])
+def test_grid_free_schur_scalar_is_the_hom_corner(name):
+    # the corner of a_hom_matrix is the scalar schur_frobenius used to read
+    for tau, z in ((0.3, 2 + 1j), (2.9, 10 + 0.7j)):
+        for res in (16, 96):
+            _, model = _model(name, tau=tau, z=z, res=res)
+            s = model.schur_frobenius(z)
+            corner = model.a_hom_matrix(z)[-1, -1]
+            assert abs(s - corner) <= 1e-14 * abs(corner)
+
+
+def test_schur_scalar_samples_nothing(monkeypatch):
+    def no_samples(self, z):
+        raise AssertionError("the Schur scalar evaluated per-edge samples")
+
+    monkeypatch.setattr(ResolventWorkspace, "_edge_samples", no_samples)
+    g = build_example("ex2")
+    s = schur_frobenius(g, 1.0, 2 + 1j, 0.1)
+    assert abs(s * (k_closed(g, 1.0, 2 + 1j, eps=0.1) - (2 + 1j)) - 1.0) < 1e-9
 
 
 def test_dilation_matches_hom_matrix():

@@ -513,15 +513,23 @@ def test_values_cast_by_default_type():
 @pytest.mark.parametrize(
     "cfg, key",
     [
-        ({"resolution": "fine"}, "resolution"),
-        ({"tau_list": [0.3, "x"]}, "tau_list"),
-        ({"resolution": [64, 128]}, "resolution"),
-        ({"examples": []}, "examples"),
+        (("gen_res_rate", {"resolution": "fine"}), "resolution"),
+        (("schur_check", {"tau_list": [0.3, "x"]}), "tau_list"),
+        (("gen_res_rate", {"resolution": [64, 128]}), "resolution"),
+        (("schur_check", {"examples": []}), "examples"),
     ],
 )
 def test_bad_values_raise(cfg, key):
-    with pytest.raises(ParameterError, match=f"schur_check: {key} "):
-        run_experiment("schur_check", cfg)
+    # cfg is (tag, config); resolution is checked on a runner that takes it
+    tag, config = cfg
+    with pytest.raises(ParameterError, match=f"{tag}: {key} "):
+        run_experiment(tag, config)
+
+
+def test_schur_check_takes_no_resolution():
+    # the Schur scalar is one boundary solve; no sample grid enters it
+    with pytest.raises(ParameterError, match="schur_check does not take resolution"):
+        run_experiment("schur_check", {"resolution": 64})
 
 
 @pytest.mark.parametrize(
