@@ -18,6 +18,7 @@ from .graphs import EdgeSpec, MetricGraph, ParameterError, build_example, datta_
 from .krein import ComponentGrid, ResolventWorkspace, make_grid
 from .lab import (
     EXPERIMENT_TAGS,
+    Check,
     ExperimentResult,
     SlopeFit,
     fit_slope,
@@ -62,6 +63,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "EXPERIMENT_TAGS",
+    "Check",
     "ComponentGrid",
     "DiscretizedOperator",
     "EdgeSpec",

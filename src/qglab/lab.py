@@ -3,7 +3,8 @@ fits, and the eleven tagged experiments behind the acceptance checks.
 
 Every experiment is deterministic given its configuration (fixed seeds,
 ordered accumulation) and returns an ``ExperimentResult`` with per-point
-rows (CSV-ready), a human-readable summary, and a pass flag.
+rows (CSV-ready), its ``Check`` records (each figure with its bound) and
+its FAIL lines; it passes iff every check is ok and there is no FAIL line.
 """
 
 from __future__ import annotations
@@ -72,18 +73,12 @@ class SlopeFit:
     slope: float
     intercept: float
     r_squared: float
-    lo: float
-    hi: float
-
-    @property
-    def passed(self) -> bool:
-        return self.lo <= self.slope <= self.hi
 
 
 MIN_FIT_POINTS = 4
 
 
-def fit_slope(eps_values, errors, lo: float = 1.8, hi: float = 2.2) -> SlopeFit:
+def fit_slope(eps_values, errors) -> SlopeFit:
     """Fit err ~ C eps^slope on >= MIN_FIT_POINTS positive pairs."""
     eps_values = np.asarray(eps_values, dtype=float)
     errors = np.asarray(errors, dtype=float)
@@ -97,7 +92,7 @@ def fit_slope(eps_values, errors, lo: float = 1.8, hi: float = 2.2) -> SlopeFit:
     resid = ly - a @ coef
     ss_tot = float(np.sum((ly - ly.mean()) ** 2))
     r_sq = 1.0 - float(np.sum(resid**2)) / ss_tot if ss_tot > 0 else 0.0
-    return SlopeFit(float(coef[0]), float(coef[1]), r_sq, lo, hi)
+    return SlopeFit(float(coef[0]), float(coef[1]), r_sq)
 
 
 def _as_operator(a) -> LinearOperator:
@@ -176,13 +171,58 @@ def operator_norm_diff(
 # experiment plumbing
 
 
+@dataclass(frozen=True)
+class Check:
+    """One certified figure and its bound: ``ok`` iff lo <= value <= hi.
+
+    ``value`` is a number or an array (such as the per-tau slopes of one
+    cell), and every element must lie in [lo, hi].  A NaN compares false,
+    so it is never ok, and an empty array certifies nothing, so it is not
+    ok either.  ``str`` renders the figure with its bound and marks a
+    failing check.
+    """
+
+    name: str
+    value: float | np.ndarray
+    lo: float = -math.inf
+    hi: float = math.inf
+
+    @property
+    def ok(self) -> bool:
+        value = np.asarray(self.value, dtype=float)
+        return value.size > 0 and bool(np.all((self.lo <= value) & (value <= self.hi)))
+
+    def __str__(self) -> str:
+        figures = ", ".join(f"{x:#.4g}" for x in np.ravel(self.value))
+        if np.ndim(self.value):
+            figures = f"[{figures}]"
+        if self.lo == -math.inf:
+            bound = f"tol {self.hi:g}"
+        elif self.hi == math.inf:
+            bound = f"floor {self.lo:g}"
+        else:
+            bound = f"band [{self.lo:g}, {self.hi:g}]"
+        return f"{self.name} = {figures} ({bound})" + ("" if self.ok else " FAIL")
+
+
 @dataclass
 class ExperimentResult:
+    """An experiment's checks, its FAIL lines (the points or cells that
+    raised, with the reason) and its data rows."""
+
     tag: str
-    passed: bool
-    summary: list[str]
+    checks: list[Check]
+    failures: list[str] = field(default_factory=list)
     rows: list[dict] = field(default_factory=list)
     extra_tables: dict[str, list[dict]] = field(default_factory=dict)
+
+    @property
+    def passed(self) -> bool:
+        return not self.failures and all(check.ok for check in self.checks)
+
+    @property
+    def summary(self) -> list[str]:
+        return [*self.failures, *map(str, self.checks)]
 
 
 def write_csv(path: str, rows: list[dict]) -> None:
@@ -228,42 +268,59 @@ def parse_config(path: str) -> dict:
     return cfg
 
 
-def _slope_sweep(points, eps_list, error, where):
-    """Fit error(p, eps) ~ eps^slope over ``eps_list`` at each point p.
+def _fail(where: str, exc: Exception) -> str:
+    """The FAIL line of the point or cell ``where`` that raised ``exc``."""
+    return f"{where}: {type(exc).__name__}: {exc}"
 
-    An error that raises PoleError is a FAIL line ``where(p, eps)`` followed
-    by the exception, and its point gets no slope fit.  Returns whether
-    every point was fitted with its slope in the band, the slopes as a
-    summary string ("failed" at the points without a fit), the samples
-    (p, eps, error) that were computed, in sweep order, and the FAIL lines.
+
+def _worst(values, reduce=np.max) -> float:
+    """``reduce`` of ``values``, which propagates a NaN; NaN when there are
+    no values (every point raised), so the check on it fails."""
+    values = np.asarray(values, dtype=float)
+    return float(reduce(values)) if values.size else math.nan
+
+
+def _sweep(points, eps_list, error, where):
+    """error(p, eps) at each point p over ``eps_list``.
+
+    Returns the (points, eps) array of errors, the samples (p, eps, error)
+    that were computed, in sweep order, and the FAIL lines: an error that
+    raises PoleError is the line ``where(p, eps)`` with the exception, and
+    NaN in the array.
     """
-    slopes, samples, failures = [], [], []
-    passed = True
-    for p in points:
-        errs = []
-        for e in eps_list:
+    errors = np.full((len(points), len(eps_list)), math.nan)
+    samples, failures = [], []
+    for i, p in enumerate(points):
+        for j, e in enumerate(eps_list):
             try:
-                errs.append(error(p, e))
+                err = error(p, e)
             except PoleError as exc:
-                failures.append(f"{where(p, e)}: {type(exc).__name__}: {exc}")
+                failures.append(_fail(where(p, e), exc))
                 continue
-            samples.append((p, e, errs[-1]))
-        if len(errs) < len(eps_list):
-            passed = False
-            slopes.append("failed")
-            continue
-        fit = fit_slope(eps_list, errs)
-        passed = passed and fit.passed
-        slopes.append("%.3f" % fit.slope)
-    return passed, str(slopes), samples, failures
+            errors[i, j] = err
+            samples.append((p, e, err))
+    return errors, samples, failures
 
 
-def _no_cell(tag: str, examples) -> ExperimentResult:
-    """FAIL when ``examples`` hold no cell without a stiff cycle."""
-    return ExperimentResult(
-        tag, False,
-        [f"no selected cell without a stiff cycle (examples: {', '.join(examples)})"],
-    )
+def _slopes(name: str, eps_list, errors, lo: float = 1.8, hi: float = 2.2) -> Check:
+    """The check that each row of ``errors`` (over ``eps_list``) fits
+    err ~ eps^slope with the slope in [lo, hi].  A row holding a NaN (a
+    point that raised) gets no fit: its slope is NaN, and fails."""
+    errors = np.asarray(errors, dtype=float)
+    slopes = [
+        math.nan if np.isnan(row).any() else fit_slope(eps_list, row).slope
+        for row in errors.reshape(-1, errors.shape[-1])
+    ]
+    return Check(name, np.reshape(slopes, errors.shape[:-1]), lo, hi)
+
+
+def _germ_free_cells(examples):
+    """The selected cells without a stiff cycle, and a FAIL line when there
+    are none."""
+    cells = [g for g in map(build_example, examples) if not g.cell.germ]
+    if cells:
+        return cells, []
+    return cells, [f"no selected cell without a stiff cycle (examples: {', '.join(examples)})"]
 
 
 # ---------------------------------------------------------------------------
@@ -287,8 +344,6 @@ def run_additivity(
     zs = np.array([*z_list, complex(7.0, 0.3)])
     points = [(tau, z) for tau in taus.ravel().tolist() for z in zs.tolist()]
     rows, entries, failures = [], [], []
-    worst_dev = worst_gen = worst_sym = 0.0
-    worst_herg = math.inf
     for name in examples:
         g = build_example(name)
         weights = datta_weights(g, taus)
@@ -305,17 +360,13 @@ def run_additivity(
                     m_blocks_closed(g, FiberParams(float(eps), taus, zs.conj()))
                 )
             except PoleError as exc:  # one pole point fails the (cell, eps) grid
-                failures.append(
+                failures.append(_fail(
                     f"{name}: M-matrix failed on the (tau, z) grid at eps={eps:g}, "
-                    f"z in {zs.tolist()}: {type(exc).__name__}: {exc}"
-                )
+                    f"z in {zs.tolist()}", exc,
+                ))
                 continue
             dev = check_additivity(mset)
             herg = herglotz_min_eig(full)
-            worst_dev = max(worst_dev, float(dev.max()))
-            worst_gen = max(worst_gen, float(gen.max()))
-            worst_sym = max(worst_sym, float(sym.max()))
-            worst_herg = min(worst_herg, float(herg.min()))
             blocks = np.stack([full, mset.m_stiff, mset.m_soft], axis=-3)
             for (tau, z), d, gn, sy, h, values in zip(
                 points, dev.ravel().tolist(), gen.ravel().tolist(),
@@ -329,23 +380,18 @@ def run_additivity(
                     dict(point, block=block, row=r, col=c, re=v.real, im=v.imag)
                     for (block, r, c), v in zip(_ENTRY_KEYS, values)
                 ]
-    passed = (
-        not failures
-        and worst_dev <= ADDITIVITY_TOL
-        and worst_gen <= 1e-11
-        and worst_sym <= SYMMETRY_TOL
-        and worst_herg >= HERGLOTZ_FLOOR
-    )
-    summary = [
-        *failures,
-        f"additivity max deviation {worst_dev:.3e} (tol {ADDITIVITY_TOL:.0e})",
-        f"closed-vs-general max deviation {worst_gen:.3e}",
-        f"relative symmetry defect {worst_sym:.3e} (tol {SYMMETRY_TOL:.0e})",
-        f"Herglotz min eigenvalue {worst_herg:.3e} (floor {HERGLOTZ_FLOOR:.0e})",
-        f"points per example: {len(rows) // len(examples)}",
+    checks = [
+        Check(f"additivity max deviation over {len(rows)} points",
+              _worst([r["additivity"] for r in rows]), hi=ADDITIVITY_TOL),
+        Check("closed-vs-general max deviation",
+              _worst([r["vs_general"] for r in rows]), hi=1e-11),
+        Check("relative symmetry defect",
+              _worst([r["symmetry"] for r in rows]), hi=SYMMETRY_TOL),
+        Check("Herglotz min eigenvalue",
+              _worst([r["herglotz_min"] for r in rows], np.min), lo=HERGLOTZ_FLOOR),
     ]
     return ExperimentResult(
-        "additivity", passed, summary, rows, {"mmatrix_entries": entries}
+        "additivity", checks, failures, rows, {"mmatrix_entries": entries}
     )
 
 
@@ -355,21 +401,23 @@ def run_krein_vs_direct(
 ) -> ExperimentResult:
     """Closed-form resolvent against the finite-element oracle.
 
-    A resolution at which either resolvent raises (z on a discrete or a
-    Dirichlet level) is a FAIL line naming it, and its cell gets no halving
-    ratio.
+    Each cell checks error / (h^2 ||R||) at every resolution, and the ratio
+    of successive errors (the O(h^2) decay).  A resolution at which either
+    resolvent raises (z on a discrete or a Dirichlet level) is a FAIL line
+    naming it, and its error is NaN, so the ratios next to it fail.
     """
     if len(resolutions) < 2:
-        return ExperimentResult("krein_vs_direct", False, [
+        return ExperimentResult("krein_vs_direct", [], [
             f"needs at least two resolutions for a halving ratio, got {list(resolutions)}"
         ])
-    rows, summary, passed = [], [], True
+    rows, checks, failures = [], [], []
+    h = 1.0 / np.array(resolutions, dtype=float)
     for name in examples:
         g = build_example(name)
         weights = datta_weights(g, tau)
         fiber = FiberParams(eps, tau, z)
-        errs, failures = [], []
-        for res in resolutions:
+        errs, norms = np.full(h.size, math.nan), np.full(h.size, math.nan)
+        for i, res in enumerate(resolutions):
             grid = make_grid(g, res)
             # the FEM resolvent is applied matrix-free, so a z at a discrete
             # level raises inside the power iteration: both norms sit in the try
@@ -379,40 +427,21 @@ def run_krein_vs_direct(
                 err = operator_norm_diff(r_k, r_d, grid.w)
                 norm_r = operator_norm_diff(r_k, None, grid.w)
             except (*fem_errors(), PoleError) as exc:
-                failures.append(
-                    f"{name}: resolvents failed at resolution={res}, z={z}: "
-                    f"{type(exc).__name__}: {exc}"
-                )
+                failures.append(_fail(f"{name}: resolvents failed at resolution={res}, z={z}", exc))
                 continue
-            h = 1.0 / res
-            bound = 5.0 * h * h * norm_r
-            ok = err <= bound
-            passed = passed and ok
-            errs.append(err)
-            rows.append(
-                dict(
-                    example=name,
-                    resolution=res,
-                    error=err,
-                    bound=bound,
-                    resolvent_norm=norm_r,
-                    within_bound=ok,
-                )
+            errs[i], norms[i] = err, norm_r
+        scaled = Check(f"{name}: error / (h^2 ||R||)", errs / (h * h * norms), hi=5.0)
+        bounds = scaled.hi * h * h * norms
+        rows += [
+            dict(example=name, resolution=res, error=err, bound=bound,
+                 resolvent_norm=norm_r, within_bound=err <= bound)
+            for res, err, bound, norm_r in zip(
+                resolutions, errs.tolist(), bounds.tolist(), norms.tolist()
             )
-        if failures:
-            passed = False
-            summary += failures
-            summary.append(f"{name}: no halving ratio ({len(failures)} failed resolutions)")
-            continue
-        ratios = [errs[i] / errs[i + 1] for i in range(len(errs) - 1)]
-        ratio_ok = all(3.0 <= r <= 5.0 for r in ratios)
-        passed = passed and ratio_ok
-        summary.append(
-            f"{name}: errors {['%.2e' % e for e in errs]}, "
-            f"halving ratios {['%.2f' % r for r in ratios]} "
-            f"({'ok' if ratio_ok else 'FAIL'})"
-        )
-    return ExperimentResult("krein_vs_direct", passed, summary, rows)
+            if not math.isnan(err)
+        ]
+        checks += [scaled, Check(f"{name}: halving ratios", errs[:-1] / errs[1:], 3.0, 5.0)]
+    return ExperimentResult("krein_vs_direct", checks, failures, rows)
 
 
 def _soft_sandwich_error(graph, tau: float, eps: float, z: complex, res: int) -> float:
@@ -430,20 +459,19 @@ def run_gen_res_rate(
     z=2 + 1j, resolution=96,
 ) -> ExperimentResult:
     """O(eps^2) convergence of the soft-component generalised resolvent."""
-    rows, summary, passed = [], [], True
+    rows, checks, failures = [], [], []
     for name in examples:
         g = build_example(name)
-        ok, slopes, samples, failures = _slope_sweep(
+        errors, samples, failed = _sweep(
             tau_list, eps_list,
             lambda tau, e: _soft_sandwich_error(g, tau, e, z, resolution),
             lambda tau, e: f"{name}: resolvents failed at tau={tau:.6g}, eps={e:g}, z={z}",
         )
-        passed = passed and ok
         rows += [dict(example=name, tau=tau, eps=e, error=err)
                  for tau, e, err in samples]
-        summary += failures
-        summary.append(f"{name}: slopes {slopes} (band [1.8, 2.2])")
-    return ExperimentResult("gen_res_rate", passed, summary, rows)
+        failures += failed
+        checks.append(_slopes(f"{name}: slopes", eps_list, errors))
+    return ExperimentResult("gen_res_rate", checks, failures, rows)
 
 
 def _full_nrc_error(graph, tau: float, eps: float, z: complex, res: int) -> float:
@@ -485,50 +513,32 @@ def run_full_res_rate(
     """Full norm-resolvent convergence plus dilation self-adjointness
     certificates (resolvent identity, adjoint symmetry, Herglotz sign,
     agreement of the two independent out-of-space assembly routes)."""
-    rows, summary, passed = [], [], True
-    worst = dict(ident=0.0, adj=0.0, herg=math.inf, route=0.0)
-    cert_failed = False
+    rows, checks, failures, certs = [], [], [], []
     for name in examples:
         g = build_example(name)
-        ok, slopes, samples, failures = _slope_sweep(
+        errors, samples, failed = _sweep(
             tau_list, eps_list,
             lambda tau, e: _full_nrc_error(g, tau, e, z, resolution),
             lambda tau, e: f"{name}: resolvents failed at tau={tau:.6g}, eps={e:g}, z={z}",
         )
-        passed = passed and ok
         rows += [dict(example=name, tau=tau, eps=e, error=err)
                  for tau, e, err in samples]
-        summary += failures
+        failures += failed
         try:
-            ident, adj, herg, route = _dilation_certificates(
-                g, 1.0, 0.1, z, w, resolution
-            )
+            certs.append(_dilation_certificates(g, 1.0, 0.1, z, w, resolution))
         except PoleError as exc:
-            cert_failed = True
-            summary.append(
-                f"{name}: dilation certificates failed at tau=1, eps=0.1, z={z}, "
-                f"w={w}: {type(exc).__name__}: {exc}"
-            )
-        else:
-            worst["ident"] = max(worst["ident"], ident)
-            worst["adj"] = max(worst["adj"], adj)
-            worst["herg"] = min(worst["herg"], herg)
-            worst["route"] = max(worst["route"], route)
-        summary.append(f"{name}: slopes {slopes} (band [1.8, 2.2])")
-    cert_ok = (
-        not cert_failed
-        and worst["ident"] <= 1e-9
-        and worst["adj"] <= 1e-10
-        and worst["herg"] >= -1e-10
-        and worst["route"] <= 1e-9
-    )
-    passed = passed and cert_ok
-    summary.append(
-        f"dilation certificates: identity {worst['ident']:.2e}, adjoint "
-        f"{worst['adj']:.2e}, Herglotz min {worst['herg']:.2e}, "
-        f"route defect {worst['route']:.2e} ({'ok' if cert_ok else 'FAIL'})"
-    )
-    return ExperimentResult("full_res_rate", passed, summary, rows)
+            failures.append(_fail(
+                f"{name}: dilation certificates failed at tau=1, eps=0.1, z={z}, w={w}", exc
+            ))
+        checks.append(_slopes(f"{name}: slopes", eps_list, errors))
+    ident, adj, herg, route = np.reshape(certs, (-1, 4)).T
+    checks += [
+        Check("dilation resolvent identity", _worst(ident), hi=1e-9),
+        Check("dilation adjoint defect", _worst(adj), hi=1e-10),
+        Check("dilation Herglotz min", _worst(herg, np.min), lo=-1e-10),
+        Check("dilation route defect", _worst(route), hi=1e-9),
+    ]
+    return ExperimentResult("full_res_rate", checks, failures, rows)
 
 
 def run_btilde_identity(
@@ -539,14 +549,12 @@ def run_btilde_identity(
     diagonal form of the swapped boundary matrix, on the selected cells
     without a stiff cycle (ex0 and ex2 by default); each route is one call
     per cell on the whole (tau, z, eps) grid."""
-    cells = [g for g in map(build_example, examples) if not g.cell.germ]
-    if not cells:
-        return _no_cell("btilde_identity", examples)
+    cells, failures = _germ_free_cells(examples)
     taus = np.linspace(-3.0, 3.0, tau_count)
     zs = [complex(re, im) for re in (0.7, 2, 5, 10, 17) for im in (0.5, 1.3)]
     eps_values = [float(e) for e in eps_list]
     fiber = FiberParams(np.array(eps_values), taus[:, None, None], np.array(zs)[:, None])
-    rows, summary, passed = [], [], True
+    rows, checks = [], []
     for g in cells:
         # on the loop cell (ex2) the transform cancels entries of size
         # ||B(z)|| (a3^2/(l3 eps^2) scale), so floating-point noise is
@@ -558,32 +566,20 @@ def run_btilde_identity(
             if relative:
                 dev /= 1.0 + np.max(np.abs(triples.b_matrix(g, fiber)), axis=(-2, -1))
         except PoleError as exc:  # one pole point fails the cell's whole grid
-            passed = False
-            summary.append(
+            failures.append(_fail(
                 f"{g.example}: B_tilde failed on the (tau, z, eps) grid at eps in "
-                f"{list(eps_list)}, z in {zs}: {type(exc).__name__}: {exc}"
-            )
+                f"{list(eps_list)}, z in {zs}", exc,
+            ))
             continue
-        worst = float(dev.max())
         rows += [
             dict(example=g.example, tau=tau, re_z=z.real, im_z=z.imag, eps=eps, deviation=d)
             for tau, dev_t in zip(taus.tolist(), dev.tolist())
             for z, devs in zip(zs, dev_t)
             for eps, d in zip(eps_values, devs)
         ]
-        passed = passed and worst <= BTILDE_TOL
         what = "relative deviation" if relative else "|generic - closed|"
-        summary.append(
-            f"{g.example} max {what} = {worst:.3e} (tol {BTILDE_TOL:.0e})"
-        )
-    return ExperimentResult("btilde_identity", passed, summary, rows)
-
-
-def _eps_slopes(eps_list, errors):
-    """Whether every row of ``errors`` (one per tau, over ``eps_list``) fits a
-    slope in the band, and the slopes as a summary string."""
-    fits = [fit_slope(eps_list, row) for row in errors]
-    return all(f.passed for f in fits), str(["%.3f" % f.slope for f in fits])
+        checks.append(Check(f"{g.example} max {what}", np.max(dev), hi=BTILDE_TOL))
+    return ExperimentResult("btilde_identity", checks, failures, rows)
 
 
 def run_beff_rate(
@@ -598,38 +594,28 @@ def run_beff_rate(
     eps_values, tau_values = [float(e) for e in eps_list], [float(t) for t in tau_list]
     fiber = FiberParams(np.array(eps_values), np.array(tau_values)[:, None], z)
     where = f"on the (tau, eps) grid at eps in {list(eps_list)}, z={z}"
-    rows, summary, delta_lines, passed = [], [], [], True
+    rows, checks, delta_checks, failures = [], [], [], []
     for g in map(build_example, examples):
         try:
             dev = triples.beff_deviation(g, fiber)
         except PoleError as exc:
-            passed = False
-            summary.append(
-                f"{g.example}: B_eff deviation failed {where}: {type(exc).__name__}: {exc}"
-            )
+            failures.append(_fail(f"{g.example}: B_eff deviation failed {where}", exc))
             continue
         rows += [
             dict(example=g.example, tau=tau, eps=e, error=err)
             for tau, errs in zip(tau_values, dev.tolist())
             for e, err in zip(eps_values, errs)
         ]
-        ok, slopes = _eps_slopes(eps_list, dev)
-        passed = passed and ok
-        summary.append(f"{g.example}: slopes {slopes}")
+        checks.append(_slopes(f"{g.example}: slopes", eps_list, dev))
         if not g.cell.germ:
             continue
         try:
             err = np.abs(triples.delta_fn(g, fiber) - triples.delta_limit(g, fiber))
         except PoleError as exc:
-            passed = False
-            delta_lines.append(
-                f"{g.example}: delta limit failed {where}: {type(exc).__name__}: {exc}"
-            )
+            failures.append(_fail(f"{g.example}: delta limit failed {where}", exc))
             continue
-        ok, slopes = _eps_slopes(eps_list, err)
-        passed = passed and ok
-        delta_lines.append(f"{g.example} delta-vs-limit slopes {slopes}")
-    return ExperimentResult("beff_rate", passed, summary + delta_lines, rows)
+        delta_checks.append(_slopes(f"{g.example} delta-vs-limit slopes", eps_list, err))
+    return ExperimentResult("beff_rate", checks + delta_checks, failures, rows)
 
 
 def run_dispersion_series(
@@ -641,17 +627,15 @@ def run_dispersion_series(
     zs = [*z_list, complex(3.3, 0.6), complex(7.1, 1.7), complex(1.2, 0.9)]
     # every K below is one (tau, z) array call per cell
     tau_col, z_row = taus[:, None], np.array(zs)
-    rows, summary, passed = [], [], True
+    rows, checks, failures = [], [], []
     for name in examples:
         g = build_example(name)
         try:
             kc = dispersion.k_closed(g, tau_col, z_row, eps=eps)
         except PoleError as exc:  # one pole point fails the cell's whole grid
-            passed = False
-            summary.append(
-                f"{name}: closed form failed on the (tau, z) grid at eps={eps:g}, "
-                f"z in {zs}: {type(exc).__name__}: {exc}"
-            )
+            failures.append(_fail(
+                f"{name}: closed form failed on the (tau, z) grid at eps={eps:g}, z in {zs}", exc
+            ))
             continue
 
         def error(terms):
@@ -660,22 +644,18 @@ def run_dispersion_series(
         rel = error(n_terms) / np.maximum(1.0, np.abs(kc))
         e1, e2 = error(1000), error(2000)
         tail = np.divide(e1, e2, out=np.full_like(e1, 2.0), where=e2 > 0)
-        worst_rel = float(rel.max())
-        worst_tail = float(np.abs(tail - 2.0).max())
         rows += [
             dict(example=name, tau=tau, re_z=z.real, im_z=z.imag, rel_error=r,
                  tail_ratio=q)
             for tau, rel_t, tail_t in zip(taus.tolist(), rel.tolist(), tail.tolist())
             for z, r, q in zip(zs, rel_t, tail_t)
         ]
-        ok = worst_rel <= SERIES_REL_TOL and worst_tail <= 1.0
-        passed = passed and ok
-        summary.append(
-            f"{name}: {len(taus) * len(zs)} points, max relative error "
-            f"{worst_rel:.2e} (tol {SERIES_REL_TOL:.0e}), tail ratio within "
-            f"{worst_tail:.2f} of 2"
-        )
-    return ExperimentResult("dispersion_series", passed, summary, rows)
+        checks += [
+            Check(f"{name}: max relative error over {rel.size} points", np.max(rel),
+                  hi=SERIES_REL_TOL),
+            Check(f"{name}: max |tail ratio - 2|", np.max(np.abs(tail - 2.0)), hi=1.0),
+        ]
+    return ExperimentResult("dispersion_series", checks, failures, rows)
 
 
 def run_sum_identities(
@@ -683,18 +663,15 @@ def run_sum_identities(
 ) -> ExperimentResult:
     """Lattice-sum closed forms at large truncation."""
     devs = dispersion.verify_sum_identities(np.array(x_list, dtype=float), n_terms)
-    plain, alternating = devs["plain"].tolist(), devs["alternating"].tolist()
     rows = [
         dict(x=x, n_terms=n_terms, plain=p, alternating=a)
-        for x, p, a in zip(x_list, plain, alternating)
+        for x, p, a in zip(x_list, devs["plain"].tolist(), devs["alternating"].tolist())
     ]
-    worst = max(plain + alternating)
-    passed = worst <= SUM_TOL
+    worst = np.max([devs["plain"], devs["alternating"]])
     return ExperimentResult(
         "sum_identities",
-        passed,
-        [f"max deviation {worst:.3e} at J={n_terms} (tol {SUM_TOL:.0e})"],
-        rows,
+        [Check(f"max deviation at J={n_terms}", worst, hi=SUM_TOL)],
+        rows=rows,
     )
 
 
@@ -704,8 +681,6 @@ def run_schur_check(
 ) -> ExperimentResult:
     """The boundary Schur scalar inverts (K - z), and is Herglotz."""
     rows, failures = [], []
-    worst = 0.0
-    worst_herg = math.inf
     for name in examples:
         g = build_example(name)
         for tau in tau_list:
@@ -714,35 +689,25 @@ def run_schur_check(
                     s = dispersion.schur_frobenius(g, float(tau), z, eps)
                     kc = dispersion.k_closed(g, float(tau), z, eps=eps)
                 except PoleError as exc:
-                    failures.append(
-                        f"{name}: Schur scalar failed at tau={tau:.6g}, eps={eps:g}, "
-                        f"z={z}: {type(exc).__name__}: {exc}"
-                    )
+                    failures.append(_fail(
+                        f"{name}: Schur scalar failed at tau={tau:.6g}, eps={eps:g}, z={z}", exc
+                    ))
                     continue
-                dev = abs(s * (kc - z) - 1.0)
-                worst = max(worst, dev)
-                worst_herg = min(worst_herg, s.imag)
                 rows.append(
                     dict(
                         example=name,
                         tau=float(tau),
                         re_z=z.real,
                         im_z=z.imag,
-                        residual=dev,
+                        residual=abs(s * (kc - z) - 1.0),
                         im_schur=s.imag,
                     )
                 )
-    passed = not failures and worst <= SCHUR_TOL and worst_herg >= -1e-12
-    return ExperimentResult(
-        "schur_check",
-        passed,
-        [
-            *failures,
-            f"max |schur (K - z) - 1| = {worst:.3e} (tol {SCHUR_TOL:.0e})",
-            f"min Im(schur) = {worst_herg:.3e} (Herglotz floor -1e-12)",
-        ],
-        rows,
-    )
+    checks = [
+        Check("max |schur (K - z) - 1|", _worst([r["residual"] for r in rows]), hi=SCHUR_TOL),
+        Check("min Im(schur)", _worst([r["im_schur"] for r in rows], np.min), lo=-1e-12),
+    ]
+    return ExperimentResult("schur_check", checks, failures, rows)
 
 
 def _hausdorff(a: np.ndarray, b: np.ndarray) -> float:
@@ -765,14 +730,12 @@ def run_bands(
     conjugate of the one at tau, with the same spectrum, so it is solved
     once per distinct |tau| (at +|tau|); ``band_roots`` runs at every tau.
     A FEM point or a limiting-root scan that fails is a FAIL line naming
-    it, and its cell gets no slope fit.
+    it, and its distance is NaN, so its cell's slope fails.
     """
-    cells = [g for g in map(build_example, examples) if not g.cell.germ]
-    if not cells:
-        return _no_cell("bands", examples)
+    cells, failures = _germ_free_cells(examples)
     taus = tau_grid(tau_count).tolist()
     abs_taus = list(dict.fromkeys(abs(tau) for tau in taus))  # the FEM points
-    rows, summary, passed = [], [], True
+    rows, checks = [], []
 
     def eig_extrapolated(g, eps, tau):
         weights, fiber = datta_weights(g, tau), FiberParams(eps, tau, complex(2, 1))
@@ -785,16 +748,13 @@ def run_bands(
     for g in cells:
         # the limiting roots do not depend on eps (cells without a stiff
         # cycle take no eps); None where the scan failed
-        limits, failures = [], []
+        limits = []
         for tau in taus:
             try:
                 limits.append(dispersion.band_roots(g, tau, z_max)[:n_bands])
             except ArithmeticError as exc:  # PoleError or a failed monotonicity check
                 limits.append(None)
-                failures.append(
-                    f"{g.example}: limiting roots failed at tau={tau:.6g}: "
-                    f"{type(exc).__name__}: {exc}"
-                )
+                failures.append(_fail(f"{g.example}: limiting roots failed at tau={tau:.6g}", exc))
         dist_per_eps = []
         for eps in eps_list:
             spectra = {}  # |tau| -> FEM eigenvalues, or None where they failed
@@ -803,36 +763,28 @@ def run_bands(
                     spectra[t] = eig_extrapolated(g, eps, t)
                 except (*fem_errors(), PoleError) as exc:
                     spectra[t] = None
-                    failures.append(
-                        f"{g.example}: FEM spectrum failed at eps={eps:g}, "
-                        f"|tau|={t:.6g}: {type(exc).__name__}: {exc}"
-                    )
-            worst = 0.0
+                    failures.append(_fail(
+                        f"{g.example}: FEM spectrum failed at eps={eps:g}, |tau|={t:.6g}", exc
+                    ))
+            dists = []
             for tau, limit in zip(taus, limits):
                 ev = spectra[abs(tau)]
                 if ev is None or limit is None:
+                    dists.append(math.nan)
                     continue
-                worst = max(worst, _hausdorff(ev, limit))
+                dists.append(_hausdorff(ev, limit))
                 for b_idx, (lv, dv) in enumerate(zip(limit, ev)):
                     rows.append(dict(example=g.example, eps=eps, tau=tau,
                                      band_index=b_idx, z_root=float(lv),
                                      z_discrete=float(dv)))
-            dist_per_eps.append(worst)
-        if failures:
-            passed = False
-            summary += failures
-            summary.append(f"{g.example}: no slope fit ({len(failures)} failed points)")
-            continue
-        fit = fit_slope(eps_list, dist_per_eps, lo=1.7, hi=2.3)
-        passed = passed and fit.passed
-        summary.append(
-            f"{g.example}: Hausdorff distances "
-            f"{['%.2e' % d for d in dist_per_eps]}, slope {fit.slope:.3f} "
-            f"(band [1.7, 2.3], R^2 {fit.r_squared:.4f}); FEM spectra at "
-            f"{len(abs_taus)} of {len(taus)} tau; the other "
-            f"{len(taus) - len(abs_taus)} from the conjugate pencil at -tau"
-        )
-    return ExperimentResult("bands", passed, summary, rows)
+            dist_per_eps.append(np.max(dists))
+        checks.append(_slopes(
+            f"{g.example}: Hausdorff slope (FEM "
+            f"spectra at {len(abs_taus)} of {len(taus)} tau; the other "
+            f"{len(taus) - len(abs_taus)} from the conjugate pencil at -tau)",
+            eps_list, dist_per_eps, 1.7, 2.3,
+        ))
+    return ExperimentResult("bands", checks, failures, rows)
 
 
 def run_line_models(
@@ -843,36 +795,31 @@ def run_line_models(
     (ex1), the model convergence rate."""
     grid = realline.make_line_grid(half_width, grid_size)
     cells = [build_example(name) for name in examples]
-    rows, summary, passed = [], [], True
+    rows, checks, failures = [], [], []
     for g in cells:
-        worst = 0.0
+        defects = []
         for z in z_list:
             for eps in (0.125, 0.0625):
                 d = realline.symbol_identity_defect(g, eps, z, grid)
-                worst = max(worst, d)
+                defects.append(d)
                 rows.append(dict(example=g.example, kind="symbol_defect", eps=eps,
                                  re_z=z.real, im_z=z.imag, value=d))
-        ok = worst <= SYMBOL_TOL
-        passed = passed and ok
-        summary.append(
-            f"{g.example}: max symbol defect {worst:.2e} (tol {SYMBOL_TOL:.0e})"
-        )
+        checks.append(Check(f"{g.example}: max symbol defect", np.max(defects), hi=SYMBOL_TOL))
     for g in (g for g in cells if g.cell.germ):
         f = realline.gaussian_packet(grid, width=sigma)
-        ok, slopes, samples, failures = _slope_sweep(
+        errors, samples, failed = _sweep(
             z_list, eps_list,
             lambda z, e: realline.ex1_model_distance(g, e, z, grid, f=f),
             lambda z, e: f"{g.example}: line model failed at eps={e:g}, z={z}",
         )
-        passed = passed and ok
-        summary += failures
+        failures += failed
         rows += [
             dict(example=g.example, kind="model_error", eps=e, re_z=z.real,
                  im_z=z.imag, value=err)
             for z, e, err in samples
         ]
-        summary.append(f"{g.example} model-vs-limit slopes {slopes}")
-    return ExperimentResult("line_models", passed, summary, rows)
+        checks.append(_slopes(f"{g.example} model-vs-limit slopes", eps_list, errors))
+    return ExperimentResult("line_models", checks, failures, rows)
 
 
 _RUNNERS = {

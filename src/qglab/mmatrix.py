@@ -247,12 +247,12 @@ def _soft_edge_block(l, a, k, tau) -> np.ndarray:
     return _block(k, -a * cot, a * csc * ph, a * csc / ph)
 
 
-def m_blocks_closed(graph: MetricGraph, fiber: FiberParams) -> MMatrixSet:
-    """Literal closed-form stiff/soft M-matrix blocks of the three examples.
+def m_stiff_closed(graph: MetricGraph, fiber: FiberParams) -> np.ndarray:
+    """Literal closed-form stiff M-matrix block of the three examples, the
+    (..., 2, 2) stack over the broadcast shape of the fiber parameters.
 
-    The vertex ordering is (V1, V2).  The full matrix is the blockwise sum.
-    Each block is the (..., 2, 2) stack over the broadcast shape of the
-    fiber parameters.
+    It evaluates only stiff-edge trig, so it has no pole at a soft
+    Dirichlet level; ``m_blocks_closed`` adds the soft block to it.
     """
     if graph.example not in ("ex0", "ex1", "ex2"):
         raise ValueError("closed-form blocks exist for the three examples only")
@@ -263,9 +263,8 @@ def m_blocks_closed(graph: MetricGraph, fiber: FiberParams) -> MMatrixSet:
         x1 = k * eps * l1 / a1
         cot, csc = ccot(x1), ccsc(x1)
         ph = phase(l1, tau)
-        m_stiff = _block(k / eps, -a1 * cot, a1 * csc / ph, a1 * csc * ph)
-        m_soft = _soft_edge_block(p["l2"], p["a2"], k, tau)
-    elif graph.example == "ex1":
+        return _block(k / eps, -a1 * cot, a1 * csc / ph, a1 * csc * ph)
+    if graph.example == "ex1":
         l1, l2, l3 = p["l1"], p["l2"], p["l3"]
         a1, a3 = p["a1"], p["a3"]
         x1 = k * eps * l1 / a1
@@ -274,16 +273,28 @@ def m_blocks_closed(graph: MetricGraph, fiber: FiberParams) -> MMatrixSet:
         cot3, csc3 = ccot(x3), ccsc(x3)
         off = a1 * phase(-(l1 + l3), tau) * csc1 + a3 * phase(l2, tau) * csc3
         off_c = a1 * phase(l1 + l3, tau) * csc1 + a3 * phase(-l2, tau) * csc3
-        m_stiff = _block(k / eps, -a1 * cot1 - a3 * cot3, off, off_c)
-        m_soft = _soft_edge_block(l2, p["a2"], k, tau)
-    else:  # ex2
+        return _block(k / eps, -a1 * cot1 - a3 * cot3, off, off_c)
+    l2, l3, a3 = p["l2"], p["l3"], p["a3"]
+    x3 = k * eps * l3 / a3
+    cot3, csc3 = ccot(x3), ccsc(x3)
+    return _block(
+        k / eps, -a3 * cot3, a3 * phase(l2, tau) * csc3, a3 * phase(-l2, tau) * csc3
+    )
+
+
+def m_blocks_closed(graph: MetricGraph, fiber: FiberParams) -> MMatrixSet:
+    """Literal closed-form stiff/soft M-matrix blocks of the three examples.
+
+    The vertex ordering is (V1, V2).  The full matrix is the blockwise sum.
+    Each block is the (..., 2, 2) stack over the broadcast shape of the
+    fiber parameters.
+    """
+    m_stiff = m_stiff_closed(graph, fiber)
+    p = graph.params
+    k, tau = fiber.k, fiber.tau
+    if graph.example == "ex2":
         l1, l2, l3 = p["l1"], p["l2"], p["l3"]
-        a1, a2, a3 = p["a1"], p["a2"], p["a3"]
-        x3 = k * eps * l3 / a3
-        cot3, csc3 = ccot(x3), ccsc(x3)
-        m_stiff = _block(
-            k / eps, -a3 * cot3, a3 * phase(l2, tau) * csc3, a3 * phase(-l2, tau) * csc3
-        )
+        a1, a2 = p["a1"], p["a2"]
         y1 = k * l1 / a1
         y2 = k * l2 / a2
         cot1, csc1 = ccot(y1), ccsc(y1)
@@ -291,6 +302,8 @@ def m_blocks_closed(graph: MetricGraph, fiber: FiberParams) -> MMatrixSet:
         off = a1 * phase(-(l1 + l3), tau) * csc1 + a2 * phase(l2, tau) * csc2
         off_c = a1 * phase(l1 + l3, tau) * csc1 + a2 * phase(-l2, tau) * csc2
         m_soft = _block(k, -a1 * cot1 - a2 * cot2, off, off_c)
+    else:  # a single soft edge (ex0, ex1)
+        m_soft = _soft_edge_block(p["l2"], p["a2"], k, tau)
     return MMatrixSet(
         m_full=m_stiff + m_soft, m_stiff=m_stiff, m_soft=m_soft, fiber=fiber
     )

@@ -27,7 +27,7 @@ import math
 import numpy as np
 
 from .graphs import MetricGraph, PoleError, phase, stiff_length
-from .mmatrix import FiberParams, ccot, ccsc, m_blocks_closed, mat2
+from .mmatrix import FiberParams, ccot, ccsc, m_stiff_closed, mat2
 
 P_PROJ = np.diag([1.0, 0.0]).astype(complex)
 P_PERP = np.diag([0.0, 1.0]).astype(complex)
@@ -35,7 +35,7 @@ P_PERP = np.diag([0.0, 1.0]).astype(complex)
 
 def b_matrix(graph: MetricGraph, fiber: FiberParams) -> np.ndarray:
     """The z-dependent boundary matrix B(z) = -M_stiff(z)."""
-    return -m_blocks_closed(graph, fiber).m_stiff
+    return -m_stiff_closed(graph, fiber)
 
 
 def rotation_x(graph: MetricGraph, tau) -> np.ndarray:

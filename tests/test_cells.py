@@ -416,6 +416,7 @@ def _literal_example_compares(tree):
 def test_only_graphs_and_closed_blocks_name_the_examples():
     # graphs.build_example names the cells; every other module reads the cell
     # record, except the literal per-cell blocks of mmatrix.m_blocks_closed
+    # and of its stiff block, mmatrix.m_stiff_closed
     found = []
     for path in sorted(pathlib.Path(qglab.__file__).parent.glob("*.py")):
         if path.name == "graphs.py":
@@ -424,7 +425,7 @@ def test_only_graphs_and_closed_blocks_name_the_examples():
         if path.name == "mmatrix.py":
             tree.body = [
                 node for node in tree.body
-                if getattr(node, "name", None) != "m_blocks_closed"
+                if getattr(node, "name", None) not in ("m_blocks_closed", "m_stiff_closed")
             ]
         found += [f"{path.name}:{line}" for line in _literal_example_compares(tree)]
     assert found == []

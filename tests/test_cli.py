@@ -141,6 +141,10 @@ def test_shared_config_goes_only_to_tags_that_take_it(tmp_path, capsys, monkeypa
     assert len((out / "sum_identities.csv").read_text().splitlines()) == 2
 
 
+# the FEM reuse note of a bands slope at tau_count = 3
+REUSE = "(FEM spectra at 2 of 3 tau; the other 1 from the conjugate pencil at -tau)"
+
+
 def test_failed_bands_points_fail_the_verb_without_a_traceback(
     tmp_path, capsys, monkeypatch
 ):
@@ -154,7 +158,7 @@ def test_failed_bands_points_fail_the_verb_without_a_traceback(
     text = capsys.readouterr().out
     assert "[FAIL] bands" in text
     assert "ex0: FEM spectrum failed at eps=0.125, |tau|=3.14059: ArpackNoConvergence" in text
-    assert "ex2: no slope fit (8 failed points)" in text
+    assert f"ex2: Hausdorff slope {REUSE} = nan (band [1.7, 2.3]) FAIL" in text
 
 
 def test_failed_band_roots_fail_the_verb_without_a_traceback(tmp_path, capsys, monkeypatch):
@@ -172,7 +176,7 @@ def test_failed_band_roots_fail_the_verb_without_a_traceback(tmp_path, capsys, m
     text = capsys.readouterr().out
     assert "[FAIL] bands" in text
     assert "ex2: limiting roots failed at tau=0: PoleError: argument within" in text
-    assert "ex2: no slope fit (1 failed points)" in text
+    assert f"ex2: Hausdorff slope {REUSE} = nan (band [1.7, 2.3]) FAIL" in text
     assert "Traceback" not in text
 
 
@@ -188,7 +192,7 @@ def test_failed_krein_vs_direct_fails_the_verb_without_a_traceback(tmp_path, cap
         "ex0: resolvents failed at resolution=64, z=(1.8062813890270677+0j): "
         "NearSingularError: shifted system nearly singular" in text
     )
-    assert "ex0: no halving ratio (" in text
+    assert "ex0: halving ratios = [nan] (band [3, 5]) FAIL" in text
     assert "Traceback" not in text
 
 
@@ -207,7 +211,7 @@ def test_resolvent_rates_and_schur_at_a_pole_fail_their_verbs_without_a_tracebac
     text = capsys.readouterr().out
     assert "[FAIL] gen_res_rate" in text and "[FAIL] full_res_rate" in text
     assert f"ex0: resolvents failed at tau=1, eps=0.125, z={complex(z)}: PoleError" in text
-    assert "ex0: slopes ['failed']" in text
+    assert "ex0: slopes = [nan] (band [1.8, 2.2]) FAIL" in text
     assert "Traceback" not in text
     cfg.write_text(f"examples = ex0\nz_list = {z!r}\n")
     assert main(["dispersion", "--config", str(cfg)]) == 1

@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, aslinearoperator
 
-from qglab import dispersion, lab, triples
+from qglab import dispersion, lab, realline, triples
 from qglab.fdsolver import DiscretizedOperator
 from qglab.graphs import ParameterError, PoleError
 from qglab.lab import (
     EXPERIMENT_TAGS,
+    Check,
     config_keys,
     fit_slope,
     operator_norm_diff,
@@ -26,21 +27,21 @@ def test_fit_slope_pure_quadratic():
     fit = fit_slope(eps, 3.0 * eps**2)
     assert abs(fit.slope - 2.0) < 1e-10
     assert fit.r_squared > 1 - 1e-12
-    assert fit.passed
+    assert Check("slope", fit.slope, 1.8, 2.2).ok
 
 
 def test_fit_slope_with_higher_order_correction():
     eps = np.array([0.5, 0.25, 0.125, 0.0625])
     fit = fit_slope(eps, eps**2 + 0.01 * eps**3)
     assert 1.95 < fit.slope < 2.05
-    assert fit.passed
+    assert Check("slope", fit.slope, 1.8, 2.2).ok
 
 
 def test_fit_slope_detects_stagnation():
     eps = np.array([0.5, 0.25, 0.125, 0.0625])
     fit = fit_slope(eps, np.full(4, 1e-3))
     assert abs(fit.slope) < 0.05
-    assert not fit.passed
+    assert not Check("slope", fit.slope, 1.8, 2.2).ok
 
 
 def test_fit_slope_validation():
@@ -48,6 +49,68 @@ def test_fit_slope_validation():
         fit_slope([0.5, 0.25, 0.125], [1, 1, 1])
     with pytest.raises(ValueError):
         fit_slope([0.5, 0.25, 0.125, 0.0], [1, 1, 1, 1])
+
+
+def test_check_on_its_bound_is_ok():
+    assert Check("residual", 1e-9, hi=1e-9).ok
+    assert Check("min eigenvalue", -1e-10, lo=-1e-10).ok
+    assert Check("slopes", np.array([1.8, 2.0, 2.2]), 1.8, 2.2).ok
+
+
+def test_check_nan_is_not_ok():
+    for check in (
+        Check("residual", math.nan, hi=1e-9),
+        Check("min eigenvalue", math.nan, lo=-1e-10),
+        Check("slopes", np.array([2.0, math.nan]), 1.8, 2.2),
+    ):
+        assert not check.ok
+        assert "nan" in str(check) and str(check).endswith(" FAIL")
+
+
+def test_check_array_with_one_element_out_of_band_is_not_ok():
+    assert not Check("slopes", np.array([2.0, 1.99, 2.3]), 1.8, 2.2).ok
+    # no figure certifies nothing
+    assert not Check("halving ratios", np.array([]), 3.0, 5.0).ok
+
+
+def test_check_str_shows_its_bound():
+    assert str(Check("defect", 2.5e-15, hi=1e-10)) == "defect = 2.500e-15 (tol 1e-10)"
+    assert str(Check("Im(schur)", 0.05, lo=-1e-12)) == "Im(schur) = 0.05000 (floor -1e-12)"
+    assert str(Check("slopes", np.array([1.993, 2.3]), 1.8, 2.2)) == (
+        "slopes = [1.993, 2.300] (band [1.8, 2.2]) FAIL"
+    )
+
+
+def test_nan_schur_scalar_fails_schur_check(monkeypatch):
+    original = dispersion.schur_frobenius
+
+    def nan_at_one_point(graph, tau, z, eps):
+        if graph.example == "ex1" and tau == 0.3 and z == 2 + 1j:
+            return complex(math.nan, math.nan)
+        return original(graph, tau, z, eps)
+
+    monkeypatch.setattr(dispersion, "schur_frobenius", nan_at_one_point)
+    res = run_experiment("schur_check")
+    assert not res.passed
+    assert res.summary == [
+        "max |schur (K - z) - 1| = nan (tol 1e-09) FAIL",
+        "min Im(schur) = nan (floor -1e-12) FAIL",
+    ]
+
+
+def test_nan_symbol_defect_fails_line_models(monkeypatch):
+    original = realline.symbol_identity_defect
+
+    def nan_at_one_point(graph, eps, z, grid):
+        if graph.example == "ex2" and eps == 0.125 and z == 2 + 1j:
+            return math.nan
+        return original(graph, eps, z, grid)
+
+    monkeypatch.setattr(realline, "symbol_identity_defect", nan_at_one_point)
+    res = run_experiment("line_models", {"examples": ["ex0", "ex2"]})
+    assert not res.passed
+    assert res.summary[0].startswith("ex0: max symbol defect = ")
+    assert res.summary[1] == "ex2: max symbol defect = nan (tol 1e-10) FAIL"
 
 
 def test_operator_norm_identical_blocks():
@@ -245,6 +308,7 @@ def _count_fem_spectra(monkeypatch, fail_at=None):
 
 
 BANDS_SMALL = {"examples": ["ex0", "ex2"], "tau_count": 3, "resolution": 64}
+BANDS_REUSE = "(FEM spectra at 2 of 3 tau; the other 1 from the conjugate pencil at -tau)"
 
 
 def test_run_bands_solves_each_fem_spectrum_once_per_abs_tau(monkeypatch):
@@ -261,8 +325,7 @@ def test_run_bands_solves_each_fem_spectrum_once_per_abs_tau(monkeypatch):
         mirror = by_point[(example, eps, -tau, band)]
         assert by_point[(example, eps, tau, band)]["z_discrete"] == mirror["z_discrete"]
     for line in res.summary:
-        assert line.endswith("FEM spectra at 2 of 3 tau; the other 1 from the "
-                             "conjugate pencil at -tau")
+        assert f"Hausdorff slope {BANDS_REUSE} = " in line
 
 
 def test_run_bands_failed_fem_point_is_a_fail_line(monkeypatch):
@@ -276,8 +339,8 @@ def test_run_bands_failed_fem_point_is_a_fail_line(monkeypatch):
         f"ex0: FEM spectrum failed at eps=0.0625, |tau|={top:.6g}: "
         "ArpackNoConvergence: ARPACK error -1: no convergence (forced)"
     )
-    assert res.summary[1] == "ex0: no slope fit (1 failed points)"
-    assert res.summary[2].startswith("ex2: Hausdorff distances ")
+    assert res.summary[1] == f"ex0: Hausdorff slope {BANDS_REUSE} = nan (band [1.7, 2.3]) FAIL"
+    assert res.summary[2].startswith("ex2: Hausdorff slope ")
     # the failed point leaves out both of its rows (tau = -a and a) on ex0
     ex0 = [r for r in res.rows if r["example"] == "ex0"]
     assert len(ex0) == (4 * 3 - 2) * 3
@@ -298,8 +361,8 @@ def test_run_bands_failed_limiting_roots_are_a_fail_line(monkeypatch):
     assert res.summary[0] == (
         "ex0: limiting roots failed at tau=0: ArithmeticError: not decreasing (forced)"
     )
-    assert res.summary[1] == "ex0: no slope fit (1 failed points)"
-    assert res.summary[2].startswith("ex2: Hausdorff distances ")
+    assert res.summary[1] == f"ex0: Hausdorff slope {BANDS_REUSE} = nan (band [1.7, 2.3]) FAIL"
+    assert res.summary[2].startswith("ex2: Hausdorff slope ")
     # ex0 keeps its rows at tau = -a and a, at every eps
     ex0 = [r for r in res.rows if r["example"] == "ex0"]
     assert len(ex0) == 4 * 2 * 3
@@ -321,7 +384,7 @@ def test_krein_vs_direct_failed_resolutions_are_fail_lines():
         "shifted system nearly singular: rel residual 6.36e-01"
     )
     # resolution 128 sits close enough to its own level to fail or not
-    assert res.summary[-1].startswith("ex0: no halving ratio (")
+    assert res.summary[-1] == "ex0: halving ratios = [nan] (band [3, 5]) FAIL"
     assert all(r["resolution"] != 64 for r in res.rows)
     # on the Dirichlet level (2 pi)^2 of the ex0 soft edge the closed-form
     # side raises PoleError; ex2 has no level there and keeps its ratio
@@ -333,8 +396,11 @@ def test_krein_vs_direct_failed_resolutions_are_fail_lines():
     assert res.summary[0].startswith(
         f"ex0: resolvents failed at resolution=64, z={complex(z)}: PoleError: "
     )
-    assert res.summary[2] == "ex0: no halving ratio (2 failed resolutions)"
-    assert res.summary[3].startswith("ex2: errors ")
+    assert res.summary[2:4] == [
+        "ex0: error / (h^2 ||R||) = [nan, nan] (tol 5) FAIL",
+        "ex0: halving ratios = [nan] (band [3, 5]) FAIL",
+    ]
+    assert res.summary[4].startswith("ex2: error / (h^2 ||R||) = [")
     assert [r["example"] for r in res.rows] == ["ex2", "ex2"]
 
 
@@ -356,12 +422,15 @@ def test_resolvent_rates_at_a_pole_are_fail_lines(tag):
             f"ex0: resolvents failed at tau=1, eps={eps:g}, z={complex(SOFT_LEVEL)}: "
             "PoleError: trig argument"
         )
-    assert "ex0: slopes ['failed'] (band [1.8, 2.2])" in res.summary
+    assert "ex0: slopes = [nan] (band [1.8, 2.2]) FAIL" in res.summary
     if tag == "full_res_rate":
         assert res.summary[4].startswith(
             f"ex0: dilation certificates failed at tau=1, eps=0.1, z={complex(SOFT_LEVEL)}"
         )
-        assert res.summary[-1].endswith("(FAIL)")
+        assert [line.split(" = ")[1] for line in res.summary[-4:]] == [
+            "nan (tol 1e-09) FAIL", "nan (tol 1e-10) FAIL", "nan (floor -1e-10) FAIL",
+            "nan (tol 1e-09) FAIL",
+        ]
 
 
 def test_failed_tau_gets_no_slope_fit_while_the_others_keep_theirs(monkeypatch):
@@ -384,7 +453,7 @@ def test_failed_tau_gets_no_slope_fit_while_the_others_keep_theirs(monkeypatch):
         "ex0: resolvents failed at tau=2, eps=0.125, z=(2+1j): "
         "PoleError: argument within 1e-08 of a pole (forced)"
     )
-    assert res.summary[4] == "ex0: slopes ['1.993', 'failed'] (band [1.8, 2.2])"
+    assert res.summary[4] == "ex0: slopes = [1.993, nan] (band [1.8, 2.2]) FAIL"
     assert [r["tau"] for r in res.rows] == [1.0] * 4
 
 
@@ -416,18 +485,29 @@ def test_btilde_identity_at_a_pole_is_one_fail_line_per_cell():
     assert all(": PoleError: trig argument" in line for line in res.summary)
 
 
+# the Dirichlet level (pi a1 / (eps l1))^2 of the ex0 stiff edge at eps = 1/8
+STIFF_LEVEL = (16.0 * math.pi) ** 2
+
+
 def test_beff_rate_at_a_pole_fails_only_that_cell():
-    # the ex0 soft level is no pole of ex1; its slopes and delta slopes stay
-    res = run_experiment("beff_rate", {"examples": ["ex0", "ex1"], "z": SOFT_LEVEL})
+    # the ex0 stiff level is no pole of ex1; its slopes and delta slopes stay
+    res = run_experiment("beff_rate", {"examples": ["ex0", "ex1"], "z": STIFF_LEVEL})
     assert not res.passed
     assert res.summary[0].startswith(
         "ex0: B_eff deviation failed on the (tau, eps) grid at eps in "
-        f"{list(lab.DEFAULT_EPS)}, z={complex(SOFT_LEVEL)}: PoleError: trig argument"
+        f"{list(lab.DEFAULT_EPS)}, z={complex(STIFF_LEVEL)}: PoleError: trig argument"
     )
-    assert res.summary[1].startswith("ex1: slopes [")
-    assert res.summary[2].startswith("ex1 delta-vs-limit slopes [")
+    assert res.summary[1].startswith("ex1: slopes = [")
+    assert res.summary[2].startswith("ex1 delta-vs-limit slopes = [")
     assert {r["example"] for r in res.rows} == {"ex1"}
     assert len(res.rows) == len(lab.DEFAULT_TAUS) * len(lab.DEFAULT_EPS)
+
+
+def test_beff_rate_has_no_pole_at_a_soft_level():
+    # B(z) = -M_stiff(z) reads no soft edge: ex0 gets its slopes at its soft level
+    res = run_experiment("beff_rate", {"z": SOFT_LEVEL})
+    assert res.passed
+    assert res.summary[0].startswith("ex0: slopes = [")
 
 
 def test_beff_rate_failed_delta_is_a_fail_line(monkeypatch):
@@ -437,7 +517,7 @@ def test_beff_rate_failed_delta_is_a_fail_line(monkeypatch):
     monkeypatch.setattr(triples, "delta_fn", failing)
     res = run_experiment("beff_rate", {})
     assert not res.passed
-    assert res.summary[-1] == (
+    assert res.summary[0] == (
         f"ex1: delta limit failed on the (tau, eps) grid at eps in {list(lab.DEFAULT_EPS)}, "
         "z=(2+1j): PoleError: delta: denominator below the guard (forced)"
     )
