@@ -4,8 +4,7 @@ Three objects, all realised as dense matrices on the soft sample grid:
 
 * ``r_eff_matrix``: the effective generalised resolvent, i.e. the solution
   operator of the per-edge ODE -(a^2)(d/dx + i tau)^2 u - z u = f subject to
-  the example's z-dependent boundary conditions (quasi-periodicity ties and
-  a co-derivative balance carrying the macroscopic spectral weight).
+  the z-dependent boundary conditions below.
 
 * ``a_hom_matrix``: the self-adjoint homogenised operator on H_soft + C^1,
   whose soft-soft compression is r_eff (Schur-complement consistency) and
@@ -18,9 +17,13 @@ Three objects, all realised as dense matrices on the soft sample grid:
   rank-one boundary coordinate, and the scalar embedding Pi = sqrt(L/2).
 
 Each is a Dirichlet kernel plus kernel fields fixed by a small
-``BoundarySystem``.  The sampled fields come from the Krein workspace's
-per-edge samples (``ResolventWorkspace._edge_samples``); the boundary system
-reads only per-edge scalars, so the Schur scalar needs no sample grid.
+``BoundarySystem``, assembled the same way for every cell from the soft edge
+ends and their Datta weights: the weighted end values agree at each vertex,
+Gamma0 u = (U1, U2) lies in span psi, and one flux row couples the
+psi-component of Gamma1 u to the stiff part (see ``_structure``).  The
+sampled fields come from the Krein workspace's per-edge samples
+(``ResolventWorkspace._edge_samples``); the boundary system reads only
+per-edge scalars, so the Schur scalar needs no sample grid.
 
 ``compose`` multiplies two of these resolvents exactly (the function-space
 composition is carried out in closed form, not by quadrature), so that the
@@ -53,17 +56,13 @@ class EffectiveParams:
     omega: complex  # psi = (1, omega)/sqrt(2); the soft-edge tie phase
     germ: float  # coefficient of the (tau/eps)^2 term in the beta row
     psi: np.ndarray  # rank-one boundary projection vector, (V1, V2)
-    xi1: complex = 0.0  # tie of the soft chain to the loop, when there is one
 
 
 def effective_params(graph: MetricGraph, fiber: FiberParams) -> EffectiveParams:
     cell = graph.cell
     omega = cell.omega(fiber.tau)
     psi = np.array([1.0, omega]) / math.sqrt(2.0)
-    xi1 = 0.0 if cell.xi1 is None else cell.xi1(fiber.tau)
-    return EffectiveParams(
-        math.sqrt(stiff_length(graph)), omega, cell.germ, psi, xi1
-    )
+    return EffectiveParams(math.sqrt(stiff_length(graph)), omega, cell.germ, psi)
 
 
 class BoundarySystem:
@@ -91,84 +90,64 @@ class BoundarySystem:
         """Boundary system: A x = -Lam t(f) (+ e_c c for the beta row).
 
         Returns (A, Lam, ends) where x stacks the homogeneous coefficients
-        (2 per soft edge, beta last when requested), t(f) is the 2E-vector
-        of particular-solution modified derivatives, Lam maps t-data into
-        the rows of the system, and ends lists the per-edge scalars
-        (kappa, e^{-i tau l}, cos kappa l, sin kappa l).
+        (p_e, q_e) of the fields e^{-i tau x}(p_e cos kappa x + q_e sin kappa x),
+        2 per soft edge, with beta last when requested; t(f) is the 2E-vector
+        of particular-solution modified derivatives (at 0, then at l, per
+        edge), Lam maps t-data into the rows of the system, and ends lists
+        the per-edge scalars (kappa, e^{-i tau l}, cos kappa l, sin kappa l).
+
+        Each edge end at V contributes its weighted value w_V(e) u_e(V) and
+        its signed weighted co-derivative +-w_V(e) c_e^2 (d/dx + i tau) u_e
+        (+ at coordinate 0, - at l); the latter sum over the ends at V to
+        Gamma1 u_V.  The rows are the equal weighted values of the ends at
+        each vertex, the tie U1 - conj(omega) U2 = 0 (Gamma0 u in span psi),
+        and the flux row
+            -sum_V sqrt(2) conj(psi_V) Gamma1 u_V + (germ (tau/eps)^2 - z rho^2) U1.
+        With beta the flux row becomes the pair beta = rho U1 and
+        flux / rho + (germ (tau/eps)^2 / rho^2 - z) beta.
         """
-        par = self.params
-        fiber = self.fiber
-        ends = []
-        for e in self.soft.edges:
-            kappa = self.kernels._kappa(e, z)
-            cos_l, sin_l, e_l, _, _ = self.kernels._end_coeffs(e, kappa)
+        par, kern = self.params, self.kernels
+        m = 2 * len(self.soft.edges)
+        nu = dict(zip(kern.vertices, np.conj([1.0, par.omega])))  # sqrt(2) conj(psi)
+        ends, values = [], {v: [] for v in kern.vertices}
+        flux_x = np.zeros(m, dtype=complex)
+        flux_t = np.zeros(m, dtype=complex)
+        for i, e in enumerate(self.soft.edges):
+            kappa = kern._kappa(e, z)
+            cos_l, sin_l, e_l, _, _ = kern._end_coeffs(e, kappa)
             ends.append((kappa, e_l, cos_l, sin_l))
-        germ_term = par.germ * (fiber.tau / fiber.eps) ** 2
+            c2 = self.fiber.speed(e) ** 2
+            # per end: t index, vertex, sign, value and modified derivative
+            # as rows on (p_e, q_e)
+            for col, v, sign, val, der in (
+                (2 * i, e.left, 1.0, (1.0, 0.0), (0.0, kappa)),
+                (2 * i + 1, e.right, -1.0, (e_l * cos_l, e_l * sin_l),
+                 (-e_l * kappa * sin_l, e_l * kappa * cos_l)),
+            ):
+                w = self.weights[(v, e.id)]
+                row = np.zeros(m, dtype=complex)
+                row[2 * i:2 * i + 2] = val
+                values[v].append(w * row)
+                coef = -nu[v] * sign * w * c2
+                flux_x[2 * i:2 * i + 2] += coef * np.array(der, dtype=complex)
+                flux_t[col] += coef
+        u1, u2 = (at_v[0] for at_v in values.values())
+        rows = [first - u for first, *rest in values.values() for u in rest]
+        rows.append(u1 - np.conj(par.omega) * u2)
+        germ_term = par.germ * (self.fiber.tau / self.fiber.eps) ** 2
         rho = par.rho
-
-        def vals(end):
-            """Boundary functionals of (h1, h2): value/derivative rows."""
-            kappa, e_l, cos_l, sin_l = end
-            return dict(
-                val0=np.array([1.0, 0.0], dtype=complex),
-                vall=np.array([e_l * cos_l, e_l * sin_l]),
-                d0=np.array([0.0, kappa], dtype=complex),
-                dl=np.array([-e_l * kappa * sin_l, e_l * kappa * cos_l]),
-            )
-
-        if len(ends) == 1:
-            v = vals(ends[0])
-            wbar = np.conj(par.omega)
-            if not with_beta:
-                a = np.zeros((2, 2), dtype=complex)
-                lam = np.zeros((2, 2), dtype=complex)
-                a[0] = v["val0"] - wbar * v["vall"]
-                a[1] = (
-                    -v["d0"]
-                    + wbar * v["dl"]
-                    + (germ_term - z * rho * rho) * v["val0"]
-                )
-                lam[1] = [-1.0, wbar]
-                return a, lam, ends
-            a = np.zeros((3, 3), dtype=complex)
-            lam = np.zeros((3, 2), dtype=complex)
-            a[0, :2] = v["val0"] - wbar * v["vall"]
-            a[1, :2] = rho * v["val0"]
-            a[1, 2] = -1.0
-            a[2, :2] = (-v["d0"] + wbar * v["dl"]) / rho
-            a[2, 2] = germ_term / (rho * rho) - z
-            lam[2] = [-1.0 / rho, wbar / rho]
-            return a, lam, ends
-
-        # chain e1 and loop e2: coefficients (c11, c12, c21, c22[, beta]);
-        # t-order (t0_e1, tl_e1, t0_e2, tl_e2)
-        v1, v2 = vals(ends[0]), vals(ends[1])
-        a1sq = self.soft.edges[0].speed_a ** 2
-        a2sq = self.soft.edges[1].speed_a ** 2
-        xi1b, xi2b = np.conj(par.xi1), np.conj(par.omega)
-        mdim = 5 if with_beta else 4
-        a = np.zeros((mdim, mdim), dtype=complex)
-        lam = np.zeros((mdim, 4), dtype=complex)
-        # ties: u2(0) = xi2bar u2(l2) = xi1bar u1(0) = u1(l1)
-        a[0, 2:4] = v2["val0"] - xi2b * v2["vall"]
-        a[1, 0:2] = -xi1b * v1["val0"]
-        a[1, 2:4] = v2["val0"]
-        a[2, 0:2] = -v1["vall"]
-        a[2, 2:4] = v2["val0"]
-        g_e1 = a1sq * (v1["dl"] - xi1b * v1["d0"])
-        g_e2 = a2sq * (-v2["d0"] + xi2b * v2["dl"])
-        lam_g = np.array([-a1sq * xi1b, a1sq, -a2sq, a2sq * xi2b])
-        if not with_beta:
-            a[3, 0:2] = g_e1
-            a[3, 2:4] = g_e2 - z * rho * rho * v2["val0"]
-            lam[3] = lam_g
-            return a, lam, ends
-        a[3, 2:4] = rho * v2["val0"]
-        a[3, 4] = -1.0
-        a[4, 0:2] = g_e1 / rho
-        a[4, 2:4] = g_e2 / rho
-        a[4, 4] = -z
-        lam[4] = lam_g / rho
+        a = np.zeros((m + with_beta, m + with_beta), dtype=complex)
+        lam = np.zeros((m + with_beta, m), dtype=complex)
+        a[:m - 1, :m] = rows
+        if with_beta:
+            a[m - 1, :m] = rho * u1
+            a[m - 1, m] = -1.0
+            a[m, :m] = flux_x / rho
+            a[m, m] = germ_term / (rho * rho) - z
+            lam[m] = flux_t / rho
+        else:
+            a[m - 1] = flux_x + (germ_term - z * rho * rho) * u1
+            lam[m - 1] = flux_t
         return a, lam, ends
 
     def schur_frobenius(self, z: complex) -> complex:
@@ -233,24 +212,27 @@ class EffectiveModel(BoundarySystem):
         h, coeffs = self._defect(z)
         return self.workspace.dirichlet_matrix(z) + h @ coeffs
 
+    def _hom_solve(self, z: complex):
+        """(ends, h, t, x) at z: x maps the data (f, c) to the homogeneous
+        coefficients of R_hom(z) (f, c), beta last."""
+        a, lam, ends = self._structure(z, with_beta=True)
+        h, t = self._fields(z, ends)
+        rhs = np.zeros((a.shape[0], t.shape[1] + 1), dtype=complex)
+        rhs[:, :-1] = -lam @ t
+        rhs[-1, -1] = 1.0  # the scalar forcing c enters the beta row
+        return ends, h, t, np.linalg.solve(a, rhs)
+
     def a_hom_matrix(self, z: complex) -> np.ndarray:
         """(n+1) x (n+1) resolvent matrix of the homogenised operator.
 
         Acts on (soft samples, beta scalar); the last row/column carry the
         boundary coordinate.
         """
-        a, lam, ends = self._structure(z, with_beta=True)
         n = self.grid.size
-        g = self.workspace.dirichlet_matrix(z)
-        h, t = self._fields(z, ends)
-        mdim = a.shape[0]
-        rhs = np.zeros((mdim, n + 1), dtype=complex)
-        rhs[:, :n] = -lam @ t
-        rhs[-1, n] = 1.0  # the scalar forcing c enters the beta row
-        coeffs = np.linalg.solve(a, rhs)
+        _, h, _, coeffs = self._hom_solve(z)
         out = np.zeros((n + 1, n + 1), dtype=complex)
         out[:n, :] = h @ coeffs[:-1, :]
-        out[:n, :n] += g
+        out[:n, :n] += self.workspace.dirichlet_matrix(z)
         out[n, :] = coeffs[-1, :]
         return out
 
@@ -302,19 +284,12 @@ class EffectiveModel(BoundarySystem):
             raise ValueError("compose requires distinct spectral points")
         n = self.grid.size
         a_z, lam_z, ends_z = self._structure(z, with_beta=True)
-        a_w, lam_w, ends_w = self._structure(w, with_beta=True)
         g_z = self.workspace.dirichlet_matrix(z)
         g_w = self.workspace.dirichlet_matrix(w)
         h_z, t_z = self._fields(z, ends_z)
-        h_w, t_w = self._fields(w, ends_w)
-        gh, th = self._dirichlet_of_hom(ends_z, ends_w, h_z, h_w)
-
-        mdim = a_w.shape[0]
         # inner solve X_w : (f, c) -> coefficients (+ beta last)
-        rhs_w = np.zeros((mdim, n + 1), dtype=complex)
-        rhs_w[:, :n] = -lam_w @ t_w
-        rhs_w[-1, n] = 1.0
-        x_w = np.linalg.solve(a_w, rhs_w)
+        ends_w, h_w, t_w, x_w = self._hom_solve(w)
+        gh, th = self._dirichlet_of_hom(ends_z, ends_w, h_z, h_w)
         xc = x_w[:-1, :]  # homogeneous coefficients of the inner solve
         beta1 = x_w[-1:, :]
 

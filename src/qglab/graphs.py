@@ -83,13 +83,14 @@ class Cell:
 
     defaults: the accepted ``build_example`` keys and their default values.
     phases: (vertex, edge id) -> l; the Datta weight there is e^{i tau l}.
+        The weights also tie the soft edge ends at each vertex, so the
+        effective boundary system needs no further tie.
     chain: the soft edge joining V1 to V2; its ends couple through coupling.
     loop: the soft edge whose two ends the stiff part ties together, or None.
     germ: sigma^2, the effective mass of a stiff cycle (0 without one).
     omega(tau): X = [[1, 1], [omega, -omega]]/sqrt(2) diagonalises eps B(0).
     coupling(tau): cos tau, or Re theta(tau) for a stiff cycle; computed
         apart from omega, so the Schur check compares two routes.
-    xi1(tau): the tie of the chain to the loop, or None without a loop.
     """
 
     defaults: dict
@@ -99,7 +100,6 @@ class Cell:
     germ: float
     omega: Callable
     coupling: Callable
-    xi1: Callable | None = None
 
 
 @dataclass(frozen=True)
@@ -246,7 +246,6 @@ def _make_cell(graph: MetricGraph, defaults: dict) -> Cell:
     return Cell(
         defaults, phases, chain=e1, loop=e2, germ=0.0,
         omega=partial(phase, -p["l2"]), coupling=_cos,
-        xi1=partial(phase, -(p["l2"] + p["l3"])),
     )
 
 

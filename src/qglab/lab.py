@@ -797,14 +797,18 @@ def run_line_models(
     cells = [build_example(name) for name in examples]
     rows, checks, failures = [], [], []
     for g in cells:
-        defects = []
-        for z in z_list:
-            for eps in (0.125, 0.0625):
-                d = realline.symbol_identity_defect(g, eps, z, grid)
-                defects.append(d)
-                rows.append(dict(example=g.example, kind="symbol_defect", eps=eps,
-                                 re_z=z.real, im_z=z.imag, value=d))
-        checks.append(Check(f"{g.example}: max symbol defect", np.max(defects), hi=SYMBOL_TOL))
+        defects, samples, failed = _sweep(
+            z_list, (0.125, 0.0625),
+            lambda z, e: realline.symbol_identity_defect(g, e, z, grid),
+            lambda z, e: f"{g.example}: symbol defect failed at eps={e:g}, z={z}",
+        )
+        failures += failed
+        rows += [
+            dict(example=g.example, kind="symbol_defect", eps=e, re_z=z.real,
+                 im_z=z.imag, value=d)
+            for z, e, d in samples
+        ]
+        checks.append(Check(f"{g.example}: max symbol defect", _worst(defects), hi=SYMBOL_TOL))
     for g in (g for g in cells if g.cell.germ):
         f = realline.gaussian_packet(grid, width=sigma)
         errors, samples, failed = _sweep(

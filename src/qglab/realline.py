@@ -10,7 +10,9 @@ ex1 the eps -> 0 limit is the differential model
     sigma^2 t^2 - (l1+l3) z - 2 a2 sqrt(z) tan(l2 sqrt(z)/(2 a2)),
 approximated at O(eps^2) by the eps-dependent multiplier.
 
-All computations run on a periodic box [-X, X) with numpy's FFT.
+All computations run on a periodic box [-X, X) with numpy's FFT.  The three
+solvers share one band-limited Fourier division: it refuses a datum with
+energy beyond the band and raises PoleError where the symbol vanishes.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numpy as np
 
 from .dispersion import k_closed
 from .graphs import MetricGraph, stiff_length
-from .mmatrix import ccot, ccsc, sqrt_upper
+from .mmatrix import PoleError, ccot, ccsc, sqrt_upper
 
 
 @dataclass(frozen=True)
@@ -70,13 +72,41 @@ def multiplier_symbol(
     return length * (vals - z)
 
 
+ALIAS_TOL = 1e-8
+
+
+def _band_divide(f, grid: LineGrid, band: float, symbol, alias_tol=ALIAS_TOL):
+    """Fourier division u_hat = f_hat / symbol(t) on |t| <= band, 0 beyond.
+
+    Raises ValueError when the datum carries more than ``alias_tol``
+    relative energy outside the band (the division would drop it silently),
+    and PoleError when the symbol vanishes on the band.
+    """
+    t = grid.t
+    f_hat = np.fft.fft(np.asarray(f, dtype=complex))
+    mask = np.abs(t) <= band
+    total = np.linalg.norm(f_hat)
+    if total > 0:
+        outside = np.linalg.norm(f_hat[~mask])
+        if outside / total > alias_tol:
+            raise ValueError(
+                f"datum has {outside / total:.2e} relative energy beyond |t| = {band:g}"
+            )
+    u_hat = np.zeros_like(f_hat)
+    sym = symbol(t[mask])
+    if np.min(np.abs(sym)) < 1e-12:
+        raise PoleError("model symbol vanishes on the grid")
+    u_hat[mask] = f_hat[mask] / sym
+    return np.fft.ifft(u_hat)
+
+
 def psi_k_apply(
     graph: MetricGraph,
     eps: float,
     z: complex,
     f: np.ndarray,
     grid: LineGrid,
-    alias_tol: float = 1e-8,
+    alias_tol: float = ALIAS_TOL,
 ) -> np.ndarray:
     """Apply the solution operator of the time-dispersive model:
     u_hat(t) = f_hat(t) / [L (K(eps t, z) - z)] on |t| <= pi/eps, 0 beyond.
@@ -84,23 +114,9 @@ def psi_k_apply(
     Raises when the datum carries more than ``alias_tol`` relative energy
     outside the retained band (the model would alias it away silently).
     """
-    f = np.asarray(f, dtype=complex)
-    t = grid.t
-    f_hat = np.fft.fft(f)
-    mask = np.abs(t) <= math.pi / eps
-    total = np.linalg.norm(f_hat)
-    if total > 0:
-        outside = np.linalg.norm(f_hat[~mask])
-        if outside / total > alias_tol:
-            raise ValueError(
-                f"datum has {outside / total:.2e} relative energy beyond |t| = pi/eps"
-            )
-    u_hat = np.zeros_like(f_hat)
-    sym = multiplier_symbol(graph, eps, z, t[mask])
-    if np.min(np.abs(sym)) < 1e-12:
-        raise ArithmeticError("multiplier symbol vanishes on the grid")
-    u_hat[mask] = f_hat[mask] / sym
-    return np.fft.ifft(u_hat)
+    return _band_divide(
+        f, grid, math.pi / eps, lambda t: multiplier_symbol(graph, eps, z, t), alias_tol
+    )
 
 
 def _symbol_constant(graph: MetricGraph, z: complex, k: complex) -> complex:
@@ -137,18 +153,12 @@ def difference_symbol(
 def solve_difference_model(
     graph: MetricGraph, eps: float, z: complex, f: np.ndarray, grid: LineGrid
 ) -> np.ndarray:
-    """Solve the ex0/ex2 finite-difference model by Fourier division
-    (band-limited to |t| <= pi/eps like the multiplier model)."""
-    f = np.asarray(f, dtype=complex)
-    t = grid.t
-    f_hat = np.fft.fft(f)
-    mask = np.abs(t) <= math.pi / eps
-    u_hat = np.zeros_like(f_hat)
-    sym = difference_symbol(graph, eps, z, t[mask])
-    if np.min(np.abs(sym)) < 1e-12:
-        raise ArithmeticError("difference symbol vanishes on the grid")
-    u_hat[mask] = f_hat[mask] / sym
-    return np.fft.ifft(u_hat)
+    """Solve the ex0/ex2 finite-difference model by Fourier division,
+    band-limited to |t| <= pi/eps (and alias-checked) like the multiplier
+    model."""
+    return _band_divide(
+        f, grid, math.pi / eps, lambda t: difference_symbol(graph, eps, z, t)
+    )
 
 
 def differential_symbol_ex1(
@@ -167,11 +177,9 @@ def solve_differential_model_ex1(
     graph: MetricGraph, z: complex, f: np.ndarray, grid: LineGrid
 ) -> np.ndarray:
     """Solve the limiting ex1 model by Fourier division (full dual line)."""
-    f = np.asarray(f, dtype=complex)
-    sym = differential_symbol_ex1(graph, z, grid.t)
-    if np.min(np.abs(sym)) < 1e-12:
-        raise ArithmeticError("differential symbol vanishes on the grid")
-    return np.fft.ifft(np.fft.fft(f) / sym)
+    return _band_divide(
+        f, grid, math.inf, lambda t: differential_symbol_ex1(graph, z, t)
+    )
 
 
 def symbol_identity_defect(

@@ -10,6 +10,10 @@ The closed forms also take arrays of tau, z (and eps): each array call must
 equal the loop of 0-d calls it replaces, and the runners must make one such
 call per (cell, eps) or per cell, not one per point.
 
+The effective layer (``r_eff_matrix``, ``a_hom_matrix``, the Schur scalar
+and ``dilation_blocks``) must meet its boundary conditions and agree with
+itself at every drawn cell, including ex2's drawn soft speeds a1 and a2.
+
 The FEM pencil at -tau must be the entrywise conjugate of the one at tau, bit
 for bit: ``bands`` solves one spectrum per |tau| on that premise.
 """
@@ -26,8 +30,10 @@ from hypothesis import strategies as st
 import qglab
 from qglab import dispersion, lab, triples
 from qglab.dispersion import k_closed, k_series, schur_frobenius
+from qglab.effective import EffectiveModel, effective_params
 from qglab.fdsolver import DiscretizedOperator
 from qglab.graphs import PoleError, build_example, datta_weights, stiff_length
+from qglab.krein import make_grid
 from qglab.mmatrix import (
     POLE_GUARD,
     FiberParams,
@@ -133,6 +139,47 @@ def test_closed_blocks_match_general(g, tau, z, eps):
     m = m_general(g, datta_weights(g, tau), fiber)
     closed = m_blocks_closed(g, fiber).m_full
     assert np.max(np.abs(m - closed)) <= 1e-12 * (1.0 + np.max(np.abs(m)))
+
+
+def _effective_model(g, tau, z, eps, res=24):
+    fiber = FiberParams(eps, tau, z)
+    soft_grid = make_grid(g.subgraph("soft"), res)
+    return EffectiveModel(g, datta_weights(g, tau), fiber, soft_grid)
+
+
+@settings(max_examples=25, deadline=None)
+@given(g=cells(), tau=TAU, z=Z, eps=EPS)
+def test_r_eff_columns_meet_the_effective_vertex_conditions(g, tau, z, eps):
+    # every column of r_eff is a field on the soft edges whose weighted end
+    # values agree at each vertex, with Gamma0 u = (U1, U2) in span psi
+    model = _effective_model(g, tau, z, eps)
+    r = model.r_eff_matrix(z)
+    ends = {}
+    for e, sl in zip(model.grid.edges, model.grid.slices):
+        for v, pos in ((e.left, sl.start), (e.right, sl.stop - 1)):
+            ends.setdefault(v, []).append(model.weights[(v, e.id)] * r[pos])
+    tol = 1e-11 * np.max(np.abs(r))
+    for first, *rest in ends.values():
+        for u in rest:
+            assert np.max(np.abs(u - first)) <= tol
+    omega = effective_params(g, model.fiber).omega
+    assert np.max(np.abs(ends[2][0] - omega * ends[1][0])) <= tol
+
+
+@settings(max_examples=25, deadline=None)
+@given(g=cells(), tau=TAU, z=Z, eps=EPS)
+def test_hom_corner_is_the_schur_scalar_at_drawn_cells(g, tau, z, eps):
+    model = _effective_model(g, tau, z, eps)
+    corner = model.a_hom_matrix(z)[-1, -1]
+    assert abs(model.schur_frobenius(z) - corner) <= 1e-14 * abs(corner)
+
+
+@settings(max_examples=25, deadline=None)
+@given(g=cells(), tau=TAU, z=Z, eps=EPS)
+def test_dilation_matches_hom_matrix_at_drawn_cells(g, tau, z, eps):
+    model = _effective_model(g, tau, z, eps)
+    a = model.a_hom_matrix(z)
+    assert np.max(np.abs(model.dilation_blocks(z) - a)) <= 1e-9 * (1 + np.max(np.abs(a)))
 
 
 @settings(max_examples=30, deadline=None)

@@ -538,6 +538,34 @@ def test_schur_check_at_a_pole_is_a_fail_line():
     assert res.summary[2].startswith("max |schur (K - z) - 1| = ")
 
 
+def test_line_models_at_a_pole_is_a_fail_line():
+    # ex0's soft Dirichlet level (pi/l2)^2 is a pole of the difference symbol
+    pole = (math.pi / 0.5) ** 2
+    res = run_experiment("line_models", {"examples": ["ex0"], "z_list": [pole, 2 + 1j]})
+    assert not res.passed
+    assert [line.split(": PoleError")[0] for line in res.summary[:2]] == [
+        f"ex0: symbol defect failed at eps={eps:g}, z={complex(pole)}"
+        for eps in (0.125, 0.0625)
+    ]
+    assert res.summary[2] == "ex0: max symbol defect = nan (tol 1e-10) FAIL"
+    # the points off the pole are still measured
+    assert [(r["eps"], r["re_z"]) for r in res.rows] == [(0.125, 2.0), (0.0625, 2.0)]
+
+
+def test_line_models_at_a_zero_of_the_ex1_symbol_is_a_fail_line():
+    # a real root of sigma^2 t^2 - (l1+l3) z - 2 a2 sqrt(z) tan(l2 sqrt(z)/(2 a2))
+    # at t = 0 (brentq to 1e-15 in sqrt(z)); the eps-multiplier vanishes there too
+    root = 90.92484426489447
+    res = run_experiment("line_models", {"examples": ["ex1"], "z_list": [root, 2 + 1j]})
+    assert not res.passed
+    assert res.failures == [
+        f"ex1: line model failed at eps={eps:g}, z={complex(root)}: "
+        "PoleError: model symbol vanishes on the grid"
+        for eps in lab.DEFAULT_EPS
+    ]
+    assert [r["kind"] for r in res.rows].count("model_error") == len(lab.DEFAULT_EPS)
+
+
 @pytest.mark.parametrize("tag", EXPERIMENT_TAGS)
 def test_unknown_key_raises_before_any_work(tag):
     t0 = time.perf_counter()

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from qglab.graphs import build_example
+from qglab import realline
+from qglab.graphs import PoleError, build_example
 from qglab.realline import (
     LineGrid,
     difference_symbol,
@@ -96,6 +97,29 @@ def test_aliasing_is_detected():
     f[256] = 1.0
     with pytest.raises(ValueError):
         psi_k_apply(g, 0.5, Z, f, grid)
+
+
+def test_difference_model_rejects_an_aliased_datum():
+    # the same spike: the difference model keeps only |t| <= pi/eps too, so
+    # it must refuse rather than drop the rest of the datum's energy
+    g = build_example("ex2")
+    grid = make_line_grid(8.0, 512)
+    f = np.zeros(512)
+    f[256] = 1.0
+    with pytest.raises(ValueError, match="relative energy beyond"):
+        solve_difference_model(g, 0.5, Z, f, grid)
+    # a band-concentrated datum still passes
+    solve_difference_model(g, 0.25, Z, gaussian_packet(grid), grid)
+
+
+def test_vanishing_symbol_raises_pole_error(monkeypatch):
+    g = build_example("ex1")
+    grid = make_line_grid(16.0, 64)
+    monkeypatch.setattr(
+        realline, "differential_symbol_ex1", lambda graph, z, t: np.zeros_like(t)
+    )
+    with pytest.raises(PoleError, match="symbol vanishes on the grid"):
+        solve_differential_model_ex1(g, Z, gaussian_packet(grid), grid)
 
 
 def test_parseval_energy_balance():
