@@ -18,9 +18,8 @@ import math
 
 import numpy as np
 
-from .effective import BoundarySystem
-from .graphs import EdgeSpec, MetricGraph, datta_weights, stiff_length
-from .mmatrix import POLE_GUARD, FiberParams, ccot, ccsc, sqrt_upper
+from .graphs import EdgeSpec, MetricGraph, stiff_length
+from .mmatrix import POLE_GUARD, ccot, ccsc, sqrt_upper
 
 
 def _cos(x):
@@ -155,14 +154,6 @@ def verify_sum_identities(x, n_terms: int) -> dict:
         # (-1)^j = +1 at the even j = 2, 4, ..., i.e. at the odd indices
         alt[idx] = abs(np.sum(denom[1::2]) - np.sum(denom[::2]) - closed_alt)
     return {"plain": plain[()], "alternating": alt[()]}
-
-
-def schur_frobenius(graph: MetricGraph, tau: float, z: complex, eps: float) -> complex:
-    """The scalar Schur complement 1/(K(tau, z) - z) of the homogenised
-    fiber operator, computed from the boundary-value assembly (independent
-    of the closed dispersion formulas); it needs no sample grid."""
-    fiber = FiberParams(eps, tau, z)
-    return BoundarySystem(graph, datta_weights(graph, tau), fiber).schur_frobenius(z)
 
 
 # samples of the sign-change scan on each interval between consecutive poles,

@@ -45,17 +45,6 @@ class NearSingularError(ArithmeticError):
     """The shifted system is numerically singular (z at a discrete level)."""
 
 
-def fem_errors() -> tuple[type[Exception], ...]:
-    """What one discrete spectrum or solve raises at a bad point: ARPACK
-    without convergence (``eigenvalues``), or a shifted system at a discrete
-    level (every apply of a ``resolvent`` operator, via ``_solve``'s
-    residual check).  A function, so that scipy is imported only where an
-    FEM call already needs it."""
-    from scipy.sparse.linalg import ArpackNoConvergence
-
-    return (ArpackNoConvergence, NearSingularError)
-
-
 def _cmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Elementwise complex product in plain real arithmetic.
 
@@ -219,22 +208,27 @@ class DiscretizedOperator:
             dtype=complex,
         )
 
-    def eigenvalues(self, count: int, sigma: float = -1.0) -> np.ndarray:
-        """Lowest ``count`` discrete eigenvalues (generalized, Hermitian).
+    def eigenvalues(self, count: int) -> np.ndarray:
+        """Lowest ``count`` discrete eigenvalues (generalized, Hermitian),
+        by shift-invert about -1.
 
         ARPACK starts from a seeded vector, so repeated calls agree exactly.
+        ARPACK without convergence raises ArithmeticError.
         """
-        from scipy.sparse.linalg import eigsh
+        from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
         rng = np.random.default_rng(0)
         v0 = rng.standard_normal(self.ndof) + 1j * rng.standard_normal(self.ndof)
-        vals = eigsh(
-            self.k_mat,
-            k=count,
-            M=self.m_mat,
-            sigma=sigma,
-            which="LM",
-            v0=v0,
-            return_eigenvectors=False,
-        )
+        try:
+            vals = eigsh(
+                self.k_mat,
+                k=count,
+                M=self.m_mat,
+                sigma=-1.0,
+                which="LM",
+                v0=v0,
+                return_eigenvectors=False,
+            )
+        except ArpackNoConvergence as exc:
+            raise ArithmeticError(f"eigsh did not converge: {exc}") from exc
         return np.sort(vals.real)

@@ -166,15 +166,6 @@ def stiff_length(graph: MetricGraph) -> float:
     return sum(e.length for e in graph.edges if e.is_stiff)
 
 
-def _check_lengths(lengths: list[float]) -> None:
-    if any(l <= 0 for l in lengths):
-        raise ParameterError("edge lengths must be positive")
-    if abs(sum(lengths) - 1.0) > _LENGTH_TOL:
-        raise ParameterError(
-            f"edge lengths must sum to 1 (got {sum(lengths)!r})"
-        )
-
-
 # Default parameters (the accepted keys) and stiff edge ids of each cell.
 # The soft speed a2 is fixed at 1 where it is not a key.
 _LAYOUTS = {
@@ -215,7 +206,6 @@ def build_example(example: str, **params) -> MetricGraph:
     p = dict(defaults, **params)
     p.setdefault("a2", 1.0)
     ids = [i for i in _ENDS if f"l{i}" in defaults]
-    _check_lengths([p[f"l{i}"] for i in ids])
     edges = tuple(
         EdgeSpec(
             i, p[f"l{i}"], p[f"a{i}"], STIFF if i in stiff_ids else SOFT, *_ENDS[i]

@@ -18,9 +18,9 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import dispersion, realline, triples
-from .effective import EffectiveModel, PsiEmbedding
-from .fdsolver import DiscretizedOperator, fem_errors
-from .graphs import EXAMPLES, ParameterError, PoleError, build_example, datta_weights
+from .effective import BoundarySystem, EffectiveModel, PsiEmbedding
+from .fdsolver import DiscretizedOperator
+from .graphs import EXAMPLES, ParameterError, build_example, datta_weights
 from .krein import ResolventWorkspace, make_grid
 from .mmatrix import (
     FiberParams,
@@ -268,9 +268,21 @@ def parse_config(path: str) -> dict:
     return cfg
 
 
-def _fail(where: str, exc: Exception) -> str:
-    """The FAIL line of the point or cell ``where`` that raised ``exc``."""
-    return f"{where}: {type(exc).__name__}: {exc}"
+def _each(failures: list[str], points, compute, where) -> list[tuple]:
+    """(p, compute(p)) for each point p that computes, in order.
+
+    A point whose ``compute`` raises ArithmeticError (a pole, a singular or
+    unconverged solve, a datum beyond the model band) is the FAIL line
+    ``where(p): <Type>: <reason>``, appended to ``failures``; anything else
+    is a fault and propagates.
+    """
+    done = []
+    for p in points:
+        try:
+            done.append((p, compute(p)))
+        except ArithmeticError as exc:
+            failures.append(f"{where(p)}: {type(exc).__name__}: {exc}")
+    return done
 
 
 def _worst(values, reduce=np.max) -> float:
@@ -280,26 +292,21 @@ def _worst(values, reduce=np.max) -> float:
     return float(reduce(values)) if values.size else math.nan
 
 
-def _sweep(points, eps_list, error, where):
-    """error(p, eps) at each point p over ``eps_list``.
+def _sweep(failures, points, eps_list, error, where):
+    """error(p, eps) at each point p over ``eps_list``, by ``_each``.
 
-    Returns the (points, eps) array of errors, the samples (p, eps, error)
-    that were computed, in sweep order, and the FAIL lines: an error that
-    raises PoleError is the line ``where(p, eps)`` with the exception, and
-    NaN in the array.
+    Returns the (points, eps) array of errors, NaN where the point failed,
+    and the samples (p, eps, error) that were computed, in sweep order.
     """
+    done = _each(
+        failures, np.ndindex(len(points), len(eps_list)),
+        lambda ij: error(points[ij[0]], eps_list[ij[1]]),
+        lambda ij: where(points[ij[0]], eps_list[ij[1]]),
+    )
     errors = np.full((len(points), len(eps_list)), math.nan)
-    samples, failures = [], []
-    for i, p in enumerate(points):
-        for j, e in enumerate(eps_list):
-            try:
-                err = error(p, e)
-            except PoleError as exc:
-                failures.append(_fail(where(p, e), exc))
-                continue
-            errors[i, j] = err
-            samples.append((p, e, err))
-    return errors, samples, failures
+    for ij, err in done:
+        errors[ij] = err
+    return errors, [(points[i], eps_list[j], err) for (i, j), err in done]
 
 
 def _slopes(name: str, eps_list, errors, lo: float = 1.8, hi: float = 2.2) -> Check:
@@ -347,24 +354,26 @@ def run_additivity(
     for name in examples:
         g = build_example(name)
         weights = datta_weights(g, taus)
-        for eps in eps_list:
+
+        def blocks_at(eps):
             fiber = FiberParams(float(eps), taus, zs)
-            try:
-                mset = m_blocks_closed(g, fiber)
-                full = mset.m_full
-                gen = np.max(
-                    np.abs(m_general(g, weights, fiber) - full) / (1.0 + np.abs(full)),
-                    axis=(-2, -1),
-                )
-                sym = mset.symmetry_defect(
-                    m_blocks_closed(g, FiberParams(float(eps), taus, zs.conj()))
-                )
-            except PoleError as exc:  # one pole point fails the (cell, eps) grid
-                failures.append(_fail(
-                    f"{name}: M-matrix failed on the (tau, z) grid at eps={eps:g}, "
-                    f"z in {zs.tolist()}", exc,
-                ))
-                continue
+            mset = m_blocks_closed(g, fiber)
+            full = mset.m_full
+            gen = np.max(
+                np.abs(m_general(g, weights, fiber) - full) / (1.0 + np.abs(full)), axis=(-2, -1)
+            )
+            sym = mset.symmetry_defect(
+                m_blocks_closed(g, FiberParams(float(eps), taus, zs.conj()))
+            )
+            return mset, gen, sym
+
+        # one pole point fails the (cell, eps) grid
+        for eps, (mset, gen, sym) in _each(
+            failures, eps_list, blocks_at,
+            lambda eps: f"{name}: M-matrix failed on the (tau, z) grid at eps={eps:g}, "
+                        f"z in {zs.tolist()}",
+        ):
+            full = mset.m_full
             dev = check_additivity(mset)
             herg = herglotz_min_eig(full)
             blocks = np.stack([full, mset.m_stiff, mset.m_soft], axis=-3)
@@ -416,19 +425,20 @@ def run_krein_vs_direct(
         g = build_example(name)
         weights = datta_weights(g, tau)
         fiber = FiberParams(eps, tau, z)
-        errs, norms = np.full(h.size, math.nan), np.full(h.size, math.nan)
-        for i, res in enumerate(resolutions):
-            grid = make_grid(g, res)
+
+        def error_and_norm(res):
             # the FEM resolvent is applied matrix-free, so a z at a discrete
-            # level raises inside the power iteration: both norms sit in the try
-            try:
-                r_k = ResolventWorkspace(g, weights, fiber, grid).generalized_matrix(z, 0.0)
-                r_d = DiscretizedOperator(g, weights, fiber, resolution=res).resolvent(z)
-                err = operator_norm_diff(r_k, r_d, grid.w)
-                norm_r = operator_norm_diff(r_k, None, grid.w)
-            except (*fem_errors(), PoleError) as exc:
-                failures.append(_fail(f"{name}: resolvents failed at resolution={res}, z={z}", exc))
-                continue
+            # level raises inside the power iteration
+            grid = make_grid(g, res)
+            r_k = ResolventWorkspace(g, weights, fiber, grid).generalized_matrix(z, 0.0)
+            r_d = DiscretizedOperator(g, weights, fiber, resolution=res).resolvent(z)
+            return operator_norm_diff(r_k, r_d, grid.w), operator_norm_diff(r_k, None, grid.w)
+
+        errs, norms = np.full(h.size, math.nan), np.full(h.size, math.nan)
+        for i, (err, norm_r) in _each(
+            failures, range(h.size), lambda i: error_and_norm(resolutions[i]),
+            lambda i: f"{name}: resolvents failed at resolution={resolutions[i]}, z={z}",
+        ):
             errs[i], norms[i] = err, norm_r
         scaled = Check(f"{name}: error / (h^2 ||R||)", errs / (h * h * norms), hi=5.0)
         bounds = scaled.hi * h * h * norms
@@ -462,14 +472,13 @@ def run_gen_res_rate(
     rows, checks, failures = [], [], []
     for name in examples:
         g = build_example(name)
-        errors, samples, failed = _sweep(
-            tau_list, eps_list,
+        errors, samples = _sweep(
+            failures, tau_list, eps_list,
             lambda tau, e: _soft_sandwich_error(g, tau, e, z, resolution),
             lambda tau, e: f"{name}: resolvents failed at tau={tau:.6g}, eps={e:g}, z={z}",
         )
         rows += [dict(example=name, tau=tau, eps=e, error=err)
                  for tau, e, err in samples]
-        failures += failed
         checks.append(_slopes(f"{name}: slopes", eps_list, errors))
     return ExperimentResult("gen_res_rate", checks, failures, rows)
 
@@ -516,20 +525,18 @@ def run_full_res_rate(
     rows, checks, failures, certs = [], [], [], []
     for name in examples:
         g = build_example(name)
-        errors, samples, failed = _sweep(
-            tau_list, eps_list,
+        errors, samples = _sweep(
+            failures, tau_list, eps_list,
             lambda tau, e: _full_nrc_error(g, tau, e, z, resolution),
             lambda tau, e: f"{name}: resolvents failed at tau={tau:.6g}, eps={e:g}, z={z}",
         )
         rows += [dict(example=name, tau=tau, eps=e, error=err)
                  for tau, e, err in samples]
-        failures += failed
-        try:
-            certs.append(_dilation_certificates(g, 1.0, 0.1, z, w, resolution))
-        except PoleError as exc:
-            failures.append(_fail(
-                f"{name}: dilation certificates failed at tau=1, eps=0.1, z={z}, w={w}", exc
-            ))
+        certs += [cert for _, cert in _each(
+            failures, [(1.0, 0.1)],
+            lambda p: _dilation_certificates(g, *p, z, w, resolution),
+            lambda p: f"{name}: dilation certificates failed at tau=1, eps=0.1, z={z}, w={w}",
+        )]
         checks.append(_slopes(f"{name}: slopes", eps_list, errors))
     ident, adj, herg, route = np.reshape(certs, (-1, 4)).T
     checks += [
@@ -555,29 +562,30 @@ def run_btilde_identity(
     eps_values = [float(e) for e in eps_list]
     fiber = FiberParams(np.array(eps_values), taus[:, None, None], np.array(zs)[:, None])
     rows, checks = [], []
-    for g in cells:
+
+    def deviation(g):
+        closed = triples.btilde_closed_ex0(g, fiber)
+        dev = np.max(np.abs(triples.btilde_numeric(g, fiber) - closed), axis=(-2, -1))
         # on the loop cell (ex2) the transform cancels entries of size
         # ||B(z)|| (a3^2/(l3 eps^2) scale), so floating-point noise is
         # proportional to that size, not to the closed form
-        relative = g.cell.loop is not None
-        try:
-            closed = triples.btilde_closed_ex0(g, fiber)
-            dev = np.max(np.abs(triples.btilde_numeric(g, fiber) - closed), axis=(-2, -1))
-            if relative:
-                dev /= 1.0 + np.max(np.abs(triples.b_matrix(g, fiber)), axis=(-2, -1))
-        except PoleError as exc:  # one pole point fails the cell's whole grid
-            failures.append(_fail(
-                f"{g.example}: B_tilde failed on the (tau, z, eps) grid at eps in "
-                f"{list(eps_list)}, z in {zs}", exc,
-            ))
-            continue
+        if g.cell.loop is not None:
+            dev /= 1.0 + np.max(np.abs(triples.b_matrix(g, fiber)), axis=(-2, -1))
+        return dev
+
+    # one pole point fails the cell's whole grid
+    for g, dev in _each(
+        failures, cells, deviation,
+        lambda g: f"{g.example}: B_tilde failed on the (tau, z, eps) grid at eps in "
+                  f"{list(eps_list)}, z in {zs}",
+    ):
         rows += [
             dict(example=g.example, tau=tau, re_z=z.real, im_z=z.imag, eps=eps, deviation=d)
             for tau, dev_t in zip(taus.tolist(), dev.tolist())
             for z, devs in zip(zs, dev_t)
             for eps, d in zip(eps_values, devs)
         ]
-        what = "relative deviation" if relative else "|generic - closed|"
+        what = "relative deviation" if g.cell.loop is not None else "|generic - closed|"
         checks.append(Check(f"{g.example} max {what}", np.max(dev), hi=BTILDE_TOL))
     return ExperimentResult("btilde_identity", checks, failures, rows)
 
@@ -593,29 +601,26 @@ def run_beff_rate(
     whole cell with one FAIL line."""
     eps_values, tau_values = [float(e) for e in eps_list], [float(t) for t in tau_list]
     fiber = FiberParams(np.array(eps_values), np.array(tau_values)[:, None], z)
-    where = f"on the (tau, eps) grid at eps in {list(eps_list)}, z={z}"
-    rows, checks, delta_checks, failures = [], [], [], []
-    for g in map(build_example, examples):
-        try:
-            dev = triples.beff_deviation(g, fiber)
-        except PoleError as exc:
-            failures.append(_fail(f"{g.example}: B_eff deviation failed {where}", exc))
-            continue
+    on_grid = f"on the (tau, eps) grid at eps in {list(eps_list)}, z={z}"
+    rows, checks, failures = [], [], []
+    deviations = _each(
+        failures, map(build_example, examples), lambda g: triples.beff_deviation(g, fiber),
+        lambda g: f"{g.example}: B_eff deviation failed {on_grid}",
+    )
+    for g, dev in deviations:
         rows += [
             dict(example=g.example, tau=tau, eps=e, error=err)
             for tau, errs in zip(tau_values, dev.tolist())
             for e, err in zip(eps_values, errs)
         ]
         checks.append(_slopes(f"{g.example}: slopes", eps_list, dev))
-        if not g.cell.germ:
-            continue
-        try:
-            err = np.abs(triples.delta_fn(g, fiber) - triples.delta_limit(g, fiber))
-        except PoleError as exc:
-            failures.append(_fail(f"{g.example}: delta limit failed {where}", exc))
-            continue
-        delta_checks.append(_slopes(f"{g.example} delta-vs-limit slopes", eps_list, err))
-    return ExperimentResult("beff_rate", checks + delta_checks, failures, rows)
+    for g, err in _each(
+        failures, [g for g, _ in deviations if g.cell.germ],
+        lambda g: np.abs(triples.delta_fn(g, fiber) - triples.delta_limit(g, fiber)),
+        lambda g: f"{g.example}: delta limit failed {on_grid}",
+    ):
+        checks.append(_slopes(f"{g.example} delta-vs-limit slopes", eps_list, err))
+    return ExperimentResult("beff_rate", checks, failures, rows)
 
 
 def run_dispersion_series(
@@ -628,15 +633,14 @@ def run_dispersion_series(
     # every K below is one (tau, z) array call per cell
     tau_col, z_row = taus[:, None], np.array(zs)
     rows, checks, failures = [], [], []
-    for name in examples:
-        g = build_example(name)
-        try:
-            kc = dispersion.k_closed(g, tau_col, z_row, eps=eps)
-        except PoleError as exc:  # one pole point fails the cell's whole grid
-            failures.append(_fail(
-                f"{name}: closed form failed on the (tau, z) grid at eps={eps:g}, z in {zs}", exc
-            ))
-            continue
+    # one pole point fails the cell's whole grid
+    for g, kc in _each(
+        failures, map(build_example, examples),
+        lambda g: dispersion.k_closed(g, tau_col, z_row, eps=eps),
+        lambda g: f"{g.example}: closed form failed on the (tau, z) grid at eps={eps:g}, "
+                  f"z in {zs}",
+    ):
+        name = g.example
 
         def error(terms):
             return np.abs(dispersion.k_series(g, tau_col, z_row, terms, eps=eps) - kc)
@@ -680,29 +684,27 @@ def run_schur_check(
     z_list=DEFAULT_Z,
 ) -> ExperimentResult:
     """The boundary Schur scalar inverts (K - z), and is Herglotz."""
-    rows, failures = [], []
-    for name in examples:
-        g = build_example(name)
-        for tau in tau_list:
-            for z in z_list:
-                try:
-                    s = dispersion.schur_frobenius(g, float(tau), z, eps)
-                    kc = dispersion.k_closed(g, float(tau), z, eps=eps)
-                except PoleError as exc:
-                    failures.append(_fail(
-                        f"{name}: Schur scalar failed at tau={tau:.6g}, eps={eps:g}, z={z}", exc
-                    ))
-                    continue
-                rows.append(
-                    dict(
-                        example=name,
-                        tau=float(tau),
-                        re_z=z.real,
-                        im_z=z.imag,
-                        residual=abs(s * (kc - z) - 1.0),
-                        im_schur=s.imag,
-                    )
-                )
+    failures = []
+
+    def schur_and_k(point):
+        g, tau, z = point
+        fiber = FiberParams(eps, tau, z)
+        s = BoundarySystem(g, datta_weights(g, tau), fiber).schur_frobenius(z)
+        return s, dispersion.k_closed(g, tau, z, eps=eps)
+
+    points = [
+        (g, float(tau), z) for g in map(build_example, examples)
+        for tau in tau_list for z in z_list
+    ]
+    rows = [
+        dict(example=g.example, tau=tau, re_z=z.real, im_z=z.imag,
+             residual=abs(s * (kc - z) - 1.0), im_schur=s.imag)
+        for (g, tau, z), (s, kc) in _each(
+            failures, points, schur_and_k,
+            lambda p: f"{p[0].example}: Schur scalar failed at tau={p[1]:.6g}, eps={eps:g}, "
+                      f"z={p[2]}",
+        )
+    ]
     checks = [
         Check("max |schur (K - z) - 1|", _worst([r["residual"] for r in rows]), hi=SCHUR_TOL),
         Check("min Im(schur)", _worst([r["im_schur"] for r in rows], np.min), lo=-1e-12),
@@ -746,29 +748,22 @@ def run_bands(
         return (4.0 * v_hi - v_lo) / 3.0
 
     for g in cells:
-        # the limiting roots do not depend on eps (cells without a stiff
-        # cycle take no eps); None where the scan failed
-        limits = []
-        for tau in taus:
-            try:
-                limits.append(dispersion.band_roots(g, tau, z_max)[:n_bands])
-            except ArithmeticError as exc:  # PoleError or a failed monotonicity check
-                limits.append(None)
-                failures.append(_fail(f"{g.example}: limiting roots failed at tau={tau:.6g}", exc))
+        # tau -> limiting roots where the scan computed; they do not depend
+        # on eps (cells without a stiff cycle take no eps)
+        limits = dict(_each(
+            failures, taus, lambda tau: dispersion.band_roots(g, tau, z_max)[:n_bands],
+            lambda tau: f"{g.example}: limiting roots failed at tau={tau:.6g}",
+        ))
         dist_per_eps = []
         for eps in eps_list:
-            spectra = {}  # |tau| -> FEM eigenvalues, or None where they failed
-            for t in abs_taus:
-                try:
-                    spectra[t] = eig_extrapolated(g, eps, t)
-                except (*fem_errors(), PoleError) as exc:
-                    spectra[t] = None
-                    failures.append(_fail(
-                        f"{g.example}: FEM spectrum failed at eps={eps:g}, |tau|={t:.6g}", exc
-                    ))
+            # |tau| -> FEM eigenvalues, where they were computed
+            spectra = dict(_each(
+                failures, abs_taus, lambda t: eig_extrapolated(g, eps, t),
+                lambda t: f"{g.example}: FEM spectrum failed at eps={eps:g}, |tau|={t:.6g}",
+            ))
             dists = []
-            for tau, limit in zip(taus, limits):
-                ev = spectra[abs(tau)]
+            for tau in taus:
+                ev, limit = spectra.get(abs(tau)), limits.get(tau)
                 if ev is None or limit is None:
                     dists.append(math.nan)
                     continue
@@ -797,12 +792,11 @@ def run_line_models(
     cells = [build_example(name) for name in examples]
     rows, checks, failures = [], [], []
     for g in cells:
-        defects, samples, failed = _sweep(
-            z_list, (0.125, 0.0625),
+        defects, samples = _sweep(
+            failures, z_list, (0.125, 0.0625),
             lambda z, e: realline.symbol_identity_defect(g, e, z, grid),
             lambda z, e: f"{g.example}: symbol defect failed at eps={e:g}, z={z}",
         )
-        failures += failed
         rows += [
             dict(example=g.example, kind="symbol_defect", eps=e, re_z=z.real,
                  im_z=z.imag, value=d)
@@ -811,12 +805,11 @@ def run_line_models(
         checks.append(Check(f"{g.example}: max symbol defect", _worst(defects), hi=SYMBOL_TOL))
     for g in (g for g in cells if g.cell.germ):
         f = realline.gaussian_packet(grid, width=sigma)
-        errors, samples, failed = _sweep(
-            z_list, eps_list,
+        errors, samples = _sweep(
+            failures, z_list, eps_list,
             lambda z, e: realline.ex1_model_distance(g, e, z, grid, f=f),
             lambda z, e: f"{g.example}: line model failed at eps={e:g}, z={z}",
         )
-        failures += failed
         rows += [
             dict(example=g.example, kind="model_error", eps=e, re_z=z.real,
                  im_z=z.imag, value=err)
@@ -843,9 +836,17 @@ EXPERIMENT_TAGS = tuple(_RUNNERS)
 # runners whose eps_list feeds fit_slope
 _SLOPE_FIT_TAGS = ("gen_res_rate", "full_res_rate", "beff_rate", "line_models", "bands")
 
+
+def _integer(v) -> int:
+    """``v`` as an int when it is one (2000.0 is 2000; 96.7 is refused)."""
+    if int(v) != v:
+        raise ValueError(f"{v!r} is not an integer")
+    return int(v)
+
+
 # casts of config values by the type of their key's default; example names
 # are case-insensitive
-_CASTS = {int: int, float: float, complex: complex, str: lambda v: str(v).lower()}
+_CASTS = {int: _integer, float: float, complex: complex, str: lambda v: str(v).lower()}
 
 
 def _parameters(tag: str):
@@ -866,9 +867,10 @@ def bind_config(tag: str, cfg: dict) -> dict:
 
     A key the runner does not take raises ``ParameterError`` naming the tag
     and its accepted keys.  Each value is cast to the type of the key's
-    default; a list-valued key (tuple default) takes a non-empty list, or a
-    scalar as a one-element list.  Example names must name known cells, and
-    the eps_list of a runner that fits slopes needs MIN_FIT_POINTS values.
+    default (an int key takes only integral values); a list-valued key
+    (tuple default) takes a non-empty list, or a scalar as a one-element
+    list.  Example names must name known cells, and the eps_list of a
+    runner that fits slopes needs MIN_FIT_POINTS values.
     """
     params = _parameters(tag)
     unknown = [key for key in cfg if key not in params]
@@ -885,7 +887,7 @@ def bind_config(tag: str, cfg: dict) -> dict:
         values = value if many and isinstance(value, (list, tuple)) else [value]
         try:
             values = [_CASTS[kind](v) for v in values]
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ParameterError(
                 f"{tag}: {key} takes {kind.__name__} values, got {value!r}"
             ) from exc

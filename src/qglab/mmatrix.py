@@ -71,21 +71,21 @@ def sqrt_upper(z):
     return -k if k.imag < 0 else k
 
 
-def guard_pole(x, guard: float = POLE_GUARD):
+def guard_pole(x):
     """Raise PoleError when x (a scalar, or any element of an ndarray) is
-    within ``guard`` of a pole of cot/csc."""
+    within POLE_GUARD of a pole of cot/csc."""
     if isinstance(x, np.ndarray):
         dist = np.abs(x - math.pi * np.round(x.real / math.pi))
-        if np.any(dist < guard):
-            _guard_scalar(x.flat[int(np.argmin(dist))], guard)
+        if np.any(dist < POLE_GUARD):
+            _guard_scalar(x.flat[int(np.argmin(dist))])
         return x
-    return _guard_scalar(x, guard)
+    return _guard_scalar(x)
 
 
-def _guard_scalar(x: complex, guard: float = POLE_GUARD) -> complex:
+def _guard_scalar(x: complex) -> complex:
     nearest = math.pi * round(x.real / math.pi)
-    if abs(x - nearest) < guard:
-        raise PoleError(f"trig argument {x} within {guard} of {nearest}")
+    if abs(x - nearest) < POLE_GUARD:
+        raise PoleError(f"trig argument {x} within {POLE_GUARD} of {nearest}")
     return x
 
 

@@ -12,7 +12,8 @@ approximated at O(eps^2) by the eps-dependent multiplier.
 
 All computations run on a periodic box [-X, X) with numpy's FFT.  The three
 solvers share one band-limited Fourier division: it refuses a datum with
-energy beyond the band and raises PoleError where the symbol vanishes.
+energy beyond the band (ArithmeticError) and raises PoleError where the
+symbol vanishes.
 """
 
 from __future__ import annotations
@@ -75,10 +76,10 @@ def multiplier_symbol(
 ALIAS_TOL = 1e-8
 
 
-def _band_divide(f, grid: LineGrid, band: float, symbol, alias_tol=ALIAS_TOL):
+def _band_divide(f, grid: LineGrid, band: float, symbol):
     """Fourier division u_hat = f_hat / symbol(t) on |t| <= band, 0 beyond.
 
-    Raises ValueError when the datum carries more than ``alias_tol``
+    Raises ArithmeticError when the datum carries more than ALIAS_TOL
     relative energy outside the band (the division would drop it silently),
     and PoleError when the symbol vanishes on the band.
     """
@@ -88,8 +89,8 @@ def _band_divide(f, grid: LineGrid, band: float, symbol, alias_tol=ALIAS_TOL):
     total = np.linalg.norm(f_hat)
     if total > 0:
         outside = np.linalg.norm(f_hat[~mask])
-        if outside / total > alias_tol:
-            raise ValueError(
+        if outside / total > ALIAS_TOL:
+            raise ArithmeticError(
                 f"datum has {outside / total:.2e} relative energy beyond |t| = {band:g}"
             )
     u_hat = np.zeros_like(f_hat)
@@ -101,21 +102,17 @@ def _band_divide(f, grid: LineGrid, band: float, symbol, alias_tol=ALIAS_TOL):
 
 
 def psi_k_apply(
-    graph: MetricGraph,
-    eps: float,
-    z: complex,
-    f: np.ndarray,
-    grid: LineGrid,
-    alias_tol: float = ALIAS_TOL,
+    graph: MetricGraph, eps: float, z: complex, f: np.ndarray, grid: LineGrid
 ) -> np.ndarray:
     """Apply the solution operator of the time-dispersive model:
     u_hat(t) = f_hat(t) / [L (K(eps t, z) - z)] on |t| <= pi/eps, 0 beyond.
 
-    Raises when the datum carries more than ``alias_tol`` relative energy
-    outside the retained band (the model would alias it away silently).
+    Raises ArithmeticError when the datum carries more than ALIAS_TOL
+    relative energy outside the retained band (the model would alias it
+    away silently).
     """
     return _band_divide(
-        f, grid, math.pi / eps, lambda t: multiplier_symbol(graph, eps, z, t), alias_tol
+        f, grid, math.pi / eps, lambda t: multiplier_symbol(graph, eps, z, t)
     )
 
 

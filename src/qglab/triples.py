@@ -26,7 +26,7 @@ import math
 
 import numpy as np
 
-from .graphs import MetricGraph, PoleError, phase, stiff_length
+from .graphs import MetricGraph, PoleError, stiff_length
 from .mmatrix import FiberParams, ccot, ccsc, m_stiff_closed, mat2
 
 P_PROJ = np.diag([1.0, 0.0]).astype(complex)
@@ -92,37 +92,23 @@ def btilde_closed_ex0(graph: MetricGraph, fiber: FiberParams) -> np.ndarray:
     return mat2((a * k / eps) * (cot - csc), 0.0, 0.0, -(eps / (a * k)) / (cot + csc))
 
 
-def alpha_beta_ex1(graph: MetricGraph, fiber: FiberParams):
-    """The scalars (alpha, beta21, beta12) of B(z) = (1/eps)[[alpha, beta12],
-    [beta21, alpha]] for ex1 (beta12 is the analytic continuation of
-    conj(beta) off the real z axis)."""
-    p = graph.params
-    l1, l2, l3 = p["l1"], p["l2"], p["l3"]
-    a1, a3 = p["a1"], p["a3"]
-    k, eps, tau = fiber.k, fiber.eps, fiber.tau
-    x1, x3 = k * eps * l1 / a1, k * eps * l3 / a3
-    csc1, csc3 = ccsc(x1), ccsc(x3)
-    alpha = a1 * k * ccot(x1) + a3 * k * ccot(x3)
-    beta21 = -a1 * k * phase(l1 + l3, tau) * csc1 - a3 * k * phase(-l2, tau) * csc3
-    beta12 = -a1 * k * phase(-(l1 + l3), tau) * csc1 - a3 * k * phase(l2, tau) * csc3
-    return alpha, beta21, beta12
-
-
 def delta_fn(graph: MetricGraph, fiber: FiberParams) -> complex | np.ndarray:
-    """delta(tau, eps) = eps (alpha + Re(u_bar beta)) / (alpha^2 - |beta|^2),
-    with u = xi/|xi| = -omega and the bars understood as analytic
-    continuations.  Raises PoleError when any |alpha^2 - |beta|^2| is below
-    1e-12."""
-    alpha, beta21, beta12 = alpha_beta_ex1(graph, fiber)
+    """delta(tau, eps) = (B00 + s) / (B00^2 - B10 B01) for a cell with a
+    stiff cycle (ex1), read off B = b_matrix = (1/eps)[[alpha, beta12],
+    [beta21, alpha]]: s = (u_bar B10 + u B01)/2 with u = xi/|xi| = -omega,
+    the bars understood as analytic continuations.  Raises PoleError when
+    any |eps^2 (B00^2 - B10 B01)| = |alpha^2 - |beta|^2| is below 1e-12."""
+    b = b_matrix(graph, fiber)
+    b00, b01, b10 = b[..., 0, 0], b[..., 0, 1], b[..., 1, 0]
     u = -graph.cell.omega(fiber.tau)
-    s = (np.conj(u) * beta21 + u * beta12) / 2.0
-    denom = alpha * alpha - beta21 * beta12
-    if np.any(abs(denom) < 1e-12):
+    s = (np.conj(u) * b10 + u * b01) / 2.0
+    denom = b00 * b00 - b10 * b01
+    scaled = abs(fiber.eps * fiber.eps * denom)
+    if np.any(scaled < 1e-12):
         raise PoleError(
-            f"delta: |alpha^2 - |beta|^2| = {np.min(abs(denom)):.2e} below the "
-            "guard 1e-12"
+            f"delta: |alpha^2 - |beta|^2| = {np.min(scaled):.2e} below the guard 1e-12"
         )
-    return fiber.eps * (alpha + s) / denom
+    return (b00 + s) / denom
 
 
 def delta_limit(graph: MetricGraph, fiber: FiberParams) -> complex | np.ndarray:

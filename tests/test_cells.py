@@ -29,8 +29,8 @@ from hypothesis import strategies as st
 
 import qglab
 from qglab import dispersion, lab, triples
-from qglab.dispersion import k_closed, k_series, schur_frobenius
-from qglab.effective import EffectiveModel, effective_params
+from qglab.dispersion import k_closed, k_series
+from qglab.effective import BoundarySystem, EffectiveModel, effective_params
 from qglab.fdsolver import DiscretizedOperator
 from qglab.graphs import PoleError, build_example, datta_weights, stiff_length
 from qglab.krein import make_grid
@@ -128,7 +128,7 @@ def test_difference_symbol_equals_multiplier(g, z, eps):
 @settings(max_examples=30, deadline=None)
 @given(g=cells(), tau=TAU, z=Z, eps=EPS)
 def test_schur_complement_inverts_dispersion(g, tau, z, eps):
-    s = schur_frobenius(g, tau, z, eps)
+    s = BoundarySystem(g, datta_weights(g, tau), FiberParams(eps, tau, z)).schur_frobenius(z)
     assert abs(s * (k_closed(g, tau, z, eps=eps) - z) - 1.0) < 1e-9
 
 
@@ -333,10 +333,11 @@ def test_delta_tau_stack_equals_point_loop(g, z):
     fiber = FiberParams(EPS_ROW, TAUS[:, None], z)
     stack = delta_fn(g, fiber)
     ref = np.array([[delta_fn(g, p) for p in row] for row in _tau_eps_points(z)])
-    # the denominator alpha^2 - beta21 beta12 cancels terms of size |alpha|^2
-    # (up to 1.5e4 times larger here), which scales the rounding of delta
-    alpha, beta21, beta12 = triples.alpha_beta_ex1(g, fiber)
-    cancel = np.abs(alpha) ** 2 / np.abs(alpha * alpha - beta21 * beta12)
+    # the denominator B00^2 - B10 B01 cancels terms of size |B00|^2 (up to
+    # 1.5e4 times larger here), which scales the rounding of delta
+    b = b_matrix(g, fiber)
+    b00 = b[..., 0, 0]
+    cancel = np.abs(b00) ** 2 / np.abs(b00 * b00 - b[..., 1, 0] * b[..., 0, 1])
     assert stack.shape == ref.shape
     assert np.all(np.abs(stack - ref) <= STACK_RTOL * cancel * np.abs(ref))
 

@@ -4,10 +4,10 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 from scipy.sparse.linalg import ArpackNoConvergence
 
 from qglab import cli, dispersion
-from qglab.fdsolver import DiscretizedOperator
 from qglab.graphs import PoleError
 from qglab.cli import VERB_TAGS, main
 from qglab.lab import EXPERIMENT_TAGS, run_experiment
@@ -148,16 +148,19 @@ REUSE = "(FEM spectra at 2 of 3 tau; the other 1 from the conjugate pencil at -t
 def test_failed_bands_points_fail_the_verb_without_a_traceback(
     tmp_path, capsys, monkeypatch
 ):
-    def no_convergence(self, count, sigma=-1.0):
+    def no_convergence(*args, **kwargs):
         raise ArpackNoConvergence("no convergence (forced)", np.empty(0), None)
 
-    monkeypatch.setattr(DiscretizedOperator, "eigenvalues", no_convergence)
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
     cfg = tmp_path / "cfg.txt"
     cfg.write_text("tau_count = 3\nresolution = 64\n")
     assert main(["bands", "--config", str(cfg)]) == 1
     text = capsys.readouterr().out
     assert "[FAIL] bands" in text
-    assert "ex0: FEM spectrum failed at eps=0.125, |tau|=3.14059: ArpackNoConvergence" in text
+    assert (
+        "ex0: FEM spectrum failed at eps=0.125, |tau|=3.14059: ArithmeticError: "
+        "eigsh did not converge: ARPACK error -1: no convergence (forced)" in text
+    )
     assert f"ex2: Hausdorff slope {REUSE} = nan (band [1.7, 2.3]) FAIL" in text
 
 
@@ -218,4 +221,24 @@ def test_resolvent_rates_and_schur_at_a_pole_fail_their_verbs_without_a_tracebac
     text = capsys.readouterr().out
     assert "[FAIL] dispersion_series" in text and "[FAIL] schur_check" in text
     assert f"ex0: Schur scalar failed at tau=0.3, eps=0.1, z={complex(z)}: PoleError" in text
+    assert "Traceback" not in text
+
+
+def test_line_models_with_a_datum_beyond_the_model_band_fail_without_a_traceback(
+    tmp_path, capsys
+):
+    # a packet of width 0.05 carries energy beyond the band |t| <= pi/eps of
+    # the three largest default eps; the smaller three keep it all
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("examples = ex1\nsigma = 0.05\n")
+    assert main(["line", "--config", str(cfg)]) == 1
+    text = capsys.readouterr().out
+    assert "[FAIL] line_models" in text
+    failed = [line.strip() for line in text.splitlines() if "ArithmeticError" in line]
+    assert [line.split(": ArithmeticError: ")[0] for line in failed] == [
+        f"ex1: line model failed at eps={eps:g}, z={z}"
+        for z in (2 + 1j, 5 + 2j, 10 + 0.7j) for eps in (0.125, 0.0625, 0.03125)
+    ]
+    assert all("relative energy beyond |t| = " in line for line in failed)
+    assert "ex1 model-vs-limit slopes = [nan, nan, nan] (band [1.8, 2.2]) FAIL" in text
     assert "Traceback" not in text

@@ -13,12 +13,12 @@ from qglab.dispersion import (
     flat_levels,
     k_closed,
     k_series,
-    schur_frobenius,
     verify_sum_identities,
 )
-from qglab.graphs import build_example
+from qglab.effective import BoundarySystem
+from qglab.graphs import build_example, datta_weights
 from qglab.lab import tau_grid
-from qglab.mmatrix import POLE_GUARD, PoleError
+from qglab.mmatrix import POLE_GUARD, FiberParams, PoleError
 
 
 def test_k_closed_ex0_zero_point():
@@ -100,7 +100,8 @@ def test_schur_frobenius_inverts_dispersion():
         g = build_example(name)
         for tau in (-1.0, 0.3, 2.9):
             z = 5 + 2j
-            s = schur_frobenius(g, tau, z, 0.1)
+            fiber = FiberParams(0.1, tau, z)
+            s = BoundarySystem(g, datta_weights(g, tau), fiber).schur_frobenius(z)
             assert abs(s * (k_closed(g, tau, z, eps=0.1) - z) - 1.0) < 1e-9
 
 

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from qglab.dispersion import k_closed, schur_frobenius
-from qglab.effective import EffectiveModel, PsiEmbedding, effective_params
+from qglab.dispersion import k_closed
+from qglab.effective import BoundarySystem, EffectiveModel, PsiEmbedding, effective_params
 from qglab.graphs import build_example, datta_weights
 from qglab.krein import ResolventWorkspace, make_grid
 from qglab.mmatrix import FiberParams, PoleError
@@ -48,7 +48,8 @@ def test_schur_scalar_samples_nothing(monkeypatch):
 
     monkeypatch.setattr(ResolventWorkspace, "_edge_samples", no_samples)
     g = build_example("ex2")
-    s = schur_frobenius(g, 1.0, 2 + 1j, 0.1)
+    fiber = FiberParams(0.1, 1.0, 2 + 1j)
+    s = BoundarySystem(g, datta_weights(g, 1.0), fiber).schur_frobenius(2 + 1j)
     assert abs(s * (k_closed(g, 1.0, 2 + 1j, eps=0.1) - (2 + 1j)) - 1.0) < 1e-9
 
 
@@ -143,13 +144,15 @@ def test_ex1_xi_floor_raises_at_equal_impedance_degeneracy():
 
 def test_delta_guard_raises_pole_error_when_any_denominator_vanishes(monkeypatch):
     from qglab import triples
+    from qglab.mmatrix import mat2
 
     g = build_example("ex1")
     taus = np.array([0.5, 1.0])
-    # alpha^2 - beta21 beta12 = (3, 0): the second element is at the guard
+    # B = (1/eps)[[alpha, 1], [1, alpha]] with alpha = (2, 1): the guarded
+    # eps^2 (B00^2 - B10 B01) = alpha^2 - 1 = (3, 0) is at the guard at the second tau
+    alpha = np.array([2.0, 1.0])
     monkeypatch.setattr(
-        triples, "alpha_beta_ex1",
-        lambda graph, fiber: (np.array([2.0, 1.0]), np.ones(2), np.ones(2)),
+        triples, "b_matrix", lambda graph, fiber: mat2(alpha, 1.0, 1.0, alpha) / fiber.eps
     )
     with pytest.raises(PoleError, match="delta"):
         triples.delta_fn(g, FiberParams(0.1, taus, 2 + 1j))

@@ -1,11 +1,13 @@
-"""``import qglab`` and the closed-form verbs load no scipy module.
+"""``import qglab`` and the closed-form verbs load no scipy module, and the
+closed-form layer imports nothing of the resolvent layer.
 
 The closed forms need only numpy; scipy is imported inside the calls that
-use it (the FEM oracle and ``band_roots``).  Each check runs in a fresh
-interpreter with ``PYTHONPATH=src``, so no module imported by another test
-can hide a scipy import at module level.
+use it (the FEM oracle and ``band_roots``).  Each scipy check runs in a
+fresh interpreter with ``PYTHONPATH=src``, so no module imported by another
+test can hide a scipy import at module level.
 """
 
+import ast
 import json
 import os
 import pathlib
@@ -63,3 +65,35 @@ def test_fem_verbs_load_scipy_where_they_call_it(verb):
     rc, scipy_modules = _fresh(VERB.format(verb=verb))
     assert rc == 0
     assert "scipy.sparse.linalg" in scipy_modules
+
+
+CLOSED_FORMS = ("graphs", "mmatrix", "triples", "dispersion", "realline")
+RESOLVENT_LAYER = {"krein", "effective", "fdsolver", "lab"}
+
+
+def _qglab_imports(module: str) -> set[str]:
+    """The qglab modules that ``module`` imports anywhere in its source."""
+    tree = ast.parse((SRC / "qglab" / f"{module}.py").read_text())
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:  # from . import x / from .x import y
+                found |= {base} if base else {alias.name for alias in node.names}
+            elif base == "qglab":
+                found |= {alias.name for alias in node.names}
+            elif base.startswith("qglab."):
+                found.add(base.split(".")[1])
+        elif isinstance(node, ast.Import):
+            found |= {
+                alias.name.split(".")[1] for alias in node.names
+                if alias.name.startswith("qglab.")
+            }
+    return found
+
+
+@pytest.mark.parametrize("module", CLOSED_FORMS)
+def test_closed_forms_import_no_resolvent_module(module):
+    # a static check: ``import qglab`` loads every module, so sys.modules
+    # cannot tell which module pulled in which
+    assert _qglab_imports(module) & RESOLVENT_LAYER == set()

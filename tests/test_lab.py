@@ -1,12 +1,15 @@
+import itertools
 import math
 import pathlib
 import time
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, aslinearoperator
 
 from qglab import dispersion, lab, realline, triples
+from qglab.effective import BoundarySystem
 from qglab.fdsolver import DiscretizedOperator
 from qglab.graphs import ParameterError, PoleError
 from qglab.lab import (
@@ -82,14 +85,14 @@ def test_check_str_shows_its_bound():
 
 
 def test_nan_schur_scalar_fails_schur_check(monkeypatch):
-    original = dispersion.schur_frobenius
+    original = BoundarySystem.schur_frobenius
 
-    def nan_at_one_point(graph, tau, z, eps):
-        if graph.example == "ex1" and tau == 0.3 and z == 2 + 1j:
+    def nan_at_one_point(self, z):
+        if self.soft.example == "ex1" and self.fiber.tau == 0.3 and z == 2 + 1j:
             return complex(math.nan, math.nan)
-        return original(graph, tau, z, eps)
+        return original(self, z)
 
-    monkeypatch.setattr(dispersion, "schur_frobenius", nan_at_one_point)
+    monkeypatch.setattr(BoundarySystem, "schur_frobenius", nan_at_one_point)
     res = run_experiment("schur_check")
     assert not res.passed
     assert res.summary == [
@@ -293,17 +296,21 @@ def test_run_bands_computes_band_roots_once_per_tau(monkeypatch):
 
 def _count_fem_spectra(monkeypatch, fail_at=None):
     """Count DiscretizedOperator.eigenvalues calls by (example, eps, tau);
-    raise ArpackNoConvergence at the point ``fail_at``."""
+    make ARPACK raise ArpackNoConvergence at the point ``fail_at``."""
     calls = []
-    original = DiscretizedOperator.eigenvalues
+    original, eigsh = DiscretizedOperator.eigenvalues, scipy.sparse.linalg.eigsh
 
     def counted(self, *args, **kwargs):
         calls.append((self.graph.example, self.fiber.eps, self.fiber.tau))
-        if calls[-1] == fail_at:
-            raise ArpackNoConvergence("no convergence (forced)", np.empty(0), None)
         return original(self, *args, **kwargs)
 
+    def failing_eigsh(*args, **kwargs):
+        if calls[-1] == fail_at:
+            raise ArpackNoConvergence("no convergence (forced)", np.empty(0), None)
+        return eigsh(*args, **kwargs)
+
     monkeypatch.setattr(DiscretizedOperator, "eigenvalues", counted)
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", failing_eigsh)
     return calls
 
 
@@ -337,7 +344,7 @@ def test_run_bands_failed_fem_point_is_a_fail_line(monkeypatch):
     assert calls.count(("ex0", 0.0625, top)) == 1
     assert res.summary[0] == (
         f"ex0: FEM spectrum failed at eps=0.0625, |tau|={top:.6g}: "
-        "ArpackNoConvergence: ARPACK error -1: no convergence (forced)"
+        "ArithmeticError: eigsh did not converge: ARPACK error -1: no convergence (forced)"
     )
     assert res.summary[1] == f"ex0: Hausdorff slope {BANDS_REUSE} = nan (band [1.7, 2.3]) FAIL"
     assert res.summary[2].startswith("ex2: Hausdorff slope ")
@@ -455,6 +462,41 @@ def test_failed_tau_gets_no_slope_fit_while_the_others_keep_theirs(monkeypatch):
     )
     assert res.summary[4] == "ex0: slopes = [1.993, nan] (band [1.8, 2.2]) FAIL"
     assert [r["tau"] for r in res.rows] == [1.0] * 4
+
+
+def test_unconverged_norm_at_one_point_fails_only_its_tau(monkeypatch):
+    # a power iteration of one step cannot converge: operator_norm_diff
+    # raises ArithmeticError at the sixth point (tau = 2, eps = 1/16) only
+    original, calls = lab.operator_norm_diff, itertools.count(1)
+
+    def one_step_once(*args):
+        return original(*args, max_iter=1 if next(calls) == 6 else 500)
+
+    monkeypatch.setattr(lab, "operator_norm_diff", one_step_once)
+    eps_list = [0.125, 0.0625, 0.03125, 0.015625]
+    res = run_experiment(
+        "gen_res_rate", {"examples": ["ex0"], "tau_list": [1.0, 2.0], "eps_list": eps_list}
+    )
+    assert not res.passed
+    assert res.failures == [
+        "ex0: resolvents failed at tau=2, eps=0.0625, z=(2+1j): ArithmeticError: "
+        "operator_norm_diff: power iteration not converged after max_iter=1 steps "
+        "(last relative step 1.000e+00, tol 1.0e-08)"
+    ]
+    assert res.summary[-1] == "ex0: slopes = [1.993, nan] (band [1.8, 2.2]) FAIL"
+    assert [(r["tau"], r["eps"]) for r in res.rows] == [
+        (1.0, e) for e in eps_list
+    ] + [(2.0, e) for e in eps_list if e != 0.0625]
+
+
+def test_a_fault_at_a_point_propagates(monkeypatch):
+    # only ArithmeticError is a FAIL line; a TypeError is a bug and is raised
+    def faulty(*args, **kwargs):
+        raise TypeError("k_closed fault (forced)")
+
+    monkeypatch.setattr(dispersion, "k_closed", faulty)
+    with pytest.raises(TypeError, match="k_closed fault"):
+        run_experiment("dispersion_series", {"examples": ["ex0"]})
 
 
 def test_additivity_at_a_pole_is_a_fail_line_per_eps():
@@ -625,6 +667,9 @@ def test_values_cast_by_default_type():
         (("schur_check", {"tau_list": [0.3, "x"]}), "tau_list"),
         (("gen_res_rate", {"resolution": [64, 128]}), "resolution"),
         (("schur_check", {"examples": []}), "examples"),
+        (("gen_res_rate", {"resolution": 96.7}), "resolution"),
+        (("additivity", {"tau_count": 2.5}), "tau_count"),
+        (("gen_res_rate", {"resolution": math.inf}), "resolution"),
     ],
 )
 def test_bad_values_raise(cfg, key):
