@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import MetricGraph, stiff_length
+from .graphs import MetricGraph, datta_weights, stiff_length
 from .krein import ComponentGrid, ComponentKernels, ResolventWorkspace
 from .mmatrix import FiberParams
 
@@ -74,17 +74,12 @@ class BoundarySystem:
     sample grid.
     """
 
-    def __init__(
-        self,
-        graph: MetricGraph,
-        weights: dict[tuple[int, int], complex],
-        fiber: FiberParams,
-    ):
-        self.weights = weights
+    def __init__(self, graph: MetricGraph, fiber: FiberParams):
         self.fiber = fiber
         self.soft = graph.subgraph("soft")
         self.params = effective_params(graph, fiber)
-        self.kernels = ComponentKernels(self.soft, weights, fiber)
+        self.kernels = ComponentKernels(self.soft, fiber)
+        self.weights = self.kernels.weights
 
     def _structure(self, z: complex, with_beta: bool):
         """Boundary system: A x = -Lam t(f) (+ e_c c for the beta row).
@@ -162,17 +157,11 @@ class BoundarySystem:
 class EffectiveModel(BoundarySystem):
     """Effective resolvents and the homogenised operator on the soft grid."""
 
-    def __init__(
-        self,
-        graph: MetricGraph,
-        weights: dict[tuple[int, int], complex],
-        fiber: FiberParams,
-        grid: ComponentGrid,
-    ):
+    def __init__(self, graph: MetricGraph, fiber: FiberParams, grid: ComponentGrid):
         """``grid`` is the soft sample grid, ``make_grid(graph.subgraph("soft"),
         resolution)``."""
-        super().__init__(graph, weights, fiber)
-        self.workspace = ResolventWorkspace(self.soft, weights, fiber, grid)
+        super().__init__(graph, fiber)
+        self.workspace = ResolventWorkspace(self.soft, fiber, grid)
         self.grid = grid
 
     def _fields(self, z: complex, ends):
@@ -357,15 +346,10 @@ class PsiEmbedding:
     to the beta coordinate.
     """
 
-    def __init__(
-        self,
-        graph: MetricGraph,
-        weights: dict[tuple[int, int], complex],
-        fiber: FiberParams,
-        full_grid: ComponentGrid,
-    ):
+    def __init__(self, graph: MetricGraph, fiber: FiberParams, full_grid: ComponentGrid):
         self.graph = graph
         self.full_grid = full_grid
+        weights = datta_weights(graph, fiber.tau)
         par = effective_params(graph, fiber)
         vidx = {v: i for i, v in enumerate(sorted(graph.vertices))}
 

@@ -33,12 +33,16 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .graphs import MetricGraph
+from .graphs import MetricGraph, datta_weights
 from .krein import ComponentGrid, make_grid
 from .mmatrix import FiberParams
 
 if TYPE_CHECKING:
     from scipy.sparse.linalg import LinearOperator
+
+
+# the coarsest resolution (intervals per unit length) the FEM oracle takes
+MIN_RESOLUTION = 16
 
 
 class NearSingularError(ArithmeticError):
@@ -57,19 +61,14 @@ def _cmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 class DiscretizedOperator:
-    """FEM discretization of the fiber operator with weighted vertex coupling."""
+    """FEM discretization of the fiber operator with weighted vertex coupling,
+    the Datta weights of the graph at the fiber's tau."""
 
-    def __init__(
-        self,
-        graph: MetricGraph,
-        weights: dict[tuple[int, int], complex],
-        fiber: FiberParams,
-        resolution: int = 256,
-    ):
-        if resolution < 16:
-            raise ValueError("resolution must be >= 16")
+    def __init__(self, graph: MetricGraph, fiber: FiberParams, resolution: int = 256):
+        if resolution < MIN_RESOLUTION:
+            raise ValueError(f"resolution must be >= {MIN_RESOLUTION}")
         self.graph = graph
-        self.weights = weights
+        self.weights = datta_weights(graph, fiber.tau)
         self.fiber = fiber
         self.resolution = resolution
         self.grid: ComponentGrid = make_grid(graph, resolution)

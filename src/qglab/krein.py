@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import EdgeSpec, MetricGraph
+from .graphs import EdgeSpec, MetricGraph, datta_weights
 from .mmatrix import FiberParams, PoleError, guard_pole, sqrt_upper
 
 
@@ -74,16 +74,12 @@ def make_grid(component: MetricGraph, resolution: int) -> ComponentGrid:
 class ComponentKernels:
     """The closed-form kernel-field data of one component (the full graph, or
     its stiff or soft part): per-edge wavenumbers and end coefficients, and
-    the M-matrix.  Needs no sample grid."""
+    the M-matrix.  Needs no sample grid.  Its Datta weights are those of
+    the component at the fiber's tau."""
 
-    def __init__(
-        self,
-        component: MetricGraph,
-        weights: dict[tuple[int, int], complex],
-        fiber: FiberParams,
-    ):
+    def __init__(self, component: MetricGraph, fiber: FiberParams):
         self.component = component
-        self.weights = weights
+        self.weights = datta_weights(component, fiber.tau)
         self.fiber = fiber
         self.vertices = tuple(sorted(component.vertices))
         self._vidx = {v: i for i, v in enumerate(self.vertices)}
@@ -133,8 +129,8 @@ class ResolventWorkspace(ComponentKernels):
     """The resolvent maps of one component as dense matrices on its sample
     grid ``make_grid(component, resolution)``."""
 
-    def __init__(self, component, weights, fiber, grid: ComponentGrid):
-        super().__init__(component, weights, fiber)
+    def __init__(self, component, fiber, grid: ComponentGrid):
+        super().__init__(component, fiber)
         self.grid = grid
 
     def _edge_samples(self, z: complex):

@@ -19,8 +19,8 @@ import numpy as np
 
 from . import dispersion, realline, triples
 from .effective import BoundarySystem, EffectiveModel, PsiEmbedding
-from .fdsolver import DiscretizedOperator
-from .graphs import EXAMPLES, ParameterError, build_example, datta_weights
+from .fdsolver import MIN_RESOLUTION, DiscretizedOperator
+from .graphs import EXAMPLES, ParameterError, build_example
 from .krein import ResolventWorkspace, make_grid
 from .mmatrix import (
     FiberParams,
@@ -239,9 +239,6 @@ def _parse_value(text: str):
     text = text.strip()
     if "," in text:
         return [_parse_value(tok) for tok in text.split(",") if tok.strip()]
-    low = text.lower()
-    if low in ("true", "false"):
-        return low == "true"
     for caster in (int, float):
         try:
             return caster(text)
@@ -353,14 +350,13 @@ def run_additivity(
     rows, entries, failures = [], [], []
     for name in examples:
         g = build_example(name)
-        weights = datta_weights(g, taus)
 
         def blocks_at(eps):
             fiber = FiberParams(float(eps), taus, zs)
             mset = m_blocks_closed(g, fiber)
             full = mset.m_full
             gen = np.max(
-                np.abs(m_general(g, weights, fiber) - full) / (1.0 + np.abs(full)), axis=(-2, -1)
+                np.abs(m_general(g, fiber) - full) / (1.0 + np.abs(full)), axis=(-2, -1)
             )
             sym = mset.symmetry_defect(
                 m_blocks_closed(g, FiberParams(float(eps), taus, zs.conj()))
@@ -423,15 +419,14 @@ def run_krein_vs_direct(
     h = 1.0 / np.array(resolutions, dtype=float)
     for name in examples:
         g = build_example(name)
-        weights = datta_weights(g, tau)
         fiber = FiberParams(eps, tau, z)
 
         def error_and_norm(res):
             # the FEM resolvent is applied matrix-free, so a z at a discrete
             # level raises inside the power iteration
             grid = make_grid(g, res)
-            r_k = ResolventWorkspace(g, weights, fiber, grid).generalized_matrix(z, 0.0)
-            r_d = DiscretizedOperator(g, weights, fiber, resolution=res).resolvent(z)
+            r_k = ResolventWorkspace(g, fiber, grid).generalized_matrix(z, 0.0)
+            r_d = DiscretizedOperator(g, fiber, resolution=res).resolvent(z)
             return operator_norm_diff(r_k, r_d, grid.w), operator_norm_diff(r_k, None, grid.w)
 
         errs, norms = np.full(h.size, math.nan), np.full(h.size, math.nan)
@@ -456,9 +451,8 @@ def run_krein_vs_direct(
 
 def _soft_sandwich_error(graph, tau: float, eps: float, z: complex, res: int) -> float:
     """||generalised resolvent - effective resolvent|| on the soft grid."""
-    weights = datta_weights(graph, tau)
     fiber = FiberParams(eps, tau, z)
-    model = EffectiveModel(graph, weights, fiber, make_grid(graph.subgraph("soft"), res))
+    model = EffectiveModel(graph, fiber, make_grid(graph.subgraph("soft"), res))
     b = triples.b_matrix(graph, fiber)
     r_eps = model.workspace.generalized_matrix(z, b)
     return operator_norm_diff(r_eps, model.r_eff_matrix(z), model.grid.w)
@@ -485,22 +479,20 @@ def run_gen_res_rate(
 
 def _full_nrc_error(graph, tau: float, eps: float, z: complex, res: int) -> float:
     """||(A_eps - z)^{-1} - Psi* (A_hom - z)^{-1} Psi|| on the full grid."""
-    weights = datta_weights(graph, tau)
     fiber = FiberParams(eps, tau, z)
     full_grid = make_grid(graph, res)
-    ws = ResolventWorkspace(graph, weights, fiber, full_grid)
+    ws = ResolventWorkspace(graph, fiber, full_grid)
     r_full = ws.generalized_matrix(z, 0.0)
-    model = EffectiveModel(graph, weights, fiber, make_grid(graph.subgraph("soft"), res))
-    psi = PsiEmbedding(graph, weights, fiber, full_grid)
+    model = EffectiveModel(graph, fiber, make_grid(graph.subgraph("soft"), res))
+    psi = PsiEmbedding(graph, fiber, full_grid)
     return operator_norm_diff(r_full, psi.sandwich(model.a_hom_matrix(z)), full_grid.w)
 
 
 def _dilation_certificates(graph, tau: float, eps: float, z: complex, w: complex, res: int):
     """(identity residual, adjoint defect, Herglotz min, route defect)."""
-    weights = datta_weights(graph, tau)
     fiber = FiberParams(eps, tau, z)
     grid = make_grid(graph.subgraph("soft"), res)
-    model = EffectiveModel(graph, weights, fiber, grid)
+    model = EffectiveModel(graph, fiber, grid)
     wv = np.concatenate([grid.w, [1.0]])
     r_z = model.a_hom_matrix(z)
     r_w = model.a_hom_matrix(w)
@@ -689,7 +681,7 @@ def run_schur_check(
     def schur_and_k(point):
         g, tau, z = point
         fiber = FiberParams(eps, tau, z)
-        s = BoundarySystem(g, datta_weights(g, tau), fiber).schur_frobenius(z)
+        s = BoundarySystem(g, fiber).schur_frobenius(z)
         return s, dispersion.k_closed(g, tau, z, eps=eps)
 
     points = [
@@ -740,9 +732,9 @@ def run_bands(
     rows, checks = [], []
 
     def eig_extrapolated(g, eps, tau):
-        weights, fiber = datta_weights(g, tau), FiberParams(eps, tau, complex(2, 1))
-        lo = DiscretizedOperator(g, weights, fiber, resolution=resolution // 2)
-        hi = DiscretizedOperator(g, weights, fiber, resolution=resolution)
+        fiber = FiberParams(eps, tau, complex(2, 1))
+        lo = DiscretizedOperator(g, fiber, resolution=resolution // 2)
+        hi = DiscretizedOperator(g, fiber, resolution=resolution)
         v_lo = lo.eigenvalues(n_bands)
         v_hi = hi.eigenvalues(n_bands)
         return (4.0 * v_hi - v_lo) / 3.0
@@ -867,10 +859,11 @@ def bind_config(tag: str, cfg: dict) -> dict:
 
     A key the runner does not take raises ``ParameterError`` naming the tag
     and its accepted keys.  Each value is cast to the type of the key's
-    default (an int key takes only integral values); a list-valued key
-    (tuple default) takes a non-empty list, or a scalar as a one-element
-    list.  Example names must name known cells, and the eps_list of a
-    runner that fits slopes needs MIN_FIT_POINTS values.
+    default (an int key takes only integral values, and no key takes a
+    bool); a list-valued key (tuple default) takes a non-empty list, or a
+    scalar as a one-element list.  Example names must name known cells,
+    the eps_list of a runner that fits slopes needs MIN_FIT_POINTS values,
+    and a resolution must be at least the FEM floor (twice it for bands).
     """
     params = _parameters(tag)
     unknown = [key for key in cfg if key not in params]
@@ -886,6 +879,8 @@ def bind_config(tag: str, cfg: dict) -> dict:
         kind = type(default[0] if many else default)
         values = value if many and isinstance(value, (list, tuple)) else [value]
         try:
+            if any(isinstance(v, bool) for v in values):
+                raise TypeError("a bool is no value of any key")
             values = [_CASTS[kind](v) for v in values]
         except (TypeError, ValueError, OverflowError) as exc:
             raise ParameterError(
@@ -904,6 +899,10 @@ def bind_config(tag: str, cfg: dict) -> dict:
                 f"{tag}: eps_list needs at least {MIN_FIT_POINTS} values for its "
                 f"slope fits, got {len(values)}"
             )
+        # the FEM floor; bands builds its coarse grid at resolution // 2
+        floor = MIN_RESOLUTION * (2 if tag == "bands" else 1)
+        if key in ("resolution", "resolutions") and min(values) < floor:
+            raise ParameterError(f"{tag}: {key} must be at least {floor}, got {value!r}")
         kwargs[key] = values if many else values[0]
     return kwargs
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import EdgeSpec, MetricGraph, PoleError, phase
+from .graphs import EdgeSpec, MetricGraph, PoleError, datta_weights, phase
 
 POLE_GUARD = 1e-8
 
@@ -145,26 +145,24 @@ def ccsc(x):
     return 1.0 / cmath.sin(x)
 
 
-def m_general(
-    graph: MetricGraph,
-    weights: dict[tuple[int, int], complex],
-    fiber: FiberParams,
-) -> np.ndarray:
-    """The N x N M-matrix from the generic vertex formula.
+def m_general(graph: MetricGraph, fiber: FiberParams) -> np.ndarray:
+    """The N x N M-matrix from the generic vertex formula, with the Datta
+    weights w = ``datta_weights(graph, fiber.tau)``.
 
     Diagonal (j, j): -k * sum over incident edges of c_e cot(k l_e / c_e).
     Off-diagonal (j, m): sum over shared edges of
         conj(w_{Vm}(e)) w_{Vj}(e) e^{i sgn_m(e) l_e tau} k c_e csc(k l_e/c_e),
     where sgn_m(e) is -1 when V_m sits at coordinate 0 of e and +1 when it
     sits at coordinate l_e.  Entries are 0 for vertex pairs sharing no edge.
-    With array fiber parameters or weights (``datta_weights`` of a tau
-    array) the result is the (..., N, N) stack over their broadcast shape.
+    With array fiber parameters (a tau array gives array weights) the result
+    is the (..., N, N) stack over their broadcast shape.
     """
+    weights = datta_weights(graph, fiber.tau)
     verts = list(graph.vertices)
     idx = {v: i for i, v in enumerate(verts)}
     n = len(verts)
     k = fiber.k
-    shape = np.broadcast(fiber.eps, fiber.tau, fiber.z, *weights.values()).shape
+    shape = np.broadcast(fiber.eps, fiber.tau, fiber.z).shape
     m = np.zeros(shape + (n, n), dtype=complex)
     for e in graph.edges:
         c = fiber.speed(e)

@@ -29,9 +29,6 @@ import numpy as np
 from .graphs import MetricGraph, PoleError, stiff_length
 from .mmatrix import FiberParams, ccot, ccsc, m_stiff_closed, mat2
 
-P_PROJ = np.diag([1.0, 0.0]).astype(complex)
-P_PERP = np.diag([0.0, 1.0]).astype(complex)
-
 
 def b_matrix(graph: MetricGraph, fiber: FiberParams) -> np.ndarray:
     """The z-dependent boundary matrix B(z) = -M_stiff(z)."""
@@ -56,23 +53,22 @@ def rotate_triple(b: np.ndarray, x: np.ndarray) -> np.ndarray:
     return x_adj @ b @ x
 
 
-def projection_transform(
-    b_hat: np.ndarray, p: np.ndarray = P_PROJ, p_perp: np.ndarray = P_PERP
-) -> np.ndarray:
-    """Boundary matrix of the swapped triple: (P B - P_perp)(P_perp B + P)^{-1},
-    with the explicit 2 x 2 inverse.  Raises when any matrix of the stack
-    has a singular denominator."""
-    denom = p_perp @ b_hat + p
-    det = denom[..., 0, 0] * denom[..., 1, 1] - denom[..., 0, 1] * denom[..., 1, 0]
-    if (det == 0).any():
-        raise ArithmeticError("projection transform: singular denominator")
-    adj = mat2(denom[..., 1, 1], -denom[..., 0, 1], -denom[..., 1, 0], denom[..., 0, 0])
-    return (p @ b_hat - p_perp) @ (adj / det[..., None, None])
+def projection_transform(b: np.ndarray) -> np.ndarray:
+    """Boundary matrix of the swapped triple, (P B - P_perp)(P_perp B + P)^{-1}
+    with P = diag(1, 0), in closed form:
+        [[b00 - b01 b10 / b11, b01 / b11], [b10 / b11, -1 / b11]].
+    Raises ArithmeticError where any b11 of the stack is 0 (a singular
+    P_perp B + P)."""
+    b00, b01, b10, b11 = b[..., 0, 0], b[..., 0, 1], b[..., 1, 0], b[..., 1, 1]
+    if (b11 == 0).any():
+        raise ArithmeticError("projection transform: singular denominator (b11 = 0)")
+    return mat2(b00 - b01 * b10 / b11, b01 / b11, b10 / b11, -1.0 / b11)
 
 
 def second_swap(b_tilde: np.ndarray) -> np.ndarray:
-    """The swap with the roles of P and P_perp exchanged."""
-    return projection_transform(b_tilde, p=P_PERP, p_perp=P_PROJ)
+    """The swap with the roles of P and P_perp exchanged: the same map with
+    both indices reversed."""
+    return projection_transform(b_tilde[..., ::-1, ::-1])[..., ::-1, ::-1]
 
 
 def btilde_closed_ex0(graph: MetricGraph, fiber: FiberParams) -> np.ndarray:

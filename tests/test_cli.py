@@ -96,6 +96,30 @@ def test_config_error_exits_2_before_any_experiment(tmp_path, capsys, monkeypatc
     assert message in captured.err
 
 
+@pytest.mark.parametrize(
+    "verb, text, message",
+    [
+        ("mmatrix", "tau_count = true\n", "additivity: tau_count takes int values, got 'true'"),
+        ("resolvent", "resolutions = 8, 16\n",
+         "krein_vs_direct: resolutions must be at least 16, got [8, 16]"),
+        ("bands", "resolution = 20\n", "bands: resolution must be at least 32, got 20"),
+        ("converge", "resolution = 2\n", "gen_res_rate: resolution must be at least 16, got 2"),
+    ],
+)
+def test_bool_or_too_small_resolution_exits_2_before_any_experiment(
+    tmp_path, capsys, monkeypatch, verb, text, message
+):
+    ran = []
+    monkeypatch.setattr(cli, "run_experiment", lambda tag, cfg: ran.append(tag))
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(text)
+    assert main([verb, "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert ran == []
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"qglab: {message}"]
+
+
 def test_unknown_example_exits_2_before_any_experiment(tmp_path, capsys, monkeypatch):
     ran = []
     monkeypatch.setattr(cli, "run_experiment", lambda tag, cfg: ran.append(tag))

@@ -16,7 +16,7 @@ from qglab.dispersion import (
     verify_sum_identities,
 )
 from qglab.effective import BoundarySystem
-from qglab.graphs import build_example, datta_weights
+from qglab.graphs import build_example
 from qglab.lab import tau_grid
 from qglab.mmatrix import POLE_GUARD, FiberParams, PoleError
 
@@ -101,7 +101,7 @@ def test_schur_frobenius_inverts_dispersion():
         for tau in (-1.0, 0.3, 2.9):
             z = 5 + 2j
             fiber = FiberParams(0.1, tau, z)
-            s = BoundarySystem(g, datta_weights(g, tau), fiber).schur_frobenius(z)
+            s = BoundarySystem(g, fiber).schur_frobenius(z)
             assert abs(s * (k_closed(g, tau, z, eps=0.1) - z) - 1.0) < 1e-9
 
 

@@ -10,9 +10,8 @@ from qglab.mmatrix import FiberParams, PoleError
 
 def _model(name="ex0", eps=0.1, tau=1.0, z=2 + 1j, res=64):
     g = build_example(name)
-    w = datta_weights(g, tau)
     fiber = FiberParams(eps, tau, z)
-    return g, EffectiveModel(g, w, fiber, make_grid(g.subgraph("soft"), res))
+    return g, EffectiveModel(g, fiber, make_grid(g.subgraph("soft"), res))
 
 
 def test_schur_frobenius_inverts_dispersion():
@@ -49,7 +48,7 @@ def test_schur_scalar_samples_nothing(monkeypatch):
     monkeypatch.setattr(ResolventWorkspace, "_edge_samples", no_samples)
     g = build_example("ex2")
     fiber = FiberParams(0.1, 1.0, 2 + 1j)
-    s = BoundarySystem(g, datta_weights(g, 1.0), fiber).schur_frobenius(2 + 1j)
+    s = BoundarySystem(g, fiber).schur_frobenius(2 + 1j)
     assert abs(s * (k_closed(g, 1.0, 2 + 1j, eps=0.1) - (2 + 1j)) - 1.0) < 1e-9
 
 
@@ -161,10 +160,9 @@ def test_delta_guard_raises_pole_error_when_any_denominator_vanishes(monkeypatch
 def test_psi_embedding_is_partial_isometry():
     for name in ("ex0", "ex1", "ex2"):
         g = build_example(name)
-        w = datta_weights(g, 0.9)
         fiber = FiberParams(0.1, 0.9, 2 + 1j)
         grid = make_grid(g, 128)
-        emb = PsiEmbedding(g, w, fiber, grid)
+        emb = PsiEmbedding(g, fiber, grid)
         fwd, adj = emb.forward_matrix(), emb.adjoint_matrix()
         ident = fwd @ adj
         assert np.max(np.abs(ident - np.eye(emb.n_soft + 1))) < 1e-12
@@ -188,7 +186,7 @@ def test_psi_lift_interpolates_normalized_psi_at_stiff_ends(name, tau):
     w = datta_weights(g, tau)
     fiber = FiberParams(0.1, tau, 2 + 1j)
     grid = make_grid(g, 64)
-    emb = PsiEmbedding(g, w, fiber, grid)
+    emb = PsiEmbedding(g, fiber, grid)
     psi = dict(zip(sorted(g.vertices), effective_params(g, fiber).psi))
     lift = emb.lift
     nrm = np.sqrt(np.sum(grid.w * np.abs(lift) ** 2))
@@ -209,9 +207,8 @@ def test_psi_lift_interpolates_normalized_psi_at_stiff_ends(name, tau):
 @pytest.mark.parametrize("name", ["ex0", "ex1", "ex2"])
 def test_psi_sandwich_matches_dense_products(name):
     g = build_example(name)
-    w = datta_weights(g, -1.7)
     fiber = FiberParams(0.1, -1.7, 2 + 1j)
-    emb = PsiEmbedding(g, w, fiber, make_grid(g, 64))
+    emb = PsiEmbedding(g, fiber, make_grid(g, 64))
     m = emb.n_soft + 1
     rng = np.random.default_rng(5)
     a = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))

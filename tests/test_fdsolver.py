@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from test_cells import Z, cells
 
 from qglab.fdsolver import DiscretizedOperator, NearSingularError
-from qglab.graphs import build_example, datta_weights
+from qglab.graphs import build_example
 from qglab.krein import ResolventWorkspace, make_grid
 from qglab.lab import operator_norm_diff
 from qglab.mmatrix import FiberParams
@@ -18,14 +18,13 @@ from qglab.mmatrix import FiberParams
 
 def _op(name="ex0", eps=0.3, tau=1.0, z=2 + 1j, res=256):
     g = build_example(name)
-    w = datta_weights(g, tau)
-    return g, DiscretizedOperator(g, w, FiberParams(eps, tau, z), resolution=res)
+    return g, DiscretizedOperator(g, FiberParams(eps, tau, z), resolution=res)
 
 
 def test_resolution_floor():
     g = build_example("ex0")
     with pytest.raises(ValueError):
-        DiscretizedOperator(g, datta_weights(g, 0.0), FiberParams(0.3, 0.0, 1.0), 8)
+        DiscretizedOperator(g, FiberParams(0.3, 0.0, 1.0), 8)
 
 
 def test_assembled_form_is_symmetric():
@@ -47,11 +46,10 @@ def test_matches_krein_resolvent():
     for name in ("ex0", "ex1", "ex2"):
         g = build_example(name)
         tau, z = 0.8, 2 + 1j
-        w = datta_weights(g, tau)
         fiber = FiberParams(0.3, tau, z)
         res = 512
-        op = DiscretizedOperator(g, w, fiber, resolution=res)
-        ws = ResolventWorkspace(g, w, fiber, make_grid(g, res))
+        op = DiscretizedOperator(g, fiber, resolution=res)
+        ws = ResolventWorkspace(g, fiber, make_grid(g, res))
         r_fd = op.resolvent(z) @ np.eye(op.grid.size)
         r_ex = ws.generalized_matrix(z, 0.0)
         err = np.linalg.norm(r_fd - r_ex, 2)
@@ -77,10 +75,9 @@ def test_resolvent_halving_is_second_order():
     errs = []
     for res in (128, 256, 512):
         g = build_example("ex0")
-        w = datta_weights(g, 1.0)
         fiber = FiberParams(0.3, 1.0, 2 + 1j)
-        op = DiscretizedOperator(g, w, fiber, resolution=res)
-        ws = ResolventWorkspace(g, w, fiber, make_grid(g, res))
+        op = DiscretizedOperator(g, fiber, resolution=res)
+        ws = ResolventWorkspace(g, fiber, make_grid(g, res))
         r_fd = op.resolvent(2 + 1j) @ np.eye(op.grid.size)
         errs.append(np.linalg.norm(r_fd - ws.generalized_matrix(2 + 1j, 0.0), 2))
     assert 3.0 < errs[0] / errs[1] < 5.0
@@ -195,7 +192,7 @@ FORWARD_CONST = 1.0
     res=41, seed=0,
 )
 def test_resolvent_operator_matches_dense_reference(g, tau, z, res, seed):
-    op = DiscretizedOperator(g, datta_weights(g, tau), FiberParams(0.1, tau, z), res)
+    op = DiscretizedOperator(g, FiberParams(0.1, tau, z), res)
     # the dense reference P (K - z M)^{-1} P^* W and its adjoint W P (K - z M)^{-H} P^*
     p = op.prolong.toarray()
     a = (op.k_mat - z * op.m_mat).toarray()
@@ -214,9 +211,9 @@ def test_resolvent_operator_matches_dense_reference(g, tau, z, res, seed):
     # two sides come from two factorisations, so their difference is roundoff
     # of the Cauchy-Schwarz scale |W^1/2 y| |W^1/2 R x|, not of |lhs|, which
     # a random pair can cancel far below it
-    r_bar = DiscretizedOperator(
-        g, datta_weights(g, tau), FiberParams(0.1, tau, np.conj(z)), res
-    ).resolvent(np.conj(z))
+    r_bar = DiscretizedOperator(g, FiberParams(0.1, tau, np.conj(z)), res).resolvent(
+        np.conj(z)
+    )
     lhs = np.vdot(w * y, rx)
     scale = np.linalg.norm(np.sqrt(w) * y) * np.linalg.norm(np.sqrt(w) * rx)
     assert abs(lhs - np.vdot(w * (r_bar @ y), x)) <= 1e-10 * scale

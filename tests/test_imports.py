@@ -8,6 +8,7 @@ test can hide a scipy import at module level.
 """
 
 import ast
+import inspect
 import json
 import os
 import pathlib
@@ -97,3 +98,29 @@ def test_closed_forms_import_no_resolvent_module(module):
     # a static check: ``import qglab`` loads every module, so sys.modules
     # cannot tell which module pulled in which
     assert _qglab_imports(module) & RESOLVENT_LAYER == set()
+
+
+def test_fiber_layers_take_no_weights():
+    # each fiber layer derives its Datta weights from (graph, fiber.tau), so
+    # no public callable or method takes them, and the harness never builds
+    # them
+    import qglab
+
+    takes = []
+    for name in qglab.__all__:
+        obj = getattr(qglab, name)
+        members = [(name, obj)] if callable(obj) else []
+        if inspect.isclass(obj):
+            members += [
+                (f"{name}.{attr}", fn)
+                for attr, fn in inspect.getmembers(obj, inspect.isfunction)
+            ]
+        for where, fn in members:
+            try:
+                params = inspect.signature(fn).parameters
+            except (TypeError, ValueError):  # a builtin without a signature
+                continue
+            if "weights" in params:
+                takes.append(where)
+    assert takes == []
+    assert "datta_weights" not in (SRC / "qglab" / "lab.py").read_text()

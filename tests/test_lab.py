@@ -10,11 +10,12 @@ from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, aslinearope
 
 from qglab import dispersion, lab, realline, triples
 from qglab.effective import BoundarySystem
-from qglab.fdsolver import DiscretizedOperator
+from qglab.fdsolver import MIN_RESOLUTION, DiscretizedOperator
 from qglab.graphs import ParameterError, PoleError
 from qglab.lab import (
     EXPERIMENT_TAGS,
     Check,
+    bind_config,
     config_keys,
     fit_slope,
     operator_norm_diff,
@@ -233,7 +234,6 @@ def test_parse_config_round_trip(tmp_path):
         "eps_list = 0.125, 0.0625\n"
         "z_list = 2+1i, 5+2i\n"
         "resolution = 128\n"
-        "strict = true\n"
         "label = smoke\n"
     )
     cfg = parse_config(str(path))
@@ -241,7 +241,6 @@ def test_parse_config_round_trip(tmp_path):
     assert cfg["eps_list"] == [0.125, 0.0625]
     assert cfg["z_list"] == [complex(2, 1), complex(5, 2)]
     assert cfg["resolution"] == 128
-    assert cfg["strict"] is True
     assert cfg["label"] == "smoke"
 
 
@@ -670,6 +669,14 @@ def test_values_cast_by_default_type():
         (("gen_res_rate", {"resolution": 96.7}), "resolution"),
         (("additivity", {"tau_count": 2.5}), "tau_count"),
         (("gen_res_rate", {"resolution": math.inf}), "resolution"),
+        # no key takes a bool: True is refused, not cast to 1 or 1.0
+        (("additivity", {"tau_count": True}), "tau_count"),
+        (("additivity", {"eps_list": [0.1, True]}), "eps_list"),
+        # below the FEM floor of 16; 32 for bands, whose coarse grid is
+        # resolution // 2
+        (("krein_vs_direct", {"resolutions": [8, 16]}), "resolutions"),
+        (("bands", {"resolution": 20}), "resolution"),
+        (("gen_res_rate", {"resolution": 2}), "resolution"),
     ],
 )
 def test_bad_values_raise(cfg, key):
@@ -677,6 +684,14 @@ def test_bad_values_raise(cfg, key):
     tag, config = cfg
     with pytest.raises(ParameterError, match=f"{tag}: {key} "):
         run_experiment(tag, config)
+
+
+def test_resolution_floors_are_taken():
+    # the FEM floor, and twice it for bands, whose coarse grid is resolution // 2
+    floor = MIN_RESOLUTION
+    assert bind_config("gen_res_rate", {"resolution": floor}) == {"resolution": floor}
+    assert bind_config("krein_vs_direct", {"resolutions": floor}) == {"resolutions": [floor]}
+    assert bind_config("bands", {"resolution": 2 * floor}) == {"resolution": 2 * floor}
 
 
 def test_schur_check_takes_no_resolution():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qglab.graphs import build_example, datta_weights
+from qglab.graphs import build_example
 from qglab.mmatrix import (
     FiberParams,
     PoleError,
@@ -98,7 +98,7 @@ def test_closed_blocks_match_general(name, tau, eps, re, im):
     g = build_example(name)
     fiber = FiberParams(eps, tau, complex(re, im))
     mset = m_blocks_closed(g, fiber)
-    m = m_general(g, datta_weights(g, tau), fiber)
+    m = m_general(g, fiber)
     assert np.max(np.abs(m - mset.m_full)) / (1 + np.max(np.abs(m))) < 1e-12
 
 
@@ -130,7 +130,7 @@ def test_nonuniform_speeds_ex2():
     g = build_example("ex2", a1=1.2, a2=0.8)
     fiber = FiberParams(0.2, 1.1, 3 + 0.5j)
     mset = m_blocks_closed(g, fiber)
-    m = m_general(g, datta_weights(g, 1.1), fiber)
+    m = m_general(g, fiber)
     assert np.max(np.abs(m - mset.m_full)) < 1e-12
 
 

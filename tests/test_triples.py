@@ -86,6 +86,17 @@ def test_projection_transform_closed_algebra(bre, cre, dre, dim):
     assert np.max(np.abs(out - expect)) < 1e-10 * (1 + np.max(np.abs(expect)))
 
 
+def test_swaps_equal_their_matrix_products():
+    # the closed 2 x 2 forms against (P B - P_perp)(P_perp B + P)^{-1} and the
+    # same with P and P_perp exchanged, on a stack of general complex B
+    rng = np.random.default_rng(3)
+    b = rng.standard_normal((6, 2, 2)) + 1j * rng.standard_normal((6, 2, 2))
+    p, p_perp = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+    for swap, q, q_perp in ((projection_transform, p, p_perp), (second_swap, p_perp, p)):
+        ref = (q @ b - q_perp) @ np.linalg.inv(q_perp @ b + q)
+        assert np.max(np.abs(swap(b) - ref)) < 1e-13 * np.max(np.abs(ref))
+
+
 def test_second_swap_recovers_delta_ex1():
     g = build_example("ex1")
     for tau in (-2.5, 0.6, 3.0):
