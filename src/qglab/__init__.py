@@ -15,7 +15,7 @@ from .dispersion import band_roots, k_closed, k_series, verify_sum_identities
 from .effective import EffectiveModel, PsiEmbedding, effective_params
 from .fdsolver import DiscretizedOperator
 from .graphs import EdgeSpec, MetricGraph, ParameterError, build_example, datta_weights
-from .krein import ComponentGrid, ResolventWorkspace, make_grid
+from .krein import ResolventWorkspace
 from .lab import (
     EXPERIMENT_TAGS,
     Check,
@@ -64,7 +64,6 @@ __version__ = "0.1.0"
 __all__ = [
     "EXPERIMENT_TAGS",
     "Check",
-    "ComponentGrid",
     "DiscretizedOperator",
     "EdgeSpec",
     "EffectiveModel",
@@ -99,7 +98,6 @@ __all__ = [
     "k_series",
     "m_blocks_closed",
     "m_general",
-    "make_grid",
     "make_line_grid",
     "operator_norm_diff",
     "parse_config",

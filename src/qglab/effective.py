@@ -20,10 +20,11 @@ Each is a Dirichlet kernel plus kernel fields fixed by a small
 ``BoundarySystem``, assembled the same way for every cell from the soft edge
 ends and their Datta weights: the weighted end values agree at each vertex,
 Gamma0 u = (U1, U2) lies in span psi, and one flux row couples the
-psi-component of Gamma1 u to the stiff part (see ``_structure``).  The
-sampled fields come from the Krein workspace's per-edge samples
-(``ResolventWorkspace._edge_samples``); the boundary system reads only
-per-edge scalars, so the Schur scalar needs no sample grid.
+psi-component of Gamma1 u to the stiff part (see ``_structure``).  System
+and fields read one kernel object of the soft component, in an
+``EffectiveModel`` a ``ResolventWorkspace`` whose ``_edge_samples`` give the
+fields; the system reads only per-edge scalars, so the Schur scalar needs no
+sample grid.
 
 ``compose`` multiplies two of these resolvents exactly (the function-space
 composition is carried out in closed form, not by quadrature), so that the
@@ -31,8 +32,9 @@ resolvent identity can be certified to solver precision.
 
 ``PsiEmbedding`` supplies the partial isometry between the full-graph sample
 space and the homogenised space (identity on the soft part, rank-one onto
-the normalized stiff zero-energy lift); ``sandwich`` forms Psi* a Psi from
-those index maps without dense products.
+the normalized stiff zero-energy lift) on the grid of the full graph's
+workspace; ``sandwich`` forms Psi* a Psi from those index maps without dense
+products.
 """
 
 from __future__ import annotations
@@ -43,8 +45,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import MetricGraph, datta_weights, stiff_length
-from .krein import ComponentGrid, ComponentKernels, ResolventWorkspace
+from .graphs import MetricGraph, stiff_length
+from .krein import ComponentKernels, ResolventWorkspace
 from .mmatrix import FiberParams
 
 
@@ -70,16 +72,19 @@ class BoundarySystem:
 
     Its rows tie the kernel fields of the soft edges (two per edge) and,
     with the beta row, the boundary coordinate.  It reads only the per-edge
-    scalars kappa, e^{-i tau l}, cos kappa l and sin kappa l, so it needs no
-    sample grid.
+    scalars kappa, e^{-i tau l}, cos kappa l and sin kappa l of its soft
+    kernels, so it needs no sample grid.
     """
 
     def __init__(self, graph: MetricGraph, fiber: FiberParams):
         self.fiber = fiber
         self.soft = graph.subgraph("soft")
         self.params = effective_params(graph, fiber)
-        self.kernels = ComponentKernels(self.soft, fiber)
-        self.weights = self.kernels.weights
+        self.kernels = self._soft_kernels()
+
+    def _soft_kernels(self) -> ComponentKernels:
+        # the one kernel object of the soft component; grid-free here
+        return ComponentKernels(self.soft, self.fiber)
 
     def _structure(self, z: complex, with_beta: bool):
         """Boundary system: A x = -Lam t(f) (+ e_c c for the beta row).
@@ -119,7 +124,7 @@ class BoundarySystem:
                 (2 * i + 1, e.right, -1.0, (e_l * cos_l, e_l * sin_l),
                  (-e_l * kappa * sin_l, e_l * kappa * cos_l)),
             ):
-                w = self.weights[(v, e.id)]
+                w = kern.weights[(v, e.id)]
                 row = np.zeros(m, dtype=complex)
                 row[2 * i:2 * i + 2] = val
                 values[v].append(w * row)
@@ -157,15 +162,18 @@ class BoundarySystem:
 class EffectiveModel(BoundarySystem):
     """Effective resolvents and the homogenised operator on the soft grid."""
 
-    def __init__(self, graph: MetricGraph, fiber: FiberParams, grid: ComponentGrid):
-        """``grid`` is the soft sample grid, ``make_grid(graph.subgraph("soft"),
-        resolution)``."""
+    def __init__(self, graph: MetricGraph, fiber: FiberParams, resolution: int):
+        """The soft kernels are a ``ResolventWorkspace`` on the soft sample
+        grid ``make_grid(graph.subgraph("soft"), resolution)``."""
+        self.resolution = resolution
         super().__init__(graph, fiber)
-        self.workspace = ResolventWorkspace(self.soft, fiber, grid)
-        self.grid = grid
+        self.grid = self.kernels.grid
+
+    def _soft_kernels(self) -> ResolventWorkspace:
+        return ResolventWorkspace(self.soft, self.fiber, self.resolution)
 
     def _fields(self, z: complex, ends):
-        """(h, t) from one pass over the workspace's per-edge samples.
+        """(h, t) from one pass over the kernels' per-edge samples.
 
         h is the n x 2E matrix of the sampled homogeneous fields
         e^{-i tau x}(cos kappa x, sin kappa x) on each edge; t is the 2E x n
@@ -176,7 +184,7 @@ class EffectiveModel(BoundarySystem):
         m = 2 * len(ends)
         h = np.zeros((g.size, m), dtype=complex)
         t = np.zeros((m, g.size), dtype=complex)
-        samples = self.workspace._edge_samples(z)
+        samples = self.kernels._edge_samples(z)
         for i, ((_, sl, c, _, phase, cos_x, a, b, _), end) in enumerate(
             zip(samples, ends)
         ):
@@ -199,7 +207,7 @@ class EffectiveModel(BoundarySystem):
     def r_eff_matrix(self, z: complex) -> np.ndarray:
         """Sample-space matrix of the effective generalised resolvent."""
         h, coeffs = self._defect(z)
-        return self.workspace.dirichlet_matrix(z) + h @ coeffs
+        return self.kernels.dirichlet_matrix(z) + h @ coeffs
 
     def _hom_solve(self, z: complex):
         """(ends, h, t, x) at z: x maps the data (f, c) to the homogeneous
@@ -221,7 +229,7 @@ class EffectiveModel(BoundarySystem):
         _, h, _, coeffs = self._hom_solve(z)
         out = np.zeros((n + 1, n + 1), dtype=complex)
         out[:n, :] = h @ coeffs[:-1, :]
-        out[:n, :n] += self.workspace.dirichlet_matrix(z)
+        out[:n, :n] += self.kernels.dirichlet_matrix(z)
         out[n, :] = coeffs[-1, :]
         return out
 
@@ -273,8 +281,8 @@ class EffectiveModel(BoundarySystem):
             raise ValueError("compose requires distinct spectral points")
         n = self.grid.size
         a_z, lam_z, ends_z = self._structure(z, with_beta=True)
-        g_z = self.workspace.dirichlet_matrix(z)
-        g_w = self.workspace.dirichlet_matrix(w)
+        g_z = self.kernels.dirichlet_matrix(z)
+        g_w = self.kernels.dirichlet_matrix(w)
         h_z, t_z = self._fields(z, ends_z)
         # inner solve X_w : (f, c) -> coefficients (+ beta last)
         ends_w, h_w, t_w, x_w = self._hom_solve(w)
@@ -307,7 +315,7 @@ class EffectiveModel(BoundarySystem):
         for e, sl in zip(g.edges, g.slices):
             for v, pos in ((e.left, sl.start), (e.right, sl.stop - 1)):
                 if v not in seen:
-                    rows[self.workspace._vidx[v], pos] = self.weights[(v, e.id)]
+                    rows[self.kernels._vidx[v], pos] = self.kernels.weights[(v, e.id)]
                     seen.add(v)
         return rows
 
@@ -331,7 +339,7 @@ class EffectiveModel(BoundarySystem):
         corner = pi_scal * (psi_row @ col12)
 
         out = np.zeros((n + 1, n + 1), dtype=complex)
-        out[:n, :n] = self.workspace.dirichlet_matrix(z) + h_z @ c_z
+        out[:n, :n] = self.kernels.dirichlet_matrix(z) + h_z @ c_z
         out[n, :n] = row21
         out[:n, n] = col12
         out[n, n] = corner
@@ -343,39 +351,32 @@ class PsiEmbedding:
 
     Identity on the soft component; on the stiff component, rank-one onto
     the grid-normalized zero-energy lift of the boundary vector psi, mapped
-    to the beta coordinate.
+    to the beta coordinate, read off the full graph's ``workspace``.
     """
 
-    def __init__(self, graph: MetricGraph, fiber: FiberParams, full_grid: ComponentGrid):
-        self.graph = graph
-        self.full_grid = full_grid
-        weights = datta_weights(graph, fiber.tau)
-        par = effective_params(graph, fiber)
-        vidx = {v: i for i, v in enumerate(sorted(graph.vertices))}
+    def __init__(self, workspace: ResolventWorkspace):
+        self.grid = grid = workspace.grid
+        sizes = [sl.stop - sl.start for sl in grid.slices]
+        on_stiff = np.repeat([e.is_stiff for e in grid.edges], sizes)
+        if on_stiff.all() or not on_stiff.any():
+            raise ValueError("PsiEmbedding needs the workspace of the full graph")
+        self.soft_idx, self.stiff_idx = np.flatnonzero(~on_stiff), np.flatnonzero(on_stiff)
+        weights, vidx, tau = workspace.weights, workspace._vidx, workspace.fiber.tau
+        psi = effective_params(workspace.component, workspace.fiber).psi
 
         # the zero-energy kernel field with Gamma0 = psi on each stiff edge:
         # e^{-i tau x}(p + (phi_l - p) x/l), affine between the weighted ends
-        soft_parts, stiff_parts = [], []
-        g_samples = np.zeros(full_grid.size, dtype=complex)
-        for e, sl in zip(full_grid.edges, full_grid.slices):
+        g_samples = np.zeros(grid.size, dtype=complex)
+        for e, sl in zip(grid.edges, grid.slices):
             if not e.is_stiff:
-                soft_parts.append(np.arange(sl.start, sl.stop))
                 continue
-            stiff_parts.append(np.arange(sl.start, sl.stop))
-            x = full_grid.x[sl]
-            p = np.conj(weights[(e.left, e.id)]) * par.psi[vidx[e.left]]
-            phi_l = cmath.exp(1j * fiber.tau * e.length) * np.conj(
+            p = np.conj(weights[(e.left, e.id)]) * psi[vidx[e.left]]
+            phi_l = cmath.exp(1j * tau * e.length) * np.conj(
                 weights[(e.right, e.id)]
-            ) * par.psi[vidx[e.right]]
-            g_samples[sl] = np.exp(-1j * fiber.tau * x) * (
-                p + (phi_l - p) / e.length * x
-            )
-        self.soft_idx = np.concatenate(soft_parts)
-        self.stiff_idx = np.concatenate(stiff_parts)
-        w_st = full_grid.w[self.stiff_idx]
-        nrm = math.sqrt(
-            float(np.sum(w_st * np.abs(g_samples[self.stiff_idx]) ** 2))
-        )
+            ) * psi[vidx[e.right]]
+            g_samples[sl] = workspace.phase[sl] * (p + (phi_l - p) / e.length * grid.x[sl])
+        w_st = grid.w[self.stiff_idx]
+        nrm = math.sqrt(float(np.sum(w_st * np.abs(g_samples[self.stiff_idx]) ** 2)))
         self.lift = g_samples / nrm  # grid-normalized, supported on stiff
 
     @property
@@ -384,18 +385,16 @@ class PsiEmbedding:
 
     def forward_matrix(self) -> np.ndarray:
         """(n_soft + 1) x n_full matrix of Psi."""
-        nf = self.full_grid.size
-        out = np.zeros((self.n_soft + 1, nf), dtype=complex)
+        out = np.zeros((self.n_soft + 1, self.grid.size), dtype=complex)
         out[np.arange(self.n_soft), self.soft_idx] = 1.0
         out[-1, self.stiff_idx] = (
-            np.conj(self.lift[self.stiff_idx]) * self.full_grid.w[self.stiff_idx]
+            np.conj(self.lift[self.stiff_idx]) * self.grid.w[self.stiff_idx]
         )
         return out
 
     def adjoint_matrix(self) -> np.ndarray:
         """n_full x (n_soft + 1) matrix of Psi^* (weighted adjoint)."""
-        nf = self.full_grid.size
-        out = np.zeros((nf, self.n_soft + 1), dtype=complex)
+        out = np.zeros((self.grid.size, self.n_soft + 1), dtype=complex)
         out[self.soft_idx, np.arange(self.n_soft)] = 1.0
         out[self.stiff_idx, -1] = self.lift[self.stiff_idx]
         return out
@@ -406,13 +405,16 @@ class PsiEmbedding:
         Equal to ``adjoint_matrix() @ a @ forward_matrix()``, built by index
         maps: the soft block is a[:n, :n], the stiff rows are
         lift (x) a[n, :n], the stiff columns a[:n, n] (x) conj(lift) w, and
-        the stiff block is a[n, n] times the outer product of the two.
+        the stiff block is a[n, n] times the outer product of the two.  Any
+        other shape (a model at another resolution) raises ``ValueError``.
         """
         n = self.n_soft
+        if a.shape != (n + 1, n + 1):
+            raise ValueError(f"need a {n + 1} x {n + 1} matrix (n_soft = {n}), got {a.shape}")
         soft, stiff = self.soft_idx, self.stiff_idx
         lift = self.lift[stiff]
-        dual = np.conj(lift) * self.full_grid.w[stiff]
-        nf = self.full_grid.size
+        dual = np.conj(lift) * self.grid.w[stiff]
+        nf = self.grid.size
         out = np.empty((nf, nf), dtype=complex)
         out[np.ix_(soft, soft)] = a[:n, :n]
         out[np.ix_(stiff, soft)] = np.outer(lift, a[n, :n])

@@ -252,13 +252,6 @@ def _cos(tau):
     return np.cos(tau) if isinstance(tau, np.ndarray) else math.cos(tau)
 
 
-def _degenerate(size, tau):
-    return PoleError(
-        f"|xi(tau)| = {size:.2e} below floor at tau = {tau}; tau in the "
-        "equal-impedance exclusion band"
-    )
-
-
 def xi_ex1(graph: MetricGraph, tau):
     """The ex1 kernel scalar xi(tau) of the stiff boundary matrix (the
     elementwise array for an ndarray tau)."""
@@ -269,10 +262,15 @@ def xi_ex1(graph: MetricGraph, tau):
 
 
 def _unit(value, tau):
-    """value / |value|, raising PoleError when any |value| is below XI_FLOOR."""
+    """value / |value|; PoleError at the tau of the smallest |value| < XI_FLOOR."""
     size = abs(value)
     if np.any(size < XI_FLOOR):
-        raise _degenerate(np.min(size), tau)
+        i = np.argmin(size)
+        at = np.ravel(np.broadcast_to(tau, np.shape(size)))[i]
+        raise PoleError(
+            f"|xi(tau)| = {np.ravel(size)[i]:.2e} below floor at tau = {at}; tau in the "
+            "equal-impedance exclusion band"
+        )
     return value / size
 
 

@@ -20,8 +20,9 @@ rank-N_vertices correction gamma(z) (M(z) - B)^{-1} Gamma1; the
 weighted-Kirchhoff (Krein) resolvent is the case B = 0.
 
 ``ComponentKernels`` holds what needs no grid (end coefficients, M(z));
-``ResolventWorkspace`` adds the grid, and its ``_edge_samples`` is the one
-place where trig functions meet the samples (the effective layer reads it).
+``ResolventWorkspace`` adds the grid it builds from a resolution, with the
+phase e^{-i tau x} on it, and its ``_edge_samples`` is the one place where
+the other trig functions meet the samples (the effective layer reads it).
 """
 
 from __future__ import annotations
@@ -127,16 +128,18 @@ class ComponentKernels:
 
 class ResolventWorkspace(ComponentKernels):
     """The resolvent maps of one component as dense matrices on its sample
-    grid ``make_grid(component, resolution)``."""
+    grid ``make_grid(component, resolution)``, which it builds itself."""
 
-    def __init__(self, component, fiber, grid: ComponentGrid):
+    def __init__(self, component: MetricGraph, fiber: FiberParams, resolution: int):
         super().__init__(component, fiber)
-        self.grid = grid
+        self.grid = make_grid(component, resolution)
+        # e^{-i tau x} on every sample: the only z-independent trig factor
+        self.phase = np.exp(-1j * fiber.tau * self.grid.x)
 
     def _edge_samples(self, z: complex):
         """Per grid edge: (edge, slice, c, kappa, e^{-i tau x}, cos(kappa x),
         sin(kappa x), sin(kappa (l - x)), sin(kappa l)) on the edge's samples
-        x.  The one place where trig functions meet the sample grid."""
+        x.  The phase is the workspace's; the rest is evaluated here."""
         g = self.grid
         for e, sl in zip(g.edges, g.slices):
             c = self.fiber.speed(e)
@@ -145,7 +148,7 @@ class ResolventWorkspace(ComponentKernels):
             x = g.x[sl]
             yield (
                 e, sl, c, kappa,
-                np.exp(-1j * self.fiber.tau * x),
+                self.phase[sl],
                 np.cos(kappa * x),
                 np.sin(kappa * x),
                 np.sin(kappa * (e.length - x)),

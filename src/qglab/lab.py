@@ -21,7 +21,7 @@ from . import dispersion, realline, triples
 from .effective import BoundarySystem, EffectiveModel, PsiEmbedding
 from .fdsolver import MIN_RESOLUTION, DiscretizedOperator
 from .graphs import EXAMPLES, ParameterError, build_example
-from .krein import ResolventWorkspace, make_grid
+from .krein import ResolventWorkspace
 from .mmatrix import (
     FiberParams,
     check_additivity,
@@ -424,10 +424,10 @@ def run_krein_vs_direct(
         def error_and_norm(res):
             # the FEM resolvent is applied matrix-free, so a z at a discrete
             # level raises inside the power iteration
-            grid = make_grid(g, res)
-            r_k = ResolventWorkspace(g, fiber, grid).generalized_matrix(z, 0.0)
+            ws = ResolventWorkspace(g, fiber, res)
+            r_k, w = ws.generalized_matrix(z, 0.0), ws.grid.w
             r_d = DiscretizedOperator(g, fiber, resolution=res).resolvent(z)
-            return operator_norm_diff(r_k, r_d, grid.w), operator_norm_diff(r_k, None, grid.w)
+            return operator_norm_diff(r_k, r_d, w), operator_norm_diff(r_k, None, w)
 
         errs, norms = np.full(h.size, math.nan), np.full(h.size, math.nan)
         for i, (err, norm_r) in _each(
@@ -452,9 +452,9 @@ def run_krein_vs_direct(
 def _soft_sandwich_error(graph, tau: float, eps: float, z: complex, res: int) -> float:
     """||generalised resolvent - effective resolvent|| on the soft grid."""
     fiber = FiberParams(eps, tau, z)
-    model = EffectiveModel(graph, fiber, make_grid(graph.subgraph("soft"), res))
+    model = EffectiveModel(graph, fiber, res)
     b = triples.b_matrix(graph, fiber)
-    r_eps = model.workspace.generalized_matrix(z, b)
+    r_eps = model.kernels.generalized_matrix(z, b)
     return operator_norm_diff(r_eps, model.r_eff_matrix(z), model.grid.w)
 
 
@@ -480,20 +480,18 @@ def run_gen_res_rate(
 def _full_nrc_error(graph, tau: float, eps: float, z: complex, res: int) -> float:
     """||(A_eps - z)^{-1} - Psi* (A_hom - z)^{-1} Psi|| on the full grid."""
     fiber = FiberParams(eps, tau, z)
-    full_grid = make_grid(graph, res)
-    ws = ResolventWorkspace(graph, fiber, full_grid)
+    ws = ResolventWorkspace(graph, fiber, res)
     r_full = ws.generalized_matrix(z, 0.0)
-    model = EffectiveModel(graph, fiber, make_grid(graph.subgraph("soft"), res))
-    psi = PsiEmbedding(graph, fiber, full_grid)
-    return operator_norm_diff(r_full, psi.sandwich(model.a_hom_matrix(z)), full_grid.w)
+    model = EffectiveModel(graph, fiber, res)
+    psi = PsiEmbedding(ws)
+    return operator_norm_diff(r_full, psi.sandwich(model.a_hom_matrix(z)), ws.grid.w)
 
 
 def _dilation_certificates(graph, tau: float, eps: float, z: complex, w: complex, res: int):
     """(identity residual, adjoint defect, Herglotz min, route defect)."""
     fiber = FiberParams(eps, tau, z)
-    grid = make_grid(graph.subgraph("soft"), res)
-    model = EffectiveModel(graph, fiber, grid)
-    wv = np.concatenate([grid.w, [1.0]])
+    model = EffectiveModel(graph, fiber, res)
+    wv = np.concatenate([model.grid.w, [1.0]])
     r_z = model.a_hom_matrix(z)
     r_w = model.a_hom_matrix(w)
     ident = operator_norm_diff(r_z - r_w, (z - w) * model.compose(z, w), wv)

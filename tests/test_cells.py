@@ -12,7 +12,8 @@ call per (cell, eps) or per cell, not one per point.
 
 The effective layer (``r_eff_matrix``, ``a_hom_matrix``, the Schur scalar
 and ``dilation_blocks``) must meet its boundary conditions and agree with
-itself at every drawn cell, including ex2's drawn soft speeds a1 and a2.
+itself at every drawn cell, including ex2's drawn soft speeds a1 and a2, and
+``PsiEmbedding`` must sample the model's soft grid.
 
 The FEM pencil at -tau must be the entrywise conjugate of the one at tau, bit
 for bit: ``bands`` solves one spectrum per |tau| on that premise.
@@ -30,10 +31,10 @@ from hypothesis import strategies as st
 import qglab
 from qglab import dispersion, lab, triples
 from qglab.dispersion import k_closed, k_series
-from qglab.effective import BoundarySystem, EffectiveModel, effective_params
+from qglab.effective import BoundarySystem, EffectiveModel, PsiEmbedding, effective_params
 from qglab.fdsolver import DiscretizedOperator
 from qglab.graphs import PoleError, build_example, stiff_length
-from qglab.krein import make_grid
+from qglab.krein import ResolventWorkspace
 from qglab.mmatrix import (
     POLE_GUARD,
     FiberParams,
@@ -175,9 +176,7 @@ def test_closed_blocks_match_general(g, tau, z, eps):
 
 
 def _effective_model(g, tau, z, eps, res=24):
-    fiber = FiberParams(eps, tau, z)
-    soft_grid = make_grid(g.subgraph("soft"), res)
-    return EffectiveModel(g, fiber, soft_grid)
+    return EffectiveModel(g, FiberParams(eps, tau, z), res)
 
 
 @settings(max_examples=25, deadline=None)
@@ -190,7 +189,7 @@ def test_r_eff_columns_meet_the_effective_vertex_conditions(g, tau, z, eps):
     ends = {}
     for e, sl in zip(model.grid.edges, model.grid.slices):
         for v, pos in ((e.left, sl.start), (e.right, sl.stop - 1)):
-            ends.setdefault(v, []).append(model.weights[(v, e.id)] * r[pos])
+            ends.setdefault(v, []).append(model.kernels.weights[(v, e.id)] * r[pos])
     tol = 1e-11 * np.max(np.abs(r))
     for first, *rest in ends.values():
         for u in rest:
@@ -213,6 +212,27 @@ def test_dilation_matches_hom_matrix_at_drawn_cells(g, tau, z, eps):
     model = _effective_model(g, tau, z, eps)
     a = model.a_hom_matrix(z)
     assert np.max(np.abs(model.dilation_blocks(z) - a)) <= 1e-9 * (1 + np.max(np.abs(a)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    g=cells(), taus=st.lists(TAU, min_size=2, max_size=3), z=Z, eps=EPS,
+    res=st.sampled_from([16, 24, 64]),
+)
+def test_psi_samples_the_soft_model_grid_at_drawn_cells(g, taus, z, eps, res):
+    # Psi is the identity on the soft samples: the model's soft grid is the
+    # full grid at Psi's soft indices, bit for bit, and the index-map
+    # sandwich is the dense product Psi* a Psi
+    for tau in taus:
+        fiber = FiberParams(eps, tau, z)
+        model = EffectiveModel(g, fiber, res)
+        full = ResolventWorkspace(g, fiber, res)
+        emb = PsiEmbedding(full)
+        assert np.array_equal(model.grid.x, full.grid.x[emb.soft_idx])
+        assert np.array_equal(model.grid.w, full.grid.w[emb.soft_idx])
+        a = model.a_hom_matrix(z)
+        ref = emb.adjoint_matrix() @ a @ emb.forward_matrix()
+        assert np.max(np.abs(emb.sandwich(a) - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 @settings(max_examples=30, deadline=None)

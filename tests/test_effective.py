@@ -4,14 +4,14 @@ import pytest
 from qglab.dispersion import k_closed
 from qglab.effective import BoundarySystem, EffectiveModel, PsiEmbedding, effective_params
 from qglab.graphs import build_example, datta_weights
-from qglab.krein import ResolventWorkspace, make_grid
+from qglab.krein import ResolventWorkspace
 from qglab.mmatrix import FiberParams, PoleError
 
 
 def _model(name="ex0", eps=0.1, tau=1.0, z=2 + 1j, res=64):
     g = build_example(name)
     fiber = FiberParams(eps, tau, z)
-    return g, EffectiveModel(g, fiber, make_grid(g.subgraph("soft"), res))
+    return g, EffectiveModel(g, fiber, res)
 
 
 def test_schur_frobenius_inverts_dispersion():
@@ -161,14 +161,13 @@ def test_psi_embedding_is_partial_isometry():
     for name in ("ex0", "ex1", "ex2"):
         g = build_example(name)
         fiber = FiberParams(0.1, 0.9, 2 + 1j)
-        grid = make_grid(g, 128)
-        emb = PsiEmbedding(g, fiber, grid)
+        emb = PsiEmbedding(ResolventWorkspace(g, fiber, 128))
         fwd, adj = emb.forward_matrix(), emb.adjoint_matrix()
         ident = fwd @ adj
         assert np.max(np.abs(ident - np.eye(emb.n_soft + 1))) < 1e-12
         # Psi* Psi is an orthogonal projection in the weighted inner product
         proj = adj @ fwd
-        ww = grid.w
+        ww = emb.grid.w
         assert (
             np.max(np.abs(ww[:, None] * proj - (ww[:, None] * proj).conj().T))
             < 1e-12
@@ -185,8 +184,8 @@ def test_psi_lift_interpolates_normalized_psi_at_stiff_ends(name, tau):
     g = build_example(name)
     w = datta_weights(g, tau)
     fiber = FiberParams(0.1, tau, 2 + 1j)
-    grid = make_grid(g, 64)
-    emb = PsiEmbedding(g, fiber, grid)
+    emb = PsiEmbedding(ResolventWorkspace(g, fiber, 64))
+    grid = emb.grid
     psi = dict(zip(sorted(g.vertices), effective_params(g, fiber).psi))
     lift = emb.lift
     nrm = np.sqrt(np.sum(grid.w * np.abs(lift) ** 2))
@@ -208,12 +207,31 @@ def test_psi_lift_interpolates_normalized_psi_at_stiff_ends(name, tau):
 def test_psi_sandwich_matches_dense_products(name):
     g = build_example(name)
     fiber = FiberParams(0.1, -1.7, 2 + 1j)
-    emb = PsiEmbedding(g, fiber, make_grid(g, 64))
+    emb = PsiEmbedding(ResolventWorkspace(g, fiber, 64))
     m = emb.n_soft + 1
     rng = np.random.default_rng(5)
     a = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
     ref = emb.adjoint_matrix() @ a @ emb.forward_matrix()
     assert np.max(np.abs(emb.sandwich(a) - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def test_psi_sandwich_refuses_a_model_at_another_resolution():
+    # a model at twice Psi's resolution has more soft samples than Psi
+    g = build_example("ex0")
+    fiber = FiberParams(0.1, 1.0, 2 + 1j)
+    emb = PsiEmbedding(ResolventWorkspace(g, fiber, 32))
+    a = EffectiveModel(g, fiber, 64).a_hom_matrix(2 + 1j)
+    assert a.shape[0] > emb.n_soft + 1
+    with pytest.raises(ValueError, match="n_soft"):
+        emb.sandwich(a)
+
+
+@pytest.mark.parametrize("part", ["soft", "stiff"])
+def test_psi_refuses_a_component_workspace(part):
+    g = build_example("ex1")
+    fiber = FiberParams(0.1, 1.0, 2 + 1j)
+    with pytest.raises(ValueError, match="full graph"):
+        PsiEmbedding(ResolventWorkspace(g.subgraph(part), fiber, 32))
 
 
 def test_r_eff_matches_hom_soft_block():

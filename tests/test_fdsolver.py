@@ -11,7 +11,7 @@ from test_cells import Z, cells
 
 from qglab.fdsolver import DiscretizedOperator, NearSingularError
 from qglab.graphs import build_example
-from qglab.krein import ResolventWorkspace, make_grid
+from qglab.krein import ResolventWorkspace
 from qglab.lab import operator_norm_diff
 from qglab.mmatrix import FiberParams
 
@@ -49,7 +49,7 @@ def test_matches_krein_resolvent():
         fiber = FiberParams(0.3, tau, z)
         res = 512
         op = DiscretizedOperator(g, fiber, resolution=res)
-        ws = ResolventWorkspace(g, fiber, make_grid(g, res))
+        ws = ResolventWorkspace(g, fiber, res)
         r_fd = op.resolvent(z) @ np.eye(op.grid.size)
         r_ex = ws.generalized_matrix(z, 0.0)
         err = np.linalg.norm(r_fd - r_ex, 2)
@@ -77,7 +77,7 @@ def test_resolvent_halving_is_second_order():
         g = build_example("ex0")
         fiber = FiberParams(0.3, 1.0, 2 + 1j)
         op = DiscretizedOperator(g, fiber, resolution=res)
-        ws = ResolventWorkspace(g, fiber, make_grid(g, res))
+        ws = ResolventWorkspace(g, fiber, res)
         r_fd = op.resolvent(2 + 1j) @ np.eye(op.grid.size)
         errs.append(np.linalg.norm(r_fd - ws.generalized_matrix(2 + 1j, 0.0), 2))
     assert 3.0 < errs[0] / errs[1] < 5.0

@@ -101,12 +101,14 @@ def test_closed_forms_import_no_resolvent_module(module):
 
 
 def test_fiber_layers_take_no_weights():
-    # each fiber layer derives its Datta weights from (graph, fiber.tau), so
-    # no public callable or method takes them, and the harness never builds
-    # them
+    # each fiber layer derives its Datta weights from (graph, fiber.tau), and
+    # each resolvent object its sample grid from (component, resolution), so
+    # no public callable or method takes either, and the harness builds
+    # neither; the real-line models' ``grid`` is their LineGrid, not a
+    # component's sample grid
     import qglab
 
-    takes = []
+    takes, takes_grid = [], []
     for name in qglab.__all__:
         obj = getattr(qglab, name)
         members = [(name, obj)] if callable(obj) else []
@@ -122,5 +124,12 @@ def test_fiber_layers_take_no_weights():
                 continue
             if "weights" in params:
                 takes.append(where)
+            takes_grid += [
+                f"{where}({p.name})" for p in params.values()
+                if p.name in ("grid", "full_grid") and p.annotation != "LineGrid"
+            ]
     assert takes == []
-    assert "datta_weights" not in (SRC / "qglab" / "lab.py").read_text()
+    assert takes_grid == []
+    lab = (SRC / "qglab" / "lab.py").read_text()
+    assert "datta_weights" not in lab
+    assert "make_grid" not in lab

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 
 from qglab.graphs import build_example
-from qglab.krein import ResolventWorkspace, make_grid
+from qglab.krein import ResolventWorkspace
 from qglab.mmatrix import FiberParams, m_blocks_closed
 from test_cells import EPS, TAU, Z, cells
 
@@ -11,14 +11,14 @@ from test_cells import EPS, TAU, Z, cells
 def _setup(name="ex0", eps=0.3, tau=1.0, z=2 + 1j, res=256):
     g = build_example(name)
     fiber = FiberParams(eps, tau, z)
-    return g, ResolventWorkspace(g, fiber, make_grid(g, res))
+    return g, ResolventWorkspace(g, fiber, res)
 
 
 def _m_matrices(g, tau, z, eps):
     """m_matrix of the full, stiff and soft workspaces, and m_blocks_closed."""
     fiber = FiberParams(eps, tau, z)
     got = {
-        part: ResolventWorkspace(comp, fiber, make_grid(comp, 8)).m_matrix(z)
+        part: ResolventWorkspace(comp, fiber, 8).m_matrix(z)
         for part, comp in (
             ("full", g), ("stiff", g.subgraph("stiff")), ("soft", g.subgraph("soft"))
         )
@@ -52,7 +52,7 @@ def test_gamma_matrix_weighted_end_samples_are_unit_data(name, component):
     g = build_example(name)
     comp = g if component == "full" else g.subgraph(component)
     tau, z = 0.9, 2 + 1j
-    ws = ResolventWorkspace(comp, FiberParams(0.1, tau, z), make_grid(comp, 32))
+    ws = ResolventWorkspace(comp, FiberParams(0.1, tau, z), 32)
     gam = ws.gamma_matrix(z)
     eye = np.eye(ws.nvert)
     for e, sl in zip(ws.grid.edges, ws.grid.slices):
@@ -126,7 +126,7 @@ def test_dirichlet_matrix_matches_min_max_kernel(name, component, tau, z):
     g = build_example(name)
     comp = g if component == "full" else g.subgraph("soft")
     fiber = FiberParams(0.1, tau, z)
-    ws = ResolventWorkspace(comp, fiber, make_grid(comp, 96))
+    ws = ResolventWorkspace(comp, fiber, 96)
     if z.real < 0:
         # deep in the gap the soft-edge sines grow like e^{|Im kappa| l}
         soft = [e for e in comp.edges if not e.is_stiff]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qglab import realline
-from qglab.graphs import PoleError, build_example
+from qglab.graphs import PoleError, build_example, xi_ex1
 from qglab.realline import (
     LineGrid,
     difference_symbol,
@@ -169,6 +169,21 @@ def test_ex1_model_distance_quadratic():
     d1 = ex1_model_distance(g, 0.125, Z, grid)
     d2 = ex1_model_distance(g, 0.0625, Z, grid)
     assert 3.0 < d1 / d2 < 5.0
+
+
+def test_equal_impedance_pole_names_one_tau():
+    # a1^2/l1 = a3^2/l3: xi vanishes at tau = +-pi, inside the model band;
+    # the error names the band's tau where |xi| is smallest, not the band
+    g = build_example("ex1", a3=1.0)
+    grid = make_line_grid()
+    eps = 0.125
+    with pytest.raises(PoleError) as info:
+        ex1_model_distance(g, eps, Z, grid)
+    taus = eps * grid.t[np.abs(grid.t) <= math.pi / eps]
+    worst = taus[np.argmin(np.abs(xi_ex1(g, taus)))]
+    message = str(info.value)
+    assert len(message) < 200
+    assert f"tau = {worst}" in message
 
 
 def test_ex1_differential_solution_close_to_multiplier():
