@@ -1,20 +1,21 @@
 """Effective (homogenised) models on the soft component.
 
-Three objects, all realised as dense matrices on the soft sample grid:
+Three objects on the soft sample grid:
 
-* ``r_eff_matrix``: the effective generalised resolvent, i.e. the solution
+* ``r_eff``: the effective generalised resolvent, i.e. the solution
   operator of the per-edge ODE -(a^2)(d/dx + i tau)^2 u - z u = f subject to
-  the z-dependent boundary conditions below.
+  the z-dependent boundary conditions below, as a ``KernelOperator``.
 
-* ``a_hom_matrix``: the self-adjoint homogenised operator on H_soft + C^1,
-  whose soft-soft compression is r_eff (Schur-complement consistency) and
-  whose boundary-to-boundary block is the reciprocal of the dispersion
-  function shifted by z.
+* ``a_hom``: the resolvent of the self-adjoint homogenised operator on
+  H_soft + C^1, as a ``KernelOperator`` whose soft-soft compression is
+  r_eff (Schur-complement consistency) and whose boundary-to-boundary
+  block is the reciprocal of the dispersion function shifted by z.
 
-* ``dilation_blocks``: the same out-of-space resolvent assembled through an
-  independent route - the block formula of the dilated resolvent, built
-  from r_eff, its defect part R - G over the Dirichlet soft resolvent, the
-  rank-one boundary coordinate, and the scalar embedding Pi = sqrt(L/2).
+* ``dilation_blocks``: the same out-of-space resolvent as a dense matrix,
+  assembled through an independent route - the block formula of the
+  dilated resolvent, built from r_eff, its defect part R - G over the
+  Dirichlet soft resolvent, the rank-one boundary coordinate, and the
+  scalar embedding Pi = sqrt(L/2).
 
 Each is a Dirichlet kernel plus kernel fields fixed by a small
 ``BoundarySystem``, assembled the same way for every cell from the soft edge
@@ -33,8 +34,9 @@ resolvent identity can be certified to solver precision.
 ``PsiEmbedding`` supplies the partial isometry between the full-graph sample
 space and the homogenised space (identity on the soft part, rank-one onto
 the normalized stiff zero-energy lift) on the grid of the full graph's
-workspace; ``sandwich`` forms Psi* a Psi from those index maps without dense
-products.
+workspace; ``sandwich`` maps an operator a of the homogenised space to
+Psi* a Psi on the full grid through those index maps, keeping its Dirichlet
+blocks and low-rank factors.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import MetricGraph, stiff_length
-from .krein import ComponentKernels, ResolventWorkspace
+from .krein import ComponentKernels, KernelOperator, ResolventWorkspace
 from .mmatrix import FiberParams
 
 
@@ -185,15 +187,12 @@ class EffectiveModel(BoundarySystem):
         h = np.zeros((g.size, m), dtype=complex)
         t = np.zeros((m, g.size), dtype=complex)
         samples = self.kernels._edge_samples(z)
-        for i, ((_, sl, c, _, phase, cos_x, a, b, _), end) in enumerate(
-            zip(samples, ends)
-        ):
-            _, e_l, _, sin_l = end
-            h[sl, 2 * i] = phase * cos_x
-            h[sl, 2 * i + 1] = phase * a
-            base = np.conj(phase) * g.w[sl] / (c * c * sin_l)
-            t[2 * i, sl] = base * b
-            t[2 * i + 1, sl] = -e_l * base * a
+        for i, (s, (_, e_l, _, sin_l)) in enumerate(zip(samples, ends)):
+            h[s.sl, 2 * i] = s.phase * s.cos_x
+            h[s.sl, 2 * i + 1] = s.phase * s.a
+            base = np.conj(s.phase) * g.w[s.sl] / (s.c * s.c * sin_l)
+            t[2 * i, s.sl] = base * s.b
+            t[2 * i + 1, s.sl] = -e_l * base * s.a
         return h, t
 
     def _defect(self, z: complex):
@@ -202,12 +201,13 @@ class EffectiveModel(BoundarySystem):
         h, t = self._fields(z, ends)
         return h, np.linalg.solve(a, -lam @ t)
 
-    # -- public matrices ----------------------------------------------------
+    # -- public resolvents ----------------------------------------------------
 
-    def r_eff_matrix(self, z: complex) -> np.ndarray:
-        """Sample-space matrix of the effective generalised resolvent."""
+    def r_eff(self, z: complex) -> KernelOperator:
+        """The effective generalised resolvent: the soft Dirichlet blocks
+        plus h @ coeffs."""
         h, coeffs = self._defect(z)
-        return self.kernels.dirichlet_matrix(z) + h @ coeffs
+        return KernelOperator(self.kernels.dirichlet_blocks(z), h, coeffs)
 
     def _hom_solve(self, z: complex):
         """(ends, h, t, x) at z: x maps the data (f, c) to the homogeneous
@@ -219,19 +219,19 @@ class EffectiveModel(BoundarySystem):
         rhs[-1, -1] = 1.0  # the scalar forcing c enters the beta row
         return ends, h, t, np.linalg.solve(a, rhs)
 
-    def a_hom_matrix(self, z: complex) -> np.ndarray:
-        """(n+1) x (n+1) resolvent matrix of the homogenised operator.
+    def a_hom(self, z: complex) -> KernelOperator:
+        """The (n+1) x (n+1) resolvent of the homogenised operator.
 
         Acts on (soft samples, beta scalar); the last row/column carry the
-        boundary coordinate.
+        boundary coordinate.  The soft Dirichlet blocks plus H @ coeffs, with
+        H = [[h, 0], [0, 1]]: the hom fields on the samples, and beta.
         """
         n = self.grid.size
         _, h, _, coeffs = self._hom_solve(z)
-        out = np.zeros((n + 1, n + 1), dtype=complex)
-        out[:n, :] = h @ coeffs[:-1, :]
-        out[:n, :n] += self.kernels.dirichlet_matrix(z)
-        out[n, :] = coeffs[-1, :]
-        return out
+        u = np.zeros((n + 1, coeffs.shape[0]), dtype=complex)
+        u[:n, :-1] = h
+        u[n, -1] = 1.0
+        return KernelOperator(self.kernels.dirichlet_blocks(z), u, coeffs)
 
     # -- exact composition (for resolvent-identity certificates) ------------
 
@@ -322,7 +322,7 @@ class EffectiveModel(BoundarySystem):
     def dilation_blocks(self, z: complex) -> np.ndarray:
         """The (n+1) x (n+1) out-of-space resolvent from the block formula.
 
-        Built independently of a_hom_matrix: (1,1) block is r_eff; the
+        Built independently of a_hom: (1,1) block is r_eff; the
         off-diagonal blocks are Pi times the rank-one boundary coordinate of
         the defect part R - G = h @ coeffs (at z and conj z); the corner
         repeats the coordinate extraction on the adjoint column.
@@ -399,25 +399,32 @@ class PsiEmbedding:
         out[self.stiff_idx, -1] = self.lift[self.stiff_idx]
         return out
 
-    def sandwich(self, a: np.ndarray) -> np.ndarray:
-        """Psi^* a Psi for an (n_soft + 1) x (n_soft + 1) matrix a.
+    def sandwich(self, a: KernelOperator) -> KernelOperator:
+        """Psi^* a Psi for an operator a on the (n_soft + 1) homogenised space.
 
-        Equal to ``adjoint_matrix() @ a @ forward_matrix()``, built by index
-        maps: the soft block is a[:n, :n], the stiff rows are
-        lift (x) a[n, :n], the stiff columns a[:n, n] (x) conj(lift) w, and
-        the stiff block is a[n, n] times the outer product of the two.  Any
+        Equal to ``adjoint_matrix() @ a.dense() @ forward_matrix()``, built
+        by index maps: each soft Dirichlet block moves to its edge's samples
+        on the full grid, and the factors become Psi^* u (u[:n] on the soft
+        rows, lift (x) u[n] on the stiff ones) and v Psi (v[:, :n] on the
+        soft columns, v[:, n] (x) conj(lift) w on the stiff ones).  Any
         other shape (a model at another resolution) raises ``ValueError``.
         """
         n = self.n_soft
         if a.shape != (n + 1, n + 1):
-            raise ValueError(f"need a {n + 1} x {n + 1} matrix (n_soft = {n}), got {a.shape}")
+            raise ValueError(f"need a {n + 1} x {n + 1} operator (n_soft = {n}), got {a.shape}")
         soft, stiff = self.soft_idx, self.stiff_idx
         lift = self.lift[stiff]
         dual = np.conj(lift) * self.grid.w[stiff]
         nf = self.grid.size
-        out = np.empty((nf, nf), dtype=complex)
-        out[np.ix_(soft, soft)] = a[:n, :n]
-        out[np.ix_(stiff, soft)] = np.outer(lift, a[n, :n])
-        out[np.ix_(soft, stiff)] = np.outer(a[:n, n], dual)
-        out[np.ix_(stiff, stiff)] = np.outer(a[n, n] * lift, dual)
-        return out
+        u = np.zeros((nf, a.rank), dtype=complex)
+        u[soft] = a.u[:n]
+        u[stiff] = np.outer(lift, a.u[n])
+        v = np.zeros((a.rank, nf), dtype=complex)
+        v[:, soft] = a.v[:, :n]
+        v[:, stiff] = np.outer(a.v[:, n], dual)
+        # each soft edge's samples are contiguous on the full grid
+        blocks = [
+            (slice(int(soft[sl.start]), int(soft[sl.stop - 1]) + 1), vectors)
+            for sl, vectors in a.blocks
+        ]
+        return KernelOperator(blocks, u, v)

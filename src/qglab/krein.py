@@ -12,23 +12,27 @@ The boundary maps are
     Gamma1[V] = sum over incident edges of the signed weighted co-derivative
                 w_V(e) c^2 (d/dx + i tau) u_e at V  (+ at coordinate 0,
                 - at coordinate l_e).
-Resolvents are realised as dense matrices acting on concatenated per-edge
-trapezoid sample grids.  They are assembled from their structure: each edge
-block of the Dirichlet kernel is rank one on either triangle, so it is built
-from per-edge sine vectors by outer products, and the resolvent adds a
-rank-N_vertices correction gamma(z) (M(z) - B)^{-1} Gamma1; the
-weighted-Kirchhoff (Krein) resolvent is the case B = 0.
+Resolvents act on concatenated per-edge trapezoid sample grids as
+``KernelOperator``s, which hold their structure and form no n x n array:
+each edge block of the Dirichlet kernel is rank one on either triangle, so
+it is kept as four per-edge vectors and applied by running sums, and the
+resolvent adds a low-rank term, gamma(z) (M(z) - B)^{-1} Gamma1 D for the
+generalised resolvent (rank N_vertices); the weighted-Kirchhoff (Krein)
+resolvent is the case B = 0.  ``KernelOperator.dense`` forms the matrix
+where a certificate reads entries.
 
 ``ComponentKernels`` holds what needs no grid (end coefficients, M(z));
 ``ResolventWorkspace`` adds the grid it builds from a resolution, with the
 phase e^{-i tau x} on it, and its ``_edge_samples`` is the one place where
-the other trig functions meet the samples (the effective layer reads it).
+the other trig functions meet the samples (the effective layer reads it):
+one pass per z, whose cos(kappa x) is evaluated on first read.
 """
 
 from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -126,70 +130,205 @@ class ComponentKernels:
         return out
 
 
+class KernelOperator:
+    """A resolvent on a sample space: per-edge Dirichlet blocks plus u @ v.
+
+    Each block ``(sl, vectors)`` acts on the samples ``sl`` of one edge,
+    with ``vectors`` the 4 x len rows (la, br, lb, ar): its upper triangle
+    (diagonal included) is la_i br_j and its strict lower triangle
+    lb_i ar_j, as ``ResolventWorkspace.dirichlet_blocks`` forms them.
+    ``matvec`` and ``rmatvec`` apply the blocks by running sums along each
+    edge, sum_{j >= i} br_j x_j from the right and sum_{j < i} ar_j x_j
+    from the left, and the low-rank term as u @ (v @ x): O(n (1 + rank))
+    work and no n x n array.  Where |Im kappa| l is large the sines grow
+    like e^{|Im kappa| x}, so br and ar decay away from the far end and
+    each running sum is dominated by its newest term: no sum cancels.
+    ``dense`` rebuilds the matrix the way the outer products of the
+    Dirichlet kernel always have, bit for bit.
+    """
+
+    def __init__(self, blocks, u: np.ndarray, v: np.ndarray):
+        self.blocks = tuple(blocks)
+        self.u, self.v = u, v
+        self.shape = (u.shape[0], v.shape[1])
+
+    @property
+    def rank(self) -> int:
+        return self.u.shape[1]
+
+    @cached_property
+    def _layout(self):
+        """The blocks padded to (edges x longest edge) arrays, so that one
+        cumsum along the last axis gives both running sums of every edge.
+
+        Returns, for matvec and then for rmatvec, (gather, weight, factor,
+        rows): the sum over the samples ``gather`` of ``weight`` times the
+        vector, accumulated and multiplied by ``factor``, belongs to
+        ``rows``.  The sums from the right run on the edge reversed; the
+        strict ones read the samples shifted one place, so that the
+        inclusive cumsum leaves out the diagonal.  Padding reads and writes
+        sample 0 with zero weight and factor.
+        """
+        sizes = np.array([sl.stop - sl.start for sl, _ in self.blocks])
+        width = sizes.max()
+        idx = np.zeros((sizes.size, width), dtype=np.intp)
+        padded = np.zeros((4, sizes.size, width), dtype=complex)
+        for row, (sl, vectors) in enumerate(self.blocks):
+            idx[row, :sizes[row]] = np.arange(sl.start, sl.stop)
+            padded[:, row, :sizes[row]] = vectors
+        la, br, lb, ar = padded
+
+        def shifted(a):
+            out = np.zeros_like(a)
+            out[:, 1:] = a[:, :-1]
+            return out
+
+        rev = idx[:, ::-1]
+        # matvec: la_i sum_{j >= i} br_j x_j + lb_i sum_{j < i} ar_j x_j
+        apply = (
+            np.array([rev, shifted(idx)]),
+            np.array([br[:, ::-1], shifted(ar)]),
+            np.array([la[:, ::-1], lb]),
+            np.array([rev, idx]).ravel(),
+        )
+        # the transpose: br_i sum_{j <= i} la_j x_j + ar_i sum_{j > i} lb_j x_j
+        transpose = (
+            np.array([idx, shifted(rev)]),
+            np.array([la, shifted(lb[:, ::-1])]),
+            np.array([br, ar[:, ::-1]]),
+            np.array([idx, rev]).ravel(),
+        )
+        return apply, transpose
+
+    def _add_blocks(self, out: np.ndarray, x: np.ndarray, layout) -> np.ndarray:
+        gather, weight, factor, rows = layout
+        np.add.at(out, rows, (factor * (weight * x[gather]).cumsum(axis=-1)).ravel())
+        return out
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        """The operator applied to the vector x."""
+        y = self.u @ (self.v @ x)
+        return self._add_blocks(y, x, self._layout[0]) if self.blocks else y
+
+    def rmatvec(self, y: np.ndarray) -> np.ndarray:
+        """The conjugate transpose applied to y, as conj(A^T conj(y))."""
+        t = np.conj(y)
+        x = self.v.T @ (self.u.T @ t)
+        return np.conj(self._add_blocks(x, t, self._layout[1]) if self.blocks else x)
+
+    def dense(self) -> np.ndarray:
+        """The matrix: u @ v, plus each Dirichlet block from two outer
+        products, one copied into the strict lower triangle."""
+        out = self.u @ self.v
+        for sl, (la, br, lb, ar) in self.blocks:
+            block = np.multiply.outer(la, br)
+            np.copyto(block, np.outer(lb, ar), where=np.tri(la.size, k=-1, dtype=bool))
+            out[sl, sl] += block
+        return out
+
+    def __sub__(self, other: "KernelOperator") -> "KernelOperator":
+        """The difference, with the Dirichlet blocks that both hold bit for
+        bit (the soft edges of two resolvents at one z) dropped rather than
+        subtracted, and the low-rank factors stacked: [u_a, u_b] [v_a; -v_b]."""
+        if other.shape != self.shape:
+            raise ValueError("non-conformable operator blocks")
+
+        def shared(block, blocks):
+            return any(
+                block[0] == sl and np.array_equal(block[1], vectors) for sl, vectors in blocks
+            )
+
+        mine = [p for p in self.blocks if not shared(p, other.blocks)]
+        theirs = [
+            (sl, vectors * [[-1.0], [1.0], [-1.0], [1.0]])  # -la, br, -lb, ar
+            for sl, vectors in other.blocks
+            if not shared((sl, vectors), self.blocks)
+        ]
+        return KernelOperator(
+            mine + theirs, np.hstack([self.u, other.u]), np.vstack([self.v, -other.v])
+        )
+
+
+class EdgeSamples:
+    """The trig vectors of one grid edge at one z: on its samples x, the
+    workspace's phase e^{-i tau x}, a = sin(kappa x), b = sin(kappa (l - x))
+    and sin(kappa l); cos(kappa x) is evaluated on first read.  Raises
+    ``PoleError`` where kappa l is at a Dirichlet level of the edge."""
+
+    def __init__(self, edge: EdgeSpec, sl: slice, c: float, kappa: complex, x, phase):
+        guard_pole(kappa * edge.length)
+        self.edge, self.sl, self.c, self.kappa, self.x, self.phase = edge, sl, c, kappa, x, phase
+        self.a = np.sin(kappa * x)
+        self.b = np.sin(kappa * (edge.length - x))
+        self.sin_l = np.sin(kappa * edge.length)
+
+    @cached_property
+    def cos_x(self) -> np.ndarray:
+        return np.cos(self.kappa * self.x)
+
+
 class ResolventWorkspace(ComponentKernels):
-    """The resolvent maps of one component as dense matrices on its sample
-    grid ``make_grid(component, resolution)``, which it builds itself."""
+    """The resolvent maps of one component on its sample grid
+    ``make_grid(component, resolution)``, which it builds itself."""
 
     def __init__(self, component: MetricGraph, fiber: FiberParams, resolution: int):
         super().__init__(component, fiber)
         self.grid = make_grid(component, resolution)
         # e^{-i tau x} on every sample: the only z-independent trig factor
         self.phase = np.exp(-1j * fiber.tau * self.grid.x)
+        self._passes: dict[complex, tuple[EdgeSamples, ...]] = {}
 
-    def _edge_samples(self, z: complex):
-        """Per grid edge: (edge, slice, c, kappa, e^{-i tau x}, cos(kappa x),
-        sin(kappa x), sin(kappa (l - x)), sin(kappa l)) on the edge's samples
-        x.  The phase is the workspace's; the rest is evaluated here."""
-        g = self.grid
-        for e, sl in zip(g.edges, g.slices):
-            c = self.fiber.speed(e)
-            kappa = self._kappa(e, z)
-            guard_pole(kappa * e.length)
-            x = g.x[sl]
-            yield (
-                e, sl, c, kappa,
-                self.phase[sl],
-                np.cos(kappa * x),
-                np.sin(kappa * x),
-                np.sin(kappa * (e.length - x)),
-                np.sin(kappa * e.length),
+    def _edge_samples(self, z: complex) -> tuple[EdgeSamples, ...]:
+        """The ``EdgeSamples`` of every grid edge at z, evaluated on the
+        first call at z and kept: one trig pass per (workspace, z)."""
+        if z not in self._passes:
+            g = self.grid
+            self._passes[z] = tuple(
+                EdgeSamples(e, sl, self.fiber.speed(e), self._kappa(e, z), g.x[sl], self.phase[sl])
+                for e, sl in zip(g.edges, g.slices)
             )
+        return self._passes[z]
 
     # -- Dirichlet decoupling, kernel lift and its dual ----------------
 
-    def dirichlet_matrix(self, z: complex) -> np.ndarray:
-        """Sample-space matrix of the Dirichlet (decoupled) resolvent.
+    def dirichlet_blocks(self, z: complex) -> tuple:
+        """Per edge, the Dirichlet (decoupled) resolvent as a
+        ``KernelOperator`` block ``(sl, [la, br, lb, ar])``.
 
-        Block-diagonal over edges, kernel
-        e^{-i tau (x - y)} sin(kappa x_<) sin(kappa (l - x_>))
+        Kernel e^{-i tau (x - y)} sin(kappa x_<) sin(kappa (l - x_>))
         / (c^2 kappa sin(kappa l)), composed with trapezoid weights in y.
-        The kernel is rank one on each triangle of an edge block: with
+        It is rank one on each triangle of an edge block: with
         a = sin(kappa x) and b = sin(kappa (l - x)) on the ascending edge
         grid, the upper triangle is a_i b_j and the lower one a_j b_i.  The
-        phase e^{-i tau x_i} and the factor e^{i tau y_j} w_j / (c^2 kappa
-        sin(kappa l)) ride on those vectors, so each block is two outer
-        products, one copied into the strict lower triangle, with no n^2
-        transcendental calls.
+        phase e^{-i tau x_i} (left) and the factor e^{i tau y_j} w_j /
+        (c^2 kappa sin(kappa l)) (right) ride on those vectors: la = left a,
+        br = b right, lb = left b, ar = a right.
         """
-        g = self.grid
-        out = np.zeros((g.size, g.size), dtype=complex)
-        for e, sl, c, kappa, left, _, a, b, sin_l in self._edge_samples(z):
-            right = np.conj(left) * g.w[sl] / (c * c * kappa * sin_l)
-            block = out[sl, sl]
-            np.multiply.outer(left * a, b * right, out=block)
-            lower = np.tri(a.size, k=-1, dtype=bool)
-            np.copyto(block, np.outer(left * b, a * right), where=lower)
-        return out
+        w = self.grid.w
+        out = []
+        for s in self._edge_samples(z):
+            right = np.conj(s.phase) * w[s.sl] / (s.c * s.c * s.kappa * s.sin_l)
+            out.append((s.sl, np.array([s.phase * s.a, s.b * right, s.phase * s.b, s.a * right])))
+        return tuple(out)
+
+    def dirichlet_matrix(self, z: complex) -> np.ndarray:
+        """Dense sample-space matrix of the Dirichlet resolvent, for the
+        certificates that read its entries."""
+        n = self.grid.size
+        return KernelOperator(
+            self.dirichlet_blocks(z), np.zeros((n, 0), dtype=complex),
+            np.zeros((0, n), dtype=complex),
+        ).dense()
 
     def gamma_matrix(self, z: complex) -> np.ndarray:
         """n x N matrix of samples of gamma(z) e_V."""
-        g = self.grid
-        out = np.zeros((g.size, self.nvert), dtype=complex)
-        for e, sl, _, kappa, phase, cos_x, a, _, _ in self._edge_samples(z):
-            _, _, _, q_l, q_r = self._end_coeffs(e, kappa)
+        out = np.zeros((self.grid.size, self.nvert), dtype=complex)
+        for s in self._edge_samples(z):
+            e = s.edge
+            _, _, _, q_l, q_r = self._end_coeffs(e, s.kappa)
             wl_bar = np.conj(self.weights[(e.left, e.id)])
-            out[sl, self._vidx[e.left]] += phase * (wl_bar * cos_x + q_l * a)
-            out[sl, self._vidx[e.right]] += phase * (q_r * a)
+            out[s.sl, self._vidx[e.left]] += s.phase * (wl_bar * s.cos_x + q_l * s.a)
+            out[s.sl, self._vidx[e.right]] += s.phase * (q_r * s.a)
         return out
 
     def gamma1_dirichlet_rows(self, z: complex) -> np.ndarray:
@@ -200,34 +339,38 @@ class ResolventWorkspace(ComponentKernels):
         """
         g = self.grid
         out = np.zeros((self.nvert, g.size), dtype=complex)
-        for e, sl, _, _, phase, _, a, b, sin_l in self._edge_samples(z):
-            base = np.conj(phase) * g.w[sl] / sin_l
+        for s in self._edge_samples(z):
+            e = s.edge
+            base = np.conj(s.phase) * g.w[s.sl] / s.sin_l
             # left endpoint: + w c^2 e^{-i tau 0} dphi(0) with
             # dphi(0) = int sin(kappa (l - y)) g(y) dy / (c^2 sin kappa l)
             wl = self.weights[(e.left, e.id)]
-            out[self._vidx[e.left], sl] += wl * base * b
+            out[self._vidx[e.left], s.sl] += wl * base * s.b
             # right endpoint: - w c^2 e^{-i tau l} dphi(l) with
             # dphi(l) = -int sin(kappa y) g(y) dy / (c^2 sin kappa l)
             wr = self.weights[(e.right, e.id)]
-            out[self._vidx[e.right], sl] += (
-                wr * cmath.exp(-1j * self.fiber.tau * e.length) * base * a
+            out[self._vidx[e.right], s.sl] += (
+                wr * cmath.exp(-1j * self.fiber.tau * e.length) * base * s.a
             )
         return out
 
     # -- resolvent ---------------------------------------------------------
 
-    def generalized_matrix(self, z: complex, b_of_z: np.ndarray | float) -> np.ndarray:
+    def generalized_resolvent(self, z: complex, b_of_z: np.ndarray | float) -> KernelOperator:
         """Generalised resolvent with z-dependent boundary matrix B(z).
 
         R(z) = Dirichlet - gamma(z) (M(z) - B(z))^{-1} Gamma1 Dirichlet,
-        computed on this (sub)component.  B = 0 gives the resolvent of the
-        weighted-Kirchhoff extension (the Krein formula); with B = -M_stiff
-        of the full graph it is the sandwiched soft-component resolvent.
+        computed on this (sub)component, as the Dirichlet blocks plus the
+        factors u = gamma(z) and v = -(M - B)^{-1} Gamma1 D.  B = 0 gives
+        the resolvent of the weighted-Kirchhoff extension (the Krein
+        formula); with B = -M_stiff of the full graph it is the sandwiched
+        soft-component resolvent.
         """
         denom = self.m_matrix(z) - b_of_z
         cond = np.linalg.cond(denom)
         if not np.isfinite(cond) or cond > 1e14:
             raise PoleError(f"M(z) - B(z) nearly singular (cond={cond:.2e})")
-        return self.dirichlet_matrix(z) - self.gamma_matrix(z) @ np.linalg.solve(
-            denom, self.gamma1_dirichlet_rows(z)
+        return KernelOperator(
+            self.dirichlet_blocks(z), self.gamma_matrix(z),
+            -np.linalg.solve(denom, self.gamma1_dirichlet_rows(z)),
         )

@@ -13,7 +13,6 @@ import csv
 import inspect
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -21,7 +20,7 @@ from . import dispersion, realline, triples
 from .effective import BoundarySystem, EffectiveModel, PsiEmbedding
 from .fdsolver import MIN_RESOLUTION, DiscretizedOperator
 from .graphs import EXAMPLES, ParameterError, build_example
-from .krein import ResolventWorkspace
+from .krein import KernelOperator, ResolventWorkspace
 from .mmatrix import (
     FiberParams,
     check_additivity,
@@ -29,9 +28,6 @@ from .mmatrix import (
     m_blocks_closed,
     m_general,
 )
-
-if TYPE_CHECKING:
-    from scipy.sparse.linalg import LinearOperator
 
 DEFAULT_Z = (2 + 1j, 5 + 2j, 10 + 0.7j)
 DEFAULT_EPS = tuple(2.0**-j for j in range(3, 9))
@@ -95,23 +91,18 @@ def fit_slope(eps_values, errors) -> SlopeFit:
     return SlopeFit(float(coef[0]), float(coef[1]), r_sq)
 
 
-def _as_operator(a) -> LinearOperator:
-    """A dense ``a`` as an operator applied in place (its adjoint product
-    conj(a^T conj(y)) copies no matrix); any other ``a`` as it is."""
-    if not isinstance(a, np.ndarray):
-        return a
-    from scipy.sparse.linalg import LinearOperator
-
-    a = np.asarray(a, dtype=complex)
-    return LinearOperator(
-        a.shape, matvec=lambda x: a @ x, rmatvec=lambda y: np.conj(a.T @ np.conj(y)),
-        dtype=complex,
-    )
+def _applies(op):
+    """(matvec, rmatvec) of a matrix, or of an operator that has both (a
+    ``KernelOperator``, the FEM resolvent); rmatvec(y) is D^H y."""
+    if isinstance(op, np.ndarray):
+        op = np.asarray(op, dtype=complex)
+        return (lambda x: op @ x), (lambda y: np.conj(op.T @ np.conj(y)))
+    return op.matvec, op.rmatvec
 
 
 def operator_norm_diff(
-    a: np.ndarray | LinearOperator,
-    b: np.ndarray | LinearOperator | None,
+    a,
+    b,
     w_row: np.ndarray,
     w_col: np.ndarray | None = None,
     tol: float = 1e-8,
@@ -125,33 +116,39 @@ def operator_norm_diff(
     iteration on its normal matrix, relative tolerance ``tol``, at most
     ``max_iter`` iterations, deterministic start vector.  The weights are
     applied to the iterates, not to a scaled copy of D = a - b: with
-    s = sqrt(w), one step is v -> D^H (w_r D (v / s_c)) / s_c, and
-    D^H y = conj(D^T conj(y)) needs no transposed copy.  Either side may be
-    a ``LinearOperator`` (a matrix-free resolvent); D is then their
-    operator difference, applied by one matvec and one rmatvec per step,
-    and whatever an apply raises propagates.  Raises ``ArithmeticError``
-    if the relative step is still above ``tol`` after ``max_iter``
-    iterations, because an unconverged power iteration under-estimates the
-    norm.
+    s = sqrt(w), one step is v -> D^H (w_r D (v / s_c)) / s_c.  Each side is
+    a matrix or anything with ``shape``, ``matvec`` and ``rmatvec`` (a
+    ``KernelOperator``, the FEM resolvent); two matrices or two
+    ``KernelOperator``s are subtracted once (the latter dropping the
+    Dirichlet blocks they share), otherwise each step applies both sides.
+    Whatever an apply raises propagates.  Raises ``ArithmeticError`` if the
+    relative step is still above ``tol`` after ``max_iter`` iterations,
+    because an unconverged power iteration under-estimates the norm.
     """
     if b is not None and b.shape != a.shape:
         raise ValueError("non-conformable operator blocks")
-    if isinstance(a, np.ndarray) and (b is None or isinstance(b, np.ndarray)):
-        d = np.asarray(a, dtype=complex)
-        if b is not None:
-            d = d - b
+    if any(isinstance(a, kind) and isinstance(b, kind) for kind in (np.ndarray, KernelOperator)):
+        a, b = a - b, None
+    if b is None:
+        apply, apply_h = _applies(a)
     else:
-        d = _as_operator(a) if b is None else _as_operator(a) - _as_operator(b)
+        (apply_a, apply_ha), (apply_b, apply_hb) = _applies(a), _applies(b)
+
+        def apply(x):
+            return apply_a(x) - apply_b(x)
+
+        def apply_h(y):
+            return apply_ha(y) - apply_hb(y)
+
     w_row = np.asarray(w_row, dtype=float)
     w_col = w_row if w_col is None else np.asarray(w_col, dtype=float)
     s_col = np.sqrt(w_col)
     rng = np.random.default_rng(seed)
-    v = rng.standard_normal(d.shape[1]) + 1j * rng.standard_normal(d.shape[1])
+    v = rng.standard_normal(a.shape[1]) + 1j * rng.standard_normal(a.shape[1])
     v /= np.linalg.norm(v)
     sigma, step = 0.0, math.inf
     for _ in range(max_iter):
-        y = w_row * (d @ (v / s_col))
-        u = np.conj(d.T @ np.conj(y)) / s_col
+        u = apply_h(w_row * apply(v / s_col)) / s_col
         nrm = np.linalg.norm(u)
         if nrm == 0.0:
             return 0.0
@@ -425,7 +422,7 @@ def run_krein_vs_direct(
             # the FEM resolvent is applied matrix-free, so a z at a discrete
             # level raises inside the power iteration
             ws = ResolventWorkspace(g, fiber, res)
-            r_k, w = ws.generalized_matrix(z, 0.0), ws.grid.w
+            r_k, w = ws.generalized_resolvent(z, 0.0), ws.grid.w
             r_d = DiscretizedOperator(g, fiber, resolution=res).resolvent(z)
             return operator_norm_diff(r_k, r_d, w), operator_norm_diff(r_k, None, w)
 
@@ -454,8 +451,8 @@ def _soft_sandwich_error(graph, tau: float, eps: float, z: complex, res: int) ->
     fiber = FiberParams(eps, tau, z)
     model = EffectiveModel(graph, fiber, res)
     b = triples.b_matrix(graph, fiber)
-    r_eps = model.kernels.generalized_matrix(z, b)
-    return operator_norm_diff(r_eps, model.r_eff_matrix(z), model.grid.w)
+    r_eps = model.kernels.generalized_resolvent(z, b)
+    return operator_norm_diff(r_eps, model.r_eff(z), model.grid.w)
 
 
 def run_gen_res_rate(
@@ -481,10 +478,10 @@ def _full_nrc_error(graph, tau: float, eps: float, z: complex, res: int) -> floa
     """||(A_eps - z)^{-1} - Psi* (A_hom - z)^{-1} Psi|| on the full grid."""
     fiber = FiberParams(eps, tau, z)
     ws = ResolventWorkspace(graph, fiber, res)
-    r_full = ws.generalized_matrix(z, 0.0)
+    r_full = ws.generalized_resolvent(z, 0.0)
     model = EffectiveModel(graph, fiber, res)
     psi = PsiEmbedding(ws)
-    return operator_norm_diff(r_full, psi.sandwich(model.a_hom_matrix(z)), ws.grid.w)
+    return operator_norm_diff(r_full, psi.sandwich(model.a_hom(z)), ws.grid.w)
 
 
 def _dilation_certificates(graph, tau: float, eps: float, z: complex, w: complex, res: int):
@@ -492,10 +489,10 @@ def _dilation_certificates(graph, tau: float, eps: float, z: complex, w: complex
     fiber = FiberParams(eps, tau, z)
     model = EffectiveModel(graph, fiber, res)
     wv = np.concatenate([model.grid.w, [1.0]])
-    r_z = model.a_hom_matrix(z)
-    r_w = model.a_hom_matrix(w)
+    r_z = model.a_hom(z).dense()
+    r_w = model.a_hom(w).dense()
     ident = operator_norm_diff(r_z - r_w, (z - w) * model.compose(z, w), wv)
-    r_zb = model.a_hom_matrix(np.conj(z))
+    r_zb = model.a_hom(np.conj(z)).dense()
     adj = float(
         np.max(np.abs(r_zb - (wv[:, None] ** -1) * r_z.conj().T * wv[None, :]))
     )

@@ -10,7 +10,7 @@ The closed forms also take arrays of tau, z (and eps): each array call must
 equal the loop of 0-d calls it replaces, and the runners must make one such
 call per (cell, eps) or per cell, not one per point.
 
-The effective layer (``r_eff_matrix``, ``a_hom_matrix``, the Schur scalar
+The effective layer (``r_eff``, ``a_hom``, the Schur scalar
 and ``dilation_blocks``) must meet its boundary conditions and agree with
 itself at every drawn cell, including ex2's drawn soft speeds a1 and a2, and
 ``PsiEmbedding`` must sample the model's soft grid.
@@ -185,7 +185,7 @@ def test_r_eff_columns_meet_the_effective_vertex_conditions(g, tau, z, eps):
     # every column of r_eff is a field on the soft edges whose weighted end
     # values agree at each vertex, with Gamma0 u = (U1, U2) in span psi
     model = _effective_model(g, tau, z, eps)
-    r = model.r_eff_matrix(z)
+    r = model.r_eff(z).dense()
     ends = {}
     for e, sl in zip(model.grid.edges, model.grid.slices):
         for v, pos in ((e.left, sl.start), (e.right, sl.stop - 1)):
@@ -202,7 +202,7 @@ def test_r_eff_columns_meet_the_effective_vertex_conditions(g, tau, z, eps):
 @given(g=cells(), tau=TAU, z=Z, eps=EPS)
 def test_hom_corner_is_the_schur_scalar_at_drawn_cells(g, tau, z, eps):
     model = _effective_model(g, tau, z, eps)
-    corner = model.a_hom_matrix(z)[-1, -1]
+    corner = model.a_hom(z).dense()[-1, -1]
     assert abs(model.schur_frobenius(z) - corner) <= 1e-14 * abs(corner)
 
 
@@ -210,7 +210,7 @@ def test_hom_corner_is_the_schur_scalar_at_drawn_cells(g, tau, z, eps):
 @given(g=cells(), tau=TAU, z=Z, eps=EPS)
 def test_dilation_matches_hom_matrix_at_drawn_cells(g, tau, z, eps):
     model = _effective_model(g, tau, z, eps)
-    a = model.a_hom_matrix(z)
+    a = model.a_hom(z).dense()
     assert np.max(np.abs(model.dilation_blocks(z) - a)) <= 1e-9 * (1 + np.max(np.abs(a)))
 
 
@@ -230,9 +230,9 @@ def test_psi_samples_the_soft_model_grid_at_drawn_cells(g, taus, z, eps, res):
         emb = PsiEmbedding(full)
         assert np.array_equal(model.grid.x, full.grid.x[emb.soft_idx])
         assert np.array_equal(model.grid.w, full.grid.w[emb.soft_idx])
-        a = model.a_hom_matrix(z)
-        ref = emb.adjoint_matrix() @ a @ emb.forward_matrix()
-        assert np.max(np.abs(emb.sandwich(a) - ref)) <= 1e-14 * np.max(np.abs(ref))
+        a = model.a_hom(z)
+        ref = emb.adjoint_matrix() @ a.dense() @ emb.forward_matrix()
+        assert np.max(np.abs(emb.sandwich(a).dense() - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 @settings(max_examples=30, deadline=None)

@@ -4,7 +4,7 @@ import pytest
 from qglab.dispersion import k_closed
 from qglab.effective import BoundarySystem, EffectiveModel, PsiEmbedding, effective_params
 from qglab.graphs import build_example, datta_weights
-from qglab.krein import ResolventWorkspace
+from qglab.krein import KernelOperator, ResolventWorkspace
 from qglab.mmatrix import FiberParams, PoleError
 
 
@@ -32,12 +32,12 @@ def test_schur_herglotz_sign():
 
 @pytest.mark.parametrize("name", ["ex0", "ex1", "ex2"])
 def test_grid_free_schur_scalar_is_the_hom_corner(name):
-    # the corner of a_hom_matrix is the scalar schur_frobenius used to read
+    # the corner of a_hom is the scalar schur_frobenius used to read
     for tau, z in ((0.3, 2 + 1j), (2.9, 10 + 0.7j)):
         for res in (16, 96):
             _, model = _model(name, tau=tau, z=z, res=res)
             s = model.schur_frobenius(z)
-            corner = model.a_hom_matrix(z)[-1, -1]
+            corner = model.a_hom(z).dense()[-1, -1]
             assert abs(s - corner) <= 1e-14 * abs(corner)
 
 
@@ -55,7 +55,7 @@ def test_schur_scalar_samples_nothing(monkeypatch):
 def test_dilation_matches_hom_matrix():
     for name in ("ex0", "ex1", "ex2"):
         _, model = _model(name, tau=1.2, z=5 + 2j, res=48)
-        a = model.a_hom_matrix(5 + 2j)
+        a = model.a_hom(5 + 2j).dense()
         d = model.dilation_blocks(5 + 2j)
         assert np.max(np.abs(a - d)) < 1e-9 * (1 + np.max(np.abs(a)))
 
@@ -65,7 +65,7 @@ def test_exact_resolvent_identity():
     z, w = 2 + 1j, 5 + 2j
     for name in ("ex0", "ex1", "ex2"):
         _, model = _model(name, tau=0.9, z=z, res=48)
-        lhs = model.a_hom_matrix(z) - model.a_hom_matrix(w)
+        lhs = model.a_hom(z).dense() - model.a_hom(w).dense()
         rhs = (z - w) * model.compose(z, w)
         scale = 1 + np.max(np.abs(lhs))
         assert np.max(np.abs(lhs - rhs)) / scale < 1e-12
@@ -80,8 +80,8 @@ def test_compose_rejects_equal_points():
 def test_adjoint_symmetry_of_hom_matrix():
     _, model = _model("ex1", tau=0.7, z=2 + 1j, res=48)
     w = np.concatenate([model.grid.w, [1.0]])
-    a_z = model.a_hom_matrix(2 + 1j)
-    a_zb = model.a_hom_matrix(2 - 1j)
+    a_z = model.a_hom(2 + 1j).dense()
+    a_zb = model.a_hom(2 - 1j).dense()
     defect = np.max(np.abs(w[:, None] * a_zb - (w[:, None] * a_z).conj().T))
     assert defect < 1e-10
 
@@ -210,9 +210,16 @@ def test_psi_sandwich_matches_dense_products(name):
     emb = PsiEmbedding(ResolventWorkspace(g, fiber, 64))
     m = emb.n_soft + 1
     rng = np.random.default_rng(5)
-    a = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
-    ref = emb.adjoint_matrix() @ a @ emb.forward_matrix()
-    assert np.max(np.abs(emb.sandwich(a) - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    def draw(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    # a generic operator on the homogenised space: random blocks on the soft
+    # edges' samples and random rank-3 factors
+    soft = EffectiveModel(g, fiber, 64).grid.slices
+    a = KernelOperator([(sl, draw(4, sl.stop - sl.start)) for sl in soft], draw(m, 3), draw(3, m))
+    ref = emb.adjoint_matrix() @ a.dense() @ emb.forward_matrix()
+    assert np.max(np.abs(emb.sandwich(a).dense() - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 def test_psi_sandwich_refuses_a_model_at_another_resolution():
@@ -220,7 +227,7 @@ def test_psi_sandwich_refuses_a_model_at_another_resolution():
     g = build_example("ex0")
     fiber = FiberParams(0.1, 1.0, 2 + 1j)
     emb = PsiEmbedding(ResolventWorkspace(g, fiber, 32))
-    a = EffectiveModel(g, fiber, 64).a_hom_matrix(2 + 1j)
+    a = EffectiveModel(g, fiber, 64).a_hom(2 + 1j)
     assert a.shape[0] > emb.n_soft + 1
     with pytest.raises(ValueError, match="n_soft"):
         emb.sandwich(a)
@@ -239,6 +246,6 @@ def test_r_eff_matches_hom_soft_block():
     # homogenised resolvent
     _, model = _model("ex2", tau=0.5, z=2 + 1j, res=48)
     n = model.grid.size
-    r = model.r_eff_matrix(2 + 1j)
-    a = model.a_hom_matrix(2 + 1j)
+    r = model.r_eff(2 + 1j).dense()
+    a = model.a_hom(2 + 1j).dense()
     assert np.max(np.abs(r - a[:n, :n])) < 1e-11

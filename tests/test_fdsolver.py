@@ -51,7 +51,7 @@ def test_matches_krein_resolvent():
         op = DiscretizedOperator(g, fiber, resolution=res)
         ws = ResolventWorkspace(g, fiber, res)
         r_fd = op.resolvent(z) @ np.eye(op.grid.size)
-        r_ex = ws.generalized_matrix(z, 0.0)
+        r_ex = ws.generalized_resolvent(z, 0.0).dense()
         err = np.linalg.norm(r_fd - r_ex, 2)
         h = 1.0 / res
         assert err < 5.0 * h * h * np.linalg.norm(r_ex, 2)
@@ -79,7 +79,7 @@ def test_resolvent_halving_is_second_order():
         op = DiscretizedOperator(g, fiber, resolution=res)
         ws = ResolventWorkspace(g, fiber, res)
         r_fd = op.resolvent(2 + 1j) @ np.eye(op.grid.size)
-        errs.append(np.linalg.norm(r_fd - ws.generalized_matrix(2 + 1j, 0.0), 2))
+        errs.append(np.linalg.norm(r_fd - ws.generalized_resolvent(2 + 1j, 0.0).dense(), 2))
     assert 3.0 < errs[0] / errs[1] < 5.0
     assert 3.0 < errs[1] / errs[2] < 5.0
 

@@ -133,3 +133,18 @@ def test_fiber_layers_take_no_weights():
     lab = (SRC / "qglab" / "lab.py").read_text()
     assert "datta_weights" not in lab
     assert "make_grid" not in lab
+
+
+@pytest.mark.parametrize("module", ["lab", "krein", "effective"])
+def test_resolvent_layer_imports_no_scipy_anywhere(module):
+    # a static check: the structured resolvents and the power iteration need
+    # only numpy, so neither a module-level nor an in-function import (nor a
+    # type-checking one) of scipy appears; only fdsolver's FEM oracle and
+    # band_roots load scipy
+    tree = ast.parse((SRC / "qglab" / f"{module}.py").read_text())
+    found = [
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Import) and any(a.name.startswith("scipy") for a in node.names)
+        or isinstance(node, ast.ImportFrom) and (node.module or "").startswith("scipy")
+    ]
+    assert found == []

@@ -2,9 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from qglab import krein, lab
+from qglab.effective import EffectiveModel, PsiEmbedding
 from qglab.graphs import build_example
-from qglab.krein import ResolventWorkspace
+from qglab.krein import KernelOperator, ResolventWorkspace
 from qglab.mmatrix import FiberParams, m_blocks_closed
+from qglab.triples import b_matrix
 from test_cells import EPS, TAU, Z, cells
 
 
@@ -139,8 +142,161 @@ def test_dirichlet_matrix_matches_min_max_kernel(name, component, tau, z):
 def test_krein_resolvent_adjoint_symmetry():
     _, ws = _setup("ex1", tau=1.2, z=2 + 1j)
     z = 2 + 1j
-    r_z = ws.generalized_matrix(z, 0.0)
-    r_zb = ws.generalized_matrix(np.conj(z), 0.0)
+    r_z = ws.generalized_resolvent(z, 0.0).dense()
+    r_zb = ws.generalized_resolvent(np.conj(z), 0.0).dense()
     w = ws.grid.w
     defect = np.max(np.abs(w[:, None] * r_zb - (w[:, None] * r_z).conj().T))
     assert defect < 1e-10
+
+
+# -- structured resolvents at drawn cells ------------------------------------
+
+
+def _resolvents(g, tau, z, eps, res=24):
+    """The full and soft resolvents and the two sweep differences of the
+    lab at one point, each with the operands whose difference it is (none
+    for a resolvent), and the objects they came from."""
+    fiber = FiberParams(eps, tau, z)
+    full = ResolventWorkspace(g, fiber, res)
+    model = EffectiveModel(g, fiber, res)
+    r_full = full.generalized_resolvent(z, 0.0)
+    r_soft = model.kernels.generalized_resolvent(z, b_matrix(g, fiber))
+    r_eff = model.r_eff(z)
+    hom = PsiEmbedding(full).sandwich(model.a_hom(z))
+    ops = {
+        "full": (r_full, ()),
+        "soft": (r_soft, ()),
+        "full - Psi* A_hom Psi": (r_full - hom, (r_full, hom)),
+        "soft - r_eff": (r_soft - r_eff, (r_soft, r_eff)),
+    }
+    return full, model, ops
+
+
+def _random(n, seed):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal(n) + 1j * rng.standard_normal(n)
+
+
+def _scale(result, operand_results):
+    """The norm a rounding error of ``result`` is measured against: its own,
+    or for a difference the sum of its operands' (whose entries cancel)."""
+    return sum(np.linalg.norm(r) for r in operand_results) or np.linalg.norm(result)
+
+
+@settings(max_examples=25, deadline=None)
+@given(g=cells(), tau=TAU, z=Z, eps=EPS)
+def test_structured_applies_match_their_dense_matrices(g, tau, z, eps):
+    _, _, ops = _resolvents(g, tau, z, eps)
+    for name, (op, operands) in ops.items():
+        d = op.dense()
+        x, y = _random(op.shape[1], 1), _random(op.shape[0], 2)
+        ref = d @ x
+        scale = _scale(ref, [a.dense() @ x for a in operands])
+        assert np.linalg.norm(op.matvec(x) - ref) <= 1e-12 * scale, name
+        ref = d.conj().T @ y
+        scale = _scale(ref, [a.dense().conj().T @ y for a in operands])
+        assert np.linalg.norm(op.rmatvec(y) - ref) <= 1e-12 * scale, name
+
+
+@settings(max_examples=25, deadline=None)
+@given(g=cells(), tau=TAU, z=Z, eps=EPS)
+def test_structured_resolvents_are_weighted_adjoint_at_conjugate_z(g, tau, z, eps):
+    # R(z)^* = R(conj z) in the trapezoid inner product: R(z)^H W y = W R(conj z) y,
+    # for each resolvent and so for each difference
+    full, model, ops = _resolvents(g, tau, z, eps)
+    _, _, conj_ops = _resolvents(g, tau, np.conj(z), eps)
+    for name, (op, operands) in ops.items():
+        w = model.grid.w if name.startswith("soft") else full.grid.w
+        y = _random(op.shape[0], 3)
+        conj_op, conj_operands = conj_ops[name]
+        ref = w * conj_op.matvec(y)
+        scale = _scale(ref, [w * a.matvec(y) for a in conj_operands])
+        assert np.linalg.norm(op.rmatvec(w * y) - ref) <= 1e-10 * scale, name
+
+
+@settings(max_examples=25, deadline=None)
+@given(g=cells(), tau=TAU, z=Z, eps=EPS)
+def test_dense_resolvents_are_the_outer_product_matrices_bit_for_bit(g, tau, z, eps):
+    # the certificates read these entries, so each dense() is the matrix the
+    # outer-product route forms: Dirichlet kernel plus the low-rank product
+    fiber = FiberParams(eps, tau, z)
+    ws = ResolventWorkspace(g, fiber, 24)
+    denom = ws.m_matrix(z) - 0.0
+    ref = ws.dirichlet_matrix(z) - ws.gamma_matrix(z) @ np.linalg.solve(
+        denom, ws.gamma1_dirichlet_rows(z)
+    )
+    assert np.array_equal(ws.generalized_resolvent(z, 0.0).dense(), ref)
+    model = EffectiveModel(g, fiber, 24)
+    n = model.grid.size
+    h, coeffs = model._defect(z)
+    dirichlet = model.kernels.dirichlet_matrix(z)
+    assert np.array_equal(model.r_eff(z).dense(), dirichlet + h @ coeffs)
+    _, h, _, coeffs = model._hom_solve(z)
+    ref = np.zeros((n + 1, n + 1), dtype=complex)
+    ref[:n, :] = h @ coeffs[:-1, :]
+    ref[:n, :n] += dirichlet
+    ref[n, :] = coeffs[-1, :]
+    assert np.array_equal(model.a_hom(z).dense(), ref)
+
+
+@settings(max_examples=25, deadline=None)
+@given(g=cells(), tau=TAU, z=Z, eps=EPS)
+def test_soft_dirichlet_blocks_of_full_and_soft_workspaces_are_identical(g, tau, z, eps):
+    # the difference of the full_res_rate sweep drops the soft blocks
+    # because the two workspaces form them bit for bit alike
+    full, model, ops = _resolvents(g, tau, z, eps)
+    soft = [e for e in full.grid.edges if not e.is_stiff]
+    blocks = dict(zip(full.grid.edges, full.dirichlet_blocks(z)))
+    for e, (_, vectors) in zip(model.grid.edges, model.kernels.dirichlet_blocks(z)):
+        assert np.array_equal(blocks[e][1], vectors)
+    # what is left of the difference: the stiff blocks, and no soft block at all
+    diff = ops["full - Psi* A_hom Psi"][0]
+    assert len(diff.blocks) == len(full.grid.edges) - len(soft)
+    assert diff.rank == full.nvert + 2 * len(soft) + 1
+    assert ops["soft - r_eff"][0].blocks == ()
+
+
+@pytest.mark.parametrize("name", ["ex0", "ex1", "ex2"])
+@pytest.mark.parametrize("component", ["full", "soft"])
+def test_running_sums_are_stable_deep_in_the_gap(name, component):
+    # at z = -32400 + 3j the soft-edge sines grow like e^{|Im kappa| x} up to
+    # e^{|Im kappa| l} > e^50; the running sums of the Dirichlet blocks match
+    # the outer products and the min/max kernel
+    g = build_example(name)
+    comp = g if component == "full" else g.subgraph("soft")
+    z = -32400 + 3j
+    ws = ResolventWorkspace(comp, FiberParams(0.1, 0.7, z), 96)
+    assert max(abs((ws._kappa(e, z) * e.length).imag) for e in comp.edges) > 50
+    n = ws.grid.size
+    op = KernelOperator(
+        ws.dirichlet_blocks(z), np.zeros((n, 0), dtype=complex), np.zeros((0, n), dtype=complex)
+    )
+    d = _dirichlet_reference(ws, z)
+    x, y = _random(n, 4), _random(n, 5)
+    for got, ref in ((op.matvec(x), d @ x), (op.rmatvec(y), d.conj().T @ y)):
+        assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_one_trig_pass_per_workspace_and_z(monkeypatch):
+    # a full_res_rate point evaluates each edge's trig vectors once in the
+    # full workspace and once in the soft model's, cosines included; the
+    # Dirichlet resolvent alone evaluates no cosine
+    made = []
+
+    class Counted(krein.EdgeSamples):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(krein, "EdgeSamples", Counted)
+    g = build_example("ex2")
+    lab._full_nrc_error(g, 1.0, 0.1, 2 + 1j, 32)
+    assert len(made) == len(g.edges) + len(g.subgraph("soft").edges)
+    assert all("cos_x" in s.__dict__ for s in made)
+    made.clear()
+    lab._soft_sandwich_error(g, 1.0, 0.1, 2 + 1j, 32)
+    assert len(made) == len(g.subgraph("soft").edges)
+    made.clear()
+    ResolventWorkspace(g, FiberParams(0.1, 1.0, 2 + 1j), 32).dirichlet_matrix(2 + 1j)
+    assert len(made) == len(g.edges)
+    assert not any("cos_x" in s.__dict__ for s in made)

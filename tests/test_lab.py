@@ -2,6 +2,7 @@ import itertools
 import math
 import pathlib
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, aslinearope
 from qglab import dispersion, lab, realline, triples
 from qglab.effective import BoundarySystem
 from qglab.fdsolver import MIN_RESOLUTION, DiscretizedOperator
-from qglab.graphs import ParameterError, PoleError
+from qglab.graphs import ParameterError, PoleError, build_example
 from qglab.lab import (
     EXPERIMENT_TAGS,
     Check,
@@ -207,6 +208,21 @@ def test_operator_norm_rejects_nonconformable_operators():
     ):
         with pytest.raises(ValueError, match="non-conformable"):
             operator_norm_diff(a, b, np.ones(3))
+
+
+def test_resolvent_sweep_points_form_no_dense_matrix():
+    # one point of each resolvent-rate sweep at resolution 2048: a dense
+    # n x n complex matrix on the full grid alone would take about 67 MB;
+    # the structured resolvents and their difference stay below 8 MB
+    g = build_example("ex2")
+    for error in (lab._full_nrc_error, lab._soft_sandwich_error):
+        tracemalloc.start()
+        try:
+            error(g, 1.0, 1 / 64, 2 + 1j, 2048)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6, error.__name__
 
 
 def test_tau_grid_endpoints_and_symmetry():
