@@ -25,7 +25,8 @@ psi-component of Gamma1 u to the stiff part (see ``_structure``).  System
 and fields read one kernel object of the soft component, in an
 ``EffectiveModel`` a ``ResolventWorkspace`` whose ``_edge_samples`` give the
 fields; the system reads only per-edge scalars, so the Schur scalar needs no
-sample grid.
+sample grid.  eps enters only the germ term of the flux row: ``at_eps``
+gives a sibling at another contrast that shares everything else at each z.
 
 ``compose`` multiplies two of these resolvents exactly (the function-space
 composition is carried out in closed form, not by quadrature), so that the
@@ -83,6 +84,9 @@ class BoundarySystem:
         self.soft = graph.subgraph("soft")
         self.params = effective_params(graph, fiber)
         self.kernels = self._soft_kernels()
+        # (name, z) -> an eps-free part of the system at z, shared with the
+        # at_eps siblings
+        self._shared: dict = {}
 
     def _soft_kernels(self) -> ComponentKernels:
         # the one kernel object of the soft component; grid-free here
@@ -106,8 +110,57 @@ class BoundarySystem:
         and the flux row
             -sum_V sqrt(2) conj(psi_V) Gamma1 u_V + (germ (tau/eps)^2 - z rho^2) U1.
         With beta the flux row becomes the pair beta = rho U1 and
-        flux / rho + (germ (tau/eps)^2 / rho^2 - z) beta.
+        flux / rho + (germ (tau/eps)^2 / rho^2 - z) beta.  Only the germ
+        term depends on eps: the rest comes from ``_rows``, once per z.
         """
+        rows, u1, flux_x, flux_t, ends = self._rows(z)
+        m = 2 * len(ends)
+        germ_term = self.params.germ * (self.fiber.tau / self.fiber.eps) ** 2
+        rho = self.params.rho
+        a = np.zeros((m + with_beta, m + with_beta), dtype=complex)
+        lam = np.zeros((m + with_beta, m), dtype=complex)
+        a[:m - 1, :m] = rows
+        if with_beta:
+            a[m - 1, :m] = rho * u1
+            a[m - 1, m] = -1.0
+            a[m, :m] = flux_x / rho
+            a[m, m] = germ_term / (rho * rho) - z
+            lam[m] = flux_t / rho
+        else:
+            a[m - 1] = flux_x + (germ_term - z * rho * rho) * u1
+            lam[m - 1] = flux_t
+        return a, lam, ends
+
+    def at_eps(self, eps: float):
+        """This system at contrast eps (same graph, tau and z).
+
+        eps enters only the germ term germ (tau/eps)^2 of the flux row.  The
+        sibling shares the params, the eps-free parts of the system at each
+        z (its other rows, the sampled fields, the right-hand sides), and,
+        through ``kernels.at_eps``, every part of its soft kernels.
+        """
+        sibling = object.__new__(type(self))
+        sibling.__dict__.update(
+            self.__dict__, fiber=FiberParams(eps, self.fiber.tau, self.fiber.z),
+            kernels=self.kernels.at_eps(eps),
+        )
+        return sibling
+
+    def _kept(self, name: str, z: complex, build):
+        """``build()``, the part ``name`` of the system at z, kept after its
+        first evaluation for this system and its siblings.  A build that
+        raises keeps nothing, so each later use raises again."""
+        key = (name, z)
+        if key not in self._shared:
+            self._shared[key] = build()
+        return self._shared[key]
+
+    def _rows(self, z: complex):
+        """(rows, u1, flux_x, flux_t, ends): what eps does not enter of the
+        system at z (see ``_structure``)."""
+        return self._kept("rows", z, lambda: self._assemble_rows(z))
+
+    def _assemble_rows(self, z: complex):
         par, kern = self.params, self.kernels
         m = 2 * len(self.soft.edges)
         nu = dict(zip(kern.vertices, np.conj([1.0, par.omega])))  # sqrt(2) conj(psi)
@@ -136,21 +189,7 @@ class BoundarySystem:
         u1, u2 = (at_v[0] for at_v in values.values())
         rows = [first - u for first, *rest in values.values() for u in rest]
         rows.append(u1 - np.conj(par.omega) * u2)
-        germ_term = par.germ * (self.fiber.tau / self.fiber.eps) ** 2
-        rho = par.rho
-        a = np.zeros((m + with_beta, m + with_beta), dtype=complex)
-        lam = np.zeros((m + with_beta, m), dtype=complex)
-        a[:m - 1, :m] = rows
-        if with_beta:
-            a[m - 1, :m] = rho * u1
-            a[m - 1, m] = -1.0
-            a[m, :m] = flux_x / rho
-            a[m, m] = germ_term / (rho * rho) - z
-            lam[m] = flux_t / rho
-        else:
-            a[m - 1] = flux_x + (germ_term - z * rho * rho) * u1
-            lam[m - 1] = flux_t
-        return a, lam, ends
+        return rows, u1, flux_x, flux_t, ends
 
     def schur_frobenius(self, z: complex) -> complex:
         """beta response to unit scalar forcing: equals 1/(K(tau,z) - z).
@@ -174,14 +213,19 @@ class EffectiveModel(BoundarySystem):
     def _soft_kernels(self) -> ResolventWorkspace:
         return ResolventWorkspace(self.soft, self.fiber, self.resolution)
 
-    def _fields(self, z: complex, ends):
-        """(h, t) from one pass over the kernels' per-edge samples.
+    def _fields(self, z: complex):
+        """(h, t) from one pass over the kernels' per-edge samples, once per z
+        for the model and its siblings.
 
         h is the n x 2E matrix of the sampled homogeneous fields
         e^{-i tau x}(cos kappa x, sin kappa x) on each edge; t is the 2E x n
         matrix of quadrature rows producing the modified derivatives
         (du(0), du(l)) of the per-edge Dirichlet particular solution.
         """
+        return self._kept("fields", z, lambda: self._sample_fields(z))
+
+    def _sample_fields(self, z: complex):
+        ends = self._rows(z)[-1]
         g = self.grid
         m = 2 * len(ends)
         h = np.zeros((g.size, m), dtype=complex)
@@ -197,9 +241,9 @@ class EffectiveModel(BoundarySystem):
 
     def _defect(self, z: complex):
         """(h, coeffs): r_eff(z) minus the Dirichlet resolvent is h @ coeffs."""
-        a, lam, ends = self._structure(z, with_beta=False)
-        h, t = self._fields(z, ends)
-        return h, np.linalg.solve(a, -lam @ t)
+        a, lam, _ = self._structure(z, with_beta=False)
+        h, t = self._fields(z)
+        return h, np.linalg.solve(a, self._kept("defect rhs", z, lambda: -lam @ t))
 
     # -- public resolvents ----------------------------------------------------
 
@@ -209,28 +253,38 @@ class EffectiveModel(BoundarySystem):
         h, coeffs = self._defect(z)
         return KernelOperator(self.kernels.dirichlet_blocks(z), h, coeffs)
 
+    def _hom_rhs(self, lam: np.ndarray, t: np.ndarray) -> np.ndarray:
+        rhs = np.zeros((lam.shape[0], t.shape[1] + 1), dtype=complex)
+        rhs[:, :-1] = -lam @ t
+        rhs[-1, -1] = 1.0  # the scalar forcing c enters the beta row
+        return rhs
+
     def _hom_solve(self, z: complex):
         """(ends, h, t, x) at z: x maps the data (f, c) to the homogeneous
         coefficients of R_hom(z) (f, c), beta last."""
         a, lam, ends = self._structure(z, with_beta=True)
-        h, t = self._fields(z, ends)
-        rhs = np.zeros((a.shape[0], t.shape[1] + 1), dtype=complex)
-        rhs[:, :-1] = -lam @ t
-        rhs[-1, -1] = 1.0  # the scalar forcing c enters the beta row
+        h, t = self._fields(z)
+        rhs = self._kept("hom rhs", z, lambda: self._hom_rhs(lam, t))
         return ends, h, t, np.linalg.solve(a, rhs)
+
+    def _hom_factor(self, h: np.ndarray) -> np.ndarray:
+        n = self.grid.size
+        u = np.zeros((n + 1, h.shape[1] + 1), dtype=complex)
+        u[:n, :-1] = h
+        u[n, -1] = 1.0
+        u.flags.writeable = False  # ``PsiEmbedding.sandwich`` keeps its lift
+        return u
 
     def a_hom(self, z: complex) -> KernelOperator:
         """The (n+1) x (n+1) resolvent of the homogenised operator.
 
         Acts on (soft samples, beta scalar); the last row/column carry the
         boundary coordinate.  The soft Dirichlet blocks plus H @ coeffs, with
-        H = [[h, 0], [0, 1]]: the hom fields on the samples, and beta.
+        H = [[h, 0], [0, 1]]: the hom fields on the samples, and beta, the
+        one eps-free H at z for the model and its siblings.
         """
-        n = self.grid.size
         _, h, _, coeffs = self._hom_solve(z)
-        u = np.zeros((n + 1, coeffs.shape[0]), dtype=complex)
-        u[:n, :-1] = h
-        u[n, -1] = 1.0
+        u = self._kept("hom factor", z, lambda: self._hom_factor(h))
         return KernelOperator(self.kernels.dirichlet_blocks(z), u, coeffs)
 
     # -- exact composition (for resolvent-identity certificates) ------------
@@ -283,7 +337,7 @@ class EffectiveModel(BoundarySystem):
         a_z, lam_z, ends_z = self._structure(z, with_beta=True)
         g_z = self.kernels.dirichlet_matrix(z)
         g_w = self.kernels.dirichlet_matrix(w)
-        h_z, t_z = self._fields(z, ends_z)
+        h_z, t_z = self._fields(z)
         # inner solve X_w : (f, c) -> coefficients (+ beta last)
         ends_w, h_w, t_w, x_w = self._hom_solve(w)
         gh, th = self._dirichlet_of_hom(ends_z, ends_w, h_z, h_w)
@@ -378,6 +432,10 @@ class PsiEmbedding:
         w_st = grid.w[self.stiff_idx]
         nrm = math.sqrt(float(np.sum(w_st * np.abs(g_samples[self.stiff_idx]) ** 2)))
         self.lift = g_samples / nrm  # grid-normalized, supported on stiff
+        # the lift on the stiff samples, and its weighted dual
+        self._lift_stiff = self.lift[self.stiff_idx]
+        self._dual = np.conj(self._lift_stiff) * grid.w[self.stiff_idx]
+        self._lifted = (None, None)  # the last (u, Psi^* u) of ``sandwich``
 
     @property
     def n_soft(self) -> int:
@@ -387,16 +445,14 @@ class PsiEmbedding:
         """(n_soft + 1) x n_full matrix of Psi."""
         out = np.zeros((self.n_soft + 1, self.grid.size), dtype=complex)
         out[np.arange(self.n_soft), self.soft_idx] = 1.0
-        out[-1, self.stiff_idx] = (
-            np.conj(self.lift[self.stiff_idx]) * self.grid.w[self.stiff_idx]
-        )
+        out[-1, self.stiff_idx] = self._dual
         return out
 
     def adjoint_matrix(self) -> np.ndarray:
         """n_full x (n_soft + 1) matrix of Psi^* (weighted adjoint)."""
         out = np.zeros((self.grid.size, self.n_soft + 1), dtype=complex)
         out[self.soft_idx, np.arange(self.n_soft)] = 1.0
-        out[self.stiff_idx, -1] = self.lift[self.stiff_idx]
+        out[self.stiff_idx, -1] = self._lift_stiff
         return out
 
     def sandwich(self, a: KernelOperator) -> KernelOperator:
@@ -413,15 +469,18 @@ class PsiEmbedding:
         if a.shape != (n + 1, n + 1):
             raise ValueError(f"need a {n + 1} x {n + 1} operator (n_soft = {n}), got {a.shape}")
         soft, stiff = self.soft_idx, self.stiff_idx
-        lift = self.lift[stiff]
-        dual = np.conj(lift) * self.grid.w[stiff]
         nf = self.grid.size
-        u = np.zeros((nf, a.rank), dtype=complex)
-        u[soft] = a.u[:n]
-        u[stiff] = np.outer(lift, a.u[n])
+        if self._lifted[0] is not a.u:
+            # a read-only u is the eps-free factor of a model's a_hom at z,
+            # the same array for every eps of a row: its lift is kept
+            u = np.zeros((nf, a.rank), dtype=complex)
+            u[soft] = a.u[:n]
+            u[stiff] = np.outer(self._lift_stiff, a.u[n])
+            self._lifted = (a.u if not a.u.flags.writeable else None, u)
+        u = self._lifted[1]
         v = np.zeros((a.rank, nf), dtype=complex)
         v[:, soft] = a.v[:, :n]
-        v[:, stiff] = np.outer(a.v[:, n], dual)
+        v[:, stiff] = np.outer(a.v[:, n], self._dual)
         # each soft edge's samples are contiguous on the full grid
         blocks = [
             (slice(int(soft[sl.start]), int(soft[sl.stop - 1]) + 1), vectors)

@@ -133,14 +133,6 @@ class MetricGraph:
             raise ValueError("closed forms exist for the three worked cells only")
         return self._cell
 
-    @property
-    def soft_edge_ids(self) -> tuple[int, ...]:
-        return tuple(e.id for e in self.edges if not e.is_stiff)
-
-    @property
-    def stiff_edge_ids(self) -> tuple[int, ...]:
-        return tuple(e.id for e in self.edges if e.is_stiff)
-
     def subgraph(self, part: str) -> "MetricGraph":
         """Stiff or soft component, keeping lengths/ids/weights untouched.
 

@@ -26,6 +26,15 @@ where a certificate reads entries.
 phase e^{-i tau x} on it, and its ``_edge_samples`` is the one place where
 the other trig functions meet the samples (the effective layer reads it):
 one pass per z, whose cos(kappa x) is evaluated on first read.
+
+The grid products (the samples, the Dirichlet blocks, gamma(z), Gamma1 D)
+are assembled edge by edge, in the grid's edge order, from per-edge parts
+that are evaluated once per z and kept.  eps enters only the stiff edges
+(speed a/eps), so ``at_eps`` gives a sibling at another contrast that
+shares the grid, the phase and every soft edge's parts, and evaluates its
+stiff edges' parts and M(z) itself; on a component without a stiff edge it
+shares the resolvent's inputs whole.  A sweep over eps evaluates the soft
+edges once.
 """
 
 from __future__ import annotations
@@ -88,10 +97,43 @@ class ComponentKernels:
         self.fiber = fiber
         self.vertices = tuple(sorted(component.vertices))
         self._vidx = {v: i for i, v in enumerate(self.vertices)}
+        # eps enters only through the stiff speeds a/eps
+        self._eps_free = not any(e.is_stiff for e in component.edges)
+        # key -> what is kept at a z: what eps does not enter is shared with
+        # the at_eps siblings, the rest belongs to this eps
+        self._shared: dict = {}
+        self._own: dict = {}
 
     @property
     def nvert(self) -> int:
         return len(self.vertices)
+
+    def at_eps(self, eps: float):
+        """These kernels at contrast eps (same component, tau and z).
+
+        The sibling shares the weights, on a workspace the grid and phase,
+        and everything kept that eps does not enter: the soft edges' parts,
+        whose speeds a do not see eps, and on a component without a stiff
+        edge the resolvent's inputs.  It evaluates the rest itself.
+        """
+        sibling = object.__new__(type(self))
+        sibling.__dict__.update(
+            self.__dict__, fiber=FiberParams(eps, self.fiber.tau, self.fiber.z), _own={}
+        )
+        return sibling
+
+    def _kept(self, key: tuple, eps_free: bool, build, *args):
+        """``build(*args)``, kept under ``key`` after its first evaluation,
+        with the siblings when ``eps_free``.  A build that raises keeps
+        nothing, so each later use raises again."""
+        store = self._shared if eps_free else self._own
+        if key not in store:
+            store[key] = build(*args)
+        return store[key]
+
+    def _edge_part(self, product: str, edge: EdgeSpec, z: complex, build, *args):
+        """The part of ``edge`` in ``product`` at z, ``build(*args)``, kept."""
+        return self._kept((product, z, edge.id), not edge.is_stiff, build, *args)
 
     def _kappa(self, edge: EdgeSpec, z: complex) -> complex:
         return sqrt_upper(z) / self.fiber.speed(edge)
@@ -232,17 +274,19 @@ class KernelOperator:
         subtracted, and the low-rank factors stacked: [u_a, u_b] [v_a; -v_b]."""
         if other.shape != self.shape:
             raise ValueError("non-conformable operator blocks")
-
-        def shared(block, blocks):
-            return any(
-                block[0] == sl and np.array_equal(block[1], vectors) for sl, vectors in blocks
-            )
-
-        mine = [p for p in self.blocks if not shared(p, other.blocks)]
+        shared = [
+            (i, j)
+            for i, (sl, vectors) in enumerate(self.blocks)
+            for j, (sl_other, other_vectors) in enumerate(other.blocks)
+            if sl == sl_other
+            and (vectors is other_vectors or np.array_equal(vectors, other_vectors))
+        ]
+        mine_shared, theirs_shared = {i for i, _ in shared}, {j for _, j in shared}
+        mine = [p for i, p in enumerate(self.blocks) if i not in mine_shared]
         theirs = [
             (sl, vectors * [[-1.0], [1.0], [-1.0], [1.0]])  # -la, br, -lb, ar
-            for sl, vectors in other.blocks
-            if not shared((sl, vectors), self.blocks)
+            for j, (sl, vectors) in enumerate(other.blocks)
+            if j not in theirs_shared
         ]
         return KernelOperator(
             mine + theirs, np.hstack([self.u, other.u]), np.vstack([self.v, -other.v])
@@ -276,20 +320,25 @@ class ResolventWorkspace(ComponentKernels):
         self.grid = make_grid(component, resolution)
         # e^{-i tau x} on every sample: the only z-independent trig factor
         self.phase = np.exp(-1j * fiber.tau * self.grid.x)
-        self._passes: dict[complex, tuple[EdgeSamples, ...]] = {}
 
     def _edge_samples(self, z: complex) -> tuple[EdgeSamples, ...]:
-        """The ``EdgeSamples`` of every grid edge at z, evaluated on the
-        first call at z and kept: one trig pass per (workspace, z)."""
-        if z not in self._passes:
-            g = self.grid
-            self._passes[z] = tuple(
-                EdgeSamples(e, sl, self.fiber.speed(e), self._kappa(e, z), g.x[sl], self.phase[sl])
-                for e, sl in zip(g.edges, g.slices)
+        """The ``EdgeSamples`` of every grid edge at z, each evaluated on
+        its first use at z and kept: one trig pass per (workspace, z), and
+        on the soft edges one for the workspace and its siblings."""
+        g = self.grid
+        return tuple(
+            self._edge_part(
+                "samples", e, z, EdgeSamples,
+                e, sl, self.fiber.speed(e), self._kappa(e, z), g.x[sl], self.phase[sl],
             )
-        return self._passes[z]
+            for e, sl in zip(g.edges, g.slices)
+        )
 
     # -- Dirichlet decoupling, kernel lift and its dual ----------------
+
+    def _dirichlet_block(self, s: EdgeSamples) -> tuple:
+        right = np.conj(s.phase) * self.grid.w[s.sl] / (s.c * s.c * s.kappa * s.sin_l)
+        return s.sl, np.array([s.phase * s.a, s.b * right, s.phase * s.b, s.a * right])
 
     def dirichlet_blocks(self, z: complex) -> tuple:
         """Per edge, the Dirichlet (decoupled) resolvent as a
@@ -304,12 +353,10 @@ class ResolventWorkspace(ComponentKernels):
         (c^2 kappa sin(kappa l)) (right) ride on those vectors: la = left a,
         br = b right, lb = left b, ar = a right.
         """
-        w = self.grid.w
-        out = []
-        for s in self._edge_samples(z):
-            right = np.conj(s.phase) * w[s.sl] / (s.c * s.c * s.kappa * s.sin_l)
-            out.append((s.sl, np.array([s.phase * s.a, s.b * right, s.phase * s.b, s.a * right])))
-        return tuple(out)
+        return tuple(
+            self._edge_part("block", s.edge, z, self._dirichlet_block, s)
+            for s in self._edge_samples(z)
+        )
 
     def dirichlet_matrix(self, z: complex) -> np.ndarray:
         """Dense sample-space matrix of the Dirichlet resolvent, for the
@@ -320,16 +367,33 @@ class ResolventWorkspace(ComponentKernels):
             np.zeros((0, n), dtype=complex),
         ).dense()
 
+    def _gamma_columns(self, s: EdgeSamples) -> tuple:
+        _, _, _, q_l, q_r = self._end_coeffs(s.edge, s.kappa)
+        wl_bar = np.conj(self.weights[(s.edge.left, s.edge.id)])
+        return s.phase * (wl_bar * s.cos_x + q_l * s.a), s.phase * (q_r * s.a)
+
     def gamma_matrix(self, z: complex) -> np.ndarray:
         """n x N matrix of samples of gamma(z) e_V."""
         out = np.zeros((self.grid.size, self.nvert), dtype=complex)
         for s in self._edge_samples(z):
             e = s.edge
-            _, _, _, q_l, q_r = self._end_coeffs(e, s.kappa)
-            wl_bar = np.conj(self.weights[(e.left, e.id)])
-            out[s.sl, self._vidx[e.left]] += s.phase * (wl_bar * s.cos_x + q_l * s.a)
-            out[s.sl, self._vidx[e.right]] += s.phase * (q_r * s.a)
+            left, right = self._edge_part("gamma", e, z, self._gamma_columns, s)
+            out[s.sl, self._vidx[e.left]] += left
+            out[s.sl, self._vidx[e.right]] += right
         return out
+
+    def _gamma1_rows(self, s: EdgeSamples) -> tuple:
+        """The row entries of edge s at its left and right vertex.
+
+        Left endpoint: + w c^2 e^{-i tau 0} dphi(0) with
+        dphi(0) = int sin(kappa (l - y)) g(y) dy / (c^2 sin kappa l);
+        right endpoint: - w c^2 e^{-i tau l} dphi(l) with
+        dphi(l) = -int sin(kappa y) g(y) dy / (c^2 sin kappa l).
+        """
+        e = s.edge
+        base = np.conj(s.phase) * self.grid.w[s.sl] / s.sin_l
+        wl, wr = self.weights[(e.left, e.id)], self.weights[(e.right, e.id)]
+        return wl * base * s.b, wr * cmath.exp(-1j * self.fiber.tau * e.length) * base * s.a
 
     def gamma1_dirichlet_rows(self, z: complex) -> np.ndarray:
         """N x n matrix of Gamma1 (A_inf - z)^{-1} as quadrature functionals.
@@ -337,21 +401,12 @@ class ResolventWorkspace(ComponentKernels):
         Row V applied to samples f gives the signed weighted co-derivative
         sum of the Dirichlet solution at V.
         """
-        g = self.grid
-        out = np.zeros((self.nvert, g.size), dtype=complex)
+        out = np.zeros((self.nvert, self.grid.size), dtype=complex)
         for s in self._edge_samples(z):
             e = s.edge
-            base = np.conj(s.phase) * g.w[s.sl] / s.sin_l
-            # left endpoint: + w c^2 e^{-i tau 0} dphi(0) with
-            # dphi(0) = int sin(kappa (l - y)) g(y) dy / (c^2 sin kappa l)
-            wl = self.weights[(e.left, e.id)]
-            out[self._vidx[e.left], s.sl] += wl * base * s.b
-            # right endpoint: - w c^2 e^{-i tau l} dphi(l) with
-            # dphi(l) = -int sin(kappa y) g(y) dy / (c^2 sin kappa l)
-            wr = self.weights[(e.right, e.id)]
-            out[self._vidx[e.right], s.sl] += (
-                wr * cmath.exp(-1j * self.fiber.tau * e.length) * base * s.a
-            )
+            left, right = self._edge_part("gamma1", e, z, self._gamma1_rows, s)
+            out[self._vidx[e.left], s.sl] += left
+            out[self._vidx[e.right], s.sl] += right
         return out
 
     # -- resolvent ---------------------------------------------------------
@@ -366,11 +421,20 @@ class ResolventWorkspace(ComponentKernels):
         formula); with B = -M_stiff of the full graph it is the sandwiched
         soft-component resolvent.
         """
-        denom = self.m_matrix(z) - b_of_z
+        m, blocks, gamma, rows = self._kept(
+            ("resolvent", z), self._eps_free, self._resolvent_parts, z
+        )
+        denom = m - b_of_z
         cond = np.linalg.cond(denom)
         if not np.isfinite(cond) or cond > 1e14:
             raise PoleError(f"M(z) - B(z) nearly singular (cond={cond:.2e})")
-        return KernelOperator(
-            self.dirichlet_blocks(z), self.gamma_matrix(z),
-            -np.linalg.solve(denom, self.gamma1_dirichlet_rows(z)),
-        )
+        return KernelOperator(blocks, gamma, -np.linalg.solve(denom, rows))
+
+    def _resolvent_parts(self, z: complex):
+        """(M, Dirichlet blocks, gamma, Gamma1 D) at z: what the resolvent
+        reads beside B, kept (with the siblings where no edge is stiff)."""
+        m, blocks = self.m_matrix(z), self.dirichlet_blocks(z)
+        gamma, rows = self.gamma_matrix(z), self.gamma1_dirichlet_rows(z)
+        for a in (m, gamma, rows):
+            a.flags.writeable = False  # every later call reads them
+        return m, blocks, gamma, rows

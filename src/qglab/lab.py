@@ -100,6 +100,16 @@ def _applies(op):
     return op.matvec, op.rmatvec
 
 
+def start_vector(n: int, seed: int = 0) -> np.ndarray:
+    """The power iteration's deterministic unit start vector in C^n, drawn
+    from ``seed``; read-only, so one draw can serve many iterations."""
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    v /= np.linalg.norm(v)
+    v.flags.writeable = False
+    return v
+
+
 def operator_norm_diff(
     a,
     b,
@@ -108,13 +118,16 @@ def operator_norm_diff(
     tol: float = 1e-8,
     max_iter: int = 500,
     seed: int = 0,
+    *,
+    start: np.ndarray | None = None,
 ) -> float:
     """Largest singular value of the quadrature-weighted difference a - b.
 
     The operators act between L2 spaces discretised with trapezoid weights,
     so the relevant norm is that of W_r^{1/2} (a - b) W_c^{-1/2}.  Power
     iteration on its normal matrix, relative tolerance ``tol``, at most
-    ``max_iter`` iterations, deterministic start vector.  The weights are
+    ``max_iter`` iterations, from ``start`` or else from
+    ``start_vector(a.shape[1], seed)``, the same vector.  The weights are
     applied to the iterates, not to a scaled copy of D = a - b: with
     s = sqrt(w), one step is v -> D^H (w_r D (v / s_c)) / s_c.  Each side is
     a matrix or anything with ``shape``, ``matvec`` and ``rmatvec`` (a
@@ -143,9 +156,7 @@ def operator_norm_diff(
     w_row = np.asarray(w_row, dtype=float)
     w_col = w_row if w_col is None else np.asarray(w_col, dtype=float)
     s_col = np.sqrt(w_col)
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(a.shape[1]) + 1j * rng.standard_normal(a.shape[1])
-    v /= np.linalg.norm(v)
+    v = start_vector(a.shape[1], seed) if start is None else start
     sigma, step = 0.0, math.inf
     for _ in range(max_iter):
         u = apply_h(w_row * apply(v / s_col)) / s_col
@@ -446,13 +457,50 @@ def run_krein_vs_direct(
     return ExperimentResult("krein_vs_direct", checks, failures, rows)
 
 
-def _soft_sandwich_error(graph, tau: float, eps: float, z: complex, res: int) -> float:
-    """||generalised resolvent - effective resolvent|| on the soft grid."""
-    fiber = FiberParams(eps, tau, z)
+class _Row:
+    """The eps-free objects of one (cell, tau) row of a resolvent-rate sweep
+    at (z, resolution), built once at the row's first eps: the soft model,
+    the power iteration's start vector and, for ``full_res_rate``, the full
+    graph's workspace and its Psi.  Each eps of the row reads them through
+    ``at_eps`` siblings, which share every eps-free part and redo what eps
+    enters: the stiff edges, M(z), B(z), the germ term and the two solves."""
+
+    def __init__(self, graph, fiber: FiberParams, model: EffectiveModel, start: np.ndarray,
+                 workspace: ResolventWorkspace | None = None, psi: PsiEmbedding | None = None):
+        self.graph, self.tau, self.z = graph, fiber.tau, fiber.z
+        self.model, self.start, self.workspace, self.psi = model, start, workspace, psi
+
+
+def _rate_sweep(failures, name, z, tau_list, eps_list, row, error):
+    """``_sweep`` of one cell's (tau, eps) grid, one row at a time.
+
+    ``row(fiber)`` builds the ``_Row`` of a tau at its first eps, and
+    ``error(row, eps)`` is one point, so a row's objects live for that row
+    only.  Returns the (tau, eps) errors and the samples (tau, eps, error),
+    as ``_sweep`` does.
+    """
+    errors, samples = np.full((len(tau_list), len(eps_list)), math.nan), []
+    for i, tau in enumerate(tau_list):
+        row_errors, done = _sweep(
+            failures, [row(FiberParams(eps_list[0], tau, z))], eps_list, error,
+            lambda r, e: f"{name}: resolvents failed at tau={r.tau:.6g}, eps={e:g}, z={z}",
+        )
+        errors[i] = row_errors[0]
+        samples += [(r.tau, e, err) for r, e, err in done]
+    return errors, samples
+
+
+def _soft_row(graph, fiber: FiberParams, res: int) -> _Row:
     model = EffectiveModel(graph, fiber, res)
-    b = triples.b_matrix(graph, fiber)
-    r_eps = model.kernels.generalized_resolvent(z, b)
-    return operator_norm_diff(r_eps, model.r_eff(z), model.grid.w)
+    return _Row(graph, fiber, model, start_vector(model.grid.size))
+
+
+def _soft_sandwich_error(row: _Row, eps: float) -> float:
+    """||generalised resolvent - effective resolvent|| on the soft grid."""
+    model = row.model.at_eps(eps)
+    b = triples.b_matrix(row.graph, model.fiber)
+    r_eps = model.kernels.generalized_resolvent(row.z, b)
+    return operator_norm_diff(r_eps, model.r_eff(row.z), model.grid.w, start=row.start)
 
 
 def run_gen_res_rate(
@@ -463,10 +511,9 @@ def run_gen_res_rate(
     rows, checks, failures = [], [], []
     for name in examples:
         g = build_example(name)
-        errors, samples = _sweep(
-            failures, tau_list, eps_list,
-            lambda tau, e: _soft_sandwich_error(g, tau, e, z, resolution),
-            lambda tau, e: f"{name}: resolvents failed at tau={tau:.6g}, eps={e:g}, z={z}",
+        errors, samples = _rate_sweep(
+            failures, name, z, tau_list, eps_list,
+            lambda fiber: _soft_row(g, fiber, resolution), _soft_sandwich_error,
         )
         rows += [dict(example=name, tau=tau, eps=e, error=err)
                  for tau, e, err in samples]
@@ -474,14 +521,20 @@ def run_gen_res_rate(
     return ExperimentResult("gen_res_rate", checks, failures, rows)
 
 
-def _full_nrc_error(graph, tau: float, eps: float, z: complex, res: int) -> float:
-    """||(A_eps - z)^{-1} - Psi* (A_hom - z)^{-1} Psi|| on the full grid."""
-    fiber = FiberParams(eps, tau, z)
+def _full_row(graph, fiber: FiberParams, res: int) -> _Row:
     ws = ResolventWorkspace(graph, fiber, res)
-    r_full = ws.generalized_resolvent(z, 0.0)
-    model = EffectiveModel(graph, fiber, res)
-    psi = PsiEmbedding(ws)
-    return operator_norm_diff(r_full, psi.sandwich(model.a_hom(z)), ws.grid.w)
+    return _Row(
+        graph, fiber, EffectiveModel(graph, fiber, res), start_vector(ws.grid.size), ws,
+        PsiEmbedding(ws),
+    )
+
+
+def _full_nrc_error(row: _Row, eps: float) -> float:
+    """||(A_eps - z)^{-1} - Psi* (A_hom - z)^{-1} Psi|| on the full grid."""
+    ws = row.workspace.at_eps(eps)
+    r_full = ws.generalized_resolvent(row.z, 0.0)
+    a_hom = row.model.at_eps(eps).a_hom(row.z)
+    return operator_norm_diff(r_full, row.psi.sandwich(a_hom), ws.grid.w, start=row.start)
 
 
 def _dilation_certificates(graph, tau: float, eps: float, z: complex, w: complex, res: int):
@@ -512,10 +565,9 @@ def run_full_res_rate(
     rows, checks, failures, certs = [], [], [], []
     for name in examples:
         g = build_example(name)
-        errors, samples = _sweep(
-            failures, tau_list, eps_list,
-            lambda tau, e: _full_nrc_error(g, tau, e, z, resolution),
-            lambda tau, e: f"{name}: resolvents failed at tau={tau:.6g}, eps={e:g}, z={z}",
+        errors, samples = _rate_sweep(
+            failures, name, z, tau_list, eps_list,
+            lambda fiber: _full_row(g, fiber, resolution), _full_nrc_error,
         )
         rows += [dict(example=name, tau=tau, eps=e, error=err)
                  for tau, e, err in samples]

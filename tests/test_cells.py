@@ -235,6 +235,42 @@ def test_psi_samples_the_soft_model_grid_at_drawn_cells(g, taus, z, eps, res):
         assert np.max(np.abs(emb.sandwich(a).dense() - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
+def _outcome(compute):
+    """compute()'s value, or the type and text of the ArithmeticError it
+    raises (what a sweep turns into a FAIL line)."""
+    try:
+        return compute()
+    except ArithmeticError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=10, deadline=None)
+@given(g=cells(), taus=st.lists(TAU, min_size=1, max_size=3), z=Z, res=st.sampled_from([16, 24]))
+def test_rate_rows_equal_points_built_alone_at_drawn_cells(g, taus, z, res):
+    # a row's eps read its eps-free objects through at_eps siblings; each
+    # point's error (or failure) is == the one of objects built for it alone
+    eps_row = (0.2, 0.1, 0.05, 0.025)
+    for tau in taus:
+        row_fiber = FiberParams(eps_row[0], tau, z)
+        soft_row, full_row = lab._soft_row(g, row_fiber, res), lab._full_row(g, row_fiber, res)
+        for eps in eps_row:
+            fiber = FiberParams(eps, tau, z)
+
+            def gen_alone():
+                model = EffectiveModel(g, fiber, res)
+                r_eps = model.kernels.generalized_resolvent(z, b_matrix(g, fiber))
+                return lab.operator_norm_diff(r_eps, model.r_eff(z), model.grid.w)
+
+            def full_alone():
+                ws = ResolventWorkspace(g, fiber, res)
+                r_full = ws.generalized_resolvent(z, 0.0)
+                a_hom = PsiEmbedding(ws).sandwich(EffectiveModel(g, fiber, res).a_hom(z))
+                return lab.operator_norm_diff(r_full, a_hom, ws.grid.w)
+
+            assert _outcome(lambda: lab._soft_sandwich_error(soft_row, eps)) == _outcome(gen_alone)
+            assert _outcome(lambda: lab._full_nrc_error(full_row, eps)) == _outcome(full_alone)
+
+
 @settings(max_examples=30, deadline=None)
 @given(g=cells(("ex0", "ex2")), tau=TAU, z=Z, eps=EPS)
 def test_btilde_closed_matches_numeric(g, tau, z, eps):

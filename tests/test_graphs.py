@@ -13,26 +13,30 @@ from qglab.graphs import (
 )
 
 
+def _edge_ids(g, part):
+    return tuple(e.id for e in g.subgraph(part).edges)
+
+
 def test_ex0_defaults():
     g = build_example("ex0")
     assert g.example == "ex0"
     assert len(g.edges) == 2
     assert math.isclose(sum(e.length for e in g.edges), 1.0)
-    assert g.stiff_edge_ids == (1,)
-    assert g.soft_edge_ids == (2,)
+    assert _edge_ids(g, "stiff") == (1,)
+    assert _edge_ids(g, "soft") == (2,)
 
 
 def test_ex1_defaults():
     g = build_example("ex1")
-    assert g.stiff_edge_ids == (1, 3)
-    assert g.soft_edge_ids == (2,)
+    assert _edge_ids(g, "stiff") == (1, 3)
+    assert _edge_ids(g, "soft") == (2,)
     assert g.params["a3"] == 2.0
 
 
 def test_ex2_defaults():
     g = build_example("ex2")
-    assert g.stiff_edge_ids == (3,)
-    assert g.soft_edge_ids == (1, 2)
+    assert _edge_ids(g, "stiff") == (3,)
+    assert _edge_ids(g, "soft") == (1, 2)
 
 
 def test_total_length_enforced():

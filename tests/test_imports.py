@@ -148,3 +148,38 @@ def test_resolvent_layer_imports_no_scipy_anywhere(module):
         or isinstance(node, ast.ImportFrom) and (node.module or "").startswith("scipy")
     ]
     assert found == []
+
+
+def _hidden_caches(module: str) -> list[str]:
+    """Where ``module`` imports or uses functools' ``cache``/``lru_cache``,
+    or binds an empty container at module level (a store that would outlive
+    one run)."""
+    tree = ast.parse((SRC / "qglab" / f"{module}.py").read_text())
+    memo = {"cache", "lru_cache"}
+    found = [
+        f"{module}:{node.lineno}" for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "functools"
+        and any(alias.name in memo for alias in node.names)
+        or isinstance(node, ast.Attribute) and node.attr in memo
+        and isinstance(node.value, ast.Name) and node.value.id == "functools"
+    ]
+    for node in tree.body:
+        value = node.value if isinstance(node, (ast.Assign, ast.AnnAssign)) else None
+        empty = (
+            isinstance(value, ast.Dict) and not value.keys
+            or isinstance(value, ast.List) and not value.elts
+            or isinstance(value, ast.Call) and isinstance(value.func, ast.Name)
+            and value.func.id in ("dict", "set", "list") and not value.args and not value.keywords
+        )
+        if empty:
+            found.append(f"{module}:{node.lineno}")
+    return found
+
+
+def test_no_module_level_caches():
+    # what a sweep shares lives on the objects of one row of one run (the
+    # at_eps siblings of a workspace or a model): no module keeps a cache
+    # that could carry one run's, or one eps's, values into another
+    modules = sorted(p.stem for p in (SRC / "qglab").glob("*.py"))
+    assert "krein" in modules
+    assert [where for m in modules for where in _hidden_caches(m)] == []

@@ -278,24 +278,55 @@ def test_running_sums_are_stable_deep_in_the_gap(name, component):
 
 
 def test_one_trig_pass_per_workspace_and_z(monkeypatch):
-    # a full_res_rate point evaluates each edge's trig vectors once in the
-    # full workspace and once in the soft model's, cosines included; the
-    # Dirichlet resolvent alone evaluates no cosine
-    made = []
+    # over a row of k eps, each workspace evaluates a soft edge's trig
+    # vectors once and a stiff edge's once per eps, cosines included: a
+    # full_res_rate row in the full workspace and in the soft model's, a
+    # gen_res_rate row in the soft model's; each row builds its grids, soft
+    # model and Psi once.  The Dirichlet resolvent alone evaluates no cosine
+    made, grids, built = [], [], []
 
     class Counted(krein.EdgeSamples):
         def __init__(self, *args):
             super().__init__(*args)
             made.append(self)
 
+    make_grid = krein.make_grid
+
+    def counted_grid(*args):
+        grids.append(args)
+        return make_grid(*args)
+
+    class CountedModel(EffectiveModel):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    class CountedPsi(PsiEmbedding):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
     monkeypatch.setattr(krein, "EdgeSamples", Counted)
+    monkeypatch.setattr(krein, "make_grid", counted_grid)
+    monkeypatch.setattr(lab, "EffectiveModel", CountedModel)
+    monkeypatch.setattr(lab, "PsiEmbedding", CountedPsi)
     g = build_example("ex2")
-    lab._full_nrc_error(g, 1.0, 0.1, 2 + 1j, 32)
-    assert len(made) == len(g.edges) + len(g.subgraph("soft").edges)
+    soft = sorted(e.id for e in g.edges if not e.is_stiff)
+    stiff = sorted(e.id for e in g.edges if e.is_stiff)
+    eps_row = (0.1, 0.05, 0.025, 0.0125)
+    row = lab._full_row(g, FiberParams(eps_row[0], 1.0, 2 + 1j), 32)
+    for eps in eps_row:
+        lab._full_nrc_error(row, eps)
+    assert sorted(s.edge.id for s in made) == sorted(2 * soft + len(eps_row) * stiff)
     assert all("cos_x" in s.__dict__ for s in made)
-    made.clear()
-    lab._soft_sandwich_error(g, 1.0, 0.1, 2 + 1j, 32)
-    assert len(made) == len(g.subgraph("soft").edges)
+    assert (len(grids), [type(b) for b in built]) == (2, [CountedModel, CountedPsi])
+    for bag in (made, grids, built):
+        bag.clear()
+    row = lab._soft_row(g, FiberParams(eps_row[0], 1.0, 2 + 1j), 32)
+    for eps in eps_row:
+        lab._soft_sandwich_error(row, eps)
+    assert sorted(s.edge.id for s in made) == soft
+    assert (len(grids), [type(b) for b in built]) == (1, [CountedModel])
     made.clear()
     ResolventWorkspace(g, FiberParams(0.1, 1.0, 2 + 1j), 32).dirichlet_matrix(2 + 1j)
     assert len(made) == len(g.edges)

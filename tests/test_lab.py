@@ -10,9 +10,10 @@ import scipy.sparse.linalg
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, aslinearoperator
 
 from qglab import dispersion, lab, realline, triples
-from qglab.effective import BoundarySystem
+from qglab.effective import BoundarySystem, EffectiveModel, PsiEmbedding
 from qglab.fdsolver import MIN_RESOLUTION, DiscretizedOperator
 from qglab.graphs import ParameterError, PoleError, build_example
+from qglab.krein import ResolventWorkspace
 from qglab.lab import (
     EXPERIMENT_TAGS,
     Check,
@@ -25,6 +26,7 @@ from qglab.lab import (
     tau_grid,
     write_csv,
 )
+from qglab.mmatrix import FiberParams
 
 
 def test_fit_slope_pure_quadratic():
@@ -215,10 +217,13 @@ def test_resolvent_sweep_points_form_no_dense_matrix():
     # n x n complex matrix on the full grid alone would take about 67 MB;
     # the structured resolvents and their difference stay below 8 MB
     g = build_example("ex2")
-    for error in (lab._full_nrc_error, lab._soft_sandwich_error):
+    fiber = FiberParams(1 / 64, 1.0, 2 + 1j)
+    for row, error in (
+        (lab._full_row, lab._full_nrc_error), (lab._soft_row, lab._soft_sandwich_error)
+    ):
         tracemalloc.start()
         try:
-            error(g, 1.0, 1 / 64, 2 + 1j, 2048)
+            error(row(g, fiber, 2048), 1 / 64)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -459,10 +464,10 @@ def test_failed_tau_gets_no_slope_fit_while_the_others_keep_theirs(monkeypatch):
     # a pole at one tau only: the other tau of the cell keep their fits
     original = lab._soft_sandwich_error
 
-    def failing(graph, tau, eps, z, res):
-        if tau == 2.0:
+    def failing(row, eps):
+        if row.tau == 2.0:
             raise PoleError("argument within 1e-08 of a pole (forced)")
-        return original(graph, tau, eps, z, res)
+        return original(row, eps)
 
     monkeypatch.setattr(lab, "_soft_sandwich_error", failing)
     eps_list = [0.125, 0.0625, 0.03125, 0.015625]
@@ -484,8 +489,8 @@ def test_unconverged_norm_at_one_point_fails_only_its_tau(monkeypatch):
     # raises ArithmeticError at the sixth point (tau = 2, eps = 1/16) only
     original, calls = lab.operator_norm_diff, itertools.count(1)
 
-    def one_step_once(*args):
-        return original(*args, max_iter=1 if next(calls) == 6 else 500)
+    def one_step_once(*args, **kwargs):
+        return original(*args, **kwargs, max_iter=1 if next(calls) == 6 else 500)
 
     monkeypatch.setattr(lab, "operator_norm_diff", one_step_once)
     eps_list = [0.125, 0.0625, 0.03125, 0.015625]
@@ -502,6 +507,58 @@ def test_unconverged_norm_at_one_point_fails_only_its_tau(monkeypatch):
     assert [(r["tau"], r["eps"]) for r in res.rows] == [
         (1.0, e) for e in eps_list
     ] + [(2.0, e) for e in eps_list if e != 0.0625]
+
+
+@pytest.mark.parametrize("failing_eps", [0.125, 0.0625])
+def test_pole_in_one_eps_b_matrix_fails_only_that_point(monkeypatch, failing_eps):
+    # B(z) is the one eps-dependent input of a gen_res_rate point beside the
+    # solves: a pole there fails that point only, and the row's other eps
+    # keep their errors bit for bit, also when the failing eps is the first
+    # of the row (the row's eps-free parts are then built at the second)
+    eps_list = [0.125, 0.0625, 0.03125, 0.015625]
+    cfg = {"examples": ["ex0"], "tau_list": [1.0, -2.0], "eps_list": eps_list}
+    clean = run_experiment("gen_res_rate", cfg)
+    original = triples.b_matrix
+
+    def failing(graph, fiber):
+        if fiber.eps == failing_eps and fiber.tau == 1.0:
+            raise PoleError("argument within 1e-08 of a pole (forced)")
+        return original(graph, fiber)
+
+    monkeypatch.setattr(triples, "b_matrix", failing)
+    res = run_experiment("gen_res_rate", cfg)
+    assert res.failures == [
+        f"ex0: resolvents failed at tau=1, eps={failing_eps:g}, z=(2+1j): "
+        "PoleError: argument within 1e-08 of a pole (forced)"
+    ]
+    assert res.rows == [
+        r for r in clean.rows if (r["tau"], r["eps"]) != (1.0, failing_eps)
+    ]
+
+
+@pytest.mark.parametrize("tag", ["gen_res_rate", "full_res_rate"])
+def test_rate_sweep_rows_equal_points_built_alone(tag):
+    # every eps of a row reads the row's eps-free objects; each error is ==
+    # the one from a workspace, model, Psi and B(z) built for that point
+    eps_list = [0.125, 0.0625, 0.03125, 0.015625]
+    z, res = 10 + 0.7j, 32
+    result = run_experiment(tag, {
+        "examples": ["ex1", "ex2"], "tau_list": [-2.0, 0.3], "eps_list": eps_list,
+        "z": z, "resolution": res,
+    })
+    assert result.failures == []
+    assert len(result.rows) == 16
+    for r in result.rows:
+        g, fiber = build_example(r["example"]), FiberParams(r["eps"], r["tau"], z)
+        model = EffectiveModel(g, fiber, res)
+        if tag == "gen_res_rate":
+            r_eps = model.kernels.generalized_resolvent(z, triples.b_matrix(g, fiber))
+            error = operator_norm_diff(r_eps, model.r_eff(z), model.grid.w)
+        else:
+            ws = ResolventWorkspace(g, fiber, res)
+            a_hom = PsiEmbedding(ws).sandwich(model.a_hom(z))
+            error = operator_norm_diff(ws.generalized_resolvent(z, 0.0), a_hom, ws.grid.w)
+        assert r["error"] == error
 
 
 def test_a_fault_at_a_point_propagates(monkeypatch):
