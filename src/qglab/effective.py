@@ -22,11 +22,14 @@ Each is a Dirichlet kernel plus kernel fields fixed by a small
 ends and their Datta weights: the weighted end values agree at each vertex,
 Gamma0 u = (U1, U2) lies in span psi, and one flux row couples the
 psi-component of Gamma1 u to the stiff part (see ``_structure``).  System
-and fields read one kernel object of the soft component, in an
-``EffectiveModel`` a ``ResolventWorkspace`` whose ``_edge_samples`` give the
-fields; the system reads only per-edge scalars, so the Schur scalar needs no
-sample grid.  eps enters only the germ term of the flux row: ``at_eps``
-gives a sibling at another contrast that shares everything else at each z.
+and fields read one kernel object of the soft component.  An
+``EffectiveModel`` holds the full graph's ``ResolventWorkspace`` as
+``workspace`` and its soft part as ``kernels``, which share one store, so
+the fields come from the same ``EdgeKernel``s as the full graph's
+resolvent; the system reads only per-edge scalars, so the Schur scalar
+needs no sample grid.  eps enters only the germ term of the flux row:
+``at_eps`` gives a sibling at another contrast that finds every other part
+at each z in the kernels' store, under (name, z).
 
 ``compose`` multiplies two of these resolvents exactly (the function-space
 composition is carried out in closed form, not by quadrature), so that the
@@ -49,8 +52,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import MetricGraph, stiff_length
-from .krein import ComponentKernels, KernelOperator, ResolventWorkspace
-from .mmatrix import FiberParams
+from .krein import ComponentKernels, KernelOperator, ResolventWorkspace, end_coeffs
+from .mmatrix import FiberParams, PoleError
 
 
 @dataclass(frozen=True)
@@ -70,6 +73,15 @@ def effective_params(graph: MetricGraph, fiber: FiberParams) -> EffectiveParams:
     return EffectiveParams(math.sqrt(stiff_length(graph)), omega, cell.germ, psi)
 
 
+def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.linalg.solve(a, b)`` for a boundary system a: an exactly
+    singular one raises ``PoleError``, which a sweep reports as a FAIL line."""
+    try:
+        return np.linalg.solve(a, b)
+    except np.linalg.LinAlgError as exc:
+        raise PoleError(f"boundary system singular ({exc})") from exc
+
+
 class BoundarySystem:
     """The homogenised boundary system on the soft component.
 
@@ -81,16 +93,13 @@ class BoundarySystem:
 
     def __init__(self, graph: MetricGraph, fiber: FiberParams):
         self.fiber = fiber
-        self.soft = graph.subgraph("soft")
         self.params = effective_params(graph, fiber)
-        self.kernels = self._soft_kernels()
-        # (name, z) -> an eps-free part of the system at z, shared with the
-        # at_eps siblings
-        self._shared: dict = {}
+        self.kernels = self._soft_kernels(graph)
+        self.soft = self.kernels.component
 
-    def _soft_kernels(self) -> ComponentKernels:
+    def _soft_kernels(self, graph: MetricGraph) -> ComponentKernels:
         # the one kernel object of the soft component; grid-free here
-        return ComponentKernels(self.soft, self.fiber)
+        return ComponentKernels(graph.subgraph("soft"), self.fiber)
 
     def _structure(self, z: complex, with_beta: bool):
         """Boundary system: A x = -Lam t(f) (+ e_c c for the beta row).
@@ -135,30 +144,23 @@ class BoundarySystem:
         """This system at contrast eps (same graph, tau and z).
 
         eps enters only the germ term germ (tau/eps)^2 of the flux row.  The
-        sibling shares the params, the eps-free parts of the system at each
-        z (its other rows, the sampled fields, the right-hand sides), and,
-        through ``kernels.at_eps``, every part of its soft kernels.
+        sibling shares the params and, through ``kernels.at_eps``, the
+        kernels' store, where it finds the parts of the system at each z
+        that eps does not enter (its other rows, the sampled fields, the
+        right-hand sides and a_hom's factor) and every soft edge's kernel.
         """
         sibling = object.__new__(type(self))
         sibling.__dict__.update(
             self.__dict__, fiber=FiberParams(eps, self.fiber.tau, self.fiber.z),
-            kernels=self.kernels.at_eps(eps),
+            # the soft kernels and, on a model, the full graph's workspace
+            **{k: v.at_eps(eps) for k, v in vars(self).items() if isinstance(v, ComponentKernels)},
         )
         return sibling
 
-    def _kept(self, name: str, z: complex, build):
-        """``build()``, the part ``name`` of the system at z, kept after its
-        first evaluation for this system and its siblings.  A build that
-        raises keeps nothing, so each later use raises again."""
-        key = (name, z)
-        if key not in self._shared:
-            self._shared[key] = build()
-        return self._shared[key]
-
     def _rows(self, z: complex):
         """(rows, u1, flux_x, flux_t, ends): what eps does not enter of the
-        system at z (see ``_structure``)."""
-        return self._kept("rows", z, lambda: self._assemble_rows(z))
+        system at z (see ``_structure``), kept under ("rows", z)."""
+        return self.kernels._kept(("rows", z), self._assemble_rows, z)
 
     def _assemble_rows(self, z: complex):
         par, kern = self.params, self.kernels
@@ -169,7 +171,7 @@ class BoundarySystem:
         flux_t = np.zeros(m, dtype=complex)
         for i, e in enumerate(self.soft.edges):
             kappa = kern._kappa(e, z)
-            cos_l, sin_l, e_l, _, _ = kern._end_coeffs(e, kappa)
+            cos_l, sin_l, e_l, _, _ = end_coeffs(e, kappa, self.fiber.tau, kern.weights)
             ends.append((kappa, e_l, cos_l, sin_l))
             c2 = self.fiber.speed(e) ** 2
             # per end: t index, vertex, sign, value and modified derivative
@@ -197,32 +199,34 @@ class BoundarySystem:
         The last entry of one small solve on the beta system; the soft data
         t(f) do not enter, so no sample grid is built."""
         a, _, _ = self._structure(z, with_beta=True)
-        return complex(np.linalg.solve(a, np.eye(a.shape[0])[-1])[-1])
+        return complex(_solve(a, np.eye(a.shape[0])[-1])[-1])
 
 
 class EffectiveModel(BoundarySystem):
     """Effective resolvents and the homogenised operator on the soft grid."""
 
     def __init__(self, graph: MetricGraph, fiber: FiberParams, resolution: int):
-        """The soft kernels are a ``ResolventWorkspace`` on the soft sample
-        grid ``make_grid(graph.subgraph("soft"), resolution)``."""
-        self.resolution = resolution
+        """``workspace`` is the full graph's ``ResolventWorkspace`` at this
+        resolution; the soft kernels are its soft part, on the soft sample
+        grid ``make_grid(graph.subgraph("soft"), resolution)``, sharing its
+        store."""
+        self.workspace = ResolventWorkspace(graph, fiber, resolution)
         super().__init__(graph, fiber)
         self.grid = self.kernels.grid
 
-    def _soft_kernels(self) -> ResolventWorkspace:
-        return ResolventWorkspace(self.soft, self.fiber, self.resolution)
+    def _soft_kernels(self, graph: MetricGraph) -> ResolventWorkspace:
+        return self.workspace.soft_part()
 
     def _fields(self, z: complex):
-        """(h, t) from one pass over the kernels' per-edge samples, once per z
-        for the model and its siblings.
+        """(h, t) from one pass over the soft ``EdgeKernel``s, once per z for
+        the model and its siblings.
 
         h is the n x 2E matrix of the sampled homogeneous fields
         e^{-i tau x}(cos kappa x, sin kappa x) on each edge; t is the 2E x n
         matrix of quadrature rows producing the modified derivatives
         (du(0), du(l)) of the per-edge Dirichlet particular solution.
         """
-        return self._kept("fields", z, lambda: self._sample_fields(z))
+        return self.kernels._kept(("fields", z), self._sample_fields, z)
 
     def _sample_fields(self, z: complex):
         ends = self._rows(z)[-1]
@@ -230,20 +234,20 @@ class EffectiveModel(BoundarySystem):
         m = 2 * len(ends)
         h = np.zeros((g.size, m), dtype=complex)
         t = np.zeros((m, g.size), dtype=complex)
-        samples = self.kernels._edge_samples(z)
-        for i, (s, (_, e_l, _, sin_l)) in enumerate(zip(samples, ends)):
-            h[s.sl, 2 * i] = s.phase * s.cos_x
-            h[s.sl, 2 * i + 1] = s.phase * s.a
-            base = np.conj(s.phase) * g.w[s.sl] / (s.c * s.c * sin_l)
-            t[2 * i, s.sl] = base * s.b
-            t[2 * i + 1, s.sl] = -e_l * base * s.a
+        kernels = self.kernels._edge_kernels(z)
+        for i, (k, sl, (_, e_l, _, sin_l)) in enumerate(zip(kernels, g.slices, ends)):
+            h[sl, 2 * i] = k.phase * k.cos_x
+            h[sl, 2 * i + 1] = k.phase * k.a
+            base = np.conj(k.phase) * k.w / (k.c * k.c * sin_l)
+            t[2 * i, sl] = base * k.b
+            t[2 * i + 1, sl] = -e_l * base * k.a
         return h, t
 
     def _defect(self, z: complex):
         """(h, coeffs): r_eff(z) minus the Dirichlet resolvent is h @ coeffs."""
         a, lam, _ = self._structure(z, with_beta=False)
         h, t = self._fields(z)
-        return h, np.linalg.solve(a, self._kept("defect rhs", z, lambda: -lam @ t))
+        return h, _solve(a, self.kernels._kept(("defect rhs", z), lambda: -lam @ t))
 
     # -- public resolvents ----------------------------------------------------
 
@@ -264,15 +268,14 @@ class EffectiveModel(BoundarySystem):
         coefficients of R_hom(z) (f, c), beta last."""
         a, lam, ends = self._structure(z, with_beta=True)
         h, t = self._fields(z)
-        rhs = self._kept("hom rhs", z, lambda: self._hom_rhs(lam, t))
-        return ends, h, t, np.linalg.solve(a, rhs)
+        rhs = self.kernels._kept(("hom rhs", z), self._hom_rhs, lam, t)
+        return ends, h, t, _solve(a, rhs)
 
     def _hom_factor(self, h: np.ndarray) -> np.ndarray:
         n = self.grid.size
         u = np.zeros((n + 1, h.shape[1] + 1), dtype=complex)
         u[:n, :-1] = h
         u[n, -1] = 1.0
-        u.flags.writeable = False  # ``PsiEmbedding.sandwich`` keeps its lift
         return u
 
     def a_hom(self, z: complex) -> KernelOperator:
@@ -284,7 +287,7 @@ class EffectiveModel(BoundarySystem):
         one eps-free H at z for the model and its siblings.
         """
         _, h, _, coeffs = self._hom_solve(z)
-        u = self._kept("hom factor", z, lambda: self._hom_factor(h))
+        u = self.kernels._kept(("hom factor", z), self._hom_factor, h)
         return KernelOperator(self.kernels.dirichlet_blocks(z), u, coeffs)
 
     # -- exact composition (for resolvent-identity certificates) ------------
@@ -351,7 +354,7 @@ class EffectiveModel(BoundarySystem):
 
         rhs_z = -lam_z @ t_u1
         rhs_z[-1, :] += beta1[0]
-        y = np.linalg.solve(a_z, rhs_z)
+        y = _solve(a_z, rhs_z)
 
         out = np.zeros((n + 1, n + 1), dtype=complex)
         out[:n, :n] = (g_z - g_w) / (z - w)
@@ -435,7 +438,6 @@ class PsiEmbedding:
         # the lift on the stiff samples, and its weighted dual
         self._lift_stiff = self.lift[self.stiff_idx]
         self._dual = np.conj(self._lift_stiff) * grid.w[self.stiff_idx]
-        self._lifted = (None, None)  # the last (u, Psi^* u) of ``sandwich``
 
     @property
     def n_soft(self) -> int:
@@ -470,14 +472,9 @@ class PsiEmbedding:
             raise ValueError(f"need a {n + 1} x {n + 1} operator (n_soft = {n}), got {a.shape}")
         soft, stiff = self.soft_idx, self.stiff_idx
         nf = self.grid.size
-        if self._lifted[0] is not a.u:
-            # a read-only u is the eps-free factor of a model's a_hom at z,
-            # the same array for every eps of a row: its lift is kept
-            u = np.zeros((nf, a.rank), dtype=complex)
-            u[soft] = a.u[:n]
-            u[stiff] = np.outer(self._lift_stiff, a.u[n])
-            self._lifted = (a.u if not a.u.flags.writeable else None, u)
-        u = self._lifted[1]
+        u = np.zeros((nf, a.rank), dtype=complex)
+        u[soft] = a.u[:n]
+        u[stiff] = np.outer(self._lift_stiff, a.u[n])
         v = np.zeros((a.rank, nf), dtype=complex)
         v[:, soft] = a.v[:, :n]
         v[:, stiff] = np.outer(a.v[:, n], self._dual)

@@ -23,18 +23,16 @@ where a certificate reads entries.
 
 ``ComponentKernels`` holds what needs no grid (end coefficients, M(z));
 ``ResolventWorkspace`` adds the grid it builds from a resolution, with the
-phase e^{-i tau x} on it, and its ``_edge_samples`` is the one place where
-the other trig functions meet the samples (the effective layer reads it):
-one pass per z, whose cos(kappa x) is evaluated on first read.
+phase e^{-i tau x} on it.  An ``EdgeKernel``, one per (edge, speed, z), is
+the one place where the other trig functions meet the samples (the
+effective layer reads it); the grid products are assembled from its parts.
 
-The grid products (the samples, the Dirichlet blocks, gamma(z), Gamma1 D)
-are assembled edge by edge, in the grid's edge order, from per-edge parts
-that are evaluated once per z and kept.  eps enters only the stiff edges
-(speed a/eps), so ``at_eps`` gives a sibling at another contrast that
-shares the grid, the phase and every soft edge's parts, and evaluates its
-stiff edges' parts and M(z) itself; on a component without a stiff edge it
-shares the resolvent's inputs whole.  A sweep over eps evaluates the soft
-edges once.
+Every kept value lives in one store, a dict shared by a workspace, its
+``at_eps`` siblings and its ``soft_part``, keyed by what the value depends
+on beside tau and the resolution: an edge kernel under (edge id, speed, z),
+the resolvent's inputs under (z, (edge id, speed) per edge).  eps enters
+only the stiff speeds a/eps, so a sweep over eps evaluates each soft edge
+once, and on a component without a stiff edge the resolvent's inputs once.
 """
 
 from __future__ import annotations
@@ -85,6 +83,22 @@ def make_grid(component: MetricGraph, resolution: int) -> ComponentGrid:
     )
 
 
+def end_coeffs(edge: EdgeSpec, kappa: complex, tau: float, weights: dict):
+    """(cos kappa l, sin kappa l, e^{-i tau l}, q_l, q_r) on ``edge``.
+
+    The kernel field with Gamma0 = e_V at the left end V is
+    e^{-i tau x}(conj(w_l) cos kappa x + q_l sin kappa x); the one with
+    Gamma0 = e_V at the right end is e^{-i tau x} q_r sin kappa x.
+    """
+    guard_pole(kappa * edge.length)
+    cos_l = cmath.cos(kappa * edge.length)
+    sin_l = cmath.sin(kappa * edge.length)
+    e_l = cmath.exp(-1j * tau * edge.length)
+    q_l = -np.conj(weights[(edge.left, edge.id)]) * cos_l / sin_l
+    q_r = np.conj(e_l) * np.conj(weights[(edge.right, edge.id)]) / sin_l
+    return cos_l, sin_l, e_l, q_l, q_r
+
+
 class ComponentKernels:
     """The closed-form kernel-field data of one component (the full graph, or
     its stiff or soft part): per-edge wavenumbers and end coefficients, and
@@ -97,12 +111,8 @@ class ComponentKernels:
         self.fiber = fiber
         self.vertices = tuple(sorted(component.vertices))
         self._vidx = {v: i for i, v in enumerate(self.vertices)}
-        # eps enters only through the stiff speeds a/eps
-        self._eps_free = not any(e.is_stiff for e in component.edges)
-        # key -> what is kept at a z: what eps does not enter is shared with
-        # the at_eps siblings, the rest belongs to this eps
-        self._shared: dict = {}
-        self._own: dict = {}
+        # the one store of every kept value, shared with the siblings
+        self._store: dict = {}
 
     @property
     def nvert(self) -> int:
@@ -111,54 +121,33 @@ class ComponentKernels:
     def at_eps(self, eps: float):
         """These kernels at contrast eps (same component, tau and z).
 
-        The sibling shares the weights, on a workspace the grid and phase,
-        and everything kept that eps does not enter: the soft edges' parts,
-        whose speeds a do not see eps, and on a component without a stiff
-        edge the resolvent's inputs.  It evaluates the rest itself.
+        The sibling shares the weights, on a workspace the grid and phase
+        once built, and the store, where it finds what eps does not enter.
         """
         sibling = object.__new__(type(self))
         sibling.__dict__.update(
-            self.__dict__, fiber=FiberParams(eps, self.fiber.tau, self.fiber.z), _own={}
+            self.__dict__, fiber=FiberParams(eps, self.fiber.tau, self.fiber.z)
         )
         return sibling
 
-    def _kept(self, key: tuple, eps_free: bool, build, *args):
-        """``build(*args)``, kept under ``key`` after its first evaluation,
-        with the siblings when ``eps_free``.  A build that raises keeps
-        nothing, so each later use raises again."""
-        store = self._shared if eps_free else self._own
+    def _kept(self, key: tuple, build, *args):
+        """``build(*args)``, kept in the store under ``key``, which names all
+        the value depends on beside tau and the resolution.  A build that
+        raises keeps nothing, so each later use raises again."""
+        store = self._store
         if key not in store:
             store[key] = build(*args)
         return store[key]
 
-    def _edge_part(self, product: str, edge: EdgeSpec, z: complex, build, *args):
-        """The part of ``edge`` in ``product`` at z, ``build(*args)``, kept."""
-        return self._kept((product, z, edge.id), not edge.is_stiff, build, *args)
-
     def _kappa(self, edge: EdgeSpec, z: complex) -> complex:
         return sqrt_upper(z) / self.fiber.speed(edge)
-
-    def _end_coeffs(self, edge: EdgeSpec, kappa: complex):
-        """(cos kappa l, sin kappa l, e^{-i tau l}, q_l, q_r) on ``edge``.
-
-        The kernel field with Gamma0 = e_V at the left end V is
-        e^{-i tau x}(conj(w_l) cos kappa x + q_l sin kappa x); the one with
-        Gamma0 = e_V at the right end is e^{-i tau x} q_r sin kappa x.
-        """
-        guard_pole(kappa * edge.length)
-        cos_l = cmath.cos(kappa * edge.length)
-        sin_l = cmath.sin(kappa * edge.length)
-        e_l = cmath.exp(-1j * self.fiber.tau * edge.length)
-        q_l = -np.conj(self.weights[(edge.left, edge.id)]) * cos_l / sin_l
-        q_r = np.conj(e_l) * np.conj(self.weights[(edge.right, edge.id)]) / sin_l
-        return cos_l, sin_l, e_l, q_l, q_r
 
     def m_matrix(self, z: complex) -> np.ndarray:
         """M(z) = Gamma1 of the kernel fields, one edge at a time."""
         out = np.zeros((self.nvert, self.nvert), dtype=complex)
         for e in self.component.edges:
             kappa = self._kappa(e, z)
-            cos_l, sin_l, e_l, q_l, q_r = self._end_coeffs(e, kappa)
+            cos_l, sin_l, e_l, q_l, q_r = end_coeffs(e, kappa, self.fiber.tau, self.weights)
             c2 = self.fiber.speed(e) ** 2
             il, ir = self._vidx[e.left], self._vidx[e.right]
             wl, wr = self.weights[(e.left, e.id)], self.weights[(e.right, e.id)]
@@ -269,39 +258,39 @@ class KernelOperator:
         return out
 
     def __sub__(self, other: "KernelOperator") -> "KernelOperator":
-        """The difference, with the Dirichlet blocks that both hold bit for
-        bit (the soft edges of two resolvents at one z) dropped rather than
-        subtracted, and the low-rank factors stacked: [u_a, u_b] [v_a; -v_b]."""
+        """The difference, with the Dirichlet blocks that both hold, the same
+        array at the same slice (the soft edges of two resolvents at one z),
+        dropped rather than subtracted, and the low-rank factors stacked:
+        [u_a, u_b] [v_a; -v_b]."""
         if other.shape != self.shape:
             raise ValueError("non-conformable operator blocks")
-        shared = [
-            (i, j)
-            for i, (sl, vectors) in enumerate(self.blocks)
-            for j, (sl_other, other_vectors) in enumerate(other.blocks)
-            if sl == sl_other
-            and (vectors is other_vectors or np.array_equal(vectors, other_vectors))
-        ]
-        mine_shared, theirs_shared = {i for i, _ in shared}, {j for _, j in shared}
-        mine = [p for i, p in enumerate(self.blocks) if i not in mine_shared]
+        ours, theirs = (
+            {(sl.start, id(v)): (sl, v) for sl, v in op.blocks} for op in (self, other)
+        )
+        mine = [block for k, block in ours.items() if k not in theirs]
         theirs = [
             (sl, vectors * [[-1.0], [1.0], [-1.0], [1.0]])  # -la, br, -lb, ar
-            for j, (sl, vectors) in enumerate(other.blocks)
-            if j not in theirs_shared
+            for k, (sl, vectors) in theirs.items() if k not in ours
         ]
         return KernelOperator(
             mine + theirs, np.hstack([self.u, other.u]), np.vstack([self.v, -other.v])
         )
 
 
-class EdgeSamples:
-    """The trig vectors of one grid edge at one z: on its samples x, the
-    workspace's phase e^{-i tau x}, a = sin(kappa x), b = sin(kappa (l - x))
-    and sin(kappa l); cos(kappa x) is evaluated on first read.  Raises
-    ``PoleError`` where kappa l is at a Dirichlet level of the edge."""
+class EdgeKernel:
+    """One edge's sampled kernel data at one (speed c, z), on the edge's own
+    samples x, with their trapezoid weights w and phase e^{-i tau x}:
+    a = sin(kappa x), b = sin(kappa (l - x)) and sin(kappa l), and, each on
+    first read, cos(kappa x) and the edge's parts of the Dirichlet blocks,
+    gamma(z) and Gamma1 D.  It holds no grid offset, so every workspace that
+    shares a store finds the one kernel of an edge.  Raises ``PoleError``
+    where kappa l is at a Dirichlet level of the edge."""
 
-    def __init__(self, edge: EdgeSpec, sl: slice, c: float, kappa: complex, x, phase):
+    def __init__(self, edge: EdgeSpec, c: float, kappa: complex, tau: float, weights: dict,
+                 x: np.ndarray, w: np.ndarray, phase: np.ndarray):
         guard_pole(kappa * edge.length)
-        self.edge, self.sl, self.c, self.kappa, self.x, self.phase = edge, sl, c, kappa, x, phase
+        self.edge, self.c, self.kappa, self.tau, self.weights = edge, c, kappa, tau, weights
+        self.x, self.w, self.phase = x, w, phase
         self.a = np.sin(kappa * x)
         self.b = np.sin(kappa * (edge.length - x))
         self.sin_l = np.sin(kappa * edge.length)
@@ -310,35 +299,75 @@ class EdgeSamples:
     def cos_x(self) -> np.ndarray:
         return np.cos(self.kappa * self.x)
 
+    @cached_property
+    def dirichlet(self) -> np.ndarray:
+        """The rows (la, br, lb, ar) of the edge's Dirichlet block (see
+        ``ResolventWorkspace.dirichlet_blocks``)."""
+        right = np.conj(self.phase) * self.w / (self.c * self.c * self.kappa * self.sin_l)
+        return np.array([self.phase * self.a, self.b * right, self.phase * self.b, self.a * right])
+
+    @cached_property
+    def gamma_columns(self) -> tuple:
+        """The samples of gamma(z) e_V for the left and the right end V."""
+        _, _, _, q_l, q_r = end_coeffs(self.edge, self.kappa, self.tau, self.weights)
+        wl_bar = np.conj(self.weights[(self.edge.left, self.edge.id)])
+        return self.phase * (wl_bar * self.cos_x + q_l * self.a), self.phase * (q_r * self.a)
+
+    @cached_property
+    def gamma1_rows(self) -> tuple:
+        """The row entries of Gamma1 D at the left and the right end.
+
+        Left endpoint: + w c^2 e^{-i tau 0} dphi(0) with
+        dphi(0) = int sin(kappa (l - y)) g(y) dy / (c^2 sin kappa l);
+        right endpoint: - w c^2 e^{-i tau l} dphi(l) with
+        dphi(l) = -int sin(kappa y) g(y) dy / (c^2 sin kappa l).
+        """
+        e = self.edge
+        base = np.conj(self.phase) * self.w / self.sin_l
+        wl, wr = self.weights[(e.left, e.id)], self.weights[(e.right, e.id)]
+        return wl * base * self.b, wr * cmath.exp(-1j * self.tau * e.length) * base * self.a
+
 
 class ResolventWorkspace(ComponentKernels):
     """The resolvent maps of one component on its sample grid
-    ``make_grid(component, resolution)``, which it builds itself."""
+    ``make_grid(component, resolution)``, which it builds itself on first
+    read, as it does the phase e^{-i tau x} on it, the only z-independent
+    trig factor (a gen_res_rate row reads neither of the full graph's)."""
 
     def __init__(self, component: MetricGraph, fiber: FiberParams, resolution: int):
         super().__init__(component, fiber)
-        self.grid = make_grid(component, resolution)
-        # e^{-i tau x} on every sample: the only z-independent trig factor
-        self.phase = np.exp(-1j * fiber.tau * self.grid.x)
+        self.resolution = resolution
 
-    def _edge_samples(self, z: complex) -> tuple[EdgeSamples, ...]:
-        """The ``EdgeSamples`` of every grid edge at z, each evaluated on
-        its first use at z and kept: one trig pass per (workspace, z), and
-        on the soft edges one for the workspace and its siblings."""
-        g = self.grid
-        return tuple(
-            self._edge_part(
-                "samples", e, z, EdgeSamples,
-                e, sl, self.fiber.speed(e), self._kappa(e, z), g.x[sl], self.phase[sl],
-            )
-            for e, sl in zip(g.edges, g.slices)
-        )
+    @cached_property
+    def grid(self) -> ComponentGrid:
+        return make_grid(self.component, self.resolution)
+
+    @cached_property
+    def phase(self) -> np.ndarray:
+        return np.exp(-1j * self.fiber.tau * self.grid.x)
+
+    def soft_part(self) -> "ResolventWorkspace":
+        """The workspace of this one's soft component, on its own grid at
+        the same resolution, sharing this one's store: each finds the edge
+        kernels that the other evaluated."""
+        part = ResolventWorkspace(self.component.subgraph("soft"), self.fiber, self.resolution)
+        part._store = self._store
+        return part
+
+    def _edge_kernels(self, z: complex) -> list[EdgeKernel]:
+        """The ``EdgeKernel`` of every grid edge at z, in grid order, each
+        evaluated on its first use in the store: one trig pass per (edge,
+        speed, z) over the workspaces, siblings and parts of a store."""
+        g, kernels = self.grid, []
+        for e, sl in zip(g.edges, g.slices):
+            c = self.fiber.speed(e)
+            kernels.append(self._kept((e.id, c, z), lambda: EdgeKernel(
+                e, c, sqrt_upper(z) / c, self.fiber.tau, self.weights, g.x[sl], g.w[sl],
+                self.phase[sl],
+            )))
+        return kernels
 
     # -- Dirichlet decoupling, kernel lift and its dual ----------------
-
-    def _dirichlet_block(self, s: EdgeSamples) -> tuple:
-        right = np.conj(s.phase) * self.grid.w[s.sl] / (s.c * s.c * s.kappa * s.sin_l)
-        return s.sl, np.array([s.phase * s.a, s.b * right, s.phase * s.b, s.a * right])
 
     def dirichlet_blocks(self, z: complex) -> tuple:
         """Per edge, the Dirichlet (decoupled) resolvent as a
@@ -351,11 +380,11 @@ class ResolventWorkspace(ComponentKernels):
         grid, the upper triangle is a_i b_j and the lower one a_j b_i.  The
         phase e^{-i tau x_i} (left) and the factor e^{i tau y_j} w_j /
         (c^2 kappa sin(kappa l)) (right) ride on those vectors: la = left a,
-        br = b right, lb = left b, ar = a right.
+        br = b right, lb = left b, ar = a right.  Each block's rows are its
+        ``EdgeKernel``'s, the one array of that edge in the store.
         """
         return tuple(
-            self._edge_part("block", s.edge, z, self._dirichlet_block, s)
-            for s in self._edge_samples(z)
+            (sl, k.dirichlet) for k, sl in zip(self._edge_kernels(z), self.grid.slices)
         )
 
     def dirichlet_matrix(self, z: complex) -> np.ndarray:
@@ -367,33 +396,14 @@ class ResolventWorkspace(ComponentKernels):
             np.zeros((0, n), dtype=complex),
         ).dense()
 
-    def _gamma_columns(self, s: EdgeSamples) -> tuple:
-        _, _, _, q_l, q_r = self._end_coeffs(s.edge, s.kappa)
-        wl_bar = np.conj(self.weights[(s.edge.left, s.edge.id)])
-        return s.phase * (wl_bar * s.cos_x + q_l * s.a), s.phase * (q_r * s.a)
-
     def gamma_matrix(self, z: complex) -> np.ndarray:
         """n x N matrix of samples of gamma(z) e_V."""
         out = np.zeros((self.grid.size, self.nvert), dtype=complex)
-        for s in self._edge_samples(z):
-            e = s.edge
-            left, right = self._edge_part("gamma", e, z, self._gamma_columns, s)
-            out[s.sl, self._vidx[e.left]] += left
-            out[s.sl, self._vidx[e.right]] += right
+        for k, sl in zip(self._edge_kernels(z), self.grid.slices):
+            left, right = k.gamma_columns
+            out[sl, self._vidx[k.edge.left]] += left
+            out[sl, self._vidx[k.edge.right]] += right
         return out
-
-    def _gamma1_rows(self, s: EdgeSamples) -> tuple:
-        """The row entries of edge s at its left and right vertex.
-
-        Left endpoint: + w c^2 e^{-i tau 0} dphi(0) with
-        dphi(0) = int sin(kappa (l - y)) g(y) dy / (c^2 sin kappa l);
-        right endpoint: - w c^2 e^{-i tau l} dphi(l) with
-        dphi(l) = -int sin(kappa y) g(y) dy / (c^2 sin kappa l).
-        """
-        e = s.edge
-        base = np.conj(s.phase) * self.grid.w[s.sl] / s.sin_l
-        wl, wr = self.weights[(e.left, e.id)], self.weights[(e.right, e.id)]
-        return wl * base * s.b, wr * cmath.exp(-1j * self.fiber.tau * e.length) * base * s.a
 
     def gamma1_dirichlet_rows(self, z: complex) -> np.ndarray:
         """N x n matrix of Gamma1 (A_inf - z)^{-1} as quadrature functionals.
@@ -402,11 +412,10 @@ class ResolventWorkspace(ComponentKernels):
         sum of the Dirichlet solution at V.
         """
         out = np.zeros((self.nvert, self.grid.size), dtype=complex)
-        for s in self._edge_samples(z):
-            e = s.edge
-            left, right = self._edge_part("gamma1", e, z, self._gamma1_rows, s)
-            out[self._vidx[e.left], s.sl] += left
-            out[self._vidx[e.right], s.sl] += right
+        for k, sl in zip(self._edge_kernels(z), self.grid.slices):
+            left, right = k.gamma1_rows
+            out[self._vidx[k.edge.left], sl] += left
+            out[self._vidx[k.edge.right], sl] += right
         return out
 
     # -- resolvent ---------------------------------------------------------
@@ -421,20 +430,14 @@ class ResolventWorkspace(ComponentKernels):
         formula); with B = -M_stiff of the full graph it is the sandwiched
         soft-component resolvent.
         """
-        m, blocks, gamma, rows = self._kept(
-            ("resolvent", z), self._eps_free, self._resolvent_parts, z
-        )
+        # what the resolvent reads beside B, evaluated once per edge speeds
+        speeds = tuple((e.id, self.fiber.speed(e)) for e in self.component.edges)
+        m, blocks, gamma, rows = self._kept((z, speeds), lambda: (
+            self.m_matrix(z), self.dirichlet_blocks(z), self.gamma_matrix(z),
+            self.gamma1_dirichlet_rows(z),
+        ))
         denom = m - b_of_z
         cond = np.linalg.cond(denom)
         if not np.isfinite(cond) or cond > 1e14:
             raise PoleError(f"M(z) - B(z) nearly singular (cond={cond:.2e})")
         return KernelOperator(blocks, gamma, -np.linalg.solve(denom, rows))
-
-    def _resolvent_parts(self, z: complex):
-        """(M, Dirichlet blocks, gamma, Gamma1 D) at z: what the resolvent
-        reads beside B, kept (with the siblings where no edge is stiff)."""
-        m, blocks = self.m_matrix(z), self.dirichlet_blocks(z)
-        gamma, rows = self.gamma_matrix(z), self.gamma1_dirichlet_rows(z)
-        for a in (m, gamma, rows):
-            a.flags.writeable = False  # every later call reads them
-        return m, blocks, gamma, rows

@@ -100,10 +100,14 @@ def _applies(op):
     return op.matvec, op.rmatvec
 
 
-def start_vector(n: int, seed: int = 0) -> np.ndarray:
+# the power iteration's relative tolerance on successive singular values
+NORM_TOL = 1e-8
+
+
+def start_vector(n: int) -> np.ndarray:
     """The power iteration's deterministic unit start vector in C^n, drawn
-    from ``seed``; read-only, so one draw can serve many iterations."""
-    rng = np.random.default_rng(seed)
+    from seed 0; read-only, so one draw can serve many iterations."""
+    rng = np.random.default_rng(0)
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     v /= np.linalg.norm(v)
     v.flags.writeable = False
@@ -111,31 +115,23 @@ def start_vector(n: int, seed: int = 0) -> np.ndarray:
 
 
 def operator_norm_diff(
-    a,
-    b,
-    w_row: np.ndarray,
-    w_col: np.ndarray | None = None,
-    tol: float = 1e-8,
-    max_iter: int = 500,
-    seed: int = 0,
-    *,
-    start: np.ndarray | None = None,
+    a, b, w: np.ndarray, *, start: np.ndarray | None = None, max_iter: int = 500
 ) -> float:
     """Largest singular value of the quadrature-weighted difference a - b.
 
-    The operators act between L2 spaces discretised with trapezoid weights,
-    so the relevant norm is that of W_r^{1/2} (a - b) W_c^{-1/2}.  Power
-    iteration on its normal matrix, relative tolerance ``tol``, at most
-    ``max_iter`` iterations, from ``start`` or else from
-    ``start_vector(a.shape[1], seed)``, the same vector.  The weights are
+    The operators act on an L2 space discretised with trapezoid weights w,
+    so the relevant norm is that of W^{1/2} (a - b) W^{-1/2}.  Power
+    iteration on its normal matrix, relative tolerance ``NORM_TOL``, at
+    most ``max_iter`` iterations, from ``start`` or else from
+    ``start_vector(a.shape[1])``, the same vector.  The weights are
     applied to the iterates, not to a scaled copy of D = a - b: with
-    s = sqrt(w), one step is v -> D^H (w_r D (v / s_c)) / s_c.  Each side is
+    s = sqrt(w), one step is v -> D^H (w D (v / s)) / s.  Each side is
     a matrix or anything with ``shape``, ``matvec`` and ``rmatvec`` (a
     ``KernelOperator``, the FEM resolvent); two matrices or two
     ``KernelOperator``s are subtracted once (the latter dropping the
     Dirichlet blocks they share), otherwise each step applies both sides.
     Whatever an apply raises propagates.  Raises ``ArithmeticError`` if the
-    relative step is still above ``tol`` after ``max_iter`` iterations,
+    relative step is still above ``NORM_TOL`` after ``max_iter`` iterations,
     because an unconverged power iteration under-estimates the norm.
     """
     if b is not None and b.shape != a.shape:
@@ -153,25 +149,24 @@ def operator_norm_diff(
         def apply_h(y):
             return apply_ha(y) - apply_hb(y)
 
-    w_row = np.asarray(w_row, dtype=float)
-    w_col = w_row if w_col is None else np.asarray(w_col, dtype=float)
-    s_col = np.sqrt(w_col)
-    v = start_vector(a.shape[1], seed) if start is None else start
+    w = np.asarray(w, dtype=float)
+    s = np.sqrt(w)
+    v = start_vector(a.shape[1]) if start is None else start
     sigma, step = 0.0, math.inf
     for _ in range(max_iter):
-        u = apply_h(w_row * apply(v / s_col)) / s_col
+        u = apply_h(w * apply(v / s)) / s
         nrm = np.linalg.norm(u)
         if nrm == 0.0:
             return 0.0
         v = u / nrm
         new_sigma = math.sqrt(nrm)
-        if abs(new_sigma - sigma) <= tol * max(new_sigma, 1e-300):
+        if abs(new_sigma - sigma) <= NORM_TOL * max(new_sigma, 1e-300):
             return new_sigma
         step = abs(new_sigma - sigma) / new_sigma
         sigma = new_sigma
     raise ArithmeticError(
         f"operator_norm_diff: power iteration not converged after max_iter="
-        f"{max_iter} steps (last relative step {step:.3e}, tol {tol:.1e})"
+        f"{max_iter} steps (last relative step {step:.3e}, tol {NORM_TOL:.1e})"
     )
 
 
@@ -459,16 +454,17 @@ def run_krein_vs_direct(
 
 class _Row:
     """The eps-free objects of one (cell, tau) row of a resolvent-rate sweep
-    at (z, resolution), built once at the row's first eps: the soft model,
-    the power iteration's start vector and, for ``full_res_rate``, the full
-    graph's workspace and its Psi.  Each eps of the row reads them through
-    ``at_eps`` siblings, which share every eps-free part and redo what eps
-    enters: the stiff edges, M(z), B(z), the germ term and the two solves."""
+    at (z, resolution), built once at the row's first eps: the model (with
+    the full graph's workspace and its soft part, and the row's one store),
+    the power iteration's start vector and, for ``full_res_rate``, Psi.
+    Each eps of the row reads them through ``at_eps`` siblings, which find
+    every eps-free part in the store and redo what eps enters: the stiff
+    edges, M(z), B(z), the germ term and the two solves."""
 
     def __init__(self, graph, fiber: FiberParams, model: EffectiveModel, start: np.ndarray,
-                 workspace: ResolventWorkspace | None = None, psi: PsiEmbedding | None = None):
+                 psi: PsiEmbedding | None = None):
         self.graph, self.tau, self.z = graph, fiber.tau, fiber.z
-        self.model, self.start, self.workspace, self.psi = model, start, workspace, psi
+        self.model, self.start, self.psi = model, start, psi
 
 
 def _rate_sweep(failures, name, z, tau_list, eps_list, row, error):
@@ -522,18 +518,17 @@ def run_gen_res_rate(
 
 
 def _full_row(graph, fiber: FiberParams, res: int) -> _Row:
-    ws = ResolventWorkspace(graph, fiber, res)
-    return _Row(
-        graph, fiber, EffectiveModel(graph, fiber, res), start_vector(ws.grid.size), ws,
-        PsiEmbedding(ws),
-    )
+    model = EffectiveModel(graph, fiber, res)
+    ws = model.workspace
+    return _Row(graph, fiber, model, start_vector(ws.grid.size), PsiEmbedding(ws))
 
 
 def _full_nrc_error(row: _Row, eps: float) -> float:
     """||(A_eps - z)^{-1} - Psi* (A_hom - z)^{-1} Psi|| on the full grid."""
-    ws = row.workspace.at_eps(eps)
+    model = row.model.at_eps(eps)
+    ws = model.workspace
     r_full = ws.generalized_resolvent(row.z, 0.0)
-    a_hom = row.model.at_eps(eps).a_hom(row.z)
+    a_hom = model.a_hom(row.z)
     return operator_norm_diff(r_full, row.psi.sandwich(a_hom), ws.grid.w, start=row.start)
 
 

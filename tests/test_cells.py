@@ -262,9 +262,10 @@ def test_rate_rows_equal_points_built_alone_at_drawn_cells(g, taus, z, res):
                 return lab.operator_norm_diff(r_eps, model.r_eff(z), model.grid.w)
 
             def full_alone():
-                ws = ResolventWorkspace(g, fiber, res)
+                model = EffectiveModel(g, fiber, res)
+                ws = model.workspace
                 r_full = ws.generalized_resolvent(z, 0.0)
-                a_hom = PsiEmbedding(ws).sandwich(EffectiveModel(g, fiber, res).a_hom(z))
+                a_hom = PsiEmbedding(ws).sandwich(model.a_hom(z))
                 return lab.operator_norm_diff(r_full, a_hom, ws.grid.w)
 
             assert _outcome(lambda: lab._soft_sandwich_error(soft_row, eps)) == _outcome(gen_alone)

@@ -248,6 +248,19 @@ def test_resolvent_rates_and_schur_at_a_pole_fail_their_verbs_without_a_tracebac
     assert "Traceback" not in text
 
 
+@pytest.mark.parametrize("name", ["ex1", "ex2"])
+def test_singular_boundary_system_fails_the_verb_without_a_traceback(tmp_path, capsys, name):
+    # deep in the gap a boundary system of the effective model is exactly
+    # singular (gen_res_rate at ex1, full_res_rate at ex2)
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(f"examples = {name}\nz = -32400+3i\n")
+    assert main(["converge", "--config", str(cfg)]) == 1
+    text = capsys.readouterr().out
+    assert "[FAIL] gen_res_rate" in text and "[FAIL] full_res_rate" in text
+    assert "PoleError: boundary system singular (Singular matrix)" in text
+    assert "Traceback" not in text
+
+
 def test_line_models_with_a_datum_beyond_the_model_band_fail_without_a_traceback(
     tmp_path, capsys
 ):

@@ -45,7 +45,7 @@ def test_schur_scalar_samples_nothing(monkeypatch):
     def no_samples(self, z):
         raise AssertionError("the Schur scalar evaluated per-edge samples")
 
-    monkeypatch.setattr(ResolventWorkspace, "_edge_samples", no_samples)
+    monkeypatch.setattr(ResolventWorkspace, "_edge_kernels", no_samples)
     g = build_example("ex2")
     fiber = FiberParams(0.1, 1.0, 2 + 1j)
     s = BoundarySystem(g, fiber).schur_frobenius(2 + 1j)

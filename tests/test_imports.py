@@ -177,9 +177,76 @@ def _hidden_caches(module: str) -> list[str]:
 
 
 def test_no_module_level_caches():
-    # what a sweep shares lives on the objects of one row of one run (the
-    # at_eps siblings of a workspace or a model): no module keeps a cache
-    # that could carry one run's, or one eps's, values into another
+    # what a sweep shares lives in one store per row of one run: the dict
+    # of a model's full-graph workspace, which its soft part and every
+    # at_eps sibling share, keyed by what each value depends on beside tau
+    # and the resolution.  No module keeps a cache that could carry one
+    # run's, or one row's, values into another
     modules = sorted(p.stem for p in (SRC / "qglab").glob("*.py"))
     assert "krein" in modules
     assert [where for m in modules for where in _hidden_caches(m)] == []
+
+
+def _linalg_solves(module: str) -> list[tuple[str, ast.Call, ast.AST]]:
+    """(enclosing function, call, function node) of every ``<...>.linalg.solve``
+    call in ``module``; a bare ``solve`` imported from a linalg module fails
+    the test outright."""
+    tree = ast.parse((SRC / "qglab" / f"{module}.py").read_text())
+    imported = [
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("linalg")
+        and any(alias.name == "solve" for alias in node.names)
+    ]
+    assert imported == [], f"{module} imports a linalg solve by name"
+    found = []
+
+    def visit(node, where, fn):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                inner = f"{where}.{child.name}" if where else child.name
+                visit(child, inner, child if isinstance(child, ast.FunctionDef) else fn)
+                continue
+            if (
+                isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+                and child.func.attr == "solve" and isinstance(child.func.value, ast.Attribute)
+                and child.func.value.attr == "linalg"
+            ):
+                found.append((where, child, fn))
+            visit(child, where, fn)
+
+    visit(tree, "", None)
+    return found
+
+
+def _raises_pole_error(node) -> bool:
+    return any(
+        isinstance(n, ast.Raise) and isinstance(n.exc, ast.Call)
+        and getattr(n.exc.func, "id", None) == "PoleError"
+        for n in ast.walk(node)
+    )
+
+
+def test_every_dense_solve_is_guarded():
+    # a singular system is a FAIL line, not a traceback: np.linalg.solve's
+    # LinAlgError is a ValueError, which a sweep lets through.  So each
+    # dense solve runs behind one of two guards: the cond check of the
+    # generalised resolvent, which raises PoleError before it solves, or
+    # the effective layer's ``_solve``, which turns LinAlgError into one
+    modules = sorted(p.stem for p in (SRC / "qglab").glob("*.py"))
+    solves = {(m, where): (call, fn) for m in modules for where, call, fn in _linalg_solves(m)}
+    assert set(solves) == {
+        ("krein", "ResolventWorkspace.generalized_resolvent"), ("effective", "_solve")
+    }
+    call, fn = solves[("krein", "ResolventWorkspace.generalized_resolvent")]
+    conds = [
+        n.lineno for n in ast.walk(fn)
+        if isinstance(n, ast.Call) and getattr(n.func, "attr", None) == "cond"
+    ]
+    guards = [n for n in fn.body if isinstance(n, ast.If) and _raises_pole_error(n)]
+    assert conds and guards and max(conds) < guards[0].lineno < call.lineno
+    call, fn = solves[("effective", "_solve")]
+    (guard,) = [n for n in fn.body if isinstance(n, ast.Try)]
+    assert any(call is n for n in ast.walk(ast.Module(body=guard.body, type_ignores=[])))
+    (handler,) = guard.handlers
+    assert ast.unparse(handler.type) == "np.linalg.LinAlgError"
+    assert _raises_pole_error(handler)

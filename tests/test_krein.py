@@ -155,10 +155,11 @@ def test_krein_resolvent_adjoint_symmetry():
 def _resolvents(g, tau, z, eps, res=24):
     """The full and soft resolvents and the two sweep differences of the
     lab at one point, each with the operands whose difference it is (none
-    for a resolvent), and the objects they came from."""
+    for a resolvent), and the objects they came from: the full graph's
+    workspace is the model's, as in a sweep row."""
     fiber = FiberParams(eps, tau, z)
-    full = ResolventWorkspace(g, fiber, res)
     model = EffectiveModel(g, fiber, res)
+    full = model.workspace
     r_full = full.generalized_resolvent(z, 0.0)
     r_soft = model.kernels.generalized_resolvent(z, b_matrix(g, fiber))
     r_eff = model.r_eff(z)
@@ -243,17 +244,47 @@ def test_dense_resolvents_are_the_outer_product_matrices_bit_for_bit(g, tau, z, 
 @given(g=cells(), tau=TAU, z=Z, eps=EPS)
 def test_soft_dirichlet_blocks_of_full_and_soft_workspaces_are_identical(g, tau, z, eps):
     # the difference of the full_res_rate sweep drops the soft blocks
-    # because the two workspaces form them bit for bit alike
+    # because the model's soft part and the full workspace share one store,
+    # so both hold each soft edge's one block array
     full, model, ops = _resolvents(g, tau, z, eps)
     soft = [e for e in full.grid.edges if not e.is_stiff]
     blocks = dict(zip(full.grid.edges, full.dirichlet_blocks(z)))
     for e, (_, vectors) in zip(model.grid.edges, model.kernels.dirichlet_blocks(z)):
-        assert np.array_equal(blocks[e][1], vectors)
+        assert blocks[e][1] is vectors
     # what is left of the difference: the stiff blocks, and no soft block at all
     diff = ops["full - Psi* A_hom Psi"][0]
     assert len(diff.blocks) == len(full.grid.edges) - len(soft)
     assert diff.rank == full.nvert + 2 * len(soft) + 1
     assert ops["soft - r_eff"][0].blocks == ()
+
+
+def test_difference_drops_only_the_blocks_both_operators_hold():
+    # a block is dropped only when both operators hold the same array at the
+    # same slice; an equal copy, or the same array at another slice, is
+    # subtracted like any other block
+    ws = ResolventWorkspace(build_example("ex2"), FiberParams(0.1, 1.0, 2 + 1j), 16)
+    z = 2 + 1j
+    r = ws.generalized_resolvent(z, 0.0)
+    (sl0, v0), (sl1, v1), (sl2, v2) = r.blocks
+    rng = np.random.default_rng(11)
+    u = rng.standard_normal((r.shape[0], 2)) + 0j
+    v = rng.standard_normal((2, r.shape[1])) + 0j
+    same = KernelOperator([(sl0, v0), (sl1, v1.copy()), (sl2, v2)], u, v)
+    diff = r - same
+    # kept: r's block at sl1 and the negated copy
+    assert [sl for sl, _ in diff.blocks] == [sl1, sl1]
+    assert diff.blocks[0][1] is v1
+    assert diff.rank == r.rank + 2
+    ref = r.dense() - same.dense()
+    assert np.max(np.abs(diff.dense() - ref)) <= 1e-14 * np.max(np.abs(r.dense()))
+    # the same array at another edge's slice (equal lengths) is no shared block
+    assert sl0.stop - sl0.start == sl2.stop - sl2.start
+    moved = KernelOperator([(sl2, v0)], u, v)
+    assert len((KernelOperator([(sl0, v0)], u, v) - moved).blocks) == 2
+    # identical blocks are dropped: all that is left is the low-rank part
+    # [u, u] [v; -v], zero to rounding
+    assert (r - r).blocks == ()
+    assert np.max(np.abs((r - r).dense())) <= 1e-15 * np.max(np.abs(r.u @ r.v))
 
 
 @pytest.mark.parametrize("name", ["ex0", "ex1", "ex2"])
@@ -278,14 +309,17 @@ def test_running_sums_are_stable_deep_in_the_gap(name, component):
 
 
 def test_one_trig_pass_per_workspace_and_z(monkeypatch):
-    # over a row of k eps, each workspace evaluates a soft edge's trig
-    # vectors once and a stiff edge's once per eps, cosines included: a
-    # full_res_rate row in the full workspace and in the soft model's, a
-    # gen_res_rate row in the soft model's; each row builds its grids, soft
-    # model and Psi once.  The Dirichlet resolvent alone evaluates no cosine
+    # over a row of k eps, the row's one store evaluates a soft edge's
+    # kernel once and a stiff edge's once per eps, cosines included: in a
+    # full_res_rate row the full workspace and the model's soft part share
+    # the soft edges' kernels, and a gen_res_rate row evaluates no stiff
+    # edge; each row builds its model, Psi and grids once: a full row the
+    # full graph's and the soft part's, a gen row only the soft part's (its
+    # full workspace builds its grid on first read).  The Dirichlet
+    # resolvent alone evaluates no cosine
     made, grids, built = [], [], []
 
-    class Counted(krein.EdgeSamples):
+    class Counted(krein.EdgeKernel):
         def __init__(self, *args):
             super().__init__(*args)
             made.append(self)
@@ -306,7 +340,7 @@ def test_one_trig_pass_per_workspace_and_z(monkeypatch):
             super().__init__(*args)
             built.append(self)
 
-    monkeypatch.setattr(krein, "EdgeSamples", Counted)
+    monkeypatch.setattr(krein, "EdgeKernel", Counted)
     monkeypatch.setattr(krein, "make_grid", counted_grid)
     monkeypatch.setattr(lab, "EffectiveModel", CountedModel)
     monkeypatch.setattr(lab, "PsiEmbedding", CountedPsi)
@@ -317,7 +351,7 @@ def test_one_trig_pass_per_workspace_and_z(monkeypatch):
     row = lab._full_row(g, FiberParams(eps_row[0], 1.0, 2 + 1j), 32)
     for eps in eps_row:
         lab._full_nrc_error(row, eps)
-    assert sorted(s.edge.id for s in made) == sorted(2 * soft + len(eps_row) * stiff)
+    assert sorted(s.edge.id for s in made) == sorted(soft + len(eps_row) * stiff)
     assert all("cos_x" in s.__dict__ for s in made)
     assert (len(grids), [type(b) for b in built]) == (2, [CountedModel, CountedPsi])
     for bag in (made, grids, built):

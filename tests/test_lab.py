@@ -13,7 +13,6 @@ from qglab import dispersion, lab, realline, triples
 from qglab.effective import BoundarySystem, EffectiveModel, PsiEmbedding
 from qglab.fdsolver import MIN_RESOLUTION, DiscretizedOperator
 from qglab.graphs import ParameterError, PoleError, build_example
-from qglab.krein import ResolventWorkspace
 from qglab.lab import (
     EXPERIMENT_TAGS,
     Check,
@@ -144,9 +143,10 @@ def test_operator_norm_rejects_nonconformable():
 
 
 def test_operator_norm_respects_weights():
+    # W^{1/2} a W^{-1/2} has the one entry sqrt(4 / 1) = 2
     a = np.zeros((2, 2))
-    a[0, 0] = 1.0
-    norm = operator_norm_diff(a, None, np.array([4.0, 1.0]), np.array([1.0, 1.0]))
+    a[0, 1] = 1.0
+    norm = operator_norm_diff(a, None, np.array([4.0, 1.0]))
     assert norm == pytest.approx(2.0, abs=1e-8)
 
 
@@ -163,16 +163,18 @@ def _with_singular_values(s, rows, cols, seed):
 
 
 def test_operator_norm_matches_svd_with_distinct_weights():
+    # weights spread over a factor of 300, wider than the trapezoid weights
+    # of any sample grid
     rng = np.random.default_rng(6)
-    w_row = rng.uniform(0.01, 0.2, 30)
-    w_col = rng.uniform(0.5, 3.0, 20)
-    scaled = _with_singular_values(np.array([3.0, 1.5, 1.0, 0.5, 0.1]), 30, 20, 7)
-    b = rng.standard_normal((30, 20)) + 1j * rng.standard_normal((30, 20))
-    a = b + scaled / np.sqrt(w_row)[:, None] * np.sqrt(w_col)[None, :]
+    w = np.concatenate([rng.uniform(0.01, 0.2, 15), rng.uniform(0.5, 3.0, 15)])
+    scaled = _with_singular_values(np.array([3.0, 1.5, 1.0, 0.5, 0.1]), 30, 30, 7)
+    b = rng.standard_normal((30, 30)) + 1j * rng.standard_normal((30, 30))
+    a = b + scaled / np.sqrt(w)[:, None] * np.sqrt(w)[None, :]
     ref = np.linalg.svd(
-        np.sqrt(w_row)[:, None] * (a - b) / np.sqrt(w_col)[None, :], compute_uv=False
+        np.sqrt(w)[:, None] * (a - b) / np.sqrt(w)[None, :], compute_uv=False
     )[0]
-    assert operator_norm_diff(a, b, w_row, w_col) == pytest.approx(ref, rel=1e-8)
+    assert ref == pytest.approx(3.0, rel=1e-12)
+    assert operator_norm_diff(a, b, w) == pytest.approx(ref, rel=1e-8)
 
 
 def test_operator_norm_raises_when_not_converged():
@@ -184,20 +186,19 @@ def test_operator_norm_raises_when_not_converged():
 
 def test_operator_norm_of_linear_operators_matches_the_dense_call():
     rng = np.random.default_rng(9)
-    w_row = rng.uniform(0.01, 0.2, 30)
-    w_col = rng.uniform(0.5, 3.0, 20)
-    b = rng.standard_normal((30, 20)) + 1j * rng.standard_normal((30, 20))
-    a = b + _with_singular_values(np.array([2.0, 1.2, 0.4]), 30, 20, 10)
-    ref = operator_norm_diff(a, b, w_row, w_col)
+    w = np.concatenate([rng.uniform(0.01, 0.2, 15), rng.uniform(0.5, 3.0, 15)])
+    b = rng.standard_normal((30, 30)) + 1j * rng.standard_normal((30, 30))
+    a = b + _with_singular_values(np.array([2.0, 1.2, 0.4]), 30, 30, 10)
+    ref = operator_norm_diff(a, b, w)
     # a matrix-free side: scipy's wrapper, and one that only has matvec and
     # rmatvec, as the FEM resolvent
     bare = LinearOperator(
         b.shape, matvec=lambda x: b @ x, rmatvec=lambda y: b.conj().T @ y, dtype=complex
     )
     for b_op in (aslinearoperator(b), bare):
-        assert operator_norm_diff(a, b_op, w_row, w_col) == pytest.approx(ref, rel=1e-10)
-        assert operator_norm_diff(b_op, a, w_row, w_col) == pytest.approx(ref, rel=1e-10)
-    assert operator_norm_diff(aslinearoperator(a - b), None, w_row, w_col) == pytest.approx(
+        assert operator_norm_diff(a, b_op, w) == pytest.approx(ref, rel=1e-10)
+        assert operator_norm_diff(b_op, a, w) == pytest.approx(ref, rel=1e-10)
+    assert operator_norm_diff(aslinearoperator(a - b), None, w) == pytest.approx(
         ref, rel=1e-10
     )
 
@@ -460,6 +461,24 @@ def test_resolvent_rates_at_a_pole_are_fail_lines(tag):
         ]
 
 
+# deep in the gap the (cos, sin) kernel fields of the soft edges cancel
+# until a boundary system is exactly singular
+DEEP_GAP = -32400 + 3j
+
+
+@pytest.mark.parametrize("tag, name", [("gen_res_rate", "ex1"), ("full_res_rate", "ex2")])
+def test_singular_boundary_system_is_a_fail_line(tag, name):
+    # np.linalg.solve's LinAlgError is a ValueError: the effective layer
+    # raises it as PoleError, so the point is a FAIL line, not a traceback
+    res = run_experiment(tag, {"examples": [name], "z": DEEP_GAP})
+    assert not res.passed
+    singular = [line for line in res.failures if "boundary system singular" in line]
+    assert singular
+    for line in singular:
+        assert line.startswith(f"{name}: resolvents failed at tau=")
+        assert line.endswith(f"z={DEEP_GAP}: PoleError: boundary system singular (Singular matrix)")
+
+
 def test_failed_tau_gets_no_slope_fit_while_the_others_keep_theirs(monkeypatch):
     # a pole at one tau only: the other tau of the cell keep their fits
     original = lab._soft_sandwich_error
@@ -555,7 +574,7 @@ def test_rate_sweep_rows_equal_points_built_alone(tag):
             r_eps = model.kernels.generalized_resolvent(z, triples.b_matrix(g, fiber))
             error = operator_norm_diff(r_eps, model.r_eff(z), model.grid.w)
         else:
-            ws = ResolventWorkspace(g, fiber, res)
+            ws = model.workspace
             a_hom = PsiEmbedding(ws).sandwich(model.a_hom(z))
             error = operator_norm_diff(ws.generalized_resolvent(z, 0.0), a_hom, ws.grid.w)
         assert r["error"] == error
