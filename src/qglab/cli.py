@@ -55,8 +55,8 @@ def _emit(result: ExperimentResult, out_dir: str | None) -> None:
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
         write_csv(os.path.join(out_dir, f"{result.tag}.csv"), result.rows)
-        for name, rows in result.extra_tables.items():
-            write_csv(os.path.join(out_dir, f"{name}.csv"), rows)
+        for name, table in result.extra_tables.items():
+            write_csv(os.path.join(out_dir, f"{name}.csv"), table())
 
 
 def _bind_verb(verb: str, cfg: dict) -> list[tuple[str, dict]]:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import inspect
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -211,13 +212,18 @@ class Check:
 @dataclass
 class ExperimentResult:
     """An experiment's checks, its FAIL lines (the points or cells that
-    raised, with the reason) and its data rows."""
+    raised, with the reason) and its data rows.
+
+    ``extra_tables`` maps a table name to a zero-argument function that
+    builds the table's rows; it is called only by what reads the table
+    (the CLI, when it writes ``<name>.csv``), and each call builds the
+    rows anew."""
 
     tag: str
     checks: list[Check]
     failures: list[str] = field(default_factory=list)
     rows: list[dict] = field(default_factory=list)
-    extra_tables: dict[str, list[dict]] = field(default_factory=dict)
+    extra_tables: dict[str, Callable[[], list[dict]]] = field(default_factory=dict)
 
     @property
     def passed(self) -> bool:
@@ -350,7 +356,7 @@ def run_additivity(
     taus = np.linspace(-3.0, 3.0, tau_count)[:, None]
     zs = np.array([*z_list, complex(7.0, 0.3)])
     points = [(tau, z) for tau in taus.ravel().tolist() for z in zs.tolist()]
-    rows, entries, failures = [], [], []
+    rows, blocks_at_eps, failures = [], [], []
     for name in examples:
         g = build_example(name)
 
@@ -376,18 +382,14 @@ def run_additivity(
             dev = check_additivity(mset)
             herg = herglotz_min_eig(full)
             blocks = np.stack([full, mset.m_stiff, mset.m_soft], axis=-3)
-            for (tau, z), d, gn, sy, h, values in zip(
+            blocks_at_eps.append((name, eps, blocks.reshape(len(points), 12)))
+            for (tau, z), d, gn, sy, h in zip(
                 points, dev.ravel().tolist(), gen.ravel().tolist(),
                 sym.ravel().tolist(), herg.ravel().tolist(),
-                blocks.reshape(len(points), 12).tolist(),
             ):
-                point = dict(example=name, eps=eps, tau=tau, re_z=z.real, im_z=z.imag)
-                rows.append(dict(point, additivity=d, vs_general=gn, symmetry=sy,
-                                 herglotz_min=h))
-                entries += [
-                    dict(point, block=block, row=r, col=c, re=v.real, im=v.imag)
-                    for (block, r, c), v in zip(_ENTRY_KEYS, values)
-                ]
+                rows.append(dict(example=name, eps=eps, tau=tau, re_z=z.real,
+                                 im_z=z.imag, additivity=d, vs_general=gn,
+                                 symmetry=sy, herglotz_min=h))
     checks = [
         Check(f"additivity max deviation over {len(rows)} points",
               _worst([r["additivity"] for r in rows]), hi=ADDITIVITY_TOL),
@@ -398,6 +400,16 @@ def run_additivity(
         Check("Herglotz min eigenvalue",
               _worst([r["herglotz_min"] for r in rows], np.min), lo=HERGLOTZ_FLOOR),
     ]
+
+    def entries():
+        return [
+            dict(example=name, eps=eps, tau=tau, re_z=z.real, im_z=z.imag,
+                 block=block, row=r, col=c, re=v.real, im=v.imag)
+            for name, eps, blocks in blocks_at_eps
+            for (tau, z), values in zip(points, blocks.tolist())
+            for (block, r, c), v in zip(_ENTRY_KEYS, values)
+        ]
+
     return ExperimentResult(
         "additivity", checks, failures, rows, {"mmatrix_entries": entries}
     )
@@ -821,7 +833,8 @@ def run_line_models(
     grid_size=4096, half_width=32.0, sigma=0.5,
 ) -> ExperimentResult:
     """Real-line symbol identities and, on the cells with a stiff cycle
-    (ex1), the model convergence rate."""
+    (ex1), the model convergence rate.  Each such cell transforms its datum
+    once and solves the eps-free limit model once per z."""
     grid = realline.make_line_grid(half_width, grid_size)
     cells = [build_example(name) for name in examples]
     rows, checks, failures = [], [], []
@@ -838,10 +851,22 @@ def run_line_models(
         ]
         checks.append(Check(f"{g.example}: max symbol defect", _worst(defects), hi=SYMBOL_TOL))
     for g in (g for g in cells if g.cell.germ):
-        f = realline.gaussian_packet(grid, width=sigma)
+        datum = realline.LineDatum(realline.gaussian_packet(grid, width=sigma))
+        limits = {}
+
+        def limit(z):
+            # the limit model's solution at z, which no eps enters: solved at
+            # the first eps of z whose eps-model solves, and kept only once it
+            # solves, so a z where it raises fails at every eps alike
+            if z not in limits:
+                limits[z] = realline.solve_differential_model_ex1(g, z, datum, grid)
+            return limits[z]
+
         errors, samples = _sweep(
             failures, z_list, eps_list,
-            lambda z, e: realline.ex1_model_distance(g, e, z, grid, f=f),
+            lambda z, e: realline.ex1_model_distance(
+                g, e, z, grid, f=datum, limit=lambda: limit(z)
+            ),
             lambda z, e: f"{g.example}: line model failed at eps={e:g}, z={z}",
         )
         rows += [
@@ -883,6 +908,31 @@ def _integer(v) -> int:
 _CASTS = {int: _integer, float: float, complex: complex, str: lambda v: str(v).lower()}
 
 
+# the least value of each count key: the FEM floor for a resolution (twice
+# it for bands, whose coarse grid is resolution // 2) and the line grid's
+# least size
+_LEAST = dict(
+    resolution=MIN_RESOLUTION, resolutions=MIN_RESOLUTION, grid_size=realline.MIN_GRID_SIZE,
+    tau_count=1, n_terms=1, n_bands=1,
+)
+# keys whose every value must be a positive finite number
+_POSITIVE = ("eps", "eps_list", "sigma", "half_width")
+
+
+def _refusal(tag: str, key: str, values: list) -> str | None:
+    """Why the (cast) values of ``key`` are no input of experiment ``tag``,
+    or None when they are."""
+    if key in _LEAST:
+        least = _LEAST[key] * (2 if (tag, key) == ("bands", "resolution") else 1)
+        if min(values) < least:
+            return f"must be at least {least}"
+    if key == "grid_size" and values[0] % 2:
+        return "must be even"
+    if key in _POSITIVE and not all(0 < v < math.inf for v in values):
+        return "must be positive and finite"
+    return None
+
+
 def _parameters(tag: str):
     if tag not in _RUNNERS:
         raise ValueError(
@@ -905,7 +955,11 @@ def bind_config(tag: str, cfg: dict) -> dict:
     bool); a list-valued key (tuple default) takes a non-empty list, or a
     scalar as a one-element list.  Example names must name known cells,
     the eps_list of a runner that fits slopes needs MIN_FIT_POINTS values,
-    and a resolution must be at least the FEM floor (twice it for bands).
+    a resolution must be at least the FEM floor (twice it for bands), a
+    count (tau_count, n_terms, n_bands) at least 1, a line grid's size even
+    and at least ``realline.MIN_GRID_SIZE``, and eps, sigma and half_width
+    positive and finite (``_refusal``); a refused value raises
+    ``ParameterError`` naming the tag, the key and the value.
     """
     params = _parameters(tag)
     unknown = [key for key in cfg if key not in params]
@@ -941,10 +995,9 @@ def bind_config(tag: str, cfg: dict) -> dict:
                 f"{tag}: eps_list needs at least {MIN_FIT_POINTS} values for its "
                 f"slope fits, got {len(values)}"
             )
-        # the FEM floor; bands builds its coarse grid at resolution // 2
-        floor = MIN_RESOLUTION * (2 if tag == "bands" else 1)
-        if key in ("resolution", "resolutions") and min(values) < floor:
-            raise ParameterError(f"{tag}: {key} must be at least {floor}, got {value!r}")
+        refusal = _refusal(tag, key, values)
+        if refusal:
+            raise ParameterError(f"{tag}: {key} {refusal}, got {value!r}")
         kwargs[key] = values if many else values[0]
     return kwargs
 

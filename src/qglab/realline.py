@@ -13,19 +13,30 @@ approximated at O(eps^2) by the eps-dependent multiplier.
 All computations run on a periodic box [-X, X) with numpy's FFT.  The three
 solvers share one band-limited Fourier division: it refuses a datum with
 energy beyond the band (ArithmeticError) and raises PoleError where the
-symbol vanishes.
+symbol vanishes.  Each solver takes the datum as an array or as a
+``LineDatum``, which transforms it once for every division that reads it.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .dispersion import k_closed
 from .graphs import MetricGraph, stiff_length
 from .mmatrix import PoleError, ccot, ccsc, sqrt_upper
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+MIN_GRID_SIZE = 16
 
 
 @dataclass(frozen=True)
@@ -36,22 +47,24 @@ class LineGrid:
     size: int
 
     def __post_init__(self):
-        if self.size < 16 or self.size % 2:
-            raise ValueError("size must be an even integer >= 16")
+        if self.size < MIN_GRID_SIZE or self.size % 2:
+            raise ValueError(f"size must be an even integer >= {MIN_GRID_SIZE}")
         if self.half_width <= 0:
             raise ValueError("half_width must be positive")
 
-    @property
+    @cached_property
     def x(self) -> np.ndarray:
-        return np.linspace(
+        """The grid points, computed once per grid (read-only)."""
+        return _read_only(np.linspace(
             -self.half_width, self.half_width, self.size, endpoint=False
-        )
+        ))
 
-    @property
+    @cached_property
     def t(self) -> np.ndarray:
-        """Dual (frequency) grid matching numpy's FFT ordering."""
+        """Dual (frequency) grid matching numpy's FFT ordering, computed once
+        per grid (read-only)."""
         dx = 2.0 * self.half_width / self.size
-        return 2.0 * math.pi * np.fft.fftfreq(self.size, d=dx)
+        return _read_only(2.0 * math.pi * np.fft.fftfreq(self.size, d=dx))
 
 
 def make_line_grid(half_width: float = 32.0, size: int = 4096) -> LineGrid:
@@ -73,20 +86,48 @@ def multiplier_symbol(
     return length * (vals - z)
 
 
+class LineDatum:
+    """A datum f on a line grid whose discrete Fourier transform is taken on
+    first read and kept, so that every Fourier division of f reads the one
+    transform.  ``f_hat`` is read-only; ``energy`` is its 2-norm and
+    ``norm`` that of f."""
+
+    def __init__(self, f: np.ndarray):
+        self.f = f
+
+    @cached_property
+    def f_hat(self) -> np.ndarray:
+        return _read_only(np.fft.fft(np.asarray(self.f, dtype=complex)))
+
+    @cached_property
+    def energy(self) -> float:
+        return np.linalg.norm(self.f_hat)
+
+    @cached_property
+    def norm(self) -> float:
+        return np.linalg.norm(self.f)
+
+
+def _datum(f: np.ndarray | LineDatum) -> LineDatum:
+    return f if isinstance(f, LineDatum) else LineDatum(f)
+
+
 ALIAS_TOL = 1e-8
 
 
 def _band_divide(f, grid: LineGrid, band: float, symbol):
-    """Fourier division u_hat = f_hat / symbol(t) on |t| <= band, 0 beyond.
+    """Fourier division u_hat = f_hat / symbol(t) on |t| <= band, 0 beyond,
+    of a datum given as an array or a ``LineDatum``.
 
     Raises ArithmeticError when the datum carries more than ALIAS_TOL
     relative energy outside the band (the division would drop it silently),
     and PoleError when the symbol vanishes on the band.
     """
+    datum = _datum(f)
     t = grid.t
-    f_hat = np.fft.fft(np.asarray(f, dtype=complex))
+    f_hat = datum.f_hat
     mask = np.abs(t) <= band
-    total = np.linalg.norm(f_hat)
+    total = datum.energy
     if total > 0:
         outside = np.linalg.norm(f_hat[~mask])
         if outside / total > ALIAS_TOL:
@@ -102,7 +143,8 @@ def _band_divide(f, grid: LineGrid, band: float, symbol):
 
 
 def psi_k_apply(
-    graph: MetricGraph, eps: float, z: complex, f: np.ndarray, grid: LineGrid
+    graph: MetricGraph, eps: float, z: complex, f: np.ndarray | LineDatum,
+    grid: LineGrid,
 ) -> np.ndarray:
     """Apply the solution operator of the time-dispersive model:
     u_hat(t) = f_hat(t) / [L (K(eps t, z) - z)] on |t| <= pi/eps, 0 beyond.
@@ -148,7 +190,8 @@ def difference_symbol(
 
 
 def solve_difference_model(
-    graph: MetricGraph, eps: float, z: complex, f: np.ndarray, grid: LineGrid
+    graph: MetricGraph, eps: float, z: complex, f: np.ndarray | LineDatum,
+    grid: LineGrid,
 ) -> np.ndarray:
     """Solve the ex0/ex2 finite-difference model by Fourier division,
     band-limited to |t| <= pi/eps (and alias-checked) like the multiplier
@@ -171,7 +214,7 @@ def differential_symbol_ex1(
 
 
 def solve_differential_model_ex1(
-    graph: MetricGraph, z: complex, f: np.ndarray, grid: LineGrid
+    graph: MetricGraph, z: complex, f: np.ndarray | LineDatum, grid: LineGrid
 ) -> np.ndarray:
     """Solve the limiting ex1 model by Fourier division (full dual line)."""
     return _band_divide(
@@ -218,12 +261,21 @@ def ex1_model_distance(
     eps: float,
     z: complex,
     grid: LineGrid,
-    f: np.ndarray | None = None,
+    f: np.ndarray | LineDatum | None = None,
+    limit: Callable[[], np.ndarray] | None = None,
 ) -> float:
-    """||Psi_K^eps f - Psi_K_limit f|| / ||f|| for a band-concentrated datum;
-    decays at O(eps^2) as the eps-multiplier converges to the limit model."""
-    if f is None:
-        f = gaussian_packet(grid)
-    u_eps = psi_k_apply(graph, eps, z, f, grid)
-    u_lim = solve_differential_model_ex1(graph, z, f, grid)
-    return float(np.linalg.norm(u_eps - u_lim) / np.linalg.norm(f))
+    """||Psi_K^eps f - Psi_K_limit f|| / ||f|| for a band-concentrated datum
+    (default ``gaussian_packet(grid)``); decays at O(eps^2) as the
+    eps-multiplier converges to the limit model.
+
+    The limit solution Psi_K_limit f does not depend on eps.  ``limit``, when
+    given, returns it (for this graph, z, datum and grid), so that a sweep
+    over eps can solve it once; it is called after the eps-model is solved.
+    """
+    datum = _datum(gaussian_packet(grid) if f is None else f)
+    u_eps = psi_k_apply(graph, eps, z, datum, grid)
+    if limit is None:
+        u_lim = solve_differential_model_ex1(graph, z, datum, grid)
+    else:
+        u_lim = limit()
+    return float(np.linalg.norm(u_eps - u_lim) / datum.norm)

@@ -20,8 +20,11 @@ for bit: ``bands`` solves one spectrum per |tau| on that premise.
 """
 
 import ast
+import contextlib
+import io
 import math
 import pathlib
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -29,7 +32,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qglab
-from qglab import dispersion, lab, triples
+from qglab import dispersion, lab, realline, triples
+from qglab.cli import main
 from qglab.dispersion import k_closed, k_series
 from qglab.effective import BoundarySystem, EffectiveModel, PsiEmbedding, effective_params
 from qglab.fdsolver import DiscretizedOperator
@@ -157,6 +161,62 @@ def test_ex1_line_model_at_drawn_cells(g, z):
     ratios = dist[:-1] / dist[1:]
     assert np.all(ratios > 1.0)
     assert np.all((3.0 <= ratios[2:]) & (ratios[2:] <= 5.0))
+
+
+def _line_models_point_by_point(cells, eps_list, z_list, grid, sigma):
+    """The rows and FAIL lines of ``line_models`` from the public per-point
+    functions, each point solving its own transforms and limit model."""
+    rows, failures = [], []
+
+    def sweep(g, kind, what, eps_values, point):
+        for z in z_list:
+            for eps in eps_values:
+                try:
+                    value = point(eps, z)
+                except ArithmeticError as exc:
+                    failures.append(f"{g.example}: {what} failed at eps={eps:g}, z={z}: "
+                                    f"{type(exc).__name__}: {exc}")
+                    continue
+                rows.append(dict(example=g.example, kind=kind, eps=eps, re_z=z.real,
+                                 im_z=z.imag, value=value))
+
+    for g in cells:
+        sweep(g, "symbol_defect", "symbol defect", (0.125, 0.0625),
+              lambda eps, z: symbol_identity_defect(g, eps, z, grid))
+    f = gaussian_packet(grid, width=sigma)
+    for g in (g for g in cells if g.cell.germ):
+        sweep(g, "model_error", "line model", eps_list,
+              lambda eps, z: ex1_model_distance(g, eps, z, grid, f=f))
+    return rows, failures
+
+
+def test_line_models_rows_equal_a_point_by_point_loop():
+    # the runner transforms its datum once and solves each limit once per z;
+    # every value and FAIL line is == the one of the public point functions
+    res = lab.run_experiment("line_models")
+    cells = [build_example(name) for name in lab.DEFAULT_EXAMPLES]
+    rows, failures = _line_models_point_by_point(
+        cells, lab.DEFAULT_EPS, lab.DEFAULT_Z, make_line_grid(32.0, 4096), 0.5
+    )
+    assert res.passed
+    assert res.rows == rows
+    assert res.failures == failures == []
+
+
+@settings(max_examples=20, deadline=None)
+@given(g=cells(("ex1",)), z=Z)
+def test_line_models_rows_equal_a_point_by_point_loop_at_drawn_cells(g, z):
+    # at an equal-impedance cell every point fails, with the same lines
+    z_list = [z, 2 + 1j]
+    with mock.patch.object(lab, "build_example", lambda name: g):
+        res = lab.run_experiment(
+            "line_models", {"examples": "ex1", "z_list": z_list, "grid_size": 1024}
+        )
+    rows, failures = _line_models_point_by_point(
+        [g], lab.DEFAULT_EPS, z_list, make_line_grid(32.0, 1024), 0.5
+    )
+    assert res.rows == rows
+    assert res.failures == failures
 
 
 @settings(max_examples=30, deadline=None)
@@ -501,7 +561,47 @@ def test_additivity_calls_closed_blocks_twice_per_cell_and_eps(monkeypatch):
     assert res.passed
     assert len(calls) == 2 * 2 * 3
     assert len(res.rows) == 2 * 3 * 7 * 4
-    assert len(res.extra_tables["mmatrix_entries"]) == 12 * len(res.rows)
+    assert len(res.extra_tables["mmatrix_entries"]()) == 12 * len(res.rows)
+
+
+def test_additivity_builds_no_entry_until_the_table_is_read(monkeypatch, tmp_path):
+    # every entry dict zips the twelve entry keys with one point's blocks
+    reads = []
+
+    class Keys(list):
+        def __iter__(self):
+            reads.append(1)
+            return super().__iter__()
+
+    monkeypatch.setattr(lab, "_ENTRY_KEYS", Keys(lab._ENTRY_KEYS))
+    cfg = {"examples": ["ex0"], "eps_list": [0.3, 0.1], "tau_count": 3}
+    res = lab.run_experiment("additivity", cfg)
+    assert res.passed and reads == []
+    cfg_file = tmp_path / "cfg.txt"
+    cfg_file.write_text("examples = ex0\neps_list = 0.3, 0.1\ntau_count = 3\n")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["mmatrix", "--config", str(cfg_file)]) == 0
+    assert reads == []
+    entries = res.extra_tables["mmatrix_entries"]()
+    assert len(reads) == len(res.rows) == 2 * 3 * 4
+    assert len(entries) == 12 * len(res.rows)
+
+
+def test_line_models_transforms_each_datum_once_and_solves_each_limit_once_per_z(
+    monkeypatch,
+):
+    # the ex1 datum's forward transform serves every division; the limit
+    # model, which no eps enters, is one division per (cell, z); each point
+    # still inverts its own eps-model
+    ffts = _counting(monkeypatch, np.fft, "fft")
+    iffts = _counting(monkeypatch, np.fft, "ifft")
+    limits = _counting(monkeypatch, realline, "solve_differential_model_ex1")
+    res = lab.run_experiment("line_models", {"grid_size": 1024})
+    assert res.passed
+    n_z, n_eps = len(lab.DEFAULT_Z), len(lab.DEFAULT_EPS)
+    assert len(ffts) == 1
+    assert [args[1] for args in limits] == list(lab.DEFAULT_Z)
+    assert len(iffts) == n_z * n_eps + n_z
 
 
 def test_dispersion_series_calls_k_series_three_times_per_cell(monkeypatch):

@@ -8,9 +8,10 @@ import scipy.sparse.linalg
 from scipy.sparse.linalg import ArpackNoConvergence
 
 from qglab import cli, dispersion
-from qglab.graphs import PoleError
+from qglab.graphs import PoleError, build_example
 from qglab.cli import VERB_TAGS, main
-from qglab.lab import EXPERIMENT_TAGS, run_experiment
+from qglab.lab import DEFAULT_Z, EXPERIMENT_TAGS, run_experiment, write_csv
+from qglab.mmatrix import FiberParams, m_blocks_closed
 
 
 def test_list_enumerates_tags(capsys):
@@ -39,6 +40,34 @@ def test_mmatrix_verb_passes_and_writes_csv(tmp_path, capsys):
     assert (out / "summary.txt").is_file()
     header = (out / "additivity.csv").read_text().splitlines()[0]
     assert "example" in header
+
+
+def test_mmatrix_entries_csv_equals_an_eager_build(tmp_path):
+    # the entries table is built when the CLI writes it; its CSV must be the
+    # one an eager build of the same sampled blocks writes
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("examples = ex2, ex0\neps_list = 0.3, 0.1\ntau_count = 3\n")
+    out = tmp_path / "runs"
+    assert main(["mmatrix", "--config", str(cfg), "--out", str(out)]) == 0
+    taus = np.linspace(-3.0, 3.0, 3)[:, None]
+    zs = np.array([*DEFAULT_Z, complex(7.0, 0.3)])
+    eager = []
+    for name in ("ex2", "ex0"):
+        for eps in (0.3, 0.1):
+            mset = m_blocks_closed(build_example(name), FiberParams(eps, taus, zs))
+            blocks = {"full": mset.m_full, "stiff": mset.m_stiff, "soft": mset.m_soft}
+            for i, tau in enumerate(taus.ravel().tolist()):
+                for j, z in enumerate(zs.tolist()):
+                    for block, m in blocks.items():
+                        for r in range(2):
+                            for c in range(2):
+                                v = complex(m[i, j, r, c])
+                                eager.append(dict(
+                                    example=name, eps=eps, tau=tau, re_z=z.real, im_z=z.imag,
+                                    block=block, row=r, col=c, re=v.real, im=v.imag,
+                                ))
+    write_csv(str(tmp_path / "eager.csv"), eager)
+    assert (out / "mmatrix_entries.csv").read_bytes() == (tmp_path / "eager.csv").read_bytes()
 
 
 def test_config_file_is_honoured(tmp_path, capsys):
@@ -117,6 +146,43 @@ def test_bool_or_too_small_resolution_exits_2_before_any_experiment(
     captured = capsys.readouterr()
     assert ran == []
     assert captured.out == ""
+    assert captured.err.splitlines() == [f"qglab: {message}"]
+
+
+@pytest.mark.parametrize(
+    "verb, key, value, message",
+    [
+        ("line", "grid_size", "4097", "line_models: grid_size must be even, got 4097"),
+        ("line", "half_width", "-1", "line_models: half_width must be positive and finite, got -1"),
+        ("line", "sigma", "0", "line_models: sigma must be positive and finite, got 0"),
+        ("line", "sigma", "-0.5", "line_models: sigma must be positive and finite, got -0.5"),
+        ("dispersion", "n_terms", "0", "dispersion_series: n_terms must be at least 1, got 0"),
+        ("dispersion", "tau_count", "0", "dispersion_series: tau_count must be at least 1, got 0"),
+        ("bands", "tau_count", "0", "bands: tau_count must be at least 1, got 0"),
+        ("verify-appendix", "tau_count", "0", "btilde_identity: tau_count must be at least 1, got 0"),
+        ("mmatrix", "tau_count", "0", "additivity: tau_count must be at least 1, got 0"),
+        ("bands", "n_bands", "0", "bands: n_bands must be at least 1, got 0"),
+        ("converge", "eps_list", "0.1, 0.05, 0.025, -0.0125",
+         "gen_res_rate: eps_list must be positive and finite, got [0.1, 0.05, 0.025, -0.0125]"),
+        ("mmatrix", "eps_list", "-0.1", "additivity: eps_list must be positive and finite, got -0.1"),
+        ("dispersion", "eps", "-0.1", "dispersion_series: eps must be positive and finite, got -0.1"),
+        ("resolvent", "eps", "-0.1", "krein_vs_direct: eps must be positive and finite, got -0.1"),
+    ],
+)
+def test_out_of_range_value_exits_2_without_a_traceback(
+    tmp_path, capsys, monkeypatch, verb, key, value, message
+):
+    # no runner may see these: each would raise mid-run, fail with NaN
+    # slopes and no reason (sigma = 0) or pass on a squared width (sigma < 0)
+    ran = []
+    monkeypatch.setattr(cli, "run_experiment", lambda tag, cfg: ran.append(tag))
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(f"{key} = {value}\n")
+    assert main([verb, "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert ran == []
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
     assert captured.err.splitlines() == [f"qglab: {message}"]
 
 

@@ -36,6 +36,15 @@ def test_line_grid_validation():
     assert np.max(np.abs(g.t)) == pytest.approx(math.pi / h, rel=1e-12)
 
 
+def test_line_grid_arrays_are_computed_once_and_read_only():
+    g = make_line_grid(16.0, 64)
+    assert g.x is g.x and g.t is g.t
+    assert not g.x.flags.writeable and not g.t.flags.writeable
+    assert np.array_equal(g.x, np.linspace(-16.0, 16.0, 64, endpoint=False))
+    assert np.array_equal(g.t, 2.0 * math.pi * np.fft.fftfreq(64, d=0.5))
+    assert g == make_line_grid(16.0, 64)
+
+
 def test_stiff_length():
     assert stiff_length(build_example("ex0")) == pytest.approx(0.5)
     assert stiff_length(build_example("ex1")) == pytest.approx(0.6)
