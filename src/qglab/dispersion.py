@@ -123,6 +123,13 @@ def k_series(
     return total / stiff_length(graph)
 
 
+def on_lattice(x: float) -> bool:
+    """Whether x^2 lies within 1e-12 of a lattice point (pi j)^2, j >= 0,
+    where the closed forms of ``verify_sum_identities`` have a pole."""
+    p = round(abs(x) / math.pi) * math.pi
+    return abs(p * p - x * x) < 1e-12
+
+
 def verify_sum_identities(x, n_terms: int) -> dict:
     """Deviation of the truncated lattice sums from their closed forms.
 
@@ -132,7 +139,7 @@ def verify_sum_identities(x, n_terms: int) -> dict:
     ``x`` is a scalar (float deviations) or an array (arrays of deviations
     of its shape).  The lattice (pi j)^2 is built once and one buffer of
     denominators serves every x; the alternating sum is the even-index sum
-    minus the odd-index sum.  An x on a lattice point raises ValueError.
+    minus the odd-index sum.  An x ``on_lattice`` raises ValueError.
     """
     lattice = np.arange(1, n_terms + 1, dtype=float)
     lattice *= math.pi
@@ -141,12 +148,9 @@ def verify_sum_identities(x, n_terms: int) -> dict:
     plain, alt = np.empty(xs.shape), np.empty(xs.shape)
     denom = np.empty_like(lattice)
     for idx, xv in np.ndenumerate(xs):
-        x_sq = xv * xv
-        # the denominators increase with j: the smallest |.| flanks x^2
-        near = np.searchsorted(lattice, x_sq)
-        if np.min(np.abs(lattice[max(near - 1, 0):near + 1] - x_sq)) < 1e-12:
+        if on_lattice(xv):
             raise ValueError("x lies on a lattice point pi*j")
-        np.subtract(lattice, x_sq, out=denom)
+        np.subtract(lattice, xv * xv, out=denom)
         np.reciprocal(denom, out=denom)
         closed_plain = 0.5 * (1.0 / xv**2 - math.cos(xv) / (xv * math.sin(xv)))
         closed_alt = 0.5 * (1.0 / xv**2 - 1.0 / (xv * math.sin(xv)))

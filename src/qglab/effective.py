@@ -17,17 +17,17 @@ Three objects on the soft sample grid:
   Dirichlet soft resolvent, the rank-one boundary coordinate, and the
   scalar embedding Pi = sqrt(L/2).
 
-Each is a Dirichlet kernel plus kernel fields fixed by a small
-``BoundarySystem``, assembled the same way for every cell from the soft edge
-ends and their Datta weights: the weighted end values agree at each vertex,
-Gamma0 u = (U1, U2) lies in span psi, and one flux row couples the
-psi-component of Gamma1 u to the stiff part (see ``_structure``).  System
-and fields read one kernel object of the soft component.  An
-``EffectiveModel`` holds the full graph's ``ResolventWorkspace`` as
-``workspace`` and its soft part as ``kernels``, which share one store, so
-the fields come from the same ``EdgeKernel``s as the full graph's
-resolvent; the system reads only per-edge scalars, so the Schur scalar
-needs no sample grid.  eps enters only the germ term of the flux row:
+One model class, ``EffectiveModel``, holds them.  Each is a Dirichlet
+kernel plus kernel fields fixed by a small boundary system, assembled the
+same way for every cell from the soft edge ends and their Datta weights:
+the weighted end values agree at each vertex, Gamma0 u = (U1, U2) lies in
+span psi, and one flux row couples the psi-component of Gamma1 u to the
+stiff part (see ``_structure``).  The model holds the full graph's
+``ResolventWorkspace`` as ``workspace`` and its soft part as ``kernels``,
+which share one store, so system and fields read the one edge record of
+each soft edge, the ``EdgeKernel`` of the full graph's resolvent: the
+system its end scalars, the fields its samples.  So the Schur scalar
+builds no sample grid.  eps enters only the germ term of the flux row:
 ``at_eps`` gives a sibling at another contrast that finds every other part
 at each z in the kernels' store, under (name, z).
 
@@ -52,7 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import MetricGraph, stiff_length
-from .krein import ComponentKernels, KernelOperator, ResolventWorkspace, end_coeffs
+from .krein import KernelOperator, ResolventWorkspace
 from .mmatrix import FiberParams, PoleError
 
 
@@ -82,34 +82,49 @@ def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise PoleError(f"boundary system singular ({exc})") from exc
 
 
-class BoundarySystem:
-    """The homogenised boundary system on the soft component.
+class EffectiveModel:
+    """Effective resolvents and the homogenised operator on the soft grid,
+    and the homogenised boundary system they share.
 
-    Its rows tie the kernel fields of the soft edges (two per edge) and,
-    with the beta row, the boundary coordinate.  It reads only the per-edge
-    scalars kappa, e^{-i tau l}, cos kappa l and sin kappa l of its soft
-    kernels, so it needs no sample grid.
+    ``workspace`` is the full graph's ``ResolventWorkspace`` at the
+    resolution, and ``kernels`` its soft part, sharing its store.  The
+    boundary system's rows tie the kernel fields of the soft edges (two per
+    edge) and, with the beta row, the boundary coordinate.  They read only
+    the end scalars of the soft edges' ``EdgeKernel``s, so the Schur scalar
+    builds no grid and evaluates no sample.
     """
 
-    def __init__(self, graph: MetricGraph, fiber: FiberParams):
+    def __init__(self, graph: MetricGraph, fiber: FiberParams, resolution: int):
         self.fiber = fiber
         self.params = effective_params(graph, fiber)
-        self.kernels = self._soft_kernels(graph)
-        self.soft = self.kernels.component
+        self.workspace = ResolventWorkspace(graph, fiber, resolution)
+        self.kernels = self.workspace.soft_part()
 
-    def _soft_kernels(self, graph: MetricGraph) -> ComponentKernels:
-        # the one kernel object of the soft component; grid-free here
-        return ComponentKernels(graph.subgraph("soft"), self.fiber)
+    @property
+    def grid(self):
+        return self.kernels.grid
+
+    def at_eps(self, eps: float) -> "EffectiveModel":
+        """This model at contrast eps (same graph, tau and z), holding the
+        ``at_eps`` siblings of its two workspaces.  eps enters only the germ
+        term of the flux row (and the stiff speeds), so in their store the
+        sibling finds every other part of the system, the fields, the
+        right-hand sides and a_hom's factor at each z."""
+        sibling = object.__new__(type(self))
+        sibling.__dict__.update(
+            self.__dict__, fiber=FiberParams(eps, self.fiber.tau, self.fiber.z),
+            workspace=self.workspace.at_eps(eps), kernels=self.kernels.at_eps(eps),
+        )
+        return sibling
 
     def _structure(self, z: complex, with_beta: bool):
         """Boundary system: A x = -Lam t(f) (+ e_c c for the beta row).
 
-        Returns (A, Lam, ends) where x stacks the homogeneous coefficients
+        Returns (A, Lam) where x stacks the homogeneous coefficients
         (p_e, q_e) of the fields e^{-i tau x}(p_e cos kappa x + q_e sin kappa x),
         2 per soft edge, with beta last when requested; t(f) is the 2E-vector
         of particular-solution modified derivatives (at 0, then at l, per
-        edge), Lam maps t-data into the rows of the system, and ends lists
-        the per-edge scalars (kappa, e^{-i tau l}, cos kappa l, sin kappa l).
+        edge), and Lam maps t-data into the rows of the system.
 
         Each edge end at V contributes its weighted value w_V(e) u_e(V) and
         its signed weighted co-derivative +-w_V(e) c_e^2 (d/dx + i tau) u_e
@@ -122,8 +137,8 @@ class BoundarySystem:
         flux / rho + (germ (tau/eps)^2 / rho^2 - z) beta.  Only the germ
         term depends on eps: the rest comes from ``_rows``, once per z.
         """
-        rows, u1, flux_x, flux_t, ends = self._rows(z)
-        m = 2 * len(ends)
+        rows, u1, flux_x, flux_t = self._rows(z)
+        m = u1.size
         germ_term = self.params.germ * (self.fiber.tau / self.fiber.eps) ** 2
         rho = self.params.rho
         a = np.zeros((m + with_beta, m + with_beta), dtype=complex)
@@ -138,50 +153,31 @@ class BoundarySystem:
         else:
             a[m - 1] = flux_x + (germ_term - z * rho * rho) * u1
             lam[m - 1] = flux_t
-        return a, lam, ends
-
-    def at_eps(self, eps: float):
-        """This system at contrast eps (same graph, tau and z).
-
-        eps enters only the germ term germ (tau/eps)^2 of the flux row.  The
-        sibling shares the params and, through ``kernels.at_eps``, the
-        kernels' store, where it finds the parts of the system at each z
-        that eps does not enter (its other rows, the sampled fields, the
-        right-hand sides and a_hom's factor) and every soft edge's kernel.
-        """
-        sibling = object.__new__(type(self))
-        sibling.__dict__.update(
-            self.__dict__, fiber=FiberParams(eps, self.fiber.tau, self.fiber.z),
-            # the soft kernels and, on a model, the full graph's workspace
-            **{k: v.at_eps(eps) for k, v in vars(self).items() if isinstance(v, ComponentKernels)},
-        )
-        return sibling
+        return a, lam
 
     def _rows(self, z: complex):
-        """(rows, u1, flux_x, flux_t, ends): what eps does not enter of the
-        system at z (see ``_structure``), kept under ("rows", z)."""
+        """(rows, u1, flux_x, flux_t): what eps does not enter of the system
+        at z (see ``_structure``), kept under ("rows", z)."""
         return self.kernels._kept(("rows", z), self._assemble_rows, z)
 
     def _assemble_rows(self, z: complex):
-        par, kern = self.params, self.kernels
-        m = 2 * len(self.soft.edges)
-        nu = dict(zip(kern.vertices, np.conj([1.0, par.omega])))  # sqrt(2) conj(psi)
-        ends, values = [], {v: [] for v in kern.vertices}
+        soft = self.kernels
+        kernels = soft.edge_kernels(z)
+        m = 2 * len(kernels)
+        nu = dict(zip(soft.vertices, np.conj([1.0, self.params.omega])))  # sqrt(2) conj(psi)
+        values = {v: [] for v in soft.vertices}
         flux_x = np.zeros(m, dtype=complex)
         flux_t = np.zeros(m, dtype=complex)
-        for i, e in enumerate(self.soft.edges):
-            kappa = kern._kappa(e, z)
-            cos_l, sin_l, e_l, _, _ = end_coeffs(e, kappa, self.fiber.tau, kern.weights)
-            ends.append((kappa, e_l, cos_l, sin_l))
-            c2 = self.fiber.speed(e) ** 2
-            # per end: t index, vertex, sign, value and modified derivative
-            # as rows on (p_e, q_e)
-            for col, v, sign, val, der in (
-                (2 * i, e.left, 1.0, (1.0, 0.0), (0.0, kappa)),
-                (2 * i + 1, e.right, -1.0, (e_l * cos_l, e_l * sin_l),
+        for i, k in enumerate(kernels):
+            e, kappa, e_l, cos_l, sin_l = k.edge, k.kappa, k.e_l, k.cos_l, k.sin_l
+            c2 = k.c ** 2
+            # per end: t index, vertex, weight, sign, value and modified
+            # derivative as rows on (p_e, q_e)
+            for col, v, w, sign, val, der in (
+                (2 * i, e.left, k.wl, 1.0, (1.0, 0.0), (0.0, kappa)),
+                (2 * i + 1, e.right, k.wr, -1.0, (e_l * cos_l, e_l * sin_l),
                  (-e_l * kappa * sin_l, e_l * kappa * cos_l)),
             ):
-                w = kern.weights[(v, e.id)]
                 row = np.zeros(m, dtype=complex)
                 row[2 * i:2 * i + 2] = val
                 values[v].append(w * row)
@@ -190,32 +186,16 @@ class BoundarySystem:
                 flux_t[col] += coef
         u1, u2 = (at_v[0] for at_v in values.values())
         rows = [first - u for first, *rest in values.values() for u in rest]
-        rows.append(u1 - np.conj(par.omega) * u2)
-        return rows, u1, flux_x, flux_t, ends
+        rows.append(u1 - np.conj(self.params.omega) * u2)
+        return rows, u1, flux_x, flux_t
 
     def schur_frobenius(self, z: complex) -> complex:
         """beta response to unit scalar forcing: equals 1/(K(tau,z) - z).
 
         The last entry of one small solve on the beta system; the soft data
         t(f) do not enter, so no sample grid is built."""
-        a, _, _ = self._structure(z, with_beta=True)
+        a, _ = self._structure(z, with_beta=True)
         return complex(_solve(a, np.eye(a.shape[0])[-1])[-1])
-
-
-class EffectiveModel(BoundarySystem):
-    """Effective resolvents and the homogenised operator on the soft grid."""
-
-    def __init__(self, graph: MetricGraph, fiber: FiberParams, resolution: int):
-        """``workspace`` is the full graph's ``ResolventWorkspace`` at this
-        resolution; the soft kernels are its soft part, on the soft sample
-        grid ``make_grid(graph.subgraph("soft"), resolution)``, sharing its
-        store."""
-        self.workspace = ResolventWorkspace(graph, fiber, resolution)
-        super().__init__(graph, fiber)
-        self.grid = self.kernels.grid
-
-    def _soft_kernels(self, graph: MetricGraph) -> ResolventWorkspace:
-        return self.workspace.soft_part()
 
     def _fields(self, z: complex):
         """(h, t) from one pass over the soft ``EdgeKernel``s, once per z for
@@ -229,23 +209,23 @@ class EffectiveModel(BoundarySystem):
         return self.kernels._kept(("fields", z), self._sample_fields, z)
 
     def _sample_fields(self, z: complex):
-        ends = self._rows(z)[-1]
         g = self.grid
-        m = 2 * len(ends)
+        kernels = self.kernels.edge_kernels(z)
+        m = 2 * len(kernels)
         h = np.zeros((g.size, m), dtype=complex)
         t = np.zeros((m, g.size), dtype=complex)
-        kernels = self.kernels._edge_kernels(z)
-        for i, (k, sl, (_, e_l, _, sin_l)) in enumerate(zip(kernels, g.slices, ends)):
-            h[sl, 2 * i] = k.phase * k.cos_x
-            h[sl, 2 * i + 1] = k.phase * k.a
-            base = np.conj(k.phase) * k.w / (k.c * k.c * sin_l)
-            t[2 * i, sl] = base * k.b
-            t[2 * i + 1, sl] = -e_l * base * k.a
+        for i, (k, sl) in enumerate(zip(kernels, g.slices)):
+            _, w, phase, a, b = k.samples
+            h[sl, 2 * i] = phase * k.cos_x
+            h[sl, 2 * i + 1] = phase * a
+            base = np.conj(phase) * w / (k.c * k.c * k.sin_l)
+            t[2 * i, sl] = base * b
+            t[2 * i + 1, sl] = -k.e_l * base * a
         return h, t
 
     def _defect(self, z: complex):
         """(h, coeffs): r_eff(z) minus the Dirichlet resolvent is h @ coeffs."""
-        a, lam, _ = self._structure(z, with_beta=False)
+        a, lam = self._structure(z, with_beta=False)
         h, t = self._fields(z)
         return h, _solve(a, self.kernels._kept(("defect rhs", z), lambda: -lam @ t))
 
@@ -264,12 +244,12 @@ class EffectiveModel(BoundarySystem):
         return rhs
 
     def _hom_solve(self, z: complex):
-        """(ends, h, t, x) at z: x maps the data (f, c) to the homogeneous
+        """(h, t, x) at z: x maps the data (f, c) to the homogeneous
         coefficients of R_hom(z) (f, c), beta last."""
-        a, lam, ends = self._structure(z, with_beta=True)
+        a, lam = self._structure(z, with_beta=True)
         h, t = self._fields(z)
         rhs = self.kernels._kept(("hom rhs", z), self._hom_rhs, lam, t)
-        return ends, h, t, _solve(a, rhs)
+        return h, t, _solve(a, rhs)
 
     def _hom_factor(self, h: np.ndarray) -> np.ndarray:
         n = self.grid.size
@@ -286,13 +266,13 @@ class EffectiveModel(BoundarySystem):
         H = [[h, 0], [0, 1]]: the hom fields on the samples, and beta, the
         one eps-free H at z for the model and its siblings.
         """
-        _, h, _, coeffs = self._hom_solve(z)
+        h, _, coeffs = self._hom_solve(z)
         u = self.kernels._kept(("hom factor", z), self._hom_factor, h)
         return KernelOperator(self.kernels.dirichlet_blocks(z), u, coeffs)
 
     # -- exact composition (for resolvent-identity certificates) ------------
 
-    def _dirichlet_of_hom(self, ends_z, ends_w, h_z, h_w):
+    def _dirichlet_of_hom(self, z, w, h_z, h_w):
         """Closed-form (A_D - z)^{-1} applied to the kernel fields of w.
 
         Returns (cols, tdata): cols is n x m samples, tdata is (2E x m)
@@ -303,10 +283,11 @@ class EffectiveModel(BoundarySystem):
         m = h_z.shape[1]
         cols = np.zeros((self.grid.size, m), dtype=complex)
         tdata = np.zeros((m, m), dtype=complex)
-        for i, (e, (kz, e_l, cz, sz), (kw, _, cw, sw)) in enumerate(
-            zip(self.grid.edges, ends_z, ends_w)
+        for i, (at_z, at_w) in enumerate(
+            zip(self.kernels.edge_kernels(z), self.kernels.edge_kernels(w))
         ):
-            c = self.fiber.speed(e)
+            c, kz, e_l, cz, sz = at_z.c, at_z.kappa, at_z.e_l, at_z.cos_l, at_z.sin_l
+            kw, cw, sw = at_w.kappa, at_w.cos_l, at_w.sin_l
             wmz = (c * c) * (kw * kw - kz * kz)  # w - z on this edge
             for j, (p, q) in enumerate(((1.0, 0.0), (0.0, 1.0))):
                 col_idx = 2 * i + j
@@ -337,13 +318,13 @@ class EffectiveModel(BoundarySystem):
         if z == w:
             raise ValueError("compose requires distinct spectral points")
         n = self.grid.size
-        a_z, lam_z, ends_z = self._structure(z, with_beta=True)
+        a_z, lam_z = self._structure(z, with_beta=True)
         g_z = self.kernels.dirichlet_matrix(z)
         g_w = self.kernels.dirichlet_matrix(w)
         h_z, t_z = self._fields(z)
         # inner solve X_w : (f, c) -> coefficients (+ beta last)
-        ends_w, h_w, t_w, x_w = self._hom_solve(w)
-        gh, th = self._dirichlet_of_hom(ends_z, ends_w, h_z, h_w)
+        h_w, t_w, x_w = self._hom_solve(w)
+        gh, th = self._dirichlet_of_hom(z, w, h_z, h_w)
         xc = x_w[:-1, :]  # homogeneous coefficients of the inner solve
         beta1 = x_w[-1:, :]
 

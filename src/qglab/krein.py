@@ -21,11 +21,14 @@ generalised resolvent (rank N_vertices); the weighted-Kirchhoff (Krein)
 resolvent is the case B = 0.  ``KernelOperator.dense`` forms the matrix
 where a certificate reads entries.
 
-``ComponentKernels`` holds what needs no grid (end coefficients, M(z));
-``ResolventWorkspace`` adds the grid it builds from a resolution, with the
-phase e^{-i tau x} on it.  An ``EdgeKernel``, one per (edge, speed, z), is
-the one place where the other trig functions meet the samples (the
-effective layer reads it); the grid products are assembled from its parts.
+One workspace class, ``ResolventWorkspace``, holds a component's maps: M(z)
+and, on the grid it builds from a resolution when something first reads
+it, the grid products and resolvents.  One edge record, ``EdgeKernel``,
+one per (edge, speed, z), is the one place where trig functions of an edge
+are evaluated: its end scalars (cos kappa l, sin kappa l, e^{-i tau l} and
+the end coefficients) at construction, its sampled arrays on first read.
+M(z), the grid products and the effective layer's boundary rows and fields
+all read it.
 
 Every kept value lives in one store, a dict shared by a workspace, its
 ``at_eps`` siblings and its ``soft_part``, keyed by what the value depends
@@ -38,7 +41,7 @@ once, and on a component without a stiff edge the resolvent's inputs once.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -81,84 +84,6 @@ def make_grid(component: MetricGraph, resolution: int) -> ComponentGrid:
         w=np.concatenate(ws),
         slices=tuple(slices),
     )
-
-
-def end_coeffs(edge: EdgeSpec, kappa: complex, tau: float, weights: dict):
-    """(cos kappa l, sin kappa l, e^{-i tau l}, q_l, q_r) on ``edge``.
-
-    The kernel field with Gamma0 = e_V at the left end V is
-    e^{-i tau x}(conj(w_l) cos kappa x + q_l sin kappa x); the one with
-    Gamma0 = e_V at the right end is e^{-i tau x} q_r sin kappa x.
-    """
-    guard_pole(kappa * edge.length)
-    cos_l = cmath.cos(kappa * edge.length)
-    sin_l = cmath.sin(kappa * edge.length)
-    e_l = cmath.exp(-1j * tau * edge.length)
-    q_l = -np.conj(weights[(edge.left, edge.id)]) * cos_l / sin_l
-    q_r = np.conj(e_l) * np.conj(weights[(edge.right, edge.id)]) / sin_l
-    return cos_l, sin_l, e_l, q_l, q_r
-
-
-class ComponentKernels:
-    """The closed-form kernel-field data of one component (the full graph, or
-    its stiff or soft part): per-edge wavenumbers and end coefficients, and
-    the M-matrix.  Needs no sample grid.  Its Datta weights are those of
-    the component at the fiber's tau."""
-
-    def __init__(self, component: MetricGraph, fiber: FiberParams):
-        self.component = component
-        self.weights = datta_weights(component, fiber.tau)
-        self.fiber = fiber
-        self.vertices = tuple(sorted(component.vertices))
-        self._vidx = {v: i for i, v in enumerate(self.vertices)}
-        # the one store of every kept value, shared with the siblings
-        self._store: dict = {}
-
-    @property
-    def nvert(self) -> int:
-        return len(self.vertices)
-
-    def at_eps(self, eps: float):
-        """These kernels at contrast eps (same component, tau and z).
-
-        The sibling shares the weights, on a workspace the grid and phase
-        once built, and the store, where it finds what eps does not enter.
-        """
-        sibling = object.__new__(type(self))
-        sibling.__dict__.update(
-            self.__dict__, fiber=FiberParams(eps, self.fiber.tau, self.fiber.z)
-        )
-        return sibling
-
-    def _kept(self, key: tuple, build, *args):
-        """``build(*args)``, kept in the store under ``key``, which names all
-        the value depends on beside tau and the resolution.  A build that
-        raises keeps nothing, so each later use raises again."""
-        store = self._store
-        if key not in store:
-            store[key] = build(*args)
-        return store[key]
-
-    def _kappa(self, edge: EdgeSpec, z: complex) -> complex:
-        return sqrt_upper(z) / self.fiber.speed(edge)
-
-    def m_matrix(self, z: complex) -> np.ndarray:
-        """M(z) = Gamma1 of the kernel fields, one edge at a time."""
-        out = np.zeros((self.nvert, self.nvert), dtype=complex)
-        for e in self.component.edges:
-            kappa = self._kappa(e, z)
-            cos_l, sin_l, e_l, q_l, q_r = end_coeffs(e, kappa, self.fiber.tau, self.weights)
-            c2 = self.fiber.speed(e) ** 2
-            il, ir = self._vidx[e.left], self._vidx[e.right]
-            wl, wr = self.weights[(e.left, e.id)], self.weights[(e.right, e.id)]
-            # + w c^2 (d/dx + i tau) u at coordinate 0, - at coordinate l
-            out[il, il] += wl * c2 * (kappa * q_l)
-            out[ir, il] -= wr * c2 * (
-                e_l * (kappa * (-np.conj(wl) * sin_l + q_l * cos_l))
-            )
-            out[il, ir] += wl * c2 * (kappa * q_r)
-            out[ir, ir] -= wr * c2 * (e_l * (kappa * (q_r * cos_l)))
-        return out
 
 
 class KernelOperator:
@@ -277,41 +202,78 @@ class KernelOperator:
         )
 
 
-class EdgeKernel:
-    """One edge's sampled kernel data at one (speed c, z), on the edge's own
-    samples x, with their trapezoid weights w and phase e^{-i tau x}:
-    a = sin(kappa x), b = sin(kappa (l - x)) and sin(kappa l), and, each on
-    first read, cos(kappa x) and the edge's parts of the Dirichlet blocks,
-    gamma(z) and Gamma1 D.  It holds no grid offset, so every workspace that
-    shares a store finds the one kernel of an edge.  Raises ``PoleError``
-    where kappa l is at a Dirichlet level of the edge."""
+class _LazyGrid:
+    """A component's sample grid ``make_grid(component, resolution)`` and the
+    phase e^{-i tau x} on it, the only z-independent trig factor, each built
+    on first read.  A workspace, its ``at_eps`` siblings and the edge kernels
+    they build hold one, so each grid is built once, by whichever reads it
+    first (a gen_res_rate row reads neither of the full graph's)."""
 
-    def __init__(self, edge: EdgeSpec, c: float, kappa: complex, tau: float, weights: dict,
-                 x: np.ndarray, w: np.ndarray, phase: np.ndarray):
+    def __init__(self, component: MetricGraph, resolution: int, tau: float):
+        self.component, self.resolution, self.tau = component, resolution, tau
+
+    @cached_property
+    def grid(self) -> ComponentGrid:
+        return make_grid(self.component, self.resolution)
+
+    @cached_property
+    def phase(self) -> np.ndarray:
+        return np.exp(-1j * self.tau * self.grid.x)
+
+
+class EdgeKernel:
+    """The one record of an edge at one (speed c, z), kappa = sqrt(z)/c.
+
+    At construction it evaluates the end scalars cos kappa l, sin kappa l,
+    e^{-i tau l} and the end coefficients: the kernel field with
+    Gamma0 = e_V at the left end V is e^{-i tau x}(conj(w_l) cos kappa x +
+    q_l sin kappa x), the one at the right end e^{-i tau x} q_r sin kappa x.
+    On first read it takes its samples from the grid of the workspace that
+    built it (an edge's samples are the same on every grid that holds it,
+    so the workspaces of a store share its record) and forms the edge's
+    parts of the Dirichlet blocks, gamma(z) and Gamma1 D.  Raises
+    ``PoleError`` where kappa l is at a Dirichlet level of the edge."""
+
+    def __init__(self, edge: EdgeSpec, c: float, z: complex, tau: float, weights: dict,
+                 grid: _LazyGrid, index: int):
+        kappa = sqrt_upper(z) / c
         guard_pole(kappa * edge.length)
-        self.edge, self.c, self.kappa, self.tau, self.weights = edge, c, kappa, tau, weights
-        self.x, self.w, self.phase = x, w, phase
-        self.a = np.sin(kappa * x)
-        self.b = np.sin(kappa * (edge.length - x))
-        self.sin_l = np.sin(kappa * edge.length)
+        self.edge, self.c, self.kappa = edge, c, kappa
+        self.wl, self.wr = weights[(edge.left, edge.id)], weights[(edge.right, edge.id)]
+        self.cos_l = cmath.cos(kappa * edge.length)
+        self.sin_l = cmath.sin(kappa * edge.length)
+        self.e_l = cmath.exp(-1j * tau * edge.length)
+        self.q_l = -np.conj(self.wl) * self.cos_l / self.sin_l
+        self.q_r = np.conj(self.e_l) * np.conj(self.wr) / self.sin_l
+        self._grid, self._index = grid, index
+
+    @cached_property
+    def samples(self) -> tuple:
+        """(x, w, phase, a, b) on the edge's samples x: trapezoid weights,
+        e^{-i tau x}, sin(kappa x) and sin(kappa (l - x))."""
+        g = self._grid.grid
+        sl = g.slices[self._index]
+        x = g.x[sl]
+        return (x, g.w[sl], self._grid.phase[sl], np.sin(self.kappa * x),
+                np.sin(self.kappa * (self.edge.length - x)))
 
     @cached_property
     def cos_x(self) -> np.ndarray:
-        return np.cos(self.kappa * self.x)
+        return np.cos(self.kappa * self.samples[0])
 
     @cached_property
     def dirichlet(self) -> np.ndarray:
         """The rows (la, br, lb, ar) of the edge's Dirichlet block (see
         ``ResolventWorkspace.dirichlet_blocks``)."""
-        right = np.conj(self.phase) * self.w / (self.c * self.c * self.kappa * self.sin_l)
-        return np.array([self.phase * self.a, self.b * right, self.phase * self.b, self.a * right])
+        _, w, phase, a, b = self.samples
+        right = np.conj(phase) * w / (self.c * self.c * self.kappa * self.sin_l)
+        return np.array([phase * a, b * right, phase * b, a * right])
 
     @cached_property
     def gamma_columns(self) -> tuple:
         """The samples of gamma(z) e_V for the left and the right end V."""
-        _, _, _, q_l, q_r = end_coeffs(self.edge, self.kappa, self.tau, self.weights)
-        wl_bar = np.conj(self.weights[(self.edge.left, self.edge.id)])
-        return self.phase * (wl_bar * self.cos_x + q_l * self.a), self.phase * (q_r * self.a)
+        _, _, phase, a, _ = self.samples
+        return phase * (np.conj(self.wl) * self.cos_x + self.q_l * a), phase * (self.q_r * a)
 
     @cached_property
     def gamma1_rows(self) -> tuple:
@@ -322,50 +284,93 @@ class EdgeKernel:
         right endpoint: - w c^2 e^{-i tau l} dphi(l) with
         dphi(l) = -int sin(kappa y) g(y) dy / (c^2 sin kappa l).
         """
-        e = self.edge
-        base = np.conj(self.phase) * self.w / self.sin_l
-        wl, wr = self.weights[(e.left, e.id)], self.weights[(e.right, e.id)]
-        return wl * base * self.b, wr * cmath.exp(-1j * self.tau * e.length) * base * self.a
+        _, w, phase, a, b = self.samples
+        base = np.conj(phase) * w / self.sin_l
+        return self.wl * base * b, self.wr * self.e_l * base * a
 
 
-class ResolventWorkspace(ComponentKernels):
-    """The resolvent maps of one component on its sample grid
-    ``make_grid(component, resolution)``, which it builds itself on first
-    read, as it does the phase e^{-i tau x} on it, the only z-independent
-    trig factor (a gen_res_rate row reads neither of the full graph's)."""
+class ResolventWorkspace:
+    """The resolvent maps of one component (the full graph, or its stiff or
+    soft part) at a fiber, with the component's Datta weights at its tau:
+    M(z), and on the grid ``make_grid(component, resolution)``, built on
+    first read (``_LazyGrid``), the Dirichlet blocks, gamma(z), Gamma1 D and
+    the generalised resolvents."""
 
     def __init__(self, component: MetricGraph, fiber: FiberParams, resolution: int):
-        super().__init__(component, fiber)
-        self.resolution = resolution
+        self.component = component
+        self.weights = datta_weights(component, fiber.tau)
+        self.fiber = fiber
+        self.vertices = tuple(sorted(component.vertices))
+        self._vidx = {v: i for i, v in enumerate(self.vertices)}
+        self._lazy_grid = _LazyGrid(component, resolution, fiber.tau)
+        # the one store of every kept value, shared with the siblings
+        self._store: dict = {}
 
-    @cached_property
+    @property
+    def nvert(self) -> int:
+        return len(self.vertices)
+
+    @property
     def grid(self) -> ComponentGrid:
-        return make_grid(self.component, self.resolution)
+        return self._lazy_grid.grid
 
-    @cached_property
+    @property
     def phase(self) -> np.ndarray:
-        return np.exp(-1j * self.fiber.tau * self.grid.x)
+        return self._lazy_grid.phase
+
+    def at_eps(self, eps: float) -> "ResolventWorkspace":
+        """This workspace at contrast eps (same component, tau and z): the
+        sibling shares the weights, the lazy grid and the store, where it
+        finds what eps does not enter."""
+        sibling = object.__new__(type(self))
+        sibling.__dict__.update(self.__dict__, fiber=replace(self.fiber, eps=eps))
+        return sibling
 
     def soft_part(self) -> "ResolventWorkspace":
         """The workspace of this one's soft component, on its own grid at
         the same resolution, sharing this one's store: each finds the edge
         kernels that the other evaluated."""
-        part = ResolventWorkspace(self.component.subgraph("soft"), self.fiber, self.resolution)
+        part = ResolventWorkspace(
+            self.component.subgraph("soft"), self.fiber, self._lazy_grid.resolution
+        )
         part._store = self._store
         return part
 
-    def _edge_kernels(self, z: complex) -> list[EdgeKernel]:
-        """The ``EdgeKernel`` of every grid edge at z, in grid order, each
-        evaluated on its first use in the store: one trig pass per (edge,
-        speed, z) over the workspaces, siblings and parts of a store."""
-        g, kernels = self.grid, []
-        for e, sl in zip(g.edges, g.slices):
+    def _kept(self, key: tuple, build, *args):
+        """``build(*args)``, kept in the store under ``key``, which names all
+        the value depends on beside tau and the resolution.  A build that
+        raises keeps nothing, so each later use raises again."""
+        store = self._store
+        if key not in store:
+            store[key] = build(*args)
+        return store[key]
+
+    def edge_kernels(self, z: complex) -> list[EdgeKernel]:
+        """The ``EdgeKernel`` of every edge at z in the component's (and the
+        grid's) order, each built on its first use in the store under (edge
+        id, speed, z), once for the workspaces, siblings and parts of a store."""
+        kernels = []
+        for i, e in enumerate(self.component.edges):
             c = self.fiber.speed(e)
-            kernels.append(self._kept((e.id, c, z), lambda: EdgeKernel(
-                e, c, sqrt_upper(z) / c, self.fiber.tau, self.weights, g.x[sl], g.w[sl],
-                self.phase[sl],
-            )))
+            kernels.append(self._kept(
+                (e.id, c, z), EdgeKernel, e, c, z, self.fiber.tau, self.weights, self._lazy_grid, i
+            ))
         return kernels
+
+    def m_matrix(self, z: complex) -> np.ndarray:
+        """M(z) = Gamma1 of the kernel fields, one edge at a time."""
+        out = np.zeros((self.nvert, self.nvert), dtype=complex)
+        for k in self.edge_kernels(z):
+            kappa, c2 = k.kappa, k.c ** 2
+            il, ir = self._vidx[k.edge.left], self._vidx[k.edge.right]
+            # + w c^2 (d/dx + i tau) u at coordinate 0, - at coordinate l
+            out[il, il] += k.wl * c2 * (kappa * k.q_l)
+            out[ir, il] -= k.wr * c2 * (
+                k.e_l * (kappa * (-np.conj(k.wl) * k.sin_l + k.q_l * k.cos_l))
+            )
+            out[il, ir] += k.wl * c2 * (kappa * k.q_r)
+            out[ir, ir] -= k.wr * c2 * (k.e_l * (kappa * (k.q_r * k.cos_l)))
+        return out
 
     # -- Dirichlet decoupling, kernel lift and its dual ----------------
 
@@ -384,7 +389,7 @@ class ResolventWorkspace(ComponentKernels):
         ``EdgeKernel``'s, the one array of that edge in the store.
         """
         return tuple(
-            (sl, k.dirichlet) for k, sl in zip(self._edge_kernels(z), self.grid.slices)
+            (sl, k.dirichlet) for k, sl in zip(self.edge_kernels(z), self.grid.slices)
         )
 
     def dirichlet_matrix(self, z: complex) -> np.ndarray:
@@ -399,7 +404,7 @@ class ResolventWorkspace(ComponentKernels):
     def gamma_matrix(self, z: complex) -> np.ndarray:
         """n x N matrix of samples of gamma(z) e_V."""
         out = np.zeros((self.grid.size, self.nvert), dtype=complex)
-        for k, sl in zip(self._edge_kernels(z), self.grid.slices):
+        for k, sl in zip(self.edge_kernels(z), self.grid.slices):
             left, right = k.gamma_columns
             out[sl, self._vidx[k.edge.left]] += left
             out[sl, self._vidx[k.edge.right]] += right
@@ -412,7 +417,7 @@ class ResolventWorkspace(ComponentKernels):
         sum of the Dirichlet solution at V.
         """
         out = np.zeros((self.nvert, self.grid.size), dtype=complex)
-        for k, sl in zip(self._edge_kernels(z), self.grid.slices):
+        for k, sl in zip(self.edge_kernels(z), self.grid.slices):
             left, right = k.gamma1_rows
             out[self._vidx[k.edge.left], sl] += left
             out[self._vidx[k.edge.right], sl] += right

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import dispersion, realline, triples
-from .effective import BoundarySystem, EffectiveModel, PsiEmbedding
+from .effective import EffectiveModel, PsiEmbedding
 from .fdsolver import MIN_RESOLUTION, DiscretizedOperator
 from .graphs import EXAMPLES, ParameterError, build_example
 from .krein import KernelOperator, ResolventWorkspace
@@ -734,8 +734,8 @@ def run_schur_check(
 
     def schur_and_k(point):
         g, tau, z = point
-        fiber = FiberParams(eps, tau, z)
-        s = BoundarySystem(g, fiber).schur_frobenius(z)
+        # the Schur scalar builds no sample grid, so any resolution does
+        s = EffectiveModel(g, FiberParams(eps, tau, z), 1).schur_frobenius(z)
         return s, dispersion.k_closed(g, tau, z, eps=eps)
 
     points = [
@@ -930,6 +930,8 @@ def _refusal(tag: str, key: str, values: list) -> str | None:
         return "must be even"
     if key in _POSITIVE and not all(0 < v < math.inf for v in values):
         return "must be positive and finite"
+    if key == "x_list" and any(not math.isfinite(v) or dispersion.on_lattice(v) for v in values):
+        return "must be finite and off the lattice points pi*j"
     return None
 
 
@@ -957,9 +959,10 @@ def bind_config(tag: str, cfg: dict) -> dict:
     the eps_list of a runner that fits slopes needs MIN_FIT_POINTS values,
     a resolution must be at least the FEM floor (twice it for bands), a
     count (tau_count, n_terms, n_bands) at least 1, a line grid's size even
-    and at least ``realline.MIN_GRID_SIZE``, and eps, sigma and half_width
-    positive and finite (``_refusal``); a refused value raises
-    ``ParameterError`` naming the tag, the key and the value.
+    and at least ``realline.MIN_GRID_SIZE``, eps, sigma and half_width
+    positive and finite, and each x of sum_identities finite and off the
+    lattice points pi*j (``_refusal``); a refused value, or a full_res_rate
+    w equal to its z, raises ``ParameterError`` naming the tag and key.
     """
     params = _parameters(tag)
     unknown = [key for key in cfg if key not in params]
@@ -999,6 +1002,10 @@ def bind_config(tag: str, cfg: dict) -> dict:
         if refusal:
             raise ParameterError(f"{tag}: {key} {refusal}, got {value!r}")
         kwargs[key] = values if many else values[0]
+    if tag == "full_res_rate":
+        z, w = (kwargs.get(key, params[key].default) for key in ("z", "w"))
+        if z == w:
+            raise ParameterError(f"{tag}: w must differ from z, both are {z}")
     return kwargs
 
 

@@ -35,7 +35,7 @@ import qglab
 from qglab import dispersion, lab, realline, triples
 from qglab.cli import main
 from qglab.dispersion import k_closed, k_series
-from qglab.effective import BoundarySystem, EffectiveModel, PsiEmbedding, effective_params
+from qglab.effective import EffectiveModel, PsiEmbedding, effective_params
 from qglab.fdsolver import DiscretizedOperator
 from qglab.graphs import PoleError, build_example, stiff_length
 from qglab.krein import ResolventWorkspace
@@ -222,7 +222,7 @@ def test_line_models_rows_equal_a_point_by_point_loop_at_drawn_cells(g, z):
 @settings(max_examples=30, deadline=None)
 @given(g=cells(), tau=TAU, z=Z, eps=EPS)
 def test_schur_complement_inverts_dispersion(g, tau, z, eps):
-    s = BoundarySystem(g, FiberParams(eps, tau, z)).schur_frobenius(z)
+    s = EffectiveModel(g, FiberParams(eps, tau, z), 1).schur_frobenius(z)
     assert abs(s * (k_closed(g, tau, z, eps=eps) - z) - 1.0) < 1e-9
 
 

@@ -167,6 +167,14 @@ def test_bool_or_too_small_resolution_exits_2_before_any_experiment(
         ("mmatrix", "eps_list", "-0.1", "additivity: eps_list must be positive and finite, got -0.1"),
         ("dispersion", "eps", "-0.1", "dispersion_series: eps must be positive and finite, got -0.1"),
         ("resolvent", "eps", "-0.1", "krein_vs_direct: eps must be positive and finite, got -0.1"),
+        ("dispersion", "x_list", "3.141592653589793",
+         "sum_identities: x_list must be finite and off the lattice points pi*j, "
+         "got 3.141592653589793"),
+        ("dispersion", "x_list", "0.3, 0",
+         "sum_identities: x_list must be finite and off the lattice points pi*j, got [0.3, 0]"),
+        ("dispersion", "x_list", "inf",
+         "sum_identities: x_list must be finite and off the lattice points pi*j, got inf"),
+        ("converge", "w", "2+1i", "full_res_rate: w must differ from z, both are (2+1j)"),
     ],
 )
 def test_out_of_range_value_exits_2_without_a_traceback(

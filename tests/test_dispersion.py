@@ -15,7 +15,7 @@ from qglab.dispersion import (
     k_series,
     verify_sum_identities,
 )
-from qglab.effective import BoundarySystem
+from qglab.effective import EffectiveModel
 from qglab.graphs import build_example
 from qglab.lab import tau_grid
 from qglab.mmatrix import POLE_GUARD, FiberParams, PoleError
@@ -93,6 +93,12 @@ def test_sum_identities_small_deviation():
 def test_sum_identities_reject_lattice_points():
     with pytest.raises((PoleError, ValueError)):
         verify_sum_identities(math.pi, 100)
+    # j = 0, where the closed forms divide by x^2, and j beyond the truncation
+    for x in (0.0, -2 * math.pi, 500 * math.pi):
+        assert dispersion.on_lattice(x)
+        with pytest.raises(ValueError, match="lattice point"):
+            verify_sum_identities(x, 100)
+    assert not any(map(dispersion.on_lattice, (0.3, 1.0, 2.5, math.pi + 1e-9)))
 
 
 def test_schur_frobenius_inverts_dispersion():
@@ -101,7 +107,7 @@ def test_schur_frobenius_inverts_dispersion():
         for tau in (-1.0, 0.3, 2.9):
             z = 5 + 2j
             fiber = FiberParams(0.1, tau, z)
-            s = BoundarySystem(g, fiber).schur_frobenius(z)
+            s = EffectiveModel(g, fiber, 1).schur_frobenius(z)
             assert abs(s * (k_closed(g, tau, z, eps=0.1) - z) - 1.0) < 1e-9
 
 

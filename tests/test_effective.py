@@ -1,8 +1,11 @@
+from functools import cached_property
+
 import numpy as np
 import pytest
 
+from qglab import krein
 from qglab.dispersion import k_closed
-from qglab.effective import BoundarySystem, EffectiveModel, PsiEmbedding, effective_params
+from qglab.effective import EffectiveModel, PsiEmbedding, effective_params
 from qglab.graphs import build_example, datta_weights
 from qglab.krein import KernelOperator, ResolventWorkspace
 from qglab.mmatrix import FiberParams, PoleError
@@ -42,14 +45,22 @@ def test_grid_free_schur_scalar_is_the_hom_corner(name):
 
 
 def test_schur_scalar_samples_nothing(monkeypatch):
-    def no_samples(self, z):
-        raise AssertionError("the Schur scalar evaluated per-edge samples")
+    # the Schur scalar reads only the end scalars of the soft edges' records:
+    # it builds no grid, and no record evaluates any of its sampled arrays
+    # (every cached property of an EdgeKernel is one)
+    def no_grid(*args):
+        raise AssertionError("the Schur scalar built a sample grid")
 
-    monkeypatch.setattr(ResolventWorkspace, "_edge_kernels", no_samples)
+    monkeypatch.setattr(krein, "make_grid", no_grid)
     g = build_example("ex2")
-    fiber = FiberParams(0.1, 1.0, 2 + 1j)
-    s = BoundarySystem(g, fiber).schur_frobenius(2 + 1j)
+    model = EffectiveModel(g, FiberParams(0.1, 1.0, 2 + 1j), 64)
+    s = model.schur_frobenius(2 + 1j)
     assert abs(s * (k_closed(g, 1.0, 2 + 1j, eps=0.1) - (2 + 1j)) - 1.0) < 1e-9
+    kernels = [v for v in model.kernels._store.values() if isinstance(v, krein.EdgeKernel)]
+    assert sorted(k.edge.id for k in kernels) == sorted(e.id for e in g.edges if not e.is_stiff)
+    sampled = [n for n, v in vars(krein.EdgeKernel).items() if isinstance(v, cached_property)]
+    assert "samples" in sampled and "dirichlet" in sampled
+    assert [n for k in kernels for n in sampled if n in vars(k)] == []
 
 
 def test_dilation_matches_hom_matrix():

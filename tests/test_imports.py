@@ -250,3 +250,41 @@ def test_every_dense_solve_is_guarded():
     (handler,) = guard.handlers
     assert ast.unparse(handler.type) == "np.linalg.LinAlgError"
     assert _raises_pole_error(handler)
+
+
+def _edge_trig_calls(module: str) -> list[str]:
+    """The enclosing class.function of every sin/cos/tan call in ``module``
+    whose argument reads both a ``kappa`` and an edge's ``length``."""
+    tree = ast.parse((SRC / "qglab" / f"{module}.py").read_text())
+    found = []
+
+    def names(node):
+        return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)} | {
+            n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)
+        }
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, f"{where}.{child.name}" if where else child.name)
+                continue
+            if (
+                isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+                and child.func.attr in ("sin", "cos", "tan")
+                and {"kappa", "length"} <= set().union(*map(names, child.args))
+            ):
+                found.append(where)
+            visit(child, where)
+
+    visit(tree, "")
+    return found
+
+
+def test_edge_trig_is_evaluated_only_in_the_edge_record():
+    # EdgeKernel is the one record of an edge at (speed, z): M(z), the grid
+    # products and the effective layer's boundary rows and fields read its
+    # end scalars and samples, so no other code in the resolvent layer
+    # evaluates a trig function of kappa and an edge length
+    calls = {m: _edge_trig_calls(m) for m in ("krein", "effective")}
+    assert calls["effective"] == []
+    assert calls["krein"] and all(where.startswith("EdgeKernel.") for where in calls["krein"])

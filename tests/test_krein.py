@@ -6,7 +6,7 @@ from qglab import krein, lab
 from qglab.effective import EffectiveModel, PsiEmbedding
 from qglab.graphs import build_example
 from qglab.krein import KernelOperator, ResolventWorkspace
-from qglab.mmatrix import FiberParams, m_blocks_closed
+from qglab.mmatrix import FiberParams, m_blocks_closed, sqrt_upper
 from qglab.triples import b_matrix
 from test_cells import EPS, TAU, Z, cells
 
@@ -108,7 +108,7 @@ def _dirichlet_reference(ws: ResolventWorkspace, z: complex) -> np.ndarray:
     out = np.zeros((grid.size, grid.size), dtype=complex)
     for e, sl in zip(grid.edges, grid.slices):
         c = fiber.speed(e)
-        kappa = ws._kappa(e, z)
+        kappa = sqrt_upper(z) / c
         x = grid.x[sl]
         xc = np.minimum.outer(x, x)
         xg = np.maximum.outer(x, x)
@@ -132,8 +132,8 @@ def test_dirichlet_matrix_matches_min_max_kernel(name, component, tau, z):
     ws = ResolventWorkspace(comp, fiber, 96)
     if z.real < 0:
         # deep in the gap the soft-edge sines grow like e^{|Im kappa| l}
-        soft = [e for e in comp.edges if not e.is_stiff]
-        assert max(abs((ws._kappa(e, z) * e.length).imag) for e in soft) > 10
+        soft = [k for k in ws.edge_kernels(z) if not k.edge.is_stiff]
+        assert max(abs((k.kappa * k.edge.length).imag) for k in soft) > 10
     ref = _dirichlet_reference(ws, z)
     got = ws.dirichlet_matrix(z)
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
@@ -232,7 +232,7 @@ def test_dense_resolvents_are_the_outer_product_matrices_bit_for_bit(g, tau, z, 
     h, coeffs = model._defect(z)
     dirichlet = model.kernels.dirichlet_matrix(z)
     assert np.array_equal(model.r_eff(z).dense(), dirichlet + h @ coeffs)
-    _, h, _, coeffs = model._hom_solve(z)
+    h, _, coeffs = model._hom_solve(z)
     ref = np.zeros((n + 1, n + 1), dtype=complex)
     ref[:n, :] = h @ coeffs[:-1, :]
     ref[:n, :n] += dirichlet
@@ -297,7 +297,7 @@ def test_running_sums_are_stable_deep_in_the_gap(name, component):
     comp = g if component == "full" else g.subgraph("soft")
     z = -32400 + 3j
     ws = ResolventWorkspace(comp, FiberParams(0.1, 0.7, z), 96)
-    assert max(abs((ws._kappa(e, z) * e.length).imag) for e in comp.edges) > 50
+    assert max(abs((k.kappa * k.edge.length).imag) for k in ws.edge_kernels(z)) > 50
     n = ws.grid.size
     op = KernelOperator(
         ws.dirichlet_blocks(z), np.zeros((n, 0), dtype=complex), np.zeros((0, n), dtype=complex)
@@ -365,3 +365,44 @@ def test_one_trig_pass_per_workspace_and_z(monkeypatch):
     ResolventWorkspace(g, FiberParams(0.1, 1.0, 2 + 1j), 32).dirichlet_matrix(2 + 1j)
     assert len(made) == len(g.edges)
     assert not any("cos_x" in s.__dict__ for s in made)
+
+
+def test_one_edge_record_per_edge_and_speed_at_one_z(monkeypatch):
+    # at one z each (edge, speed) builds exactly one EdgeKernel, and M(z),
+    # the boundary rows, the fields and both resolvents all read it: the
+    # full workspace's M builds every record from end scalars alone, with
+    # no grid and no sample, and everything after finds it in the store
+    made, grids = [], []
+
+    class Counted(krein.EdgeKernel):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    make_grid = krein.make_grid
+
+    def counted_grid(*args):
+        grids.append(args)
+        return make_grid(*args)
+
+    monkeypatch.setattr(krein, "EdgeKernel", Counted)
+    monkeypatch.setattr(krein, "make_grid", counted_grid)
+    g = build_example("ex2")
+    z = 2 + 1j
+    fiber = FiberParams(0.1, 1.0, z)
+    model = EffectiveModel(g, fiber, 32)
+    full, soft = model.workspace, model.kernels
+    full.m_matrix(z)
+    assert sorted(k.edge.id for k in made) == sorted(e.id for e in g.edges)
+    assert grids == [] and not any("samples" in vars(k) for k in made)
+    records = {k.edge.id: k for k in made}
+    model.schur_frobenius(z)
+    soft.m_matrix(z)
+    model._fields(z)
+    full.generalized_resolvent(z, 0.0)
+    soft.generalized_resolvent(z, b_matrix(g, fiber))
+    model.r_eff(z)
+    model.a_hom(z)
+    assert len(made) == len(g.edges) and len(grids) == 2
+    for ws in (full, soft):
+        assert all(k is records[k.edge.id] for k in ws.edge_kernels(z))

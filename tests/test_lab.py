@@ -10,7 +10,7 @@ import scipy.sparse.linalg
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, aslinearoperator
 
 from qglab import dispersion, lab, realline, triples
-from qglab.effective import BoundarySystem, EffectiveModel, PsiEmbedding
+from qglab.effective import EffectiveModel, PsiEmbedding
 from qglab.fdsolver import MIN_RESOLUTION, DiscretizedOperator
 from qglab.graphs import ParameterError, PoleError, build_example
 from qglab.lab import (
@@ -88,14 +88,14 @@ def test_check_str_shows_its_bound():
 
 
 def test_nan_schur_scalar_fails_schur_check(monkeypatch):
-    original = BoundarySystem.schur_frobenius
+    original = EffectiveModel.schur_frobenius
 
     def nan_at_one_point(self, z):
-        if self.soft.example == "ex1" and self.fiber.tau == 0.3 and z == 2 + 1j:
+        if self.kernels.component.example == "ex1" and self.fiber.tau == 0.3 and z == 2 + 1j:
             return complex(math.nan, math.nan)
         return original(self, z)
 
-    monkeypatch.setattr(BoundarySystem, "schur_frobenius", nan_at_one_point)
+    monkeypatch.setattr(EffectiveModel, "schur_frobenius", nan_at_one_point)
     res = run_experiment("schur_check")
     assert not res.passed
     assert res.summary == [
@@ -784,6 +784,26 @@ def test_resolution_floors_are_taken():
     assert bind_config("gen_res_rate", {"resolution": floor}) == {"resolution": floor}
     assert bind_config("krein_vs_direct", {"resolutions": floor}) == {"resolutions": [floor]}
     assert bind_config("bands", {"resolution": 2 * floor}) == {"resolution": 2 * floor}
+
+
+def test_sum_identities_and_its_config_share_one_lattice_test(monkeypatch):
+    # bind_config refuses an x_list entry by the very test that
+    # verify_sum_identities raises on, so the two cannot drift apart
+    monkeypatch.setattr(dispersion, "on_lattice", lambda x: x == 1.0)
+    with pytest.raises(ParameterError, match="sum_identities: x_list must be finite and off"):
+        bind_config("sum_identities", {"x_list": [0.3, 1.0]})
+    with pytest.raises(ValueError, match="lattice point"):
+        dispersion.verify_sum_identities(1.0, 10)
+    assert bind_config("sum_identities", {"x_list": math.pi}) == {"x_list": [math.pi]}
+
+
+def test_full_res_rate_refuses_equal_spectral_points():
+    # compose certifies R(z) R(w) through 1/(z - w): z == w would end the
+    # run with a traceback after the whole sweep
+    for cfg in ({"w": 2 + 1j}, {"z": 5 + 2j}, {"z": 3j, "w": 3j}):
+        with pytest.raises(ParameterError, match="full_res_rate: w must differ from z"):
+            bind_config("full_res_rate", cfg)
+    assert bind_config("full_res_rate", {"z": 5 + 2j, "w": 2 + 1j}) == {"z": 5 + 2j, "w": 2 + 1j}
 
 
 def test_schur_check_takes_no_resolution():
