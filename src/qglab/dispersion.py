@@ -130,6 +130,27 @@ def on_lattice(x: float) -> bool:
     return abs(p * p - x * x) < 1e-12
 
 
+# terms per block of the streamed lattice sums of ``verify_sum_identities``;
+# at least numpy's pairwise leaf of 128 terms, so every block is one subtree
+SUM_BLOCK = 1 << 15
+
+
+def _pairwise(leaf, lo: int, n: int):
+    """np.sum of the n terms lo, lo + 1, ... of a sequence, bit for bit,
+    from ``leaf(lo, m)`` = np.sum of the m <= SUM_BLOCK terms from lo.
+
+    numpy sums a run of more than 128 terms as the sum of its two halves,
+    split at n//2 rounded down to a multiple of 8.  Splitting the same way
+    down to runs of at most SUM_BLOCK terms, each of them one subtree of
+    numpy's tree, gives numpy's total without holding the whole sequence.
+    """
+    if n <= SUM_BLOCK:
+        return leaf(lo, n)
+    h = n // 2
+    h -= h % 8
+    return _pairwise(leaf, lo, h) + _pairwise(leaf, lo + h, n - h)
+
+
 def verify_sum_identities(x, n_terms: int) -> dict:
     """Deviation of the truncated lattice sums from their closed forms.
 
@@ -137,26 +158,46 @@ def verify_sum_identities(x, n_terms: int) -> dict:
     sum_{j>=1} (-1)^j/((pi j)^2 - x^2)   = (1/x^2 - 1/(x sin x)) / 2
 
     ``x`` is a scalar (float deviations) or an array (arrays of deviations
-    of its shape).  The lattice (pi j)^2 is built once and one buffer of
-    denominators serves every x; the alternating sum is the even-index sum
-    minus the odd-index sum.  An x ``on_lattice`` raises ValueError.
+    of its shape).  The alternating sum is the sum over even j minus the
+    sum over odd j.  Each sum streams its terms in blocks of SUM_BLOCK
+    through ``_pairwise``, so it equals np.sum of the full array of terms
+    while the working set stays two blocks (one lattice block serves every
+    x) and a partial sum per x and tree level, whatever ``n_terms``.  An x
+    ``on_lattice`` raises ValueError, as does n_terms < 1.
     """
-    lattice = np.arange(1, n_terms + 1, dtype=float)
-    lattice *= math.pi
-    lattice *= lattice
+    if n_terms < 1:
+        raise ValueError("n_terms must be >= 1")
     xs = np.asarray(x, dtype=float)
+    if any(map(on_lattice, xs.flat)):
+        raise ValueError("x lies on a lattice point pi*j")
+    squares = xs.ravel() * xs.ravel()
+    denom = np.empty(min(n_terms, SUM_BLOCK))
+
+    def lattice_sums(first: int, step: int, count: int) -> np.ndarray:
+        """Per x, np.sum of 1/((pi j)^2 - x^2) over j = first, first + step,
+        ... (count terms)."""
+
+        def leaf(lo: int, m: int) -> np.ndarray:
+            lattice = np.arange(first + step * lo, first + step * (lo + m), step, dtype=float)
+            lattice *= math.pi
+            lattice *= lattice
+            block = denom[:m]
+            sums = np.empty(squares.size)
+            for i, square in enumerate(squares):
+                np.subtract(lattice, square, out=block)
+                sums[i] = np.sum(np.reciprocal(block, out=block))
+            return sums
+
+        return _pairwise(leaf, 0, count)
+
+    plain_sums = lattice_sums(1, 1, n_terms)
+    alt_sums = lattice_sums(2, 2, n_terms // 2) - lattice_sums(1, 2, (n_terms + 1) // 2)
     plain, alt = np.empty(xs.shape), np.empty(xs.shape)
-    denom = np.empty_like(lattice)
-    for idx, xv in np.ndenumerate(xs):
-        if on_lattice(xv):
-            raise ValueError("x lies on a lattice point pi*j")
-        np.subtract(lattice, xv * xv, out=denom)
-        np.reciprocal(denom, out=denom)
+    for i, xv in enumerate(xs.flat):
         closed_plain = 0.5 * (1.0 / xv**2 - math.cos(xv) / (xv * math.sin(xv)))
         closed_alt = 0.5 * (1.0 / xv**2 - 1.0 / (xv * math.sin(xv)))
-        plain[idx] = abs(np.sum(denom) - closed_plain)
-        # (-1)^j = +1 at the even j = 2, 4, ..., i.e. at the odd indices
-        alt[idx] = abs(np.sum(denom[1::2]) - np.sum(denom[::2]) - closed_alt)
+        plain.flat[i] = abs(plain_sums[i] - closed_plain)
+        alt.flat[i] = abs(alt_sums[i] - closed_alt)
     return {"plain": plain[()], "alternating": alt[()]}
 
 

@@ -29,6 +29,7 @@ antisymmetric) and gives it to the row at -tau as well.
 
 from __future__ import annotations
 
+import gc
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -213,11 +214,20 @@ class DiscretizedOperator:
 
         ARPACK starts from a seeded vector, so repeated calls agree exactly.
         ARPACK without convergence raises ArithmeticError.
+
+        scipy keeps a call's ARPACK state (the Krylov basis, the workspaces
+        and the factor of K + M) in a reference cycle.  The young collections
+        that run during the call would promote it to the old generation,
+        which only a full collection frees.  So ``eigsh`` runs with the
+        collector paused, and a generation-0 collection frees that state as
+        the call returns; the collector is then left as it was found.
         """
         from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
         rng = np.random.default_rng(0)
         v0 = rng.standard_normal(self.ndof) + 1j * rng.standard_normal(self.ndof)
+        was_enabled = gc.isenabled()
+        gc.disable()
         try:
             vals = eigsh(
                 self.k_mat,
@@ -230,4 +240,8 @@ class DiscretizedOperator:
             )
         except ArpackNoConvergence as exc:
             raise ArithmeticError(f"eigsh did not converge: {exc}") from exc
+        finally:
+            gc.collect(0)
+            if was_enabled:
+                gc.enable()
         return np.sort(vals.real)

@@ -102,10 +102,17 @@ def test_k_closed_matches_series(g, tau, z, eps):
 
 @settings(max_examples=30, deadline=None)
 @given(g=cells(("ex0", "ex2")), tau=st.floats(-math.pi, math.pi))
+@example(g=build_example("ex2", l1=0.25, l2=0.25, l3=0.5, a1=1.0, a2=0.99999), tau=0.0)
 def test_band_roots_scan_decreases_and_roots_solve_k_eq_z(g, tau):
     # 1/(K - z) is Herglotz at every cell, so the monotonicity check of
     # band_roots never fires; z = 0 (reported from K(tau, 1e-9)), removable
-    # poles and flat levels are Dirichlet levels, not roots of K - z
+    # poles and flat levels are Dirichlet levels, not roots of K - z.
+    # Brent's refinement brackets each root to within ROOT_TOL + 1e-15 r
+    # (its rtol), so the decreasing K - z changes sign across r -+ that
+    # distance, widened by 4 ulps for the rounding of the probes.  Where
+    # |dK/dz| ulp(r) is small, a float64 z can also meet a residual bound; at
+    # the pinned draw a root sits between two poles 3.2e-3 apart, where
+    # dK/dz ~ -8e9 and one ulp of z moves K - z by about 3.6e-4
     z_max = 260.0
     roots = dispersion.band_roots(g, tau, z_max)
     levels = {0.0, *dispersion.flat_levels(g, z_max)} | {
@@ -113,7 +120,13 @@ def test_band_roots_scan_decreases_and_roots_solve_k_eq_z(g, tau):
         if parity is not None and abs(math.cos(tau) - parity) < 1e-9
     }
     for r in roots:
-        if r not in levels:
+        if r in levels:
+            continue
+        d = dispersion.ROOT_TOL + 1e-15 * r + 4.0 * math.ulp(r)
+        k_lo, k_hi = (k_closed(g, tau, z).real for z in (r - d, r + d))
+        assert k_lo - (r - d) >= 0.0 >= k_hi - (r + d)
+        slope = abs(k_hi - k_lo) / (2.0 * d)
+        if slope * math.ulp(r) <= 1e-10 * max(1.0, r):
             assert abs(k_closed(g, tau, r) - r) <= 1e-8 * max(1.0, r)
 
 

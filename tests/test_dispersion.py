@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from scipy.optimize import brentq, minimize_scalar
 
 from qglab import dispersion
 from qglab.dispersion import (
+    SUM_BLOCK,
     _pole_list,
     band_roots,
     flat_levels,
@@ -99,6 +101,65 @@ def test_sum_identities_reject_lattice_points():
         with pytest.raises(ValueError, match="lattice point"):
             verify_sum_identities(x, 100)
     assert not any(map(dispersion.on_lattice, (0.3, 1.0, 2.5, math.pi + 1e-9)))
+
+
+def _full_array_sums(x, n_terms):
+    """verify_sum_identities as it was before the sums were streamed: every
+    term in one array, summed by np.sum."""
+    lattice = np.arange(1, n_terms + 1, dtype=float)
+    lattice *= math.pi
+    lattice *= lattice
+    xs = np.asarray(x, dtype=float)
+    plain, alt = np.empty(xs.shape), np.empty(xs.shape)
+    denom = np.empty_like(lattice)
+    for idx, xv in np.ndenumerate(xs):
+        np.subtract(lattice, xv * xv, out=denom)
+        np.reciprocal(denom, out=denom)
+        closed_plain = 0.5 * (1.0 / xv**2 - math.cos(xv) / (xv * math.sin(xv)))
+        closed_alt = 0.5 * (1.0 / xv**2 - 1.0 / (xv * math.sin(xv)))
+        plain[idx] = abs(np.sum(denom) - closed_plain)
+        alt[idx] = abs(np.sum(denom[1::2]) - np.sum(denom[::2]) - closed_alt)
+    return {"plain": plain[()], "alternating": alt[()]}
+
+
+# every x_list entry off the lattice: 0.05 + 0.37 k, k < 40, stays at least
+# 0.05 away from every multiple of pi
+LONG_X_LIST = 0.05 + 0.37 * np.arange(40)
+
+
+@pytest.mark.parametrize(
+    "n_terms",
+    [1, 2, 7, 8, 9, 127, 128, 129, SUM_BLOCK - 1, SUM_BLOCK, SUM_BLOCK + 1,
+     2 * SUM_BLOCK + 3, 1_000_000],
+)
+def test_streamed_sums_equal_the_full_array_sums(n_terms):
+    # the blocks follow numpy's own pairwise split, so every deviation is
+    # bit for bit the one of np.sum over the whole array of terms
+    for x in (1.0, np.array([[0.3, -1.0], [2.5, 7.0]]), LONG_X_LIST):
+        got, ref = verify_sum_identities(x, n_terms), _full_array_sums(x, n_terms)
+        assert np.shape(got["plain"]) == np.shape(x)
+        for key in ("plain", "alternating"):
+            np.testing.assert_array_equal(got[key], ref[key])
+    assert type(verify_sum_identities(1.0, n_terms)["plain"]) is np.float64
+
+
+def test_sum_identities_reject_too_few_terms():
+    with pytest.raises(ValueError, match="n_terms"):
+        verify_sum_identities(1.0, 0)
+
+
+@pytest.mark.parametrize("n_terms", [4_000_000, 20_000_000])
+def test_streamed_sums_hold_a_bounded_working_set(n_terms):
+    # the full arrays of terms took 61 MB at 4e6 terms; the stream holds two
+    # blocks of SUM_BLOCK floats, whatever the number of terms
+    verify_sum_identities(np.array([0.3, 1.0, 2.5]), 10)  # warm
+    tracemalloc.start()
+    try:
+        verify_sum_identities(np.array([0.3, 1.0, 2.5]), n_terms)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000
 
 
 def test_schur_frobenius_inverts_dispersion():

@@ -288,3 +288,38 @@ def test_edge_trig_is_evaluated_only_in_the_edge_record():
     calls = {m: _edge_trig_calls(m) for m in ("krein", "effective")}
     assert calls["effective"] == []
     assert calls["krein"] and all(where.startswith("EdgeKernel.") for where in calls["krein"])
+
+
+def _name_sites(module: str, name: str) -> list[str]:
+    """The enclosing class.function (or ``<module>``) of every place where
+    ``module`` names ``name``: an import of it, a bare name or an attribute."""
+    tree = ast.parse((SRC / "qglab" / f"{module}.py").read_text())
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, f"{where}.{child.name}" if where else child.name)
+                continue
+            if (
+                isinstance(child, ast.alias) and name in (child.name, child.asname)
+                or isinstance(child, ast.Name) and child.id == name
+                or isinstance(child, ast.Attribute) and child.attr == name
+            ):
+                found.append(f"{module}:{where or '<module>'}")
+            visit(child, where)
+
+    visit(tree, "")
+    return found
+
+
+def test_eigsh_runs_only_where_its_arpack_state_is_freed():
+    # scipy's eigsh leaves each call's ARPACK state in a reference cycle,
+    # which DiscretizedOperator.eigenvalues frees as the call returns; a
+    # second call site would bring back the growth of about 0.4 MB per
+    # call, and only the FEM oracle touches the garbage collector
+    modules = sorted(p.stem for p in (SRC / "qglab").glob("*.py"))
+    sites = {where for m in modules for where in _name_sites(m, "eigsh")}
+    assert sites == {"fdsolver:DiscretizedOperator.eigenvalues"}
+    gc_users = {where.split(":")[0] for m in modules for where in _name_sites(m, "gc")}
+    assert gc_users == {"fdsolver"}
