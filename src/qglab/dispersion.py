@@ -9,6 +9,8 @@ yields the limiting band structure.  Since 1/(K - z) is Herglotz, K - z
 strictly decreases between consecutive poles of K, so every root is simple
 and a sign-change scan of each pole interval finds them all; ``band_roots``
 checks that decrease on its scan and raises ArithmeticError where it fails.
+Each root is refined by ``_brent``, a step-for-step port of scipy's C
+``brentq`` that returns the same float, so the module needs only numpy.
 """
 
 from __future__ import annotations
@@ -207,6 +209,77 @@ SCAN_POINTS = 256
 ROOT_TOL = 1e-12
 
 
+def _brent(f, a: float, b: float, xtol: float, rtol: float, maxiter: int = 100) -> float:
+    """A root of f in [a, b] by Brent's method (Brent 1973, ch. 4), step for
+    step the C ``brentq`` of scipy.optimize, so it returns the same float.
+
+    Each iteration keeps the bracket [xcur, xblk] with f(xcur) the smaller
+    in size, takes an inverse-quadratic (secant when only two points are
+    known) step when it is short enough, else bisects, and stops when half
+    the bracket is below delta = (xtol + rtol |xcur|)/2.  f(a) or f(b) equal
+    to 0 returns that end.  No sign change between f(a) and f(b), a NaN
+    value of f, or no convergence in ``maxiter`` iterations raises
+    ArithmeticError naming the bracket.
+    """
+
+    def value(x: float) -> float:
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ArithmeticError(f"NaN value at z={x:.17g} in the bracket [{a:.17g}, {b:.17g}]")
+        return fx
+
+    # plain floats throughout, as the C doubles: numpy scalars would warn
+    # where C divides by zero
+    xtol, rtol = float(xtol), float(rtol)
+    xpre, xcur = float(a), float(b)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    # C compares sign bits; no zero or NaN reaches a sign test here
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ArithmeticError(f"no sign change on the bracket [{a:.17g}, {b:.17g}]")
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:  # C gets inf or NaN, which bisects
+                stry = math.inf
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # a good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = value(xcur)
+    raise ArithmeticError(
+        f"Brent's method did not converge in {maxiter} iterations on the bracket "
+        f"[{a:.17g}, {b:.17g}]"
+    )
+
+
 def _levels(edge: EdgeSpec, z_max: float, first: int = 1, step: int = 1):
     """(j, (a pi j/l)^2) for j = first, first + step, ... while the Dirichlet
     level of the soft edge (l, a) stays <= z_max."""
@@ -265,12 +338,12 @@ def band_roots(
     1/(K - z) is Herglotz (``lab.run_schur_check`` certifies it), so K - z
     strictly decreases in real z between its poles and each of its roots
     is simple: one sign-change scan of SCAN_POINTS samples per pole
-    interval, with Brent refinement, finds them all.  The scan values must
-    decrease strictly; where they do not, ArithmeticError names tau and
-    the interval instead of returning roots that may miss a tangency.
+    interval, with Brent refinement (``_brent``), finds them all.  The scan
+    values must decrease strictly; where they do not, ArithmeticError names
+    tau and the interval instead of returning roots that may miss a
+    tangency.  A refinement that meets a NaN or does not converge raises
+    ArithmeticError naming its bracket.
     """
-    from scipy.optimize import brentq  # only the band scan needs scipy
-
     pole_data = _pole_list(graph, z_max * (1.0 + 1e-9))
     edges = [0.0] + [z for z, _, _ in pole_data] + [z_max]
     # smallest z-distance from each pole at which the trig guards stay clear
@@ -303,5 +376,5 @@ def band_roots(
                 f"on the scan of [{a:.17g}, {b:.17g}]"
             )
         for j in np.nonzero(np.diff(np.sign(vals)) != 0)[0]:
-            roots.append(brentq(f, grid[j], grid[j + 1], xtol=ROOT_TOL, rtol=1e-15))
+            roots.append(_brent(f, grid[j], grid[j + 1], ROOT_TOL, 1e-15))
     return np.array(sorted(roots))

@@ -8,6 +8,12 @@ prolongation from global unknowns to edge-local nodal values.  The weighted
 co-derivative sum condition is then the natural (weak) vertex condition, so
 the discrete operator is the weighted-Kirchhoff extension.
 
+The sparsity pattern of the pencil depends on the graph and the resolution
+only, not on eps or tau.  A ``FemLayout`` holds it, with the order in which
+each entry's duplicates are summed, and ``DiscretizedOperator.at`` gives an
+operator at another fiber that shares its layout and assembles only the
+Datta weights and the element values, bit for bit as a fresh build.
+
 Sample-space convention: functions are exchanged as concatenated per-edge
 nodal samples (endpoints included) on the same grids as qglab.krein, with
 trapezoid quadrature weights defining the discrete inner product.
@@ -61,77 +67,135 @@ def _cmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return (x.real * y.real - x.imag * y.imag) + 1j * (x.real * y.imag + x.imag * y.real)
 
 
+class FemLayout:
+    """What the FEM pencil of a graph at a resolution shares at every fiber:
+    its sparsity pattern, which neither eps nor tau enters.
+
+    That is the grid and the prolongation's column map (``col``: the dof of
+    each sample), the edge ends, the element arrays (``first`` sample and
+    length ``h`` of each element, ``intervals`` per edge), the CSC
+    ``indptr``/``indices`` of the pencil and, for each CSC slot, the element
+    entries that sum into it.
+    ``csc`` sums them as scipy's COO -> CSC conversion does, left to right
+    in COO input order (``fills[j]`` holds the j-th entry of every slot that
+    has one), so the matrix equals ``coo_matrix(...).tocsc()`` bit for bit;
+    np.add.reduceat would sum a + (b + c) and differ in the last bit at the
+    degree-3 vertex diagonals.
+    """
+
+    def __init__(self, graph: MetricGraph, resolution: int):
+        g = self.grid = make_grid(graph, resolution)
+        vidx = {v: i for i, v in enumerate(sorted(graph.vertices))}
+        # global unknowns: interior nodes of every edge, then one value per vertex
+        n_int = g.size - 2 * len(g.slices)
+        self.ndof = n_int + len(vidx)
+        # an edge end carries its vertex value (times a Datta weight)
+        self.ends = []  # (sample, vertex, edge id)
+        col = np.empty(g.size, dtype=np.intp)
+        interior = np.ones(g.size, dtype=bool)
+        for e, sl in zip(g.edges, g.slices):
+            for node, v in ((sl.start, e.left), (sl.stop - 1, e.right)):
+                interior[node] = False
+                col[node] = n_int + vidx[v]
+                self.ends.append((node, v, e.id))
+        col[interior] = np.arange(n_int)
+        self.col = col
+
+        self.intervals = [sl.stop - sl.start - 1 for sl in g.slices]
+        self.first = np.concatenate([np.arange(sl.start, sl.stop - 1) for sl in g.slices])
+        self.h = np.concatenate(
+            [np.full(m, e.length / m) for e, m in zip(g.edges, self.intervals)]
+        )
+        # element-major entries: the (a, b) entry of the element on samples
+        # (r, c) lands on (col[r], col[c]); this order lists the duplicates
+        # in ascending sample order, as the product P^* K_block P sums them
+        ab = [(a, b) for a in range(2) for b in range(2)]
+        rows = np.stack([col[self.first + a] for a, _ in ab], axis=1).ravel()
+        cols = np.stack([col[self.first + b] for _, b in ab], axis=1).ravel()
+        order = np.lexsort((rows, cols))  # stable: duplicates keep input order
+        r, c = rows[order], cols[order]
+        new = np.ones(order.size, dtype=bool)
+        new[1:] = (r[1:] != r[:-1]) | (c[1:] != c[:-1])
+        slot = np.cumsum(new) - 1
+        self.indices = r[new]
+        self.indptr = np.searchsorted(c[new], np.arange(self.ndof + 1))
+        rank = np.arange(order.size) - np.flatnonzero(new)[slot]
+        self.fills = [(slot[rank == j], order[rank == j]) for j in range(rank.max() + 1)]
+
+    def csc(self, values: np.ndarray):
+        """The ndof x ndof CSC matrix with the element-major entries
+        ``values`` summed into their slots."""
+        import scipy.sparse as sp
+
+        data = np.empty(self.indices.size, dtype=values.dtype)
+        (slots, idx), *rest = self.fills
+        data[slots] = values[idx]
+        for slots, idx in rest:
+            data[slots] += values[idx]
+        return sp.csc_matrix((data, self.indices, self.indptr), shape=(self.ndof, self.ndof))
+
+
 class DiscretizedOperator:
     """FEM discretization of the fiber operator with weighted vertex coupling,
-    the Datta weights of the graph at the fiber's tau."""
+    the Datta weights of the graph at the fiber's tau.
 
-    def __init__(self, graph: MetricGraph, fiber: FiberParams, resolution: int = 256):
+    The pattern lives in a ``FemLayout``: an operator built directly builds
+    its own, and its ``at`` siblings share it, assembling only the weights
+    and the values.
+    """
+
+    def __init__(
+        self, graph: MetricGraph, fiber: FiberParams, resolution: int = 256,
+        *, _layout: FemLayout | None = None,
+    ):
         if resolution < MIN_RESOLUTION:
             raise ValueError(f"resolution must be >= {MIN_RESOLUTION}")
         self.graph = graph
         self.weights = datta_weights(graph, fiber.tau)
         self.fiber = fiber
         self.resolution = resolution
-        self.grid: ComponentGrid = make_grid(graph, resolution)
+        self.layout = _layout or FemLayout(graph, resolution)
+        self.grid: ComponentGrid = self.layout.grid
+        self.ndof = self.layout.ndof
         self._assemble()
+
+    def at(self, fiber: FiberParams) -> "DiscretizedOperator":
+        """This operator at another fiber (eps, tau, z) of the same graph and
+        resolution, sharing this one's layout."""
+        return type(self)(self.graph, fiber, self.resolution, _layout=self.layout)
 
     def _assemble(self) -> None:
         import scipy.sparse as sp
 
-        g = self.grid
-        verts = sorted(self.graph.vertices)
-        vidx = {v: i for i, v in enumerate(verts)}
-        # global unknowns: interior nodes of every edge, then one value per vertex
-        n_int = g.size - 2 * len(g.slices)
-        self.ndof = n_int + len(verts)
-        tau = self.fiber.tau
-
+        lay, tau = self.layout, self.fiber.tau
+        size = lay.grid.size
         # prolongation P: samples <- dofs, one entry per sample row; an edge
         # endpoint carries its vertex value times the conjugate weight
-        col = np.empty(g.size, dtype=np.intp)
-        val = np.ones(g.size, dtype=complex)
-        interior = np.ones(g.size, dtype=bool)
-        for e, sl in zip(g.edges, g.slices):
-            for node, v in ((sl.start, e.left), (sl.stop - 1, e.right)):
-                interior[node] = False
-                col[node] = n_int + vidx[v]
-                val[node] = np.conj(self.weights[(v, e.id)])
-        col[interior] = np.arange(n_int)
+        val = np.ones(size, dtype=complex)
+        for node, v, e_id in lay.ends:
+            val[node] = np.conj(self.weights[(v, e_id)])
         self.prolong = sp.csr_matrix(
-            (val, col, np.arange(g.size + 1)), shape=(g.size, self.ndof)
+            (val, lay.col, np.arange(size + 1)), shape=(size, self.ndof)
         )
 
         # P^* K_block P and P^* M_block P assembled directly in dof space:
-        # the (a, b) entry of the element on samples (r, c) lands on
-        # (col[r], col[c]) times conj(val[r]) val[c]; tocsc sums duplicates
-        first, h, c2 = [], [], []
-        for e, sl in zip(g.edges, g.slices):
-            m = sl.stop - sl.start - 1  # intervals on this edge
-            first.append(np.arange(sl.start, sl.stop - 1))
-            h.append(np.full(m, e.length / m))
-            c2.append(np.full(m, self.fiber.speed(e) ** 2))
-        first, h, c2 = (np.concatenate(x) for x in (first, h, c2))
+        # the (a, b) entry of the element on samples (r, c) is scaled by
+        # conj(val[r]) val[c]
+        first, h = lay.first, lay.h
+        c2 = np.repeat([self.fiber.speed(e) ** 2 for e in lay.grid.edges], lay.intervals)
         s = np.array([[1, -1], [-1, 1]])  # times 1/h
         d_skew = np.array([[0, -1], [1, 0]])  # D^T - D for P1 elements
         m_el = np.array([[2, 1], [1, 2]])  # times h/6
-        rows, cols, k_vals, m_vals = [], [], [], []
+        k_vals, m_vals = [], []
         for a in range(2):
             for b in range(2):
                 r, c = first + a, first + b
                 mass = m_el[a, b] * h / 6.0
                 stiff = c2 * (s[a, b] / h + 1j * tau * d_skew[a, b] + tau * tau * mass)
-                rows.append(col[r])
-                cols.append(col[c])
                 k_vals.append(_cmul(_cmul(np.conj(val[r]), stiff), val[c]))
                 m_vals.append(_cmul(np.conj(val[r]) * mass, val[c]))
-        # element-major order lists the duplicates in ascending sample order,
-        # the order in which the sample-space product P^* K_block P sums them
-        rows, cols, k_vals, m_vals = (
-            np.stack(x, axis=1).ravel() for x in (rows, cols, k_vals, m_vals)
-        )
-        shape = (self.ndof, self.ndof)
-        self.k_mat = sp.coo_matrix((k_vals, (rows, cols)), shape).tocsc()
-        self.m_mat = sp.coo_matrix((m_vals, (rows, cols)), shape).tocsc()
+        self.k_mat = lay.csc(np.stack(k_vals, axis=1).ravel())
+        self.m_mat = lay.csc(np.stack(m_vals, axis=1).ravel())
 
     # -- basic certificates ------------------------------------------------
 

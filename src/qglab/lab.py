@@ -777,23 +777,32 @@ def run_bands(
     not contaminate the O(eps^2) fit.  The FEM pencil at -tau is the
     conjugate of the one at tau, with the same spectrum, so it is solved
     once per distinct |tau| (at +|tau|); ``band_roots`` runs at every tau.
-    A FEM point or a limiting-root scan that fails is a FAIL line naming
-    it, and its distance is NaN, so its cell's slope fails.
+    A cell builds one FEM layout per resolution, which its operators at
+    every (eps, tau) share (``DiscretizedOperator.at``).  A FEM point or a
+    limiting-root scan that fails is a FAIL line naming it, and its
+    distance is NaN, so its cell's slope fails.
     """
     cells, failures = _germ_free_cells(examples)
     taus = tau_grid(tau_count).tolist()
     abs_taus = list(dict.fromkeys(abs(tau) for tau in taus))  # the FEM points
     rows, checks = [], []
 
-    def eig_extrapolated(g, eps, tau):
+    def fem(g, bases, fiber, res):
+        # bases: resolution -> the cell's first FEM operator at it, whose
+        # layout (the pencil's pattern, free of eps and tau) the rest share
+        if res not in bases:
+            bases[res] = DiscretizedOperator(g, fiber, res)
+            return bases[res]
+        return bases[res].at(fiber)
+
+    def eig_extrapolated(g, bases, eps, tau):
         fiber = FiberParams(eps, tau, complex(2, 1))
-        lo = DiscretizedOperator(g, fiber, resolution=resolution // 2)
-        hi = DiscretizedOperator(g, fiber, resolution=resolution)
-        v_lo = lo.eigenvalues(n_bands)
-        v_hi = hi.eigenvalues(n_bands)
+        v_lo = fem(g, bases, fiber, resolution // 2).eigenvalues(n_bands)
+        v_hi = fem(g, bases, fiber, resolution).eigenvalues(n_bands)
         return (4.0 * v_hi - v_lo) / 3.0
 
     for g in cells:
+        bases = {}
         # tau -> limiting roots where the scan computed; they do not depend
         # on eps (cells without a stiff cycle take no eps)
         limits = dict(_each(
@@ -804,7 +813,7 @@ def run_bands(
         for eps in eps_list:
             # |tau| -> FEM eigenvalues, where they were computed
             spectra = dict(_each(
-                failures, abs_taus, lambda t: eig_extrapolated(g, eps, t),
+                failures, abs_taus, lambda t: eig_extrapolated(g, bases, eps, t),
                 lambda t: f"{g.example}: FEM spectrum failed at eps={eps:g}, |tau|={t:.6g}",
             ))
             dists = []

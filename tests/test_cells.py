@@ -16,7 +16,9 @@ itself at every drawn cell, including ex2's drawn soft speeds a1 and a2, and
 ``PsiEmbedding`` must sample the model's soft grid.
 
 The FEM pencil at -tau must be the entrywise conjugate of the one at tau, bit
-for bit: ``bands`` solves one spectrum per |tau| on that premise.
+for bit: ``bands`` solves one spectrum per |tau| on that premise.  An ``at``
+sibling of a FEM operator, which reuses its layout, must equal an operator
+built afresh, bit for bit, at every drawn cell.
 """
 
 import ast
@@ -374,6 +376,23 @@ def test_fem_pencil_at_minus_tau_is_the_conjugate_on_default_cells(name, tau):
 @given(g=cells(), tau=st.floats(0.0, 3.0), eps=EPS)
 def test_fem_pencil_at_minus_tau_is_the_conjugate(g, tau, eps):
     _assert_conjugate_pencil(g, tau, eps)
+
+
+def assert_same_pencil(op, ref):
+    """op's K, M and P equal ref's: data, indices and indptr, bit for bit."""
+    for name in ("k_mat", "m_mat", "prolong"):
+        got, want = getattr(op, name), getattr(ref, name)
+        for field in ("data", "indices", "indptr"):
+            np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
+
+
+@settings(max_examples=20, deadline=None)
+@given(g=cells(), tau=st.floats(-math.pi, math.pi), eps=EPS, res=st.integers(16, 80))
+def test_fem_sibling_equals_a_fresh_operator_at_drawn_cells(g, tau, eps, res):
+    # the FEM layout (pattern and duplicate order) is free of eps and tau
+    base = DiscretizedOperator(g, FiberParams(0.3, 1.0, 2 + 1j), res)
+    fiber = FiberParams(eps, tau, 2 + 1j)
+    assert_same_pencil(base.at(fiber), DiscretizedOperator(g, fiber, res))
 
 
 # stack shapes of the array tests: 5 tau against 2-4 z (never square), so a

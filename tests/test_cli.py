@@ -281,6 +281,30 @@ def test_failed_band_roots_fail_the_verb_without_a_traceback(tmp_path, capsys, m
     assert "Traceback" not in text
 
 
+def test_nan_in_a_band_root_bracket_fails_the_verb_without_a_traceback(
+    tmp_path, capsys, monkeypatch
+):
+    # the scan (array z) is clean, but K is NaN near the ex2 root at
+    # z ~ 77.44 for tau = 0, where only the Brent refinement (scalar z) looks
+    original = dispersion.k_closed
+
+    def holed(graph, tau, z, eps=None):
+        if graph.example == "ex2" and tau == 0.0 and np.ndim(z) == 0 and 77 < z.real < 78:
+            return complex(math.nan, 0.0)
+        return original(graph, tau, z, eps=eps)
+
+    monkeypatch.setattr(dispersion, "k_closed", holed)
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("tau_count = 3\nresolution = 64\n")
+    assert main(["bands", "--config", str(cfg)]) == 1
+    text = capsys.readouterr().out
+    assert "[FAIL] bands" in text
+    assert "ex2: limiting roots failed at tau=0: ArithmeticError: NaN value at z=77." in text
+    assert f"ex2: Hausdorff slope {REUSE} = nan (band [1.7, 2.3]) FAIL" in text
+    assert text.count("limiting roots failed") == 1
+    assert "Traceback" not in text
+
+
 def test_failed_krein_vs_direct_fails_the_verb_without_a_traceback(tmp_path, capsys):
     # z is the lowest discrete eigenvalue of ex0 at eps = 0.3, tau = 1,
     # resolution 64, where the finite-element solve is singular

@@ -4,12 +4,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
-
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq, minimize_scalar
 
 from qglab import dispersion
 from qglab.dispersion import (
+    ROOT_TOL,
     SUM_BLOCK,
+    _brent,
     _pole_list,
     band_roots,
     flat_levels,
@@ -339,3 +342,105 @@ def test_band_roots_raise_where_the_scan_is_not_decreasing(monkeypatch):
         band_roots(g, 1.0, 260.0)
     a, b = map(float, re.search(r"\[(\S+), (\S+)\]", str(info.value)).groups())
     assert a < 20.0 < b
+
+
+# _brent against scipy's brentq: the tolerances of band_roots, loose ones,
+# and scipy's default xtol with its smallest rtol (4 machine eps)
+BRENT_TOLS = [(ROOT_TOL, 1e-15), (1e-3, 1e-10), (2e-12, 4 * np.finfo(float).eps)]
+FINITE = st.floats(-1e3, 1e3, allow_nan=False)
+
+
+def _drawn_function(kind, coeffs, root):
+    """A smooth function with a sign change at ``root`` (cubic, tanh or exp
+    shape), or a cubic with up to three roots or none (``poly``)."""
+    c0, c1, c2, c3 = coeffs
+    if kind == "cubic":
+        return lambda x: (1.0 + c1 * c1) * (x - root) + c3 * (x - root) ** 3
+    if kind == "tanh":
+        return lambda x: (1.0 + abs(c0)) * math.tanh((0.1 + abs(c1)) * (x - root))
+    if kind == "exp":
+        return lambda x: math.exp(min((0.1 + abs(c2)) * (x - root), 700.0)) - 1.0
+    return lambda x: c0 + c1 * (x - root) + c2 * (x - root) ** 2 + c3 * (x - root) ** 3
+
+
+def _outcome(solve):
+    """The root, or how the solve failed: brentq's ValueError (no sign
+    change) and RuntimeError (no convergence) against _brent's
+    ArithmeticError with the same reason."""
+    try:
+        return solve()
+    except RuntimeError:
+        return "no convergence"
+    except ArithmeticError as exc:
+        return "no convergence" if "did not converge" in str(exc) else f"bad bracket: {exc}"
+    except ValueError:
+        return "bad bracket"
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    kind=st.sampled_from(["cubic", "tanh", "exp", "poly"]),
+    coeffs=st.tuples(*[st.floats(-5.0, 5.0)] * 4),
+    root=st.floats(-50.0, 50.0),
+    a=FINITE,
+    b=FINITE,
+    tols=st.sampled_from(BRENT_TOLS),
+)
+@example(kind="cubic", coeffs=(0.0, 0.0, 0.0, 1.0), root=0.3, a=-1.0, b=1.0, tols=BRENT_TOLS[0])
+@example(kind="poly", coeffs=(1.0, 0.0, 1.0, 0.0), root=0.0, a=-1.0, b=1.0, tols=BRENT_TOLS[0])
+# a triple root: no convergence in 100 iterations at this xtol
+@example(kind="poly", coeffs=(0.0, 0.0, 0.0, 1.0), root=-1.0, a=0.0, b=-3.0, tols=BRENT_TOLS[0])
+# values near 1e-246: the extrapolation divisor underflows to 0, and the
+# step bisects as the C code's inf or NaN does
+@example(
+    kind="poly", coeffs=(0.0, 0.0, 0.0, 3.888255476537775e-246), root=0.0, a=0.5, b=-2.0,
+    tols=BRENT_TOLS[2],
+)
+def test_brent_equals_scipy_brentq(kind, coeffs, root, a, b, tols):
+    # the same float, or an ArithmeticError for the same reason as brentq's
+    # error: no sign change, or no convergence in 100 iterations (a root of
+    # odd multiplicity > 1 at a tight xtol)
+    f = _drawn_function(kind, coeffs, root)
+    xtol, rtol = tols
+    ref = _outcome(lambda: brentq(f, a, b, xtol=xtol, rtol=rtol))
+    got = _outcome(lambda: _brent(f, a, b, xtol, rtol))
+    if isinstance(ref, float):
+        assert got == ref and math.copysign(1.0, got) == math.copysign(1.0, ref)
+    elif ref == "bad bracket":
+        assert got.startswith("bad bracket: no sign change on the bracket")
+    else:
+        assert got == ref
+
+
+def test_brent_returns_a_zero_end_as_it_is():
+    for a, b, f in [
+        (1.0, 2.0, lambda x: x - 1.0),  # f(a) == 0
+        (0.0, 2.0, lambda x: x - 2.0),  # f(b) == 0
+        (-0.0, 1.0, lambda x: x),  # a -0.0 end, where f is -0.0
+        (0.0, -1.0, lambda x: -x),  # f(a) == -0.0 at a +0.0 end
+    ]:
+        got = _brent(f, a, b, ROOT_TOL, 1e-15)
+        ref = brentq(f, a, b, xtol=ROOT_TOL, rtol=1e-15)
+        assert got == ref and math.copysign(1.0, got) == math.copysign(1.0, ref)
+    assert math.copysign(1.0, _brent(lambda x: x, -0.0, 1.0, ROOT_TOL, 1e-15)) == -1.0
+
+
+def test_brent_raises_arithmetic_errors_naming_the_bracket():
+    with pytest.raises(ArithmeticError, match=r"no sign change on the bracket \[1, 2\]"):
+        _brent(lambda x: x * x, 1.0, 2.0, ROOT_TOL, 1e-15)
+    # NaN inside the bracket: the first secant step lands on x = 0.5
+    def holed(x):
+        return math.nan if abs(x - 0.5) < 0.1 else x - 0.5
+
+    with pytest.raises(ArithmeticError, match=r"NaN value at z=0\.5 in the bracket \[0, 1\]"):
+        _brent(holed, 0.0, 1.0, ROOT_TOL, 1e-15)
+    with pytest.raises(ValueError, match="NaN"):
+        brentq(holed, 0.0, 1.0, xtol=ROOT_TOL, rtol=1e-15)
+
+    def slow(x):
+        return math.copysign(abs(x - 0.3) ** 0.05, x - 0.3)
+
+    with pytest.raises(ArithmeticError, match=r"not converge in 3 iterations on the bracket \[0, 1\]"):
+        _brent(slow, 0.0, 1.0, ROOT_TOL, 1e-15, maxiter=3)
+    with pytest.raises(RuntimeError):
+        brentq(slow, 0.0, 1.0, xtol=ROOT_TOL, rtol=1e-15, maxiter=3)

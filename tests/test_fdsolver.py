@@ -8,12 +8,13 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from test_cells import Z, cells
+from test_cells import Z, assert_same_pencil, cells
 
-from qglab.fdsolver import DiscretizedOperator, NearSingularError
+from qglab import fdsolver
+from qglab.fdsolver import DiscretizedOperator, FemLayout, NearSingularError
 from qglab.graphs import build_example
 from qglab.krein import ResolventWorkspace
-from qglab.lab import operator_norm_diff
+from qglab.lab import operator_norm_diff, run_experiment
 from qglab.mmatrix import FiberParams
 
 
@@ -145,6 +146,67 @@ def test_dof_space_assembly_matches_sandwiched_element_blocks():
             for got, ref in ((op.k_mat, k_ref), (op.m_mat, m_ref)):
                 assert got.shape == ref.shape == (op.ndof, op.ndof)
                 assert abs(got - ref).max() <= 1e-14 * abs(ref).max()
+
+
+TOP = math.pi - 1e-3
+
+
+@settings(max_examples=4, deadline=None)
+@given(tau=st.floats(-math.pi, math.pi), eps=st.sampled_from([1 / 8, 1 / 16, 1 / 32, 1 / 64]))
+def test_at_sibling_equals_a_fresh_operator(tau, eps):
+    # the layout holds what neither eps nor tau enters; a sibling at another
+    # fiber fills it with its own weights and element values
+    for name in ("ex0", "ex1", "ex2"):
+        g = build_example(name)
+        for res in (16, 17, 512, 1024):
+            base = DiscretizedOperator(g, FiberParams(0.3, 1.0, 2 + 1j), res)
+            for t in (0.0, TOP, -TOP, tau):
+                fiber = FiberParams(eps, t, 2 + 1j)
+                sibling = base.at(fiber)
+                assert sibling.layout is base.layout and sibling.fiber == fiber
+                assert_same_pencil(sibling, DiscretizedOperator(g, fiber, res))
+
+
+@pytest.mark.parametrize("name", ["ex0", "ex1", "ex2"])
+@pytest.mark.parametrize("res", [16, 17, 512])
+def test_layout_sums_duplicates_as_coo_to_csc_does(name, res):
+    # values spread over 16 decades: a slot summed in any order but COO
+    # input order, left to right, differs from scipy's sum in the last bits
+    # (np.add.reduceat sums a + (b + c) and did, at the degree-3 vertices)
+    lay = FemLayout(build_example(name), res)
+    ab = [(a, b) for a in range(2) for b in range(2)]
+    rows = np.stack([lay.col[lay.first + a] for a, _ in ab], axis=1).ravel()
+    cols = np.stack([lay.col[lay.first + b] for _, b in ab], axis=1).ravel()
+    rng = np.random.default_rng(res)
+    scale = 10.0 ** rng.integers(-8, 9, rows.size)
+    values = (rng.standard_normal(rows.size) + 1j * rng.standard_normal(rows.size)) * scale
+    ref = sp.coo_matrix((values, (rows, cols)), shape=(lay.ndof, lay.ndof)).tocsc()
+    got = lay.csc(values)
+    for field in ("data", "indices", "indptr"):
+        np.testing.assert_array_equal(getattr(got, field), getattr(ref, field))
+
+
+def test_one_bands_run_builds_one_layout_per_cell_and_resolution(monkeypatch):
+    built, operators = [], []
+
+    class CountedLayout(FemLayout):
+        def __init__(self, graph, resolution):
+            built.append((graph.example, resolution))
+            super().__init__(graph, resolution)
+
+    original = DiscretizedOperator._assemble
+
+    def counted_assemble(self):
+        operators.append(self)
+        original(self)
+
+    monkeypatch.setattr(fdsolver, "FemLayout", CountedLayout)
+    monkeypatch.setattr(DiscretizedOperator, "_assemble", counted_assemble)
+    assert run_experiment("bands", {}).passed
+    # 2 cells x 4 eps x 9 distinct |tau| x 2 resolutions operators, on
+    # 2 cells x 2 resolutions layouts
+    assert len(operators) == 144
+    assert sorted(built) == [("ex0", 512), ("ex0", 1024), ("ex2", 512), ("ex2", 1024)]
 
 
 def test_eigenvalues_are_reproducible():

@@ -2,7 +2,7 @@
 closed-form layer imports nothing of the resolvent layer.
 
 The closed forms need only numpy; scipy is imported inside the calls that
-use it (the FEM oracle and ``band_roots``).  Each scipy check runs in a
+use it (the FEM oracle), and no module imports ``scipy.optimize``.  Each scipy check runs in a
 fresh interpreter with ``PYTHONPATH=src``, so no module imported by another
 test can hide a scipy import at module level.
 """
@@ -63,9 +63,13 @@ def test_closed_form_verbs_load_no_scipy(verb):
 
 @pytest.mark.parametrize("verb", ["bands", "resolvent"])
 def test_fem_verbs_load_scipy_where_they_call_it(verb):
+    # the FEM oracle needs scipy.sparse.linalg; the band scan refines its
+    # roots with dispersion's own Brent port, so scipy.optimize (171
+    # modules and about 17 MB) stays unloaded
     rc, scipy_modules = _fresh(VERB.format(verb=verb))
     assert rc == 0
     assert "scipy.sparse.linalg" in scipy_modules
+    assert [m for m in scipy_modules if m.split(".")[:2] == ["scipy", "optimize"]] == []
 
 
 CLOSED_FORMS = ("graphs", "mmatrix", "triples", "dispersion", "realline")
@@ -135,19 +139,37 @@ def test_fiber_layers_take_no_weights():
     assert "make_grid" not in lab
 
 
-@pytest.mark.parametrize("module", ["lab", "krein", "effective"])
-def test_resolvent_layer_imports_no_scipy_anywhere(module):
-    # a static check: the structured resolvents and the power iteration need
-    # only numpy, so neither a module-level nor an in-function import (nor a
-    # type-checking one) of scipy appears; only fdsolver's FEM oracle and
-    # band_roots load scipy
+def _scipy_imports(module: str, package: str = "scipy") -> list[int]:
+    """Lines where ``module`` imports ``package`` or one of its submodules
+    (``from scipy import optimize`` included), at module level, in a
+    function or under TYPE_CHECKING."""
     tree = ast.parse((SRC / "qglab" / f"{module}.py").read_text())
-    found = [
-        node.lineno for node in ast.walk(tree)
-        if isinstance(node, ast.Import) and any(a.name.startswith("scipy") for a in node.names)
-        or isinstance(node, ast.ImportFrom) and (node.module or "").startswith("scipy")
-    ]
-    assert found == []
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level and node.module:
+            names = [f"{node.module}.{a.name}" for a in node.names]
+        else:
+            continue
+        if any(n == package or n.startswith(package + ".") for n in names):
+            found.append(node.lineno)
+    return found
+
+
+@pytest.mark.parametrize("module", ["lab", "krein", "effective", "dispersion"])
+def test_resolvent_layer_imports_no_scipy_anywhere(module):
+    # a static check: the structured resolvents, the power iteration and the
+    # band scan (with its own Brent refinement) need only numpy, so neither
+    # a module-level nor an in-function import (nor a type-checking one) of
+    # scipy appears; only fdsolver's FEM oracle loads scipy
+    assert _scipy_imports(module) == []
+
+
+def test_no_module_imports_scipy_optimize():
+    modules = sorted(p.stem for p in (SRC / "qglab").glob("*.py"))
+    assert "dispersion" in modules
+    assert {m: _scipy_imports(m, "scipy.optimize") for m in modules} == {m: [] for m in modules}
 
 
 def _hidden_caches(module: str) -> list[str]:
