@@ -21,7 +21,7 @@ import math
 import numpy as np
 
 from .graphs import EdgeSpec, MetricGraph, stiff_length
-from .mmatrix import POLE_GUARD, ccot, ccsc, sqrt_upper
+from .mmatrix import POLE_GUARD, cot_csc, sqrt_upper
 
 
 def _cos(x):
@@ -62,10 +62,11 @@ def k_closed(graph: MetricGraph, tau, z, eps: float | None = None):
     k = sqrt_upper(z)
     s = cell.chain
     y = k * s.length / s.speed_a
-    total = 2.0 * s.speed_a * k * (_cos(y) - cell.coupling(tau)) * ccsc(y)
+    _, csc = cot_csc(y)
+    total = 2.0 * s.speed_a * k * (_cos(y) - cell.coupling(tau)) * csc
     if cell.loop is not None:
-        y = k * cell.loop.length / cell.loop.speed_a
-        total = total - 2.0 * cell.loop.speed_a * k * (ccsc(y) - ccot(y))
+        cot, csc = cot_csc(k * cell.loop.length / cell.loop.speed_a)
+        total = total - 2.0 * cell.loop.speed_a * k * (csc - cot)
     if cell.germ:
         total = total + cell.germ * (tau / eps) ** 2
     return total / stiff_length(graph)

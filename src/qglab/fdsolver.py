@@ -73,9 +73,12 @@ class FemLayout:
 
     That is the grid and the prolongation's column map (``col``: the dof of
     each sample), the edge ends, the element arrays (``first`` sample and
-    length ``h`` of each element, ``intervals`` per edge), the CSC
-    ``indptr``/``indices`` of the pencil and, for each CSC slot, the element
-    entries that sum into it.
+    length ``h`` of each element, ``intervals`` per edge, the
+    ``end_elements`` that have a sample at an edge end), the CSC
+    ``indptr``/``indices`` of the pencil (int32, which ``csc_matrix`` takes
+    as they are, so every matrix of the layout shares them; read-only, so
+    none can change them) and, for each CSC slot, the element entries that
+    sum into it.
     ``csc`` sums them as scipy's COO -> CSC conversion does, left to right
     in COO input order (``fills[j]`` holds the j-th entry of every slot that
     has one), so the matrix equals ``coo_matrix(...).tocsc()`` bit for bit;
@@ -103,6 +106,7 @@ class FemLayout:
 
         self.intervals = [sl.stop - sl.start - 1 for sl in g.slices]
         self.first = np.concatenate([np.arange(sl.start, sl.stop - 1) for sl in g.slices])
+        self.end_elements = np.flatnonzero(~interior[self.first] | ~interior[self.first + 1])
         self.h = np.concatenate(
             [np.full(m, e.length / m) for e, m in zip(g.edges, self.intervals)]
         )
@@ -117,8 +121,9 @@ class FemLayout:
         new = np.ones(order.size, dtype=bool)
         new[1:] = (r[1:] != r[:-1]) | (c[1:] != c[:-1])
         slot = np.cumsum(new) - 1
-        self.indices = r[new]
-        self.indptr = np.searchsorted(c[new], np.arange(self.ndof + 1))
+        self.indices = r[new].astype(np.int32)
+        self.indptr = np.searchsorted(c[new], np.arange(self.ndof + 1)).astype(np.int32)
+        self.indices.flags.writeable = self.indptr.flags.writeable = False
         rank = np.arange(order.size) - np.flatnonzero(new)[slot]
         self.fills = [(slot[rank == j], order[rank == j]) for j in range(rank.max() + 1)]
 
@@ -180,8 +185,11 @@ class DiscretizedOperator:
 
         # P^* K_block P and P^* M_block P assembled directly in dof space:
         # the (a, b) entry of the element on samples (r, c) is scaled by
-        # conj(val[r]) val[c]
-        first, h = lay.first, lay.h
+        # conj(val[r]) val[c].  That is 1 off the end elements, where the
+        # scaled entry of an element value x is x + 0.0 (the same bits,
+        # signed zeros included, and mass + 0j for a positive real mass)
+        h, ends = lay.h, lay.end_elements
+        first = lay.first[ends]
         c2 = np.repeat([self.fiber.speed(e) ** 2 for e in lay.grid.edges], lay.intervals)
         s = np.array([[1, -1], [-1, 1]])  # times 1/h
         d_skew = np.array([[0, -1], [1, 0]])  # D^T - D for P1 elements
@@ -192,8 +200,11 @@ class DiscretizedOperator:
                 r, c = first + a, first + b
                 mass = m_el[a, b] * h / 6.0
                 stiff = c2 * (s[a, b] / h + 1j * tau * d_skew[a, b] + tau * tau * mass)
-                k_vals.append(_cmul(_cmul(np.conj(val[r]), stiff), val[c]))
-                m_vals.append(_cmul(np.conj(val[r]) * mass, val[c]))
+                k_ab, m_ab = stiff + 0.0, mass + 0j
+                k_ab[ends] = _cmul(_cmul(np.conj(val[r]), stiff[ends]), val[c])
+                m_ab[ends] = _cmul(np.conj(val[r]) * mass[ends], val[c])
+                k_vals.append(k_ab)
+                m_vals.append(m_ab)
         self.k_mat = lay.csc(np.stack(k_vals, axis=1).ravel())
         self.m_mat = lay.csc(np.stack(m_vals, axis=1).ravel())
 

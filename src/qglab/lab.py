@@ -75,8 +75,11 @@ class SlopeFit:
 MIN_FIT_POINTS = 4
 
 
-def fit_slope(eps_values, errors) -> SlopeFit:
-    """Fit err ~ C eps^slope on >= MIN_FIT_POINTS positive pairs."""
+def _fit(eps_values, errors):
+    """Least-squares fits of log(err) ~ slope log(eps) + intercept, one per
+    row of ``errors`` (last axis over ``eps_values``), all in one centred
+    solve: (slopes, intercepts, xc, yc), xc and yc the centred logs.  A row
+    holding a NaN gets a NaN slope."""
     eps_values = np.asarray(eps_values, dtype=float)
     errors = np.asarray(errors, dtype=float)
     if eps_values.size < MIN_FIT_POINTS:
@@ -84,12 +87,19 @@ def fit_slope(eps_values, errors) -> SlopeFit:
     if np.any(eps_values <= 0) or np.any(errors <= 0):
         raise ValueError("slope fit needs positive values")
     lx, ly = np.log(eps_values), np.log(errors)
-    a = np.vstack([lx, np.ones_like(lx)]).T
-    coef, *_ = np.linalg.lstsq(a, ly, rcond=None)
-    resid = ly - a @ coef
-    ss_tot = float(np.sum((ly - ly.mean()) ** 2))
-    r_sq = 1.0 - float(np.sum(resid**2)) / ss_tot if ss_tot > 0 else 0.0
-    return SlopeFit(float(coef[0]), float(coef[1]), r_sq)
+    xc, yc = lx - lx.mean(), ly - ly.mean(axis=-1, keepdims=True)
+    slope = (yc * xc).sum(axis=-1) / (xc * xc).sum()
+    return slope, ly.mean(axis=-1) - slope * lx.mean(), xc, yc
+
+
+def fit_slope(eps_values, errors) -> SlopeFit:
+    """Fit err ~ C eps^slope on >= MIN_FIT_POINTS positive pairs: the
+    one-row case of the array fit."""
+    slope, intercept, xc, yc = _fit(eps_values, errors)
+    ss_tot = float(np.sum(yc**2))
+    ss_res = float(np.sum((yc - slope * xc) ** 2))
+    r_sq = 1.0 - ss_res / ss_tot if ss_tot > 0 else 0.0
+    return SlopeFit(float(slope), float(intercept), r_sq)
 
 
 def _applies(op):
@@ -317,14 +327,9 @@ def _sweep(failures, points, eps_list, error, where):
 
 def _slopes(name: str, eps_list, errors, lo: float = 1.8, hi: float = 2.2) -> Check:
     """The check that each row of ``errors`` (over ``eps_list``) fits
-    err ~ eps^slope with the slope in [lo, hi].  A row holding a NaN (a
-    point that raised) gets no fit: its slope is NaN, and fails."""
-    errors = np.asarray(errors, dtype=float)
-    slopes = [
-        math.nan if np.isnan(row).any() else fit_slope(eps_list, row).slope
-        for row in errors.reshape(-1, errors.shape[-1])
-    ]
-    return Check(name, np.reshape(slopes, errors.shape[:-1]), lo, hi)
+    err ~ eps^slope with the slope in [lo, hi], all rows in one fit.  A row
+    holding a NaN (a point that raised) gets a NaN slope, and fails."""
+    return Check(name, _fit(eps_list, errors)[0], lo, hi)
 
 
 def _germ_free_cells(examples):
@@ -864,11 +869,11 @@ def run_line_models(
         limits = {}
 
         def limit(z):
-            # the limit model's solution at z, which no eps enters: solved at
-            # the first eps of z whose eps-model solves, and kept only once it
-            # solves, so a z where it raises fails at every eps alike
+            # the limit model's coefficients at z, which no eps enters: solved
+            # at the first eps of z whose eps-model solves, and kept only once
+            # it solves, so a z where it raises fails at every eps alike
             if z not in limits:
-                limits[z] = realline.solve_differential_model_ex1(g, z, datum, grid)
+                limits[z] = realline.differential_model_ex1_hat(g, z, datum, grid)
             return limits[z]
 
         errors, samples = _sweep(

@@ -89,60 +89,42 @@ def _guard_scalar(x: complex) -> complex:
     return x
 
 
-def _split_imag(x: np.ndarray):
-    """Masks of the elements with Im x > 50, Im x < -50 and the rest."""
-    up, down = x.imag > 50.0, x.imag < -50.0
-    return up, down, ~(up | down)
+def cot_csc(x):
+    """(cot x, csc x) for complex x, overflow-safe for large |Im x|.
 
-
-def ccot(x):
-    """cot(x) for complex x, overflow-safe for large |Im x|.
-
-    x may be a scalar (returns a complex) or an ndarray (returns the
-    elementwise complex array).  PoleError is raised when x, or any element
-    of it, lies within POLE_GUARD of a pole k*pi.  For |Im x| > 50 the
-    forms in exp(+-2ix) are used, which neither overflow nor warn.
+    x may be a scalar (returns two complexes) or an ndarray (returns two
+    elementwise complex arrays).  PoleError is raised when x, or any element
+    of it, lies within POLE_GUARD of a pole k*pi.  One guard, one |Im x|
+    split and one sin serve both: cot = cos/sin and csc = 1/sin for
+    |Im x| <= 50, and beyond that the forms in q = exp(+-2ix), which neither
+    overflow nor warn.
     """
     if isinstance(x, np.ndarray):
         x = guard_pole(x).astype(complex)
-        up, down, mid = _split_imag(x)
-        out = np.empty_like(x)
-        out[mid] = np.cos(x[mid]) / np.sin(x[mid])
-        q = np.exp(2j * x[up])
-        out[up] = 1j * (q + 1.0) / (q - 1.0)
-        q = np.exp(-2j * x[down])
-        out[down] = 1j * (1.0 + q) / (1.0 - q)
-        return out
+        up, down = x.imag > 50.0, x.imag < -50.0
+        mid = ~(up | down)
+        cot, csc = np.empty_like(x), np.empty_like(x)
+        xm = x[mid]
+        sin = np.sin(xm)
+        cot[mid] = np.cos(xm) / sin
+        csc[mid] = 1.0 / sin
+        xu, xd = x[up], x[down]
+        q = np.exp(2j * xu)
+        cot[up] = 1j * (q + 1.0) / (q - 1.0)
+        csc[up] = 2j * np.exp(1j * xu) / (q - 1.0)
+        q = np.exp(-2j * xd)
+        cot[down] = 1j * (1.0 + q) / (1.0 - q)
+        csc[down] = 2j * np.exp(-1j * xd) / (1.0 - q)
+        return cot, csc
     _guard_scalar(x)
     if x.imag > 50.0:
         q = cmath.exp(2j * x)  # |q| << 1
-        return 1j * (q + 1.0) / (q - 1.0)
+        return 1j * (q + 1.0) / (q - 1.0), 2j * cmath.exp(1j * x) / (q - 1.0)
     if x.imag < -50.0:
         q = cmath.exp(-2j * x)
-        return 1j * (1.0 + q) / (1.0 - q)
-    return cmath.cos(x) / cmath.sin(x)
-
-
-def ccsc(x):
-    """csc(x) = 1/sin(x) for complex x, overflow-safe for large |Im x|.
-
-    Same scalar/ndarray and pole-guard contract as ``ccot``.
-    """
-    if isinstance(x, np.ndarray):
-        x = guard_pole(x).astype(complex)
-        up, down, mid = _split_imag(x)
-        out = np.empty_like(x)
-        out[mid] = 1.0 / np.sin(x[mid])
-        xu, xd = x[up], x[down]
-        out[up] = 2j * np.exp(1j * xu) / (np.exp(2j * xu) - 1.0)
-        out[down] = 2j * np.exp(-1j * xd) / (1.0 - np.exp(-2j * xd))
-        return out
-    _guard_scalar(x)
-    if x.imag > 50.0:
-        return 2j * cmath.exp(1j * x) / (cmath.exp(2j * x) - 1.0)
-    if x.imag < -50.0:
-        return 2j * cmath.exp(-1j * x) / (1.0 - cmath.exp(-2j * x))
-    return 1.0 / cmath.sin(x)
+        return 1j * (1.0 + q) / (1.0 - q), 2j * cmath.exp(-1j * x) / (1.0 - q)
+    sin = cmath.sin(x)
+    return cmath.cos(x) / sin, 1.0 / sin
 
 
 def m_general(graph: MetricGraph, fiber: FiberParams) -> np.ndarray:
@@ -167,8 +149,7 @@ def m_general(graph: MetricGraph, fiber: FiberParams) -> np.ndarray:
     for e in graph.edges:
         c = fiber.speed(e)
         arg = k * e.length / c
-        cot = ccot(arg)
-        csc = ccsc(arg)
+        cot, csc = cot_csc(arg)
         jl, jr = idx[e.left], idx[e.right]
         m[..., jl, jl] += -k * c * cot
         m[..., jr, jr] += -k * c * cot
@@ -240,7 +221,7 @@ def _soft_edge_block(l, a, k, tau) -> np.ndarray:
     """The block k a [[-cot, csc e^{i l tau}], [csc e^{-i l tau}, -cot]] of
     argument k l / a: a single soft edge V1 -> V2 (ex0, ex1)."""
     y = k * l / a
-    cot, csc = ccot(y), ccsc(y)
+    cot, csc = cot_csc(y)
     ph = phase(l, tau)
     return _block(k, -a * cot, a * csc * ph, a * csc / ph)
 
@@ -259,7 +240,7 @@ def m_stiff_closed(graph: MetricGraph, fiber: FiberParams) -> np.ndarray:
     if graph.example == "ex0":
         l1, a1 = p["l1"], p["a1"]
         x1 = k * eps * l1 / a1
-        cot, csc = ccot(x1), ccsc(x1)
+        cot, csc = cot_csc(x1)
         ph = phase(l1, tau)
         return _block(k / eps, -a1 * cot, a1 * csc / ph, a1 * csc * ph)
     if graph.example == "ex1":
@@ -267,14 +248,14 @@ def m_stiff_closed(graph: MetricGraph, fiber: FiberParams) -> np.ndarray:
         a1, a3 = p["a1"], p["a3"]
         x1 = k * eps * l1 / a1
         x3 = k * eps * l3 / a3
-        cot1, csc1 = ccot(x1), ccsc(x1)
-        cot3, csc3 = ccot(x3), ccsc(x3)
+        cot1, csc1 = cot_csc(x1)
+        cot3, csc3 = cot_csc(x3)
         off = a1 * phase(-(l1 + l3), tau) * csc1 + a3 * phase(l2, tau) * csc3
         off_c = a1 * phase(l1 + l3, tau) * csc1 + a3 * phase(-l2, tau) * csc3
         return _block(k / eps, -a1 * cot1 - a3 * cot3, off, off_c)
     l2, l3, a3 = p["l2"], p["l3"], p["a3"]
     x3 = k * eps * l3 / a3
-    cot3, csc3 = ccot(x3), ccsc(x3)
+    cot3, csc3 = cot_csc(x3)
     return _block(
         k / eps, -a3 * cot3, a3 * phase(l2, tau) * csc3, a3 * phase(-l2, tau) * csc3
     )
@@ -295,8 +276,8 @@ def m_blocks_closed(graph: MetricGraph, fiber: FiberParams) -> MMatrixSet:
         a1, a2 = p["a1"], p["a2"]
         y1 = k * l1 / a1
         y2 = k * l2 / a2
-        cot1, csc1 = ccot(y1), ccsc(y1)
-        cot2, csc2 = ccot(y2), ccsc(y2)
+        cot1, csc1 = cot_csc(y1)
+        cot2, csc2 = cot_csc(y2)
         off = a1 * phase(-(l1 + l3), tau) * csc1 + a2 * phase(l2, tau) * csc2
         off_c = a1 * phase(l1 + l3, tau) * csc1 + a2 * phase(-l2, tau) * csc2
         m_soft = _block(k, -a1 * cot1 - a2 * cot2, off, off_c)

@@ -28,7 +28,7 @@ import numpy as np
 
 from .dispersion import k_closed
 from .graphs import MetricGraph, stiff_length
-from .mmatrix import PoleError, ccot, ccsc, sqrt_upper
+from .mmatrix import PoleError, cot_csc, sqrt_upper
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -117,7 +117,8 @@ ALIAS_TOL = 1e-8
 
 def _band_divide(f, grid: LineGrid, band: float, symbol):
     """Fourier division u_hat = f_hat / symbol(t) on |t| <= band, 0 beyond,
-    of a datum given as an array or a ``LineDatum``.
+    of a datum given as an array or a ``LineDatum``: the band's mask and
+    u_hat on it.
 
     Raises ArithmeticError when the datum carries more than ALIAS_TOL
     relative energy outside the band (the division would drop it silently),
@@ -134,11 +135,17 @@ def _band_divide(f, grid: LineGrid, band: float, symbol):
             raise ArithmeticError(
                 f"datum has {outside / total:.2e} relative energy beyond |t| = {band:g}"
             )
-    u_hat = np.zeros_like(f_hat)
     sym = symbol(t[mask])
     if np.min(np.abs(sym)) < 1e-12:
         raise PoleError("model symbol vanishes on the grid")
-    u_hat[mask] = f_hat[mask] / sym
+    return mask, f_hat[mask] / sym
+
+
+def _inverse(mask: np.ndarray, u_band: np.ndarray) -> np.ndarray:
+    """The function whose Fourier coefficients are ``u_band`` on ``mask``
+    and 0 beyond."""
+    u_hat = np.zeros(mask.shape, dtype=complex)
+    u_hat[mask] = u_band
     return np.fft.ifft(u_hat)
 
 
@@ -153,9 +160,9 @@ def psi_k_apply(
     relative energy outside the retained band (the model would alias it
     away silently).
     """
-    return _band_divide(
+    return _inverse(*_band_divide(
         f, grid, math.pi / eps, lambda t: multiplier_symbol(graph, eps, z, t)
-    )
+    ))
 
 
 def _symbol_constant(graph: MetricGraph, z: complex, k: complex) -> complex:
@@ -164,8 +171,8 @@ def _symbol_constant(graph: MetricGraph, z: complex, k: complex) -> complex:
     tan_sum = 0.0
     for e in graph.edges:
         if not e.is_stiff:
-            y = k * e.length / e.speed_a
-            tan_sum = tan_sum + e.speed_a * (ccsc(y) - ccot(y))  # a tan(y/2)
+            cot, csc = cot_csc(k * e.length / e.speed_a)
+            tan_sum = tan_sum + e.speed_a * (csc - cot)  # a tan(y/2)
     return stiff_length(graph) * z + 2.0 * k * tan_sum
 
 
@@ -185,7 +192,8 @@ def difference_symbol(
     s = graph.cell.chain
     k = sqrt_upper(z)
     hop = 2.0 * (np.cos(eps * np.asarray(t)) - 1.0)
-    coeff = s.speed_a * k * ccsc(k * s.length / s.speed_a)
+    _, csc = cot_csc(k * s.length / s.speed_a)
+    coeff = s.speed_a * k * csc
     return -coeff * hop - _symbol_constant(graph, z, k)
 
 
@@ -196,9 +204,9 @@ def solve_difference_model(
     """Solve the ex0/ex2 finite-difference model by Fourier division,
     band-limited to |t| <= pi/eps (and alias-checked) like the multiplier
     model."""
-    return _band_divide(
+    return _inverse(*_band_divide(
         f, grid, math.pi / eps, lambda t: difference_symbol(graph, eps, z, t)
-    )
+    ))
 
 
 def differential_symbol_ex1(
@@ -213,13 +221,21 @@ def differential_symbol_ex1(
     return graph.cell.germ * np.asarray(t) ** 2 - constant
 
 
+def differential_model_ex1_hat(
+    graph: MetricGraph, z: complex, f: np.ndarray | LineDatum, grid: LineGrid
+) -> np.ndarray:
+    """Fourier coefficients of the limiting ex1 model's solution: the
+    Fourier division on the full dual line."""
+    return _band_divide(
+        f, grid, math.inf, lambda t: differential_symbol_ex1(graph, z, t)
+    )[1]
+
+
 def solve_differential_model_ex1(
     graph: MetricGraph, z: complex, f: np.ndarray | LineDatum, grid: LineGrid
 ) -> np.ndarray:
     """Solve the limiting ex1 model by Fourier division (full dual line)."""
-    return _band_divide(
-        f, grid, math.inf, lambda t: differential_symbol_ex1(graph, z, t)
-    )
+    return np.fft.ifft(differential_model_ex1_hat(graph, z, f, grid))
 
 
 def symbol_identity_defect(
@@ -247,9 +263,10 @@ def symbol_identity_defect(
     s = cell.chain
     k = sqrt_upper(z)
     y = k * s.length / s.speed_a
+    _, csc = cot_csc(y)
     target = (
         cell.germ * tt**2
-        + 2.0 * s.speed_a * k * (np.cos(y) - 1.0) * ccsc(y)
+        + 2.0 * s.speed_a * k * (np.cos(y) - 1.0) * csc
         - stiff_length(graph) * z
     )
     model = differential_symbol_ex1(graph, z, tt)
@@ -268,14 +285,19 @@ def ex1_model_distance(
     (default ``gaussian_packet(grid)``); decays at O(eps^2) as the
     eps-multiplier converges to the limit model.
 
-    The limit solution Psi_K_limit f does not depend on eps.  ``limit``, when
-    given, returns it (for this graph, z, datum and grid), so that a sweep
-    over eps can solve it once; it is called after the eps-model is solved.
+    It is measured on the Fourier side, where by Parseval's identity for
+    numpy's unnormalised FFT on N points it is ||u_hat_eps - u_hat_lim|| /
+    (sqrt(N) ||f||): neither solution is transformed back.  The limit's
+    coefficients (``differential_model_ex1_hat``) do not depend on eps.
+    ``limit``, when given, returns them (for this graph, z, datum and grid),
+    so that a sweep over eps can solve the limit once; it is called after
+    the eps-model is solved.
     """
     datum = _datum(gaussian_packet(grid) if f is None else f)
-    u_eps = psi_k_apply(graph, eps, z, datum, grid)
-    if limit is None:
-        u_lim = solve_differential_model_ex1(graph, z, datum, grid)
-    else:
-        u_lim = limit()
-    return float(np.linalg.norm(u_eps - u_lim) / datum.norm)
+    mask, u_eps = _band_divide(
+        datum, grid, math.pi / eps, lambda t: multiplier_symbol(graph, eps, z, t)
+    )
+    u_lim = differential_model_ex1_hat(graph, z, datum, grid) if limit is None else limit()
+    diff = u_lim.copy()
+    diff[mask] -= u_eps
+    return float(np.linalg.norm(diff) / (math.sqrt(grid.size) * datum.norm))

@@ -27,7 +27,7 @@ import math
 import numpy as np
 
 from .graphs import MetricGraph, PoleError, stiff_length
-from .mmatrix import FiberParams, ccot, ccsc, m_stiff_closed, mat2
+from .mmatrix import FiberParams, cot_csc, m_stiff_closed, mat2
 
 
 def b_matrix(graph: MetricGraph, fiber: FiberParams) -> np.ndarray:
@@ -84,7 +84,7 @@ def btilde_closed_ex0(graph: MetricGraph, fiber: FiberParams) -> np.ndarray:
     l, a = stiff[0].length, stiff[0].speed_a
     k, eps = fiber.k, fiber.eps
     x = k * eps * l / a
-    cot, csc = ccot(x), ccsc(x)
+    cot, csc = cot_csc(x)
     return mat2((a * k / eps) * (cot - csc), 0.0, 0.0, -(eps / (a * k)) / (cot + csc))
 
 

@@ -489,20 +489,33 @@ def _tau_eps_points(z):
 
 @settings(max_examples=25, deadline=None)
 @given(g=cells(), z=Z)
+@example(
+    g=build_example("ex1", l1=0.109375, l2=0.421875, l3=1.0 - 0.109375 - 0.421875,
+                    a1=1.5, a3=1.0),
+    z=0.5j,
+)
 def test_triple_tau_stacks_equal_point_loop(g, z):
     assert _close(rotation_x(g, TAUS), [rotation_x(g, float(t)) for t in TAUS])
     fiber = FiberParams(EPS_ROW, TAUS[:, None], z)
     points = _tau_eps_points(z)
     # the swap cancels entries of size ||B(z)|| ((a/eps)^2 scale), so the
     # rounding of B_tilde, and of its distance to the limit, scales with it
-    scale = 1.0 + np.max(np.abs(b_matrix(g, fiber)), axis=(-2, -1), keepdims=True)
+    b = b_matrix(g, fiber)
+    scale = 1.0 + np.max(np.abs(b), axis=(-2, -1), keepdims=True)
     ref = [[btilde_numeric(g, p) for p in row] for row in points]
     assert _close(btilde_numeric(g, fiber), ref, scale)
     assert _close(b_eff(g, fiber), [[b_eff(g, p) for p in row] for row in points])
     dev = beff_deviation(g, fiber)
     ref = np.array([[beff_deviation(g, p) for p in row] for row in points])
+    # on ex1 the deviation also carries the ex1 swap's cancellation factor
+    # |B00|^2 / |B00^2 - B10 B01| (as in test_delta_tau_stack_equals_point_loop)
+    bound = STACK_RTOL * scale[..., 0, 0]
+    if g.cell.germ:
+        b00 = b[..., 0, 0]
+        cancel = np.abs(b00) ** 2 / np.abs(b00 * b00 - b[..., 1, 0] * b[..., 0, 1])
+        bound = bound * np.maximum(1.0, cancel)
     assert dev.shape == ref.shape
-    assert np.all(np.abs(dev - ref) <= STACK_RTOL * scale[..., 0, 0])
+    assert np.all(np.abs(dev - ref) <= bound)
 
 
 @settings(max_examples=25, deadline=None)
@@ -623,17 +636,16 @@ def test_line_models_transforms_each_datum_once_and_solves_each_limit_once_per_z
     monkeypatch,
 ):
     # the ex1 datum's forward transform serves every division; the limit
-    # model, which no eps enters, is one division per (cell, z); each point
-    # still inverts its own eps-model
+    # model, which no eps enters, is one division per (cell, z); distances
+    # are taken between Fourier coefficients, so nothing is inverted
     ffts = _counting(monkeypatch, np.fft, "fft")
     iffts = _counting(monkeypatch, np.fft, "ifft")
-    limits = _counting(monkeypatch, realline, "solve_differential_model_ex1")
+    limits = _counting(monkeypatch, realline, "differential_model_ex1_hat")
     res = lab.run_experiment("line_models", {"grid_size": 1024})
     assert res.passed
-    n_z, n_eps = len(lab.DEFAULT_Z), len(lab.DEFAULT_EPS)
     assert len(ffts) == 1
     assert [args[1] for args in limits] == list(lab.DEFAULT_Z)
-    assert len(iffts) == n_z * n_eps + n_z
+    assert len(iffts) == 0
 
 
 def test_dispersion_series_calls_k_series_three_times_per_cell(monkeypatch):

@@ -167,6 +167,46 @@ def test_at_sibling_equals_a_fresh_operator(tau, eps):
                 assert_same_pencil(sibling, DiscretizedOperator(g, fiber, res))
 
 
+def _every_element_scaled(op):
+    """The element-major (K, M) values with every entry scaled by
+    conj(val[r]) val[c] through ``_cmul``, the prolongation values of all
+    samples (1 away from the edge ends) included."""
+    lay, tau, cmul = op.layout, op.fiber.tau, fdsolver._cmul
+    val = op.prolong.data
+    c2 = np.repeat([op.fiber.speed(e) ** 2 for e in lay.grid.edges], lay.intervals)
+    s, d_skew, m_el = [[1, -1], [-1, 1]], [[0, -1], [1, 0]], [[2, 1], [1, 2]]
+    k_vals, m_vals = [], []
+    for a in range(2):
+        for b in range(2):
+            r, c = lay.first + a, lay.first + b
+            mass = m_el[a][b] * lay.h / 6.0
+            stiff = c2 * (s[a][b] / lay.h + 1j * tau * d_skew[a][b] + tau * tau * mass)
+            k_vals.append(cmul(cmul(np.conj(val[r]), stiff), val[c]))
+            m_vals.append(cmul(np.conj(val[r]) * mass, val[c]))
+    return np.stack(k_vals, axis=1).ravel(), np.stack(m_vals, axis=1).ravel()
+
+
+@settings(max_examples=5, deadline=None)
+@given(tau=st.floats(-math.pi, math.pi), eps=st.sampled_from([1 / 8, 1 / 16, 1 / 32, 1 / 64]))
+def test_assembly_scales_only_the_end_elements_bit_for_bit(tau, eps):
+    # the interior entries skip the product by 1 and keep its bits, signed
+    # zeros included; every matrix shares its layout's int32 index arrays
+    for name in ("ex0", "ex1", "ex2"):
+        g = build_example(name)
+        for res in (16, 17, 512):
+            base = DiscretizedOperator(g, FiberParams(0.3, 1.0, 2 + 1j), res)
+            lay = base.layout
+            for t in (0.0, -0.0, TOP, -TOP, tau):
+                op = base.at(FiberParams(eps, t, 2 + 1j))
+                for got, values in zip((op.k_mat, op.m_mat), _every_element_scaled(op)):
+                    ref = lay.csc(values)
+                    assert np.array_equal(got.data.view(np.uint64), ref.data.view(np.uint64))
+                    assert np.shares_memory(got.indices, lay.indices)
+                    assert np.shares_memory(got.indptr, lay.indptr)
+            assert lay.indices.dtype == lay.indptr.dtype == np.int32
+            assert not lay.indices.flags.writeable and not lay.indptr.flags.writeable
+
+
 @pytest.mark.parametrize("name", ["ex0", "ex1", "ex2"])
 @pytest.mark.parametrize("res", [16, 17, 512])
 def test_layout_sums_duplicates_as_coo_to_csc_does(name, res):

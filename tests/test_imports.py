@@ -345,3 +345,28 @@ def test_eigsh_runs_only_where_its_arpack_state_is_freed():
     assert sites == {"fdsolver:DiscretizedOperator.eigenvalues"}
     gc_users = {where.split(":")[0] for m in modules for where in _name_sites(m, "gc")}
     assert gc_users == {"fdsolver"}
+
+
+
+def test_one_trig_kernel():
+    # cot and csc of one argument come from mmatrix.cot_csc alone: no module
+    # defines, imports or calls the separate kernels it replaced
+    former = {"ccot", "ccsc"}
+    found = []
+    for path in sorted((SRC / "qglab").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef):
+                names = {node.name}
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = {a.name for a in node.names} | {a.asname for a in node.names}
+            elif isinstance(node, ast.Name):
+                names = {node.id}
+            elif isinstance(node, ast.Attribute):
+                names = {node.attr}
+            else:
+                continue
+            if names & former:
+                found.append(f"{path.stem}:{node.lineno}")
+    assert found == []
+    mmatrix = ast.parse((SRC / "qglab" / "mmatrix.py").read_text())
+    assert "cot_csc" in {n.name for n in mmatrix.body if isinstance(n, ast.FunctionDef)}

@@ -3,10 +3,13 @@ import math
 import pathlib
 import time
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.sparse.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, aslinearoperator
 
 from qglab import dispersion, lab, realline, triples
@@ -55,6 +58,49 @@ def test_fit_slope_validation():
         fit_slope([0.5, 0.25, 0.125], [1, 1, 1])
     with pytest.raises(ValueError):
         fit_slope([0.5, 0.25, 0.125, 0.0], [1, 1, 1, 1])
+
+
+def _lstsq_slope(eps, row):
+    """The slope of one row from the general least-squares solver."""
+    lx = np.log(eps)
+    a = np.vstack([lx, np.ones_like(lx)]).T
+    return np.linalg.lstsq(a, np.log(row), rcond=None)[0][0]
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    n_eps=st.integers(lab.MIN_FIT_POINTS, 8),
+    rates=st.lists(st.floats(0.5, 4.0), min_size=1, max_size=6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_slopes_fit_every_row_at_once_as_lstsq_does_row_by_row(n_eps, rates, seed):
+    # err = C eps^rate, perturbed: one array fit, no lstsq call, and each
+    # slope within 1e-13 of lstsq's on its row (relative, or absolute below 1)
+    rng = np.random.default_rng(seed)
+    eps = 2.0 ** -np.arange(1.0, n_eps + 1.0)
+    c = 10.0 ** rng.uniform(-8.0, 3.0, size=(len(rates), 1))
+    rows = c * eps ** np.array(rates)[:, None] * np.exp(0.3 * rng.standard_normal((len(rates), n_eps)))
+    expect = [_lstsq_slope(eps, row) for row in rows]
+    with mock.patch.object(np.linalg, "lstsq") as lstsq:
+        check = lab._slopes("s", eps, rows)
+        fits = [fit_slope(eps, row) for row in rows]
+    assert lstsq.call_count == 0
+    assert check.value.shape == (len(rates),)
+    for got in (check.value, [fit.slope for fit in fits]):
+        assert np.all(np.abs(np.subtract(got, expect)) <= 1e-13 * np.maximum(1.0, np.abs(expect)))
+
+
+def test_slopes_give_nan_to_a_row_with_a_nan_and_refuse_bad_rows():
+    eps = np.array([0.5, 0.25, 0.125, 0.0625])
+    rows = np.array([eps**2, [1e-2, np.nan, 1e-3, 1e-4], 3.0 * eps**2])
+    check = lab._slopes("s", eps, rows)
+    assert np.isnan(check.value[1]) and not check.ok
+    assert np.allclose(check.value[[0, 2]], 2.0, rtol=1e-13)
+    assert str(check).startswith("s = [2.000, nan, 2.000]")
+    with pytest.raises(ValueError):
+        lab._slopes("s", eps, -rows[[0]])
+    with pytest.raises(ValueError):
+        lab._slopes("s", eps[:3], rows[:, :3])
 
 
 def test_check_on_its_bound_is_ok():

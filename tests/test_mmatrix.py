@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -9,9 +10,8 @@ from qglab.graphs import build_example
 from qglab.mmatrix import (
     FiberParams,
     PoleError,
-    ccot,
-    ccsc,
     check_additivity,
+    cot_csc,
     guard_pole,
     herglotz_min_eig,
     m_blocks_closed,
@@ -39,12 +39,102 @@ def test_sqrt_upper_scalar_and_array_agree():
 
 def test_trig_kernels_array_branch_matches_scalar():
     x = np.array([0.3 + 0.1j, 2.0 - 1.5j, 1.0 + 60.0j, -0.7 - 75.0j, 4.0 + 700.0j])
-    for fn in (ccot, ccsc):
-        arr = fn(x)
-        ref = np.array([fn(complex(xi)) for xi in x])
+    for arr, ref in zip(cot_csc(x), zip(*(cot_csc(complex(xi)) for xi in x))):
+        ref = np.array(ref)
         assert np.all(np.abs(arr - ref) <= 1e-14 * np.abs(ref) + 1e-300)
-        with pytest.raises(PoleError):
-            fn(np.array([1.0, math.pi + 1e-10, 2.0]))
+    with pytest.raises(PoleError):
+        cot_csc(np.array([1.0, math.pi + 1e-10, 2.0]))
+
+
+def _former_cot(x):
+    """The separate cot kernel that ``cot_csc`` replaced, as it was."""
+    if isinstance(x, np.ndarray):
+        x = guard_pole(x).astype(complex)
+        up, down = x.imag > 50.0, x.imag < -50.0
+        mid = ~(up | down)
+        out = np.empty_like(x)
+        out[mid] = np.cos(x[mid]) / np.sin(x[mid])
+        q = np.exp(2j * x[up])
+        out[up] = 1j * (q + 1.0) / (q - 1.0)
+        q = np.exp(-2j * x[down])
+        out[down] = 1j * (1.0 + q) / (1.0 - q)
+        return out
+    guard_pole(x)
+    if x.imag > 50.0:
+        q = cmath.exp(2j * x)
+        return 1j * (q + 1.0) / (q - 1.0)
+    if x.imag < -50.0:
+        q = cmath.exp(-2j * x)
+        return 1j * (1.0 + q) / (1.0 - q)
+    return cmath.cos(x) / cmath.sin(x)
+
+
+def _former_csc(x):
+    """The separate csc kernel that ``cot_csc`` replaced, as it was."""
+    if isinstance(x, np.ndarray):
+        x = guard_pole(x).astype(complex)
+        up, down = x.imag > 50.0, x.imag < -50.0
+        mid = ~(up | down)
+        out = np.empty_like(x)
+        out[mid] = 1.0 / np.sin(x[mid])
+        xu, xd = x[up], x[down]
+        out[up] = 2j * np.exp(1j * xu) / (np.exp(2j * xu) - 1.0)
+        out[down] = 2j * np.exp(-1j * xd) / (1.0 - np.exp(-2j * xd))
+        return out
+    guard_pole(x)
+    if x.imag > 50.0:
+        return 2j * cmath.exp(1j * x) / (cmath.exp(2j * x) - 1.0)
+    if x.imag < -50.0:
+        return 2j * cmath.exp(-1j * x) / (1.0 - cmath.exp(-2j * x))
+    return 1.0 / cmath.sin(x)
+
+
+def _bits(x):
+    return np.asarray(x, dtype=complex).view(np.uint64)
+
+
+# the three branches of the kernel: Im x > 50, Im x < -50 and in between,
+# with real parts that reach the poles k pi
+TRIG_ARGS = st.builds(
+    complex,
+    st.floats(-20.0, 20.0) | st.sampled_from([0.0, math.pi, -2 * math.pi + 1e-9]),
+    st.floats(50.0, 400.0, exclude_min=True)
+    | st.floats(-400.0, -50.0, exclude_max=True)
+    | st.floats(-50.0, 50.0)
+    | st.sampled_from([0.0, 1e-12, 50.0, -50.0]),
+)
+
+
+def _kernel_or_pole(kernel, x):
+    try:
+        return kernel(x)
+    except PoleError:
+        return PoleError
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=TRIG_ARGS)
+def test_cot_csc_scalar_equals_former_kernels_bit_for_bit(x):
+    got = _kernel_or_pole(cot_csc, x)
+    former = _kernel_or_pole(_former_cot, x), _kernel_or_pole(_former_csc, x)
+    if got is PoleError:
+        assert former == (PoleError, PoleError)
+        return
+    assert isinstance(got[0], complex) and isinstance(got[1], complex)
+    assert np.array_equal(_bits(got), _bits(former))
+
+
+@settings(max_examples=100, deadline=None)
+@given(xs=st.lists(TRIG_ARGS, min_size=1, max_size=12))
+def test_cot_csc_array_equals_former_kernels_bit_for_bit(xs):
+    x = np.array(xs)
+    got = _kernel_or_pole(cot_csc, x)
+    former = _kernel_or_pole(_former_cot, x), _kernel_or_pole(_former_csc, x)
+    if got is PoleError:
+        assert former == (PoleError, PoleError)
+        return
+    assert np.array_equal(_bits(got[0]), _bits(former[0]))
+    assert np.array_equal(_bits(got[1]), _bits(former[1]))
 
 
 def test_fiber_rejects_bad_eps():
@@ -63,14 +153,14 @@ def test_trig_guard():
     with pytest.raises(PoleError):
         guard_pole(math.pi + 1e-10)
     with pytest.raises(PoleError):
-        ccot(2 * math.pi + 1e-9 + 0j)
+        cot_csc(2 * math.pi + 1e-9 + 0j)
 
 
 def test_trig_overflow_safe():
     # large |Im| arguments approach -+i without overflow
-    assert ccot(1.0 + 100j) == pytest.approx(-1j)
-    assert ccot(1.0 - 100j) == pytest.approx(1j)
-    assert abs(ccsc(1.0 + 200j)) < 1e-10
+    assert cot_csc(1.0 + 100j)[0] == pytest.approx(-1j)
+    assert cot_csc(1.0 - 100j)[0] == pytest.approx(1j)
+    assert abs(cot_csc(1.0 + 200j)[1]) < 1e-10
 
 
 def test_m_matrix_oracle_point():

@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from qglab import realline
+from qglab import lab, realline
 from qglab.graphs import PoleError, build_example, xi_ex1
 from qglab.realline import (
     LineGrid,
     difference_symbol,
+    differential_model_ex1_hat,
     differential_symbol_ex1,
     ex1_model_distance,
     gaussian_packet,
@@ -178,6 +179,64 @@ def test_ex1_model_distance_quadratic():
     d1 = ex1_model_distance(g, 0.125, Z, grid)
     d2 = ex1_model_distance(g, 0.0625, Z, grid)
     assert 3.0 < d1 / d2 < 5.0
+
+
+@pytest.mark.parametrize("size", [4096, 32768])
+def test_ex1_model_distance_equals_extended_precision_inverse_route(size):
+    # the Fourier-side distance against the spatial one, with both solutions'
+    # float64 coefficients transformed back and compared in clongdouble, at
+    # line_models' default points and datum: Parseval's identity leaves
+    # nothing but the rounding of one norm (the float64 inverse route reads
+    # up to 6.2e-12 off here)
+    g = build_example("ex1")
+    grid = make_line_grid(32.0, size)
+    datum = realline.LineDatum(gaussian_packet(grid, width=0.5))
+    f_norm = np.sqrt(np.sum(np.abs(datum.f.astype(np.clongdouble)) ** 2))
+    worst = 0.0
+    for z in lab.DEFAULT_Z:
+        u_lim = np.fft.ifft(differential_model_ex1_hat(g, z, datum, grid).astype(np.clongdouble))
+        for eps in lab.DEFAULT_EPS:
+            mask, band = realline._band_divide(
+                datum, grid, math.pi / eps, lambda t: multiplier_symbol(g, eps, z, t)
+            )
+            u_hat = np.zeros(size, dtype=np.clongdouble)
+            u_hat[mask] = band
+            u_eps = np.fft.ifft(u_hat)
+            assert u_eps.dtype == np.clongdouble
+            ref = np.sqrt(np.sum(np.abs(u_eps - u_lim) ** 2)) / f_norm
+            got = ex1_model_distance(g, eps, z, grid, f=datum)
+            worst = max(worst, float(abs(got - ref) / ref))
+    assert worst <= 1e-14
+
+
+def _inverse_route(f, grid, band, symbol):
+    """The solvers' route as a reference: f_hat / symbol on |t| <= band,
+    0 beyond, transformed back."""
+    f_hat = np.fft.fft(np.asarray(f, dtype=complex))
+    mask = np.abs(grid.t) <= band
+    u_hat = np.zeros_like(f_hat)
+    u_hat[mask] = f_hat[mask] / symbol(grid.t[mask])
+    return np.fft.ifft(u_hat)
+
+
+@pytest.mark.parametrize("z", [2 + 1j, 10 + 0.7j])
+def test_solvers_return_the_inverse_transform_bit_for_bit(z):
+    grid = make_line_grid(32.0, 4096)
+    f = gaussian_packet(grid, width=0.5)
+    eps = 0.0625
+    g1, g2 = build_example("ex1"), build_example("ex2")
+    for got, ref in (
+        (psi_k_apply(g1, eps, z, f, grid),
+         _inverse_route(f, grid, math.pi / eps, lambda t: multiplier_symbol(g1, eps, z, t))),
+        (solve_difference_model(g2, eps, z, f, grid),
+         _inverse_route(f, grid, math.pi / eps, lambda t: difference_symbol(g2, eps, z, t))),
+        (solve_differential_model_ex1(g1, z, f, grid),
+         _inverse_route(f, grid, math.inf, lambda t: differential_symbol_ex1(g1, z, t))),
+    ):
+        assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+    # and the limit model's coefficients are the transform of its solution
+    u_hat = differential_model_ex1_hat(g1, z, f, grid)
+    assert np.array_equal(np.fft.ifft(u_hat), solve_differential_model_ex1(g1, z, f, grid))
 
 
 def test_equal_impedance_pole_names_one_tau():
