@@ -44,8 +44,6 @@ from .realline import (
     gaussian_packet,
     make_line_grid,
     psi_k_apply,
-    solve_difference_model,
-    solve_differential_model_ex1,
 )
 from .triples import (
     b_eff,
@@ -109,7 +107,5 @@ __all__ = [
     "rotation_x",
     "run_experiment",
     "second_swap",
-    "solve_difference_model",
-    "solve_differential_model_ex1",
     "verify_sum_identities",
 ]

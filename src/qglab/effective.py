@@ -424,29 +424,15 @@ class PsiEmbedding:
     def n_soft(self) -> int:
         return self.soft_idx.size
 
-    def forward_matrix(self) -> np.ndarray:
-        """(n_soft + 1) x n_full matrix of Psi."""
-        out = np.zeros((self.n_soft + 1, self.grid.size), dtype=complex)
-        out[np.arange(self.n_soft), self.soft_idx] = 1.0
-        out[-1, self.stiff_idx] = self._dual
-        return out
-
-    def adjoint_matrix(self) -> np.ndarray:
-        """n_full x (n_soft + 1) matrix of Psi^* (weighted adjoint)."""
-        out = np.zeros((self.grid.size, self.n_soft + 1), dtype=complex)
-        out[self.soft_idx, np.arange(self.n_soft)] = 1.0
-        out[self.stiff_idx, -1] = self._lift_stiff
-        return out
-
     def sandwich(self, a: KernelOperator) -> KernelOperator:
         """Psi^* a Psi for an operator a on the (n_soft + 1) homogenised space.
 
-        Equal to ``adjoint_matrix() @ a.dense() @ forward_matrix()``, built
-        by index maps: each soft Dirichlet block moves to its edge's samples
-        on the full grid, and the factors become Psi^* u (u[:n] on the soft
-        rows, lift (x) u[n] on the stiff ones) and v Psi (v[:, :n] on the
-        soft columns, v[:, n] (x) conj(lift) w on the stiff ones).  Any
-        other shape (a model at another resolution) raises ``ValueError``.
+        Equal to the dense product of the three, built by index maps: each
+        soft Dirichlet block moves to its edge's samples on the full grid,
+        and the factors become Psi^* u (u[:n] on the soft rows, lift (x) u[n]
+        on the stiff ones) and v Psi (v[:, :n] on the soft columns,
+        v[:, n] (x) conj(lift) w on the stiff ones).  Any other shape (a
+        model at another resolution) raises ``ValueError``.
         """
         n = self.n_soft
         if a.shape != (n + 1, n + 1):

@@ -208,35 +208,6 @@ class DiscretizedOperator:
         self.k_mat = lay.csc(np.stack(k_vals, axis=1).ravel())
         self.m_mat = lay.csc(np.stack(m_vals, axis=1).ravel())
 
-    # -- basic certificates ------------------------------------------------
-
-    def symmetry_defect(self, n_pairs: int = 10, seed: int = 0) -> float:
-        """max |<Au, v> - <u, Av>| over random unit-M-norm coefficient pairs."""
-        rng = np.random.default_rng(seed)
-        worst = 0.0
-        for _ in range(n_pairs):
-            u = rng.standard_normal(self.ndof) + 1j * rng.standard_normal(self.ndof)
-            v = rng.standard_normal(self.ndof) + 1j * rng.standard_normal(self.ndof)
-            u /= np.sqrt(abs(np.vdot(u, self.m_mat @ u)))
-            v /= np.sqrt(abs(np.vdot(v, self.m_mat @ v)))
-            lhs = np.vdot(v, self.k_mat @ u)
-            rhs = np.vdot(self.k_mat @ v, u)
-            worst = max(worst, abs(lhs - rhs))
-        return worst
-
-    def vertex_flux_residual(self, u_dofs: np.ndarray, f_samples: np.ndarray, z: complex) -> float:
-        """Residual of the discrete co-derivative balance at the vertices.
-
-        The vertex rows of (K - z M) u = P^* M_block f are exactly the
-        discrete signed weighted co-derivative sums; their residual after a
-        solve certifies the vertex condition.
-        """
-        rhs = self.prolong.conj().T @ (self.grid.w * f_samples)
-        res = (self.k_mat - z * self.m_mat) @ u_dofs - rhs
-        return float(np.max(np.abs(res[-len(self.graph.vertices):])))
-
-    # -- solves -------------------------------------------------------------
-
     def _solve(self, z: complex):
         """Factor K - z M once; return ``solve(rhs, trans="N")``.
 

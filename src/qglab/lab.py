@@ -245,13 +245,13 @@ class ExperimentResult:
 
 
 def write_csv(path: str, rows: list[dict]) -> None:
-    if not rows:
-        return
-    fieldnames = list(rows[0].keys())
+    """Write ``rows`` under a header of the first row's keys; no rows write
+    an empty file, so no earlier run's rows stay behind."""
     with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fieldnames)
-        writer.writeheader()
-        writer.writerows(rows)
+        if rows:
+            writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+            writer.writeheader()
+            writer.writerows(rows)
 
 
 def _parse_value(text: str):
@@ -469,51 +469,40 @@ def run_krein_vs_direct(
     return ExperimentResult("krein_vs_direct", checks, failures, rows)
 
 
-class _Row:
-    """The eps-free objects of one (cell, tau) row of a resolvent-rate sweep
-    at (z, resolution), built once at the row's first eps: the model (with
-    the full graph's workspace and its soft part, and the row's one store),
-    the power iteration's start vector and, for ``full_res_rate``, Psi.
-    Each eps of the row reads them through ``at_eps`` siblings, which find
-    every eps-free part in the store and redo what eps enters: the stiff
-    edges, M(z), B(z), the germ term and the two solves."""
-
-    def __init__(self, graph, fiber: FiberParams, model: EffectiveModel, start: np.ndarray,
-                 psi: PsiEmbedding | None = None):
-        self.graph, self.tau, self.z = graph, fiber.tau, fiber.z
-        self.model, self.start, self.psi = model, start, psi
-
-
-def _rate_sweep(failures, name, z, tau_list, eps_list, row, error):
+def _rate_sweep(failures, name, z, tau_list, eps_list, row):
     """``_sweep`` of one cell's (tau, eps) grid, one row at a time.
 
-    ``row(fiber)`` builds the ``_Row`` of a tau at its first eps, and
-    ``error(row, eps)`` is one point, so a row's objects live for that row
+    ``row(fiber)`` builds a tau's eps-free objects at its first eps and
+    returns that row's ``error(eps)``, so a row's objects live for that row
     only.  Returns the (tau, eps) errors and the samples (tau, eps, error),
     as ``_sweep`` does.
     """
     errors, samples = np.full((len(tau_list), len(eps_list)), math.nan), []
     for i, tau in enumerate(tau_list):
-        row_errors, done = _sweep(
-            failures, [row(FiberParams(eps_list[0], tau, z))], eps_list, error,
-            lambda r, e: f"{name}: resolvents failed at tau={r.tau:.6g}, eps={e:g}, z={z}",
+        error = row(FiberParams(eps_list[0], tau, z))
+        errors[i], done = _sweep(
+            failures, [tau], eps_list, lambda _, e: error(e),
+            lambda t, e: f"{name}: resolvents failed at tau={t:.6g}, eps={e:g}, z={z}",
         )
-        errors[i] = row_errors[0]
-        samples += [(r.tau, e, err) for r, e, err in done]
+        samples += done
     return errors, samples
 
 
-def _soft_row(graph, fiber: FiberParams, res: int) -> _Row:
-    model = EffectiveModel(graph, fiber, res)
-    return _Row(graph, fiber, model, start_vector(model.grid.size))
+def _soft_row(graph, fiber: FiberParams, res: int):
+    """The ``error(eps)`` of one (cell, tau) row of ``gen_res_rate``: the
+    norm of generalised minus effective resolvent on the soft grid.  The
+    model and the start vector are built once, at the row's first eps;
+    each eps reads the model's ``at_eps`` sibling, which redoes only what
+    eps enters."""
+    model, z = EffectiveModel(graph, fiber, res), fiber.z
+    start = start_vector(model.grid.size)
 
+    def error(eps: float) -> float:
+        at = model.at_eps(eps)
+        r_eps = at.kernels.generalized_resolvent(z, triples.b_matrix(graph, at.fiber))
+        return operator_norm_diff(r_eps, at.r_eff(z), at.grid.w, start=start)
 
-def _soft_sandwich_error(row: _Row, eps: float) -> float:
-    """||generalised resolvent - effective resolvent|| on the soft grid."""
-    model = row.model.at_eps(eps)
-    b = triples.b_matrix(row.graph, model.fiber)
-    r_eps = model.kernels.generalized_resolvent(row.z, b)
-    return operator_norm_diff(r_eps, model.r_eff(row.z), model.grid.w, start=row.start)
+    return error
 
 
 def run_gen_res_rate(
@@ -526,7 +515,7 @@ def run_gen_res_rate(
         g = build_example(name)
         errors, samples = _rate_sweep(
             failures, name, z, tau_list, eps_list,
-            lambda fiber: _soft_row(g, fiber, resolution), _soft_sandwich_error,
+            lambda fiber: _soft_row(g, fiber, resolution),
         )
         rows += [dict(example=name, tau=tau, eps=e, error=err)
                  for tau, e, err in samples]
@@ -534,19 +523,19 @@ def run_gen_res_rate(
     return ExperimentResult("gen_res_rate", checks, failures, rows)
 
 
-def _full_row(graph, fiber: FiberParams, res: int) -> _Row:
-    model = EffectiveModel(graph, fiber, res)
-    ws = model.workspace
-    return _Row(graph, fiber, model, start_vector(ws.grid.size), PsiEmbedding(ws))
+def _full_row(graph, fiber: FiberParams, res: int):
+    """As ``_soft_row`` for ``full_res_rate``, with Psi built once too:
+    ||(A_eps - z)^{-1} - Psi* (A_hom - z)^{-1} Psi|| on the full grid."""
+    model, z = EffectiveModel(graph, fiber, res), fiber.z
+    start, psi = start_vector(model.workspace.grid.size), PsiEmbedding(model.workspace)
 
+    def error(eps: float) -> float:
+        at = model.at_eps(eps)
+        ws = at.workspace
+        r_full = ws.generalized_resolvent(z, 0.0)
+        return operator_norm_diff(r_full, psi.sandwich(at.a_hom(z)), ws.grid.w, start=start)
 
-def _full_nrc_error(row: _Row, eps: float) -> float:
-    """||(A_eps - z)^{-1} - Psi* (A_hom - z)^{-1} Psi|| on the full grid."""
-    model = row.model.at_eps(eps)
-    ws = model.workspace
-    r_full = ws.generalized_resolvent(row.z, 0.0)
-    a_hom = model.a_hom(row.z)
-    return operator_norm_diff(r_full, row.psi.sandwich(a_hom), ws.grid.w, start=row.start)
+    return error
 
 
 def _dilation_certificates(graph, tau: float, eps: float, z: complex, w: complex, res: int):
@@ -579,7 +568,7 @@ def run_full_res_rate(
         g = build_example(name)
         errors, samples = _rate_sweep(
             failures, name, z, tau_list, eps_list,
-            lambda fiber: _full_row(g, fiber, resolution), _full_nrc_error,
+            lambda fiber: _full_row(g, fiber, resolution),
         )
         rows += [dict(example=name, tau=tau, eps=e, error=err)
                  for tau, e, err in samples]
@@ -906,7 +895,7 @@ _RUNNERS = {
     "sum_identities": run_sum_identities,
 }
 EXPERIMENT_TAGS = tuple(_RUNNERS)
-# runners whose eps_list feeds fit_slope
+# runners whose eps_list feeds the slope fits
 _SLOPE_FIT_TAGS = ("gen_res_rate", "full_res_rate", "beff_rate", "line_models", "bands")
 
 
@@ -944,6 +933,8 @@ def _refusal(tag: str, key: str, values: list) -> str | None:
         return "must be even"
     if key in _POSITIVE and not all(0 < v < math.inf for v in values):
         return "must be positive and finite"
+    if key in ("tau", "tau_list") and not all(-math.pi <= v <= math.pi for v in values):
+        return "must lie in [-pi, pi]"
     if key == "x_list" and any(not math.isfinite(v) or dispersion.on_lattice(v) for v in values):
         return "must be finite and off the lattice points pi*j"
     return None
@@ -974,9 +965,10 @@ def bind_config(tag: str, cfg: dict) -> dict:
     a resolution must be at least the FEM floor (twice it for bands), a
     count (tau_count, n_terms, n_bands) at least 1, a line grid's size even
     and at least ``realline.MIN_GRID_SIZE``, eps, sigma and half_width
-    positive and finite, and each x of sum_identities finite and off the
-    lattice points pi*j (``_refusal``); a refused value, or a full_res_rate
-    w equal to its z, raises ``ParameterError`` naming the tag and key.
+    positive and finite, each tau in the quasimomentum range [-pi, pi],
+    and each x of sum_identities finite and off the lattice points pi*j
+    (``_refusal``); a refused value, or a full_res_rate w equal to its z,
+    raises ``ParameterError`` naming the tag and key.
     """
     params = _parameters(tag)
     unknown = [key for key in cfg if key not in params]

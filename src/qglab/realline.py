@@ -10,11 +10,13 @@ ex1 the eps -> 0 limit is the differential model
     sigma^2 t^2 - (l1+l3) z - 2 a2 sqrt(z) tan(l2 sqrt(z)/(2 a2)),
 approximated at O(eps^2) by the eps-dependent multiplier.
 
-All computations run on a periodic box [-X, X) with numpy's FFT.  The three
-solvers share one band-limited Fourier division: it refuses a datum with
-energy beyond the band (ArithmeticError) and raises PoleError where the
-symbol vanishes.  Each solver takes the datum as an array or as a
-``LineDatum``, which transforms it once for every division that reads it.
+All computations run on a periodic box [-X, X) with numpy's FFT.  The
+solution operator (``psi_k_apply``) and the limit model's coefficients
+(``differential_model_ex1_hat``) share one band-limited Fourier division: it
+refuses a datum with energy beyond the band (ArithmeticError) and raises
+PoleError where the symbol vanishes.  Each takes the datum as an array or as
+a ``LineDatum``, which transforms it once for every division that reads it.
+The realisations are certified by their symbols (``symbol_identity_defect``).
 """
 
 from __future__ import annotations
@@ -141,14 +143,6 @@ def _band_divide(f, grid: LineGrid, band: float, symbol):
     return mask, f_hat[mask] / sym
 
 
-def _inverse(mask: np.ndarray, u_band: np.ndarray) -> np.ndarray:
-    """The function whose Fourier coefficients are ``u_band`` on ``mask``
-    and 0 beyond."""
-    u_hat = np.zeros(mask.shape, dtype=complex)
-    u_hat[mask] = u_band
-    return np.fft.ifft(u_hat)
-
-
 def psi_k_apply(
     graph: MetricGraph, eps: float, z: complex, f: np.ndarray | LineDatum,
     grid: LineGrid,
@@ -160,9 +154,12 @@ def psi_k_apply(
     relative energy outside the retained band (the model would alias it
     away silently).
     """
-    return _inverse(*_band_divide(
+    mask, u_band = _band_divide(
         f, grid, math.pi / eps, lambda t: multiplier_symbol(graph, eps, z, t)
-    ))
+    )
+    u_hat = np.zeros(mask.shape, dtype=complex)
+    u_hat[mask] = u_band
+    return np.fft.ifft(u_hat)
 
 
 def _symbol_constant(graph: MetricGraph, z: complex, k: complex) -> complex:
@@ -197,18 +194,6 @@ def difference_symbol(
     return -coeff * hop - _symbol_constant(graph, z, k)
 
 
-def solve_difference_model(
-    graph: MetricGraph, eps: float, z: complex, f: np.ndarray | LineDatum,
-    grid: LineGrid,
-) -> np.ndarray:
-    """Solve the ex0/ex2 finite-difference model by Fourier division,
-    band-limited to |t| <= pi/eps (and alias-checked) like the multiplier
-    model."""
-    return _inverse(*_band_divide(
-        f, grid, math.pi / eps, lambda t: difference_symbol(graph, eps, z, t)
-    ))
-
-
 def differential_symbol_ex1(
     graph: MetricGraph, z: complex, t: np.ndarray
 ) -> np.ndarray:
@@ -229,13 +214,6 @@ def differential_model_ex1_hat(
     return _band_divide(
         f, grid, math.inf, lambda t: differential_symbol_ex1(graph, z, t)
     )[1]
-
-
-def solve_differential_model_ex1(
-    graph: MetricGraph, z: complex, f: np.ndarray | LineDatum, grid: LineGrid
-) -> np.ndarray:
-    """Solve the limiting ex1 model by Fourier division (full dual line)."""
-    return np.fft.ifft(differential_model_ex1_hat(graph, z, f, grid))
 
 
 def symbol_identity_defect(

@@ -32,6 +32,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from test_effective import psi_matrices
 
 import qglab
 from qglab import dispersion, lab, realline, triples
@@ -306,7 +307,8 @@ def test_psi_samples_the_soft_model_grid_at_drawn_cells(g, taus, z, eps, res):
         assert np.array_equal(model.grid.x, full.grid.x[emb.soft_idx])
         assert np.array_equal(model.grid.w, full.grid.w[emb.soft_idx])
         a = model.a_hom(z)
-        ref = emb.adjoint_matrix() @ a.dense() @ emb.forward_matrix()
+        fwd, adj = psi_matrices(emb)
+        ref = adj @ a.dense() @ fwd
         assert np.max(np.abs(emb.sandwich(a).dense() - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
@@ -343,8 +345,8 @@ def test_rate_rows_equal_points_built_alone_at_drawn_cells(g, taus, z, res):
                 a_hom = PsiEmbedding(ws).sandwich(model.a_hom(z))
                 return lab.operator_norm_diff(r_full, a_hom, ws.grid.w)
 
-            assert _outcome(lambda: lab._soft_sandwich_error(soft_row, eps)) == _outcome(gen_alone)
-            assert _outcome(lambda: lab._full_nrc_error(full_row, eps)) == _outcome(full_alone)
+            assert _outcome(lambda: soft_row(eps)) == _outcome(gen_alone)
+            assert _outcome(lambda: full_row(eps)) == _outcome(full_alone)
 
 
 @settings(max_examples=30, deadline=None)

@@ -175,6 +175,18 @@ def test_bool_or_too_small_resolution_exits_2_before_any_experiment(
         ("dispersion", "x_list", "inf",
          "sum_identities: x_list must be finite and off the lattice points pi*j, got inf"),
         ("converge", "w", "2+1i", "full_res_rate: w must differ from z, both are (2+1j)"),
+        # tau outside [-pi, pi], where datta_weights raises mid-run (or,
+        # for beff_rate, where no weight reads it and the run passed)
+        ("resolvent", "tau", "5.0", "krein_vs_direct: tau must lie in [-pi, pi], got 5.0"),
+        ("converge", "tau_list", "0.3, 4.0",
+         "gen_res_rate: tau_list must lie in [-pi, pi], got [0.3, 4.0]"),
+        ("dispersion", "tau_list", "0.3, 4.0",
+         "schur_check: tau_list must lie in [-pi, pi], got [0.3, 4.0]"),
+        ("verify-appendix", "tau_list", "0.3, 4.0",
+         "beff_rate: tau_list must lie in [-pi, pi], got [0.3, 4.0]"),
+        ("verify-appendix", "tau_list", "-3.1416",
+         "beff_rate: tau_list must lie in [-pi, pi], got -3.1416"),
+        ("converge", "tau_list", "nan", "gen_res_rate: tau_list must lie in [-pi, pi], got nan"),
     ],
 )
 def test_out_of_range_value_exits_2_without_a_traceback(
@@ -192,6 +204,22 @@ def test_out_of_range_value_exits_2_without_a_traceback(
     assert captured.out == ""
     assert "Traceback" not in captured.err
     assert captured.err.splitlines() == [f"qglab: {message}"]
+
+
+def test_a_zero_row_experiment_empties_the_csv_of_an_earlier_run(tmp_path, capsys):
+    # btilde_identity has no cell without a stiff cycle among examples = ex1:
+    # its FAIL line comes with no rows, and its CSV must not keep the rows
+    # the first run wrote
+    out = tmp_path / "runs"
+    assert main(["verify-appendix", "--out", str(out)]) == 0
+    assert len((out / "btilde_identity.csv").read_text().splitlines()) == 1001
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("examples = ex1\n")
+    assert main(["verify-appendix", "--config", str(cfg), "--out", str(out)]) == 1
+    assert "[FAIL] btilde_identity" in capsys.readouterr().out
+    assert (out / "btilde_identity.csv").read_text() == ""
+    rows = (out / "beff_rate.csv").read_text().splitlines()
+    assert len(rows) > 1 and all(row.startswith("ex1,") for row in rows[1:])
 
 
 def test_unknown_example_exits_2_before_any_experiment(tmp_path, capsys, monkeypatch):

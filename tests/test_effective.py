@@ -168,12 +168,26 @@ def test_delta_guard_raises_pole_error_when_any_denominator_vanishes(monkeypatch
         triples.delta_fn(g, FiberParams(0.1, taus, 2 + 1j))
 
 
+def psi_matrices(emb: PsiEmbedding) -> tuple[np.ndarray, np.ndarray]:
+    """The dense (n_soft + 1) x n_full matrix of Psi and the n_full x
+    (n_soft + 1) matrix of Psi^* (the weighted adjoint), from the soft
+    indices and the lift: the reference of ``PsiEmbedding.sandwich``."""
+    n, soft, stiff = emb.n_soft, emb.soft_idx, emb.stiff_idx
+    fwd = np.zeros((n + 1, emb.grid.size), dtype=complex)
+    fwd[np.arange(n), soft] = 1.0
+    fwd[-1, stiff] = np.conj(emb.lift[stiff]) * emb.grid.w[stiff]
+    adj = np.zeros((emb.grid.size, n + 1), dtype=complex)
+    adj[soft, np.arange(n)] = 1.0
+    adj[stiff, -1] = emb.lift[stiff]
+    return fwd, adj
+
+
 def test_psi_embedding_is_partial_isometry():
     for name in ("ex0", "ex1", "ex2"):
         g = build_example(name)
         fiber = FiberParams(0.1, 0.9, 2 + 1j)
         emb = PsiEmbedding(ResolventWorkspace(g, fiber, 128))
-        fwd, adj = emb.forward_matrix(), emb.adjoint_matrix()
+        fwd, adj = psi_matrices(emb)
         ident = fwd @ adj
         assert np.max(np.abs(ident - np.eye(emb.n_soft + 1))) < 1e-12
         # Psi* Psi is an orthogonal projection in the weighted inner product
@@ -229,7 +243,8 @@ def test_psi_sandwich_matches_dense_products(name):
     # edges' samples and random rank-3 factors
     soft = EffectiveModel(g, fiber, 64).grid.slices
     a = KernelOperator([(sl, draw(4, sl.stop - sl.start)) for sl in soft], draw(m, 3), draw(3, m))
-    ref = emb.adjoint_matrix() @ a.dense() @ emb.forward_matrix()
+    fwd, adj = psi_matrices(emb)
+    ref = adj @ a.dense() @ fwd
     assert np.max(np.abs(emb.sandwich(a).dense() - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 

@@ -348,17 +348,17 @@ def test_one_trig_pass_per_workspace_and_z(monkeypatch):
     soft = sorted(e.id for e in g.edges if not e.is_stiff)
     stiff = sorted(e.id for e in g.edges if e.is_stiff)
     eps_row = (0.1, 0.05, 0.025, 0.0125)
-    row = lab._full_row(g, FiberParams(eps_row[0], 1.0, 2 + 1j), 32)
+    error = lab._full_row(g, FiberParams(eps_row[0], 1.0, 2 + 1j), 32)
     for eps in eps_row:
-        lab._full_nrc_error(row, eps)
+        error(eps)
     assert sorted(s.edge.id for s in made) == sorted(soft + len(eps_row) * stiff)
     assert all("cos_x" in s.__dict__ for s in made)
     assert (len(grids), [type(b) for b in built]) == (2, [CountedModel, CountedPsi])
     for bag in (made, grids, built):
         bag.clear()
-    row = lab._soft_row(g, FiberParams(eps_row[0], 1.0, 2 + 1j), 32)
+    error = lab._soft_row(g, FiberParams(eps_row[0], 1.0, 2 + 1j), 32)
     for eps in eps_row:
-        lab._soft_sandwich_error(row, eps)
+        error(eps)
     assert sorted(s.edge.id for s in made) == soft
     assert (len(grids), [type(b) for b in built]) == (1, [CountedModel])
     made.clear()

@@ -15,7 +15,7 @@ from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, aslinearope
 from qglab import dispersion, lab, realline, triples
 from qglab.effective import EffectiveModel, PsiEmbedding
 from qglab.fdsolver import MIN_RESOLUTION, DiscretizedOperator
-from qglab.graphs import ParameterError, PoleError, build_example
+from qglab.graphs import ParameterError, PoleError, build_example, datta_weights
 from qglab.lab import (
     EXPERIMENT_TAGS,
     Check,
@@ -265,16 +265,14 @@ def test_resolvent_sweep_points_form_no_dense_matrix():
     # the structured resolvents and their difference stay below 8 MB
     g = build_example("ex2")
     fiber = FiberParams(1 / 64, 1.0, 2 + 1j)
-    for row, error in (
-        (lab._full_row, lab._full_nrc_error), (lab._soft_row, lab._soft_sandwich_error)
-    ):
+    for row in (lab._full_row, lab._soft_row):
         tracemalloc.start()
         try:
-            error(row(g, fiber, 2048), 1 / 64)
+            row(g, fiber, 2048)(1 / 64)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 8e6, error.__name__
+        assert peak < 8e6, row.__name__
 
 
 def test_tau_grid_endpoints_and_symmetry():
@@ -325,6 +323,8 @@ def test_write_csv(tmp_path):
     text = path.read_text().strip().splitlines()
     assert text[0] == "a,b"
     assert text[1] == "1,x"
+    write_csv(str(path), [])
+    assert path.read_text() == ""
 
 
 def test_run_experiment_unknown_tag():
@@ -527,14 +527,19 @@ def test_singular_boundary_system_is_a_fail_line(tag, name):
 
 def test_failed_tau_gets_no_slope_fit_while_the_others_keep_theirs(monkeypatch):
     # a pole at one tau only: the other tau of the cell keep their fits
-    original = lab._soft_sandwich_error
+    original = lab._soft_row
 
-    def failing(row, eps):
-        if row.tau == 2.0:
+    def failing_row(graph, fiber, res):
+        error = original(graph, fiber, res)
+        if fiber.tau != 2.0:
+            return error
+
+        def failing(eps):
             raise PoleError("argument within 1e-08 of a pole (forced)")
-        return original(row, eps)
 
-    monkeypatch.setattr(lab, "_soft_sandwich_error", failing)
+        return failing
+
+    monkeypatch.setattr(lab, "_soft_row", failing_row)
     eps_list = [0.125, 0.0625, 0.03125, 0.015625]
     res = run_experiment(
         "gen_res_rate", {"examples": ["ex0"], "tau_list": [1.0, 2.0], "eps_list": eps_list}
@@ -850,6 +855,24 @@ def test_full_res_rate_refuses_equal_spectral_points():
         with pytest.raises(ParameterError, match="full_res_rate: w must differ from z"):
             bind_config("full_res_rate", cfg)
     assert bind_config("full_res_rate", {"z": 5 + 2j, "w": 2 + 1j}) == {"z": 5 + 2j, "w": 2 + 1j}
+
+
+def test_tau_keys_take_the_closed_interval_of_datta_weights():
+    # the refusal and datta_weights share the bound: pi itself binds and
+    # builds weights, the next float beyond it is refused by both
+    top = math.pi
+    assert bind_config("krein_vs_direct", {"tau": top}) == {"tau": top}
+    assert bind_config("beff_rate", {"tau_list": [-top, top]}) == {"tau_list": [-top, top]}
+    datta_weights(build_example("ex1"), -top)
+    beyond = math.nextafter(top, 4.0)
+    with pytest.raises(ParameterError, match="tau must lie in"):
+        datta_weights(build_example("ex1"), beyond)
+    for tag, key in (("krein_vs_direct", "tau"), ("gen_res_rate", "tau_list"),
+                     ("full_res_rate", "tau_list"), ("beff_rate", "tau_list"),
+                     ("schur_check", "tau_list")):
+        for value in (beyond, -beyond):
+            with pytest.raises(ParameterError, match=rf"{tag}: {key} must lie in \[-pi, pi\]"):
+                bind_config(tag, {key: value})
 
 
 def test_schur_check_takes_no_resolution():

@@ -15,8 +15,6 @@ from qglab.realline import (
     make_line_grid,
     multiplier_symbol,
     psi_k_apply,
-    solve_difference_model,
-    solve_differential_model_ex1,
     stiff_length,
     symbol_identity_defect,
 )
@@ -78,18 +76,20 @@ def test_constant_datum_difference_model():
     p = g.params
     grid = make_line_grid(16.0, 128)
     f = np.ones(128, dtype=complex)
-    u = solve_difference_model(g, 0.25, Z, f, grid)
     k = np.sqrt(complex(Z))
     const = p["l1"] * Z + 2 * p["a2"] * k * np.tan(k * p["l2"] / (2 * p["a2"]))
+    assert abs(difference_symbol(g, 0.25, Z, np.array([0.0]))[0] + const) < 1e-10
+    u = psi_k_apply(g, 0.25, Z, f, grid)
     assert np.max(np.abs(u + f / const)) < 1e-10
 
 
 def test_round_trip_reproduces_datum():
+    # Psi_K's solution times the difference symbol gives the datum back
     g = build_example("ex2")
     grid = make_line_grid(32.0, 1024)
     eps = 0.125
     f = gaussian_packet(grid, width=1.0, carrier=2.0)
-    u = solve_difference_model(g, eps, Z, f, grid)
+    u = psi_k_apply(g, eps, Z, f, grid)
     u_hat = np.fft.fft(u)
     mask = np.abs(grid.t) <= math.pi / eps
     back = np.zeros_like(u_hat)
@@ -99,27 +99,18 @@ def test_round_trip_reproduces_datum():
 
 
 def test_aliasing_is_detected():
-    g = build_example("ex0")
     grid = make_line_grid(8.0, 512)
     # a sharp spike has dual mass everywhere; with large eps the retained
-    # band is narrow and the application must refuse
+    # band is narrow and the application must refuse rather than drop the
+    # rest of the datum's energy
     f = np.zeros(512)
     f[256] = 1.0
-    with pytest.raises(ArithmeticError, match="relative energy beyond"):
-        psi_k_apply(g, 0.5, Z, f, grid)
-
-
-def test_difference_model_rejects_an_aliased_datum():
-    # the same spike: the difference model keeps only |t| <= pi/eps too, so
-    # it must refuse rather than drop the rest of the datum's energy
-    g = build_example("ex2")
-    grid = make_line_grid(8.0, 512)
-    f = np.zeros(512)
-    f[256] = 1.0
-    with pytest.raises(ArithmeticError, match="relative energy beyond"):
-        solve_difference_model(g, 0.5, Z, f, grid)
-    # a band-concentrated datum still passes
-    solve_difference_model(g, 0.25, Z, gaussian_packet(grid), grid)
+    for name in ("ex0", "ex2"):
+        g = build_example(name)
+        with pytest.raises(ArithmeticError, match="relative energy beyond"):
+            psi_k_apply(g, 0.5, Z, f, grid)
+        # a band-concentrated datum still passes
+        psi_k_apply(g, 0.25, Z, gaussian_packet(grid), grid)
 
 
 def test_vanishing_symbol_raises_pole_error(monkeypatch):
@@ -129,7 +120,7 @@ def test_vanishing_symbol_raises_pole_error(monkeypatch):
         realline, "differential_symbol_ex1", lambda graph, z, t: np.zeros_like(t)
     )
     with pytest.raises(PoleError, match="symbol vanishes on the grid"):
-        solve_differential_model_ex1(g, Z, gaussian_packet(grid), grid)
+        differential_model_ex1_hat(g, Z, gaussian_packet(grid), grid)
 
 
 def test_parseval_energy_balance():
@@ -210,7 +201,7 @@ def test_ex1_model_distance_equals_extended_precision_inverse_route(size):
 
 
 def _inverse_route(f, grid, band, symbol):
-    """The solvers' route as a reference: f_hat / symbol on |t| <= band,
+    """The band division as a reference: f_hat / symbol on |t| <= band,
     0 beyond, transformed back."""
     f_hat = np.fft.fft(np.asarray(f, dtype=complex))
     mask = np.abs(grid.t) <= band
@@ -221,22 +212,18 @@ def _inverse_route(f, grid, band, symbol):
 
 @pytest.mark.parametrize("z", [2 + 1j, 10 + 0.7j])
 def test_solvers_return_the_inverse_transform_bit_for_bit(z):
+    # Psi_K, and the inverse transform of the limit model's coefficients
     grid = make_line_grid(32.0, 4096)
     f = gaussian_packet(grid, width=0.5)
     eps = 0.0625
-    g1, g2 = build_example("ex1"), build_example("ex2")
+    g1 = build_example("ex1")
     for got, ref in (
         (psi_k_apply(g1, eps, z, f, grid),
          _inverse_route(f, grid, math.pi / eps, lambda t: multiplier_symbol(g1, eps, z, t))),
-        (solve_difference_model(g2, eps, z, f, grid),
-         _inverse_route(f, grid, math.pi / eps, lambda t: difference_symbol(g2, eps, z, t))),
-        (solve_differential_model_ex1(g1, z, f, grid),
+        (np.fft.ifft(differential_model_ex1_hat(g1, z, f, grid)),
          _inverse_route(f, grid, math.inf, lambda t: differential_symbol_ex1(g1, z, t))),
     ):
         assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
-    # and the limit model's coefficients are the transform of its solution
-    u_hat = differential_model_ex1_hat(g1, z, f, grid)
-    assert np.array_equal(np.fft.ifft(u_hat), solve_differential_model_ex1(g1, z, f, grid))
 
 
 def test_equal_impedance_pole_names_one_tau():
@@ -260,7 +247,7 @@ def test_ex1_differential_solution_close_to_multiplier():
     eps = 0.0625
     f = gaussian_packet(grid, width=0.5, carrier=2.0)
     u_eps = psi_k_apply(g, eps, Z, f, grid)
-    u_lim = solve_differential_model_ex1(g, Z, f, grid)
+    u_lim = np.fft.ifft(differential_model_ex1_hat(g, Z, f, grid))
     num = np.linalg.norm(u_eps - u_lim)
     den = np.linalg.norm(f)
     assert num / den < 0.01
