@@ -9,8 +9,8 @@ harness that certifies the O(eps^2) convergence rates connecting them.
 ``import qglab`` needs only numpy.  scipy is imported inside the calls that
 use it, which are those of the FEM oracle (``DiscretizedOperator``:
 ``scipy.sparse`` and ``scipy.sparse.linalg``).  ``band_roots`` refines its
-roots with a port of scipy's C ``brentq`` in ``dispersion`` (the same
-floats), so no module loads ``scipy.optimize``.
+roots by its own false position in ``dispersion``, so no module loads
+``scipy.optimize``.
 """
 
 from .dispersion import band_roots, k_closed, k_series, verify_sum_identities

@@ -9,8 +9,8 @@ yields the limiting band structure.  Since 1/(K - z) is Herglotz, K - z
 strictly decreases between consecutive poles of K, so every root is simple
 and a sign-change scan of each pole interval finds them all; ``band_roots``
 checks that decrease on its scan and raises ArithmeticError where it fails.
-Each root is refined by ``_brent``, a step-for-step port of scipy's C
-``brentq`` that returns the same float, so the module needs only numpy.
+Each root is refined by ``_refine``, false position with the Illinois step
+from the two scan values that bracket it, so the module needs only numpy.
 """
 
 from __future__ import annotations
@@ -205,80 +205,43 @@ def verify_sum_identities(x, n_terms: int) -> dict:
 
 
 # samples of the sign-change scan on each interval between consecutive poles,
-# and the absolute tolerance of the Brent refinement of each root
+# the absolute width below which a refined bracket is closed, and the most
+# false-position steps a bracket may take
 SCAN_POINTS = 256
 ROOT_TOL = 1e-12
+REFINE_STEPS = 100
 
 
-def _brent(f, a: float, b: float, xtol: float, rtol: float, maxiter: int = 100) -> float:
-    """A root of f in [a, b] by Brent's method (Brent 1973, ch. 4), step for
-    step the C ``brentq`` of scipy.optimize, so it returns the same float.
+def _refine(f, a: float, b: float, fa: float, fb: float) -> float:
+    """The root of f in the bracket [a, b] from the values fa = f(a) and
+    fb = f(b) of opposite signs, by false position with the Illinois step
+    (Dowell & Jarratt, BIT 11, 1971).  b is always the newest point (at the
+    start, the upper end).  The step x replaces whichever end has the sign
+    of f(x); when that end is b, the value at the end kept, a, is halved,
+    so a cannot stall as the end of plain false position does.
 
-    Each iteration keeps the bracket [xcur, xblk] with f(xcur) the smaller
-    in size, takes an inverse-quadratic (secant when only two points are
-    known) step when it is short enough, else bisects, and stops when half
-    the bracket is below delta = (xtol + rtol |xcur|)/2.  f(a) or f(b) equal
-    to 0 returns that end.  No sign change between f(a) and f(b), a NaN
-    value of f, or no convergence in ``maxiter`` iterations raises
-    ArithmeticError naming the bracket.
+    The midpoint is returned once the bracket is narrower than
+    ROOT_TOL + 1e-15 |midpoint|; an exact zero (an end or a step) is
+    returned as it is.  A NaN value, or a bracket still open after
+    REFINE_STEPS steps, raises ArithmeticError naming the bracket.
     """
-
-    def value(x: float) -> float:
+    bracket = f"the bracket [{a:.17g}, {b:.17g}]"
+    for _ in range(REFINE_STEPS):
+        if fa == 0.0 or fb == 0.0:
+            return a if fa == 0.0 else b
+        mid = 0.5 * (a + b)
+        if abs(b - a) < ROOT_TOL + 1e-15 * abs(mid):
+            return mid
+        x = b - fb * (b - a) / (fb - fa)
         fx = float(f(x))
         if math.isnan(fx):
-            raise ArithmeticError(f"NaN value at z={x:.17g} in the bracket [{a:.17g}, {b:.17g}]")
-        return fx
-
-    # plain floats throughout, as the C doubles: numpy scalars would warn
-    # where C divides by zero
-    xtol, rtol = float(xtol), float(rtol)
-    xpre, xcur = float(a), float(b)
-    xblk = fblk = spre = scur = 0.0
-    fpre, fcur = value(xpre), value(xcur)
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    # C compares sign bits; no zero or NaN reaches a sign test here
-    if (fpre < 0.0) == (fcur < 0.0):
-        raise ArithmeticError(f"no sign change on the bracket [{a:.17g}, {b:.17g}]")
-    for _ in range(maxiter):
-        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            try:
-                if xpre == xblk:  # interpolate
-                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
-                else:  # extrapolate
-                    dpre = (fpre - fcur) / (xpre - xcur)
-                    dblk = (fblk - fcur) / (xblk - xcur)
-                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            except ZeroDivisionError:  # C gets inf or NaN, which bisects
-                stry = math.inf
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                spre, scur = scur, stry  # a good short step
-            else:
-                spre = scur = sbis
+            raise ArithmeticError(f"NaN value at z={x:.17g} in {bracket}")
+        if (fx < 0.0) != (fb < 0.0):
+            a, fa = b, fb
         else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = value(xcur)
-    raise ArithmeticError(
-        f"Brent's method did not converge in {maxiter} iterations on the bracket "
-        f"[{a:.17g}, {b:.17g}]"
-    )
+            fa /= 2
+        b, fb = x, fx
+    raise ArithmeticError(f"false position did not close {bracket} in {REFINE_STEPS} steps")
 
 
 def _levels(edge: EdgeSpec, z_max: float, first: int = 1, step: int = 1):
@@ -339,19 +302,22 @@ def band_roots(
     1/(K - z) is Herglotz (``lab.run_schur_check`` certifies it), so K - z
     strictly decreases in real z between its poles and each of its roots
     is simple: one sign-change scan of SCAN_POINTS samples per pole
-    interval, with Brent refinement (``_brent``), finds them all.  The scan
-    values must decrease strictly; where they do not, ArithmeticError names
-    tau and the interval instead of returning roots that may miss a
-    tangency.  A refinement that meets a NaN or does not converge raises
-    ArithmeticError naming its bracket.
+    interval, each sign change refined by ``_refine`` from its two scan
+    values, finds them all.  The scan values must decrease strictly; where
+    they do not, ArithmeticError names tau and the interval instead of
+    returning roots that may miss a tangency.  A refinement that meets a
+    NaN or does not close its bracket raises ArithmeticError naming the
+    bracket.  A z_max that is not positive and finite raises ValueError.
     """
+    if not 0.0 < z_max < math.inf:
+        raise ValueError(f"z_max must be positive and finite, got {z_max!r}")
     pole_data = _pole_list(graph, z_max * (1.0 + 1e-9))
     edges = [0.0] + [z for z, _, _ in pole_data] + [z_max]
     # smallest z-distance from each pole at which the trig guards stay clear
     pads = [10.0 * POLE_GUARD * slope for _, _, slope in pole_data]
 
     def f(z):
-        # scalar for the Brent refinement, array for the scans
+        # scalar for the refinement, array for the scans
         return (k_closed(graph, tau, z + 0j, eps=eps) - z).real
 
     roots: list[float] = list(flat_levels(graph, z_max))
@@ -377,5 +343,5 @@ def band_roots(
                 f"on the scan of [{a:.17g}, {b:.17g}]"
             )
         for j in np.nonzero(np.diff(np.sign(vals)) != 0)[0]:
-            roots.append(_brent(f, grid[j], grid[j + 1], ROOT_TOL, 1e-15))
+            roots.append(_refine(f, *grid[j:j + 2].tolist(), *vals[j:j + 2].tolist()))
     return np.array(sorted(roots))

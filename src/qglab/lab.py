@@ -19,12 +19,13 @@ import numpy as np
 
 from . import dispersion, realline, triples
 from .effective import EffectiveModel, PsiEmbedding
-from .fdsolver import MIN_RESOLUTION, DiscretizedOperator
+from .fdsolver import MIN_RESOLUTION, DiscretizedOperator, FemLayout
 from .graphs import EXAMPLES, ParameterError, build_example
 from .krein import KernelOperator, ResolventWorkspace
 from .mmatrix import (
     FiberParams,
     check_additivity,
+    deviation,
     herglotz_min_eig,
     m_blocks_closed,
     m_general,
@@ -357,7 +358,11 @@ def run_additivity(
     z_list=DEFAULT_Z,
 ) -> ExperimentResult:
     """M-matrix block additivity plus symmetry/Herglotz certificates, each
-    evaluated on the whole (tau, z) grid at once per (cell, eps)."""
+    evaluated on the whole (tau, z) grid at once per (cell, eps).
+
+    Each closed block is checked against the generic M-matrix of its own
+    component (``check_additivity``), and the closed full matrix against the
+    sum of the two (``vs_general``)."""
     taus = np.linspace(-3.0, 3.0, tau_count)[:, None]
     zs = np.array([*z_list, complex(7.0, 0.3)])
     points = [(tau, z) for tau in taus.ravel().tolist() for z in zs.tolist()]
@@ -368,23 +373,20 @@ def run_additivity(
         def blocks_at(eps):
             fiber = FiberParams(float(eps), taus, zs)
             mset = m_blocks_closed(g, fiber)
-            full = mset.m_full
-            gen = np.max(
-                np.abs(m_general(g, fiber) - full) / (1.0 + np.abs(full)), axis=(-2, -1)
-            )
+            stiff, soft = (m_general(g.subgraph(part), fiber) for part in ("stiff", "soft"))
             sym = mset.symmetry_defect(
                 m_blocks_closed(g, FiberParams(float(eps), taus, zs.conj()))
             )
-            return mset, gen, sym
+            dev = check_additivity(mset, stiff, soft)
+            return mset, dev, deviation(stiff + soft, mset.m_full), sym
 
         # one pole point fails the (cell, eps) grid
-        for eps, (mset, gen, sym) in _each(
+        for eps, (mset, dev, gen, sym) in _each(
             failures, eps_list, blocks_at,
             lambda eps: f"{name}: M-matrix failed on the (tau, z) grid at eps={eps:g}, "
                         f"z in {zs.tolist()}",
         ):
             full = mset.m_full
-            dev = check_additivity(mset)
             herg = herglotz_min_eig(full)
             blocks = np.stack([full, mset.m_stiff, mset.m_soft], axis=-3)
             blocks_at_eps.append((name, eps, blocks.reshape(len(points), 12)))
@@ -753,8 +755,6 @@ def run_schur_check(
 
 
 def _hausdorff(a: np.ndarray, b: np.ndarray) -> float:
-    if a.size == 0 or b.size == 0:
-        return math.inf
     d = np.abs(a[:, None] - b[None, :])
     return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
 
@@ -773,8 +773,9 @@ def run_bands(
     once per distinct |tau| (at +|tau|); ``band_roots`` runs at every tau.
     A cell builds one FEM layout per resolution, which its operators at
     every (eps, tau) share (``DiscretizedOperator.at``).  A FEM point or a
-    limiting-root scan that fails is a FAIL line naming it, and its
-    distance is NaN, so its cell's slope fails.
+    limiting-root scan that fails, or a scan that finds fewer than n_bands
+    roots in [0, z_max], is a FAIL line naming it, and its distance is NaN,
+    so its cell's slope fails.
     """
     cells, failures = _germ_free_cells(examples)
     taus = tau_grid(tau_count).tolist()
@@ -795,12 +796,20 @@ def run_bands(
         v_hi = fem(g, bases, fiber, resolution).eigenvalues(n_bands)
         return (4.0 * v_hi - v_lo) / 3.0
 
+    def lowest_roots(g, tau):
+        roots = dispersion.band_roots(g, tau, z_max)
+        if roots.size < n_bands:
+            raise ArithmeticError(
+                f"the scan found {roots.size} of n_bands = {n_bands} roots in [0, {z_max:g}]"
+            )
+        return roots[:n_bands]
+
     for g in cells:
         bases = {}
         # tau -> limiting roots where the scan computed; they do not depend
         # on eps (cells without a stiff cycle take no eps)
         limits = dict(_each(
-            failures, taus, lambda tau: dispersion.band_roots(g, tau, z_max)[:n_bands],
+            failures, taus, lambda tau: lowest_roots(g, tau),
             lambda tau: f"{g.example}: limiting roots failed at tau={tau:.6g}",
         ))
         dist_per_eps = []
@@ -919,7 +928,7 @@ _LEAST = dict(
     tau_count=1, n_terms=1, n_bands=1,
 )
 # keys whose every value must be a positive finite number
-_POSITIVE = ("eps", "eps_list", "sigma", "half_width")
+_POSITIVE = ("eps", "eps_list", "sigma", "half_width", "z_max")
 
 
 def _refusal(tag: str, key: str, values: list) -> str | None:
@@ -964,11 +973,13 @@ def bind_config(tag: str, cfg: dict) -> dict:
     the eps_list of a runner that fits slopes needs MIN_FIT_POINTS values,
     a resolution must be at least the FEM floor (twice it for bands), a
     count (tau_count, n_terms, n_bands) at least 1, a line grid's size even
-    and at least ``realline.MIN_GRID_SIZE``, eps, sigma and half_width
-    positive and finite, each tau in the quasimomentum range [-pi, pi],
-    and each x of sum_identities finite and off the lattice points pi*j
-    (``_refusal``); a refused value, or a full_res_rate w equal to its z,
-    raises ``ParameterError`` naming the tag and key.
+    and at least ``realline.MIN_GRID_SIZE``, eps, sigma, half_width and
+    z_max positive and finite, each tau in the quasimomentum range
+    [-pi, pi], and each x of sum_identities finite and off the lattice
+    points pi*j (``_refusal``); a refused value, a full_res_rate w equal to
+    its z, or a bands n_bands above what ``eigsh`` gives on the coarse FEM
+    grid of a selected cell (its unknowns less 2), raises ``ParameterError``
+    naming the tag and key.
     """
     params = _parameters(tag)
     unknown = [key for key in cfg if key not in params]
@@ -1012,6 +1023,16 @@ def bind_config(tag: str, cfg: dict) -> dict:
         z, w = (kwargs.get(key, params[key].default) for key in ("z", "w"))
         if z == w:
             raise ParameterError(f"{tag}: w must differ from z, both are {z}")
+    if tag == "bands":
+        n_bands, resolution, examples = (
+            kwargs.get(key, params[key].default) for key in ("n_bands", "resolution", "examples")
+        )
+        most = min(FemLayout(build_example(name), resolution // 2).ndof for name in examples) - 2
+        if n_bands > most:
+            raise ParameterError(
+                f"{tag}: n_bands must be at most {most} at resolution {resolution} (the "
+                f"coarse FEM grid's unknowns less 2), got {n_bands}"
+            )
     return kwargs
 
 

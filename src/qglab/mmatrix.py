@@ -9,7 +9,9 @@ arguments k l_e / c_e with k = sqrt(z), Im k >= 0.
 Two independent code paths are provided: ``m_general`` (the generic N x N
 formula, any loop-free graph) and ``m_blocks_closed`` (the literal 2 x 2
 stiff/soft block formulas of the three examples).  ``check_additivity``
-verifies that the blocks sum to the full matrix.
+compares each closed block with the generic matrix of its own component;
+the closed full matrix is the sum of the blocks, so comparing it with
+their sum could not fail.
 
 The fiber parameters may be arrays: they broadcast against each other, and
 every matrix here is then a stack of shape (..., N, N) over their broadcast
@@ -192,20 +194,18 @@ class MMatrixSet:
     fiber: FiberParams
 
     def symmetry_defect(self, other: "MMatrixSet") -> float | np.ndarray:
-        """max relative entrywise |M(conj z) - M(z)^*| / (1 + |M(z)^*|) over
-        the three blocks, per fiber point (a float for one point, an array
-        over the stack shape), scaled as ``check_additivity``: the defect is
-        rounding of each entry, and stiff entries grow as (a/eps)^2.
+        """``deviation`` of M(conj z) from M(z)^* over the three blocks, per
+        fiber point (a float for one point, an array over the stack shape).
 
         ``other`` must be the set evaluated at the conjugate spectral point.
         """
         return np.max(
             [
-                np.max(np.abs(a_conj - adj) / (1.0 + np.abs(adj)), axis=(-2, -1))
-                for adj, a_conj in (
-                    (_adjoint(self.m_full), other.m_full),
-                    (_adjoint(self.m_stiff), other.m_stiff),
-                    (_adjoint(self.m_soft), other.m_soft),
+                deviation(a_conj, _adjoint(a))
+                for a, a_conj in (
+                    (self.m_full, other.m_full),
+                    (self.m_stiff, other.m_stiff),
+                    (self.m_soft, other.m_soft),
                 )
             ],
             axis=0,
@@ -288,11 +288,20 @@ def m_blocks_closed(graph: MetricGraph, fiber: FiberParams) -> MMatrixSet:
     )
 
 
-def check_additivity(mset: MMatrixSet) -> float | np.ndarray:
-    """max relative entrywise |m_full - m_stiff - m_soft| / (1 + |m_full|),
-    per fiber point."""
-    num = np.abs(mset.m_full - mset.m_stiff - mset.m_soft)
-    return np.max(num / (1.0 + np.abs(mset.m_full)), axis=(-2, -1))
+def deviation(m: np.ndarray, ref: np.ndarray) -> float | np.ndarray:
+    """max relative entrywise |m - ref| / (1 + |ref|), per matrix of the
+    stack: the rounding of each entry, whose size grows as (a/eps)^2 on a
+    stiff edge."""
+    return np.max(np.abs(m - ref) / (1.0 + np.abs(ref)), axis=(-2, -1))
+
+
+def check_additivity(
+    mset: MMatrixSet, m_stiff: np.ndarray, m_soft: np.ndarray
+) -> float | np.ndarray:
+    """The larger ``deviation`` of the generic M-matrices ``m_stiff`` and
+    ``m_soft`` of the two components (``m_general`` of ``graph.subgraph``)
+    from the closed stiff and soft blocks of ``mset``, per fiber point."""
+    return np.maximum(deviation(m_stiff, mset.m_stiff), deviation(m_soft, mset.m_soft))
 
 
 def herglotz_min_eig(m: np.ndarray) -> float | np.ndarray:

@@ -47,6 +47,7 @@ from qglab.mmatrix import (
     FiberParams,
     MMatrixSet,
     check_additivity,
+    deviation,
     herglotz_min_eig,
     m_blocks_closed,
     m_general,
@@ -103,21 +104,33 @@ def test_k_closed_matches_series(g, tau, z, eps):
     assert abs(k_series(g, tau, z, n_terms, eps=eps) - kc) <= bound
 
 
-@settings(max_examples=30, deadline=None)
-@given(g=cells(("ex0", "ex2")), tau=st.floats(-math.pi, math.pi))
-@example(g=build_example("ex2", l1=0.25, l2=0.25, l3=0.5, a1=1.0, a2=0.99999), tau=0.0)
-def test_band_roots_scan_decreases_and_roots_solve_k_eq_z(g, tau):
+@settings(max_examples=45, deadline=None)
+@given(
+    g=cells(), tau=st.floats(-math.pi, math.pi), t=st.floats(-4.0, 4.0),
+    eps=st.sampled_from([0.125, 0.0625, 0.015625]),
+)
+@example(
+    g=build_example("ex2", l1=0.25, l2=0.25, l3=0.5, a1=1.0, a2=0.99999), tau=0.0, t=0.0,
+    eps=0.125,
+)
+def test_band_roots_scan_decreases_and_roots_solve_k_eq_z(g, tau, t, eps):
     # 1/(K - z) is Herglotz at every cell, so the monotonicity check of
     # band_roots never fires; z = 0 (reported from K(tau, 1e-9)), removable
-    # poles and flat levels are Dirichlet levels, not roots of K - z.
-    # Brent's refinement brackets each root to within ROOT_TOL + 1e-15 r
-    # (its rtol), so the decreasing K - z changes sign across r -+ that
-    # distance, widened by 4 ulps for the rounding of the probes.  Where
-    # |dK/dz| ulp(r) is small, a float64 z can also meet a residual bound; at
-    # the pinned draw a root sits between two poles 3.2e-3 apart, where
-    # dK/dz ~ -8e9 and one ulp of z moves K - z by about 3.6e-4
+    # poles and flat levels are Dirichlet levels, not roots of K - z.  A
+    # cell with a stiff cycle (ex1) is scanned at a fixed two-scale
+    # quasimomentum t = tau/eps, where its germ term sigma^2 t^2 enters K.
+    # The refinement closes each root's bracket below ROOT_TOL + 1e-15 r and
+    # returns its midpoint, so the decreasing K - z changes sign across
+    # r -+ that distance, widened by 4 ulps for the rounding of the probes.
+    # Where |dK/dz| ulp(r) is small, a float64 z can also meet a residual
+    # bound; at the pinned draw a root sits between two poles 3.2e-3 apart,
+    # where dK/dz ~ -8e9 and one ulp of z moves K - z by about 3.6e-4
+    if g.cell.germ:
+        tau = eps * t
+    else:
+        eps = None
     z_max = 260.0
-    roots = dispersion.band_roots(g, tau, z_max)
+    roots = dispersion.band_roots(g, tau, z_max, eps=eps)
     levels = {0.0, *dispersion.flat_levels(g, z_max)} | {
         z for z, parity, _ in dispersion._pole_list(g, z_max * (1.0 + 1e-9))
         if parity is not None and abs(math.cos(tau) - parity) < 1e-9
@@ -126,11 +139,11 @@ def test_band_roots_scan_decreases_and_roots_solve_k_eq_z(g, tau):
         if r in levels:
             continue
         d = dispersion.ROOT_TOL + 1e-15 * r + 4.0 * math.ulp(r)
-        k_lo, k_hi = (k_closed(g, tau, z).real for z in (r - d, r + d))
+        k_lo, k_hi = (k_closed(g, tau, z, eps=eps).real for z in (r - d, r + d))
         assert k_lo - (r - d) >= 0.0 >= k_hi - (r + d)
         slope = abs(k_hi - k_lo) / (2.0 * d)
         if slope * math.ulp(r) <= 1e-10 * max(1.0, r):
-            assert abs(k_closed(g, tau, r) - r) <= 1e-8 * max(1.0, r)
+            assert abs(k_closed(g, tau, r, eps=eps) - r) <= 1e-8 * max(1.0, r)
 
 
 @settings(max_examples=25, deadline=None)
@@ -404,6 +417,11 @@ ZS = st.lists(Z, min_size=2, max_size=4)
 STACK_RTOL = 1e-14
 
 
+def _components(g, fiber):
+    """The generic M-matrices of the stiff and soft components at ``fiber``."""
+    return [m_general(g.subgraph(part), fiber) for part in ("stiff", "soft")]
+
+
 def _close(arr, ref, scale=None):
     """|arr - ref| <= STACK_RTOL * scale per point (scale: the largest |ref|
     entry of the point's matrix unless given)."""
@@ -416,7 +434,8 @@ def _close(arr, ref, scale=None):
 @settings(max_examples=25, deadline=None)
 @given(g=cells(), zs=ZS, eps=EPS)
 def test_m_blocks_closed_stack_equals_point_loop(g, zs, eps):
-    mset = m_blocks_closed(g, FiberParams(eps, TAUS[:, None], np.array(zs)))
+    fiber = FiberParams(eps, TAUS[:, None], np.array(zs))
+    mset, (stiff, soft) = m_blocks_closed(g, fiber), _components(g, fiber)
     points = [[m_blocks_closed(g, FiberParams(eps, float(t), z)) for z in zs] for t in TAUS]
     for block in ("m_full", "m_stiff", "m_soft"):
         ref = [[getattr(m, block) for m in row] for row in points]
@@ -425,7 +444,8 @@ def test_m_blocks_closed_stack_equals_point_loop(g, zs, eps):
     # they give, point by point, what they give on that point's matrices
     conj = m_blocks_closed(g, FiberParams(eps, TAUS[:, None], np.conj(zs)))
     certificates = (
-        check_additivity(mset), herglotz_min_eig(mset.m_full), mset.symmetry_defect(conj)
+        check_additivity(mset, stiff, soft), herglotz_min_eig(mset.m_full),
+        mset.symmetry_defect(conj),
     )
     for i, j in np.ndindex(TAUS.size, len(zs)):
         one, one_conj = (
@@ -433,7 +453,7 @@ def test_m_blocks_closed_stack_equals_point_loop(g, zs, eps):
             for m in (mset, conj)
         )
         assert [c[i, j] for c in certificates] == [
-            check_additivity(one),
+            check_additivity(one, stiff[i, j], soft[i, j]),
             herglotz_min_eig(one.m_full),
             one.symmetry_defect(one_conj),
         ]
@@ -446,8 +466,10 @@ def test_m_blocks_closed_stack_equals_point_loop(g, zs, eps):
 @example(g=build_example("ex0", l1=0.114, l2=0.886, a1=2.5), zs=[3.53j, 2 + 1j], eps=0.05)
 def test_certificate_bounds_hold_at_drawn_cells(g, zs, eps):
     # the bounds that ``additivity`` certifies at the default cells
-    mset = m_blocks_closed(g, FiberParams(eps, TAUS[:, None], np.array(zs)))
-    assert np.all(check_additivity(mset) <= lab.ADDITIVITY_TOL)
+    fiber = FiberParams(eps, TAUS[:, None], np.array(zs))
+    mset, (stiff, soft) = m_blocks_closed(g, fiber), _components(g, fiber)
+    assert np.all(check_additivity(mset, stiff, soft) <= lab.ADDITIVITY_TOL)
+    assert np.all(deviation(stiff + soft, mset.m_full) <= 1e-11)
     assert np.all(herglotz_min_eig(mset.m_full) >= lab.HERGLOTZ_FLOOR)
     conj = m_blocks_closed(g, FiberParams(eps, TAUS[:, None], np.conj(zs)))
     assert np.all(mset.symmetry_defect(conj) <= lab.SYMMETRY_TOL)

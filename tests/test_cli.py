@@ -132,6 +132,12 @@ def test_config_error_exits_2_before_any_experiment(tmp_path, capsys, monkeypatc
         ("resolvent", "resolutions = 8, 16\n",
          "krein_vs_direct: resolutions must be at least 16, got [8, 16]"),
         ("bands", "resolution = 20\n", "bands: resolution must be at least 32, got 20"),
+        # eigsh gives at most its dof count less 2 eigenvalues, and the coarse
+        # grid of resolution 64 has 32 unknowns: 40 bands ended in scipy's
+        # TypeError traceback
+        ("bands", "resolution = 64\nn_bands = 40\n",
+         "bands: n_bands must be at most 30 at resolution 64 (the coarse FEM grid's "
+         "unknowns less 2), got 40"),
         ("converge", "resolution = 2\n", "gen_res_rate: resolution must be at least 16, got 2"),
     ],
 )
@@ -162,6 +168,10 @@ def test_bool_or_too_small_resolution_exits_2_before_any_experiment(
         ("verify-appendix", "tau_count", "0", "btilde_identity: tau_count must be at least 1, got 0"),
         ("mmatrix", "tau_count", "0", "additivity: tau_count must be at least 1, got 0"),
         ("bands", "n_bands", "0", "bands: n_bands must be at least 1, got 0"),
+        # the Dirichlet levels below an infinite z_max never end: the run hung
+        ("bands", "z_max", "inf", "bands: z_max must be positive and finite, got inf"),
+        ("bands", "z_max", "0", "bands: z_max must be positive and finite, got 0"),
+        ("bands", "z_max", "-5", "bands: z_max must be positive and finite, got -5"),
         ("converge", "eps_list", "0.1, 0.05, 0.025, -0.0125",
          "gen_res_rate: eps_list must be positive and finite, got [0.1, 0.05, 0.025, -0.0125]"),
         ("mmatrix", "eps_list", "-0.1", "additivity: eps_list must be positive and finite, got -0.1"),
@@ -204,6 +214,24 @@ def test_out_of_range_value_exits_2_without_a_traceback(
     assert captured.out == ""
     assert "Traceback" not in captured.err
     assert captured.err.splitlines() == [f"qglab: {message}"]
+
+
+def test_a_scan_with_fewer_than_n_bands_roots_is_a_fail_line_naming_it(tmp_path, capsys):
+    # below z_max = 5 the scan finds one root at tau = 0 and none at the
+    # ends of the grid: the Hausdorff distance was inf and the slope fit
+    # read inf - inf, a nan slope with no reason (a traceback under -W error)
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("tau_count = 3\nresolution = 64\nz_max = 5\n")
+    assert main(["bands", "--config", str(cfg)]) == 1
+    text = capsys.readouterr().out
+    for name in ("ex0", "ex2"):
+        for tau, count in (("-3.14059", 0), ("0", 1), ("3.14059", 0)):
+            assert (
+                f"{name}: limiting roots failed at tau={tau}: ArithmeticError: the scan "
+                f"found {count} of n_bands = 3 roots in [0, 5]" in text
+            )
+        assert f"{name}: Hausdorff slope {REUSE} = nan (band [1.7, 2.3]) FAIL" in text
+    assert "Traceback" not in text
 
 
 def test_a_zero_row_experiment_empties_the_csv_of_an_earlier_run(tmp_path, capsys):
@@ -313,7 +341,7 @@ def test_nan_in_a_band_root_bracket_fails_the_verb_without_a_traceback(
     tmp_path, capsys, monkeypatch
 ):
     # the scan (array z) is clean, but K is NaN near the ex2 root at
-    # z ~ 77.44 for tau = 0, where only the Brent refinement (scalar z) looks
+    # z ~ 77.44 for tau = 0, where only the refinement (scalar z) looks
     original = dispersion.k_closed
 
     def holed(graph, tau, z, eps=None):

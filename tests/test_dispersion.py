@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq, minimize_scalar
 
@@ -12,7 +12,7 @@ from qglab import dispersion
 from qglab.dispersion import (
     ROOT_TOL,
     SUM_BLOCK,
-    _brent,
+    _refine,
     _pole_list,
     band_roots,
     flat_levels,
@@ -320,12 +320,23 @@ def _band_roots_scalar_scan(graph, tau, z_max, scan_points=256, root_tol=1e-12):
 
 
 def test_band_roots_match_scalar_scan_reference():
+    # the same roots, each within the sum of the two refinements' tolerances:
+    # brentq's bracket and _refine's are narrower than ROOT_TOL + 1e-15 r
     for name in ("ex0", "ex2"):
         g = build_example(name)
         for tau in tau_grid(17):
             got = band_roots(g, float(tau), 260.0)
             ref = _band_roots_scalar_scan(g, float(tau), 260.0)
-            np.testing.assert_array_equal(got, ref)
+            assert got.shape == ref.shape
+            assert np.all(np.abs(got - ref) <= 2.0 * (ROOT_TOL + 1e-15 * ref))
+
+
+@pytest.mark.parametrize("z_max", [0.0, -5.0, math.nan])
+def test_band_roots_refuse_a_z_max_that_is_not_positive_and_finite(z_max):
+    # z_max = inf, where the Dirichlet levels below it never end, is tested
+    # through bind_config (test_lab), so that no run of it can hang
+    with pytest.raises(ValueError, match="z_max must be positive and finite"):
+        band_roots(build_example("ex2"), 1.0, z_max)
 
 
 def test_band_roots_raise_where_the_scan_is_not_decreasing(monkeypatch):
@@ -344,103 +355,66 @@ def test_band_roots_raise_where_the_scan_is_not_decreasing(monkeypatch):
     assert a < 20.0 < b
 
 
-# _brent against scipy's brentq: the tolerances of band_roots, loose ones,
-# and scipy's default xtol with its smallest rtol (4 machine eps)
-BRENT_TOLS = [(ROOT_TOL, 1e-15), (1e-3, 1e-10), (2e-12, 4 * np.finfo(float).eps)]
-FINITE = st.floats(-1e3, 1e3, allow_nan=False)
-
-
-def _drawn_function(kind, coeffs, root):
-    """A smooth function with a sign change at ``root`` (cubic, tanh or exp
-    shape), or a cubic with up to three roots or none (``poly``)."""
-    c0, c1, c2, c3 = coeffs
+# _refine's contract, on decreasing functions with a sign change at a known
+# root: a line, a cubic that flattens at the root, tanh and exp, on brackets
+# of 1e-3 ... 20 times their length scale 1/scale.  Their end values stay
+# within 1e12 of each other; the scan values of band_roots stay within 4e5
+# (300 drawn cells and tau).  The roots are 0 or of the size of band_roots'
+# (its scan starts at z = 1e-12): near a subnormal root the steps themselves
+# round to subnormals, and the far end needs about a thousand halvings
+def _decreasing(kind, scale, root):
+    if kind == "line":
+        return lambda x: scale * (root - x)
     if kind == "cubic":
-        return lambda x: (1.0 + c1 * c1) * (x - root) + c3 * (x - root) ** 3
+        return lambda x: (root - x) * (0.01 + scale * (x - root) ** 2)
     if kind == "tanh":
-        return lambda x: (1.0 + abs(c0)) * math.tanh((0.1 + abs(c1)) * (x - root))
-    if kind == "exp":
-        return lambda x: math.exp(min((0.1 + abs(c2)) * (x - root), 700.0)) - 1.0
-    return lambda x: c0 + c1 * (x - root) + c2 * (x - root) ** 2 + c3 * (x - root) ** 3
-
-
-def _outcome(solve):
-    """The root, or how the solve failed: brentq's ValueError (no sign
-    change) and RuntimeError (no convergence) against _brent's
-    ArithmeticError with the same reason."""
-    try:
-        return solve()
-    except RuntimeError:
-        return "no convergence"
-    except ArithmeticError as exc:
-        return "no convergence" if "did not converge" in str(exc) else f"bad bracket: {exc}"
-    except ValueError:
-        return "bad bracket"
+        return lambda x: math.tanh(scale * (root - x))
+    return lambda x: 1.0 - math.exp(scale * (x - root))
 
 
 @settings(max_examples=300, deadline=None)
 @given(
-    kind=st.sampled_from(["cubic", "tanh", "exp", "poly"]),
-    coeffs=st.tuples(*[st.floats(-5.0, 5.0)] * 4),
-    root=st.floats(-50.0, 50.0),
-    a=FINITE,
-    b=FINITE,
-    tols=st.sampled_from(BRENT_TOLS),
+    kind=st.sampled_from(["line", "cubic", "tanh", "exp"]),
+    scale=st.floats(0.1, 1e4),
+    root=st.one_of(st.just(0.0), st.floats(1e-6, 300.0), st.floats(-300.0, -1e-6)),
+    below=st.floats(1e-3, 20.0),
+    above=st.floats(1e-3, 20.0),
 )
-@example(kind="cubic", coeffs=(0.0, 0.0, 0.0, 1.0), root=0.3, a=-1.0, b=1.0, tols=BRENT_TOLS[0])
-@example(kind="poly", coeffs=(1.0, 0.0, 1.0, 0.0), root=0.0, a=-1.0, b=1.0, tols=BRENT_TOLS[0])
-# a triple root: no convergence in 100 iterations at this xtol
-@example(kind="poly", coeffs=(0.0, 0.0, 0.0, 1.0), root=-1.0, a=0.0, b=-3.0, tols=BRENT_TOLS[0])
-# values near 1e-246: the extrapolation divisor underflows to 0, and the
-# step bisects as the C code's inf or NaN does
-@example(
-    kind="poly", coeffs=(0.0, 0.0, 0.0, 3.888255476537775e-246), root=0.0, a=0.5, b=-2.0,
-    tols=BRENT_TOLS[2],
-)
-def test_brent_equals_scipy_brentq(kind, coeffs, root, a, b, tols):
-    # the same float, or an ArithmeticError for the same reason as brentq's
-    # error: no sign change, or no convergence in 100 iterations (a root of
-    # odd multiplicity > 1 at a tight xtol)
-    f = _drawn_function(kind, coeffs, root)
-    xtol, rtol = tols
-    ref = _outcome(lambda: brentq(f, a, b, xtol=xtol, rtol=rtol))
-    got = _outcome(lambda: _brent(f, a, b, xtol, rtol))
-    if isinstance(ref, float):
-        assert got == ref and math.copysign(1.0, got) == math.copysign(1.0, ref)
-    elif ref == "bad bracket":
-        assert got.startswith("bad bracket: no sign change on the bracket")
-    else:
-        assert got == ref
+# a root at 0, where the bound is ROOT_TOL / 2 alone
+@example(kind="exp", scale=0.1, root=0.0, below=1.0, above=1.0)
+def test_refine_closes_the_bracket_around_a_known_root(kind, scale, root, below, above):
+    # the bracket closes below ROOT_TOL + 1e-15 |x| and _refine returns its
+    # midpoint, so the root lies within half of that; 4 ulps of the root
+    # allow for the sign of f near it, which its rounding may flip
+    f = _decreasing(kind, scale, root)
+    a, b = root - below / scale, root + above / scale
+    fa, fb = f(a), f(b)
+    assume(fa > 0.0 > fb)
+    got = _refine(f, a, b, fa, fb)
+    assert abs(got - root) <= 0.5 * (ROOT_TOL + 1e-15 * abs(got)) + 4.0 * math.ulp(root)
 
 
-def test_brent_returns_a_zero_end_as_it_is():
-    for a, b, f in [
-        (1.0, 2.0, lambda x: x - 1.0),  # f(a) == 0
-        (0.0, 2.0, lambda x: x - 2.0),  # f(b) == 0
-        (-0.0, 1.0, lambda x: x),  # a -0.0 end, where f is -0.0
-        (0.0, -1.0, lambda x: -x),  # f(a) == -0.0 at a +0.0 end
-    ]:
-        got = _brent(f, a, b, ROOT_TOL, 1e-15)
-        ref = brentq(f, a, b, xtol=ROOT_TOL, rtol=1e-15)
-        assert got == ref and math.copysign(1.0, got) == math.copysign(1.0, ref)
-    assert math.copysign(1.0, _brent(lambda x: x, -0.0, 1.0, ROOT_TOL, 1e-15)) == -1.0
+def test_refine_returns_an_exact_zero_as_it_is():
+    # the first false-position step of 1 - x on [0, 3] lands on x = 1
+    assert _refine(lambda x: 1.0 - x, 0.0, 3.0, 1.0, -2.0) == 1.0
+    # a zero at an end: no step is taken
+    def never(x):
+        raise AssertionError("no value is needed")
+
+    assert _refine(never, 2.0, 5.0, 0.0, -1.0) == 2.0
+    assert _refine(never, 2.0, 5.0, 1.0, 0.0) == 5.0
 
 
-def test_brent_raises_arithmetic_errors_naming_the_bracket():
-    with pytest.raises(ArithmeticError, match=r"no sign change on the bracket \[1, 2\]"):
-        _brent(lambda x: x * x, 1.0, 2.0, ROOT_TOL, 1e-15)
-    # NaN inside the bracket: the first secant step lands on x = 0.5
+def test_refine_raises_arithmetic_errors_naming_the_bracket(monkeypatch):
+    # NaN inside the bracket: the first step on 0.5 - x lands on 0.5
     def holed(x):
-        return math.nan if abs(x - 0.5) < 0.1 else x - 0.5
+        return math.nan if abs(x - 0.5) < 0.1 else 0.5 - x
 
     with pytest.raises(ArithmeticError, match=r"NaN value at z=0\.5 in the bracket \[0, 1\]"):
-        _brent(holed, 0.0, 1.0, ROOT_TOL, 1e-15)
-    with pytest.raises(ValueError, match="NaN"):
-        brentq(holed, 0.0, 1.0, xtol=ROOT_TOL, rtol=1e-15)
-
-    def slow(x):
-        return math.copysign(abs(x - 0.3) ** 0.05, x - 0.3)
-
-    with pytest.raises(ArithmeticError, match=r"not converge in 3 iterations on the bracket \[0, 1\]"):
-        _brent(slow, 0.0, 1.0, ROOT_TOL, 1e-15, maxiter=3)
-    with pytest.raises(RuntimeError):
-        brentq(slow, 0.0, 1.0, xtol=ROOT_TOL, rtol=1e-15, maxiter=3)
+        _refine(holed, 0.0, 1.0, 0.5, -0.5)
+    # the root pi/2 of cos takes more than three steps from [0, 3]
+    f0, f3 = math.cos(0.0), math.cos(3.0)
+    assert abs(_refine(math.cos, 0.0, 3.0, f0, f3) - math.pi / 2) <= ROOT_TOL
+    monkeypatch.setattr(dispersion, "REFINE_STEPS", 3)
+    with pytest.raises(ArithmeticError, match=r"did not close the bracket \[0, 3\] in 3 steps"):
+        _refine(math.cos, 0.0, 3.0, f0, f3)

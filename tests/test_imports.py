@@ -64,7 +64,7 @@ def test_closed_form_verbs_load_no_scipy(verb):
 @pytest.mark.parametrize("verb", ["bands", "resolvent"])
 def test_fem_verbs_load_scipy_where_they_call_it(verb):
     # the FEM oracle needs scipy.sparse.linalg; the band scan refines its
-    # roots with dispersion's own Brent port, so scipy.optimize (171
+    # roots by dispersion's own false position, so scipy.optimize (171
     # modules and about 17 MB) stays unloaded
     rc, scipy_modules = _fresh(VERB.format(verb=verb))
     assert rc == 0
@@ -160,7 +160,7 @@ def _scipy_imports(module: str, package: str = "scipy") -> list[int]:
 @pytest.mark.parametrize("module", ["lab", "krein", "effective", "dispersion"])
 def test_resolvent_layer_imports_no_scipy_anywhere(module):
     # a static check: the structured resolvents, the power iteration and the
-    # band scan (with its own Brent refinement) need only numpy, so neither
+    # band scan (with its own refinement) need only numpy, so neither
     # a module-level nor an in-function import (nor a type-checking one) of
     # scipy appears; only fdsolver's FEM oracle loads scipy
     assert _scipy_imports(module) == []

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, aslinearoperator
 
-from qglab import dispersion, lab, realline, triples
+from qglab import dispersion, lab, mmatrix, realline, triples
 from qglab.effective import EffectiveModel, PsiEmbedding
 from qglab.fdsolver import MIN_RESOLUTION, DiscretizedOperator
 from qglab.graphs import ParameterError, PoleError, build_example, datta_weights
@@ -827,6 +827,32 @@ def test_bad_values_raise(cfg, key):
     tag, config = cfg
     with pytest.raises(ParameterError, match=f"{tag}: {key} "):
         run_experiment(tag, config)
+
+
+def test_bands_refuses_a_z_max_or_n_bands_it_cannot_serve():
+    # (tests/test_cli.py refuses z_max = inf, 0 and -5 through the verb)
+    with pytest.raises(ParameterError, match="bands: z_max must be positive and finite"):
+        bind_config("bands", {"z_max": math.nan})
+    # eigsh gives at most ndof - 2 eigenvalues; the coarse grid (resolution
+    # // 2 = 32) of every default cell has 32 unknowns
+    with pytest.raises(ParameterError, match="bands: n_bands must be at most 30 at resolution 64"):
+        bind_config("bands", {"resolution": 64, "n_bands": 31})
+    assert bind_config("bands", {"resolution": 64, "n_bands": 30, "z_max": 5.0}) == {
+        "resolution": 64, "n_bands": 30, "z_max": 5.0
+    }
+
+
+def test_additivity_fails_a_closed_block_with_a_flipped_sign(monkeypatch):
+    # m_blocks_closed builds m_full as m_stiff + m_soft, so m_full - m_stiff
+    # - m_soft is 0 whatever the blocks hold; each block against the generic
+    # M-matrix of its own component sees the flipped sign
+    original = mmatrix.m_stiff_closed
+    monkeypatch.setattr(mmatrix, "m_stiff_closed", lambda graph, fiber: -original(graph, fiber))
+    res = run_experiment("additivity", {"examples": ["ex0"]})
+    additivity, vs_general = res.checks[:2]
+    assert additivity.name.startswith("additivity") and not additivity.ok
+    assert vs_general.name.startswith("closed-vs-general") and not vs_general.ok
+    assert min(r["additivity"] for r in res.rows) > 1.0
 
 
 def test_resolution_floors_are_taken():

@@ -202,8 +202,10 @@ def test_closed_blocks_match_general(name, tau, eps, re, im):
 def test_additivity_and_symmetry(name, tau, re, im):
     g = build_example(name)
     z = complex(re, im)
-    mset = m_blocks_closed(g, FiberParams(0.1, tau, z))
-    assert check_additivity(mset) < 1e-11
+    fiber = FiberParams(0.1, tau, z)
+    mset = m_blocks_closed(g, fiber)
+    stiff, soft = (m_general(g.subgraph(part), fiber) for part in ("stiff", "soft"))
+    assert check_additivity(mset, stiff, soft) < 1e-11
     conj_set = m_blocks_closed(g, FiberParams(0.1, tau, np.conj(z)))
     assert mset.symmetry_defect(conj_set) < 1e-11
 
