@@ -14,8 +14,8 @@ roots by its own false position in ``dispersion``, so no module loads
 """
 
 from .dispersion import band_roots, k_closed, k_series, verify_sum_identities
-from .effective import EffectiveModel, PsiEmbedding, effective_params
-from .fdsolver import DiscretizedOperator
+from .effective import EffectiveModel, PsiEmbedding
+from .fdsolver import DiscretizedOperator, FemLayout
 from .graphs import EdgeSpec, MetricGraph, ParameterError, build_example, datta_weights
 from .krein import ResolventWorkspace
 from .lab import (
@@ -68,6 +68,7 @@ __all__ = [
     "EdgeSpec",
     "EffectiveModel",
     "ExperimentResult",
+    "FemLayout",
     "FiberParams",
     "LineGrid",
     "MMatrixSet",
@@ -90,7 +91,6 @@ __all__ = [
     "delta_limit",
     "difference_symbol",
     "differential_symbol_ex1",
-    "effective_params",
     "fit_slope",
     "gaussian_packet",
     "herglotz_min_eig",

@@ -257,11 +257,12 @@ def _pole_list(graph: MetricGraph, z_max: float):
     """Positive poles of z -> K(tau, z) up to z_max (tau-independent), as
     sorted (pole, parity, dz/dy) triples.
 
-    A sine pole of index j couples through (1 - (-1)^j cos tau), so it is
-    removable -- and then hosts a decoupled Dirichlet eigenvalue -- exactly
-    when cos tau = parity = (-1)^j.  Odd half-poles of tan couple
-    tau-independently and are never removable (parity None).  dz/dy =
-    2 a sqrt(z)/l converts the trig pole guard into a distance in z.
+    A sine pole of index j couples through (1 - (-1)^j c(tau)), c the cell's
+    boundary coupling (``Cell.coupling``: cos tau, or Re theta(tau) for a
+    stiff cycle), so it is removable -- and then hosts a decoupled Dirichlet
+    eigenvalue -- exactly when c(tau) = parity = (-1)^j.  Odd half-poles of
+    tan couple tau-independently and are never removable (parity None).
+    dz/dy = 2 a sqrt(z)/l converts the trig pole guard into a distance in z.
     """
     chain, loop = graph.cell.chain, graph.cell.loop
     poles = [
@@ -295,9 +296,10 @@ def band_roots(
     """Limiting fiber eigenvalues in [0, z_max], sorted ascending.
 
     These are the roots of K(tau, z) = z between consecutive poles of K,
-    together with the decoupled Dirichlet levels: removable poles at the
-    symmetry points cos tau = +-1 and the tau-independent flat levels.
-    z = 0 itself is reported as a root when K(tau, 0) vanishes.
+    together with the decoupled Dirichlet levels: removable poles where the
+    boundary coupling c(tau) = +-1 (``_pole_list``) and the tau-independent
+    flat levels.  z = 0 itself is reported as a root when K(tau, 0)
+    vanishes.
 
     1/(K - z) is Herglotz (``lab.run_schur_check`` certifies it), so K - z
     strictly decreases in real z between its poles and each of its roots
@@ -321,8 +323,9 @@ def band_roots(
         return (k_closed(graph, tau, z + 0j, eps=eps) - z).real
 
     roots: list[float] = list(flat_levels(graph, z_max))
+    coupling = graph.cell.coupling(tau)
     for z_p, parity, _ in pole_data:
-        if parity is not None and abs(math.cos(tau) - parity) < 1e-9:
+        if parity is not None and abs(coupling - parity) < 1e-9:
             roots.append(z_p)
     z0 = 1e-9
     if abs(f(z0)) <= 10.0 * z0:

@@ -47,30 +47,12 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .graphs import MetricGraph, stiff_length
 from .krein import KernelOperator, ResolventWorkspace
 from .mmatrix import FiberParams, PoleError
-
-
-@dataclass(frozen=True)
-class EffectiveParams:
-    """Scalars of the homogenised boundary condition, read from the cell record."""
-
-    rho: float  # sqrt(L), L the stiff length
-    omega: complex  # psi = (1, omega)/sqrt(2); the soft-edge tie phase
-    germ: float  # coefficient of the (tau/eps)^2 term in the beta row
-    psi: np.ndarray  # rank-one boundary projection vector, (V1, V2)
-
-
-def effective_params(graph: MetricGraph, fiber: FiberParams) -> EffectiveParams:
-    cell = graph.cell
-    omega = cell.omega(fiber.tau)
-    psi = np.array([1.0, omega]) / math.sqrt(2.0)
-    return EffectiveParams(math.sqrt(stiff_length(graph)), omega, cell.germ, psi)
 
 
 def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -96,7 +78,11 @@ class EffectiveModel:
 
     def __init__(self, graph: MetricGraph, fiber: FiberParams, resolution: int):
         self.fiber = fiber
-        self.params = effective_params(graph, fiber)
+        # the boundary condition's scalars, from the cell record
+        self.omega = graph.cell.omega(fiber.tau)  # the soft-edge tie phase
+        self.psi = np.array([1.0, self.omega]) / math.sqrt(2.0)  # boundary vector on (V1, V2)
+        self.rho = math.sqrt(stiff_length(graph))  # sqrt(L), L the stiff length
+        self.germ = graph.cell.germ  # sigma^2, of the (tau/eps)^2 term in the beta row
         self.workspace = ResolventWorkspace(graph, fiber, resolution)
         self.kernels = self.workspace.soft_part()
 
@@ -139,8 +125,8 @@ class EffectiveModel:
         """
         rows, u1, flux_x, flux_t = self._rows(z)
         m = u1.size
-        germ_term = self.params.germ * (self.fiber.tau / self.fiber.eps) ** 2
-        rho = self.params.rho
+        germ_term = self.germ * (self.fiber.tau / self.fiber.eps) ** 2
+        rho = self.rho
         a = np.zeros((m + with_beta, m + with_beta), dtype=complex)
         lam = np.zeros((m + with_beta, m), dtype=complex)
         a[:m - 1, :m] = rows
@@ -164,7 +150,7 @@ class EffectiveModel:
         soft = self.kernels
         kernels = soft.edge_kernels(z)
         m = 2 * len(kernels)
-        nu = dict(zip(soft.vertices, np.conj([1.0, self.params.omega])))  # sqrt(2) conj(psi)
+        nu = dict(zip(soft.vertices, np.conj([1.0, self.omega])))  # sqrt(2) conj(psi)
         values = {v: [] for v in soft.vertices}
         flux_x = np.zeros(m, dtype=complex)
         flux_t = np.zeros(m, dtype=complex)
@@ -186,7 +172,7 @@ class EffectiveModel:
                 flux_t[col] += coef
         u1, u2 = (at_v[0] for at_v in values.values())
         rows = [first - u for first, *rest in values.values() for u in rest]
-        rows.append(u1 - np.conj(self.params.omega) * u2)
+        rows.append(u1 - np.conj(self.omega) * u2)
         return rows, u1, flux_x, flux_t
 
     def schur_frobenius(self, z: complex) -> complex:
@@ -366,8 +352,8 @@ class EffectiveModel:
         repeats the coordinate extraction on the adjoint column.
         """
         n = self.grid.size
-        pi_scal = self.params.rho / math.sqrt(2.0)
-        psi_row = self.params.psi.conj() @ self._vertex_rows()  # 1 x n
+        pi_scal = self.rho / math.sqrt(2.0)
+        psi_row = self.psi.conj() @ self._vertex_rows()  # 1 x n
         h_z, c_z = self._defect(z)
         h_zb, c_zb = self._defect(np.conj(z))
 
@@ -400,7 +386,7 @@ class PsiEmbedding:
             raise ValueError("PsiEmbedding needs the workspace of the full graph")
         self.soft_idx, self.stiff_idx = np.flatnonzero(~on_stiff), np.flatnonzero(on_stiff)
         weights, vidx, tau = workspace.weights, workspace._vidx, workspace.fiber.tau
-        psi = effective_params(workspace.component, workspace.fiber).psi
+        psi = np.array([1.0, workspace.component.cell.omega(tau)]) / math.sqrt(2.0)
 
         # the zero-energy kernel field with Gamma0 = psi on each stiff edge:
         # e^{-i tau x}(p + (phi_l - p) x/l), affine between the weighted ends

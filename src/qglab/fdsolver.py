@@ -10,9 +10,9 @@ the discrete operator is the weighted-Kirchhoff extension.
 
 The sparsity pattern of the pencil depends on the graph and the resolution
 only, not on eps or tau.  A ``FemLayout`` holds it, with the order in which
-each entry's duplicates are summed, and ``DiscretizedOperator.at`` gives an
-operator at another fiber that shares its layout and assembles only the
-Datta weights and the element values, bit for bit as a fresh build.
+each entry's duplicates are summed; ``DiscretizedOperator(layout, fiber)``
+assembles only the Datta weights and the element values at its fiber, so
+operators that share a layout equal operators on fresh ones bit for bit.
 
 Sample-space convention: functions are exchanged as concatenated per-edge
 nodal samples (endpoints included) on the same grids as qglab.krein, with
@@ -69,11 +69,12 @@ def _cmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 class FemLayout:
     """What the FEM pencil of a graph at a resolution shares at every fiber:
-    its sparsity pattern, which neither eps nor tau enters.
+    its sparsity pattern, which neither eps nor tau enters.  A resolution
+    below MIN_RESOLUTION raises ValueError.
 
-    That is the grid and the prolongation's column map (``col``: the dof of
-    each sample), the edge ends, the element arrays (``first`` sample and
-    length ``h`` of each element, ``intervals`` per edge, the
+    That is the graph, the grid and the prolongation's column map (``col``:
+    the dof of each sample), the edge ends, the element arrays (``first``
+    sample and length ``h`` of each element, ``intervals`` per edge, the
     ``end_elements`` that have a sample at an edge end), the CSC
     ``indptr``/``indices`` of the pencil (int32, which ``csc_matrix`` takes
     as they are, so every matrix of the layout shares them; read-only, so
@@ -87,6 +88,9 @@ class FemLayout:
     """
 
     def __init__(self, graph: MetricGraph, resolution: int):
+        if resolution < MIN_RESOLUTION:
+            raise ValueError(f"resolution must be >= {MIN_RESOLUTION}")
+        self.graph = graph
         g = self.grid = make_grid(graph, resolution)
         vidx = {v: i for i, v in enumerate(sorted(graph.vertices))}
         # global unknowns: interior nodes of every edge, then one value per vertex
@@ -142,32 +146,20 @@ class FemLayout:
 
 class DiscretizedOperator:
     """FEM discretization of the fiber operator with weighted vertex coupling,
-    the Datta weights of the graph at the fiber's tau.
+    the Datta weights of the layout's graph at the fiber's tau.
 
-    The pattern lives in a ``FemLayout``: an operator built directly builds
-    its own, and its ``at`` siblings share it, assembling only the weights
-    and the values.
+    The pattern comes from ``layout``, which the caller builds once per
+    (graph, resolution); the operator assembles only the weights and the
+    values.
     """
 
-    def __init__(
-        self, graph: MetricGraph, fiber: FiberParams, resolution: int = 256,
-        *, _layout: FemLayout | None = None,
-    ):
-        if resolution < MIN_RESOLUTION:
-            raise ValueError(f"resolution must be >= {MIN_RESOLUTION}")
-        self.graph = graph
-        self.weights = datta_weights(graph, fiber.tau)
+    def __init__(self, layout: FemLayout, fiber: FiberParams):
+        self.layout = layout
         self.fiber = fiber
-        self.resolution = resolution
-        self.layout = _layout or FemLayout(graph, resolution)
-        self.grid: ComponentGrid = self.layout.grid
-        self.ndof = self.layout.ndof
+        self.weights = datta_weights(layout.graph, fiber.tau)
+        self.grid: ComponentGrid = layout.grid
+        self.ndof = layout.ndof
         self._assemble()
-
-    def at(self, fiber: FiberParams) -> "DiscretizedOperator":
-        """This operator at another fiber (eps, tau, z) of the same graph and
-        resolution, sharing this one's layout."""
-        return type(self)(self.graph, fiber, self.resolution, _layout=self.layout)
 
     def _assemble(self) -> None:
         import scipy.sparse as sp

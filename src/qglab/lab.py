@@ -448,7 +448,7 @@ def run_krein_vs_direct(
             # level raises inside the power iteration
             ws = ResolventWorkspace(g, fiber, res)
             r_k, w = ws.generalized_resolvent(z, 0.0), ws.grid.w
-            r_d = DiscretizedOperator(g, fiber, resolution=res).resolvent(z)
+            r_d = DiscretizedOperator(FemLayout(g, res), fiber).resolvent(z)
             return operator_norm_diff(r_k, r_d, w), operator_norm_diff(r_k, None, w)
 
         errs, norms = np.full(h.size, math.nan), np.full(h.size, math.nan)
@@ -772,28 +772,19 @@ def run_bands(
     conjugate of the one at tau, with the same spectrum, so it is solved
     once per distinct |tau| (at +|tau|); ``band_roots`` runs at every tau.
     A cell builds one FEM layout per resolution, which its operators at
-    every (eps, tau) share (``DiscretizedOperator.at``).  A FEM point or a
-    limiting-root scan that fails, or a scan that finds fewer than n_bands
-    roots in [0, z_max], is a FAIL line naming it, and its distance is NaN,
-    so its cell's slope fails.
+    every (eps, tau) share.  A FEM point or a limiting-root scan that
+    fails, or a scan that finds fewer than n_bands roots in [0, z_max], is
+    a FAIL line naming it, and its distance is NaN, so its cell's slope
+    fails.
     """
     cells, failures = _germ_free_cells(examples)
     taus = tau_grid(tau_count).tolist()
     abs_taus = list(dict.fromkeys(abs(tau) for tau in taus))  # the FEM points
     rows, checks = [], []
 
-    def fem(g, bases, fiber, res):
-        # bases: resolution -> the cell's first FEM operator at it, whose
-        # layout (the pencil's pattern, free of eps and tau) the rest share
-        if res not in bases:
-            bases[res] = DiscretizedOperator(g, fiber, res)
-            return bases[res]
-        return bases[res].at(fiber)
-
-    def eig_extrapolated(g, bases, eps, tau):
+    def eig_extrapolated(layouts, eps, tau):
         fiber = FiberParams(eps, tau, complex(2, 1))
-        v_lo = fem(g, bases, fiber, resolution // 2).eigenvalues(n_bands)
-        v_hi = fem(g, bases, fiber, resolution).eigenvalues(n_bands)
+        v_lo, v_hi = (DiscretizedOperator(lay, fiber).eigenvalues(n_bands) for lay in layouts)
         return (4.0 * v_hi - v_lo) / 3.0
 
     def lowest_roots(g, tau):
@@ -805,7 +796,7 @@ def run_bands(
         return roots[:n_bands]
 
     for g in cells:
-        bases = {}
+        layouts = [FemLayout(g, res) for res in (resolution // 2, resolution)]
         # tau -> limiting roots where the scan computed; they do not depend
         # on eps (cells without a stiff cycle take no eps)
         limits = dict(_each(
@@ -816,7 +807,7 @@ def run_bands(
         for eps in eps_list:
             # |tau| -> FEM eigenvalues, where they were computed
             spectra = dict(_each(
-                failures, abs_taus, lambda t: eig_extrapolated(g, bases, eps, t),
+                failures, abs_taus, lambda t: eig_extrapolated(layouts, eps, t),
                 lambda t: f"{g.example}: FEM spectrum failed at eps={eps:g}, |tau|={t:.6g}",
             ))
             dists = []

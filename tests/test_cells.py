@@ -38,8 +38,8 @@ import qglab
 from qglab import dispersion, lab, realline, triples
 from qglab.cli import main
 from qglab.dispersion import k_closed, k_series
-from qglab.effective import EffectiveModel, PsiEmbedding, effective_params
-from qglab.fdsolver import DiscretizedOperator
+from qglab.effective import EffectiveModel, PsiEmbedding
+from qglab.fdsolver import DiscretizedOperator, FemLayout
 from qglab.graphs import PoleError, build_example, stiff_length
 from qglab.krein import ResolventWorkspace
 from qglab.mmatrix import (
@@ -113,12 +113,17 @@ def test_k_closed_matches_series(g, tau, z, eps):
     g=build_example("ex2", l1=0.25, l2=0.25, l3=0.5, a1=1.0, a2=0.99999), tau=0.0, t=0.0,
     eps=0.125,
 )
+# the ex1 coupling Re theta(pi) is +1 where cos(pi) = -1: the pole 61.685 is
+# not removable there, and the even-index level 246.74 is
+@example(g=build_example("ex1"), tau=math.pi, t=math.pi, eps=1.0)
 def test_band_roots_scan_decreases_and_roots_solve_k_eq_z(g, tau, t, eps):
     # 1/(K - z) is Herglotz at every cell, so the monotonicity check of
     # band_roots never fires; z = 0 (reported from K(tau, 1e-9)), removable
-    # poles and flat levels are Dirichlet levels, not roots of K - z.  A
-    # cell with a stiff cycle (ex1) is scanned at a fixed two-scale
-    # quasimomentum t = tau/eps, where its germ term sigma^2 t^2 enters K.
+    # poles (those of parity c(tau), the cell's boundary coupling) and flat
+    # levels are Dirichlet levels, not roots of K - z, and each decoupled
+    # level up to z_max is among the roots.  A cell with a stiff cycle (ex1)
+    # is scanned at a fixed two-scale quasimomentum t = tau/eps, where its
+    # germ term sigma^2 t^2 enters K.
     # The refinement closes each root's bracket below ROOT_TOL + 1e-15 r and
     # returns its midpoint, so the decreasing K - z changes sign across
     # r -+ that distance, widened by 4 ulps for the rounding of the probes.
@@ -131,10 +136,13 @@ def test_band_roots_scan_decreases_and_roots_solve_k_eq_z(g, tau, t, eps):
         eps = None
     z_max = 260.0
     roots = dispersion.band_roots(g, tau, z_max, eps=eps)
-    levels = {0.0, *dispersion.flat_levels(g, z_max)} | {
+    coupling = g.cell.coupling(tau)
+    decoupled = set(dispersion.flat_levels(g, z_max)) | {
         z for z, parity, _ in dispersion._pole_list(g, z_max * (1.0 + 1e-9))
-        if parity is not None and abs(math.cos(tau) - parity) < 1e-9
+        if parity is not None and abs(coupling - parity) < 1e-9
     }
+    assert {z for z in decoupled if z <= z_max} <= set(roots.tolist())
+    levels = {0.0} | decoupled
     for r in roots:
         if r in levels:
             continue
@@ -283,8 +291,7 @@ def test_r_eff_columns_meet_the_effective_vertex_conditions(g, tau, z, eps):
     for first, *rest in ends.values():
         for u in rest:
             assert np.max(np.abs(u - first)) <= tol
-    omega = effective_params(g, model.fiber).omega
-    assert np.max(np.abs(ends[2][0] - omega * ends[1][0])) <= tol
+    assert np.max(np.abs(ends[2][0] - model.omega * ends[1][0])) <= tol
 
 
 @settings(max_examples=25, deadline=None)
@@ -372,7 +379,7 @@ def test_btilde_closed_matches_numeric(g, tau, z, eps):
 
 def _assert_conjugate_pencil(g, tau, eps):
     plus, minus = (
-        DiscretizedOperator(g, FiberParams(eps, t, 2 + 1j), resolution=64) for t in (tau, -tau)
+        DiscretizedOperator(FemLayout(g, 64), FiberParams(eps, t, 2 + 1j)) for t in (tau, -tau)
     )
     assert minus.weights == {key: np.conj(w) for key, w in plus.weights.items()}
     for name in ("k_mat", "m_mat", "prolong"):
@@ -394,20 +401,26 @@ def test_fem_pencil_at_minus_tau_is_the_conjugate(g, tau, eps):
 
 
 def assert_same_pencil(op, ref):
-    """op's K, M and P equal ref's: data, indices and indptr, bit for bit."""
+    """op's K, M and P equal ref's: data, indices and indptr, bit for bit
+    (their raw bytes, so signed zeros and NaN payloads count)."""
     for name in ("k_mat", "m_mat", "prolong"):
         got, want = getattr(op, name), getattr(ref, name)
         for field in ("data", "indices", "indptr"):
-            np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
+            a, b = getattr(got, field), getattr(want, field)
+            assert a.dtype == b.dtype
+            np.testing.assert_array_equal(a.view(np.uint8), b.view(np.uint8))
 
 
 @settings(max_examples=20, deadline=None)
 @given(g=cells(), tau=st.floats(-math.pi, math.pi), eps=EPS, res=st.integers(16, 80))
 def test_fem_sibling_equals_a_fresh_operator_at_drawn_cells(g, tau, eps, res):
-    # the FEM layout (pattern and duplicate order) is free of eps and tau
-    base = DiscretizedOperator(g, FiberParams(0.3, 1.0, 2 + 1j), res)
+    # the FEM layout (pattern and duplicate order) is free of eps and tau, so
+    # an operator on a layout another fiber used equals one on a fresh layout
+    shared = FemLayout(g, res)
+    DiscretizedOperator(shared, FiberParams(0.3, 1.0, 2 + 1j))
     fiber = FiberParams(eps, tau, 2 + 1j)
-    assert_same_pencil(base.at(fiber), DiscretizedOperator(g, fiber, res))
+    fresh = DiscretizedOperator(FemLayout(g, res), fiber)
+    assert_same_pencil(DiscretizedOperator(shared, fiber), fresh)
 
 
 # stack shapes of the array tests: 5 tau against 2-4 z (never square), so a

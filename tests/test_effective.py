@@ -5,7 +5,7 @@ import pytest
 
 from qglab import krein
 from qglab.dispersion import k_closed
-from qglab.effective import EffectiveModel, PsiEmbedding, effective_params
+from qglab.effective import EffectiveModel, PsiEmbedding
 from qglab.graphs import build_example, datta_weights
 from qglab.krein import KernelOperator, ResolventWorkspace
 from qglab.mmatrix import FiberParams, PoleError
@@ -97,12 +97,12 @@ def test_adjoint_symmetry_of_hom_matrix():
     assert defect < 1e-10
 
 
-def test_effective_params_rho_and_psi():
+def test_effective_model_rho_and_psi():
     for name in ("ex0", "ex1", "ex2"):
         g = build_example(name)
-        par = effective_params(g, FiberParams(0.1, 0.9, 2 + 1j))
-        assert par.rho > 0
-        assert np.isclose(np.linalg.norm(par.psi), 1.0)
+        model = EffectiveModel(g, FiberParams(0.1, 0.9, 2 + 1j), 64)
+        assert model.rho > 0
+        assert np.isclose(np.linalg.norm(model.psi), 1.0)
 
 
 def test_ex1_xi_floor_raises_at_equal_impedance_degeneracy():
@@ -123,7 +123,7 @@ def test_ex1_xi_floor_raises_at_equal_impedance_degeneracy():
     assert abs(xi_ex1(g, -math.pi)) < 1e-12
     fiber = FiberParams(0.1, -math.pi, 2 + 1j)
     for call in (
-        lambda: effective_params(g, fiber),
+        lambda: EffectiveModel(g, fiber, 64),
         lambda: rotation_x(g, -math.pi),
         lambda: btilde_numeric(g, fiber),
         lambda: beff_deviation(g, fiber),
@@ -147,8 +147,7 @@ def test_ex1_xi_floor_raises_at_equal_impedance_degeneracy():
             call()
     # the default parameters never degenerate
     g_def = build_example("ex1")
-    par = effective_params(g_def, FiberParams(0.1, -math.pi, 2 + 1j))
-    assert par.rho > 0
+    assert EffectiveModel(g_def, FiberParams(0.1, -math.pi, 2 + 1j), 64).rho > 0
     assert np.isfinite(k_closed(g_def, -math.pi, 2 + 1j, eps=0.1))
 
 
@@ -211,7 +210,7 @@ def test_psi_lift_interpolates_normalized_psi_at_stiff_ends(name, tau):
     fiber = FiberParams(0.1, tau, 2 + 1j)
     emb = PsiEmbedding(ResolventWorkspace(g, fiber, 64))
     grid = emb.grid
-    psi = dict(zip(sorted(g.vertices), effective_params(g, fiber).psi))
+    psi = dict(zip(sorted(g.vertices), EffectiveModel(g, fiber, 64).psi))
     lift = emb.lift
     nrm = np.sqrt(np.sum(grid.w * np.abs(lift) ** 2))
     assert abs(nrm - 1.0) < 1e-12

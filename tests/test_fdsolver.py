@@ -11,23 +11,24 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_cells import Z, assert_same_pencil, cells
 
-from qglab import fdsolver
+from qglab import fdsolver, lab
 from qglab.fdsolver import DiscretizedOperator, FemLayout, NearSingularError
 from qglab.graphs import build_example
 from qglab.krein import ResolventWorkspace
-from qglab.lab import operator_norm_diff, run_experiment
+from qglab.lab import bind_config, operator_norm_diff
 from qglab.mmatrix import FiberParams
 
 
 def _op(name="ex0", eps=0.3, tau=1.0, z=2 + 1j, res=256):
     g = build_example(name)
-    return g, DiscretizedOperator(g, FiberParams(eps, tau, z), resolution=res)
+    return g, DiscretizedOperator(FemLayout(g, res), FiberParams(eps, tau, z))
 
 
 def test_resolution_floor():
     g = build_example("ex0")
-    with pytest.raises(ValueError):
-        DiscretizedOperator(g, FiberParams(0.3, 0.0, 1.0), 8)
+    with pytest.raises(ValueError, match=f"resolution must be >= {fdsolver.MIN_RESOLUTION}"):
+        FemLayout(g, fdsolver.MIN_RESOLUTION - 1)
+    assert FemLayout(g, fdsolver.MIN_RESOLUTION).grid.size > 0
 
 
 def test_assembled_form_is_symmetric():
@@ -39,7 +40,7 @@ def test_assembled_form_is_symmetric():
         for tau, res, eps in itertools.product(
             (0.0, 0.9, -2.5, math.pi - 1e-3), (64, 1024), (0.3, 1 / 64)
         ):
-            op = DiscretizedOperator(g, FiberParams(eps, tau, 2 + 1j), resolution=res)
+            op = DiscretizedOperator(FemLayout(g, res), FiberParams(eps, tau, 2 + 1j))
             for a in (op.k_mat, op.m_mat):
                 assert abs(a - a.conj().T).max() <= 1e-15 * abs(a).max()
 
@@ -63,7 +64,7 @@ def test_matches_krein_resolvent():
         tau, z = 0.8, 2 + 1j
         fiber = FiberParams(0.3, tau, z)
         res = 512
-        op = DiscretizedOperator(g, fiber, resolution=res)
+        op = DiscretizedOperator(FemLayout(g, res), fiber)
         ws = ResolventWorkspace(g, fiber, res)
         r_fd = op.resolvent(z) @ np.eye(op.grid.size)
         r_ex = ws.generalized_resolvent(z, 0.0).dense()
@@ -91,7 +92,7 @@ def test_resolvent_halving_is_second_order():
     for res in (128, 256, 512):
         g = build_example("ex0")
         fiber = FiberParams(0.3, 1.0, 2 + 1j)
-        op = DiscretizedOperator(g, fiber, resolution=res)
+        op = DiscretizedOperator(FemLayout(g, res), fiber)
         ws = ResolventWorkspace(g, fiber, res)
         r_fd = op.resolvent(2 + 1j) @ np.eye(op.grid.size)
         errs.append(np.linalg.norm(r_fd - ws.generalized_resolvent(2 + 1j, 0.0).dense(), 2))
@@ -120,7 +121,7 @@ def _reference_matrices(op):
     """P, P^* K_block P and P^* M_block P built edge by edge from the P1
     element formulas, independently of the assembly under test."""
     g, fiber = op.grid, op.fiber
-    verts = sorted(op.graph.vertices)
+    verts = sorted(op.layout.graph.vertices)
     n_int = sum(sl.stop - sl.start - 2 for sl in g.slices)
     p = sp.lil_matrix((g.size, op.ndof), dtype=complex)
     k_block = sp.lil_matrix((g.size, g.size), dtype=complex)
@@ -166,18 +167,20 @@ TOP = math.pi - 1e-3
 
 @settings(max_examples=4, deadline=None)
 @given(tau=st.floats(-math.pi, math.pi), eps=st.sampled_from([1 / 8, 1 / 16, 1 / 32, 1 / 64]))
-def test_at_sibling_equals_a_fresh_operator(tau, eps):
-    # the layout holds what neither eps nor tau enters; a sibling at another
-    # fiber fills it with its own weights and element values
+def test_operators_on_a_shared_layout_equal_fresh_ones(tau, eps):
+    # the layout holds what neither eps nor tau enters; each operator on it,
+    # after one at another fiber, fills it with its own weights and element
+    # values, bit for bit as an operator on a layout of its own
     for name in ("ex0", "ex1", "ex2"):
         g = build_example(name)
         for res in (16, 17, 512, 1024):
-            base = DiscretizedOperator(g, FiberParams(0.3, 1.0, 2 + 1j), res)
+            shared = FemLayout(g, res)
+            DiscretizedOperator(shared, FiberParams(0.3, 1.0, 2 + 1j))
             for t in (0.0, TOP, -TOP, tau):
                 fiber = FiberParams(eps, t, 2 + 1j)
-                sibling = base.at(fiber)
-                assert sibling.layout is base.layout and sibling.fiber == fiber
-                assert_same_pencil(sibling, DiscretizedOperator(g, fiber, res))
+                op = DiscretizedOperator(shared, fiber)
+                assert op.layout is shared and op.fiber == fiber
+                assert_same_pencil(op, DiscretizedOperator(FemLayout(g, res), fiber))
 
 
 def _every_element_scaled(op):
@@ -207,10 +210,9 @@ def test_assembly_scales_only_the_end_elements_bit_for_bit(tau, eps):
     for name in ("ex0", "ex1", "ex2"):
         g = build_example(name)
         for res in (16, 17, 512):
-            base = DiscretizedOperator(g, FiberParams(0.3, 1.0, 2 + 1j), res)
-            lay = base.layout
+            lay = FemLayout(g, res)
             for t in (0.0, -0.0, TOP, -TOP, tau):
-                op = base.at(FiberParams(eps, t, 2 + 1j))
+                op = DiscretizedOperator(lay, FiberParams(eps, t, 2 + 1j))
                 for got, values in zip((op.k_mat, op.m_mat), _every_element_scaled(op)):
                     ref = lay.csc(values)
                     assert np.array_equal(got.data.view(np.uint64), ref.data.view(np.uint64))
@@ -253,9 +255,12 @@ def test_one_bands_run_builds_one_layout_per_cell_and_resolution(monkeypatch):
         operators.append(self)
         original(self)
 
-    monkeypatch.setattr(fdsolver, "FemLayout", CountedLayout)
+    # lab's own name, patched after bind_config, whose n_bands bound builds
+    # coarse layouts of its own
+    kwargs = bind_config("bands", {})
+    monkeypatch.setattr(lab, "FemLayout", CountedLayout)
     monkeypatch.setattr(DiscretizedOperator, "_assemble", counted_assemble)
-    assert run_experiment("bands", {}).passed
+    assert lab.run_bands(**kwargs).passed
     # 2 cells x 4 eps x 9 distinct |tau| x 2 resolutions operators, on
     # 2 cells x 2 resolutions layouts
     assert len(operators) == 144
@@ -343,7 +348,7 @@ FORWARD_CONST = 1.0
     res=41, seed=0,
 )
 def test_resolvent_operator_matches_dense_reference(g, tau, z, res, seed):
-    op = DiscretizedOperator(g, FiberParams(0.1, tau, z), res)
+    op = DiscretizedOperator(FemLayout(g, res), FiberParams(0.1, tau, z))
     # the dense reference P (K - z M)^{-1} P^* W and its adjoint W P (K - z M)^{-H} P^*
     p = op.prolong.toarray()
     a = (op.k_mat - z * op.m_mat).toarray()
@@ -362,7 +367,7 @@ def test_resolvent_operator_matches_dense_reference(g, tau, z, res, seed):
     # two sides come from two factorisations, so their difference is roundoff
     # of the Cauchy-Schwarz scale |W^1/2 y| |W^1/2 R x|, not of |lhs|, which
     # a random pair can cancel far below it
-    r_bar = DiscretizedOperator(g, FiberParams(0.1, tau, np.conj(z)), res).resolvent(
+    r_bar = DiscretizedOperator(op.layout, FiberParams(0.1, tau, np.conj(z))).resolvent(
         np.conj(z)
     )
     lhs = np.vdot(w * y, rx)

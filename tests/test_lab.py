@@ -368,7 +368,7 @@ def _count_fem_spectra(monkeypatch, fail_at=None):
     original, eigsh = DiscretizedOperator.eigenvalues, scipy.sparse.linalg.eigsh
 
     def counted(self, *args, **kwargs):
-        calls.append((self.graph.example, self.fiber.eps, self.fiber.tau))
+        calls.append((self.layout.graph.example, self.fiber.eps, self.fiber.tau))
         return original(self, *args, **kwargs)
 
     def failing_eigsh(*args, **kwargs):
