@@ -28,8 +28,9 @@ which share one store, so system and fields read the one edge record of
 each soft edge, the ``EdgeKernel`` of the full graph's resolvent: the
 system its end scalars, the fields its samples.  So the Schur scalar
 builds no sample grid.  eps enters only the germ term of the flux row:
-``at_eps`` gives a sibling at another contrast that finds every other part
-at each z in the kernels' store, under (name, z).
+``at_eps`` gives a sibling at another contrast that shares ``kernels``
+(no eps enters the soft component) and finds the boundary rows and the
+fields at each z in their store, under ("rows", z) and ("fields", z).
 
 ``compose`` multiplies two of these resolvents exactly (the function-space
 composition is carried out in closed form, not by quadrature), so that the
@@ -92,14 +93,15 @@ class EffectiveModel:
 
     def at_eps(self, eps: float) -> "EffectiveModel":
         """This model at contrast eps (same graph, tau and z), holding the
-        ``at_eps`` siblings of its two workspaces.  eps enters only the germ
-        term of the flux row (and the stiff speeds), so in their store the
-        sibling finds every other part of the system, the fields, the
-        right-hand sides and a_hom's factor at each z."""
+        ``at_eps`` sibling of its full workspace and this model's
+        ``kernels``: the soft component has no stiff edge, so no eps enters
+        them.  eps enters only the germ term of the flux row (and the stiff
+        speeds), so in the store the sibling finds the boundary rows and the
+        fields at each z."""
         sibling = object.__new__(type(self))
         sibling.__dict__.update(
             self.__dict__, fiber=FiberParams(eps, self.fiber.tau, self.fiber.z),
-            workspace=self.workspace.at_eps(eps), kernels=self.kernels.at_eps(eps),
+            workspace=self.workspace.at_eps(eps),
         )
         return sibling
 
@@ -213,7 +215,7 @@ class EffectiveModel:
         """(h, coeffs): r_eff(z) minus the Dirichlet resolvent is h @ coeffs."""
         a, lam = self._structure(z, with_beta=False)
         h, t = self._fields(z)
-        return h, _solve(a, self.kernels._kept(("defect rhs", z), lambda: -lam @ t))
+        return h, _solve(a, -lam @ t)
 
     # -- public resolvents ----------------------------------------------------
 
@@ -223,37 +225,28 @@ class EffectiveModel:
         h, coeffs = self._defect(z)
         return KernelOperator(self.kernels.dirichlet_blocks(z), h, coeffs)
 
-    def _hom_rhs(self, lam: np.ndarray, t: np.ndarray) -> np.ndarray:
-        rhs = np.zeros((lam.shape[0], t.shape[1] + 1), dtype=complex)
-        rhs[:, :-1] = -lam @ t
-        rhs[-1, -1] = 1.0  # the scalar forcing c enters the beta row
-        return rhs
-
     def _hom_solve(self, z: complex):
         """(h, t, x) at z: x maps the data (f, c) to the homogeneous
         coefficients of R_hom(z) (f, c), beta last."""
         a, lam = self._structure(z, with_beta=True)
         h, t = self._fields(z)
-        rhs = self.kernels._kept(("hom rhs", z), self._hom_rhs, lam, t)
+        rhs = np.zeros((lam.shape[0], t.shape[1] + 1), dtype=complex)
+        rhs[:, :-1] = -lam @ t
+        rhs[-1, -1] = 1.0  # the scalar forcing c enters the beta row
         return h, t, _solve(a, rhs)
-
-    def _hom_factor(self, h: np.ndarray) -> np.ndarray:
-        n = self.grid.size
-        u = np.zeros((n + 1, h.shape[1] + 1), dtype=complex)
-        u[:n, :-1] = h
-        u[n, -1] = 1.0
-        return u
 
     def a_hom(self, z: complex) -> KernelOperator:
         """The (n+1) x (n+1) resolvent of the homogenised operator.
 
         Acts on (soft samples, beta scalar); the last row/column carry the
         boundary coordinate.  The soft Dirichlet blocks plus H @ coeffs, with
-        H = [[h, 0], [0, 1]]: the hom fields on the samples, and beta, the
-        one eps-free H at z for the model and its siblings.
+        H = [[h, 0], [0, 1]]: the hom fields on the samples, and beta.
         """
         h, _, coeffs = self._hom_solve(z)
-        u = self.kernels._kept(("hom factor", z), self._hom_factor, h)
+        n = self.grid.size
+        u = np.zeros((n + 1, h.shape[1] + 1), dtype=complex)
+        u[:n, :-1] = h
+        u[n, -1] = 1.0
         return KernelOperator(self.kernels.dirichlet_blocks(z), u, coeffs)
 
     # -- exact composition (for resolvent-identity certificates) ------------

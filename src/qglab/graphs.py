@@ -148,7 +148,7 @@ class MetricGraph:
         object.__setattr__(g, "edges", edges)
         object.__setattr__(g, "vertices", verts)
         object.__setattr__(g, "example", self.example)
-        object.__setattr__(g, "params", dict(self.params, component=part))
+        object.__setattr__(g, "params", self.params)
         object.__setattr__(g, "_cell", self._cell)
         return g
 

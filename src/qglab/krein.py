@@ -33,9 +33,11 @@ all read it.
 Every kept value lives in one store, a dict shared by a workspace, its
 ``at_eps`` siblings and its ``soft_part``, keyed by what the value depends
 on beside tau and the resolution: an edge kernel under (edge id, speed, z),
-the resolvent's inputs under (z, (edge id, speed) per edge).  eps enters
-only the stiff speeds a/eps, so a sweep over eps evaluates each soft edge
-once, and on a component without a stiff edge the resolvent's inputs once.
+the resolvent's inputs under (z, (edge id, speed) per edge), the effective
+layer's boundary rows and fields under ("rows", z) and ("fields", z).  eps
+enters only the stiff speeds a/eps, so a sweep over eps evaluates each soft
+edge once, and on a component without a stiff edge the resolvent's inputs
+once; on one with a stiff edge they differ at each eps.
 """
 
 from __future__ import annotations
@@ -207,7 +209,8 @@ class _LazyGrid:
     phase e^{-i tau x} on it, the only z-independent trig factor, each built
     on first read.  A workspace, its ``at_eps`` siblings and the edge kernels
     they build hold one, so each grid is built once, by whichever reads it
-    first (a gen_res_rate row reads neither of the full graph's)."""
+    first (a gen_res_rate row reads only the soft grid of its model's
+    ``kernels``, which all the row's eps share)."""
 
     def __init__(self, component: MetricGraph, resolution: int, tau: float):
         self.component, self.resolution, self.tau = component, resolution, tau

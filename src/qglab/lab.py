@@ -309,21 +309,33 @@ def _worst(values, reduce=np.max) -> float:
     return float(reduce(values)) if values.size else math.nan
 
 
-def _sweep(failures, points, eps_list, error, where):
-    """error(p, eps) at each point p over ``eps_list``, by ``_each``.
+def _sweep(failures, points, eps_list, row, where):
+    """error(eps) over ``eps_list`` at each point p, where ``row(p)`` builds
+    what p's eps values share and returns p's ``error``.
 
-    Returns the (points, eps) array of errors, NaN where the point failed,
-    and the samples (p, eps, error) that were computed, in sweep order.
+    ``row(p)`` runs inside ``_each``'s capture at p's first eps, and again at
+    each later eps until it returns, so a point whose shared part raises is
+    one FAIL line ``where(p, eps)`` per eps.  A point's shared part lives
+    while its eps run only.  Returns the (points, eps) array of errors, NaN
+    where the point failed, and the samples (p, eps, error) that were
+    computed, in sweep order.
     """
-    done = _each(
-        failures, np.ndindex(len(points), len(eps_list)),
-        lambda ij: error(points[ij[0]], eps_list[ij[1]]),
-        lambda ij: where(points[ij[0]], eps_list[ij[1]]),
-    )
-    errors = np.full((len(points), len(eps_list)), math.nan)
-    for ij, err in done:
-        errors[ij] = err
-    return errors, [(points[i], eps_list[j], err) for (i, j), err in done]
+    errors, samples = np.full((len(points), len(eps_list)), math.nan), []
+    for i, p in enumerate(points):
+        built = []
+
+        def error(e):
+            if not built:
+                built.append(row(p))
+            return built[0](e)
+
+        for j, err in _each(
+            failures, range(len(eps_list)), lambda j: error(eps_list[j]),
+            lambda j: where(p, eps_list[j]),
+        ):
+            errors[i, j] = err
+            samples.append((p, eps_list[j], err))
+    return errors, samples
 
 
 def _slopes(name: str, eps_list, errors, lo: float = 1.8, hi: float = 2.2) -> Check:
@@ -471,25 +483,6 @@ def run_krein_vs_direct(
     return ExperimentResult("krein_vs_direct", checks, failures, rows)
 
 
-def _rate_sweep(failures, name, z, tau_list, eps_list, row):
-    """``_sweep`` of one cell's (tau, eps) grid, one row at a time.
-
-    ``row(fiber)`` builds a tau's eps-free objects at its first eps and
-    returns that row's ``error(eps)``, so a row's objects live for that row
-    only.  Returns the (tau, eps) errors and the samples (tau, eps, error),
-    as ``_sweep`` does.
-    """
-    errors, samples = np.full((len(tau_list), len(eps_list)), math.nan), []
-    for i, tau in enumerate(tau_list):
-        error = row(FiberParams(eps_list[0], tau, z))
-        errors[i], done = _sweep(
-            failures, [tau], eps_list, lambda _, e: error(e),
-            lambda t, e: f"{name}: resolvents failed at tau={t:.6g}, eps={e:g}, z={z}",
-        )
-        samples += done
-    return errors, samples
-
-
 def _soft_row(graph, fiber: FiberParams, res: int):
     """The ``error(eps)`` of one (cell, tau) row of ``gen_res_rate``: the
     norm of generalised minus effective resolvent on the soft grid.  The
@@ -515,9 +508,10 @@ def run_gen_res_rate(
     rows, checks, failures = [], [], []
     for name in examples:
         g = build_example(name)
-        errors, samples = _rate_sweep(
-            failures, name, z, tau_list, eps_list,
-            lambda fiber: _soft_row(g, fiber, resolution),
+        errors, samples = _sweep(
+            failures, tau_list, eps_list,
+            lambda tau: _soft_row(g, FiberParams(eps_list[0], tau, z), resolution),
+            lambda t, e: f"{name}: resolvents failed at tau={t:.6g}, eps={e:g}, z={z}",
         )
         rows += [dict(example=name, tau=tau, eps=e, error=err)
                  for tau, e, err in samples]
@@ -568,9 +562,10 @@ def run_full_res_rate(
     rows, checks, failures, certs = [], [], [], []
     for name in examples:
         g = build_example(name)
-        errors, samples = _rate_sweep(
-            failures, name, z, tau_list, eps_list,
-            lambda fiber: _full_row(g, fiber, resolution),
+        errors, samples = _sweep(
+            failures, tau_list, eps_list,
+            lambda tau: _full_row(g, FiberParams(eps_list[0], tau, z), resolution),
+            lambda t, e: f"{name}: resolvents failed at tau={t:.6g}, eps={e:g}, z={z}",
         )
         rows += [dict(example=name, tau=tau, eps=e, error=err)
                  for tau, e, err in samples]
@@ -844,7 +839,7 @@ def run_line_models(
     for g in cells:
         defects, samples = _sweep(
             failures, z_list, (0.125, 0.0625),
-            lambda z, e: realline.symbol_identity_defect(g, e, z, grid),
+            lambda z: lambda e: realline.symbol_identity_defect(g, e, z, grid),
             lambda z, e: f"{g.example}: symbol defect failed at eps={e:g}, z={z}",
         )
         rows += [
@@ -855,21 +850,14 @@ def run_line_models(
         checks.append(Check(f"{g.example}: max symbol defect", _worst(defects), hi=SYMBOL_TOL))
     for g in (g for g in cells if g.cell.germ):
         datum = realline.LineDatum(realline.gaussian_packet(grid, width=sigma))
-        limits = {}
 
-        def limit(z):
-            # the limit model's coefficients at z, which no eps enters: solved
-            # at the first eps of z whose eps-model solves, and kept only once
-            # it solves, so a z where it raises fails at every eps alike
-            if z not in limits:
-                limits[z] = realline.differential_model_ex1_hat(g, z, datum, grid)
-            return limits[z]
+        def row(z):
+            # the limit model's coefficients at z, which no eps enters
+            u_lim = realline.differential_model_ex1_hat(g, z, datum, grid)
+            return lambda e: realline.ex1_model_distance(g, e, z, grid, f=datum, limit=u_lim)
 
         errors, samples = _sweep(
-            failures, z_list, eps_list,
-            lambda z, e: realline.ex1_model_distance(
-                g, e, z, grid, f=datum, limit=lambda: limit(z)
-            ),
+            failures, z_list, eps_list, row,
             lambda z, e: f"{g.example}: line model failed at eps={e:g}, z={z}",
         )
         rows += [

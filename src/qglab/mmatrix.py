@@ -185,13 +185,12 @@ def _adjoint(m: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MMatrixSet:
-    """Full M-matrix and its stiff/soft blocks at ``fiber``: (..., 2, 2)
+    """Full M-matrix and its stiff/soft blocks at one fiber: (..., 2, 2)
     stacks over the broadcast shape of its parameters."""
 
     m_full: np.ndarray
     m_stiff: np.ndarray
     m_soft: np.ndarray
-    fiber: FiberParams
 
     def symmetry_defect(self, other: "MMatrixSet") -> float | np.ndarray:
         """``deviation`` of M(conj z) from M(z)^* over the three blocks, per
@@ -283,9 +282,7 @@ def m_blocks_closed(graph: MetricGraph, fiber: FiberParams) -> MMatrixSet:
         m_soft = _block(k, -a1 * cot1 - a2 * cot2, off, off_c)
     else:  # a single soft edge (ex0, ex1)
         m_soft = _soft_edge_block(p["l2"], p["a2"], k, tau)
-    return MMatrixSet(
-        m_full=m_stiff + m_soft, m_stiff=m_stiff, m_soft=m_soft, fiber=fiber
-    )
+    return MMatrixSet(m_full=m_stiff + m_soft, m_stiff=m_stiff, m_soft=m_soft)
 
 
 def deviation(m: np.ndarray, ref: np.ndarray) -> float | np.ndarray:

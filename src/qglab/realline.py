@@ -22,7 +22,6 @@ The realisations are certified by their symbols (``symbol_identity_defect``).
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -257,7 +256,7 @@ def ex1_model_distance(
     z: complex,
     grid: LineGrid,
     f: np.ndarray | LineDatum | None = None,
-    limit: Callable[[], np.ndarray] | None = None,
+    limit: np.ndarray | None = None,
 ) -> float:
     """||Psi_K^eps f - Psi_K_limit f|| / ||f|| for a band-concentrated datum
     (default ``gaussian_packet(grid)``); decays at O(eps^2) as the
@@ -267,15 +266,14 @@ def ex1_model_distance(
     numpy's unnormalised FFT on N points it is ||u_hat_eps - u_hat_lim|| /
     (sqrt(N) ||f||): neither solution is transformed back.  The limit's
     coefficients (``differential_model_ex1_hat``) do not depend on eps.
-    ``limit``, when given, returns them (for this graph, z, datum and grid),
-    so that a sweep over eps can solve the limit once; it is called after
-    the eps-model is solved.
+    ``limit``, when given, is them (for this graph, z, datum and grid), so
+    that a sweep over eps solves the limit once.
     """
     datum = _datum(gaussian_packet(grid) if f is None else f)
     mask, u_eps = _band_divide(
         datum, grid, math.pi / eps, lambda t: multiplier_symbol(graph, eps, z, t)
     )
-    u_lim = differential_model_ex1_hat(graph, z, datum, grid) if limit is None else limit()
+    u_lim = differential_model_ex1_hat(graph, z, datum, grid) if limit is None else limit
     diff = u_lim.copy()
     diff[mask] -= u_eps
     return float(np.linalg.norm(diff) / (math.sqrt(grid.size) * datum.norm))

@@ -462,7 +462,7 @@ def test_m_blocks_closed_stack_equals_point_loop(g, zs, eps):
     )
     for i, j in np.ndindex(TAUS.size, len(zs)):
         one, one_conj = (
-            MMatrixSet(m.m_full[i, j], m.m_stiff[i, j], m.m_soft[i, j], m.fiber)
+            MMatrixSet(m.m_full[i, j], m.m_stiff[i, j], m.m_soft[i, j])
             for m in (mset, conj)
         )
         assert [c[i, j] for c in certificates] == [
@@ -677,12 +677,53 @@ def test_line_models_transforms_each_datum_once_and_solves_each_limit_once_per_z
     # are taken between Fourier coefficients, so nothing is inverted
     ffts = _counting(monkeypatch, np.fft, "fft")
     iffts = _counting(monkeypatch, np.fft, "ifft")
-    limits = _counting(monkeypatch, realline, "differential_model_ex1_hat")
+    limits, solved = [], []
+    original_limit, original_distance = (
+        realline.differential_model_ex1_hat, realline.ex1_model_distance
+    )
+
+    def limit(graph, z, f, grid):
+        limits.append((z, original_limit(graph, z, f, grid)))
+        return limits[-1][1]
+
+    def distance(graph, eps, z, grid, f, limit):
+        solved.append((z, limit))
+        return original_distance(graph, eps, z, grid, f=f, limit=limit)
+
+    monkeypatch.setattr(realline, "differential_model_ex1_hat", limit)
+    monkeypatch.setattr(realline, "ex1_model_distance", distance)
     res = lab.run_experiment("line_models", {"grid_size": 1024})
     assert res.passed
     assert len(ffts) == 1
-    assert [args[1] for args in limits] == list(lab.DEFAULT_Z)
+    assert [z for z, _ in limits] == list(lab.DEFAULT_Z)
     assert len(iffts) == 0
+    # every eps of a z reads the one array its limit solve returned
+    assert [(z, id(u)) for z, u in solved] == [
+        (z, id(u)) for z, u in limits for _ in lab.DEFAULT_EPS
+    ]
+
+
+def test_rate_sweeps_build_each_row_once_and_retry_a_raising_one_per_eps(monkeypatch):
+    # a tau's row (model, start vector, Psi) is built once for all its eps
+    # when it returns, at the row's first eps; a row that raises as it is
+    # built (the a1 = a3 ex1 cell at tau = pi) is tried again at each eps
+    g = build_example("ex1", a1=1.0, a3=1.0)
+    monkeypatch.setattr(lab, "build_example", lambda name: g)
+    soft = _counting(monkeypatch, lab, "_soft_row")
+    full = _counting(monkeypatch, lab, "_full_row")
+    eps_list = [0.125, 0.0625, 0.03125, 0.015625]
+    cfg = {"examples": ["ex1"], "tau_list": [1.0, math.pi, -2.0], "eps_list": eps_list,
+           "resolution": 32}
+    for tag, calls in (("gen_res_rate", soft), ("full_res_rate", full)):
+        assert len(lab.run_experiment(tag, cfg).failures) == len(eps_list)
+        assert [(fiber.eps, fiber.tau) for _, fiber, _ in calls] == [
+            (eps_list[0], tau) for tau in [1.0, *[math.pi] * len(eps_list), -2.0]
+        ]
+    # the soft component holds no stiff edge, so no eps enters its workspace
+    model = EffectiveModel(g, FiberParams(0.125, 1.0, 2 + 1j), 32)
+    at = model.at_eps(0.0625)
+    assert at.kernels is model.kernels and at.workspace is not model.workspace
+    assert (at.fiber.eps, at.workspace.fiber.eps) == (0.0625, 0.0625)
 
 
 def test_dispersion_series_calls_k_series_three_times_per_cell(monkeypatch):

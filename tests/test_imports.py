@@ -200,10 +200,11 @@ def _hidden_caches(module: str) -> list[str]:
 
 def test_no_module_level_caches():
     # what a sweep shares lives in one store per row of one run: the dict
-    # of a model's full-graph workspace, which its soft part and every
-    # at_eps sibling share, keyed by what each value depends on beside tau
-    # and the resolution.  No module keeps a cache that could carry one
-    # run's, or one row's, values into another
+    # of a model's full-graph workspace, which its soft part (the one
+    # ``kernels`` of every eps of the row) and the workspace's at_eps
+    # siblings share, keyed by what each value depends on beside tau and
+    # the resolution.  No module keeps a cache that could carry one run's,
+    # or one row's, values into another
     modules = sorted(p.stem for p in (SRC / "qglab").glob("*.py"))
     assert "krein" in modules
     assert [where for m in modules for where in _hidden_caches(m)] == []

@@ -607,6 +607,30 @@ def test_pole_in_one_eps_b_matrix_fails_only_that_point(monkeypatch, failing_eps
 
 
 @pytest.mark.parametrize("tag", ["gen_res_rate", "full_res_rate"])
+def test_a_row_whose_shared_part_raises_is_a_fail_line_per_eps(monkeypatch, tag):
+    # with a1 = a3 the ex1 cell's |xi(tau)| is 6.3e-16 at tau = pi, so the
+    # row's effective model raises as it is built: each eps of that row is
+    # a FAIL line, and the tau = 1 row is still measured
+    g = build_example("ex1", a1=1.0, a3=1.0)
+    monkeypatch.setattr(lab, "build_example", lambda name: g)
+    eps_list = [0.125, 0.0625, 0.03125, 0.015625]
+    res = run_experiment(tag, {
+        "examples": ["ex1"], "tau_list": [1.0, math.pi], "eps_list": eps_list,
+        "resolution": 32,
+    })
+    assert [line.split(": PoleError: ")[0] for line in res.failures] == [
+        f"ex1: resolvents failed at tau=3.14159, eps={e:g}, z=(2+1j)" for e in eps_list
+    ]
+    assert all(line.endswith("equal-impedance exclusion band") for line in res.failures)
+    assert [(r["tau"], r["eps"]) for r in res.rows] == [(1.0, e) for e in eps_list]
+    assert all(math.isfinite(r["error"]) for r in res.rows)
+    slopes, *others = res.checks
+    assert slopes.name == "ex1: slopes" and not slopes.ok
+    assert 1.8 <= slopes.value[0] <= 2.2 and math.isnan(slopes.value[1])
+    assert all(c.ok for c in others)
+
+
+@pytest.mark.parametrize("tag", ["gen_res_rate", "full_res_rate"])
 def test_rate_sweep_rows_equal_points_built_alone(tag):
     # every eps of a row reads the row's eps-free objects; each error is ==
     # the one from a workspace, model, Psi and B(z) built for that point
