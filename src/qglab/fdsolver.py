@@ -36,6 +36,7 @@ antisymmetric) and gives it to the row at -tau as well.
 from __future__ import annotations
 
 import gc
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -150,7 +151,8 @@ class DiscretizedOperator:
 
     The pattern comes from ``layout``, which the caller builds once per
     (graph, resolution); the operator assembles only the weights and the
-    values.
+    values.  The prolongation ``prolong`` is built on its first read (by
+    ``resolvent``); the spectrum needs only K and M.
     """
 
     def __init__(self, layout: FemLayout, fiber: FiberParams):
@@ -162,18 +164,12 @@ class DiscretizedOperator:
         self._assemble()
 
     def _assemble(self) -> None:
-        import scipy.sparse as sp
-
         lay, tau = self.layout, self.fiber.tau
-        size = lay.grid.size
-        # prolongation P: samples <- dofs, one entry per sample row; an edge
-        # endpoint carries its vertex value times the conjugate weight
-        val = np.ones(size, dtype=complex)
+        # the prolongation values of the samples: an edge endpoint carries
+        # its vertex value times the conjugate weight, every other sample 1
+        val = self._prolong_values = np.ones(lay.grid.size, dtype=complex)
         for node, v, e_id in lay.ends:
             val[node] = np.conj(self.weights[(v, e_id)])
-        self.prolong = sp.csr_matrix(
-            (val, lay.col, np.arange(size + 1)), shape=(size, self.ndof)
-        )
 
         # P^* K_block P and P^* M_block P assembled directly in dof space:
         # the (a, b) entry of the element on samples (r, c) is scaled by
@@ -199,6 +195,18 @@ class DiscretizedOperator:
                 m_vals.append(m_ab)
         self.k_mat = lay.csc(np.stack(k_vals, axis=1).ravel())
         self.m_mat = lay.csc(np.stack(m_vals, axis=1).ravel())
+
+    @cached_property
+    def prolong(self):
+        """The prolongation P: samples <- dofs (CSR), one entry per sample
+        row, the sample's prolongation value in its dof's column."""
+        import scipy.sparse as sp
+
+        size = self.grid.size
+        return sp.csr_matrix(
+            (self._prolong_values, self.layout.col, np.arange(size + 1)),
+            shape=(size, self.ndof),
+        )
 
     def _solve(self, z: complex):
         """Factor K - z M once; return ``solve(rhs, trans="N")``.

@@ -45,6 +45,19 @@ def test_assembled_form_is_symmetric():
                 assert abs(a - a.conj().T).max() <= 1e-15 * abs(a).max()
 
 
+def test_prolongation_is_built_on_its_first_read_by_the_resolvent():
+    # the spectrum needs only K and M, so an operator that only solves for
+    # eigenvalues (the bands sweep builds 144 per pass) builds no CSR
+    # prolongation; the resolvent builds it once and keeps it
+    _, op = _op("ex1", eps=0.1, tau=0.7, res=32)
+    op.eigenvalues(2)
+    assert "prolong" not in vars(op)
+    op.resolvent(2 + 1j)
+    p = vars(op)["prolong"]
+    op.resolvent(3 + 1j)
+    assert op.prolong is p and p.shape == (op.grid.size, op.ndof)
+
+
 def test_vertex_flux_residual_small_after_solve():
     # the vertex rows of (K - z M) u = P^* W f are the discrete signed
     # weighted co-derivative sums: their residual certifies the vertex

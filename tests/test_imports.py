@@ -1,13 +1,15 @@
-"""``import qglab`` and the closed-form verbs load no scipy module, and the
-closed-form layer imports nothing of the resolvent layer.
+"""``import qglab`` loads no module, the benchmark's set-up line loads only
+the two layers it calls, the closed-form layer imports nothing of the
+resolvent layer, and the closed-form verbs load no scipy module.
 
 The closed forms need only numpy; scipy is imported inside the calls that
-use it (the FEM oracle), and no module imports ``scipy.optimize``.  Each scipy check runs in a
-fresh interpreter with ``PYTHONPATH=src``, so no module imported by another
-test can hide a scipy import at module level.
+use it (the FEM oracle), and no module imports ``scipy.optimize``.  Each
+module check runs in a fresh interpreter with ``PYTHONPATH=src``, so no
+module imported by another test can hide an import at module level.
 """
 
 import ast
+import importlib
 import inspect
 import json
 import os
@@ -19,7 +21,8 @@ import pytest
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
-# the benchmark's set-up line: what every verb pays before its first experiment
+# the benchmark's set-up line: a fresh interpreter's import and one fiber
+# point, which needs only graphs and mmatrix
 SETUP = (
     "import qglab\n"
     "from qglab.graphs import build_example\n"
@@ -35,30 +38,45 @@ VERB = (
 )
 REPORT = (
     "import json, sys\n"
-    "print(json.dumps([rc, sorted(n for n in sys.modules if n.startswith('scipy'))]))\n"
+    "loaded = {p: sorted(n for n in sys.modules if n.split('.')[0] == p)\n"
+    "          for p in ('qglab', 'numpy', 'scipy')}\n"
+    "print(json.dumps([rc, loaded]))\n"
 )
 
 
-def _fresh(code: str) -> tuple[int, list[str]]:
-    """(exit status of the code, scipy modules it left loaded), from a new
-    interpreter."""
+def _fresh(code: str) -> tuple[int, dict[str, list[str]]]:
+    """(exit status of the code, the qglab, numpy and scipy modules it left
+    loaded, by package), from a new interpreter."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"}
     out = subprocess.run(
         [sys.executable, "-c", code + REPORT], env=env, capture_output=True, text=True,
         timeout=300, check=True,
     ).stdout
-    rc, scipy_modules = json.loads(out.splitlines()[-1])
-    return rc, scipy_modules
+    rc, loaded = json.loads(out.splitlines()[-1])
+    return rc, loaded
+
+
+def test_import_qglab_loads_no_module():
+    # the package holds its docstring and version only: each caller imports
+    # a name from the module that defines it
+    assert _fresh("import qglab\nrc = 0\n") == (0, {"qglab": ["qglab"], "numpy": [], "scipy": []})
+
+
+def test_setup_line_loads_only_graphs_and_mmatrix():
+    rc, loaded = _fresh(SETUP)
+    assert (rc, loaded["qglab"]) == (0, ["qglab", "qglab.graphs", "qglab.mmatrix"])
 
 
 def test_import_and_one_fiber_point_load_no_scipy():
-    assert _fresh(SETUP) == (0, [])
+    rc, loaded = _fresh(SETUP)
+    assert (rc, loaded["scipy"]) == (0, [])
 
 
 @pytest.mark.parametrize("verb", ["mmatrix", "dispersion", "line", "verify-appendix", "converge"])
 def test_closed_form_verbs_load_no_scipy(verb):
-    assert _fresh(VERB.format(verb=verb)) == (0, [])
+    rc, loaded = _fresh(VERB.format(verb=verb))
+    assert (rc, loaded["scipy"]) == (0, [])
 
 
 @pytest.mark.parametrize("verb", ["bands", "resolvent"])
@@ -66,7 +84,8 @@ def test_fem_verbs_load_scipy_where_they_call_it(verb):
     # the FEM oracle needs scipy.sparse.linalg; the band scan refines its
     # roots by dispersion's own false position, so scipy.optimize (171
     # modules and about 17 MB) stays unloaded
-    rc, scipy_modules = _fresh(VERB.format(verb=verb))
+    rc, loaded = _fresh(VERB.format(verb=verb))
+    scipy_modules = loaded["scipy"]
     assert rc == 0
     assert "scipy.sparse.linalg" in scipy_modules
     assert [m for m in scipy_modules if m.split(".")[:2] == ["scipy", "optimize"]] == []
@@ -99,9 +118,41 @@ def _qglab_imports(module: str) -> set[str]:
 
 @pytest.mark.parametrize("module", CLOSED_FORMS)
 def test_closed_forms_import_no_resolvent_module(module):
-    # a static check: ``import qglab`` loads every module, so sys.modules
-    # cannot tell which module pulled in which
+    # a static check: it sees an import inside a function too, which the
+    # fresh interpreter below runs only if the function is called
     assert _qglab_imports(module) & RESOLVENT_LAYER == set()
+
+
+@pytest.mark.parametrize("module", CLOSED_FORMS)
+def test_closed_form_module_alone_loads_no_resolvent_module(module):
+    # what the module pulls in at import, through every module it imports
+    rc, loaded = _fresh(f"import qglab.{module}\nrc = 0\n")
+    assert rc == 0 and f"qglab.{module}" in loaded["qglab"]
+    assert {n.split(".")[1] for n in loaded["qglab"] if "." in n} & RESOLVENT_LAYER == set()
+
+
+# the library's public entry points, each named where it is defined; the
+# check stays on these, since the per-edge krein.EdgeKernel takes the
+# weights and a grid of its workspace by design
+ENTRY_POINTS = (
+    "dispersion.band_roots", "dispersion.k_closed", "dispersion.k_series",
+    "dispersion.verify_sum_identities",
+    "effective.EffectiveModel", "effective.PsiEmbedding",
+    "fdsolver.DiscretizedOperator", "fdsolver.FemLayout",
+    "graphs.EdgeSpec", "graphs.MetricGraph", "graphs.ParameterError", "graphs.PoleError",
+    "graphs.build_example", "graphs.datta_weights",
+    "krein.ResolventWorkspace",
+    "lab.EXPERIMENT_TAGS", "lab.Check", "lab.ExperimentResult", "lab.SlopeFit",
+    "lab.fit_slope", "lab.operator_norm_diff", "lab.parse_config", "lab.run_experiment",
+    "mmatrix.FiberParams", "mmatrix.MMatrixSet", "mmatrix.check_additivity",
+    "mmatrix.herglotz_min_eig", "mmatrix.m_blocks_closed", "mmatrix.m_general",
+    "realline.LineGrid", "realline.difference_symbol", "realline.differential_symbol_ex1",
+    "realline.gaussian_packet", "realline.make_line_grid", "realline.psi_k_apply",
+    "triples.b_eff", "triples.b_matrix", "triples.beff_deviation", "triples.btilde_closed_ex0",
+    "triples.btilde_numeric", "triples.delta_fn", "triples.delta_limit",
+    "triples.projection_transform", "triples.rotate_triple", "triples.rotation_x",
+    "triples.second_swap",
+)
 
 
 def test_fiber_layers_take_no_weights():
@@ -110,11 +161,13 @@ def test_fiber_layers_take_no_weights():
     # no public callable or method takes either, and the harness builds
     # neither; the real-line models' ``grid`` is their LineGrid, not a
     # component's sample grid
-    import qglab
-
-    takes, takes_grid = [], []
-    for name in qglab.__all__:
-        obj = getattr(qglab, name)
+    takes, takes_grid, missing = [], [], []
+    for name in ENTRY_POINTS:
+        module, attr = name.split(".")
+        obj = getattr(importlib.import_module(f"qglab.{module}"), attr, None)
+        if obj is None:
+            missing.append(name)
+            continue
         members = [(name, obj)] if callable(obj) else []
         if inspect.isclass(obj):
             members += [
@@ -132,6 +185,8 @@ def test_fiber_layers_take_no_weights():
                 f"{where}({p.name})" for p in params.values()
                 if p.name in ("grid", "full_grid") and p.annotation != "LineGrid"
             ]
+    assert missing == []
+    assert len(ENTRY_POINTS) == len(set(ENTRY_POINTS)) == 46
     assert takes == []
     assert takes_grid == []
     lab = (SRC / "qglab" / "lab.py").read_text()
